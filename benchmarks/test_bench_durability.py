@@ -23,8 +23,8 @@ import tempfile
 import time
 
 from repro.durability.recovery import recover_runtime
-from repro.durability.runtime import DurableRuntime
 from repro.faults.crashpoints import CrashSchedule, SimulatedCrash
+from repro.stack import build_durable_stack
 
 NS_PER_S = 1_000_000_000
 PAIRS = 10
@@ -43,7 +43,7 @@ NEVER_NS = 1 << 62
 
 def _timed_run(state_dir, checkpoint_interval_ns):
     shutil.rmtree(state_dir, ignore_errors=True)
-    runtime = DurableRuntime(
+    runtime = build_durable_stack(
         state_dir, checkpoint_interval_ns=checkpoint_interval_ns, **RUN
     )
     gc.collect()
@@ -109,7 +109,7 @@ class TestRecoveryPath:
             # directly, with no post-crash drain, keeps the WAL dirty.)
             schedule = CrashSchedule()
             schedule.arm("tsdb.applied", hit=200)
-            victim = DurableRuntime(
+            victim = build_durable_stack(
                 workdir + "/state", crash_schedule=schedule, **RUN
             )
             try:
@@ -120,7 +120,7 @@ class TestRecoveryPath:
             del victim
 
             def recover_once():
-                runtime = DurableRuntime(workdir + "/state", **RUN)
+                runtime = build_durable_stack(workdir + "/state", **RUN)
                 return recover_runtime(runtime)
 
             report = benchmark(recover_once)

@@ -17,10 +17,7 @@ specific, very short time period each night", invisible to SNMP-style
 Run:  python examples/anomaly_detection.py
 """
 
-from repro import AnomalyManager, PipelineConfig, RuruPipeline
-from repro.analytics.service import AnalyticsService
-from repro.geo.builder import GeoDbBuilder
-from repro.mq.socket import Context
+from repro import build_live_stack
 from repro.tsdb.query import Query
 from repro.traffic.scenarios import (
     AucklandLaScenario,
@@ -53,20 +50,12 @@ def main() -> None:
     )
     generator = scenario.build(injectors=[glitch, flood])
 
-    context = Context()
-    geo, asn = GeoDbBuilder(plan=generator.plan).build()
-    service = AnalyticsService(context, geo, asn)
-    manager = AnomalyManager()
-    # Tap the enriched stream for the measurement detectors.
-    service.filters.append(lambda m: (manager.observe_measurement(m), True)[1])
-
-    pipeline = RuruPipeline(
-        config=PipelineConfig(num_queues=4),
-        sink=service.make_sink(),
-        observers=[manager.observe_packet],  # SYN-flood detector tap
-    )
-    pipeline.run_packets(generator.packets())
-    service.finish()
+    # The live preset with detectors attached: the measurement
+    # detectors tap the enriched stream, the SYN-flood detector taps
+    # raw packets at the workers.
+    stack = build_live_stack(generator=generator, queues=4, anomaly=True)
+    stack.run()
+    service, manager = stack.service, stack.anomaly
 
     print(f"Flows in glitch window: {glitch.affected_flows}")
     print(f"SYN-flood packets injected: ~{flood.flows_injected}")

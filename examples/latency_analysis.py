@@ -3,8 +3,9 @@
 
 The paper aggregates measurements "for further analysis" and cites
 Fontugne et al.'s lognormal mixture methodology for RTT populations.
-This example runs a day-segment of traffic through the co-scheduled
-runtime, then analyzes the stored measurements three ways:
+This example runs a day-segment of traffic through ``RuruRuntime``
+(the live stack with the map attached), then analyzes the stored
+measurements three ways:
 
 1. per-path mixture fits — how many latency states does each path
    have, and where are the modes?
@@ -18,7 +19,6 @@ Run:  python examples/latency_analysis.py
 from repro import RuruRuntime
 from repro.analysis.report import analyze_paths, compare_windows
 from repro.frontend.heatmap import LatencyBuckets, render_heatmap
-from repro.mq.codec import decode_enriched
 from repro.traffic.scenarios import AucklandLaScenario, FirewallGlitchInjector
 
 NS_PER_S = 1_000_000_000
@@ -38,10 +38,8 @@ def main() -> None:
     runtime = RuruRuntime.build(generator.plan, with_anomaly_detection=False)
     # Capture the enriched stream for offline analysis as it passes.
     measurements = []
-    sub = runtime.service.subscribe_frontend(hwm=1 << 20)
+    runtime.stack.graph.get("frontend").observers.append(measurements.append)
     report = runtime.run(generator.packets())
-    for message in sub.recv_all():
-        measurements.append(decode_enriched(message.payload[0]))
 
     print(f"Measurements analyzed: {len(measurements)} "
           f"(glitch affected {glitch.affected_flows} flows)\n")

@@ -13,14 +13,10 @@ Run:  python examples/live_map.py
 
 from collections import Counter
 
-from repro import PipelineConfig, RuruPipeline
-from repro.analytics.service import AnalyticsService
+from repro import build_live_stack
 from repro.frontend.arcs import great_circle_points
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
-from repro.geo.builder import GeoDbBuilder
-from repro.mq.codec import decode_enriched
-from repro.mq.socket import Context
 from repro.traffic.scenarios import AucklandLaScenario, FirewallGlitchInjector
 
 NS_PER_S = 1_000_000_000
@@ -49,30 +45,24 @@ def main() -> None:
         duration_ns=12 * NS_PER_S, mean_flows_per_s=60, seed=7, diurnal=False
     ).build(injectors=[glitch])
 
-    context = Context()
-    geo, asn = GeoDbBuilder(plan=generator.plan).build()
-    service = AnalyticsService(context, geo, asn)
-    frontend = service.subscribe_frontend()
-
-    pipeline = RuruPipeline(
-        config=PipelineConfig(num_queues=4), sink=service.make_sink()
-    )
-    pipeline.run_packets(generator.packets())
-    service.finish()
-
     channel = WebSocketChannel(name="browser")
     view = LiveMapView(channel=channel, fps=30, arc_ttl_s=30.0,
                        max_arcs_per_frame=1000)
     all_arcs = []
-    last_ns = 0
-    for message in frontend.recv_all():
-        measurement = decode_enriched(message.payload[0])
-        view.add_measurement(measurement, measurement.timestamp_ns)
-        frame = view.tick(measurement.timestamp_ns)
+
+    def draw(measurement) -> None:
+        frame = view.observe(measurement)
         if frame:
             all_arcs.extend(frame.arcs)
-        last_ns = max(last_ns, measurement.timestamp_ns)
-    all_arcs.extend(view.flush_frame(last_ns).arcs)
+
+    # The map is the frontend stage's subscriber: it is fed while the
+    # packets are still arriving, as the deployed map is.
+    stack = build_live_stack(generator=generator, queues=4, frontend_hwm=10_000)
+    stack.graph.get("frontend").observers.append(draw)
+    stack.run()
+    last = view.finish()
+    all_arcs.extend(last.arcs)
+    last_ns = last.timestamp_ns
 
     print(ascii_world(all_arcs))
     print()

@@ -10,13 +10,11 @@ pipeline populates, queried exactly the way Grafana panels would.
 Run:  python examples/network_planning.py
 """
 
-from repro import PipelineConfig, RuruPipeline
-from repro.analytics.service import AnalyticsService
+from repro import build_live_stack
 from repro.frontend.dashboard import build_ruru_dashboard
-from repro.geo.builder import GeoDbBuilder
 from repro.geo.distance import rtt_floor_ms
 from repro.geo.locations import city_by_name
-from repro.mq.socket import Context
+from repro.stack import build_enrichment_dbs
 from repro.tsdb.query import Query
 from repro.traffic.scenarios import AucklandLaScenario
 
@@ -27,15 +25,13 @@ def main() -> None:
     generator = AucklandLaScenario(
         duration_ns=30 * NS_PER_S, mean_flows_per_s=60, seed=21, diurnal=False
     ).build()
-    context = Context()
-    geo, asn = GeoDbBuilder(plan=generator.plan, country_accuracy=1.0).build()
-    service = AnalyticsService(context, geo, asn)
-    pipeline = RuruPipeline(
-        config=PipelineConfig(num_queues=4), sink=service.make_sink()
+    stack = build_live_stack(
+        generator=generator,
+        queues=4,
+        geo_asn=build_enrichment_dbs(generator.plan, country_accuracy=1.0),
     )
-    pipeline.run_packets(generator.packets())
-    service.finish()
-    tsdb = service.tsdb
+    stack.run()
+    tsdb = stack.tsdb
 
     tap = city_by_name("Auckland")
 

@@ -29,7 +29,7 @@ from repro.mq.codec import (
 )
 from repro.mq.frames import Message
 from repro.mq.socket import Context, PubSocket, PushSocket
-from repro.resilience.invariants import ConservationLedger
+from repro.resilience.invariants import Ledger
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.point import Point
 
@@ -400,11 +400,11 @@ class AnalyticsService:
         """The service's virtual now (latest record/measurement seen)."""
         return self._now_ns
 
-    def conservation_ledger(self) -> ConservationLedger:
+    def conservation_ledger(self) -> Ledger:
         """The count-conservation snapshot: ingested == processed +
-        dropped + deadlettered. The chaos harness checks this after
-        every run; it must balance under any fault profile."""
-        return ConservationLedger(
+        dropped + deadlettered. Every run's report checks this at
+        drain; it must balance under any fault profile."""
+        return Ledger(
             ingested=self.records_in,
             processed=self.processed,
             dropped=self.dropped_records,

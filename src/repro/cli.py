@@ -58,7 +58,6 @@ from typing import List, Optional
 from repro.frontend.dashboard import build_ruru_dashboard
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
-from repro.mq.codec import decode_enriched
 from repro.net.pcap import PcapWriter
 from repro.obs import Telemetry
 from repro.stack import build_live_stack, build_measure_stack
@@ -101,10 +100,10 @@ def _attach_exporter(telemetry: Optional[Telemetry], args, tsdb) -> None:
         telemetry.export_to(tsdb, interval_ns=interval_ns)
 
 
-def _print_telemetry_summary(telemetry: Optional[Telemetry], clock) -> None:
+def _print_telemetry_summary(telemetry: Optional[Telemetry]) -> None:
+    """What the run's telemetry holds once the drain has flushed it."""
     if telemetry is None:
         return
-    telemetry.flush(clock.now_ns)
     exporter = telemetry.exporter
     print("--- telemetry ---")
     if exporter is not None:
@@ -148,25 +147,19 @@ def cmd_measure(args) -> int:
     pipeline = stack.pipeline
     if args.pcap:
         with open_capture(args.pcap) as reader:
-            stats = pipeline.run_packets(reader)
+            stats = stack.run(reader).stats
     else:
-        generator = _build_generator(args)
-        stats = pipeline.run_packets(generator.packets())
+        stats = stack.run(_build_generator(args).packets()).stats
     for record in pipeline.measurements[: args.show]:
         print(record)
     if len(pipeline.measurements) > args.show:
         print(f"... and {len(pipeline.measurements) - args.show} more")
-    slo_results = None
-    if telemetry is not None:
-        from repro.obs.slo import evaluate_slos
-
-        slo_results = evaluate_slos(telemetry.registry)
     print("--- pipeline stats ---")
-    for key, value in stats.summary(slo_results=slo_results).items():
+    for key, value in stats.summary(slo_results=stack.slo_results).items():
         print(f"{key:>20}: {value}")
     print(f"{'queue balance':>20}: "
           + ", ".join(f"{share:.2%}" for share in pipeline.queue_balance()))
-    _print_telemetry_summary(telemetry, pipeline.clock)
+    _print_telemetry_summary(telemetry)
     if telemetry is not None:
         print(telemetry.registry.exposition(), end="")
     return 0
@@ -185,20 +178,11 @@ def cmd_demo(args) -> int:
     _attach_exporter(telemetry, args, service.tsdb)
     channel = WebSocketChannel()
     map_view = LiveMapView(channel=channel)
-    frontend_sub = stack.frontend
+    stack.graph.get("frontend").observers.append(map_view.observe)
 
-    pipeline = stack.pipeline
-    stats = pipeline.run_packets(stack.packet_stream())
-    service.finish()
-    _print_telemetry_summary(telemetry, pipeline.clock)
-
-    last_ns = 0
-    for message in frontend_sub.recv_all():
-        measurement = decode_enriched(message.payload[0])
-        map_view.add_measurement(measurement, measurement.timestamp_ns)
-        map_view.tick(measurement.timestamp_ns)
-        last_ns = max(last_ns, measurement.timestamp_ns)
-    map_view.flush_frame(last_ns)
+    stats = stack.run().stats
+    _print_telemetry_summary(telemetry)
+    map_view.finish()
 
     print(f"measurements: {stats.measurements}")
     print(f"enriched:     {service.enriched_count}")
@@ -241,13 +225,9 @@ def cmd_detect(args) -> int:
     )
     service = stack.service
     _attach_exporter(telemetry, args, service.tsdb)
-    manager = stack.anomaly
-
-    pipeline = stack.pipeline
-    pipeline.run_packets(stack.packet_stream())
-    service.finish()
-    _print_telemetry_summary(telemetry, pipeline.clock)
-    events = manager.finish(now_ns=int(args.duration * NS_PER_S))
+    stack.run()
+    _print_telemetry_summary(telemetry)
+    events = stack.anomaly.finish(now_ns=int(args.duration * NS_PER_S))
     if not events:
         print("no anomalies detected")
         return 1
@@ -266,11 +246,7 @@ def cmd_export(args) -> int:
     # Self-monitoring series land in the same TSDB, so the line-protocol
     # export carries the pipeline's own health alongside the latencies.
     _attach_exporter(telemetry, args, service.tsdb)
-    pipeline = stack.pipeline
-    pipeline.run_packets(stack.packet_stream())
-    service.finish()
-    if telemetry is not None:
-        telemetry.flush(pipeline.clock.now_ns)
+    stack.run()
 
     count = 0
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -304,7 +280,7 @@ def cmd_export(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run the workload fully instrumented; print the exposition text."""
-    from repro.obs.slo import DEFAULT_SLOS, evaluate_slos, slos_from_dict
+    from repro.obs.slo import slos_from_dict
 
     generator = _build_generator(args)
     telemetry = Telemetry()
@@ -314,18 +290,14 @@ def cmd_metrics(args) -> int:
     service = stack.service
     interval_ns = max(1, int(args.telemetry_interval * NS_PER_S))
     telemetry.export_to(service.tsdb, interval_ns=interval_ns)
-    pipeline = stack.pipeline
-    pipeline.run_packets(stack.packet_stream())
-    service.finish()
-    telemetry.flush(pipeline.clock.now_ns)
-    print(telemetry.registry.exposition(), end="")
-    slos = DEFAULT_SLOS
     if args.slo_config:
         import json
 
         with open(args.slo_config, "r", encoding="utf-8") as handle:
-            slos = slos_from_dict(json.load(handle))
-    results = evaluate_slos(telemetry.registry, slos)
+            stack.slos = slos_from_dict(json.load(handle))
+    stack.run()
+    print(telemetry.registry.exposition(), end="")
+    results = stack.slo_results
     print("--- slo ---")
     for result in results:
         print(result.render())
@@ -341,8 +313,6 @@ def cmd_prof(args) -> int:
     exactly the stages the live preset assembles — adding a stage to
     the topology adds a row here, with no extra wiring.
     """
-    from repro.obs.slo import evaluate_slos
-
     generator = _build_generator(args)
     telemetry = Telemetry()
     profiler = telemetry.enable_profiler(sample_every=args.sample)
@@ -352,15 +322,7 @@ def cmd_prof(args) -> int:
         telemetry=telemetry,
         frontend_hwm=10_000,
     )
-    pipeline = stack.pipeline
-    batch = []
-    for packet in stack.packet_stream():
-        batch.append(packet)
-        if len(batch) >= pipeline.feed_batch:
-            stack.process_batch(batch)
-            batch.clear()
-    stack.process_batch(batch)
-    stack.drain()
+    stack.run()
     print(profiler.render(top_calls=args.top))
     if stack.slo_results:
         print("--- slo ---")
@@ -608,7 +570,7 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults import PROFILES, ChaosHarness
+    from repro.faults import PROFILES, run_chaos
 
     if args.list:
         _print_catalog([
@@ -631,16 +593,16 @@ def cmd_chaos(args) -> int:
         )
     from repro.durability.signals import GracefulShutdown
 
-    harness = ChaosHarness(
-        args.profile,
-        seed=args.seed,
-        duration_s=args.duration,
-        rate=args.rate,
-        queues=args.queues,
-        overload=args.overload,
-    )
     with GracefulShutdown() as stop:
-        report = harness.run(shutdown_flag=stop.requested)
+        report = run_chaos(
+            args.profile,
+            seed=args.seed,
+            shutdown_flag=stop.requested,
+            duration_s=args.duration,
+            rate=args.rate,
+            queues=args.queues,
+            overload=args.overload,
+        )
     if stop.requested():
         print(f"[{stop.signal_name}] interrupted — drained gracefully")
     print(report.render())
@@ -656,16 +618,16 @@ def cmd_chaos(args) -> int:
             "ruru_faults_injected_total",
             "ruru_degraded_published_total",
         )
-        for line in harness.telemetry.registry.exposition().splitlines():
+        for line in report.stack.telemetry.registry.exposition().splitlines():
             if any(line.startswith(name) or name in line for name in wanted):
                 print(line)
     return 0 if report.ok else 1
 
 
 def cmd_dlq(args) -> int:
-    from repro.faults import ChaosHarness
+    from repro.faults import run_chaos
 
-    harness = ChaosHarness(
+    report = run_chaos(
         args.profile,
         seed=args.seed,
         duration_s=args.duration,
@@ -673,8 +635,7 @@ def cmd_dlq(args) -> int:
         queues=args.queues,
         overload=args.overload,
     )
-    report = harness.run()
-    print(harness.resilience.dlq.format_table(limit=args.limit))
+    print(report.stack.resilience.dlq.format_table(limit=args.limit))
     return 0 if report.ok else 1
 
 
@@ -702,11 +663,11 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_durable_runtime(args):
-    from repro.durability.runtime import DurableRuntime
+def _make_durable_stack(args):
+    from repro.stack import build_durable_stack
 
-    return DurableRuntime(
-        state_dir=args.state_dir,
+    return build_durable_stack(
+        args.state_dir,
         profile=args.profile,
         seed=args.seed,
         duration_s=args.duration,
@@ -728,18 +689,18 @@ def cmd_live(args) -> int:
         return _run_sharded(args, state_dir=args.state_dir)
     from repro.durability.signals import GracefulShutdown
 
-    runtime = _make_durable_runtime(args)
+    stack = _make_durable_stack(args)
     with GracefulShutdown() as stop:
-        report = runtime.run(shutdown_flag=stop.requested)
+        report = stack.run(shutdown_flag=stop.requested)
     if stop.requested():
         print(f"[{stop.signal_name}] shutdown requested — drained gracefully")
     print(report.render())
-    ckpt = runtime.checkpointer
+    ckpt = stack.checkpointer
     print(
         f"checkpoints: {ckpt.checkpoints_written} written "
         f"({ckpt.bytes_written} bytes) to {args.state_dir}; "
-        f"wal: {runtime.wal.appends} appends "
-        f"({runtime.tsdb.wal_bytes} bytes)"
+        f"wal: {stack.wal.appends} appends "
+        f"({stack.tsdb.wal_bytes} bytes)"
     )
     return 0 if report.ok else 1
 
@@ -772,11 +733,11 @@ def cmd_recover(args) -> int:
 
     from repro.durability.recovery import recover_runtime
 
-    runtime = _make_durable_runtime(args)
-    report = recover_runtime(runtime)
+    stack = _make_durable_stack(args)
+    report = recover_runtime(stack)
     print(report.render())
     if args.drain:
-        drain = runtime.shutdown()
+        drain = stack.drain()
         print(drain.render())
         return 0 if (report.ok and drain.ok) else 1
     return 0 if report.ok else 1
@@ -822,8 +783,7 @@ def cmd_dump(args) -> int:
 def cmd_analyze(args) -> int:
     from repro.analysis.report import analyze_paths, compare_windows
     from repro.frontend.heatmap import LatencyBuckets, render_heatmap
-    from repro.mq.codec import decode_enriched
-
+    
     injectors = []
     if args.glitch:
         injectors.append(FirewallGlitchInjector(
@@ -834,14 +794,9 @@ def cmd_analyze(args) -> int:
     stack = build_live_stack(
         generator=generator, queues=args.queues, frontend_hwm=1 << 20
     )
-    service = stack.service
-    capture = stack.frontend
-    pipeline = stack.pipeline
-    pipeline.run_packets(stack.packet_stream())
-    service.finish()
-    measurements = [
-        decode_enriched(message.payload[0]) for message in capture.recv_all()
-    ]
+    measurements = []
+    stack.graph.get("frontend").observers.append(measurements.append)
+    stack.run()
     if not measurements:
         print("no measurements to analyze")
         return 1
@@ -867,7 +822,7 @@ def cmd_analyze(args) -> int:
 
     print("\nlatency heatmap:")
     heatmap = render_heatmap(
-        service.tsdb,
+        stack.tsdb,
         window_ns=max(NS_PER_S, int(args.duration * NS_PER_S) // 12),
         buckets=LatencyBuckets(minimum_ms=1, maximum_ms=10_000, count=10),
     )

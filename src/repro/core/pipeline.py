@@ -52,10 +52,11 @@ class RuruPipeline:
         poll_wrapper: ``(poll, role) -> poll`` applied to each worker
             poll body *inside* the supervision boundary; the chaos
             harness uses it to inject worker crashes.
-        admission: an :class:`repro.overload.OverloadController`. When
-            given, the NIC runs its priority triage on every frame and
-            frames shed by policy are counted as ``packets_shed``
-            instead of ``nic_drops``.
+        admission: an :class:`repro.overload.OverloadController`,
+            passed only by the stack builder (whose ``OverloadStage``
+            ticks it). When given, the NIC runs its priority triage on
+            every frame and frames shed by policy are counted as
+            ``packets_shed`` instead of ``nic_drops``.
     """
 
     def __init__(
@@ -165,7 +166,12 @@ class RuruPipeline:
     def run_packets(
         self, packets: Iterable[Packet], shutdown_flag=None
     ) -> PipelineStats:
-        """Run a packet stream through the full pipeline to completion.
+        """Run a packet stream through a bare pipeline to completion.
+
+        The fast-path entry for a pipeline that belongs to no
+        :class:`~repro.stack.RuruStack`; an assembled stack is driven
+        by :meth:`RuruStack.run`, which also advances the tiers behind
+        the sink.
 
         Args:
             packets: the frame stream to feed.
@@ -192,11 +198,6 @@ class RuruPipeline:
 
     def _feed_and_drain(self, batch: List[Packet]) -> None:
         """Offer one feed batch, drain the rings, drive the exporter."""
-        # The run_packets path has no stage graph driving the overload
-        # controller, so the control loop ticks here instead; under the
-        # graph, OverloadStage.process ticks it and this is never hit.
-        if self.admission is not None:
-            self.admission.update(self.clock.now_ns)
         telemetry = self.telemetry
         if telemetry is None:
             for packet in batch:
@@ -239,9 +240,9 @@ class RuruPipeline:
     def stats_snapshot(self) -> "PipelineStats":
         """Folded whole-pipeline stats without mutating :attr:`stats`.
 
-        Callers that drive the stage graph directly (``ruru prof``,
-        the scenario runner) never pass through :meth:`run_packets`'s
-        trailing merge, so this is their read path for worker counters.
+        A stack driven along its stage graph never passes through
+        :meth:`run_packets`'s trailing merge, so this is its read path
+        for worker counters (``DrainReport.stats``).
         """
         return self._stats_snapshot()
 

@@ -17,9 +17,10 @@ accounted-for loss:
   the virtual clock) persisting flow tables, aggregators, anomaly
   baselines, the resilience ledger and the DLQ; atomic writes, with
   fallback to the newest *valid* checkpoint on corruption.
-* :mod:`~repro.durability.runtime` — :class:`DurableRuntime`, the
-  assembled stack with graceful drain and ``ruru_checkpoint_*`` /
-  ``ruru_wal_*`` / ``ruru_recovery_*`` metrics.
+* the assembled stack itself is the ``durable`` preset,
+  :func:`repro.stack.build_durable_stack`: graceful drain
+  (:meth:`repro.stack.RuruStack.drain`) and the ``ruru_checkpoint_*`` /
+  ``ruru_wal_*`` / ``ruru_recovery_*`` metrics live there.
 * :mod:`~repro.durability.recovery` — hot restart: load the latest
   valid checkpoint, replay the WAL idempotently, reconcile the ledger
   with an explicit ``lost_at_crash`` term, resume.
@@ -34,15 +35,12 @@ from repro.durability.checkpoint import CheckpointInfo, Checkpointer
 from repro.durability.codec import SnapshotError, decode_snapshot, encode_snapshot
 from repro.durability.harness import RecoveryHarness, RecoveryTrial, run_recovery_trial
 from repro.durability.recovery import RecoveryReport, recover_runtime
-from repro.durability.runtime import DrainReport, DurableRuntime
 from repro.durability.signals import GracefulShutdown
 from repro.durability.wal import DurableTsdb, WalError, WriteAheadLog
 
 __all__ = [
     "CheckpointInfo",
     "Checkpointer",
-    "DrainReport",
-    "DurableRuntime",
     "DurableTsdb",
     "GracefulShutdown",
     "RecoveryHarness",

@@ -5,11 +5,11 @@ One :class:`RecoveryTrial` is the full story of one crash:
 
 1. Materialize the (profile, seed) workload once — the harness plays
    the *network*, which outlives any process.
-2. Run a :class:`~repro.durability.runtime.DurableRuntime` with a
+2. Run a ``durable`` stack with a
    :class:`~repro.faults.crashpoints.CrashSchedule` armed at one
    registered point. The :class:`SimulatedCrash` (a BaseException,
    like the real signal) escapes every handler and "kills" the
-   process; the dead runtime object is abandoned, exactly as dead
+   process; the dead stack object is abandoned, exactly as dead
    memory would be.
 3. Build a fresh stack on the same state directory and
    :func:`~repro.durability.recovery.recover_runtime` it, handing over
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.durability.recovery import RecoveryReport, recover_runtime
-from repro.durability.runtime import DrainReport, DurableRuntime
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
 from repro.faults.profiles import FaultProfile
-from repro.resilience.invariants import DurabilityLedger
+from repro.resilience.invariants import Ledger
+from repro.stack.builder import DrainReport, RuruStack, build_durable_stack
 
 NS_PER_S = 1_000_000_000
 
@@ -57,7 +57,7 @@ class RecoveryTrial:
     observed_at_crash: int
     recovery: Optional[RecoveryReport]
     double_replay_applied: int
-    final_ledger: Optional[DurabilityLedger]
+    final_ledger: Optional[Ledger]
     final_drain: Optional[DrainReport]
 
     @property
@@ -88,7 +88,7 @@ class RecoveryTrial:
             "replayed_points": self.recovery.replayed_points,
             "duplicates_skipped": self.recovery.duplicates_skipped,
             "expired_dropped": self.recovery.expired_dropped,
-            "final_observed": self.final_ledger.observed_ingested,
+            "final_observed": self.final_ledger.ingested,
             "final_processed": self.final_ledger.processed,
             "final_dropped": self.final_ledger.dropped,
             "final_deadlettered": self.final_ledger.deadlettered,
@@ -147,9 +147,9 @@ class RecoveryHarness:
         self.checkpoint_interval_ns = checkpoint_interval_ns
         self.retention_ns = retention_ns
 
-    def _make_runtime(self, crash_schedule=None) -> DurableRuntime:
-        return DurableRuntime(
-            state_dir=self.state_dir,
+    def _make_stack(self, crash_schedule=None) -> RuruStack:
+        return build_durable_stack(
+            self.state_dir,
             profile=self.profile,
             seed=self.seed,
             duration_s=self.duration_s,
@@ -182,13 +182,11 @@ class RecoveryHarness:
             observed["count"] += 1
 
         schedule = CrashSchedule().arm(crash_point, hit=hit)
-        victim = self._make_runtime(crash_schedule=schedule)
+        victim = self._make_stack(crash_schedule=schedule)
         victim.service.ingest_observer = observe
 
         # The network: materialized once, consumed exactly once.
-        packets = list(
-            victim.injector.packet_stream(victim.generator.packets())
-        )
+        packets = list(victim.packet_stream())
         feed_batch = victim.pipeline.feed_batch
         batches = [
             packets[i : i + feed_batch]
@@ -201,7 +199,7 @@ class RecoveryHarness:
             for batch in batches:
                 fed += 1  # handed to the process — gone if it dies now
                 victim.process_batch(batch)
-            victim.shutdown()
+            victim.drain()
         except SimulatedCrash:
             crashed = True
         crash_passes = schedule.passes.get(crash_point, 0)
@@ -224,7 +222,7 @@ class RecoveryHarness:
             )
 
         # The restarted process: same directory, fresh everything else.
-        survivor = self._make_runtime()
+        survivor = self._make_stack()
         survivor.service.ingest_observer = observe
         recovery = recover_runtime(survivor, observed_ingested=observed_at_crash)
 
@@ -236,14 +234,15 @@ class RecoveryHarness:
 
         for batch in batches[fed:]:
             survivor.process_batch(batch)
-        final_drain = survivor.shutdown()
+        final_drain = survivor.drain()
 
-        final_ledger = DurabilityLedger(
-            observed_ingested=observed["count"],
+        final_ledger = Ledger(
+            ingested=observed["count"],
             processed=final_drain.ledger.processed,
             dropped=final_drain.ledger.dropped,
             deadlettered=final_drain.ledger.deadlettered,
             lost_at_crash=recovery.lost_at_crash,
+            scope="durability",
         )
         return RecoveryTrial(
             profile=str(getattr(self.profile, "name", self.profile)),

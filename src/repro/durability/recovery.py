@@ -1,9 +1,9 @@
 """Hot restart: checkpoint load, WAL replay, ledger reconciliation.
 
 ``ruru recover`` and the kill-anywhere harness both come through
-:func:`recover_runtime`. Given a freshly built
-:class:`~repro.durability.runtime.DurableRuntime` pointed at a state
-directory the dead process left behind, it
+:func:`recover_runtime`. Given a freshly built ``durable`` stack
+(:func:`repro.stack.build_durable_stack`) pointed at a state directory
+the dead process left behind, it
 
 1. finds the newest checkpoint that decodes cleanly (torn or
    bit-flipped files are skipped, falling back to the previous one);
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.durability.checkpoint import CheckpointInfo
-from repro.resilience.invariants import ConservationLedger, DurabilityLedger
+from repro.resilience.invariants import Ledger
 
 
 @dataclass
@@ -46,8 +46,8 @@ class RecoveryReport:
     duplicates_skipped: int
     torn_tail: bool
     expired_dropped: int
-    ledger: ConservationLedger
-    durability_ledger: Optional[DurabilityLedger]
+    ledger: Ledger
+    durability_ledger: Optional[Ledger]
     duration_s: float
 
     @property
@@ -97,55 +97,54 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def recover_runtime(runtime, observed_ingested: Optional[int] = None) -> RecoveryReport:
-    """Recover *runtime* from its state directory.
+def recover_runtime(stack, observed_ingested: Optional[int] = None) -> RecoveryReport:
+    """Recover *stack* from its state directory.
 
     Args:
-        runtime: a freshly constructed
-            :class:`~repro.durability.runtime.DurableRuntime` bound to
-            the directory the previous process used. Its state is
-            replaced in place.
+        stack: a freshly built ``durable``
+            :class:`~repro.stack.RuruStack` bound to the directory the
+            previous process used. Its state is replaced in place.
         observed_ingested: the outside observer's count of records that
             entered the analytics tier before the kill. When given,
             the report carries the reconciled
-            :class:`~repro.resilience.DurabilityLedger` with its
-            explicit ``lost_at_crash``.
+            :meth:`~repro.resilience.Ledger.from_checkpoint` ledger
+            with its explicit ``lost_at_crash``.
     """
     started = time.perf_counter()
-    found = runtime.checkpointer.latest_valid()
+    found = stack.checkpointer.latest_valid()
     cold_start = found is None
     clean = False
     info: Optional[CheckpointInfo] = None
     if found is not None:
         info, state = found
         clean = bool(state.get("checkpoint", {}).get("clean", False))
-        runtime.load_state(state)
-        runtime.recovered_from = info
+        stack.load_state(state)
+        stack.recovered_from = info
 
     # Replay what the checkpoint has not covered. Retention runs at
     # the recovered clock so aged-out points stay gone.
-    replay = runtime.tsdb.replay_wal(now_ns=runtime.now_ns)
+    replay = stack.tsdb.replay_wal(now_ns=stack.now_ns)
 
-    ledger = runtime.service.conservation_ledger()
+    ledger = stack.service.conservation_ledger()
     durability_ledger = None
     if observed_ingested is not None:
-        durability_ledger = DurabilityLedger.from_checkpoint(
+        durability_ledger = Ledger.from_checkpoint(
             observed_ingested, ledger
         )
-        runtime.last_lost_at_crash = durability_ledger.lost_at_crash
-    runtime.recovery_count += 1
+        stack.last_lost_at_crash = durability_ledger.lost_at_crash
+    stack.recovery_count += 1
 
     return RecoveryReport(
         checkpoint=info,
         clean_shutdown=clean,
         cold_start=cold_start,
-        corrupt_skipped=runtime.checkpointer.corrupt_skipped,
-        recovered_now_ns=runtime.now_ns,
-        replayed_batches=runtime.tsdb.replayed_batches,
-        replayed_points=runtime.tsdb.replayed_points,
-        duplicates_skipped=runtime.tsdb.duplicates_skipped,
+        corrupt_skipped=stack.checkpointer.corrupt_skipped,
+        recovered_now_ns=stack.now_ns,
+        replayed_batches=stack.tsdb.replayed_batches,
+        replayed_points=stack.tsdb.replayed_points,
+        duplicates_skipped=stack.tsdb.duplicates_skipped,
         torn_tail=replay.torn_tail,
-        expired_dropped=runtime.tsdb.expired_dropped,
+        expired_dropped=stack.tsdb.expired_dropped,
         ledger=ledger,
         durability_ledger=durability_ledger,
         duration_s=time.perf_counter() - started,

@@ -3,7 +3,7 @@
 Everything here is seed-driven: a :class:`FaultProfile` says *what can
 go wrong and how often*, a :class:`FaultInjector` turns that into
 per-stage decision streams from one seed, the adapters splice those
-decisions into real components, and :class:`ChaosHarness` runs a full
+decisions into real components, and :func:`run_chaos` runs a full
 pipeline + analytics stack under a named profile and checks that the
 resilience layer absorbed every fault (see :mod:`repro.resilience`).
 
@@ -19,14 +19,13 @@ from repro.faults.adapters import (
     LookupFailure,
     TsdbWriteError,
 )
-from repro.faults.chaos import ChaosHarness, ChaosReport, run_chaos
+from repro.faults.chaos import ChaosReport, run_chaos
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
 from repro.faults.injector import FaultInjector, WorkerCrash
 from repro.faults.profiles import PROFILES, FaultProfile, get_profile
 
 __all__ = [
     "CRASH_POINTS",
-    "ChaosHarness",
     "ChaosReport",
     "CrashSchedule",
     "FaultInjector",

@@ -1,9 +1,10 @@
-"""The chaos harness: a full Ruru stack run under a named fault profile.
+"""Chaos runs: a full Ruru stack run under a named fault profile.
 
 ``ruru chaos --profile lossy-mq --seed 42`` and the chaos pytest suite
-both come through here. The harness wires every fault adapter into a
-real pipeline + analytics + resilience stack, replays a seeded traffic
-scenario, and produces a :class:`ChaosReport` that answers the three
+both come through :func:`run_chaos`. The ``chaos`` stack preset wires
+every fault adapter into a real pipeline + analytics + resilience
+stack; the run replays its seeded traffic scenario along the stage
+graph and produces a :class:`ChaosReport` that answers the three
 questions that matter:
 
 1. **Did it survive?** — zero unhandled exceptions.
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.faults.profiles import FaultProfile
-from repro.obs import Telemetry
-from repro.resilience import ConservationLedger
+from repro.resilience import Ledger
 
 NS_PER_S = 1_000_000_000
 
@@ -36,7 +36,7 @@ class ChaosReport:
     profile: FaultProfile
     seed: int
     unhandled: List[str]
-    ledger: ConservationLedger
+    ledger: Ledger
     pipeline_summary: Dict[str, float]
     faults_injected: Dict[Tuple[str, str], int]
     dlq_depth: int
@@ -52,6 +52,9 @@ class ChaosReport:
     frontend_received: int = 0
     frontend_degraded: int = 0
     overload_summary: Optional[Dict[str, object]] = None
+    #: The drained stack, for what the report does not fold (the
+    #: telemetry registry, the dead-letter queue's contents).
+    stack: object = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -142,116 +145,64 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-class ChaosHarness:
-    """Build and run one chaos scenario end to end.
-
-    A thin configuration of the ``chaos`` stack preset
-    (:func:`repro.stack.build_chaos_stack`): all wiring lives in the
-    composition root; this class only replays the scenario and folds
-    the resilience counters into a :class:`ChaosReport`.
+def run_chaos(
+    profile: Union[str, FaultProfile],
+    seed: int = 42,
+    shutdown_flag=None,
+    **kwargs,
+) -> ChaosReport:
+    """Run the ``chaos`` stack preset under *profile*; never raises.
 
     Args:
         profile: a registered profile name or a :class:`FaultProfile`.
         seed: drives the workload, every fault decision stream, and
             retry jitter — the whole run replays from this one number.
-        duration_s / rate: traffic scenario shape.
-        queues: RSS queues (and therefore workers under crash fire).
-        telemetry: share a handle; one is created if omitted.
+        shutdown_flag: optional zero-arg callable polled between feed
+            batches; truthy → stop feeding and drain what is already
+            in flight (``ruru chaos`` wires SIGINT/SIGTERM here, so an
+            interrupted chaos run still reconciles).
+        **kwargs: the rest of :func:`repro.stack.build_chaos_stack`'s
+            arguments (``duration_s``, ``rate``, ``queues``,
+            ``telemetry``, ``overload``).
     """
+    # Lazy: repro.stack.builder imports the fault adapters, which
+    # land back in this package's __init__.
+    from repro.stack.builder import build_chaos_stack
 
-    def __init__(
-        self,
-        profile: Union[str, FaultProfile],
-        seed: int = 42,
-        duration_s: float = 8.0,
-        rate: float = 40.0,
-        queues: int = 2,
-        telemetry: Optional[Telemetry] = None,
-        overload: bool = False,
-    ):
-        # Lazy: repro.stack.builder imports the fault adapters, which
-        # land back in this package's __init__.
-        from repro.stack.builder import build_chaos_stack
+    stack = build_chaos_stack(profile, seed=seed, **kwargs)
+    unhandled: List[str] = []
+    try:
+        stack.run(shutdown_flag=shutdown_flag)
+    except Exception as exc:  # noqa: BLE001 — the report carries it
+        unhandled.append(repr(exc))
 
-        self.stack = build_chaos_stack(
-            profile,
-            seed=seed,
-            duration_s=duration_s,
-            rate=rate,
-            queues=queues,
-            telemetry=telemetry,
-            overload=overload,
-        )
-        self.profile = self.stack.profile
-        self.seed = seed
-        self.injector = self.stack.injector
-        self.telemetry = self.stack.telemetry
-        self.generator = self.stack.generator
-        self.resilience = self.stack.resilience
-        self.supervisor = self.stack.supervisor
-        self.service = self.stack.service
-        self.frontend = self.stack.frontend
-        self.pipeline = self.stack.pipeline
-
-    def run(self, shutdown_flag=None) -> ChaosReport:
-        """Replay the scenario under faults; never raises.
-
-        Args:
-            shutdown_flag: optional zero-arg callable polled between
-                feed batches; truthy → stop feeding and drain what is
-                already in flight (``ruru chaos`` wires SIGINT/SIGTERM
-                here, so an interrupted chaos run still reconciles).
-        """
-        unhandled: List[str] = []
-        try:
-            self.pipeline.run_packets(
-                self.stack.packet_stream(), shutdown_flag=shutdown_flag
-            )
-            self.service.finish()
-        except Exception as exc:  # noqa: BLE001 — the report carries it
-            unhandled.append(repr(exc))
-
-        frontend_stage = self.stack.graph.get("frontend")
-        try:
-            frontend_stage.pump()
-        except Exception as exc:  # noqa: BLE001
-            unhandled.append(repr(exc))
-
-        res = self.resilience
-        return ChaosReport(
-            profile=self.profile,
-            seed=self.seed,
-            unhandled=unhandled,
-            ledger=self.service.conservation_ledger(),
-            pipeline_summary=self.pipeline.stats.summary(),
-            faults_injected=dict(self.injector.injected),
-            dlq_depth=len(res.dlq),
-            dlq_total=res.dlq.total,
-            dlq_summary=res.dlq.summary(),
-            supervisor_restarts=self.supervisor.total_restarts,
-            retries=res.retries,
-            degraded_published=res.degraded_published,
-            points_written=res.points_written,
-            points_lost=res.points_lost,
-            breaker_opened={
-                breaker.name: breaker.opened_count for breaker in res.breakers
-            },
-            breaker_recovery_ns={
-                breaker.name: breaker.recovery_times_ns()
-                for breaker in res.breakers
-            },
-            frontend_received=frontend_stage.received,
-            frontend_degraded=frontend_stage.degraded,
-            overload_summary=(
-                self.stack.overload.summary()
-                if self.stack.overload is not None
-                else None
-            ),
-        )
-
-
-def run_chaos(
-    profile: Union[str, FaultProfile], seed: int = 42, **kwargs
-) -> ChaosReport:
-    """One-call chaos run (what the CLI and the smoke test use)."""
-    return ChaosHarness(profile, seed=seed, **kwargs).run()
+    res = stack.resilience
+    return ChaosReport(
+        profile=stack.profile,
+        seed=seed,
+        unhandled=unhandled,
+        ledger=stack.service.conservation_ledger(),
+        pipeline_summary=stack.pipeline.stats_snapshot().summary(),
+        faults_injected=dict(stack.injector.injected),
+        dlq_depth=len(res.dlq),
+        dlq_total=res.dlq.total,
+        dlq_summary=res.dlq.summary(),
+        supervisor_restarts=stack.supervisor.total_restarts,
+        retries=res.retries,
+        degraded_published=res.degraded_published,
+        points_written=res.points_written,
+        points_lost=res.points_lost,
+        breaker_opened={
+            breaker.name: breaker.opened_count for breaker in res.breakers
+        },
+        breaker_recovery_ns={
+            breaker.name: breaker.recovery_times_ns()
+            for breaker in res.breakers
+        },
+        frontend_received=stack.frontend_received,
+        frontend_degraded=stack.frontend_degraded,
+        overload_summary=(
+            stack.overload.summary() if stack.overload is not None else None
+        ),
+        stack=stack,
+    )

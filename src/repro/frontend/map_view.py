@@ -87,8 +87,21 @@ class LiveMapView:
         self.arcs_in = 0
         self.arcs_dropped = 0
         self.frames_sent = 0
+        self._last_seen_ns = 0
 
     # -- input ---------------------------------------------------------------
+
+    def observe(self, measurement: EnrichedMeasurement) -> Optional[MapFrame]:
+        """Feed one measurement on its own timestamp — the shape of a
+        frontend-stage observer; returns the frame if one was due."""
+        now_ns = measurement.timestamp_ns
+        self._last_seen_ns = max(self._last_seen_ns, now_ns)
+        self.add_measurement(measurement, now_ns)
+        return self.tick(now_ns)
+
+    def finish(self) -> MapFrame:
+        """Flush what :meth:`observe` left pending as a last frame."""
+        return self.flush_frame(self._last_seen_ns)
 
     def add_measurement(self, measurement: EnrichedMeasurement, now_ns: int) -> None:
         """Queue a measurement's arc for the next frame."""

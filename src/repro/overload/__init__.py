@@ -14,8 +14,9 @@ the loop between queue pressure and admission:
   accounting.
 - :mod:`repro.overload.gate` — the record-level admission gate at the
   pipeline->MQ boundary.
-- :mod:`repro.overload.ledger` — the extended conservation invariant
-  ``ingested == processed + dropped + deadlettered + shed``.
+
+The extended conservation invariant ``ingested == processed + dropped +
+deadlettered + shed`` is :meth:`repro.resilience.Ledger.from_parts`.
 """
 
 from repro.overload.classify import CLASSES, HANDSHAKE, OTHER, PAYLOAD, classify_frame
@@ -25,7 +26,6 @@ from repro.overload.controller import (
     OverloadTransition,
 )
 from repro.overload.gate import GatedPushSocket
-from repro.overload.ledger import OverloadLedger
 from repro.overload.watermark import WatermarkBand, ring_reader, socket_reader
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "OverloadController",
     "OverloadTransition",
     "GatedPushSocket",
-    "OverloadLedger",
     "WatermarkBand",
     "ring_reader",
     "socket_reader",

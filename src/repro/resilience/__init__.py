@@ -17,9 +17,9 @@ clock so chaos runs replay bit-identically:
   undecodable payloads with full provenance (stage, reason, bytes).
 * :class:`~repro.resilience.supervisor.Supervisor` — catches crashes
   in lcore poll bodies and restarts them, counting every restart.
-* :class:`~repro.resilience.invariants.ConservationLedger` — the
+* :class:`~repro.resilience.invariants.Ledger` — the
   count-conservation invariant ``ingested == processed + dropped +
-  deadlettered`` asserted after every chaos run.
+  deadlettered [+ shed] [+ lost_at_crash]`` asserted after every run.
 * :class:`~repro.resilience.layer.ResilienceLayer` — the bundle the
   analytics service takes; binds every knob into the PR 1 telemetry
   registry (``ruru_retry_total``, ``ruru_breaker_state``,
@@ -35,11 +35,7 @@ from repro.resilience.breaker import (
     CircuitBreaker,
 )
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue
-from repro.resilience.invariants import (
-    ConservationLedger,
-    DurabilityLedger,
-    InvariantViolation,
-)
+from repro.resilience.invariants import InvariantViolation, Ledger
 from repro.resilience.layer import ResilienceLayer
 from repro.resilience.retry import RetryPolicy, RetryQueue
 from repro.resilience.supervisor import RestartBudget, Supervisor
@@ -49,11 +45,10 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "ConservationLedger",
     "DeadLetter",
-    "DurabilityLedger",
     "DeadLetterQueue",
     "InvariantViolation",
+    "Ledger",
     "ResilienceLayer",
     "RestartBudget",
     "RetryPolicy",

@@ -1,152 +1,129 @@
 """Count-conservation: every record is accounted for, exactly once.
 
 The resilience layer's contract is not "nothing is ever lost" — faults
-guarantee losses — but "every loss is counted somewhere". The ledger
-states it as an equation over the analytics tier::
+guarantee losses — but "every loss is counted somewhere". One equation
+states it for every tier that keeps books::
 
-    ingested == processed + dropped + deadlettered
+    ingested == processed + dropped + deadlettered [+ shed] [+ lost_at_crash]
 
-where *ingested* is records received off the message bus, *processed*
-is measurements published downstream (enriched or degraded),
-*dropped* covers filtered / unresolvable / decode-failures-without-a-DLQ,
-and *deadlettered* is payloads parked in the dead-letter queue. The
-chaos harness asserts this after every run; a violation means a code
-path ate a record without counting it — a bug, never a fault.
+*ingested* is what entered (records off the message bus, frames offered
+to the shard router), *processed* what was published downstream,
+*dropped* covers filtered / unresolvable / decode-failures-without-a-DLQ
+and *deadlettered* is payloads parked in the dead-letter queue. Two
+optional sinks extend it: *shed* — deliberately discarded under
+overload control — and *lost_at_crash* — in flight to a process the
+instant it died. A violation means a code path ate a record without
+counting it — a bug, never a fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 class InvariantViolation(AssertionError):
     """A conservation equation failed to balance."""
 
 
+#: scope → (name of the source term, rendered prefix, rendered equals).
+_RENDER = {
+    "count": ("ingested", "", "="),
+    "durability": ("observed_ingested", "", "="),
+    "overload": ("ingested", "overload ledger: ", "=="),
+    "shard": ("ingested", "shard ledger: ", "=="),
+}
+
+
 @dataclass(frozen=True)
-class ConservationLedger:
-    """One snapshot of the analytics tier's record accounting."""
+class Ledger:
+    """One snapshot of a tier's accounting.
+
+    ``shed`` and ``lost_at_crash`` are None where the tier has no such
+    sink. ``scope`` names whose books these are, which fixes how the
+    ledger renders in reports: ``count`` (the analytics tier),
+    ``durability`` (the same tier across a crash, the source term being
+    an outside observer's ingest count), ``overload`` (the MQ gate's
+    offered count against the analytics sinks plus mq-stage shed) and
+    ``shard`` (the sharded runtime's frame books).
+    """
 
     ingested: int
     processed: int
     dropped: int
     deadlettered: int
-
-    @property
-    def balance(self) -> int:
-        """``ingested - (processed + dropped + deadlettered)``; 0 = conserved."""
-        return self.ingested - (self.processed + self.dropped + self.deadlettered)
-
-    @property
-    def ok(self) -> bool:
-        return self.balance == 0
-
-    def check(self) -> None:
-        """Raise :class:`InvariantViolation` unless the ledger balances."""
-        if not self.ok:
-            raise InvariantViolation(
-                f"count conservation violated: ingested={self.ingested} != "
-                f"processed={self.processed} + dropped={self.dropped} + "
-                f"deadlettered={self.deadlettered} (balance={self.balance})"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "ingested": self.ingested,
-            "processed": self.processed,
-            "dropped": self.dropped,
-            "deadlettered": self.deadlettered,
-            "balance": self.balance,
-        }
-
-    def __str__(self) -> str:
-        status = "OK" if self.ok else f"VIOLATED (balance={self.balance})"
-        return (
-            f"ingested={self.ingested} = processed={self.processed} "
-            f"+ dropped={self.dropped} + deadlettered={self.deadlettered} "
-            f"[{status}]"
-        )
-
-
-@dataclass(frozen=True)
-class DurabilityLedger:
-    """Conservation across a crash: the recovery-time extension.
-
-    After a kill, the crashed process's in-flight records are gone —
-    but an *outside observer* (the recovery harness, standing in for
-    the tap's hardware counters) still knows how many records entered
-    the analytics tier. The extended equation::
-
-        observed_ingested == processed + dropped + deadlettered + lost_at_crash
-
-    where the right-hand counters come from the recovered checkpoint
-    and ``lost_at_crash = observed_ingested - checkpoint.ingested`` is
-    the explicit, bounded loss between the last checkpoint and the
-    kill. The crash-recovery acceptance criterion is that this ledger
-    balances for every crash point — loss is allowed, unaccounted loss
-    is not.
-    """
-
-    observed_ingested: int
-    processed: int
-    dropped: int
-    deadlettered: int
-    lost_at_crash: int
+    shed: Optional[int] = None
+    lost_at_crash: Optional[int] = None
+    scope: str = "count"
 
     @classmethod
-    def from_checkpoint(
-        cls, observed_ingested: int, ledger: ConservationLedger
-    ) -> "DurabilityLedger":
+    def from_checkpoint(cls, observed_ingested: int, ledger: "Ledger") -> "Ledger":
         """Extend a recovered checkpoint's ledger with the observer's
-        external ingest count."""
+        external ingest count: what the checkpoint never saw ingested
+        is the explicit, bounded ``lost_at_crash``."""
         return cls(
-            observed_ingested=observed_ingested,
+            ingested=observed_ingested,
             processed=ledger.processed,
             dropped=ledger.dropped,
             deadlettered=ledger.deadlettered,
             lost_at_crash=observed_ingested - ledger.ingested,
+            scope="durability",
         )
+
+    @classmethod
+    def from_parts(cls, gate_offered: int, ledger: "Ledger", shed_mq: int) -> "Ledger":
+        """Combine the MQ gate's offered count, the analytics ledger and
+        the controller's mq-stage shed counter."""
+        return cls(
+            ingested=gate_offered,
+            processed=ledger.processed,
+            dropped=ledger.dropped,
+            deadlettered=ledger.deadlettered,
+            shed=shed_mq,
+            scope="overload",
+        )
+
+    def _sinks(self) -> dict:
+        sinks = {
+            "processed": self.processed,
+            "dropped": self.dropped,
+            "deadlettered": self.deadlettered,
+            "shed": self.shed,
+            "lost_at_crash": self.lost_at_crash,
+        }
+        return {name: value for name, value in sinks.items() if value is not None}
+
+    def _equation(self, equals: str) -> str:
+        sinks = " + ".join(f"{name}={value}" for name, value in self._sinks().items())
+        return f"{_RENDER[self.scope][0]}={self.ingested} {equals} {sinks}"
 
     @property
     def balance(self) -> int:
-        """0 when every observed record is accounted for."""
-        return self.observed_ingested - (
-            self.processed + self.dropped + self.deadlettered + self.lost_at_crash
-        )
+        """``ingested`` minus every sink; 0 = conserved."""
+        return self.ingested - sum(self._sinks().values())
 
     @property
     def ok(self) -> bool:
-        return self.balance == 0 and self.lost_at_crash >= 0
+        """Balanced, with a non-negative crash loss (a negative one
+        means the checkpoint claims records the observer never saw)."""
+        return self.balance == 0 and (self.lost_at_crash or 0) >= 0
 
     def check(self) -> None:
-        """Raise :class:`InvariantViolation` unless balanced with a
-        non-negative crash loss (a negative one means the checkpoint
-        claims records the observer never saw)."""
+        """Raise :class:`InvariantViolation` unless the ledger holds."""
         if not self.ok:
             raise InvariantViolation(
-                f"durability conservation violated: "
-                f"observed_ingested={self.observed_ingested} != "
-                f"processed={self.processed} + dropped={self.dropped} + "
-                f"deadlettered={self.deadlettered} + "
-                f"lost_at_crash={self.lost_at_crash} "
-                f"(balance={self.balance})"
+                f"{self.scope} conservation violated: "
+                f"{self._equation('!=')} (balance={self.balance})"
             )
 
     def as_dict(self) -> dict:
         return {
-            "observed_ingested": self.observed_ingested,
-            "processed": self.processed,
-            "dropped": self.dropped,
-            "deadlettered": self.deadlettered,
-            "lost_at_crash": self.lost_at_crash,
+            _RENDER[self.scope][0]: self.ingested,
+            **self._sinks(),
             "balance": self.balance,
         }
 
     def __str__(self) -> str:
+        _, prefix, equals = _RENDER[self.scope]
         status = "OK" if self.ok else f"VIOLATED (balance={self.balance})"
-        return (
-            f"observed_ingested={self.observed_ingested} = "
-            f"processed={self.processed} + dropped={self.dropped} "
-            f"+ deadlettered={self.deadlettered} "
-            f"+ lost_at_crash={self.lost_at_crash} [{status}]"
-        )
+        return f"{prefix}{self._equation(equals)} [{status}]"

@@ -1,12 +1,11 @@
-"""The deployed system as one co-scheduled runtime.
+"""The deployed system as one handle: live stack + map + detectors.
 
-The examples drive the stages sequentially (run the pipeline, then
-drain analytics, then render). The real deployment runs everything
-*concurrently*: DPDK workers poll their queues while the analytics
-threads drain ZeroMQ and the frontend streams frames. This module
-reproduces that shape on the EAL scheduler — every stage is an lcore,
-packets are fed in bursts, and all stages make progress interleaved,
-so queue depths and HWM drops behave as they would live.
+The real deployment runs everything *concurrently*: DPDK workers poll
+their queues while the analytics threads drain ZeroMQ and the frontend
+streams frames. :meth:`repro.stack.RuruStack.run` reproduces that
+shape — packets are fed in bursts and every tier advances on every
+burst, so queue depths and HWM drops behave as they would live — and
+this module hangs the live map on the stack's frontend stage.
 
 Typical use::
 
@@ -21,14 +20,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from repro.core.config import PipelineConfig
-from repro.dpdk.eal import Eal
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
 from repro.geo.asn import AsnDatabase
 from repro.geo.builder import SyntheticGeoPlan
 from repro.geo.database import GeoDatabase
-from repro.mq.codec import decode_enriched
-from repro.mq.socket import SubSocket
 from repro.net.packet import Packet
 from repro.stack import build_enrichment_dbs, build_live_stack
 from repro.tsdb.database import TimeSeriesDatabase
@@ -50,27 +46,8 @@ class RuntimeReport:
         return self.pipeline_stats.measurements
 
 
-class _FrontendPump:
-    """Lcore body: drain the enriched SUB into the live map."""
-
-    def __init__(self, sub: SubSocket, view: LiveMapView):
-        self.sub = sub
-        self.view = view
-        self.last_ns = 0
-
-    def poll(self, max_messages: int = 128) -> int:
-        handled = 0
-        for message in self.sub.recv_all(max_messages):
-            measurement = decode_enriched(message.payload[0])
-            self.view.add_measurement(measurement, measurement.timestamp_ns)
-            self.view.tick(measurement.timestamp_ns)
-            self.last_ns = max(self.last_ns, measurement.timestamp_ns)
-            handled += 1
-        return handled
-
-
 class RuruRuntime:
-    """All tiers wired and co-scheduled on one EAL.
+    """The ``live`` stack preset with the live map attached.
 
     Args:
         geo / asn: enrichment databases.
@@ -102,15 +79,9 @@ class RuruRuntime:
         self.pipeline = self.stack.pipeline
         self.channel = WebSocketChannel(name="live-map")
         self.map_view = LiveMapView(channel=self.channel, fps=map_fps)
-        self._frontend_sub = self.stack.frontend
-        self._pump = _FrontendPump(self._frontend_sub, self.map_view)
-
-        # One EAL for every stage: rx workers + analytics + frontend.
-        self.eal = Eal()
-        for worker in self.pipeline.workers:
-            self.eal.launch(worker.poll, role=f"rx-q{worker.queue_id}")
-        self.eal.launch(self.service.poll, role="analytics")
-        self.eal.launch(self._pump.poll, role="frontend")
+        self.stack.graph.get("frontend").observers.append(
+            self.map_view.observe
+        )
 
     @classmethod
     def build(
@@ -125,37 +96,21 @@ class RuruRuntime:
         )
         return cls(geo, asn, **kwargs)
 
-    def run(self, packets: Iterable[Packet], feed_batch: int = 128) -> RuntimeReport:
-        """Feed the stream with all stages co-scheduled; returns the report.
-
-        Every *feed_batch* packets, each lcore gets one poll round —
-        so analytics and the frontend progress while rx queues still
-        hold packets, exactly as separate cores would.
-        """
-        batch = 0
-        for packet in packets:
-            self.pipeline.offer(packet)
-            batch += 1
-            if batch >= feed_batch:
-                self.eal.step_all()
-                batch = 0
-        # Drain: keep scheduling until nothing moves anywhere.
-        self.eal.run_until_idle()
-        self.service.finish()
-        self.eal.run_until_idle()
-        self.pipeline._merge_worker_stats()
-        self.map_view.flush_frame(self._pump.last_ns)
+    def run(self, packets: Iterable[Packet]) -> RuntimeReport:
+        """Feed the stream along the stage graph; returns the report."""
+        drained = self.stack.run(packets)
+        last_ns = self.map_view.finish().timestamp_ns
 
         anomalies = []
         if self.manager is not None:
-            anomalies = self.manager.finish(now_ns=self._pump.last_ns)
+            anomalies = self.manager.finish(now_ns=last_ns)
         return RuntimeReport(
-            pipeline_stats=self.pipeline.stats,
+            pipeline_stats=drained.stats,
             tsdb=self.service.tsdb,
             map_view=self.map_view,
             channel=self.channel,
             anomalies=anomalies,
-            frontend_dropped=self._frontend_sub.dropped,
+            frontend_dropped=self.stack.frontend.dropped,
         )
 
     def status(self) -> dict:
@@ -165,7 +120,7 @@ class RuruRuntime:
         expose: measurement counters, queue pressure, storage size,
         frontend pacing.
         """
-        summary = self.pipeline.stats.summary()
+        summary = self.pipeline.stats_snapshot().summary()
         return {
             "pipeline": {
                 **summary,

@@ -1,11 +1,10 @@
 """Execute one scenario spec through the stage-graph runtime.
 
 The runner is deliberately thin: all wiring comes from
-:class:`repro.stack.builder.StackBuilder` (the composition root), all
-processing goes through :meth:`RuruStack.process_batch` — the same
-graph traversal ``ruru prof`` and the chaos harness exercise — and the
-outcome is folded into one :class:`repro.obs.bench.Resultset` plus a
-list of correctness checks.
+:class:`repro.stack.builder.StackBuilder` (the composition root), the
+run is :meth:`RuruStack.run` — the same driver every CLI command and
+chaos run uses — and the outcome is folded into one
+:class:`repro.obs.bench.Resultset` plus a list of correctness checks.
 
 Everything the resultset's ``metrics`` section carries is
 *deterministic*: same (spec, seed) → byte-identical metrics and
@@ -18,12 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.config import PipelineConfig
 from repro.obs import Telemetry
 from repro.obs.bench import Resultset, collect_meta
-from repro.overload import CLASSES, HANDSHAKE, PAYLOAD, OverloadLedger
+from repro.overload import CLASSES, HANDSHAKE, PAYLOAD
+from repro.resilience import Ledger
 from repro.scenarios.spec import EVENT_KINDS, ScenarioSpec, apply_overrides
 from repro.stack.builder import StackBuilder
 from repro.traffic.diurnal import DiurnalProfile
@@ -201,45 +201,22 @@ def run_scenario(
             snap_len=spec.overload.snap_len,
         )
     stack = builder.build()
-    pipeline = stack.pipeline
-
-    # Feed batches are cut either by count (the default) or by virtual
-    # time: a window makes the offered *rate* what fills the rings, so
-    # overload scenarios see genuine occupancy pressure during a ramp
-    # instead of every batch being the same fixed size.
-    window_ns = (
-        int(spec.stack.feed_window_ms * 1_000_000)
-        if spec.stack.feed_window_ms is not None
-        else None
-    )
 
     unhandled: List[str] = []
     started = time.perf_counter()
     try:
-        batch = []
-        window_end: Optional[int] = None
-        for packet in stack.packet_stream():
-            if window_ns is not None:
-                if window_end is None:
-                    window_end = packet.timestamp_ns + window_ns
-                elif packet.timestamp_ns >= window_end:
-                    stack.process_batch(batch)
-                    batch = []
-                    while packet.timestamp_ns >= window_end:
-                        window_end += window_ns
-                batch.append(packet)
-            else:
-                batch.append(packet)
-                if len(batch) >= pipeline.feed_batch:
-                    stack.process_batch(batch)
-                    batch = []
-        stack.process_batch(batch)
-        stack.drain()
+        stack.run(
+            window_ns=(
+                int(spec.stack.feed_window_ms * 1_000_000)
+                if spec.stack.feed_window_ms is not None
+                else None
+            )
+        )
     except Exception as exc:  # noqa: BLE001 — the checks carry it
         unhandled.append(repr(exc))
     elapsed_s = time.perf_counter() - started
 
-    stats = pipeline.stats_snapshot()
+    stats = stack.pipeline.stats_snapshot()
     ledger = stack.service.conservation_ledger()
     end_ns = spec.traffic.start_ns + spec.traffic.duration_ns
     events = stack.anomaly.finish(now_ns=max(end_ns, stack.now_ns))
@@ -296,7 +273,7 @@ def run_scenario(
         exact("overload.truncated", controller.truncated)
         exact("overload.ring_displacements", controller.ring_displacements)
         exact("overload.mq_offered", controller.mq_offered)
-        oledger = OverloadLedger.from_parts(
+        oledger = Ledger.from_parts(
             controller.mq_offered,
             ledger,
             controller.shed_total(stage="mq"),

@@ -58,7 +58,6 @@ def run_shard_scenario(
     runtime = ShardedRuntime(
         shard.shards,
         PipelineConfig(num_queues=shard.shards),
-        analytics="none",
         state_dir=state_dir,
         policy=shard.policy,
         checkpoint_every_batches=shard.checkpoint_every_batches,

@@ -9,8 +9,8 @@ points (:mod:`repro.stack.topology`) here derives placement
 and the RSS router, each RX queue's worker becomes a forked child,
 the ``mq`` stage becomes a real byte-stream transport
 (:mod:`~repro.shard.transport` + the length-prefixed
-:mod:`~repro.shard.wire` framing), and the analytics tier optionally
-becomes one more process.
+:mod:`~repro.shard.wire` framing); latency records come back to the
+parent with each batch's ack and go to the caller's record sink.
 
 Robustness is the point, not the garnish: heartbeat leases with
 deadline detection (:mod:`~repro.shard.heartbeat`), SIGKILL-tolerant
@@ -32,7 +32,6 @@ from repro.shard.placement import (
 )
 from repro.shard.runtime import (
     SHED_POLICIES,
-    GlobalLedger,
     ShardRunReport,
     ShardedRuntime,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "FailureDetector",
     "FdPair",
     "FrameDecodeError",
-    "GlobalLedger",
     "HeartbeatError",
     "PlacementError",
     "ProcessSpec",

@@ -12,9 +12,8 @@ gets its own process (the paper's "different DPDK processing threads
 … on separate CPU cores", here made real OS processes so a crash is
 contained), and the ``mq`` stage is not a process at all but the edge
 between them: the MQ frame codec carried over a pipe or socketpair.
-The analytics tier and everything downstream of it either stays in
-the parent, moves to one more process, or is omitted (the fast-path
-bench shape).
+The analytics tier and everything downstream of it is not assembled:
+a sharded run hands its latency records to the caller's sink.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.stack.topology import TOPOLOGY, stage_names
-
-#: Where the analytics tail may live.
-ANALYTICS_PLACEMENTS = ("none", "parent", "process")
+from repro.stack.topology import stage_names
 
 #: Stages that always stay in the parent: admission control and the
 #: RSS router cannot move — they are what fans traffic *out* to shards.
@@ -36,9 +32,6 @@ SHARDED_STAGE = "workers"
 
 #: The stage realized as wire transports rather than a process.
 EDGE_STAGE = "mq"
-
-#: The analytics tail, in topology order (computed in `derive_placement`).
-_TAIL_START = "analytics"
 
 
 class PlacementError(ValueError):
@@ -51,7 +44,7 @@ class ProcessSpec:
 
     ``shard_id`` is None for the parent; worker shards carry the RX
     queue they own (queue id == shard id, preserving the NIC's RSS
-    indirection semantics), the analytics shard carries none.
+    indirection semantics).
     """
 
     name: str
@@ -76,18 +69,6 @@ class ShardPlan:
     parent: ProcessSpec
     shards: Tuple[ProcessSpec, ...]
     edges: Tuple[EdgeSpec, ...]
-    analytics: str
-
-    @property
-    def num_worker_shards(self) -> int:
-        return sum(1 for spec in self.shards if SHARDED_STAGE in spec.stages)
-
-    @property
-    def analytics_shard(self) -> Optional[ProcessSpec]:
-        for spec in self.shards:
-            if _TAIL_START in spec.stages:
-                return spec
-        return None
 
     def describe(self) -> str:
         """Human-readable placement table (docs and ``--describe``)."""
@@ -109,44 +90,21 @@ class ShardPlan:
         return "\n".join(lines)
 
 
-def derive_placement(
-    num_shards: int, analytics: str = "none"
-) -> ShardPlan:
-    """Place the declared topology across OS processes.
-
-    Args:
-        num_shards: worker shard processes, one per RX queue.
-        analytics: where the analytics tail lives — ``"none"`` (not
-            assembled; the fast-path bench shape), ``"parent"``
-            (in-process with the router), or ``"process"`` (one more
-            shard process, the paper's decoupled analytics tier).
-    """
+def derive_placement(num_shards: int) -> ShardPlan:
+    """Place the declared topology across *num_shards* worker shard
+    processes, one per RX queue."""
     if num_shards < 1:
         raise PlacementError("num_shards must be at least 1")
-    if analytics not in ANALYTICS_PLACEMENTS:
-        raise PlacementError(
-            f"unknown analytics placement {analytics!r}; "
-            f"choose from {ANALYTICS_PLACEMENTS}"
-        )
     names = stage_names()
     for required in (*PARENT_STAGES, SHARDED_STAGE, EDGE_STAGE):
         if required not in names:
             raise PlacementError(
                 f"topology has no {required!r} stage to place"
             )
-    tail = tuple(
-        spec.name
-        for spec in TOPOLOGY[names.index(_TAIL_START) :]
-        if spec.name not in (SHARDED_STAGE, EDGE_STAGE)
+    parent = ProcessSpec(
+        name="parent",
+        stages=tuple(name for name in names if name in PARENT_STAGES),
     )
-
-    parent_stages = tuple(
-        name for name in names if name in PARENT_STAGES
-    )
-    if analytics == "parent":
-        parent_stages = parent_stages + tail
-    parent = ProcessSpec(name="parent", stages=parent_stages)
-
     shards = tuple(
         ProcessSpec(
             name=f"shard-{shard_id}",
@@ -156,28 +114,8 @@ def derive_placement(
         )
         for shard_id in range(num_shards)
     )
-    edges = [
+    edges = tuple(
         EdgeSpec(source="parent", target=spec.name, stage=EDGE_STAGE)
         for spec in shards
-    ]
-    if analytics == "process":
-        analytics_spec = ProcessSpec(
-            name="shard-analytics",
-            stages=tail,
-            shard_id=num_shards,
-        )
-        shards = shards + (analytics_spec,)
-        # Worker records flow back through the parent (the router owns
-        # the ack path) and on to the analytics process over one more
-        # wire edge — the same mq stage, one more hop.
-        edges.append(
-            EdgeSpec(
-                source="parent", target=analytics_spec.name, stage=EDGE_STAGE
-            )
-        )
-    return ShardPlan(
-        parent=parent,
-        shards=shards,
-        edges=tuple(edges),
-        analytics=analytics,
     )
+    return ShardPlan(parent=parent, shards=shards, edges=edges)

@@ -13,8 +13,6 @@ Dataplane:
   message**. Accounting is all-or-nothing per batch: either the parent
   sees the ack (counts + records together) or it sees nothing and the
   batch is charged to ``lost_at_crash``.
-* ``records`` / ``rack`` parent ↔ analytics shard: latency records
-  forwarded to a decoupled analytics process, and its receipt.
 
 Control plane: ``hb`` heartbeats (:mod:`repro.shard.heartbeat`),
 ``ckpt_req``/``ckpt`` checkpoint capture, ``restore`` state + WAL
@@ -32,8 +30,6 @@ from repro.mq.frames import Message
 
 BATCH_TOPIC = b"batch"
 ACK_TOPIC = b"ack"
-RECORDS_TOPIC = b"records"
-RECORDS_ACK_TOPIC = b"rack"
 CKPT_REQ_TOPIC = b"ckpt_req"
 CKPT_TOPIC = b"ckpt"
 RESTORE_TOPIC = b"restore"
@@ -44,7 +40,6 @@ DRAINED_TOPIC = b"drained"
 _PKT = struct.Struct("!QII")  # timestamp_ns, rss_hash, data length
 _BATCH_HDR = struct.Struct("!QI")  # seq, packet count
 _ACK_HDR = struct.Struct("!QIII")  # seq, processed, parse_errors, records
-_RECORDS_HDR = struct.Struct("!QI")  # seq, record count
 _LEN = struct.Struct("!I")
 
 
@@ -145,34 +140,6 @@ def decode_ack(message: Message) -> Tuple[int, int, int, List[bytes]]:
         raise ProtocolError("malformed ack message")
     seq, processed, parse_errors, count = _ACK_HDR.unpack(message.frames[1])
     return seq, processed, parse_errors, unpack_record_blob(message.frames[2], count)
-
-
-# -- records forwarding (analytics shard) ------------------------------------
-
-
-def encode_records(seq: int, records: Iterable[bytes]) -> Message:
-    blob, count = pack_record_blob(records)
-    return Message.with_topic(
-        RECORDS_TOPIC, _RECORDS_HDR.pack(seq, count), blob
-    )
-
-
-def decode_records(message: Message) -> Tuple[int, List[bytes]]:
-    if len(message.frames) != 3 or len(message.frames[1]) != _RECORDS_HDR.size:
-        raise ProtocolError("malformed records message")
-    seq, count = _RECORDS_HDR.unpack(message.frames[1])
-    return seq, unpack_record_blob(message.frames[2], count)
-
-
-def encode_records_ack(seq: int, count: int) -> Message:
-    return Message.with_topic(RECORDS_ACK_TOPIC, _RECORDS_HDR.pack(seq, count))
-
-
-def decode_records_ack(message: Message) -> Tuple[int, int]:
-    if len(message.frames) != 2 or len(message.frames[1]) != _RECORDS_HDR.size:
-        raise ProtocolError("malformed records ack")
-    seq, count = _RECORDS_HDR.unpack(message.frames[1])
-    return seq, count
 
 
 # -- JSON control messages ---------------------------------------------------

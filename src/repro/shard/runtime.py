@@ -45,6 +45,7 @@ from repro.dpdk.rss import RssHasher
 from repro.durability.shardstate import ShardStateStore
 from repro.mq.frames import Message
 from repro.overload.classify import CLASSES, HANDSHAKE, classify_frame
+from repro.resilience.invariants import Ledger
 from repro.resilience.supervisor import RestartBudget
 from repro.shard import protocol
 from repro.shard.heartbeat import FailureDetector
@@ -56,11 +57,7 @@ from repro.shard.supervisor import (
     ShardSupervisor,
 )
 from repro.shard.transport import Transport, TransportClosed, TransportError
-from repro.shard.worker import (
-    HEARTBEAT_INTERVAL_NS,
-    analytics_child_main,
-    shard_child_main,
-)
+from repro.shard.worker import HEARTBEAT_INTERVAL_NS, shard_child_main
 
 #: What to do with a down shard's traffic.
 SHED_POLICIES = ("protect-handshakes", "reroute-all")
@@ -69,67 +66,11 @@ SHED_POLICIES = ("protect-handshakes", "reroute-all")
 _SETTLE_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
-class GlobalLedger:
-    """``ingested == processed + dropped + deadlettered + shed + lost_at_crash``.
-
-    The PR 8 overload invariant with one more term: packets that were
-    in flight to a shard the instant it died. A crash may lose
-    *measurements* (you cannot replay live wire traffic) but it may
-    never lose *accounting*.
-    """
-
-    ingested: int
-    processed: int
-    dropped: int
-    deadlettered: int
-    shed: int
-    lost_at_crash: int
-
-    @property
-    def balance(self) -> int:
-        return self.ingested - (
-            self.processed
-            + self.dropped
-            + self.deadlettered
-            + self.shed
-            + self.lost_at_crash
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.balance == 0
-
-    def check(self) -> None:
-        if not self.ok:
-            raise AssertionError(f"shard conservation violated: {self}")
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "ingested": self.ingested,
-            "processed": self.processed,
-            "dropped": self.dropped,
-            "deadlettered": self.deadlettered,
-            "shed": self.shed,
-            "lost_at_crash": self.lost_at_crash,
-            "balance": self.balance,
-        }
-
-    def __str__(self) -> str:
-        status = "OK" if self.ok else f"VIOLATED (balance={self.balance})"
-        return (
-            f"shard ledger: ingested={self.ingested} == "
-            f"processed={self.processed} + dropped={self.dropped} + "
-            f"deadlettered={self.deadlettered} + shed={self.shed} + "
-            f"lost_at_crash={self.lost_at_crash} [{status}]"
-        )
-
-
 @dataclass
 class ShardRunReport:
     """Everything a drained sharded run proved (or failed to)."""
 
-    ledger: GlobalLedger
+    ledger: Ledger
     shards: Dict[str, dict]
     child_ledgers: Dict[str, dict]
     reconciliation: List[Tuple[str, bool, str]]
@@ -139,7 +80,6 @@ class ShardRunReport:
     states: Dict[str, str]
     heartbeats_seen: int
     records: Dict[str, int]
-    analytics: Optional[dict] = None
     rounds: int = 0
 
     @property
@@ -168,7 +108,6 @@ class ShardRunReport:
             "states": self.states,
             "heartbeats_seen": self.heartbeats_seen,
             "records": self.records,
-            "analytics": self.analytics,
             "rounds": self.rounds,
             "ok": self.ok,
         }
@@ -208,12 +147,6 @@ class ShardedRuntime:
         config: pipeline config shared with the shard workers (the
             RSS key and tracker knobs must match a single-process run
             for the equivalence property to hold).
-        analytics: ``"none"`` / ``"parent"`` / ``"process"`` — see
-            :func:`~repro.shard.placement.derive_placement`.
-        make_analytics: zero-arg factory returning an
-            ``AnalyticsService``; required for ``parent``/``process``
-            placements. Built by the composition root, called post-fork
-            for the ``process`` placement.
         state_dir: enables per-shard durability (checkpoint + ack WAL)
             and therefore *exact* post-crash ledger reconciliation.
         heartbeat_deadline_ms: None selects deterministic mode.
@@ -228,7 +161,7 @@ class ShardedRuntime:
             reroutes handshakes and sheds the rest by class;
             ``reroute-all`` reroutes everything).
         record_sink: optional callable fed every encoded latency
-            record when ``analytics == "none"``.
+            record.
     """
 
     def __init__(
@@ -236,8 +169,6 @@ class ShardedRuntime:
         num_shards: int,
         config: Optional[PipelineConfig] = None,
         *,
-        analytics: str = "none",
-        make_analytics: Optional[Callable[[], object]] = None,
         state_dir: Optional[str] = None,
         transport: str = "pipe",
         policy: str = "protect-handshakes",
@@ -256,14 +187,9 @@ class ShardedRuntime:
             raise ValueError(
                 f"unknown policy {policy!r}; choose from {SHED_POLICIES}"
             )
-        if analytics in ("parent", "process") and make_analytics is None:
-            raise ValueError(
-                f"analytics={analytics!r} needs a make_analytics factory"
-            )
         self.config = config or PipelineConfig()
-        self.plan: ShardPlan = derive_placement(num_shards, analytics=analytics)
+        self.plan: ShardPlan = derive_placement(num_shards)
         self.num_shards = num_shards
-        self.analytics = analytics
         self.policy = policy
         self.batch_size = batch_size
         self.deterministic = heartbeat_deadline_ms is None
@@ -271,7 +197,6 @@ class ShardedRuntime:
         self.restart_delay_batches = max(1, restart_delay_batches)
         self.checkpoint_every_batches = checkpoint_every_batches
         self._record_sink = record_sink
-        self._make_analytics = make_analytics
         self._heartbeat_interval_ns = int(heartbeat_interval_ms * 1e6)
 
         self.hasher = RssHasher(
@@ -311,17 +236,9 @@ class ShardedRuntime:
         self.shed_by_class: Dict[str, int] = {klass: 0 for klass in CLASSES}
         self.rerouted_packets = 0
         self.records_out = 0
-        self.records_delivered = 0
-        self.records_lost_at_crash = 0
-        self.records_dropped = 0
         self._round = 0
         self._started = False
         self._drained = False
-
-        self._analytics_service = None
-        self._analytics_push = None
-        self._analytics_seq = 0
-        self._records_buffer: List[bytes] = []
 
         if registry is not None:
             self.bind_registry(registry)
@@ -329,15 +246,7 @@ class ShardedRuntime:
     # -- composition ---------------------------------------------------------
 
     def _shard_entry(self, shard_id: int, transport: Transport) -> int:
-        """Post-fork child body selection (worker vs analytics shard)."""
-        analytics_spec = self.plan.analytics_shard
-        if analytics_spec is not None and shard_id == analytics_spec.shard_id:
-            return analytics_child_main(
-                transport,
-                shard_id,
-                self._make_analytics,
-                heartbeat_interval_ns=self._heartbeat_interval_ns,
-            )
+        """Post-fork child body."""
         return shard_child_main(
             transport,
             shard_id,
@@ -350,9 +259,6 @@ class ShardedRuntime:
             return
         self._started = True
         self.supervisor.start()
-        if self.analytics == "parent":
-            self._analytics_service = self._make_analytics()
-            self._analytics_push = self._analytics_service.connect_pipeline()
         for shard_id, fault in self._faults.items():
             self._arm_fault(shard_id, fault)
 
@@ -482,10 +388,9 @@ class ShardedRuntime:
                     handle.deadlettered += len(second[shard_id])
 
         # Settle the window.
-        for handle in self.supervisor.worker_handles():
+        for handle in self.supervisor.handles.values():
             if handle.live and handle.inflight:
                 self._wait_for_acks(handle, below=self.max_inflight)
-        self._flush_records()
         # Absorb pending heartbeats *before* judging deadlines — a shard
         # whose acks we did not need this round still spoke.
         self._pump_control()
@@ -564,10 +469,6 @@ class ShardedRuntime:
             if store is not None:
                 store.append_ack(seq, processed, parse_errors, len(records))
             self._deliver_records(records)
-        elif topic == protocol.RECORDS_ACK_TOPIC:
-            seq, count = protocol.decode_records_ack(message)
-            if handle.inflight.pop(seq, None) is not None:
-                self.records_delivered += count
         else:
             self.supervisor.handle_control_message(handle, message)
 
@@ -599,13 +500,7 @@ class ShardedRuntime:
         if handle.transport is not None:
             for message in handle.transport.recv_all():
                 self._handle_message(handle, message)
-        lost = self.supervisor.declare_down(handle.shard_id, cause)
-        if handle is self._analytics_handle():
-            # Records in flight to a dead analytics shard are record
-            # losses, not packet losses.
-            self.records_lost_at_crash += lost
-            handle.lost_at_crash -= lost
-            handle.lost_at_crash = max(0, handle.lost_at_crash)
+        self.supervisor.declare_down(handle.shard_id, cause)
         if self.deterministic and handle.state == SHARD_DOWN:
             handle.rejoin_at_round = self._round + self.restart_delay_batches
 
@@ -648,53 +543,13 @@ class ShardedRuntime:
             }
         return self.supervisor.restart(handle.shard_id, restore_payload=restore)
 
-    # -- records / analytics ---------------------------------------------------
-
-    def _analytics_handle(self) -> Optional[ShardHandle]:
-        spec = self.plan.analytics_shard
-        return None if spec is None else self.supervisor.handles[spec.shard_id]
+    # -- records ---------------------------------------------------------------
 
     def _deliver_records(self, records: List[bytes]) -> None:
         self.records_out += len(records)
-        if not records:
-            return
-        if self.analytics == "parent":
-            from repro.analytics.service import LATENCY_TOPIC
-
+        if self._record_sink is not None:
             for record in records:
-                self._analytics_push.send(
-                    Message.with_topic(LATENCY_TOPIC, record)
-                )
-            while self._analytics_service.poll(max_messages=256):
-                pass
-            self.records_delivered += len(records)
-        elif self.analytics == "process":
-            self._records_buffer.extend(records)
-        else:
-            if self._record_sink is not None:
-                for record in records:
-                    self._record_sink(record)
-            self.records_delivered += len(records)
-
-    def _flush_records(self) -> None:
-        """Forward buffered records to the analytics shard (one hop)."""
-        if self.analytics != "process" or not self._records_buffer:
-            return
-        handle = self._analytics_handle()
-        records, self._records_buffer = self._records_buffer, []
-        if handle is None or not handle.live:
-            self.records_dropped += len(records)
-            return
-        self._analytics_seq += 1
-        seq = self._analytics_seq
-        try:
-            handle.transport.send(protocol.encode_records(seq, records))
-        except (TransportClosed, TransportError):
-            self.records_dropped += len(records)
-            self._on_transport_death(handle)
-            return
-        handle.inflight[seq] = len(records)
-        self._wait_for_acks(handle, below=self.max_inflight)
+                self._record_sink(record)
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -761,7 +616,6 @@ class ShardedRuntime:
         self._drained = True
         reconciliation: List[Tuple[str, bool, str]] = []
         child_ledgers: Dict[str, dict] = {}
-        analytics_summary: Optional[dict] = None
 
         # A suspect shard's transport already hit EOF/EPIPE — the run
         # ending before its heartbeat lease lapsed must not leave its
@@ -772,22 +626,14 @@ class ShardedRuntime:
                     handle, handle.detected_cause or "drain-unresolved"
                 )
 
-        for handle in self.supervisor.worker_handles():
+        for handle in self.supervisor.handles.values():
             if handle.live and handle.inflight:
                 self._wait_for_acks(handle, below=1)
-        self._flush_records()
-        analytics_handle = self._analytics_handle()
-        if (
-            analytics_handle is not None
-            and analytics_handle.live
-            and analytics_handle.inflight
-        ):
-            self._wait_for_acks(analytics_handle, below=1)
 
         if self.stores:
             self.checkpoint_all()
 
-        for handle in self.supervisor.worker_handles():
+        for handle in self.supervisor.handles.values():
             payload = self.supervisor.drain_shard(handle)
             if payload is None:
                 continue
@@ -806,15 +652,6 @@ class ShardedRuntime:
                         f"child={child_value} parent={parent_value}",
                     )
                 )
-        if analytics_handle is not None:
-            analytics_summary = self.supervisor.drain_shard(analytics_handle)
-            if analytics_summary is not None:
-                child_ledgers[analytics_handle.name] = analytics_summary
-        if self._analytics_service is not None:
-            self._analytics_service.finish()
-            analytics_summary = {
-                "enriched": self._analytics_service.enriched_count,
-            }
 
         self.supervisor.shutdown()
         for store in self.stores.values():
@@ -836,26 +673,23 @@ class ShardedRuntime:
             restarts=self.supervisor.total_restarts,
             states=self.supervisor.states(),
             heartbeats_seen=self.supervisor.heartbeats_seen,
-            records={
-                "emitted": self.records_out,
-                "delivered": self.records_delivered,
-                "dropped": self.records_dropped,
-                "lost_at_crash": self.records_lost_at_crash,
-            },
-            analytics=analytics_summary,
+            # Every record a shard acked is handed to the sink in the
+            # same step, so the two counts cannot diverge.
+            records={"emitted": self.records_out, "delivered": self.records_out},
             rounds=self._round,
         )
         return report
 
-    def global_ledger(self) -> GlobalLedger:
-        workers = self.supervisor.worker_handles()
-        return GlobalLedger(
+    def global_ledger(self) -> Ledger:
+        workers = self.supervisor.handles.values()
+        return Ledger(
             ingested=self.ingested,
             processed=sum(h.acked_packets for h in workers),
             dropped=self.dropped,
             deadlettered=sum(h.deadlettered for h in workers),
             shed=sum(self.shed_by_class.values()),
             lost_at_crash=sum(h.lost_at_crash for h in workers),
+            scope="shard",
         )
 
     def close(self) -> None:

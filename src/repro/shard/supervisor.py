@@ -380,14 +380,6 @@ class ShardSupervisor:
     def states(self) -> Dict[str, str]:
         return {h.name: h.state for h in self.handles.values()}
 
-    def worker_handles(self) -> List[ShardHandle]:
-        """Worker shards only (excludes an analytics shard), id order."""
-        return [
-            self.handles[shard_id]
-            for shard_id in sorted(self.handles)
-            if "workers" in self.handles[shard_id].spec.stages
-        ]
-
 
 def spawn_summary(handles: Dict[int, ShardHandle]) -> List[Tuple[str, int]]:
     """(name, pid) pairs for logging, in shard-id order."""

@@ -7,10 +7,10 @@ RSS router guarantees flow affinity, so both directions of a flow land
 here). There is no NIC or ring inside the shard — the wire transport
 *is* the queue.
 
-The main loops never return into the caller's stack: children are
+The main loop never returns into the caller's stack: children are
 forked, and a forked Python process that falls back into pytest or the
 CLI would re-run atexit handlers and flush duplicated stdio. The
-supervisor wraps these loops and ``os._exit``\\ s with their return
+supervisor wraps the loop and ``os._exit``\\ s with its return
 code.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import HandshakeTracker
@@ -241,87 +241,3 @@ def shard_child_main(
         # Unknown topics are ignored: a newer parent may speak newer
         # control verbs; the dataplane topics above are versioned by
         # the wire layer.
-
-
-def analytics_child_main(
-    transport: Transport,
-    shard_id: int,
-    make_service: Callable[[], object],
-    heartbeat_interval_ns: int = HEARTBEAT_INTERVAL_NS,
-) -> int:
-    """The decoupled analytics tier as its own shard process.
-
-    *make_service* is called post-fork (so sockets, RNGs and telemetry
-    live entirely in this process) and must return an
-    :class:`repro.analytics.service.AnalyticsService` — constructed by
-    the composition root, never here.
-    """
-    service = make_service()
-    push = service.connect_pipeline()
-    hb_seq = 0
-    last_hb_ns = 0
-    recv_timeout_s = heartbeat_interval_ns / 4 / 1e9
-    while True:
-        now_ns = time.monotonic_ns()
-        if now_ns - last_hb_ns >= heartbeat_interval_ns:
-            try:
-                transport.send(encode_heartbeat(shard_id, hb_seq))
-            except (TransportClosed, TransportError):
-                return 1
-            hb_seq += 1
-            last_hb_ns = now_ns
-        try:
-            message = transport.recv(timeout=recv_timeout_s)
-        except (TransportClosed, TransportError):
-            return 1
-        if message is None:
-            continue
-        topic = message.topic
-        if topic == protocol.RECORDS_TOPIC:
-            from repro.analytics.service import LATENCY_TOPIC
-
-            seq, records = protocol.decode_records(message)
-            for record in records:
-                push.send(Message.with_topic(LATENCY_TOPIC, record))
-            while service.poll(max_messages=256):
-                pass
-            try:
-                transport.send(protocol.encode_records_ack(seq, len(records)))
-            except (TransportClosed, TransportError):
-                return 1
-        elif topic == protocol.CKPT_REQ_TOPIC:
-            request = protocol.decode_json(message)
-            reply = protocol.encode_json(
-                protocol.CKPT_TOPIC,
-                {
-                    "seq": int(request.get("seq", 0)),
-                    "state": service.state_dict(),
-                },
-            )
-            try:
-                transport.send(reply)
-            except (TransportClosed, TransportError):
-                return 1
-        elif topic == protocol.RESTORE_TOPIC:
-            payload = protocol.decode_json(message)
-            if payload.get("state") is not None:
-                service.load_state(payload["state"])
-        elif topic == protocol.DRAIN_TOPIC:
-            service.finish()
-            ledger = service.conservation_ledger()
-            summary = {
-                "shard_id": shard_id,
-                "enriched": service.enriched_count,
-                "records_ingested": ledger.ingested,
-                "records_processed": ledger.processed,
-            }
-            tsdb = getattr(service, "tsdb", None)
-            if tsdb is not None:
-                summary["tsdb_points"] = tsdb.total_points()
-            try:
-                transport.send(
-                    protocol.encode_json(protocol.DRAINED_TOPIC, summary)
-                )
-            except (TransportClosed, TransportError):
-                return 1
-            return 0

@@ -8,22 +8,25 @@ closing the graph. This package declares that shape **once**
 (:mod:`repro.stack.topology`) and derives everything cross-cutting
 from it:
 
-* per-batch processing order — :meth:`RuruStack.process_batch`;
+* the one feed loop — :meth:`RuruStack.run` — and its per-batch
+  processing order, :meth:`RuruStack.process_batch`;
 * the graceful-drain protocol — :meth:`RuruStack.drain`;
 * the checkpoint payload — :meth:`RuruStack.capture_state`;
 * the registered crash-point table —
   :func:`repro.stack.topology.crash_points`;
 * metrics-collector registration — :mod:`repro.stack.metrics`.
 
-Every assembly in the repo (all six CLI commands, the chaos harness,
-the durable runtime, the co-scheduled runtime) is a preset of
-:class:`StackBuilder`; nothing outside this package wires
-pipeline-to-analytics plumbing by hand.
+Every assembly in the repo (the CLI commands, ``run_chaos``, the
+recovery harness, the scenario runner, :class:`repro.runtime.RuruRuntime`)
+is a preset of :class:`StackBuilder` driven by :meth:`RuruStack.run`;
+nothing outside this package wires pipeline-to-analytics plumbing or
+cuts feed batches by hand.
 """
 
 from repro.stack.builder import (
     PRESETS,
     STATE_FORMAT,
+    DrainReport,
     RuruStack,
     StackBuilder,
     build_chaos_stack,
@@ -31,7 +34,6 @@ from repro.stack.builder import (
     build_enrichment_dbs,
     build_live_stack,
     build_measure_stack,
-    build_shard_analytics,
     build_sharded_runtime,
 )
 from repro.stack.stage import Stage, StageContext, StageGraph
@@ -45,6 +47,7 @@ from repro.stack.topology import (
 )
 
 __all__ = [
+    "DrainReport",
     "PRESETS",
     "PROTOCOL_POINTS",
     "STATE_FORMAT",
@@ -60,7 +63,6 @@ __all__ = [
     "build_enrichment_dbs",
     "build_live_stack",
     "build_measure_stack",
-    "build_shard_analytics",
     "build_sharded_runtime",
     "crash_points",
     "get_spec",

@@ -1,10 +1,10 @@
-"""The composition root: one builder, four presets, zero duplicated
-wiring.
+"""The composition root: one builder, four presets, one driver.
 
-Every assembly of the Ruru dataflow — the CLI commands, the chaos
-harness, the durable runtime and the co-scheduled
+Every assembly of the Ruru dataflow — the CLI commands, ``run_chaos``,
+the recovery harness, the scenario runner and
 :class:`repro.runtime.RuruRuntime` — is a configuration of
-:class:`StackBuilder`. The builder constructs components in one fixed,
+:class:`StackBuilder`, and every in-process run is
+:meth:`RuruStack.run`. The builder constructs components in one fixed,
 determinism-preserving order, wraps them in the stage wrappers of
 :mod:`repro.stack.stages`, and returns a :class:`RuruStack` whose
 cross-cutting behaviour (batch processing, graceful-drain order,
@@ -20,22 +20,25 @@ live      full dataflow without fault machinery (``ruru demo`` /
           ``detect`` / ``export`` / ``metrics`` / ``analyze`` and
           :class:`repro.runtime.RuruRuntime`).
 chaos     live + fault injector, resilience layer and supervisor
-          (:class:`repro.faults.chaos.ChaosHarness`).
+          (:func:`repro.faults.chaos.run_chaos`).
 durable   chaos + WAL-backed TSDB, checkpoints, anomaly/top-k riders
-          (:class:`repro.durability.runtime.DurableRuntime`).
+          (``ruru live`` / ``recover``, the recovery harness).
 ========  ==============================================================
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Union
 
 from repro.analytics.service import AnalyticsService, make_pipeline_sink
 from repro.analytics.topk import SpaceSaving
 from repro.anomaly.manager import AnomalyManager
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RuruPipeline
+from repro.core.stats import PipelineStats
 from repro.faults.adapters import (
     FaultyPushSocket,
     FlakyAsnDatabase,
@@ -51,7 +54,7 @@ from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
 from repro.overload import GatedPushSocket, OverloadController, WatermarkBand
 from repro.overload import ring_reader, socket_reader
 from repro.overload.controller import NS_PER_MS
-from repro.resilience import ResilienceLayer, Supervisor
+from repro.resilience import Ledger, ResilienceLayer, Supervisor
 from repro.stack.stage import StageContext, StageGraph
 from repro.stack.stages import (
     AnalyticsStage,
@@ -83,6 +86,55 @@ def build_enrichment_dbs(plan=None, country_accuracy: float = 0.98):
     """Synthetic geo/ASN databases over *plan* (the one sanctioned
     :class:`GeoDbBuilder` call site outside this builder's ``build``)."""
     return GeoDbBuilder(plan=plan, country_accuracy=country_accuracy).build()
+
+
+@dataclass
+class DrainReport:
+    """What one run's graceful drain flushed, stage by stage."""
+
+    stages: List[str]
+    stats: PipelineStats
+    ledger: Optional[Ledger]
+    final_checkpoint: Optional[CheckpointInfo]
+    retries_drained: int
+    points_written: int
+    wal_appends: Optional[int]
+    duration_s: float
+
+    @property
+    def rejected_while_quiesced(self) -> int:
+        return self.stats.packets_rejected_quiesced
+
+    @property
+    def ok(self) -> bool:
+        """Drained clean: conservation holds and, on a stack with a
+        checkpoint stage, the clean checkpoint landed."""
+        return (self.ledger is None or self.ledger.ok) and (
+            self.final_checkpoint is not None
+            or "clean-checkpoint" not in self.stages
+        )
+
+    def render(self) -> str:
+        lines = ["graceful drain: " + " -> ".join(self.stages)]
+        if self.ledger is not None:
+            lines.append(f"  conservation: {self.ledger}")
+        lines.append(
+            f"  rejected while quiesced: {self.rejected_while_quiesced}"
+        )
+        if self.wal_appends is not None:
+            lines.append(
+                f"  points written: {self.points_written} "
+                f"({self.wal_appends} WAL appends, "
+                f"{self.retries_drained} retries drained)"
+            )
+        if self.final_checkpoint is not None:
+            lines.append(
+                f"  clean checkpoint: "
+                f"{os.path.basename(self.final_checkpoint.path)} "
+                f"({self.final_checkpoint.size_bytes} bytes)"
+            )
+        lines.append("  verdict: " + ("OK" if self.ok else "FAILED"))
+        return "\n".join(lines)
 
 
 class RuruStack:
@@ -143,23 +195,86 @@ class RuruStack:
         """
         self.graph.process(self._context(batch=batch))
 
+    def run(
+        self,
+        packets: Optional[Iterable] = None,
+        shutdown_flag: Optional[Callable[[], bool]] = None,
+        window_ns: Optional[int] = None,
+    ) -> DrainReport:
+        """Feed a packet stream along the stage graph, then drain.
+
+        Every tier advances on every batch — analytics polls while
+        packets are still arriving — so no queue ever holds more than
+        one batch's worth of records.
+
+        Args:
+            packets: the frame stream (default: :meth:`packet_stream`).
+            shutdown_flag: zero-arg callable polled after each batch
+                and before the trailing one; truthy → stop feeding and
+                drain (the SIGINT/SIGTERM path).
+            window_ns: cut batches by virtual time instead of by
+                ``pipeline.feed_batch`` count, so the offered *rate* is
+                what fills the rings — overload scenarios see genuine
+                occupancy pressure during a ramp.
+        """
+        stop = shutdown_flag or (lambda: False)
+        feed_batch = self.pipeline.feed_batch
+        batch: List = []
+        window_end: Optional[int] = None
+        for packet in self.packet_stream() if packets is None else packets:
+            if window_ns is None:
+                cut = len(batch) >= feed_batch
+            else:
+                # The packet that opens the next window closes this one.
+                if window_end is None:
+                    window_end = packet.timestamp_ns + window_ns
+                cut = packet.timestamp_ns >= window_end
+                while packet.timestamp_ns >= window_end:
+                    window_end += window_ns
+            if cut:
+                self.process_batch(batch)
+                batch = []
+                if stop():
+                    break
+            batch.append(packet)
+        if batch and not stop():
+            self.process_batch(batch)
+        return self.drain()
+
     # -- graceful drain ------------------------------------------------------
 
-    def drain(self) -> Tuple[List[str], Optional[CheckpointInfo]]:
+    def drain(self) -> DrainReport:
         """The graceful drain protocol, derived from the graph order.
 
-        Returns the performed stage labels (in traversal order) and
-        the final clean checkpoint, if a checkpoint stage is present.
-        With telemetry attached, the stack's SLOs are evaluated against
-        the registry once the drain completes (every bridged counter is
-        final by then) and kept on :attr:`slo_results`.
+        The report's stage list is what the graph traversal actually
+        performed. With telemetry attached, the stack's SLOs are
+        evaluated against the registry once the drain completes (every
+        bridged counter is final by then) and kept on
+        :attr:`slo_results`.
         """
-        labels = self.graph.drain(self._context())
+        started = time.perf_counter()
+        resilience = self.resilience
+        retries_before = resilience.retries if resilience else 0
+        stages = self.graph.drain(self._context())
         checkpoint_stage = self.graph.get("checkpoint")
-        final = checkpoint_stage.last_clean if checkpoint_stage else None
         if self.telemetry is not None:
             self.slo_results = evaluate_slos(self.telemetry.registry, self.slos)
-        return labels, final
+        return DrainReport(
+            stages=stages,
+            stats=self.pipeline.stats_snapshot(),
+            ledger=(
+                self.service.conservation_ledger() if self.service else None
+            ),
+            final_checkpoint=(
+                checkpoint_stage.last_clean if checkpoint_stage else None
+            ),
+            retries_drained=(
+                resilience.retries - retries_before if resilience else 0
+            ),
+            points_written=resilience.points_written if resilience else 0,
+            wal_appends=self.wal.appends if self.wal is not None else None,
+            duration_s=time.perf_counter() - started,
+        )
 
     # -- checkpoint capture/restore -----------------------------------------
 
@@ -713,42 +828,13 @@ def build_durable_stack(
     return builder.build()
 
 
-def build_shard_analytics(
-    num_workers: int = 4,
-    country_accuracy: float = 0.98,
-    plan=None,
-):
-    """A zero-arg ``make_analytics`` factory for the sharded runtime.
-
-    The factory closes over nothing process-bound: for the
-    ``analytics="process"`` placement it runs *post-fork* inside the
-    analytics shard, so sockets, enrichment databases and worker RNGs
-    are built in (and owned by) that process. Defined here because the
-    composition root is the only sanctioned constructor site for
-    :class:`~repro.analytics.service.AnalyticsService`.
-    """
-
-    def make_analytics() -> AnalyticsService:
-        geo, asn = build_enrichment_dbs(
-            plan=plan, country_accuracy=country_accuracy
-        )
-        context = Context()
-        return AnalyticsService(
-            context, geo, asn, num_workers=num_workers
-        )
-
-    return make_analytics
-
-
 def build_sharded_runtime(
     shards: int = 2,
     config: Optional[PipelineConfig] = None,
-    analytics: str = "none",
     state_dir: Optional[str] = None,
     policy: str = "protect-handshakes",
     heartbeat_deadline_ms: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
-    analytics_workers: int = 4,
     **kwargs,
 ):
     """``shard``: process placement derived from the stage topology.
@@ -762,16 +848,9 @@ def build_sharded_runtime(
     # it at module scope would cycle back through repro.stack.
     from repro.shard.runtime import ShardedRuntime
 
-    make_analytics = (
-        build_shard_analytics(num_workers=analytics_workers)
-        if analytics in ("parent", "process")
-        else None
-    )
     return ShardedRuntime(
         shards,
         config=config,
-        analytics=analytics,
-        make_analytics=make_analytics,
         state_dir=state_dir,
         policy=policy,
         heartbeat_deadline_ms=heartbeat_deadline_ms,

@@ -12,8 +12,8 @@ import pytest
 
 from repro.durability.harness import RecoveryHarness, run_recovery_trial
 from repro.durability.recovery import recover_runtime
-from repro.durability.runtime import DurableRuntime
 from repro.faults.crashpoints import CRASH_POINTS
+from repro.stack import build_durable_stack
 
 NS_PER_S = 1_000_000_000
 
@@ -88,13 +88,13 @@ def test_torn_checkpoint_falls_back(tmp_path):
 
 def test_clean_shutdown_then_recover_is_lossless(tmp_path):
     state_dir = str(tmp_path / "state")
-    runtime = DurableRuntime(state_dir, profile="clean", seed=5, **RUN)
+    runtime = build_durable_stack(state_dir, profile="clean", seed=5, **RUN)
     drain = runtime.run()
     assert drain.ok
     processed = drain.ledger.processed
     lines = sorted(runtime.tsdb.inner.dump_lines())
 
-    restarted = DurableRuntime(state_dir, profile="clean", seed=5, **RUN)
+    restarted = build_durable_stack(state_dir, profile="clean", seed=5, **RUN)
     report = recover_runtime(restarted, observed_ingested=drain.ledger.ingested)
     assert report.ok, report.render()
     assert report.clean_shutdown

@@ -5,9 +5,9 @@ import signal
 
 import pytest
 
-from repro.durability.runtime import DurableRuntime
 from repro.durability.signals import GracefulShutdown
-from repro.faults import ChaosHarness
+from repro.faults import run_chaos
+from repro.stack import build_durable_stack
 
 RUN = dict(duration_s=4.0, rate=30.0, queues=2)
 
@@ -52,7 +52,7 @@ class TestHandlerHygiene:
 
 class TestSignalDrivenDrain:
     def test_sigterm_mid_run_drains_gracefully(self, tmp_path):
-        runtime = DurableRuntime(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
+        runtime = build_durable_stack(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
         batches = {"n": 0}
 
         def flag_that_signals_itself():
@@ -69,9 +69,6 @@ class TestSignalDrivenDrain:
         assert report.stages[-1] == "clean-checkpoint"
 
     def test_sigint_mid_chaos_still_reconciles(self):
-        harness = ChaosHarness("lossy-mq", seed=42, **{
-            "duration_s": 4.0, "rate": 30.0, "queues": 2
-        })
         ticks = {"n": 0}
 
         def flag():
@@ -81,7 +78,7 @@ class TestSignalDrivenDrain:
             return stop.requested()
 
         with GracefulShutdown() as stop:
-            report = harness.run(shutdown_flag=flag)
+            report = run_chaos("lossy-mq", seed=42, shutdown_flag=flag, **RUN)
         assert stop.requested()
         assert report.unhandled == []
         assert report.ledger.ok

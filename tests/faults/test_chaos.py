@@ -8,7 +8,7 @@ ledger, and (c) replay to identical counts from the same seed.
 
 import pytest
 
-from repro.faults import ChaosHarness, run_chaos
+from repro.faults import run_chaos
 
 # Small-but-busy runs keep the suite fast while still firing every
 # fault kind at the default profile rates.
@@ -24,9 +24,8 @@ REQUIRED_METRIC_FAMILIES = (
 
 @pytest.fixture(scope="module")
 def lossy_report():
-    harness = ChaosHarness("lossy-mq", seed=42, **RUN)
-    report = harness.run()
-    return harness, report
+    report = run_chaos("lossy-mq", seed=42, **RUN)
+    return report.stack, report
 
 
 class TestLossyMq:

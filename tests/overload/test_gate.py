@@ -1,14 +1,9 @@
 """The MQ admission gate and the extended conservation ledger."""
 
-from repro.faults.chaos import ChaosHarness
+from repro.faults import run_chaos
 from repro.mq.socket import Context
-from repro.overload import (
-    HANDSHAKE,
-    GatedPushSocket,
-    OverloadController,
-    OverloadLedger,
-)
-from repro.resilience.invariants import ConservationLedger
+from repro.overload import HANDSHAKE, GatedPushSocket, OverloadController
+from repro.resilience import Ledger
 
 
 class _RefusingSocket:
@@ -53,19 +48,19 @@ class TestGatedPushSocket:
 
 class TestOverloadLedger:
     def test_balances_with_shed_term(self):
-        ledger = ConservationLedger(
+        ledger = Ledger(
             ingested=90, processed=80, dropped=6, deadlettered=4
         )
-        combined = OverloadLedger.from_parts(100, ledger, shed_mq=10)
+        combined = Ledger.from_parts(100, ledger, shed_mq=10)
         assert combined.balance == 0
         assert combined.ok
         combined.check()
 
     def test_detects_vanished_records(self):
-        ledger = ConservationLedger(
+        ledger = Ledger(
             ingested=90, processed=80, dropped=6, deadlettered=4
         )
-        combined = OverloadLedger.from_parts(100, ledger, shed_mq=7)
+        combined = Ledger.from_parts(100, ledger, shed_mq=7)
         assert combined.balance == 3
         assert not combined.ok
         assert "VIOLATED" in str(combined)
@@ -78,14 +73,13 @@ class TestGateUnderFaults:
         # the gate, so injected drops never reach `offered` and injected
         # duplicates are offered twice — the four-destiny invariant
         # balances under the profile's full fault mix.
-        harness = ChaosHarness(
+        report = run_chaos(
             "lossy-mq", seed=11, duration_s=4.0, rate=30.0, overload=True
         )
-        report = harness.run()
         assert report.ok
-        controller = harness.stack.overload
+        controller = report.stack.overload
         assert controller is not None
-        combined = OverloadLedger.from_parts(
+        combined = Ledger.from_parts(
             controller.mq_offered,
             report.ledger,
             controller.shed_total(stage="mq"),

@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.faults.chaos import ChaosHarness
+from repro.faults import run_chaos
 
 
 @pytest.fixture(scope="module")
 def snapshot():
-    harness = ChaosHarness(
+    stack = run_chaos(
         "clean", seed=3, duration_s=3.0, rate=20.0, overload=True
-    )
-    harness.run()
+    ).stack
     # Wedge some shed into the ledger so labelled children exist.
-    controller = harness.stack.overload
-    controller.record_shed("payload", "nic")
-    return harness.telemetry.registry.snapshot()
+    stack.overload.record_shed("payload", "nic")
+    return stack.telemetry.registry.snapshot()
 
 
 def value(snapshot, name, **labels):

@@ -8,11 +8,10 @@ only after a genuine fresh calm dwell, not instantly.
 """
 
 from repro.durability.recovery import recover_runtime
-from repro.durability.runtime import DurableRuntime
 from repro.faults.crashpoints import CrashSchedule, SimulatedCrash
-from repro.overload import OverloadLedger
 from repro.overload.controller import LEVEL_HEADERS_ONLY
-from repro.resilience.invariants import DurabilityLedger
+from repro.resilience import Ledger
+from repro.stack import build_durable_stack
 
 RUN = dict(profile="clean", seed=7, duration_s=6.0, rate=30.0, queues=2)
 
@@ -28,13 +27,13 @@ def test_crash_during_active_overload_recovers(tmp_path):
     # wedged at the top by a synthetic always-full probe — has been
     # persisted several times.
     schedule = CrashSchedule().arm("checkpoint.post", hit=3)
-    victim = DurableRuntime(
+    victim = build_durable_stack(
         state_dir, crash_schedule=schedule, overload=True, **RUN
     )
     victim.service.ingest_observer = observe
     victim.overload.watch_stage("synthetic", [lambda: (1, 1)])
 
-    packets = list(victim.injector.packet_stream(victim.generator.packets()))
+    packets = list(victim.packet_stream())
     feed_batch = victim.pipeline.feed_batch
     batches = [
         packets[i : i + feed_batch]
@@ -47,7 +46,7 @@ def test_crash_during_active_overload_recovers(tmp_path):
         for batch in batches:
             fed += 1
             victim.process_batch(batch)
-        victim.shutdown()
+        victim.drain()
     except SimulatedCrash:
         crashed = True
     assert crashed, "checkpoint.post never fired"
@@ -57,7 +56,7 @@ def test_crash_during_active_overload_recovers(tmp_path):
     observed_at_crash = observed["count"]
     del victim  # dead memory
 
-    survivor = DurableRuntime(state_dir, overload=True, **RUN)
+    survivor = build_durable_stack(state_dir, overload=True, **RUN)
     survivor.service.ingest_observer = observe
     recovery = recover_runtime(survivor, observed_ingested=observed_at_crash)
     assert recovery.ok, recovery.render()
@@ -73,7 +72,7 @@ def test_crash_during_active_overload_recovers(tmp_path):
     # walks back down over the remaining virtual time.
     for batch in batches[fed:]:
         survivor.process_batch(batch)
-    final_drain = survivor.shutdown()
+    final_drain = survivor.drain()
     assert final_drain.ok, final_drain.render()
     # Each rung needs its own full calm dwell, so how far down the
     # ladder walks depends on the remaining virtual time — what must
@@ -84,19 +83,20 @@ def test_crash_during_active_overload_recovers(tmp_path):
     )
 
     # Whole-trial durability equation, with the crash loss explicit.
-    final_ledger = DurabilityLedger(
-        observed_ingested=observed["count"],
+    final_ledger = Ledger(
+        ingested=observed["count"],
         processed=final_drain.ledger.processed,
         dropped=final_drain.ledger.dropped,
         deadlettered=final_drain.ledger.deadlettered,
         lost_at_crash=recovery.lost_at_crash,
+        scope="durability",
     )
     assert final_ledger.ok, str(final_ledger)
 
     # And the extended invariant: the gate's offered count and the
     # analytics ledger were restored from the same checkpoint cut, so
     # ingested == processed + dropped + deadlettered + shed(mq) exactly.
-    combined = OverloadLedger.from_parts(
+    combined = Ledger.from_parts(
         survivor.overload.mq_offered,
         final_drain.ledger,
         survivor.overload.shed_total(stage="mq"),

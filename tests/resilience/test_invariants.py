@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.resilience import ConservationLedger, InvariantViolation
+from repro.resilience import InvariantViolation, Ledger
 
 
 class TestConservationLedger:
     def test_balanced_ledger_ok(self):
-        ledger = ConservationLedger(
+        ledger = Ledger(
             ingested=10, processed=7, dropped=2, deadlettered=1
         )
         assert ledger.ok
@@ -15,7 +15,7 @@ class TestConservationLedger:
         ledger.check()  # does not raise
 
     def test_unbalanced_ledger_raises_with_detail(self):
-        ledger = ConservationLedger(
+        ledger = Ledger(
             ingested=10, processed=7, dropped=2, deadlettered=0
         )
         assert not ledger.ok
@@ -27,10 +27,10 @@ class TestConservationLedger:
         assert issubclass(InvariantViolation, AssertionError)
 
     def test_as_dict_and_str(self):
-        ledger = ConservationLedger(
+        ledger = Ledger(
             ingested=3, processed=3, dropped=0, deadlettered=0
         )
         assert ledger.as_dict()["balance"] == 0
         assert "OK" in str(ledger)
-        bad = ConservationLedger(ingested=3, processed=1, dropped=0, deadlettered=0)
+        bad = Ledger(ingested=3, processed=1, dropped=0, deadlettered=0)
         assert "VIOLATED" in str(bad)

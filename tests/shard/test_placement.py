@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.shard.placement import (
-    ANALYTICS_PLACEMENTS,
-    PlacementError,
-    derive_placement,
-)
+from repro.shard.placement import PlacementError, derive_placement
 from repro.stack.topology import stage_names
 
 
@@ -30,46 +26,28 @@ class TestDerivePlacement:
         assert len(plan.edges) == 2
 
     def test_analytics_none_omits_the_tail(self):
-        plan = derive_placement(2, analytics="none")
+        plan = derive_placement(2)
         hosted = set(plan.parent.stages)
         for spec in plan.shards:
             hosted.update(spec.stages)
         assert "analytics" not in hosted
-        assert plan.analytics_shard is None
-
-    def test_analytics_parent_moves_tail_into_parent(self):
-        plan = derive_placement(2, analytics="parent")
-        assert "analytics" in plan.parent.stages
-        assert plan.analytics_shard is None
-
-    def test_analytics_process_adds_one_shard_and_edge(self):
-        plan = derive_placement(2, analytics="process")
-        spec = plan.analytics_shard
-        assert spec is not None
-        assert spec.name == "shard-analytics"
-        assert spec.shard_id == 2
-        assert "analytics" in spec.stages
-        assert len(plan.edges) == 3
-        assert plan.num_worker_shards == 2
+        assert all(spec.stages == ("workers",) for spec in plan.shards)
 
     def test_every_topology_stage_is_placed_or_an_edge(self):
-        plan = derive_placement(3, analytics="process")
+        """Up to the bus, that is: the tail behind it is not assembled."""
+        plan = derive_placement(3)
         placed = set(plan.parent.stages)
         for spec in plan.shards:
             placed.update(spec.stages)
         placed.update(edge.stage for edge in plan.edges)
-        assert placed == set(stage_names())
+        names = stage_names()
+        assert placed == set(names[: names.index("mq") + 1])
 
     def test_describe_mentions_every_process(self):
-        text = derive_placement(2, analytics="process").describe()
-        for name in ("parent", "shard-0", "shard-1", "shard-analytics"):
+        text = derive_placement(2).describe()
+        for name in ("parent", "shard-0", "shard-1"):
             assert name in text
 
     def test_zero_shards_rejected(self):
         with pytest.raises(PlacementError):
             derive_placement(0)
-
-    def test_unknown_analytics_placement_rejected(self):
-        with pytest.raises(PlacementError):
-            derive_placement(2, analytics="moon")
-        assert "moon" not in ANALYTICS_PLACEMENTS

@@ -219,41 +219,10 @@ class TestChaos:
         assert report.shards["shard-0"]["causes"] == []
 
 
-class TestAnalyticsPlacement:
-    def _make_analytics(self):
-        from repro.stack import build_shard_analytics
-
-        return build_shard_analytics(num_workers=2)
-
-    def test_analytics_process_shard_enriches_records(self, packets):
-        report = run_sharded(
-            packets[:600],
-            analytics="process",
-            make_analytics=self._make_analytics(),
-        )
-        assert report.ok, report.failed_checks()
-        summary = report.child_ledgers["shard-analytics"]
-        assert summary["records_ingested"] == report.records["emitted"] > 0
-        assert summary["enriched"] == summary["records_ingested"]
-
-    def test_analytics_parent_placement_enriches_in_process(self, packets):
-        report = run_sharded(
-            packets[:600],
-            analytics="parent",
-            make_analytics=self._make_analytics(),
-        )
-        assert report.ok, report.failed_checks()
-        assert report.analytics["enriched"] == report.records["emitted"] > 0
-
-
 class TestGuards:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             ShardedRuntime(2, policy="coin-flip")
-
-    def test_process_analytics_requires_a_factory(self):
-        with pytest.raises(ValueError):
-            ShardedRuntime(2, analytics="process")
 
     def test_double_drain_rejected(self, packets):
         runtime = ShardedRuntime(1, PipelineConfig())

@@ -55,9 +55,9 @@ class TestPresets:
 class TestDerivedBehaviours:
     def test_drain_order_is_derived_from_the_graph(self, tmp_path):
         stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)
-        labels, final = stack.drain()
-        assert labels == EXPECTED_STAGES
-        assert final is not None
+        report = stack.drain()
+        assert report.stages == EXPECTED_STAGES
+        assert report.final_checkpoint is not None
 
     def test_checkpoint_payload_enumerates_every_stateful_stage(self, tmp_path):
         stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)

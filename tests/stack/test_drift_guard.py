@@ -1,10 +1,13 @@
-"""Drift guard: all stack assembly must go through repro.stack.
+"""Drift guard: all stack assembly and all driving go through repro.stack.
 
 Any new code that constructs the core components directly — instead of
 going through the builder — silently forks the wiring and escapes the
-derived drain/checkpoint/fault orders. This test walks the source tree
-with the AST module so string mentions in docstrings or comments do not
-trip it; only real call sites count.
+derived drain/checkpoint/fault orders; any new code that feeds an
+assembled stack through the bare pipeline, or flushes the analytics
+service by hand, forks the *driver* and leaves records waiting at the
+PULL socket. This test walks the source tree with the AST module so
+string mentions in docstrings or comments do not trip it; only real
+call sites and class definitions count.
 """
 
 import ast
@@ -24,6 +27,15 @@ GUARDED = {
 
 # The composition root is the one place allowed to build them.
 ALLOWED = {SRC / "stack" / "builder.py"}
+
+# The second-driver calls: only the bare pipeline's own entry point and
+# the stage wrappers may make them.
+DRIVER_ALLOWED = (SRC / "core" / "pipeline.py", SRC / "stack")
+
+# A new runtime, harness or ledger is a parallel mechanism by another
+# name; these are the ones that exist.
+PARALLEL_SUFFIXES = ("Runtime", "Harness", "Ledger")
+PARALLEL_ALLOWED = {"RuruRuntime", "ShardedRuntime", "RecoveryHarness", "Ledger"}
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -45,6 +57,93 @@ def guarded_call_sites():
                 if name in GUARDED:
                     sites.append((path, node.lineno, name))
     return sites
+
+
+def _receiver_name(call: ast.Call) -> str | None:
+    """``x`` of ``x.method()`` / ``a.x.method()``."""
+    if not isinstance(call.func, ast.Attribute):
+        return None
+    value = call.func.value
+    if isinstance(value, ast.Name):
+        return value.id
+    if isinstance(value, ast.Attribute):
+        return value.attr
+    return None
+
+
+def second_driver_call_sites(root=SRC):
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if any(path == ok or ok in path.parents for ok in DRIVER_ALLOWED):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            if name == "run_packets" or (
+                name == "finish"
+                and (_receiver_name(node) or "").endswith("service")
+            ):
+                sites.append((path, node.lineno, name))
+    return sites
+
+
+def parallel_mechanism_classes(root=SRC):
+    return [
+        (path, node.lineno, node.name)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and node.name.endswith(PARALLEL_SUFFIXES)
+        and node.name not in PARALLEL_ALLOWED
+    ]
+
+
+class TestOneDriver:
+    def test_no_run_packets_or_service_finish_outside_the_stack(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} calls {name}("
+            for path, lineno, name in second_driver_call_sites()
+        ]
+        assert not offenders, (
+            "a second driver for an assembled stack (use RuruStack.run):\n  "
+            + "\n  ".join(offenders)
+        )
+
+    def test_no_new_runtime_harness_or_ledger_class(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} defines class {name}"
+            for path, lineno, name in parallel_mechanism_classes()
+        ]
+        assert not offenders, (
+            "a parallel runtime/harness/ledger (extend the allow-list only "
+            "with a reason):\n  " + "\n  ".join(offenders)
+        )
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        """Keep the guard honest: it must trip on the shapes it bans
+        and the allow-listed classes must still exist."""
+        (tmp_path / "rogue.py").write_text(
+            "class SideRuntime: pass\n"
+            "class BatchLedger: pass\n"
+            "def go(stack, service):\n"
+            "    stack.pipeline.run_packets([])\n"
+            "    stack.service.finish()\n"
+            "    service.finish()\n"
+            "    map_view.finish()\n"
+        )
+        calls = [name for _, _, name in second_driver_call_sites(tmp_path)]
+        assert calls == ["run_packets", "finish", "finish"]
+        classes = [name for _, _, name in parallel_mechanism_classes(tmp_path)]
+        assert classes == ["SideRuntime", "BatchLedger"]
+        defined = {
+            node.name
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+        }
+        assert PARALLEL_ALLOWED <= defined
 
 
 class TestNoDirectAssemblyOutsideStack:

@@ -47,6 +47,18 @@ class TestCommands:
         assert "map frames" in output
         assert "arc colours" in output
 
+    def test_demo_loses_nothing_past_the_mq_high_water_mark(self, capsys):
+        """17,647 measurements against a 10,000-message PULL HWM: every
+        one is enriched, because analytics runs while packets arrive."""
+        assert main(["demo", "--duration", "30", "--rate", "600"]) == 0
+        rows = dict(
+            line.split(":", 1)
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("measurements:", "enriched:"))
+        )
+        assert int(rows["measurements"]) > 10_000
+        assert int(rows["enriched"]) == int(rows["measurements"])
+
     def test_detect_glitch(self, capsys):
         assert main(["detect", "--duration", "60", "--rate", "30",
                      "--glitch"]) == 0

@@ -1,9 +1,8 @@
-"""Co-scheduled runtime tests."""
-
-import pytest
+"""RuruRuntime tests: the live stack with the map attached."""
 
 from repro.core.config import PipelineConfig
 from repro.runtime import RuruRuntime
+from repro.stack import build_live_stack
 from repro.traffic.scenarios import (
     AucklandLaScenario,
     FirewallGlitchInjector,
@@ -45,12 +44,17 @@ class TestRuntime:
         """Because analytics runs while rx still has work, the PULL
         queue never accumulates the whole run."""
         generator = _generator(duration_s=5, rate=60)
-        runtime = RuruRuntime.build(generator.plan)
-        runtime.run(generator.packets(), feed_batch=64)
-        # After the run the input queue is empty, and its HWM was
-        # never threatened (default HWM 10k >> what interleaving allows).
-        assert len(runtime.service.pull) == 0
-        assert runtime.service.pull.dropped == 0
+        stack = build_live_stack(generator=generator, frontend_hwm=10_000)
+        report = stack.run()
+        # After the run the input queue is empty, and its HWM was never
+        # threatened: no batch can complete more handshakes than it
+        # has frames, so the queue never held more than one batch's
+        # worth of a run that measured far more.
+        pull = stack.service.pull
+        assert len(pull) == 0
+        assert pull.dropped == 0
+        assert pull.take_peak() <= stack.pipeline.feed_batch
+        assert report.stats.measurements > stack.pipeline.feed_batch
 
     def test_frames_paced(self):
         generator = _generator(duration_s=4, rate=50)
