@@ -5,9 +5,11 @@ profiler and attach its summary to the session resultset — that is
 where ``stage.<name>.ns_per_packet`` and the machine-portable
 ``stage.<name>.wall_share`` metrics in ``benchmarks/baselines/``
 come from, and what ``ruru perf compare`` gates stage-level
-regressions against. Second, hold the profiler to the same ≤10%
-budget as the rest of the telemetry: always-on timing must never
-cost what it measures.
+regressions against. Second, hold call attribution to the same ≤10%
+budget as the rest of the telemetry: both sides of the pair carry a
+``Telemetry`` (so the graph times every stage in both — that cost is
+``test_bench_telemetry``'s to gate); only the ``sys.setprofile``
+sampler differs.
 
 Overhead methodology mirrors ``test_bench_telemetry``: strict
 alternation, CPU time, and the smaller of the median/median and
@@ -82,7 +84,7 @@ class TestStageProfiler:
               f"({total} stage-item observations)")
 
     def test_profiler_overhead_within_budget(self, workload_10s):
-        """Profiled graph throughput within 10% of unprofiled."""
+        """Call attribution on within 10% of call attribution off."""
         _, packets = workload_10s
         # Warm both paths before timing.
         _graph_run(packets)

@@ -1,11 +1,14 @@
 """Telemetry overhead smoke: instrumentation must stay near-free.
 
-The observability subsystem rides on the packet fast path, so its cost
-is a correctness property: the budget is ~5% on the E2 fast-path bench,
-and this gate fails the build if a fully instrumented run (registry +
-sampled stage tracing + 1 s self-monitoring exports) regresses
-throughput by more than 10% against an uninstrumented run measured in
-the same process.
+The observability subsystem rides on the packet path, so its cost is a
+correctness property. The one timing point is ``StageGraph.process``
+— with a ``Telemetry`` attached the graph times every stage of every
+feed batch on the wall / cpu / virtual planes — so the gate runs the
+live preset under the one driver, ``build_live_stack(...).run()``,
+and fails the build if a fully instrumented run (registry + graph
+timing + 1 s self-monitoring exports) regresses throughput by more
+than 10% against a run with no ``Telemetry`` measured in the same
+process.
 
 Methodology: the two configurations alternate strictly, each sample
 runs the workload twice (longer samples damp proportional noise), and
@@ -20,52 +23,51 @@ import gc
 import statistics
 import time
 
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import RuruPipeline
 from repro.obs import Telemetry
-from repro.tsdb.database import TimeSeriesDatabase
+from repro.stack import build_live_stack
 
 PAIRS = 12
 REPEATS_PER_SAMPLE = 2
 MAX_REGRESSION = 0.10
 
 
-def _timed_run(packets, telemetry=None):
-    pipeline = RuruPipeline(config=PipelineConfig(num_queues=4), telemetry=telemetry)
-    gc.collect()
-    gc.disable()
-    started = time.process_time()
+def _timed_run(workload, instrumented=False):
+    """REPEATS_PER_SAMPLE live-preset runs; (cpu_seconds, stats, telemetry)
+    of the last."""
+    generator, packets = workload
+    elapsed = 0.0
     for _ in range(REPEATS_PER_SAMPLE):
-        stats = pipeline.run_packets(packets)
-    elapsed = time.process_time() - started
-    gc.enable()
-    return elapsed, stats
-
-
-def _instrumented_run(packets):
-    telemetry = Telemetry()
-    telemetry.export_to(TimeSeriesDatabase())
-    elapsed, stats = _timed_run(packets, telemetry)
+        telemetry = Telemetry() if instrumented else None
+        stack = build_live_stack(
+            generator=generator, telemetry=telemetry, frontend_hwm=1 << 20
+        )
+        if instrumented:
+            telemetry.export_to(stack.service.tsdb)
+        gc.collect()
+        gc.disable()
+        started = time.process_time()
+        stats = stack.run(packets).stats
+        elapsed += time.process_time() - started
+        gc.enable()
     return elapsed, stats, telemetry
 
 
 class TestTelemetryOverhead:
     def test_overhead_within_budget(self, workload_10s):
         """Instrumented throughput within 10% of uninstrumented."""
-        _, packets = workload_10s
         # Warm both paths before timing.
-        _timed_run(packets)
-        _instrumented_run(packets)
+        _timed_run(workload_10s)
+        _timed_run(workload_10s, instrumented=True)
 
         base_times, instrumented_times = [], []
         for _ in range(PAIRS):
-            base_times.append(_timed_run(packets)[0])
-            elapsed, stats, telemetry = _instrumented_run(packets)
+            base_times.append(_timed_run(workload_10s)[0])
+            elapsed, stats, telemetry = _timed_run(workload_10s, instrumented=True)
             instrumented_times.append(elapsed)
 
-        # The instrumented run actually instrumented: spans recorded,
+        # The instrumented run actually instrumented: stages timed,
         # exports written, measurements produced.
-        assert telemetry.tracer.spans_started > 0
+        assert telemetry.profiler.stages["workers"].wall_ns > 0
         assert telemetry.exporter.exports >= 3
         assert stats.measurements > 0
 
@@ -84,23 +86,23 @@ class TestTelemetryOverhead:
             f"(median-est {median_est:.1%}, min-est {min_est:.1%})"
         )
 
-    def test_bench_instrumented_fast_path(self, benchmark, workload_10s):
-        """Throughput of the fast path with full telemetry attached."""
-        _, packets = workload_10s
+    def test_bench_instrumented_live_stack(self, benchmark, workload_10s):
+        """Throughput of the live preset with full telemetry attached."""
+        generator, packets = workload_10s
 
         def run():
             telemetry = Telemetry()
-            telemetry.export_to(TimeSeriesDatabase())
-            pipeline = RuruPipeline(
-                config=PipelineConfig(num_queues=4), telemetry=telemetry
+            stack = build_live_stack(
+                generator=generator, telemetry=telemetry, frontend_hwm=1 << 20
             )
-            return pipeline.run_packets(packets), telemetry
+            telemetry.export_to(stack.service.tsdb)
+            return stack.run(packets).stats, telemetry
 
         stats, telemetry = benchmark(run)
         assert stats.nic_drops == 0
         rate = stats.packets_offered / benchmark.stats["mean"]
         print(
-            f"\ntelemetry: instrumented fast path {rate:,.0f} packets/s "
-            f"({telemetry.tracer.spans_started} spans, "
+            f"\ntelemetry: instrumented live stack {rate:,.0f} packets/s "
+            f"({telemetry.profiler.batches} timed batches, "
             f"{telemetry.exporter.points_written} self-mon points)"
         )

@@ -52,22 +52,13 @@ def _dlq_reason(exc: Exception) -> str:
     return f"{name}: {text}" if text else name
 
 
-def make_pipeline_sink(
-    push: PushSocket, tracer=None
-) -> Callable[[LatencyRecord], None]:
+def make_pipeline_sink(push: PushSocket) -> Callable[[LatencyRecord], None]:
     """Adapter: a pipeline sink that publishes records over PUSH."""
 
-    if tracer is None:
-        def sink(record: LatencyRecord) -> None:
-            push.send(
-                Message.with_topic(LATENCY_TOPIC, encode_latency_record(record))
-            )
-    else:
-        def sink(record: LatencyRecord) -> None:
-            with tracer.span("mq.publish"):
-                push.send(
-                    Message.with_topic(LATENCY_TOPIC, encode_latency_record(record))
-                )
+    def sink(record: LatencyRecord) -> None:
+        push.send(
+            Message.with_topic(LATENCY_TOPIC, encode_latency_record(record))
+        )
 
     return sink
 
@@ -87,8 +78,7 @@ class AnalyticsService:
         filters: keep-predicates applied after enrichment; a
             measurement rejected by any filter is counted and dropped.
         telemetry: a :class:`repro.obs.Telemetry` handle shared with
-            the pipeline; binds analytics/mq counters to its registry
-            and traces enrich/write/publish stages.
+            the pipeline; binds analytics/mq counters to its registry.
         resilience: a :class:`repro.resilience.ResilienceLayer`. When
             given, undecodable payloads are dead-lettered instead of
             merely counted, enrichment and TSDB writes run behind
@@ -149,7 +139,6 @@ class AnalyticsService:
         # that survives the process (see repro.durability.harness).
         self.ingest_observer: Optional[Callable[[], None]] = None
         self.telemetry = telemetry
-        self._tracer = telemetry.tracer if telemetry is not None else None
         self._push_sockets: List[PushSocket] = []
         if telemetry is not None:
             self._bind_registry(telemetry.registry)
@@ -167,7 +156,7 @@ class AnalyticsService:
 
     def make_sink(self) -> Callable[[LatencyRecord], None]:
         """A ready-made pipeline sink feeding this service."""
-        return make_pipeline_sink(self.connect_pipeline(), tracer=self._tracer)
+        return make_pipeline_sink(self.connect_pipeline())
 
     def subscribe_frontend(self, hwm: int = 10_000):
         """Create a SUB socket receiving this service's enriched feed."""
@@ -227,31 +216,23 @@ class AnalyticsService:
         """
         enricher = self.enrichers[self._next_worker]
         self._next_worker = (self._next_worker + 1) % len(self.enrichers)
-        tracer = self._tracer
         res = self.resilience
-        if res is None:
-            if tracer is None:
-                return enricher.enrich(record)
-            # Enrichment is also the anonymization step: the output
-            # type structurally drops the addresses.
-            with tracer.span("analytics.enrich"):
-                return enricher.enrich(record)
-        breaker = res.enrich_breaker
-        if not breaker.allow(self._now_ns):
+        if res is not None and not res.enrich_breaker.allow(self._now_ns):
             res.degraded_published += 1
             return degraded_measurement(record)
         try:
-            if tracer is None:
-                measurement = enricher.enrich(record)
-            else:
-                with tracer.span("analytics.enrich"):
-                    measurement = enricher.enrich(record)
+            # Enrichment is also the anonymization step: the output
+            # type structurally drops the addresses.
+            measurement = enricher.enrich(record)
         except Exception:  # noqa: BLE001 — lookup faults are the fault model
+            if res is None:
+                raise
             res.enrich_failures += 1
-            breaker.record_failure(self._now_ns)
+            res.enrich_breaker.record_failure(self._now_ns)
             res.degraded_published += 1
             return degraded_measurement(record)
-        breaker.record_success(self._now_ns)
+        if res is not None:
+            res.enrich_breaker.record_success(self._now_ns)
         return measurement
 
     def process_measurement(self, measurement: EnrichedMeasurement) -> None:
@@ -263,28 +244,14 @@ class AnalyticsService:
                 self.filtered_out += 1
                 self.dropped_records += 1
                 return
-        tracer = self._tracer
-        if tracer is None:
-            if self.store_raw_points:
-                self._write_points(
-                    [self._raw_point(measurement, self.home_country)]
-                )
-            self.aggregator.add(measurement)
-            self.pub.send(
-                Message.with_topic(ENRICHED_TOPIC, encode_enriched(measurement))
+        if self.store_raw_points:
+            self._write_points(
+                [self._raw_point(measurement, self.home_country)]
             )
-            self.processed += 1
-            return
-        with tracer.span("analytics.write"):
-            if self.store_raw_points:
-                self._write_points(
-                    [self._raw_point(measurement, self.home_country)]
-                )
-            self.aggregator.add(measurement)
-        with tracer.span("analytics.publish"):
-            self.pub.send(
-                Message.with_topic(ENRICHED_TOPIC, encode_enriched(measurement))
-            )
+        self.aggregator.add(measurement)
+        self.pub.send(
+            Message.with_topic(ENRICHED_TOPIC, encode_enriched(measurement))
+        )
         self.processed += 1
 
     # -- guarded TSDB writes ------------------------------------------------

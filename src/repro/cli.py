@@ -44,7 +44,7 @@ Subcommands mirror how the deployed system is operated:
   a named crash point.
 
 Any workload command also accepts ``--telemetry`` to enable the
-:mod:`repro.obs` subsystem (metrics registry, stage tracing, periodic
+:mod:`repro.obs` subsystem (metrics registry, per-stage timing, periodic
 self-monitoring export into the TSDB) for that run.
 """
 
@@ -112,10 +112,6 @@ def _print_telemetry_summary(telemetry: Optional[Telemetry]) -> None:
             f"{exporter.points_written} points, "
             f"{len(exporter.series_names())} series"
         )
-    print(
-        f"stage traces retained: {len(telemetry.tracer.recent())} "
-        f"(stages: {', '.join(telemetry.tracer.stage_names()) or 'none'})"
-    )
 
 
 def _build_generator(args, injectors=None):
@@ -956,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sc_run.add_argument(
         "--profile-stages", action="store_true",
-        help="attach the stage profiler and archive its summary",
+        help="archive the per-stage timing summary with the resultset",
     )
     p_sc_run.add_argument("--out", help="write the resultset JSON here")
     p_sc_run.set_defaults(func=cmd_scenario)

@@ -85,10 +85,6 @@ class HandshakeTracker:
             return self._on_ack(packet)
         return None
 
-    def sweep_due(self, now_ns: int) -> bool:
-        """Whether :meth:`maybe_sweep` would actually sweep at *now_ns*."""
-        return now_ns - self._last_sweep_ns >= self.config.sweep_interval_ns
-
     def maybe_sweep(self, now_ns: int) -> int:
         """Run the expiry sweep if the sweep interval has elapsed."""
         if now_ns - self._last_sweep_ns < self.config.sweep_interval_ns:

@@ -41,9 +41,9 @@ class RuruPipeline:
             records are collected in :attr:`measurements`.
         feed_batch: frames offered to the NIC between worker polls.
         telemetry: a :class:`repro.obs.Telemetry` handle. When given,
-            the pipeline binds its clock to the tracer, registers every
-            counter with the metrics registry, traces the hot path, and
-            drives the self-monitoring exporter from the drain loop.
+            the pipeline registers every counter with the metrics
+            registry, and :meth:`run_packets` drives the
+            self-monitoring exporter after each feed batch.
         supervisor: a :class:`repro.resilience.Supervisor`. When given,
             every worker poll body is wrapped so a crash is caught,
             counted as a restart and retried next round — with the
@@ -81,10 +81,6 @@ class RuruPipeline:
         self.stats = PipelineStats()
         self.quiesced = False
         self.telemetry = telemetry
-        tracer = None
-        if telemetry is not None:
-            telemetry.bind_clock(self.clock)
-            tracer = telemetry.tracer
 
         self.admission = admission
         pool = MbufPool(size=self.config.mbuf_pool_size, name="rx_pool")
@@ -106,7 +102,6 @@ class RuruPipeline:
                 sink=self._sink,
                 pipeline_stats=self.stats,
                 observers=list(observers or []),
-                tracer=tracer,
             )
             self.workers.append(worker)
             role = f"rx-worker-q{queue_id}"
@@ -198,19 +193,11 @@ class RuruPipeline:
 
     def _feed_and_drain(self, batch: List[Packet]) -> None:
         """Offer one feed batch, drain the rings, drive the exporter."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            for packet in batch:
-                self.offer(packet)
-            self.drain()
-            return
-        tracer = telemetry.tracer
-        with tracer.span("nic.receive", batch=len(batch)):
-            for packet in batch:
-                self.offer(packet)
-        with tracer.span("pipeline.drain"):
-            self.drain()
-        telemetry.tick(self.clock.now_ns)
+        for packet in batch:
+            self.offer(packet)
+        self.drain()
+        if self.telemetry is not None:
+            self.telemetry.tick(self.clock.now_ns)
 
     def run_pcap(self, path: Union[str, Path]) -> PipelineStats:
         """Replay a pcap trace through the pipeline."""

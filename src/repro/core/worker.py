@@ -2,15 +2,19 @@
 
 Ruru allocates "different DPDK processing threads … on separate CPU
 cores", one per receive queue. A :class:`QueueWorker` is that thread's
-body: poll the queue for a burst of mbufs, fast-parse each frame, feed
-the handshake tracker, free the mbuf, and periodically sweep the flow
-table. Emitted measurements go to the worker's sink — in the full
-pipeline, a ZeroMQ-style PUSH socket.
+body: for each frame of a burst, flow-sample on the RSS hash,
+fast-parse, feed the handshake tracker and the observers, then sweep
+the flow table when due. Emitted measurements go to the worker's sink —
+in the full pipeline, a ZeroMQ-style PUSH socket.
+
+The body has two callers: :meth:`QueueWorker.poll`, fed by one of the
+NIC's rx rings, and the shard child (:mod:`repro.shard.worker`), fed by
+the batches its transport carries.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import HandshakeTracker, MeasurementSink
@@ -20,17 +24,24 @@ from repro.dpdk.nic import NicPort
 
 
 class QueueWorker:
-    """Drains one rx queue into one handshake tracker."""
+    """Drains one rx queue's traffic into one handshake tracker.
+
+    Args:
+        nic: the port whose ring :meth:`poll` drains; None for a worker
+            fed through :meth:`process_burst` alone.
+        queue_id: the rx queue (or shard) this worker owns; stamped on
+            every record it emits.
+        pipeline_stats: where parse errors are counted, by reason.
+    """
 
     def __init__(
         self,
-        nic: NicPort,
+        nic: Optional[NicPort],
         queue_id: int,
         config: Optional[PipelineConfig] = None,
         sink: Optional[MeasurementSink] = None,
         pipeline_stats: Optional[PipelineStats] = None,
         observers: Optional[List[Callable]] = None,
-        tracer=None,
     ):
         self.nic = nic
         self.queue_id = queue_id
@@ -43,14 +54,9 @@ class QueueWorker:
         # In-pipeline taps (e.g. the SYN-flood detector) see every
         # successfully parsed packet, after the tracker.
         self.observers: List[Callable] = list(observers or [])
-        # Stage tracing (repro.obs.trace.Tracer); None keeps the poll
-        # loop on the untraced fast path with a single attribute check.
-        self.tracer = tracer
         self.packets_processed = 0
         self.packets_sampled_out = 0
         self._latest_ns = 0
-        self._polls = 0
-        self._trace_packets = False
 
     def poll(self) -> int:
         """One poll iteration: process up to one burst; returns count.
@@ -60,65 +66,37 @@ class QueueWorker:
         mbufs = self.nic.rx_burst(self.queue_id, self.config.burst_size)
         if not mbufs:
             return 0
-        tracer = self.tracer
-        if tracer is None:
-            for mbuf in mbufs:
-                self._process_mbuf(mbuf)
-                mbuf.free()
-            self.tracker.maybe_sweep(self._latest_ns)
-            return len(mbufs)
-        # Per-packet parse/track spans are sampled: every Nth non-empty
-        # poll (N = tracer.detail_sample) traces at packet granularity,
-        # the rest stay at burst granularity. Sampling by poll count is
-        # deterministic, so replayed traces are still reproducible.
-        self._polls += 1
-        detail = tracer.detail_sample
-        self._trace_packets = bool(detail) and self._polls % detail == 1 % detail
-        with tracer.span("worker.poll", queue=self.queue_id, burst=len(mbufs)):
-            for mbuf in mbufs:
-                self._process_mbuf(mbuf)
-                mbuf.free()
-            # Only an actual sweep earns a span; the interval check
-            # itself is too cheap to be worth recording every poll.
-            if self.tracker.sweep_due(self._latest_ns):
-                with tracer.span("flow_table.sweep", queue=self.queue_id):
-                    self.tracker.maybe_sweep(self._latest_ns)
-            else:
-                self.tracker.maybe_sweep(self._latest_ns)
+        self.process_burst(
+            [(mbuf.timestamp_ns, mbuf.rss_hash, mbuf.data) for mbuf in mbufs]
+        )
+        for mbuf in mbufs:
+            mbuf.free()
         return len(mbufs)
 
-    def _process_mbuf(self, mbuf) -> None:
-        self.packets_processed += 1
-        if mbuf.timestamp_ns > self._latest_ns:
-            self._latest_ns = mbuf.timestamp_ns
+    def process_burst(self, frames: Iterable[Tuple[int, int, bytes]]) -> None:
+        """Sample, parse, track and observe each ``(timestamp_ns,
+        rss_hash, data)`` frame, then run the sweep check."""
         # Flow sampling: the symmetric RSS hash selects whole flows
         # (both directions share the hash), so a sampled-out flow
         # never costs a parse, let alone tracker state.
         modulus = self.config.flow_sample_modulus
-        if modulus > 1 and mbuf.rss_hash % modulus:
-            self.packets_sampled_out += 1
-            return
-        tracer = self.tracer if self._trace_packets else None
-        if tracer is None:
+        for timestamp_ns, rss_hash, data in frames:
+            self.packets_processed += 1
+            if timestamp_ns > self._latest_ns:
+                self._latest_ns = timestamp_ns
+            if modulus > 1 and rss_hash % modulus:
+                self.packets_sampled_out += 1
+                continue
             try:
-                parsed = self.parser.parse(mbuf.data, mbuf.timestamp_ns)
+                parsed = self.parser.parse(data, timestamp_ns)
             except ParseError as exc:
                 if self.pipeline_stats is not None:
                     self.pipeline_stats.record_parse_error(exc.reason)
-                return
-            self.tracker.process(parsed, rss_hash=mbuf.rss_hash)
-        else:
-            with tracer.span("worker.parse", queue=self.queue_id):
-                try:
-                    parsed = self.parser.parse(mbuf.data, mbuf.timestamp_ns)
-                except ParseError as exc:
-                    if self.pipeline_stats is not None:
-                        self.pipeline_stats.record_parse_error(exc.reason)
-                    return
-            with tracer.span("worker.track", queue=self.queue_id):
-                self.tracker.process(parsed, rss_hash=mbuf.rss_hash)
-        for observer in self.observers:
-            observer(parsed)
+                continue
+            self.tracker.process(parsed, rss_hash=rss_hash)
+            for observer in self.observers:
+                observer(parsed)
+        self.tracker.maybe_sweep(self._latest_ns)
 
     @property
     def stats(self):
@@ -134,12 +112,12 @@ class QueueWorker:
             "packets_processed": self.packets_processed,
             "packets_sampled_out": self.packets_sampled_out,
             "latest_ns": self._latest_ns,
-            "polls": self._polls,
             "tracker": self.tracker.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
+        """Restore a :meth:`state_dict` snapshot (extra keys — the
+        ``polls`` of older checkpoints — are ignored)."""
         if int(state["queue_id"]) != self.queue_id:
             raise ValueError(
                 f"worker state for queue {state['queue_id']} loaded "
@@ -148,5 +126,4 @@ class QueueWorker:
         self.packets_processed = int(state["packets_processed"])
         self.packets_sampled_out = int(state["packets_sampled_out"])
         self._latest_ns = int(state["latest_ns"])
-        self._polls = int(state["polls"])
         self.tracker.load_state(state["tracker"])

@@ -41,7 +41,6 @@ class Forwarder:
         self.name = name
         self.forwarded = 0
         self.filtered = 0
-        self._tracer = telemetry.tracer if telemetry is not None else None
         if telemetry is not None:
             self._bind_registry(telemetry.registry)
 
@@ -50,18 +49,8 @@ class Forwarder:
 
         Suitable as an :class:`~repro.dpdk.eal.Eal` lcore body.
         """
-        messages = self.sub.recv_all(max_messages)
-        if not messages:
-            return 0
-        tracer = self._tracer
-        if tracer is None:
-            return self._forward(messages)
-        with tracer.span("mq.forward", name=self.name, batch=len(messages)):
-            return self._forward(messages)
-
-    def _forward(self, messages) -> int:
         handled = 0
-        for message in messages:
+        for message in self.sub.recv_all(max_messages):
             handled += 1
             if self.message_filter is not None and not self.message_filter(message):
                 self.filtered += 1

@@ -7,16 +7,17 @@ Three pieces, one handle:
   a JSON snapshot view. Existing hot-path counters stay plain ints and
   are bridged in by scrape-time collectors, so instrumentation cost on
   the packet path is effectively zero.
-* :class:`~repro.obs.trace.Tracer` — nestable stage spans timed on the
-  :class:`~repro.dpdk.clock.VirtualClock` (deterministic in tests),
-  retained in a ring buffer and mirrored into a duration histogram.
+* :class:`~repro.obs.prof.StageProfiler` — the one timing point: the
+  stage graph times every assembled stage's slice of each feed batch
+  on the wall, cpu and virtual planes (the virtual plane is
+  deterministic), published as ``ruru_stage_*`` series.
 * :class:`~repro.obs.exporter.TelemetryExporter` — periodic registry
   snapshots written into the in-repo TSDB as self-monitoring series.
 
-:class:`Telemetry` bundles the three and is what the pipeline, the
-analytics service and the CLI pass around: construct one, hand it to
-:class:`~repro.core.pipeline.RuruPipeline`, and every stage's counters
-and spans flow through it.
+:class:`Telemetry` bundles the three and is what the stack builder,
+the pipeline, the analytics service and the CLI pass around: construct
+one, hand it to :class:`~repro.stack.StackBuilder`, and every stage's
+counters and timings flow through it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.obs.registry import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -40,10 +40,8 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "Span",
     "StageProfile",
     "StageProfiler",
-    "Tracer",
     "Telemetry",
     "TelemetryExporter",
     "DEFAULT_CALL_SAMPLE",
@@ -52,45 +50,26 @@ __all__ = [
 
 
 class Telemetry:
-    """Registry + tracer + (optional) exporter, shared across stages.
+    """Registry + stage timing + (optional) exporter, shared across stages."""
 
-    Args:
-        clock: time source for spans and export intervals; when None,
-            the first pipeline this telemetry is attached to binds its
-            own :class:`~repro.dpdk.clock.VirtualClock`.
-        max_traces: tracer ring-buffer capacity.
-        detail_sample: trace packet-level spans on every Nth worker
-            poll (1 = every poll, 0 = burst-level spans only). See
-            :class:`~repro.obs.trace.Tracer`.
-    """
-
-    def __init__(self, clock=None, max_traces: int = 256, detail_sample: int = 32):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            clock=clock,
-            max_traces=max_traces,
-            registry=self.registry,
-            detail_sample=detail_sample,
-        )
+        # Stage timing is always on — the stack builder binds this
+        # profiler to the assembled graph. Call attribution (the
+        # sys.setprofile hook) stays off until enable_profiler().
+        self.profiler = StageProfiler(sample_every=0)
+        self.profiler.bind_registry(self.registry)
         self.exporter: Optional[TelemetryExporter] = None
-        self.profiler: Optional[StageProfiler] = None
-        self.clock = clock
 
     def enable_profiler(
         self, sample_every: int = DEFAULT_CALL_SAMPLE
     ) -> StageProfiler:
-        """Attach a stage profiler (idempotent); the stack builder
-        binds it to the assembled stage graph and the registry."""
-        if self.profiler is None:
-            self.profiler = StageProfiler(sample_every=sample_every)
-            self.profiler.bind_registry(self.registry)
+        """Attribute calls on every *sample_every*-th feed batch (0
+        turns attribution back off); returns the stage profiler."""
+        if sample_every < 0:
+            raise ValueError("sample_every cannot be negative")
+        self.profiler.sample_every = sample_every
         return self.profiler
-
-    def bind_clock(self, clock) -> None:
-        """Adopt *clock*; a no-op if one is already bound."""
-        if self.clock is None:
-            self.clock = clock
-            self.tracer.bind_clock(clock)
 
     def export_to(
         self, tsdb, interval_ns: int = DEFAULT_EXPORT_INTERVAL_NS
@@ -105,10 +84,8 @@ class Telemetry:
             return 0
         return self.exporter.maybe_export(now_ns)
 
-    def flush(self, now_ns: Optional[int] = None) -> int:
+    def flush(self, now_ns: int) -> int:
         """Force a final export (end of a run); returns points written."""
         if self.exporter is None:
             return 0
-        if now_ns is None:
-            now_ns = self.clock.now_ns if self.clock is not None else 0
         return self.exporter.export(now_ns)

@@ -147,8 +147,8 @@ def run_scenario(
         seed: overrides the spec's seed (the grid's seed axis).
         overrides: dotted-path spec overrides (the grid's config axis).
         cell: grid-cell coordinates stamped into the archive metadata.
-        profile_stages: attach the stage profiler and archive its
-            summary (wall timings — off for byte-stable baselines).
+        profile_stages: archive the stage profiler's summary (wall
+            timings — off for byte-stable baselines).
     """
     spec = apply_overrides(spec, overrides or {})
     if spec.shard.enabled:
@@ -165,9 +165,6 @@ def run_scenario(
     fault_profile = spec.faults.resolve()
 
     telemetry = Telemetry()
-    profiler = (
-        telemetry.enable_profiler(sample_every=0) if profile_stages else None
-    )
     builder = (
         StackBuilder()
         .generator(generator)
@@ -288,8 +285,8 @@ def run_scenario(
     exact("events.total", len(events), unit="events")
     for kind in sorted(event_counts):
         exact(f"events.{kind}", event_counts[kind], unit="events")
-    if profiler is not None:
-        resultset.stage_profile = dict(profiler.summary())
+    if profile_stages:
+        resultset.stage_profile = dict(telemetry.profiler.summary())
 
     checks = [
         Check(

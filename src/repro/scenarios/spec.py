@@ -296,7 +296,6 @@ class ShardScenarioSpec:
 
     shards: int = 0
     policy: str = "protect-handshakes"
-    analytics: str = "none"
     batch_size: int = 64
     kill_shard: Optional[int] = None
     kill_at_batch: Optional[int] = None
@@ -311,11 +310,6 @@ class ShardScenarioSpec:
             self.policy in ("protect-handshakes", "reroute-all"),
             f"shard.policy {self.policy!r} must be "
             "'protect-handshakes' or 'reroute-all'",
-        )
-        _require(
-            self.analytics in ("none", "parent", "process"),
-            f"shard.analytics {self.analytics!r} must be "
-            "'none', 'parent' or 'process'",
         )
         _require(self.batch_size >= 1, "shard.batch_size must be positive")
         _require(

@@ -53,7 +53,7 @@ from repro.shard.transport import (
     make_fd_pair,
 )
 from repro.shard.wire import FrameDecodeError, StreamDecoder, encode_message
-from repro.shard.worker import ShardWorker
+from repro.shard.worker import ShardBooks
 
 __all__ = [
     "FailureDetector",
@@ -68,11 +68,11 @@ __all__ = [
     "SHARD_SUSPECT",
     "SHARD_UP",
     "SHED_POLICIES",
+    "ShardBooks",
     "ShardHandle",
     "ShardPlan",
     "ShardRunReport",
     "ShardSupervisor",
-    "ShardWorker",
     "ShardedRuntime",
     "StreamDecoder",
     "Transport",

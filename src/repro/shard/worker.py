@@ -1,11 +1,13 @@
-"""Shard child processes: the per-queue worker body and its main loop.
+"""Shard child processes: the ack books and the child's main loop.
 
-A worker shard is the process-isolated analogue of
-:class:`repro.core.worker.QueueWorker`: one packet parser feeding one
-handshake tracker, owning exactly one RX queue's traffic (the parent's
-RSS router guarantees flow affinity, so both directions of a flow land
-here). There is no NIC or ring inside the shard — the wire transport
-*is* the queue.
+A worker shard is a process-isolated
+:class:`repro.core.worker.QueueWorker`: the same body — one packet
+parser feeding one handshake tracker — owning exactly one RX queue's
+traffic (the parent's RSS router guarantees flow affinity, so both
+directions of a flow land here). There is no NIC or ring inside the
+shard — the wire transport *is* the queue, and each batch it carries is
+one burst. What is the child's own is the bookkeeping around that body
+(:class:`ShardBooks`): what it has acked, and how to restore it.
 
 The main loop never returns into the caller's stack: children are
 forked, and a forked Python process that falls back into pytest or the
@@ -22,10 +24,10 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
-from repro.core.handshake import HandshakeTracker
+from repro.core.stats import PipelineStats
+from repro.core.worker import QueueWorker
 from repro.mq.codec import encode_latency_record
 from repro.mq.frames import Message
-from repro.net.parser import PacketParser, ParseError
 from repro.shard import protocol
 from repro.shard.heartbeat import encode_heartbeat
 from repro.shard.transport import Transport, TransportClosed, TransportError
@@ -34,55 +36,36 @@ from repro.shard.transport import Transport, TransportClosed, TransportError
 HEARTBEAT_INTERVAL_NS = 25_000_000  # 25 ms
 
 
-class ShardWorker:
-    """One shard's processing engine: parser + tracker + counters.
+class ShardBooks:
+    """One shard's ack accounting around its :class:`QueueWorker`.
 
-    Mirrors :class:`~repro.core.worker.QueueWorker`'s shape (including
-    flow sampling and the sweep cadence) so a sharded run and a
-    single-process run produce identical measurements for identical
-    routed traffic.
+    The worker is the in-process one, unchanged (flow sampling and the
+    sweep cadence included), so a sharded run and a single-process run
+    produce identical measurements for identical routed traffic.
     """
 
     def __init__(self, shard_id: int, config: Optional[PipelineConfig] = None):
-        self.shard_id = shard_id
-        self.config = config or PipelineConfig()
-        self.parser = PacketParser()
         self._records: List[bytes] = []
-        self.tracker = HandshakeTracker(
-            config=self.config,
-            queue_id=shard_id,
+        self._stats = PipelineStats()
+        self.worker = QueueWorker(
+            None,
+            shard_id,
+            config=config,
             sink=lambda record: self._records.append(
                 encode_latency_record(record)
             ),
+            pipeline_stats=self._stats,
         )
-        self.packets_processed = 0
-        self.packets_sampled_out = 0
-        self.parse_errors = 0
         self.records_emitted = 0
         self.batches_acked = 0
         self.last_seq = 0
-        self._latest_ns = 0
 
     def process_batch(
         self, seq: int, packets: List[Tuple[int, int, bytes]]
     ) -> Message:
         """Process one routed batch; returns the ack message."""
-        modulus = self.config.flow_sample_modulus
-        parse_errors_before = self.parse_errors
-        for timestamp_ns, rss_hash, data in packets:
-            self.packets_processed += 1
-            if timestamp_ns > self._latest_ns:
-                self._latest_ns = timestamp_ns
-            if modulus > 1 and rss_hash % modulus:
-                self.packets_sampled_out += 1
-                continue
-            try:
-                parsed = self.parser.parse(data, timestamp_ns)
-            except ParseError:
-                self.parse_errors += 1
-                continue
-            self.tracker.process(parsed, rss_hash=rss_hash)
-        self.tracker.maybe_sweep(self._latest_ns)
+        parse_errors_before = self._stats.parse_errors
+        self.worker.process_burst(packets)
         records = self._records
         self._records = []
         self.records_emitted += len(records)
@@ -91,39 +74,29 @@ class ShardWorker:
         return protocol.encode_ack(
             seq,
             processed=len(packets),
-            parse_errors=self.parse_errors - parse_errors_before,
+            parse_errors=self._stats.parse_errors - parse_errors_before,
             records=records,
         )
 
     # -- durability ----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "packets_processed": self.packets_processed,
-            "packets_sampled_out": self.packets_sampled_out,
-            "parse_errors": self.parse_errors,
-            "records_emitted": self.records_emitted,
-            "batches_acked": self.batches_acked,
-            "last_seq": self.last_seq,
-            "latest_ns": self._latest_ns,
-            "tracker": self.tracker.state_dict(),
-        }
+        """The worker's fragment plus the ack counters."""
+        state = self.worker.state_dict()
+        state.update(
+            parse_errors=self._stats.parse_errors,
+            records_emitted=self.records_emitted,
+            batches_acked=self.batches_acked,
+            last_seq=self.last_seq,
+        )
+        return state
 
     def load_state(self, state: dict) -> None:
-        if int(state["shard_id"]) != self.shard_id:
-            raise ValueError(
-                f"state for shard {state['shard_id']} loaded into "
-                f"shard {self.shard_id}"
-            )
-        self.packets_processed = int(state["packets_processed"])
-        self.packets_sampled_out = int(state["packets_sampled_out"])
-        self.parse_errors = int(state["parse_errors"])
+        self.worker.load_state(state)
+        self._stats.parse_errors = int(state["parse_errors"])
         self.records_emitted = int(state["records_emitted"])
         self.batches_acked = int(state["batches_acked"])
         self.last_seq = int(state["last_seq"])
-        self._latest_ns = int(state["latest_ns"])
-        self.tracker.load_state(state["tracker"])
 
     def apply_ack_deltas(self, deltas: List[dict]) -> int:
         """Replay WAL'd ack deltas on top of a checkpoint.
@@ -137,8 +110,8 @@ class ShardWorker:
         wire traffic), but the *books* balance to the packet.
         """
         for delta in deltas:
-            self.packets_processed += int(delta["processed"])
-            self.parse_errors += int(delta["parse_errors"])
+            self.worker.packets_processed += int(delta["processed"])
+            self._stats.parse_errors += int(delta["parse_errors"])
             self.records_emitted += int(delta["records"])
             self.batches_acked += 1
             self.last_seq = max(self.last_seq, int(delta["seq"]))
@@ -146,9 +119,9 @@ class ShardWorker:
 
     def ledger(self) -> dict:
         return {
-            "packets_processed": self.packets_processed,
-            "packets_sampled_out": self.packets_sampled_out,
-            "parse_errors": self.parse_errors,
+            "packets_processed": self.worker.packets_processed,
+            "packets_sampled_out": self.worker.packets_sampled_out,
+            "parse_errors": self._stats.parse_errors,
             "records_emitted": self.records_emitted,
             "batches_acked": self.batches_acked,
             "last_seq": self.last_seq,
@@ -167,7 +140,7 @@ def shard_child_main(
     a checkpoint request cuts between batches — the same consistent-cut
     property the in-process stage graph gets from batch boundaries.
     """
-    worker = ShardWorker(shard_id, config=config)
+    books = ShardBooks(shard_id, config=config)
     kill_at_seq: Optional[int] = None
     hb_seq = 0
     last_hb_ns = 0
@@ -196,7 +169,7 @@ def shard_child_main(
                 # flush, no goodbye. The parent must account the batch
                 # as lost_at_crash and recover us from the checkpoint.
                 os.kill(os.getpid(), signal.SIGKILL)
-            ack = worker.process_batch(seq, packets)
+            ack = books.process_batch(seq, packets)
             try:
                 transport.send(ack)
             except (TransportClosed, TransportError):
@@ -207,7 +180,7 @@ def shard_child_main(
                 protocol.CKPT_TOPIC,
                 {
                     "seq": int(request.get("seq", 0)),
-                    "state": worker.state_dict(),
+                    "state": books.state_dict(),
                 },
             )
             try:
@@ -217,8 +190,8 @@ def shard_child_main(
         elif topic == protocol.RESTORE_TOPIC:
             payload = protocol.decode_json(message)
             if payload.get("state") is not None:
-                worker.load_state(payload["state"])
-            worker.apply_ack_deltas(payload.get("deltas", []))
+                books.load_state(payload["state"])
+            books.apply_ack_deltas(payload.get("deltas", []))
             fault = payload.get("fault") or {}
             if fault.get("kill_at_seq") is not None:
                 kill_at_seq = int(fault["kill_at_seq"])
@@ -231,7 +204,7 @@ def shard_child_main(
         elif topic == protocol.DRAIN_TOPIC:
             reply = protocol.encode_json(
                 protocol.DRAINED_TOPIC,
-                {"shard_id": shard_id, "ledger": worker.ledger()},
+                {"shard_id": shard_id, "ledger": books.ledger()},
             )
             try:
                 transport.send(reply)

@@ -602,10 +602,7 @@ class StackBuilder:
                     socket = GatedPushSocket(socket, controller)
                 if injector is not None:
                     socket = FaultyPushSocket(socket, injector)
-                sink = make_pipeline_sink(
-                    socket,
-                    tracer=telemetry.tracer if telemetry is not None else None,
-                )
+                sink = make_pipeline_sink(socket)
             else:
                 sink = service.make_sink()
 
@@ -704,12 +701,11 @@ class StackBuilder:
             checkpoint_stage.checkpointer = stack.checkpointer
             checkpoint_stage.stack = stack
         if telemetry is not None:
-            stack.graph.bind_telemetry(telemetry.registry, telemetry.tracer)
-            if telemetry.profiler is not None:
-                # Profiling is a graph concern: the graph times every
-                # assembled stage itself, so the profile surface stays
-                # derived from the topology.
-                stack.graph.bind_profiler(telemetry.profiler)
+            stack.graph.bind_telemetry(telemetry.registry)
+            # Timing is a graph concern: the graph times every
+            # assembled stage itself, so the profile surface stays
+            # derived from the topology.
+            stack.graph.bind_profiler(telemetry.profiler)
         return stack
 
 

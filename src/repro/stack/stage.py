@@ -11,7 +11,7 @@ lifecycle so the composition root can treat the whole pipeline as data:
 * ``state_dict()`` / ``load_state(state)`` — the stage's checkpoint
   fragment (a dict merged into the envelope, keyed so fragments never
   collide);
-* ``bind_telemetry(registry, tracer)`` — scrape-time collectors;
+* ``bind_telemetry(registry)`` — scrape-time collectors;
 * ``fault_points()`` — the crash points this stage owns.
 
 :class:`StageGraph` holds stages in topology order and derives every
@@ -94,7 +94,7 @@ class Stage:
         """Restore from a full checkpoint envelope; each stage picks
         out only the keys it contributed."""
 
-    def bind_telemetry(self, registry, tracer) -> None:
+    def bind_telemetry(self, registry) -> None:
         """Register scrape-time collectors for this stage."""
 
     def fault_points(self) -> Dict[str, str]:
@@ -196,9 +196,9 @@ class StageGraph:
         for stage in self.stages:
             stage.load_state(state)
 
-    def bind_telemetry(self, registry, tracer) -> None:
+    def bind_telemetry(self, registry) -> None:
         for stage in self.stages:
-            stage.bind_telemetry(registry, tracer)
+            stage.bind_telemetry(registry)
 
     def fault_points(self) -> Dict[str, str]:
         """The crash points of every assembled stage, in order."""

@@ -40,7 +40,7 @@ class OverloadStage(Stage):
         if "overload" in state:
             self.controller.load_state(state["overload"])
 
-    def bind_telemetry(self, registry, tracer) -> None:
+    def bind_telemetry(self, registry) -> None:
         from repro.stack.metrics import bind_overload_metrics
 
         bind_overload_metrics(self.controller, registry)
@@ -294,7 +294,7 @@ class CheckpointStage(Stage):
         self.last_clean = self.checkpointer.checkpoint(ctx.now_ns, clean=True)
         return ["clean-checkpoint"]
 
-    def bind_telemetry(self, registry, tracer) -> None:
+    def bind_telemetry(self, registry) -> None:
         from repro.stack.metrics import bind_durability_metrics
 
         bind_durability_metrics(self.stack, registry)

@@ -106,7 +106,7 @@ TOPOLOGY: Tuple[StageSpec, ...] = (
     ),
     StageSpec(
         name="telemetry",
-        description="self-monitoring registry, tracer and exporter",
+        description="self-monitoring registry, stage timing and exporter",
         upstream=("analytics",),
     ),
     StageSpec(

@@ -13,12 +13,15 @@ from repro.analytics.topk import SpaceSaving
 from repro.anomaly.baseline import EwmaBaseline, WindowedRate
 from repro.anomaly.manager import AnomalyManager
 from repro.core.handshake import HandshakeTracker
+from repro.core.worker import QueueWorker
 from repro.durability.codec import decode_snapshot, encode_snapshot
 from repro.net.parser import ParsedPacket
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.layer import ResilienceLayer
 from repro.resilience.retry import RetryPolicy, RetryQueue
+from repro.stack import build_durable_stack
+from tests.conftest import make_handshake
 
 MS = 1_000_000
 SYN, SYNACK, ACK = 0x02, 0x12, 0x10
@@ -75,6 +78,40 @@ class TestFlowTableMidHandshake:
         restored = HandshakeTracker()
         restored.load_state(codec_round_trip(tracker.state_dict()))
         assert restored.state_dict() == tracker.state_dict()
+
+
+class TestWorkerFragmentFromBeforeTheTracerWentAway:
+    """Worker fragments used to carry ``polls`` (the span sampler's
+    counter); checkpoints written then must still load."""
+
+    @staticmethod
+    def with_polls(worker_state):
+        return {**worker_state, "polls": 17}
+
+    def test_worker_loads_a_fragment_carrying_polls(self):
+        worker = QueueWorker(None, queue_id=2)
+        worker.process_burst(
+            [(p.timestamp_ns, 7, p.data) for p in make_handshake()[:2]]
+        )
+        old_format = codec_round_trip(self.with_polls(worker.state_dict()))
+
+        restored = QueueWorker(None, queue_id=2)
+        restored.load_state(old_format)
+        assert restored.state_dict() == worker.state_dict()
+        assert "polls" not in restored.state_dict()
+
+    def test_durable_envelope_with_old_worker_fragments_loads(self, tmp_path):
+        stack = build_durable_stack(str(tmp_path / "a"), duration_s=2, rate=30)
+        stack.process_batch(list(stack.packet_stream()))
+        envelope = stack.capture_state()
+        assert envelope["pipeline"]["workers"]
+        envelope["pipeline"]["workers"] = [
+            self.with_polls(state) for state in envelope["pipeline"]["workers"]
+        ]
+
+        fresh = build_durable_stack(str(tmp_path / "b"), duration_s=2, rate=30)
+        fresh.load_state(codec_round_trip(envelope))
+        assert fresh.capture_state() == stack.capture_state()
 
 
 class TestAggregator:

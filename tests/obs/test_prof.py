@@ -244,8 +244,8 @@ class TestRegistryBinding:
         telemetry = Telemetry()
         first = telemetry.enable_profiler(sample_every=4)
         second = telemetry.enable_profiler(sample_every=8)
-        assert first is second
-        assert first.sample_every == 4
+        assert first is second is telemetry.profiler
+        assert first.sample_every == 8  # it only sets the attribution rate
 
     def test_default_sample_rate(self):
         assert Telemetry().enable_profiler().sample_every == DEFAULT_CALL_SAMPLE

@@ -250,6 +250,14 @@ class TestShardSpec:
                 {"name": "s", "shard": {"shards": 2, "policy": "yolo"}}
             )
 
+    def test_retired_analytics_placement_rejected(self):
+        """The parent/process analytics placements are gone; a spec
+        that still asks for one must fail, not be silently ignored."""
+        with pytest.raises(SpecError, match="bad scenario field"):
+            ScenarioSpec.from_dict(
+                {"name": "s", "shard": {"shards": 2, "analytics": "process"}}
+            )
+
     def test_library_ships_the_failover_episode(self):
         spec = get_scenario("shard-failover")
         assert spec.shard.enabled

@@ -5,9 +5,12 @@ going through the builder — silently forks the wiring and escapes the
 derived drain/checkpoint/fault orders; any new code that feeds an
 assembled stack through the bare pipeline, or flushes the analytics
 service by hand, forks the *driver* and leaves records waiting at the
-PULL socket. This test walks the source tree with the AST module so
-string mentions in docstrings or comments do not trip it; only real
-call sites and class definitions count.
+PULL socket. Timing has one home too — ``StageGraph.process`` —
+so a tracer handle or a ``.span(`` call anywhere is a second timing
+mechanism, and a second ``HandshakeTracker(`` construction site is a
+second worker body. This test walks the source tree with the AST module
+so string mentions in docstrings or comments do not trip it; only real
+names, call sites and class definitions count.
 """
 
 import ast
@@ -98,6 +101,71 @@ def parallel_mechanism_classes(root=SRC):
         and node.name.endswith(PARALLEL_SUFFIXES)
         and node.name not in PARALLEL_ALLOWED
     ]
+
+
+def second_timing_sites(root=SRC):
+    """Every ``tracer`` name (variable, argument, attribute, keyword)
+    and every ``.span(`` call."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "span":
+                    sites.append((path, node.lineno, ".span("))
+                continue
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                name = node.arg
+            else:
+                continue
+            if name and name.lstrip("_") == "tracer":
+                sites.append((path, node.lineno, name))
+    return sites
+
+
+def tracker_construction_files(root=SRC):
+    return sorted(
+        {
+            path
+            for path in root.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and _called_name(node) == "HandshakeTracker"
+        }
+    )
+
+
+class TestOneBodyPerHotFunction:
+    def test_no_tracer_and_no_span_call(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} {name}"
+            for path, lineno, name in second_timing_sites()
+        ]
+        assert not offenders, (
+            "a second timing mechanism (StageGraph.process is the one "
+            "timing point):\n  " + "\n  ".join(offenders)
+        )
+
+    def test_one_worker_body_builds_the_tracker(self):
+        assert tracker_construction_files() == [SRC / "core" / "worker.py"]
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "rogue.py").write_text(
+            "def poll(self, tracer=None):\n"
+            "    with self._tracer.span('worker.poll'):\n"
+            "        make(tracer=tracer)\n"
+            "    return HandshakeTracker(config=None)\n"
+        )
+        (tmp_path / "fine.py").write_text(
+            '"""A tracer in a docstring; HandshakeTracker( in one too."""\n'
+            "width = table.span  # an attribute read, not a call\n"
+        )
+        names = [name for _, _, name in second_timing_sites(tmp_path)]
+        assert sorted(names) == [".span(", "_tracer", "tracer", "tracer", "tracer"]
+        assert tracker_construction_files(tmp_path) == [tmp_path / "rogue.py"]
 
 
 class TestOneDriver:
