@@ -72,17 +72,19 @@ class HandshakeTracker:
     def process(self, packet: ParsedPacket, rss_hash: int = 0) -> Optional[LatencyRecord]:
         """Feed one parsed TCP packet; returns a record if one completed."""
         self.stats.packets += 1
-        if packet.is_rst:
+        flags = packet.flags
+        if flags & 0x04:
             self._on_rst(packet)
             return None
-        if packet.is_syn:
-            self._on_syn(packet, rss_hash)
-            return None
-        if packet.is_synack:
-            self._on_synack(packet)
-            return None
-        if packet.is_ack:
+        # SYN and ACK bits; the plain ACK of an established flow is
+        # nearly every packet, so it is tested first.
+        kind = flags & 0x12
+        if kind == 0x10:
             return self._on_ack(packet)
+        if kind == 0x02:
+            self._on_syn(packet, rss_hash)
+        elif kind == 0x12:
+            self._on_synack(packet)
         return None
 
     def maybe_sweep(self, now_ns: int) -> int:

@@ -16,8 +16,9 @@ hardware.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import MeasurementSink
@@ -30,6 +31,8 @@ from repro.dpdk.mbuf import MbufPool
 from repro.dpdk.nic import NicPort
 from repro.net.packet import Packet
 from repro.net.pcap import PcapReader
+
+_TIMESTAMP_NS = attrgetter("timestamp_ns")
 
 
 class RuruPipeline:
@@ -118,19 +121,29 @@ class RuruPipeline:
 
     def offer(self, packet: Packet) -> bool:
         """Offer one frame to the NIC; False if the NIC dropped it."""
+        return self.offer_burst((packet,)) == 1
+
+    def offer_burst(self, packets: Sequence[Packet]) -> int:
+        """Offer a burst of frames to the NIC; returns how many it
+        queued. The books — offered, queued, shed, dropped, the virtual
+        clock — are settled once for the burst."""
+        stats = self.stats
+        offered = len(packets)
         if self.quiesced:
-            self.stats.packets_rejected_quiesced += 1
-            return False
-        self.stats.packets_offered += 1
-        self.clock.advance_to(packet.timestamp_ns)
-        if self.nic.receive(packet):
-            self.stats.packets_queued += 1
-            return True
-        if self.admission is not None and self.admission.take_nic_shed():
-            self.stats.packets_shed += 1
-        else:
-            self.stats.nic_drops += 1
-        return False
+            stats.packets_rejected_quiesced += offered
+            return 0
+        if not offered:
+            return 0
+        stats.packets_offered += offered
+        self.clock.advance_to(max(map(_TIMESTAMP_NS, packets)))
+        queued = self.nic.receive_burst(packets)
+        stats.packets_queued += queued
+        if queued < offered:
+            admission = self.admission
+            shed = admission.take_nic_shed() if admission is not None else 0
+            stats.packets_shed += shed
+            stats.nic_drops += offered - queued - shed
+        return queued
 
     def quiesce(self) -> None:
         """Stop accepting frames at the NIC (step one of graceful drain).
@@ -193,8 +206,7 @@ class RuruPipeline:
 
     def _feed_and_drain(self, batch: List[Packet]) -> None:
         """Offer one feed batch, drain the rings, drive the exporter."""
-        for packet in batch:
-            self.offer(packet)
+        self.offer_burst(batch)
         self.drain()
         if self.telemetry is not None:
             self.telemetry.tick(self.clock.now_ns)
@@ -219,7 +231,7 @@ class RuruPipeline:
         stats.packets_sampled_out = sum(
             worker.packets_sampled_out for worker in self.workers
         )
-        stats.queue_share = self.nic.stats.queue_balance()
+        stats.queue_share = self.nic.queue_balance()
 
     def _merge_worker_stats(self) -> None:
         self._fold_worker_counters(self.stats)
@@ -314,5 +326,5 @@ class RuruPipeline:
             worker.load_state(worker_state)
 
     def queue_balance(self) -> List[float]:
-        """Fraction of frames RSS sent to each queue."""
-        return self.nic.stats.queue_balance()
+        """Fraction of frames RSS sent to each queue, in queue order."""
+        return self.nic.queue_balance()

@@ -2,14 +2,15 @@
 
 Ruru allocates "different DPDK processing threads … on separate CPU
 cores", one per receive queue. A :class:`QueueWorker` is that thread's
-body: for each frame of a burst, flow-sample on the RSS hash,
-fast-parse, feed the handshake tracker and the observers, then sweep
+body: for each frame of a burst, flow-sample on the RSS hash, feed the
+frame's parse to the handshake tracker and the observers, then sweep
 the flow table when due. Emitted measurements go to the worker's sink —
 in the full pipeline, a ZeroMQ-style PUSH socket.
 
 The body has two callers: :meth:`QueueWorker.poll`, fed by one of the
-NIC's rx rings, and the shard child (:mod:`repro.shard.worker`), fed by
-the batches its transport carries.
+NIC's rx rings, whose mbufs carry the port's header pass, and the shard
+child (:mod:`repro.shard.worker`), fed by the batches its transport
+carries as raw bytes, which are parsed here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from repro.core.config import PipelineConfig
 from repro.core.handshake import HandshakeTracker, MeasurementSink
 from repro.core.stats import PipelineStats
-from repro.net.parser import PacketParser, ParseError
+from repro.net.parser import PacketParser, ParsedPacket, ParseError
 from repro.dpdk.nic import NicPort
 
 
@@ -67,36 +68,51 @@ class QueueWorker:
         if not mbufs:
             return 0
         self.process_burst(
-            [(mbuf.timestamp_ns, mbuf.rss_hash, mbuf.data) for mbuf in mbufs]
+            [(mbuf.timestamp_ns, mbuf.rss_hash, mbuf.parsed) for mbuf in mbufs]
         )
         for mbuf in mbufs:
             mbuf.free()
         return len(mbufs)
 
-    def process_burst(self, frames: Iterable[Tuple[int, int, bytes]]) -> None:
-        """Sample, parse, track and observe each ``(timestamp_ns,
-        rss_hash, data)`` frame, then run the sweep check."""
+    def process_burst(self, frames: Iterable[Tuple[int, int, object]]) -> None:
+        """Sample, track and observe each ``(timestamp_ns, rss_hash,
+        frame)``, then run the sweep check.
+
+        *frame* is what the port's header pass made of it — a
+        ``ParsedPacket``, or the ``ParseError`` reason, counted here,
+        where the frame is processed — or the raw bytes, parsed here.
+        """
         # Flow sampling: the symmetric RSS hash selects whole flows
         # (both directions share the hash), so a sampled-out flow
-        # never costs a parse, let alone tracker state.
+        # never costs tracker state, nor a parse of raw bytes.
         modulus = self.config.flow_sample_modulus
-        for timestamp_ns, rss_hash, data in frames:
-            self.packets_processed += 1
-            if timestamp_ns > self._latest_ns:
-                self._latest_ns = timestamp_ns
+        process = self.tracker.process
+        observers = self.observers
+        latest_ns = self._latest_ns
+        processed = 0
+        for timestamp_ns, rss_hash, frame in frames:
+            processed += 1
+            if timestamp_ns > latest_ns:
+                latest_ns = timestamp_ns
             if modulus > 1 and rss_hash % modulus:
                 self.packets_sampled_out += 1
                 continue
-            try:
-                parsed = self.parser.parse(data, timestamp_ns)
-            except ParseError as exc:
-                if self.pipeline_stats is not None:
-                    self.pipeline_stats.record_parse_error(exc.reason)
-                continue
-            self.tracker.process(parsed, rss_hash=rss_hash)
-            for observer in self.observers:
-                observer(parsed)
-        self.tracker.maybe_sweep(self._latest_ns)
+            if frame.__class__ is not ParsedPacket:
+                if frame.__class__ is not str:
+                    try:
+                        frame = self.parser.parse(frame, timestamp_ns)
+                    except ParseError as exc:
+                        frame = exc.reason
+                if frame.__class__ is str:
+                    if self.pipeline_stats is not None:
+                        self.pipeline_stats.record_parse_error(frame)
+                    continue
+            process(frame, rss_hash)
+            for observer in observers:
+                observer(frame)
+        self.packets_processed += processed
+        self._latest_ns = latest_ns
+        self.tracker.maybe_sweep(latest_ns)
 
     @property
     def stats(self):

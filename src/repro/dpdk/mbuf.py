@@ -20,14 +20,18 @@ class Mbuf:
     """One packet buffer: raw frame bytes plus rx metadata.
 
     Mirrors the fields of ``rte_mbuf`` that Ruru's fast path touches:
-    the data, the RSS hash computed by the NIC, the rx timestamp, and
-    the queue the frame arrived on.
+    the data, the RSS hash computed by the NIC, the rx timestamp, the
+    queue the frame arrived on, and — as ``packet_type`` does on
+    hardware — what the port's one header pass made of the frame: a
+    :class:`~repro.net.parser.ParsedPacket`, or the ``ParseError``
+    reason saying why there is none.
     """
 
     data: bytes = field(repr=False, default=b"")
     rss_hash: int = 0
     timestamp_ns: int = 0
     queue_id: int = 0
+    parsed: object = field(default=None, repr=False, compare=False)
     pool: Optional["MbufPool"] = field(default=None, repr=False, compare=False)
 
     def free(self) -> None:
@@ -40,7 +44,8 @@ class Mbuf:
 
 
 class MbufPool:
-    """A bounded pool of :class:`Mbuf` objects.
+    """A bounded pool of :class:`Mbuf` objects, created on first use
+    (up to ``size``) and recycled after.
 
     Args:
         size: total number of buffers. DPDK pools are commonly sized
@@ -53,7 +58,8 @@ class MbufPool:
             raise ValueError("pool size must be positive")
         self.size = size
         self.name = name
-        self._free: List[Mbuf] = [Mbuf(pool=self) for _ in range(size)]
+        self._free: List[Mbuf] = []
+        self._created = 0
         self.alloc_count = 0
         self.free_count = 0
         self.exhausted_count = 0
@@ -61,15 +67,16 @@ class MbufPool:
     @property
     def available(self) -> int:
         """Buffers currently free."""
-        return len(self._free)
+        return self.size - self.in_use
 
     @property
     def in_use(self) -> int:
         """Buffers currently allocated."""
-        return self.size - len(self._free)
+        return self._created - len(self._free)
 
     def alloc(
-        self, data: bytes, timestamp_ns: int = 0, rss_hash: int = 0, queue_id: int = 0
+        self, data: bytes, timestamp_ns: int = 0, rss_hash: int = 0,
+        queue_id: int = 0, parsed: object = None,
     ) -> Mbuf:
         """Take a buffer from the pool and fill it.
 
@@ -77,14 +84,19 @@ class MbufPool:
             MbufPoolExhausted: when the pool is empty (the caller —
                 the NIC — counts this as an rx drop, ``imissed``).
         """
-        if not self._free:
+        if self._free:
+            mbuf = self._free.pop()
+        elif self._created < self.size:
+            self._created += 1
+            mbuf = Mbuf(pool=self)
+        else:
             self.exhausted_count += 1
             raise MbufPoolExhausted(self.name)
-        mbuf = self._free.pop()
         mbuf.data = data
         mbuf.timestamp_ns = timestamp_ns
         mbuf.rss_hash = rss_hash
         mbuf.queue_id = queue_id
+        mbuf.parsed = parsed
         self.alloc_count += 1
         return mbuf
 
@@ -92,9 +104,10 @@ class MbufPool:
         """Return *mbuf* to the pool."""
         if mbuf.pool is not self:
             raise ValueError("mbuf does not belong to this pool")
-        if len(self._free) >= self.size:
+        if len(self._free) >= self._created:
             raise ValueError("double free: pool already full")
         mbuf.data = b""
+        mbuf.parsed = None
         self._free.append(mbuf)
         self.free_count += 1
 

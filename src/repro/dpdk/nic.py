@@ -1,9 +1,12 @@
 """Simulated multi-queue NIC port with hardware RSS classification.
 
 A real NIC extracts the L3/L4 tuple in hardware, Toeplitz-hashes it,
-picks an rx queue through the RETA, and DMAs the frame into an mbuf.
-:class:`NicPort` does exactly that sequence in software: a minimal
-header extraction (independent of the worker-side parser), the
+picks an rx queue through the RETA, and DMAs the frame into an mbuf
+whose ``packet_type`` says what it found. :class:`NicPort` does that
+sequence in software, a burst at a time: one header pass per frame
+(:meth:`PacketParser.parse <repro.net.parser.PacketParser.parse>`),
+whose result is the RSS input, the admission controller's triage class
+and — riding the mbuf — the worker's input; then the
 :class:`~repro.dpdk.rss.RssHasher`, an mbuf allocation, and a bounded
 per-queue ring. Workers drain queues with :meth:`RxQueue.rx_burst`,
 DPDK-style.
@@ -12,13 +15,14 @@ DPDK-style.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dpdk.mbuf import MbufPool, MbufPoolExhausted
 from repro.dpdk.port_stats import PortStats
 from repro.dpdk.ring import Ring
 from repro.dpdk.rss import RssHasher, SYMMETRIC_RSS_KEY
 from repro.net.packet import Packet
+from repro.net.parser import PacketParser, ParsedPacket, ParseError
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -72,10 +76,16 @@ class NicPort:
         self.pool = mbuf_pool or MbufPool(size=max(8192, queue_capacity * num_queues))
         self.stats = PortStats()
         self.admission = admission
+        self._parser = PacketParser()
 
     @property
     def num_queues(self) -> int:
         return len(self.queues)
+
+    def queue_balance(self) -> List[float]:
+        """Fraction of received frames per configured queue, in queue
+        order, zeros included; ``[]`` while nothing has been received."""
+        return self.stats.queue_balance(self.num_queues)
 
     # -- hardware-side classification -----------------------------------
 
@@ -119,7 +129,19 @@ class NicPort:
     # -- rx path ----------------------------------------------------------
 
     def receive(self, packet: Packet) -> bool:
-        """Classify one frame and queue it; False if it was dropped.
+        """Classify one frame and queue it; False if it was dropped."""
+        return self.receive_burst((packet,)) == 1
+
+    def receive_burst(self, packets: Iterable[Packet]) -> int:
+        """Classify and queue a burst of frames; returns how many were
+        queued.
+
+        Each frame's headers are walked once, here: the parse (or the
+        reason there is none) picks the triage class, is the RSS input
+        — a parsed IPv4 segment hashes its own tuple, which is the tuple
+        :meth:`_extract_tuple` reads at the same offsets; IPv6, UDP and
+        rejected frames keep :meth:`_extract_tuple` — and rides the mbuf
+        to the worker.
 
         Drops happen when the mbuf pool is exhausted or the chosen rx
         ring is full — both counted in :attr:`stats` as ``imissed``,
@@ -127,62 +149,70 @@ class NicPort:
         frames the ladder sheds are rejected before allocation, and a
         full ring first tries to displace its newest payload frame to
         make room for an incoming handshake frame; either way the
-        controller attributes the loss per class and stage.
+        controller attributes the loss per class and stage. Port
+        counters are settled once per burst.
         """
-        data = packet.data
+        parse = self._parser.parse
         admission = self.admission
+        hasher = self.hasher
+        hash_ipv4 = hasher.hash_ipv4_tuple
+        reta = hasher.reta
+        reta_mask = len(reta) - 1
+        alloc = self.pool.alloc
+        queues = self.queues
+        # Per-queue counts in first-seen order, as q_ipackets keeps them.
+        queued: Dict[int, int] = {}
+        queued_bytes = 0
+        offered = 0
         klass = None
-        if admission is not None:
-            admitted, klass, data = admission.admit_frame(data)
-            if not admitted:
-                self.stats.record_miss()
-                return False
-
-        extracted = self._extract_tuple(data)
-        if extracted is None:
-            rss_hash = 0
-            queue_id = 0
-        else:
-            src, dst, sport, dport, is_ipv6 = extracted
-            rss_hash = self.hasher.hash_tuple(src, dst, sport, dport, is_ipv6)
-            queue_id = self.hasher.queue_for_hash(rss_hash)
-
-        try:
-            mbuf = self.pool.alloc(
-                data=data,
-                timestamp_ns=packet.timestamp_ns,
-                rss_hash=rss_hash,
-                queue_id=queue_id,
-            )
-        except MbufPoolExhausted:
-            self.stats.record_miss()
-            return False
-
-        ring = self.queues[queue_id].ring
-        if ring.is_full:
-            if admission is not None and admission.should_displace(klass):
-                victim = ring.displace_newest(admission.is_displaceable)
-                if victim is not None:
-                    victim.free()
-                    admission.record_ring_displacement()
-                    ring.enqueue(mbuf)
-                    self.stats.record_rx(queue_id, len(data))
-                    return True
-            mbuf.free()
-            self.stats.record_miss()
-            if admission is not None:
-                admission.record_ring_drop(klass)
-            return False
-        ring.enqueue(mbuf)
-        self.stats.record_rx(queue_id, len(data))
-        return True
-
-    def receive_burst(self, packets) -> int:
-        """Feed a burst of frames; returns how many were queued."""
-        accepted = 0
         for packet in packets:
-            if self.receive(packet):
-                accepted += 1
+            offered += 1
+            data = packet.data
+            timestamp_ns = packet.timestamp_ns
+            try:
+                parsed = parse(data, timestamp_ns)
+            except ParseError as exc:
+                parsed = exc.reason
+            if admission is not None:
+                admitted, klass, data = admission.admit_frame(data, parsed)
+                if not admitted:
+                    continue
+
+            if parsed.__class__ is ParsedPacket and not parsed.is_ipv6:
+                rss_hash = hash_ipv4(
+                    parsed.src_ip, parsed.dst_ip, parsed.src_port, parsed.dst_port
+                )
+                queue_id = reta[rss_hash & reta_mask]
+            else:
+                extracted = self._extract_tuple(data)
+                if extracted is None:
+                    rss_hash = queue_id = 0
+                else:
+                    rss_hash = hasher.hash_tuple(*extracted)
+                    queue_id = reta[rss_hash & reta_mask]
+
+            try:
+                mbuf = alloc(data, timestamp_ns, rss_hash, queue_id, parsed)
+            except MbufPoolExhausted:
+                continue
+
+            ring = queues[queue_id].ring
+            if ring.is_full:
+                victim = None
+                if admission is not None and admission.should_displace(klass):
+                    victim = ring.displace_newest(admission.is_displaceable)
+                if victim is None:
+                    mbuf.free()
+                    if admission is not None:
+                        admission.record_ring_drop(klass)
+                    continue
+                victim.free()
+                admission.record_ring_displacement()
+            ring.enqueue(mbuf)
+            queued[queue_id] = queued.get(queue_id, 0) + 1
+            queued_bytes += len(data)
+        accepted = self.stats.record_rx_burst(queued, queued_bytes)
+        self.stats.record_miss(offered - accepted)
         return accepted
 
     def rx_burst(self, queue_id: int, max_packets: int = DEFAULT_BURST_SIZE) -> list:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -26,28 +26,39 @@ class PortStats:
 
     def record_rx(self, queue_id: int, frame_len: int) -> None:
         """Account one successfully queued frame."""
-        self.ipackets += 1
-        self.ibytes += frame_len
-        self.q_ipackets[queue_id] = self.q_ipackets.get(queue_id, 0) + 1
+        self.record_rx_burst({queue_id: 1}, frame_len)
 
-    def record_miss(self) -> None:
-        """Account one frame dropped before reaching a queue."""
-        self.imissed += 1
+    def record_rx_burst(self, queued: Dict[int, int], nbytes: int) -> int:
+        """Account one burst's queued frames — per-queue counts, in the
+        order the queues were first hit — and return how many."""
+        total = 0
+        for queue_id, count in queued.items():
+            total += count
+            self.q_ipackets[queue_id] = self.q_ipackets.get(queue_id, 0) + count
+        self.ipackets += total
+        self.ibytes += nbytes
+        return total
+
+    def record_miss(self, count: int = 1) -> None:
+        """Account frames dropped before reaching a queue."""
+        self.imissed += count
 
     def record_error(self) -> None:
         """Account one malformed frame."""
         self.ierrors += 1
 
-    def queue_balance(self) -> List[float]:
+    def queue_balance(self, num_queues: Optional[int] = None) -> List[float]:
         """Fraction of received packets per queue (ordered by queue id).
 
         The RSS-scaling bench uses this to show RSS spreads load
-        evenly across queues.
+        evenly across queues. Given *num_queues*, one share per
+        configured queue, zeros included, so a share's position is its
+        queue id; without it, only the queues that received a frame.
         """
         if not self.ipackets:
             return []
-        queues = sorted(self.q_ipackets)
-        return [self.q_ipackets[q] / self.ipackets for q in queues]
+        queues = sorted(self.q_ipackets) if num_queues is None else range(num_queues)
+        return [self.q_ipackets.get(q, 0) / self.ipackets for q in queues]
 
     def reset(self) -> None:
         """Zero all counters (``rte_eth_stats_reset``)."""

@@ -12,7 +12,6 @@ hash to a queue.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Sequence
 
 # Microsoft's example verification key from the RSS specification; the
@@ -107,6 +106,7 @@ class RssHasher:
         # rte_eth_dev_rss_reta_update's common initialization.
         self.reta: List[int] = [i % num_queues for i in range(reta_size)]
         self._tables: Dict[int, List[List[int]]] = {}
+        self._ipv4_rows = self._table_for_length(self.IPV4_TUPLE_LEN)
 
     # -- hashing ---------------------------------------------------------
 
@@ -150,9 +150,17 @@ class RssHasher:
     def hash_ipv4_tuple(
         self, src_ip: int, dst_ip: int, src_port: int, dst_port: int
     ) -> int:
-        """Hash an IPv4 TCP/UDP 4-tuple."""
-        data = struct.pack("!IIHH", src_ip, dst_ip, src_port, dst_port)
-        return self.hash_bytes(data)
+        """Hash an IPv4 TCP/UDP 4-tuple: its twelve bytes' table rows,
+        unrolled (:func:`toeplitz_hash` is the oracle)."""
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 = self._ipv4_rows
+        return (
+            t0[src_ip >> 24] ^ t1[src_ip >> 16 & 0xFF]
+            ^ t2[src_ip >> 8 & 0xFF] ^ t3[src_ip & 0xFF]
+            ^ t4[dst_ip >> 24] ^ t5[dst_ip >> 16 & 0xFF]
+            ^ t6[dst_ip >> 8 & 0xFF] ^ t7[dst_ip & 0xFF]
+            ^ t8[src_port >> 8] ^ t9[src_port & 0xFF]
+            ^ t10[dst_port >> 8] ^ t11[dst_port & 0xFF]
+        )
 
     def hash_ipv6_tuple(
         self, src_ip: int, dst_ip: int, src_port: int, dst_port: int
@@ -161,7 +169,8 @@ class RssHasher:
         data = (
             src_ip.to_bytes(16, "big")
             + dst_ip.to_bytes(16, "big")
-            + struct.pack("!HH", src_port, dst_port)
+            + src_port.to_bytes(2, "big")
+            + dst_port.to_bytes(2, "big")
         )
         return self.hash_bytes(data)
 

@@ -11,15 +11,18 @@ is therefore fixed:
 - ``PAYLOAD`` — TCP segments carrying data. Shed first.
 - ``OTHER`` — non-TCP or unparseable frames. Shed before handshake.
 
-The classifier is a shallow header peek (ethertype walk, l3 proto,
-TCP flags + payload length) deliberately cheaper than the worker's
-full parse; it runs on *every* admitted frame so the per-class
+The class is read off the port's one header pass — a
+:class:`~repro.net.parser.ParsedPacket`, or the reject reason when the
+frame has none — so payload length is the IP datagram's, not the
+captured frame's: a pure ACK padded to Ethernet's 60-byte minimum is
+still ``HANDSHAKE``. Every admitted frame is classed, so the per-class
 offered counts are meaningful denominators even when nothing is shed.
 """
 
 from __future__ import annotations
 
-import struct
+from repro.net.parser import PacketParser, ParsedPacket, ParseError
+from repro.net.tcp import TCP_FLAG_SYN
 
 HANDSHAKE = "handshake"
 PAYLOAD = "payload"
@@ -28,54 +31,22 @@ OTHER = "other"
 #: Classification order is shedding priority, most-sheddable first.
 CLASSES = (PAYLOAD, OTHER, HANDSHAKE)
 
-_U16 = struct.Struct("!H")
+_PARSER = PacketParser()
 
-_ETH_VLAN = 0x8100
-_ETH_IPV4 = 0x0800
-_ETH_IPV6 = 0x86DD
-_PROTO_TCP = 6
-_TCP_FLAG_SYN = 0x02
+
+def classify_parsed(parsed) -> str:
+    """Shed class of one header pass's result: a ``ParsedPacket``, or
+    anything else (a ``ParseError`` reason) for a frame without one."""
+    if parsed.__class__ is not ParsedPacket:
+        return OTHER
+    if parsed.flags & TCP_FLAG_SYN or not parsed.payload_len:
+        return HANDSHAKE
+    return PAYLOAD
 
 
 def classify_frame(data: bytes) -> str:
-    """Triage one wire frame into a shed class.
-
-    Payload length is derived from the captured frame length (not the
-    IP total-length field) so truncated headers-only captures still
-    classify without reparsing risk.
-    """
-    if len(data) < 14:
+    """Triage one wire frame, for callers that hold no parse of it."""
+    try:
+        return classify_parsed(_PARSER.parse(data, 0))
+    except ParseError:
         return OTHER
-    ethertype = _U16.unpack_from(data, 12)[0]
-    offset = 14
-    while ethertype == _ETH_VLAN:
-        if len(data) < offset + 4:
-            return OTHER
-        ethertype = _U16.unpack_from(data, offset + 2)[0]
-        offset += 4
-
-    if ethertype == _ETH_IPV4:
-        if len(data) < offset + 20:
-            return OTHER
-        ihl = (data[offset] & 0x0F) * 4
-        if ihl < 20 or data[offset + 9] != _PROTO_TCP:
-            return OTHER
-        l4 = offset + ihl
-    elif ethertype == _ETH_IPV6:
-        if len(data) < offset + 40 or data[offset + 6] != _PROTO_TCP:
-            return OTHER
-        l4 = offset + 40
-    else:
-        return OTHER
-
-    # Need the TCP header through the flags byte (offset 13).
-    if len(data) < l4 + 14:
-        return OTHER
-    flags = data[l4 + 13]
-    if flags & _TCP_FLAG_SYN:
-        return HANDSHAKE
-    data_offset = (data[l4 + 12] >> 4) * 4
-    if data_offset < 20:
-        return OTHER
-    payload_len = len(data) - l4 - data_offset
-    return PAYLOAD if payload_len > 0 else HANDSHAKE

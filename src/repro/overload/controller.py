@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.overload.classify import CLASSES, HANDSHAKE, OTHER, PAYLOAD, classify_frame
+from repro.overload.classify import CLASSES, HANDSHAKE, OTHER, PAYLOAD
+from repro.overload.classify import classify_frame, classify_parsed
 from repro.overload.watermark import OccupancyRead, PressureSensor, WatermarkBand
 
 NS_PER_MS = 1_000_000
@@ -119,10 +120,11 @@ class OverloadController:
         # Deterministic 1-in-N admission cursors.
         self._payload_seq = 0
         self._other_seq = 0
-        # Set when the frame most recently rejected by receive() was
-        # shed by policy (vs. a genuine capacity drop); the pipeline
-        # consumes it to split packets_shed from nic_drops.
-        self._nic_shed_flag = False
+        # Frames rejected by the port since the last take_nic_shed()
+        # that were shed by policy (vs. a genuine capacity drop); the
+        # pipeline consumes the count once per burst to split
+        # packets_shed from nic_drops.
+        self._nic_shed = 0
 
     # -- sensing -----------------------------------------------------------
 
@@ -190,14 +192,17 @@ class OverloadController:
 
     # -- admission ---------------------------------------------------------
 
-    def admit_frame(self, data: bytes) -> Tuple[bool, str, bytes]:
+    def admit_frame(self, data: bytes, parsed=None) -> Tuple[bool, str, bytes]:
         """Admission decision for one frame: (admitted, class, data).
 
-        Every frame is classified (even at level ``full``) so the
-        per-class offered counts are honest denominators. The returned
-        data may be truncated at the headers-only level.
+        *parsed* is the port's header pass over the frame as it arrived
+        (a ``ParsedPacket`` or a reject reason); without it the frame is
+        parsed here. Every frame is classified (even at level ``full``)
+        so the per-class offered counts are honest denominators. The
+        returned data may be truncated at the headers-only level, which
+        shortens only the bytes kept, never the parse.
         """
-        klass = classify_frame(data)
+        klass = classify_frame(data) if parsed is None else classify_parsed(parsed)
         self.offered[klass] += 1
         level = self.level
 
@@ -229,12 +234,12 @@ class OverloadController:
                     return True, klass, data
 
         self.record_shed(klass, "nic")
-        self._nic_shed_flag = True
+        self._nic_shed += 1
         return False, klass, data
 
     def is_displaceable(self, mbuf) -> bool:
         """Ring-displacement victim test: newest payload frame goes first."""
-        return classify_frame(mbuf.data) == PAYLOAD
+        return classify_parsed(mbuf.parsed) == PAYLOAD
 
     def should_displace(self, klass: Optional[str]) -> bool:
         """Only handshake frames may evict a queued payload frame."""
@@ -254,13 +259,13 @@ class OverloadController:
     def record_ring_drop(self, klass: Optional[str]) -> None:
         """An admitted frame found its ring full and nothing to evict."""
         self.record_shed(klass if klass is not None else OTHER, "ring")
-        self._nic_shed_flag = True
+        self._nic_shed += 1
 
-    def take_nic_shed(self) -> bool:
-        """Consume the policy-shed flag for the last rejected frame."""
-        flag = self._nic_shed_flag
-        self._nic_shed_flag = False
-        return flag
+    def take_nic_shed(self) -> int:
+        """Consume the count of frames the port shed by policy."""
+        count = self._nic_shed
+        self._nic_shed = 0
+        return count
 
     # -- shed ledger -------------------------------------------------------
 
@@ -343,7 +348,7 @@ class OverloadController:
             )
             for t in state["transitions"]
         ]
-        self._nic_shed_flag = False
+        self._nic_shed = 0
 
     def summary(self) -> Dict[str, object]:
         """Flat snapshot for reports and scenario metrics."""

@@ -223,11 +223,11 @@ class ShardedRuntime:
                     state_dir, spec.name, fsync=fsync
                 )
 
-        # Routing state: (4-tuple, family) -> (rss_hash, shard_id).
-        # Direction-sensitive on purpose — the symmetric key hashes both
-        # directions identically, so the two entries agree, and lookups
-        # skip a canonicalization pass on the hot path.
-        self._flow_route: Dict[tuple, Tuple[int, int]] = {}
+        # Rerouted flows only: (4-tuple, family) -> fallback shard_id. A
+        # flow's home shard is recomputed from its hash per packet — a
+        # memo of it would grow by one entry per spoofed SYN for the
+        # life of the parent. Direction-sensitive, as a packet's tuple is.
+        self._flow_route: Dict[tuple, int] = {}
         self._faults: Dict[int, _ScheduledFault] = {}
 
         # Global books.
@@ -310,13 +310,10 @@ class ShardedRuntime:
             if key is None:
                 rss_hash, target = 0, self.hasher.queue_for_hash(0)
             else:
-                cached = self._flow_route.get(key)
-                if cached is None:
-                    rss_hash = self.hasher.hash_tuple(*key)
+                rss_hash = self.hasher.hash_tuple(*key)
+                target = self._flow_route.get(key)
+                if target is None:
                     target = self.hasher.queue_for_hash(rss_hash)
-                    self._flow_route[key] = (rss_hash, target)
-                else:
-                    rss_hash, target = cached
             if not self.supervisor.handles[target].live:
                 target = self._place_down_packet(key, rss_hash, target, data)
                 if target is None:
@@ -331,7 +328,7 @@ class ShardedRuntime:
     ) -> Optional[int]:
         """Down-shard policy: reroute (returns new target) or shed (None).
 
-        A reroute is recorded in the flow cache so the whole flow
+        A reroute is recorded in the route map so the whole flow
         sticks to its fallback — measurement continuity beats locality.
         """
         if self.policy == "protect-handshakes":
@@ -345,7 +342,7 @@ class ShardedRuntime:
             self.shed_by_class[klass] += 1
             return None
         if key is not None:
-            self._flow_route[key] = (rss_hash, fallback)
+            self._flow_route[key] = fallback
         self.rerouted_packets += 1
         return fallback
 

@@ -24,6 +24,25 @@ class TestSingleFlow:
         pipeline.run_packets(make_handshake(syn_ns=5 * MS))
         assert pipeline.clock.now_ns >= 5 * MS
 
+    def test_queue_share_names_the_queue_that_received(self):
+        pipeline = RuruPipeline(config=PipelineConfig(num_queues=4))
+        assert pipeline.queue_balance() == []
+        stats = pipeline.run_packets(make_handshake())
+        ((queue_id, count),) = pipeline.nic.stats.q_ipackets.items()
+        assert count == 3
+        expected = [0.0] * 4
+        expected[queue_id] = 1.0
+        assert pipeline.queue_balance() == expected
+        assert stats.queue_share == expected
+        shares = {
+            key: value
+            for key, value in stats.summary().items()
+            if key.startswith("queue_share.")
+        }
+        assert shares == {f"queue_share.q{q}": expected[q] for q in range(4)}
+        # The one queue must not be queue 0 for the labels to matter.
+        assert queue_id != 0
+
 
 class TestWorkload:
     def test_synthetic_workload_measures_completed_flows(self, small_workload):

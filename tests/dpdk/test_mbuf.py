@@ -59,6 +59,23 @@ class TestMbufPool:
         assert pool.alloc_count == 5
         assert pool.free_count == 5
 
+    def test_buffers_are_created_on_first_use_up_to_size(self):
+        pool = MbufPool(size=3)
+        assert (pool.available, pool.in_use) == (3, 0)
+        held = [pool.alloc(b"p") for _ in range(3)]
+        assert len({id(mbuf) for mbuf in held}) == 3
+        assert (pool.available, pool.in_use) == (0, 3)
+        with pytest.raises(MbufPoolExhausted):
+            pool.alloc(b"one too many")
+        assert pool.exhausted_count == 1
+        held.pop().free()
+        assert (pool.available, pool.in_use) == (1, 2)
+        recycled = pool.alloc(b"again")
+        assert recycled.data == b"again"
+        with pytest.raises(MbufPoolExhausted):
+            pool.alloc(b"one too many")
+        assert (pool.alloc_count, pool.free_count) == (4, 1)
+
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             MbufPool(size=0)

@@ -6,9 +6,10 @@ from repro.net.addresses import ip_to_int, ipv6_to_int
 from repro.net.ethernet import EthernetFrame
 from repro.net.ipv4 import IPv4Header
 from repro.net.packet import build_tcp_packet
-from repro.net.parser import PacketParser, ParseError
+from repro.net.parser import PacketParser, ParsedPacket, ParseError
 from repro.net.tcp import (
     TCP_FLAG_ACK,
+    TCP_FLAG_FIN,
     TCP_FLAG_RST,
     TCP_FLAG_SYN,
     TcpOption,
@@ -119,3 +120,49 @@ class TestFourTuple:
         packet = build_tcp_packet(9, 8, 7, 6, TCP_FLAG_SYN)
         parsed = fast_parser.parse(packet.data, 0)
         assert parsed.four_tuple() == (9, 7, 8, 6)
+
+
+class TestParsedPacket:
+    """The value every layer behind the port reads; built by keyword, as
+    the tests and the offline tools build it."""
+
+    FIELDS = dict(
+        src_ip=1, dst_ip=2, src_port=3, dst_port=4, flags=TCP_FLAG_ACK,
+        seq=5, ack=6, payload_len=7, timestamp_ns=8,
+    )
+
+    def test_keyword_construction_and_defaults(self):
+        parsed = ParsedPacket(**self.FIELDS)
+        assert [getattr(parsed, name) for name in self.FIELDS] == list(
+            self.FIELDS.values()
+        )
+        assert parsed.is_ipv6 is False
+        assert parsed.tsval is None and parsed.tsecr is None
+        assert parsed.four_tuple() == (1, 3, 2, 4)
+        assert parsed == ParsedPacket(**self.FIELDS)
+        assert parsed != ParsedPacket(**{**self.FIELDS, "seq": 9})
+
+    @pytest.mark.parametrize(
+        "flags, true_of",
+        [
+            (TCP_FLAG_SYN, {"is_syn"}),
+            (TCP_FLAG_SYN | TCP_FLAG_ACK, {"is_synack"}),
+            (TCP_FLAG_ACK, {"is_ack"}),
+            (TCP_FLAG_ACK | TCP_FLAG_FIN, {"is_ack", "is_fin"}),
+            (TCP_FLAG_RST, {"is_rst"}),
+            (TCP_FLAG_RST | TCP_FLAG_ACK, {"is_rst", "is_ack"}),
+            (0, set()),
+        ],
+    )
+    def test_flag_properties(self, flags, true_of):
+        parsed = ParsedPacket(**{**self.FIELDS, "flags": flags})
+        names = ("is_syn", "is_synack", "is_ack", "is_rst", "is_fin")
+        assert {name for name in names if getattr(parsed, name)} == true_of
+        assert all(isinstance(getattr(parsed, name), bool) for name in names)
+
+    def test_immutable(self):
+        parsed = ParsedPacket(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            parsed.flags = TCP_FLAG_SYN
+        with pytest.raises(AttributeError):
+            parsed.extra = 1

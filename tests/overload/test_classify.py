@@ -5,6 +5,7 @@ from repro.net.tcp import (
     TCP_FLAG_ACK,
     TCP_FLAG_FIN,
     TCP_FLAG_PSH,
+    TCP_FLAG_RST,
     TCP_FLAG_SYN,
 )
 from repro.overload import HANDSHAKE, OTHER, PAYLOAD, classify_frame
@@ -16,6 +17,14 @@ def frame(flags, payload=b"", **kwargs):
     return build_tcp_packet(
         SRC, DST, 12345, 443, flags, payload=payload, **kwargs
     ).data
+
+
+def padded(flags):
+    """A 54-byte segment as a real tap delivers it: zero-padded to
+    Ethernet's 60-byte minimum, the IP total length unchanged."""
+    data = frame(flags)
+    assert len(data) == 54
+    return data + b"\x00" * 6
 
 
 class TestClassifyFrame:
@@ -55,6 +64,13 @@ class TestClassifyFrame:
         ).data
         assert classify_frame(syn) == HANDSHAKE
         assert classify_frame(data) == PAYLOAD
+
+    def test_ethernet_padding_is_not_payload(self):
+        # The handshake-completing ACK is the packet Ruru measures; the
+        # class follows the IP datagram, not the captured length.
+        assert classify_frame(padded(TCP_FLAG_ACK)) == HANDSHAKE
+        assert classify_frame(padded(TCP_FLAG_RST)) == HANDSHAKE
+        assert classify_frame(padded(TCP_FLAG_SYN | TCP_FLAG_ACK)) == HANDSHAKE
 
     def test_non_ip_is_other(self):
         arp = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import build_tcp_packet
-from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN
+from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_RST, TCP_FLAG_SYN
 from repro.overload import (
     HANDSHAKE,
     OTHER,
@@ -166,12 +166,24 @@ class TestAdmission:
         assert not controller.admit_frame(DATA)[0]
         assert not controller.admit_frame(ARP)[0]
 
+    def test_padded_control_segments_survive_handshake_only(self):
+        # 54-byte segments zero-padded to Ethernet's 60-byte minimum.
+        controller = OverloadController()
+        controller.level = LEVEL_HANDSHAKE_ONLY
+        for flags in (TCP_FLAG_ACK, TCP_FLAG_RST, TCP_FLAG_SYN | TCP_FLAG_ACK):
+            padded = build_tcp_packet(1, 2, 3, 4, flags).data + b"\x00" * 6
+            admitted, klass, out = controller.admit_frame(padded)
+            assert admitted and klass == HANDSHAKE
+            assert out == padded
+        assert controller.shed_total() == 0
+        assert controller.offered[HANDSHAKE] == 3
+
     def test_shed_flag_consumed_once(self):
         controller = OverloadController()
         controller.level = LEVEL_HEADERS_ONLY
         controller.admit_frame(DATA)
-        assert controller.take_nic_shed() is True
-        assert controller.take_nic_shed() is False
+        assert controller.take_nic_shed() == 1
+        assert controller.take_nic_shed() == 0
 
     def test_shed_ratio_excludes_mq_records(self):
         controller = OverloadController()

@@ -1,7 +1,7 @@
 """NIC-side triage: policy shedding, displacement, loss attribution."""
 
-from repro.net.packet import build_tcp_packet
-from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN
+from repro.net.packet import Packet, build_tcp_packet
+from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_RST, TCP_FLAG_SYN
 from repro.dpdk.nic import NicPort
 from repro.overload import HANDSHAKE, PAYLOAD, OverloadController
 from repro.overload.controller import LEVEL_HANDSHAKE_ONLY
@@ -69,7 +69,22 @@ class TestDisplacement:
         assert nic.stats.imissed == 1
         # A ring-full loss of an admitted frame is still attributed
         # shed, so the pipeline splits it out of nic_drops.
-        assert controller.take_nic_shed() is True
+        assert controller.take_nic_shed() == 1
+
+    def test_padded_control_segments_are_not_displaceable(self):
+        # A pure ACK and an RST padded to Ethernet's 60-byte minimum
+        # fill the ring; a SYN finds no payload to evict.
+        controller = OverloadController()
+        nic = port(capacity=2, controller=controller)
+        for flags in (TCP_FLAG_ACK, TCP_FLAG_RST):
+            frame = build_tcp_packet(0x0A000001, 0x0A000002, 7, 443, flags)
+            assert nic.receive(Packet(data=frame.data + b"\x00" * 6))
+        ring = nic.queues[0].ring
+        assert not any(controller.is_displaceable(m) for m in ring._items)
+        assert nic.receive(syn(3)) is False
+        assert controller.ring_displacements == 0
+        assert controller.shed_total(klass=PAYLOAD) == 0
+        assert controller.shed_total(klass=HANDSHAKE, stage="ring") == 1
 
     def test_handshake_drops_when_no_victim(self):
         controller = OverloadController()
@@ -92,8 +107,8 @@ class TestPolicyShed:
         assert nic.stats.imissed == 1
         assert nic.stats.ipackets == 1
         assert controller.shed_total(klass=PAYLOAD, stage="nic") == 1
-        assert controller.take_nic_shed() is True
-        assert controller.take_nic_shed() is False
+        assert controller.take_nic_shed() == 1
+        assert controller.take_nic_shed() == 0
         # Nothing was allocated for the shed frame.
         assert nic.pool.in_use == 1
 

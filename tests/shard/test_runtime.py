@@ -10,7 +10,10 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RuruPipeline
+from repro.dpdk.nic import NicPort
 from repro.mq.codec import decode_latency_record, encode_latency_record
+from repro.net.packet import build_tcp_packet
+from repro.net.tcp import TCP_FLAG_SYN
 from repro.shard.runtime import ShardedRuntime
 from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 
@@ -217,6 +220,62 @@ class TestChaos:
             for c in victim["causes"]
         )
         assert report.shards["shard-0"]["causes"] == []
+
+
+class TestRouteMap:
+    """The parent's route map holds rerouted flows only: a memo of home
+    routes grows by one entry per spoofed SYN for the parent's life."""
+
+    def test_distinct_tuples_leave_no_entry_while_every_shard_is_live(self):
+        flood = [
+            build_tcp_packet(
+                0x0A000000 + i, 0xC0A80001, 1024 + i, 443, TCP_FLAG_SYN,
+                timestamp_ns=i * 1000,
+            )
+            for i in range(500)
+        ]
+        runtime = ShardedRuntime(2, PipelineConfig())
+        try:
+            for start in range(0, len(flood), 64):
+                runtime.offer(flood[start : start + 64])
+            assert runtime._flow_route == {}
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert report.ok, report.failed_checks()
+        assert report.ledger.processed == len(flood)
+
+    def test_rerouted_flow_stays_pinned_after_its_home_restarts(self, packets):
+        runtime = ShardedRuntime(
+            2, PipelineConfig(), policy="reroute-all", restart_delay_batches=3
+        )
+        runtime.schedule_kill(0, at_seq=3)
+        handles = runtime.supervisor.handles
+        try:
+            for start in range(0, len(packets), 64):
+                runtime.offer(packets[start : start + 64])
+            assert handles[0].restarts == 1 and handles[0].live
+            routes = dict(runtime._flow_route)
+            tuples = {NicPort._extract_tuple(p.data) for p in packets}
+            assert 0 < len(routes) < len(tuples)
+            hasher = runtime.hasher
+            for key, target in routes.items():
+                assert hasher.queue_for_hash(hasher.hash_tuple(*key)) == 0
+                assert target == 1
+            # Home is live again, yet one more packet of a rerouted flow
+            # still goes to its fallback.
+            pinned = next(
+                p for p in packets if NicPort._extract_tuple(p.data) in routes
+            )
+            before = handles[0].dispatched_packets, handles[1].dispatched_packets
+            runtime.offer([pinned])
+            after = handles[0].dispatched_packets, handles[1].dispatched_packets
+            assert after == (before[0], before[1] + 1)
+            assert runtime._flow_route == routes
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert report.ledger.ok, str(report.ledger)
 
 
 class TestGuards:

@@ -9,9 +9,13 @@ from repro.core.stats import PipelineStats
 from repro.core.worker import QueueWorker
 from repro.dpdk.nic import NicPort
 from repro.mq.codec import decode_latency_record, encode_latency_record
-from repro.net.packet import Packet
+from repro.net.ethernet import EthernetFrame
+from repro.net.ipv4 import IPv4Header
+from repro.net.packet import Packet, build_tcp_packet
+from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_SYN
 from repro.shard import protocol
 from repro.shard.worker import ShardBooks
+from repro.traffic.noise import _udp_packet
 from tests.conftest import make_handshake
 
 
@@ -111,11 +115,72 @@ def _truncated_frame():
     return [Packet(data=syn.data[:20], timestamp_ns=syn.timestamp_ns)]
 
 
+def _sampled_in(make_frames):
+    """The first ``make_frames(port)`` whose RSS hash flow sampling keeps."""
+    for port in range(42000, 42064):
+        packets = make_frames(port)
+        if _routed(packets)[0][1] % 2 == 0:
+            return packets
+    raise AssertionError("no port with an even hash")
+
+
+def _reshaped(reshape):
+    """A sampled-in handshake with every frame's bytes put through *reshape*."""
+    return _sampled_in(
+        lambda port: [
+            Packet(data=reshape(p.data), timestamp_ns=p.timestamp_ns)
+            for p in make_handshake(client_port=port)
+        ]
+    )
+
+
+def _vlan_handshake():
+    return _reshaped(lambda data: data[:12] + b"\x81\x00\x00\x2a" + data[12:])
+
+
+def _padded_handshake():
+    # 54-byte segments zero-padded to Ethernet's 60-byte minimum.
+    return _reshaped(lambda data: data + b"\x00" * 6)
+
+
+def _ipv6_handshake():
+    client, server = (0x20010DB8 << 96) + 1, (0x20010DB8 << 96) + 2
+
+    def frames(port):
+        return [
+            build_tcp_packet(client, server, port, 443, TCP_FLAG_SYN,
+                             seq=100, ipv6=True, timestamp_ns=1_000),
+            build_tcp_packet(server, client, 443, port, TCP_FLAG_SYN | TCP_FLAG_ACK,
+                             seq=500, ack=101, ipv6=True, timestamp_ns=2_000),
+            build_tcp_packet(client, server, port, 443, TCP_FLAG_ACK,
+                             seq=101, ack=501, ipv6=True, timestamp_ns=3_000),
+        ]
+
+    return _sampled_in(frames)
+
+
+def _udp_datagram():
+    return _sampled_in(lambda port: [_udp_packet(1, 2, port, 53, b"query", 5)])
+
+
+def _ipv4_fragment():
+    def frames(port):
+        syn = make_handshake(client_port=port)[0]
+        ip = IPv4Header(src=1, dst=2, more_fragments=True, payload=syn.data[34:])
+        return [Packet(data=EthernetFrame(payload=ip.pack()).pack(), timestamp_ns=5)]
+
+    return _sampled_in(frames)
+
+
 def _mixed_frames():
     return (
         _handshake_with_hash_parity(0)
         + _truncated_frame()
+        + _udp_datagram()
+        + _vlan_handshake()
         + _handshake_with_hash_parity(1)
+        + _ipv4_fragment()
+        + _ipv6_handshake()
     )
 
 
@@ -125,7 +190,12 @@ def _mixed_frames():
         pytest.param(lambda: _handshake_with_hash_parity(0), (1, 0, 0), id="handshake"),
         pytest.param(_truncated_frame, (0, 1, 0), id="truncated"),
         pytest.param(lambda: _handshake_with_hash_parity(1), (0, 0, 3), id="sampled-out"),
-        pytest.param(_mixed_frames, (1, 1, 3), id="mixed"),
+        pytest.param(_vlan_handshake, (1, 0, 0), id="vlan"),
+        pytest.param(_ipv6_handshake, (1, 0, 0), id="ipv6"),
+        pytest.param(_padded_handshake, (1, 0, 0), id="padded-ack"),
+        pytest.param(_udp_datagram, (0, 1, 0), id="udp"),
+        pytest.param(_ipv4_fragment, (0, 1, 0), id="fragment"),
+        pytest.param(_mixed_frames, (3, 3, 3), id="mixed"),
     ],
 )
 def test_ring_fed_and_wire_fed_agree(make_frames, expected):
@@ -163,6 +233,10 @@ def test_ring_fed_and_wire_fed_agree(make_frames, expected):
     assert processed == ring_fed.packets_processed == wire_fed.packets_processed
     assert wire_fed.packets_sampled_out == ring_fed.packets_sampled_out
     assert parse_errors == ring_stats.parse_errors
+    assert (
+        wire_fed.pipeline_stats.parse_error_reasons
+        == ring_stats.parse_error_reasons
+    )
     assert wire_fed.tracker.state_dict() == ring_fed.tracker.state_dict()
     assert (
         len(ring_records), ring_stats.parse_errors, ring_fed.packets_sampled_out

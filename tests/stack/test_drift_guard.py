@@ -8,9 +8,12 @@ service by hand, forks the *driver* and leaves records waiting at the
 PULL socket. Timing has one home too — ``StageGraph.process`` —
 so a tracer handle or a ``.span(`` call anywhere is a second timing
 mechanism, and a second ``HandshakeTracker(`` construction site is a
-second worker body. This test walks the source tree with the AST module
-so string mentions in docstrings or comments do not trip it; only real
-names, call sites and class definitions count.
+second worker body. A frame's headers are walked once, by the port's
+``PacketParser.parse``: ``struct`` imported on the packet path, or a
+``PacketParser(`` built anywhere new, is a second header walker. This
+test walks the source tree with the AST module so string mentions in
+docstrings or comments do not trip it; only real names, imports, call
+sites and class definitions count.
 """
 
 import ast
@@ -138,6 +141,40 @@ def tracker_construction_files(root=SRC):
     )
 
 
+#: The packages a frame crosses between the port and the sink.
+PACKET_PATH = ("dpdk", "core", "overload", "stack")
+
+
+def struct_import_files(root=SRC, packages=PACKET_PATH):
+    """Packet-path files that import ``struct`` (the tool a header
+    walker is made of)."""
+    found = set()
+    for package in packages:
+        for path in (root / package).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module]
+                else:
+                    continue
+                if "struct" in modules:
+                    found.add(path)
+    return sorted(found)
+
+
+def parser_construction_files(root=SRC):
+    return sorted(
+        {
+            path
+            for path in root.rglob("*.py")
+            if root / "net" not in path.parents
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and _called_name(node) == "PacketParser"
+        }
+    )
+
+
 class TestOneBodyPerHotFunction:
     def test_no_tracer_and_no_span_call(self):
         offenders = [
@@ -152,6 +189,16 @@ class TestOneBodyPerHotFunction:
     def test_one_worker_body_builds_the_tracker(self):
         assert tracker_construction_files() == [SRC / "core" / "worker.py"]
 
+    def test_one_header_walker_on_the_packet_path(self):
+        # dpdk/nic.py keeps struct for _extract_tuple, the hardware-style
+        # tuple read of frames the parse does not hash (IPv6, UDP, rejects).
+        assert struct_import_files() == [SRC / "dpdk" / "nic.py"]
+        assert parser_construction_files() == [
+            SRC / "core" / "worker.py",
+            SRC / "dpdk" / "nic.py",
+            SRC / "overload" / "classify.py",
+        ]
+
     def test_the_guard_sees_what_it_guards(self, tmp_path):
         (tmp_path / "rogue.py").write_text(
             "def poll(self, tracer=None):\n"
@@ -159,6 +206,20 @@ class TestOneBodyPerHotFunction:
             "        make(tracer=tracer)\n"
             "    return HandshakeTracker(config=None)\n"
         )
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "peek.py").write_text(
+            "from struct import Struct\n"
+            "import os, struct as st\n"
+            "walker = PacketParser(max_vlan_tags=0)\n"
+        )
+        (tmp_path / "net").mkdir()
+        (tmp_path / "net" / "tool.py").write_text(
+            "import struct\nparser = PacketParser()\n"
+        )
+        assert struct_import_files(tmp_path, packages=("core",)) == [
+            tmp_path / "core" / "peek.py"
+        ]
+        assert parser_construction_files(tmp_path) == [tmp_path / "core" / "peek.py"]
         (tmp_path / "fine.py").write_text(
             '"""A tracer in a docstring; HandshakeTracker( in one too."""\n'
             "width = table.span  # an attribute read, not a call\n"
