@@ -90,8 +90,11 @@ class TestSequenceValidation:
 class TestFlowSampling:
     @pytest.mark.parametrize("modulus", [1, 4, 16])
     def test_bench_sampling_sheds_load(self, benchmark, workload_10s, modulus):
-        """The overload lever: 1/N flow sampling cuts tracker load
-        proportionally while the latency sample stays unbiased."""
+        """The overload lever: 1/N flow sampling cuts tracker and
+        observer load proportionally while the latency sample stays
+        unbiased. The port's header pass runs on every frame, before
+        the hash that sampling keys on exists; only a frame that
+        arrives as raw bytes (the shard wire) is sampled out unparsed."""
         _, packets = workload_10s
 
         def run():
@@ -107,7 +110,7 @@ class TestFlowSampling:
         rate = stats.packets_offered / benchmark.stats["mean"]
         print(f"\nAblation: sampling 1/{modulus} -> {rate:,.0f} pkt/s, "
               f"{stats.measurements} measurements, {skipped} packets "
-              f"skipped before parse")
+              f"sampled out before the tracker")
         if modulus == 1:
             assert skipped == 0
         else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import MeasurementSink
@@ -123,11 +123,13 @@ class RuruPipeline:
         """Offer one frame to the NIC; False if the NIC dropped it."""
         return self.offer_burst((packet,)) == 1
 
-    def offer_burst(self, packets: Sequence[Packet]) -> int:
+    def offer_burst(self, packets: Iterable[Packet]) -> int:
         """Offer a burst of frames to the NIC; returns how many it
         queued. The books — offered, queued, shed, dropped, the virtual
         clock — are settled once for the burst."""
         stats = self.stats
+        if not isinstance(packets, (list, tuple)):
+            packets = list(packets)  # sized, and walked twice, below
         offered = len(packets)
         if self.quiesced:
             stats.packets_rejected_quiesced += offered

@@ -60,7 +60,7 @@ class PipelineStats:
 
     ``packets_processed`` / ``packets_sampled_out`` are the per-worker
     totals (frames drained off rings, and frames skipped by flow
-    sampling before the parse) merged up by the pipeline;
+    sampling before the tracker) merged up by the pipeline;
     ``queue_share`` is the NIC's per-queue receive fraction — both so
     the summary explains *where* offered packets went, not just how
     many arrived.

@@ -67,8 +67,10 @@ class QueueWorker:
         mbufs = self.nic.rx_burst(self.queue_id, self.config.burst_size)
         if not mbufs:
             return 0
+        # The port's header pass rides the mbuf; one allocated without
+        # it is handed over as raw bytes.
         self.process_burst(
-            [(mbuf.timestamp_ns, mbuf.rss_hash, mbuf.parsed) for mbuf in mbufs]
+            [(m.timestamp_ns, m.rss_hash, m.parsed or m.data) for m in mbufs]
         )
         for mbuf in mbufs:
             mbuf.free()

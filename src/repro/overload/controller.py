@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.overload.classify import CLASSES, HANDSHAKE, OTHER, PAYLOAD
-from repro.overload.classify import classify_frame, classify_parsed
+from repro.overload.classify import classify_parsed
 from repro.overload.watermark import OccupancyRead, PressureSensor, WatermarkBand
 
 NS_PER_MS = 1_000_000
@@ -192,17 +192,17 @@ class OverloadController:
 
     # -- admission ---------------------------------------------------------
 
-    def admit_frame(self, data: bytes, parsed=None) -> Tuple[bool, str, bytes]:
+    def admit_frame(self, data: bytes, parsed) -> Tuple[bool, str, bytes]:
         """Admission decision for one frame: (admitted, class, data).
 
         *parsed* is the port's header pass over the frame as it arrived
-        (a ``ParsedPacket`` or a reject reason); without it the frame is
-        parsed here. Every frame is classified (even at level ``full``)
-        so the per-class offered counts are honest denominators. The
-        returned data may be truncated at the headers-only level, which
-        shortens only the bytes kept, never the parse.
+        (a ``ParsedPacket`` or a reject reason). Every frame is
+        classified (even at level ``full``) so the per-class offered
+        counts are honest denominators. The returned data may be
+        truncated at the headers-only level, which shortens only the
+        bytes kept, never the parse.
         """
-        klass = classify_frame(data) if parsed is None else classify_parsed(parsed)
+        klass = classify_parsed(parsed)
         self.offered[klass] += 1
         level = self.level
 

@@ -45,6 +45,20 @@ class TestQueueWorker:
         assert stats.parse_errors == 1
         assert "not-ip" in stats.parse_error_reasons
 
+    def test_mbuf_without_a_header_pass_is_parsed_from_its_bytes(self):
+        # pool.alloc(data) is public: an mbuf enqueued without the
+        # port's parse reaches the worker as raw bytes, not as None.
+        nic = NicPort(num_queues=1)
+        for packet in make_handshake():
+            mbuf = nic.pool.alloc(packet.data, packet.timestamp_ns)
+            assert mbuf.parsed is None
+            nic.queues[0].ring.enqueue(mbuf)
+        got = []
+        worker = QueueWorker(nic, queue_id=0, sink=got.append)
+        assert worker.poll() == 3
+        assert len(got) == 1 and got[0].external_ns == 50_000_000
+        assert nic.pool.in_use == 0
+
     def test_observer_sees_parsed_packets(self):
         nic = _nic_with_handshake()
         seen = []

@@ -229,6 +229,15 @@ class TestOfferBurst:
         assert burst.clock.now_ns == one_by_one.clock.now_ns == 2003
         assert _port_state(burst.nic) == _port_state(one_by_one.nic)
 
+    def test_burst_from_a_generator_is_offered_whole(self):
+        frames = _mixed_frames()
+        from_list, from_generator = self._pipeline(), self._pipeline()
+        queued = from_list.offer_burst(frames)
+        assert from_generator.offer_burst(f for f in frames) == queued
+        assert from_generator.stats == from_list.stats
+        assert from_generator.clock.now_ns == from_list.clock.now_ns
+        assert _port_state(from_generator.nic) == _port_state(from_list.nic)
+
     def test_quiesced_pipeline_counts_and_offers_nothing(self):
         pipeline = self._pipeline()
         pipeline.quiesce()

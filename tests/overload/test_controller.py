@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.packet import build_tcp_packet
+from repro.net.parser import PacketParser, ParseError
 from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_RST, TCP_FLAG_SYN
 from repro.overload import (
     HANDSHAKE,
@@ -25,6 +26,15 @@ DATA = build_tcp_packet(
     1, 2, 3, 4, TCP_FLAG_PSH | TCP_FLAG_ACK, payload=b"x" * 400
 ).data
 ARP = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28
+
+
+def admit(controller, data):
+    """``admit_frame`` as the port calls it: with its header pass."""
+    try:
+        parsed = PacketParser().parse(data, 0)
+    except ParseError as exc:
+        parsed = exc.reason
+    return controller.admit_frame(data, parsed)
 
 
 def controlled(pressure, **kwargs):
@@ -122,7 +132,7 @@ class TestAdmission:
     def test_full_admits_everything(self):
         controller = OverloadController()
         for data in (SYN, ACK, DATA, ARP):
-            admitted, _, out = controller.admit_frame(data)
+            admitted, _, out = admit(controller, data)
             assert admitted and out == data
         assert controller.offered == {PAYLOAD: 1, OTHER: 1, HANDSHAKE: 2}
         assert controller.admitted == controller.offered
@@ -131,20 +141,20 @@ class TestAdmission:
     def test_sampled_admits_one_in_n_payload(self):
         controller = OverloadController(sampled_modulus=4)
         controller.level = LEVEL_SAMPLED
-        admitted = [controller.admit_frame(DATA)[0] for _ in range(8)]
+        admitted = [admit(controller, DATA)[0] for _ in range(8)]
         assert admitted == [False, False, False, True] * 2
         assert controller.admitted[PAYLOAD] == 2
         assert controller.shed_total(klass=PAYLOAD, stage="nic") == 6
         # Handshake and other still flow at this rung.
-        assert controller.admit_frame(SYN)[0]
-        assert controller.admit_frame(ARP)[0]
+        assert admit(controller, SYN)[0]
+        assert admit(controller, ARP)[0]
 
     def test_handshake_only_sheds_payload_samples_other(self):
         controller = OverloadController(sampled_modulus=2)
         controller.level = LEVEL_HANDSHAKE_ONLY
-        assert not controller.admit_frame(DATA)[0]
-        assert controller.admit_frame(ACK)[0]
-        assert [controller.admit_frame(ARP)[0] for _ in range(4)] == [
+        assert not admit(controller, DATA)[0]
+        assert admit(controller, ACK)[0]
+        assert [admit(controller, ARP)[0] for _ in range(4)] == [
             False, True, False, True,
         ]
 
@@ -152,19 +162,19 @@ class TestAdmission:
         controller = OverloadController(snap_len=64)
         controller.level = LEVEL_HEADERS_ONLY
         # A small handshake frame passes through untouched...
-        admitted, klass, out = controller.admit_frame(SYN)
+        admitted, klass, out = admit(controller, SYN)
         assert admitted and klass == HANDSHAKE and out == SYN
         assert controller.truncated == 0
         # ...an oversized one (fast-open SYN) is cut to snap_len.
         big_syn = build_tcp_packet(
             1, 2, 3, 4, TCP_FLAG_SYN, payload=b"x" * 200
         ).data
-        admitted, klass, out = controller.admit_frame(big_syn)
+        admitted, klass, out = admit(controller, big_syn)
         assert admitted and klass == HANDSHAKE
         assert len(out) == 64
         assert controller.truncated == 1
-        assert not controller.admit_frame(DATA)[0]
-        assert not controller.admit_frame(ARP)[0]
+        assert not admit(controller, DATA)[0]
+        assert not admit(controller, ARP)[0]
 
     def test_padded_control_segments_survive_handshake_only(self):
         # 54-byte segments zero-padded to Ethernet's 60-byte minimum.
@@ -172,7 +182,7 @@ class TestAdmission:
         controller.level = LEVEL_HANDSHAKE_ONLY
         for flags in (TCP_FLAG_ACK, TCP_FLAG_RST, TCP_FLAG_SYN | TCP_FLAG_ACK):
             padded = build_tcp_packet(1, 2, 3, 4, flags).data + b"\x00" * 6
-            admitted, klass, out = controller.admit_frame(padded)
+            admitted, klass, out = admit(controller, padded)
             assert admitted and klass == HANDSHAKE
             assert out == padded
         assert controller.shed_total() == 0
@@ -181,7 +191,7 @@ class TestAdmission:
     def test_shed_flag_consumed_once(self):
         controller = OverloadController()
         controller.level = LEVEL_HEADERS_ONLY
-        controller.admit_frame(DATA)
+        admit(controller, DATA)
         assert controller.take_nic_shed() == 1
         assert controller.take_nic_shed() == 0
 
@@ -189,9 +199,9 @@ class TestAdmission:
         controller = OverloadController()
         controller.level = LEVEL_HANDSHAKE_ONLY
         for _ in range(4):
-            controller.admit_frame(DATA)
+            admit(controller, DATA)
         for _ in range(4):
-            controller.admit_frame(ACK)
+            admit(controller, ACK)
         controller.record_shed(HANDSHAKE, "mq")
         assert controller.shed_ratio(PAYLOAD) == 1.0
         assert controller.shed_ratio(HANDSHAKE) == 0.0
@@ -213,8 +223,8 @@ class TestDurability:
         controller.update(0)
         controller.update(60 * NS_PER_MS)
         for _ in range(5):
-            controller.admit_frame(DATA)
-        controller.admit_frame(SYN)
+            admit(controller, DATA)
+        admit(controller, SYN)
         controller.record_ring_displacement()
         controller.mq_offered = 17
         controller.record_shed(HANDSHAKE, "mq")

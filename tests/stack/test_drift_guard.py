@@ -10,10 +10,11 @@ so a tracer handle or a ``.span(`` call anywhere is a second timing
 mechanism, and a second ``HandshakeTracker(`` construction site is a
 second worker body. A frame's headers are walked once, by the port's
 ``PacketParser.parse``: ``struct`` imported on the packet path, or a
-``PacketParser(`` built anywhere new, is a second header walker. This
-test walks the source tree with the AST module so string mentions in
-docstrings or comments do not trip it; only real names, imports, call
-sites and class definitions count.
+``PacketParser(`` built anywhere new, is how a second header walker
+usually starts (a tripwire, not a proof: one that only indexes
+``data[offset]`` passes). This test walks the source tree with the AST
+module so string mentions in docstrings or comments do not trip it;
+only real names, imports, call sites and class definitions count.
 """
 
 import ast
