@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass
@@ -24,10 +24,6 @@ class PortStats:
     ierrors: int = 0
     q_ipackets: Dict[int, int] = field(default_factory=dict)
 
-    def record_rx(self, queue_id: int, frame_len: int) -> None:
-        """Account one successfully queued frame."""
-        self.record_rx_burst({queue_id: 1}, frame_len)
-
     def record_rx_burst(self, queued: Dict[int, int], nbytes: int) -> int:
         """Account one burst's queued frames — per-queue counts, in the
         order the queues were first hit — and return how many."""
@@ -43,22 +39,16 @@ class PortStats:
         """Account frames dropped before reaching a queue."""
         self.imissed += count
 
-    def record_error(self) -> None:
-        """Account one malformed frame."""
-        self.ierrors += 1
-
-    def queue_balance(self, num_queues: Optional[int] = None) -> List[float]:
+    def queue_balance(self, num_queues: int) -> List[float]:
         """Fraction of received packets per queue (ordered by queue id).
 
         The RSS-scaling bench uses this to show RSS spreads load
-        evenly across queues. Given *num_queues*, one share per
-        configured queue, zeros included, so a share's position is its
-        queue id; without it, only the queues that received a frame.
+        evenly across queues. One share per configured queue, zeros
+        included, so a share's position is its queue id.
         """
         if not self.ipackets:
             return []
-        queues = sorted(self.q_ipackets) if num_queues is None else range(num_queues)
-        return [self.q_ipackets.get(q, 0) / self.ipackets for q in queues]
+        return [self.q_ipackets.get(q, 0) / self.ipackets for q in range(num_queues)]
 
     def reset(self) -> None:
         """Zero all counters (``rte_eth_stats_reset``)."""

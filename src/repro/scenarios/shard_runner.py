@@ -8,8 +8,8 @@ queue, MQ frames over pipes, a supervising parent — optionally with a
 scheduled SIGKILL against one shard to exercise crash containment,
 checkpoint + WAL recovery and rejoin.
 
-The run uses the runtime's *deterministic* mode (no wall-clock
-heartbeat deadline, lockstep dispatch, virtual-round rejoin), so every
+Dispatch is lock-step and a dead shard rejoins by virtual round (the
+heartbeat lease only ever ends a wait on a shard that is stuck), so every
 metric the resultset records is byte-stable for a (spec, seed) pair
 and gates ``exact`` against the committed baseline, exactly like the
 in-process scenarios' ledgers do. Wall-clock observations land in the

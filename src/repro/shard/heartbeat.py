@@ -1,4 +1,4 @@
-"""Shard heartbeats and deadline-based failure detection.
+"""Shard heartbeats and the lease that judges them.
 
 Every shard child emits a small heartbeat message on a wall-clock
 cadence, stamped with ``time.monotonic_ns()``. On Linux that clock is
@@ -7,11 +7,12 @@ the child's send stamp from its own receive stamp and get a real
 one-way control-plane latency, no clock sync protocol needed.
 
 The :class:`FailureDetector` is the classic lease: a shard that has
-not been heard from within ``deadline_ns`` is declared down. A
-SIGKILLed process stops heartbeating instantly, so detection latency
-is bounded by the deadline; a *stalled* process (deadlocked, stopped,
-swapping) is caught the same way even though its pipes stay open —
-which is exactly what EOF detection alone would miss.
+not been heard from within ``deadline_ns`` is declared down. A dead
+process is caught sooner, by the EOF on its pipe; the lease is for the
+one that is alive but *stuck* (stopped, deadlocked, swapping) — its
+pipes stay open, so nothing else would ever notice. It is the only
+stall detector the sharded runtime has: every blocking wait on a shard
+is a wait under its lease.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from typing import Dict, List, Optional
 from repro.mq.frames import Message
 
 HEARTBEAT_TOPIC = b"hb"
+#: How often a shard child says it is alive.
+HEARTBEAT_INTERVAL_NS = 25_000_000  # 25 ms
+#: The lease, in missed heartbeats: a live shard silent for this many
+#: intervals (2 s) is killed and declared ``heartbeat-deadline``. Long
+#: enough that a loaded host's scheduler cannot fake a stall, short
+#: enough that a real one costs the run two seconds and one batch.
+LEASE_HEARTBEATS = 80
 _HEARTBEAT = struct.Struct("!IQQ")  # shard_id, seq, sent_mono_ns
 
 
@@ -52,23 +60,15 @@ class FailureDetector:
 
     Args:
         deadline_ns: silence longer than this declares a shard down.
-            ``None`` disables wall-clock detection entirely — the
-            deterministic scenario mode relies on EOF and scheduled
-            faults instead, because a virtual-time run must not depend
-            on how fast the host happens to execute it.
     """
 
-    def __init__(self, deadline_ns: Optional[int]):
-        if deadline_ns is not None and deadline_ns <= 0:
-            raise ValueError("deadline_ns must be positive (or None)")
+    def __init__(self, deadline_ns: int):
+        if deadline_ns <= 0:
+            raise ValueError("deadline_ns must be positive")
         self.deadline_ns = deadline_ns
         self._last_seen_ns: Dict[int, int] = {}
         self._last_latency_ns: Dict[int, int] = {}
         self.heartbeats_observed = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.deadline_ns is not None
 
     def watch(self, shard_id: int, now_ns: Optional[int] = None) -> None:
         """Start (or reset) the lease for a shard — called at spawn, so
@@ -97,8 +97,6 @@ class FailureDetector:
 
     def expired(self, now_ns: Optional[int] = None) -> List[int]:
         """Shards whose lease has lapsed, in shard-id order."""
-        if self.deadline_ns is None:
-            return []
         now = time.monotonic_ns() if now_ns is None else now_ns
         return sorted(
             shard_id

@@ -11,20 +11,20 @@ table during failures: a decision made while a shard was down sticks
 for the life of the flow, so a rerouted handshake's payload follows
 it instead of bouncing back mid-measurement.
 
-Two operating modes, chosen by whether a heartbeat deadline is set:
+One rule for time: **counts follow the round counter, liveness follows
+the lease.** Dispatch is lock-step — one batch per live shard per
+round, settled before the round ends, a dead shard rejoining a fixed
+number of rounds later — so every count is a pure function of (traffic,
+kill schedule) and nothing depends on how fast the host runs. A death
+is declared the moment EOF/EPIPE proves it. A shard that is alive but
+*stuck* proves nothing, so every blocking wait on a shard (its ack, its
+checkpoint reply, its drain reply) is a wait under its heartbeat lease:
+silent for a lease, it is SIGKILLed, declared ``heartbeat-deadline``,
+charged its in-flight batch and restarted like any other death. A stall
+costs one lease and one batch; it never costs the run.
 
-* **deterministic** (``heartbeat_deadline_ms=None``) — lockstep
-  dispatch (one in-flight batch per shard), EOF declares a death
-  immediately, restarts happen a fixed number of rounds later.
-  Scenario baselines need every count to be exact, so nothing may
-  depend on how fast the host runs.
-* **wall-clock** (deadline set) — windowed dispatch, EOF only marks a
-  shard *suspect*; declaration is the heartbeat deadline's job, and a
-  declared shard is restarted as soon as the budget allows. This is
-  the live/chaos shape: detection latency is bounded by the deadline.
-
-Either way the books must balance. Every offered packet meets exactly
-one of five fates, and :meth:`ShardedRuntime.drain` proves it::
+The books must balance. Every offered packet meets exactly one of five
+fates, and :meth:`ShardedRuntime.drain` proves it::
 
     ingested == processed + dropped + deadlettered + shed + lost_at_crash
 
@@ -35,7 +35,6 @@ is exactly what checkpoint + WAL-delta restore buys after a crash.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -48,22 +47,17 @@ from repro.overload.classify import CLASSES, HANDSHAKE, classify_frame
 from repro.resilience.invariants import Ledger
 from repro.resilience.supervisor import RestartBudget
 from repro.shard import protocol
-from repro.shard.heartbeat import FailureDetector
-from repro.shard.placement import ShardPlan, derive_placement
 from repro.shard.supervisor import (
+    POLL_S,
     SHARD_DOWN,
-    SHARD_SUSPECT,
     ShardHandle,
     ShardSupervisor,
 )
 from repro.shard.transport import Transport, TransportClosed, TransportError
-from repro.shard.worker import HEARTBEAT_INTERVAL_NS, shard_child_main
+from repro.shard.worker import shard_child_main
 
 #: What to do with a down shard's traffic.
 SHED_POLICIES = ("protect-handshakes", "reroute-all")
-
-#: How long a drain/ack wait may stall before the run errors out.
-_SETTLE_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -133,12 +127,6 @@ class ShardRunReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _ScheduledFault:
-    kill_at_seq: int
-    armed: bool = False
-
-
 class ShardedRuntime:
     """The parent process of a sharded run: router, supervisor, books.
 
@@ -149,14 +137,11 @@ class ShardedRuntime:
             for the equivalence property to hold).
         state_dir: enables per-shard durability (checkpoint + ack WAL)
             and therefore *exact* post-crash ledger reconciliation.
-        heartbeat_deadline_ms: None selects deterministic mode.
-        restart_delay_batches: rounds a dead shard stays down in
-            deterministic mode before its restart (models detection +
-            respawn latency as virtual rounds).
+        restart_delay_batches: rounds a dead shard stays down before
+            its restart (models detection + respawn latency as virtual
+            rounds).
         checkpoint_every_batches: checkpoint cadence in rounds; None
             checkpoints only at drain.
-        max_inflight: dispatch window per shard (forced to 1 in
-            deterministic mode).
         policy: down-shard traffic policy (``protect-handshakes``
             reroutes handshakes and sheds the rest by class;
             ``reroute-all`` reroutes everything).
@@ -170,14 +155,10 @@ class ShardedRuntime:
         config: Optional[PipelineConfig] = None,
         *,
         state_dir: Optional[str] = None,
-        transport: str = "pipe",
         policy: str = "protect-handshakes",
-        heartbeat_deadline_ms: Optional[float] = None,
-        heartbeat_interval_ms: float = HEARTBEAT_INTERVAL_NS / 1e6,
         checkpoint_every_batches: Optional[int] = 8,
         restart_delay_batches: int = 1,
         max_restarts_per_shard: int = 3,
-        max_inflight: int = 4,
         batch_size: int = 256,
         record_sink: Optional[Callable[[bytes], None]] = None,
         registry=None,
@@ -188,39 +169,28 @@ class ShardedRuntime:
                 f"unknown policy {policy!r}; choose from {SHED_POLICIES}"
             )
         self.config = config or PipelineConfig()
-        self.plan: ShardPlan = derive_placement(num_shards)
         self.num_shards = num_shards
         self.policy = policy
         self.batch_size = batch_size
-        self.deterministic = heartbeat_deadline_ms is None
-        self.max_inflight = 1 if self.deterministic else max(1, max_inflight)
         self.restart_delay_batches = max(1, restart_delay_batches)
         self.checkpoint_every_batches = checkpoint_every_batches
         self._record_sink = record_sink
-        self._heartbeat_interval_ns = int(heartbeat_interval_ms * 1e6)
 
+        self.supervisor = ShardSupervisor(
+            num_shards,
+            entry=self._shard_entry,
+            restart_budget=RestartBudget(max_restarts=max_restarts_per_shard),
+        )
         self.hasher = RssHasher(
             key=self.config.rss_key, num_queues=num_shards
         )
-        detector = FailureDetector(
-            deadline_ns=(
-                None
-                if heartbeat_deadline_ms is None
-                else int(heartbeat_deadline_ms * 1e6)
-            )
-        )
-        self.supervisor = ShardSupervisor(
-            specs=list(self.plan.shards),
-            entry=self._shard_entry,
-            transport_kind=transport,
-            detector=detector,
-            restart_budget=RestartBudget(max_restarts=max_restarts_per_shard),
-        )
+        # A write the shard does not read within a lease is a stall too.
+        self._lease_s = self.supervisor.detector.deadline_ns / 1e9
         self.stores: Dict[int, ShardStateStore] = {}
         if state_dir is not None:
-            for spec in self.plan.shards:
-                self.stores[spec.shard_id] = ShardStateStore(
-                    state_dir, spec.name, fsync=fsync
+            for handle in self.supervisor.handles.values():
+                self.stores[handle.shard_id] = ShardStateStore(
+                    state_dir, handle.name, fsync=fsync
                 )
 
         # Rerouted flows only: (4-tuple, family) -> fallback shard_id. A
@@ -228,7 +198,8 @@ class ShardedRuntime:
         # memo of it would grow by one entry per spoofed SYN for the
         # life of the parent. Direction-sensitive, as a packet's tuple is.
         self._flow_route: Dict[tuple, int] = {}
-        self._faults: Dict[int, _ScheduledFault] = {}
+        # Scheduled kills that have not fired yet: shard_id -> kill_at_seq.
+        self._faults: Dict[int, int] = {}
 
         # Global books.
         self.ingested = 0
@@ -247,46 +218,34 @@ class ShardedRuntime:
 
     def _shard_entry(self, shard_id: int, transport: Transport) -> int:
         """Post-fork child body."""
-        return shard_child_main(
-            transport,
-            shard_id,
-            config=self.config,
-            heartbeat_interval_ns=self._heartbeat_interval_ns,
-        )
+        return shard_child_main(transport, shard_id, config=self.config)
 
     def start(self) -> None:
         if self._started:
             return
         self._started = True
         self.supervisor.start()
-        for shard_id, fault in self._faults.items():
-            self._arm_fault(shard_id, fault)
+        for shard_id in list(self._faults):
+            self._arm_fault(shard_id)
 
     # -- fault injection ------------------------------------------------------
 
     def schedule_kill(self, shard_id: int, at_seq: int) -> None:
         """Arm a deterministic SIGKILL: the shard dies the moment it
         receives its batch with seq >= *at_seq*, before acking it."""
-        fault = _ScheduledFault(kill_at_seq=at_seq)
-        self._faults[shard_id] = fault
+        self._faults[shard_id] = at_seq
         if self._started:
-            self._arm_fault(shard_id, fault)
+            self._arm_fault(shard_id)
 
-    def _arm_fault(self, shard_id: int, fault: _ScheduledFault) -> None:
+    def _arm_fault(self, shard_id: int) -> None:
         handle = self.supervisor.handles[shard_id]
-        if handle.transport is None or fault.armed:
-            return
-        handle.transport.send(
-            protocol.encode_json(
-                protocol.FAULT_TOPIC, {"kill_at_seq": fault.kill_at_seq}
+        if handle.live:
+            self._send(
+                handle,
+                protocol.encode_json(
+                    protocol.FAULT_TOPIC, {"kill_at_seq": self._faults[shard_id]}
+                ),
             )
-        )
-        fault.armed = True
-
-    def kill_shard(self, shard_id: int) -> None:
-        """Wall-clock chaos: SIGKILL the shard process right now. The
-        heartbeat deadline — not this call — declares it down."""
-        self.supervisor.kill(shard_id)
 
     # -- routing --------------------------------------------------------------
 
@@ -358,39 +317,13 @@ class ShardedRuntime:
         self._restart_due_shards()
         per_shard = self._route_round(packets)
 
-        requeue: List[Tuple[int, int, bytes]] = []
+        # Lock-step: routing sent nothing to a shard that was not live,
+        # and a dispatch can only take down the shard it writes to — so
+        # every target is live when its turn comes.
         for shard_id in sorted(per_shard):
-            triples = per_shard[shard_id]
-            handle = self.supervisor.handles[shard_id]
-            if not handle.live:
-                requeue.extend(triples)  # died earlier this round
-                continue
-            self._dispatch(handle, triples)
-        if requeue:
-            # Second pass through the policy for packets whose target
-            # died between routing and dispatch; a second failure
-            # deadletters rather than looping.
-            second: Dict[int, List[Tuple[int, int, bytes]]] = {}
-            for timestamp_ns, rss_hash, data in requeue:
-                target = self._place_down_packet(None, rss_hash, 0, data)
-                if target is not None:
-                    second.setdefault(target, []).append(
-                        (timestamp_ns, rss_hash, data)
-                    )
-            for shard_id in sorted(second):
-                handle = self.supervisor.handles[shard_id]
-                if handle.live:
-                    self._dispatch(handle, second[shard_id])
-                else:
-                    handle.deadlettered += len(second[shard_id])
-
-        # Settle the window.
+            self._dispatch(self.supervisor.handles[shard_id], per_shard[shard_id])
         for handle in self.supervisor.handles.values():
-            if handle.live and handle.inflight:
-                self._wait_for_acks(handle, below=self.max_inflight)
-        # Absorb pending heartbeats *before* judging deadlines — a shard
-        # whose acks we did not need this round still spoke.
-        self._pump_control()
+            self._await(handle, lambda: not handle.inflight)
         self._check_deadlines()
         if (
             self.checkpoint_every_batches
@@ -398,57 +331,51 @@ class ShardedRuntime:
         ):
             self.checkpoint_all()
 
+    def _send(self, handle: ShardHandle, message: Message) -> bool:
+        """Write one message under the lease; False declares the shard."""
+        try:
+            handle.transport.send(message, timeout=self._lease_s)
+        except TransportClosed:
+            self._on_transport_death(handle)
+        except TransportError:
+            self._declare(handle, "heartbeat-deadline")
+        else:
+            return True
+        return False
+
     def _dispatch(
         self, handle: ShardHandle, triples: List[Tuple[int, int, bytes]]
     ) -> None:
-        if handle.inflight and len(handle.inflight) >= self.max_inflight:
-            self._wait_for_acks(handle, below=self.max_inflight)
-            if not handle.live:
-                handle.deadlettered += len(triples)
-                return
         seq = handle.next_seq
         handle.next_seq += 1
-        message = protocol.encode_batch(seq, triples)
-        try:
-            handle.transport.send(message)
-        except (TransportClosed, TransportError):
+        if not self._send(handle, protocol.encode_batch(seq, triples)):
             # The batch never reached the shard: it is deadlettered,
             # not lost_at_crash — the distinction the ledger preserves.
             handle.deadlettered += len(triples)
-            self._on_transport_death(handle)
             return
         handle.inflight[seq] = len(triples)
         handle.dispatched_packets += len(triples)
 
-    def _pump_control(self) -> None:
-        """Non-blocking: drain every live shard's decoded messages."""
-        for handle in list(self.supervisor.handles.values()):
-            if not handle.live or handle.transport is None:
-                continue
-            try:
-                for message in handle.transport.recv_all():
-                    self._handle_message(handle, message)
-            except (TransportClosed, TransportError):
-                self._on_transport_death(handle)
+    def _await(self, handle: ShardHandle, done: Callable[[], bool]) -> bool:
+        """Pump *handle* until *done()*; False if it was declared first.
 
-    def _wait_for_acks(self, handle: ShardHandle, below: int) -> None:
-        """Block until *handle* has < *below* in-flight batches (or dies)."""
-        deadline = time.monotonic() + _SETTLE_TIMEOUT_S
-        while handle.live and len(handle.inflight) >= below:
+        The only way to wait on a shard. Each ``POLL_S`` of silence the
+        leases are judged, so a stuck shard ends the wait one lease
+        after it went quiet instead of hanging the run.
+        """
+        while not done():
+            if not handle.live:
+                return False
             try:
-                message = handle.transport.recv(timeout=0.05)
-            except (TransportClosed, TransportError):
+                message = handle.transport.recv(timeout=POLL_S)
+            except TransportError:
                 self._on_transport_death(handle)
-                return
+                return False
             if message is None:
                 self._check_deadlines()
-                if time.monotonic() > deadline:
-                    raise TransportError(
-                        f"shard {handle.name} stalled with "
-                        f"{len(handle.inflight)} batches in flight"
-                    )
-                continue
-            self._handle_message(handle, message)
+            else:
+                self._handle_message(handle, message)
+        return True
 
     def _handle_message(self, handle: ShardHandle, message: Message) -> None:
         topic = message.topic
@@ -472,38 +399,45 @@ class ShardedRuntime:
     # -- failure handling ------------------------------------------------------
 
     def _on_transport_death(self, handle: ShardHandle) -> None:
-        """EOF/EPIPE: conclusive in deterministic mode, suspicion in
-        wall-clock mode (where the heartbeat deadline declares)."""
-        if self.deterministic:
-            cause = (
-                "scheduled-kill"
-                if handle.shard_id in self._faults
-                else "transport-eof"
-            )
-            self._declare(handle, cause)
+        """EOF/EPIPE proves the process is gone: declare at once. The
+        death is the scheduled kill's only if the fatal batch is the
+        one in flight — and a fault fires once."""
+        kill_at_seq = self._faults.get(handle.shard_id)
+        if kill_at_seq is not None and any(
+            seq >= kill_at_seq for seq in handle.inflight
+        ):
+            del self._faults[handle.shard_id]
+            self._declare(handle, "scheduled-kill")
         else:
-            self.supervisor.suspect(handle.shard_id, "transport-eof")
+            self._declare(handle, "transport-eof")
 
     def _check_deadlines(self) -> None:
-        for shard_id in self.supervisor.expired_shards():
-            handle = self.supervisor.handles[shard_id]
-            self._declare(handle, "heartbeat-deadline")
-            # Wall-clock mode restarts as soon as the budget allows.
-            self._restart_shard(handle)
+        """Judge every lease — after absorbing what every live shard has
+        already said, so that time the parent spent elsewhere (waiting
+        out one shard's lease, or asleep between rounds) is never
+        charged to a healthy shard whose heartbeats sat unread."""
+        for handle in self.supervisor.handles.values():
+            if handle.live:
+                try:
+                    self._absorb(handle)
+                except TransportError:
+                    self._on_transport_death(handle)
+        for shard_id in self.supervisor.detector.expired():
+            self._declare(self.supervisor.handles[shard_id], "heartbeat-deadline")
+
+    def _absorb(self, handle: ShardHandle) -> None:
+        """Non-blocking: take everything *handle* has already sent."""
+        for message in handle.transport.recv_all():
+            self._handle_message(handle, message)
 
     def _declare(self, handle: ShardHandle, cause: str) -> None:
         # Acks that escaped before the death are real work, not losses:
         # consume everything already decoded before charging the rest.
-        if handle.transport is not None:
-            for message in handle.transport.recv_all():
-                self._handle_message(handle, message)
+        self._absorb(handle)
         self.supervisor.declare_down(handle.shard_id, cause)
-        if self.deterministic and handle.state == SHARD_DOWN:
-            handle.rejoin_at_round = self._round + self.restart_delay_batches
+        handle.rejoin_at_round = self._round + self.restart_delay_batches
 
     def _restart_due_shards(self) -> None:
-        if not self.deterministic:
-            return
         for handle in self.supervisor.handles.values():
             if (
                 handle.state == SHARD_DOWN
@@ -512,12 +446,10 @@ class ShardedRuntime:
             ):
                 self._restart_shard(handle)
 
-    def _restart_shard(self, handle: ShardHandle) -> bool:
+    def _restart_shard(self, handle: ShardHandle) -> None:
         """Respawn from the last checkpoint + WAL deltas (or, without a
         state dir, from parent-synthesized counter deltas so the books
         still reconcile; only the durable path restores the flow table)."""
-        if handle.state != SHARD_DOWN:
-            return False
         store = self.stores.get(handle.shard_id)
         if store is not None:
             recovery = store.load()
@@ -538,7 +470,7 @@ class ShardedRuntime:
                     else []
                 ),
             }
-        return self.supervisor.restart(handle.shard_id, restore_payload=restore)
+        self.supervisor.restart(handle.shard_id, restore_payload=restore)
 
     # -- records ---------------------------------------------------------------
 
@@ -560,30 +492,16 @@ class ShardedRuntime:
 
     def _checkpoint_shard(self, handle: ShardHandle) -> bool:
         store = self.stores.get(handle.shard_id)
-        if store is None or handle.transport is None:
+        if store is None:
             return False
         handle.pending_ckpt = None
-        try:
-            handle.transport.send(
-                protocol.encode_json(
-                    protocol.CKPT_REQ_TOPIC, {"seq": self._round}
-                )
-            )
-        except (TransportClosed, TransportError):
-            self._on_transport_death(handle)
+        request = protocol.encode_json(
+            protocol.CKPT_REQ_TOPIC, {"seq": self._round}
+        )
+        if not self._send(handle, request) or not self._await(
+            handle, lambda: handle.pending_ckpt is not None
+        ):
             return False
-        deadline = time.monotonic() + _SETTLE_TIMEOUT_S
-        while handle.pending_ckpt is None:
-            try:
-                message = handle.transport.recv(timeout=0.05)
-            except (TransportClosed, TransportError):
-                self._on_transport_death(handle)
-                return False
-            if message is None:
-                if time.monotonic() > deadline:
-                    return False
-                continue
-            self._handle_message(handle, message)
         state = handle.pending_ckpt["state"]
         # The child's own ack high-water is the WAL dedup mark: FIFO
         # ordering guarantees every ack it covers was applied above.
@@ -614,19 +532,7 @@ class ShardedRuntime:
         reconciliation: List[Tuple[str, bool, str]] = []
         child_ledgers: Dict[str, dict] = {}
 
-        # A suspect shard's transport already hit EOF/EPIPE — the run
-        # ending before its heartbeat lease lapsed must not leave its
-        # inflight off the books. Declare now; the death is conclusive.
-        for handle in self.supervisor.handles.values():
-            if handle.state == SHARD_SUSPECT:
-                self._declare(
-                    handle, handle.detected_cause or "drain-unresolved"
-                )
-
-        for handle in self.supervisor.handles.values():
-            if handle.live and handle.inflight:
-                self._wait_for_acks(handle, below=1)
-
+        # Every round settled before it ended: nothing is in flight.
         if self.stores:
             self.checkpoint_all()
 

@@ -7,40 +7,40 @@ decides whether it is *alive*). Children always leave via
 ``os._exit`` so a forked Python interpreter never falls back into
 pytest or the CLI's stack.
 
-Failure handling is two-phase, mirroring real cluster managers:
+A shard stops being live in one of two ways, and both end in the same
+:meth:`ShardSupervisor.declare_down`:
 
-* **suspicion** — an EOF or EPIPE on a shard's transport proves the
-  process is gone, so dispatch to it stops immediately; but in
-  wall-clock mode the *declaration* waits for the heartbeat deadline
-  (:class:`~repro.shard.heartbeat.FailureDetector`), because the
-  deadline is the detector the design names and a stalled-but-alive
-  process produces no EOF at all.
-* **declaration** — the shard's in-flight batches are charged to
-  ``lost_at_crash``, its transport is closed, the corpse is reaped,
-  and a restart is attempted against the per-shard
-  :class:`~repro.resilience.RestartBudget`. Within budget the shard
-  is respawned and sent a ``restore`` message built from its
-  :class:`~repro.durability.shardstate.ShardStateStore` (newest
-  checkpoint + WAL'd ack deltas); an exhausted budget marks the shard
-  ``failed`` permanently — traffic routes around it forever.
+* **it died** — an EOF or EPIPE on its transport proves the process is
+  gone, and it is declared at once;
+* **it is stuck** — alive, pipes open, silent: only the heartbeat
+  lease (:class:`~repro.shard.heartbeat.FailureDetector`) can tell,
+  and a shard silent for one lease is declared ``heartbeat-deadline``.
+
+Declaring SIGKILLs the process *before* reaping it — a stopped process
+never exits on its own, and a parent blocked in ``waitpid`` on one is
+the hang the process boundary exists to prevent. The shard's in-flight
+batch is charged to ``lost_at_crash`` and its transport closed; a
+restart is then attempted against the per-shard
+:class:`~repro.resilience.RestartBudget`. Within budget the shard is
+respawned and sent a ``restore`` message built from its
+:class:`~repro.durability.shardstate.ShardStateStore` (newest
+checkpoint + WAL'd ack deltas); an exhausted budget marks the shard
+``failed`` permanently — traffic routes around it forever.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.resilience.supervisor import RestartBudget
+from repro.shard import heartbeat, protocol
 from repro.shard.heartbeat import FailureDetector
-from repro.shard.placement import ProcessSpec
-from repro.shard import protocol
-from repro.shard.transport import Transport, make_fd_pair
+from repro.shard.transport import Transport, TransportError, pipe_pair
 
 #: Shard lifecycle states.
 SHARD_UP = "up"
-SHARD_SUSPECT = "suspect"
 SHARD_DOWN = "down"
 SHARD_FAILED = "failed"
 SHARD_DRAINED = "drained"
@@ -48,21 +48,23 @@ SHARD_DRAINED = "drained"
 #: Child entry: (shard_id, transport) -> exit code. Runs post-fork.
 ShardEntry = Callable[[int, Transport], int]
 
+#: How long one blocking read waits before the lease is judged again.
+POLL_S = 0.05
+
 
 class ShardHandle:
     """Parent-side bookkeeping for one shard process."""
 
-    def __init__(self, spec: ProcessSpec):
-        self.spec = spec
-        self.shard_id = spec.shard_id
-        self.name = spec.name
+    def __init__(self, shard_id: int):
+        # The shard owns RX queue *shard_id*: the RSS indirection's
+        # queue ids are the process ids.
+        self.shard_id = shard_id
+        self.name = f"shard-{shard_id}"
         self.pid: Optional[int] = None
         self.transport: Optional[Transport] = None
         self.state = SHARD_DOWN  # until first spawn
         self.restarts = 0
-        self.detected_cause: Optional[str] = None
         self.causes: List[str] = []
-        self.exit_status: Optional[int] = None
         # seq -> packet count for every dispatched-but-unacked batch.
         self.inflight: Dict[int, int] = {}
         self.next_seq = 1
@@ -110,20 +112,20 @@ class ShardSupervisor:
 
     def __init__(
         self,
-        specs: List[ProcessSpec],
+        num_shards: int,
         entry: ShardEntry,
-        transport_kind: str = "pipe",
         detector: Optional[FailureDetector] = None,
         restart_budget: Optional[RestartBudget] = None,
     ):
-        self.handles: Dict[int, ShardHandle] = {}
-        for spec in specs:
-            if spec.shard_id is None:
-                raise ValueError(f"process {spec.name!r} has no shard id")
-            self.handles[spec.shard_id] = ShardHandle(spec)
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
+        self.handles: Dict[int, ShardHandle] = {
+            shard_id: ShardHandle(shard_id) for shard_id in range(num_shards)
+        }
         self._entry = entry
-        self._transport_kind = transport_kind
-        self.detector = detector or FailureDetector(deadline_ns=None)
+        self.detector = detector or FailureDetector(
+            heartbeat.LEASE_HEARTBEATS * heartbeat.HEARTBEAT_INTERVAL_NS
+        )
         self.budget = restart_budget or RestartBudget(max_restarts=3)
         self.total_restarts = 0
         self.heartbeats_seen = 0
@@ -137,7 +139,7 @@ class ShardSupervisor:
 
     def _spawn(self, handle: ShardHandle) -> None:
         """Fork one shard child; the parent adopts its transport side."""
-        pair = make_fd_pair(self._transport_kind)
+        pair = pipe_pair()
         pid = os.fork()
         if pid == 0:
             # -- child ------------------------------------------------------
@@ -163,64 +165,46 @@ class ShardSupervisor:
         handle.pid = pid
         handle.transport = pair.adopt_parent(label=handle.name)
         handle.state = SHARD_UP
-        handle.detected_cause = None
         handle.rejoin_at_round = None
         self.detector.watch(handle.shard_id)
 
-    def kill(self, shard_id: int, sig: int = signal.SIGKILL) -> None:
-        """Chaos entry point: kill the shard process from outside."""
-        handle = self.handles[shard_id]
+    def _release(self, handle: ShardHandle) -> None:
+        """Let go of the process: stop watching, close the transport,
+        SIGKILL, reap. The kill comes first so that a stopped (or
+        wedged, or already dead) process is collected all the same and
+        the blocking ``waitpid`` cannot wedge the parent."""
+        self.detector.forget(handle.shard_id)
+        if handle.transport is not None:
+            handle.transport.close()
+            handle.transport = None
         if handle.pid is not None:
             try:
-                os.kill(handle.pid, sig)
-            except ProcessLookupError:
+                os.kill(handle.pid, signal.SIGKILL)
+                os.waitpid(handle.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
                 pass
-
-    def reap(self, handle: ShardHandle, block: bool = False) -> None:
-        """Collect the child's exit status (no zombies)."""
-        if handle.pid is None:
-            return
-        flags = 0 if block else os.WNOHANG
-        try:
-            pid, status = os.waitpid(handle.pid, flags)
-        except ChildProcessError:
-            handle.pid = None
-            return
-        if pid == handle.pid:
-            handle.exit_status = status
             handle.pid = None
 
     # -- failure handling ----------------------------------------------------
 
-    def suspect(self, shard_id: int, cause: str) -> None:
-        """Stop dispatching; declaration waits for the detector."""
-        handle = self.handles[shard_id]
-        if handle.state == SHARD_UP:
-            handle.state = SHARD_SUSPECT
-            handle.detected_cause = cause
-
     def declare_down(self, shard_id: int, cause: str) -> int:
         """Declare the shard dead; returns packets charged to the crash.
 
-        Drains any acks that made it out before the death first — a
-        batch whose ack is already in the pipe was processed, not lost.
+        Drains any control messages that made it out before the death
+        first (the runtime does the same for acks — a batch whose ack is
+        already in the pipe was processed, not lost).
         """
         handle = self.handles[shard_id]
-        if handle.state in (SHARD_DOWN, SHARD_FAILED, SHARD_DRAINED):
+        if not handle.live:
             return 0
-        if handle.transport is not None:
-            for message in handle.transport.recv_all():
-                self.handle_control_message(handle, message)
-            handle.transport.close()
-            handle.transport = None
+        for message in handle.transport.recv_all():
+            self.handle_control_message(handle, message)
         lost = handle.inflight_packets()
         handle.lost_at_crash += lost
         handle.inflight.clear()
-        handle.state = SHARD_DOWN
-        handle.detected_cause = cause
         handle.causes.append(cause)
-        self.detector.forget(shard_id)
-        self.reap(handle, block=True)
+        handle.state = SHARD_DOWN
+        self._release(handle)
         return lost
 
     def restart(
@@ -247,15 +231,6 @@ class ShardSupervisor:
             )
         return True
 
-    def expired_shards(self, now_ns: Optional[int] = None) -> List[int]:
-        """Shards whose heartbeat lease has lapsed (wall-clock mode)."""
-        expired = self.detector.expired(now_ns)
-        return [
-            shard_id
-            for shard_id in expired
-            if self.handles[shard_id].state in (SHARD_UP, SHARD_SUSPECT)
-        ]
-
     # -- message handling ----------------------------------------------------
 
     def handle_control_message(self, handle: ShardHandle, message) -> bool:
@@ -272,10 +247,8 @@ class ShardSupervisor:
         if topic == protocol.DRAINED_TOPIC:
             handle.drained_payload = protocol.decode_json(message)
             return True
-        from repro.shard.heartbeat import HEARTBEAT_TOPIC, decode_heartbeat
-
-        if topic == HEARTBEAT_TOPIC:
-            shard_id, _seq, sent_ns = decode_heartbeat(message)
+        if topic == heartbeat.HEARTBEAT_TOPIC:
+            shard_id, _seq, sent_ns = heartbeat.decode_heartbeat(message)
             self.detector.observe(shard_id, sent_ns)
             self.heartbeats_seen += 1
             return True
@@ -283,62 +256,42 @@ class ShardSupervisor:
 
     # -- drain ---------------------------------------------------------------
 
-    def drain_shard(
-        self, handle: ShardHandle, timeout_s: float = 30.0
-    ) -> Optional[dict]:
+    def drain_shard(self, handle: ShardHandle) -> Optional[dict]:
         """Graceful-shutdown handshake for one live shard.
 
         Sends ``drain`` and pumps until the ``drained`` reply arrives
         (acks encountered on the way are NOT consumed here — callers
         must have settled the dataplane first; FIFO ordering guarantees
         no ack can trail the drain reply). Returns the child's ledger
-        payload, or None if the shard died instead of draining.
+        payload, or None if the shard died — or sat silent past its
+        lease and was declared — instead of draining.
         """
-        if handle.transport is None or handle.state not in (
-            SHARD_UP,
-            SHARD_SUSPECT,
-        ):
+        if not handle.live:
             return None
-        from repro.shard.transport import TransportClosed, TransportError
-
         try:
             handle.transport.send(
                 protocol.encode_json(
                     protocol.DRAIN_TOPIC, {"shard_id": handle.shard_id}
                 )
             )
-            deadline = time.monotonic() + timeout_s
             while handle.drained_payload is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                message = handle.transport.recv(timeout=min(remaining, 0.05))
+                message = handle.transport.recv(timeout=POLL_S)
                 if message is not None:
                     self.handle_control_message(handle, message)
-        except (TransportClosed, TransportError):
+                elif handle.shard_id in self.detector.expired():
+                    self.declare_down(handle.shard_id, "heartbeat-deadline")
+                    return None
+        except TransportError:
+            self.declare_down(handle.shard_id, "transport-eof")
             return None
-        finally:
-            if handle.drained_payload is not None:
-                handle.state = SHARD_DRAINED
-                self.detector.forget(handle.shard_id)
-                if handle.transport is not None:
-                    handle.transport.close()
-                    handle.transport = None
-                self.reap(handle, block=True)
+        handle.state = SHARD_DRAINED
+        self._release(handle)
         return handle.drained_payload
 
     def shutdown(self) -> None:
         """Last-resort cleanup: kill and reap anything still running."""
         for handle in self.handles.values():
-            if handle.pid is not None:
-                try:
-                    os.kill(handle.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                self.reap(handle, block=True)
-            if handle.transport is not None:
-                handle.transport.close()
-                handle.transport = None
+            self._release(handle)
 
     # -- observability -------------------------------------------------------
 
@@ -380,10 +333,3 @@ class ShardSupervisor:
     def states(self) -> Dict[str, str]:
         return {h.name: h.state for h in self.handles.values()}
 
-
-def spawn_summary(handles: Dict[int, ShardHandle]) -> List[Tuple[str, int]]:
-    """(name, pid) pairs for logging, in shard-id order."""
-    return [
-        (handles[shard_id].name, handles[shard_id].pid or -1)
-        for shard_id in sorted(handles)
-    ]

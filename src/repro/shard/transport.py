@@ -1,12 +1,7 @@
-"""Real OS transports carrying wire-framed messages between shards.
+"""The OS transport carrying wire-framed messages between shards.
 
-Two flavours, both byte streams with the same :class:`Transport`
-facade on top:
-
-* :func:`pipe_pair` — two ``os.pipe()``s (one per direction), the
-  cheapest cross-process channel;
-* :func:`socketpair_pair` — one ``AF_UNIX`` ``socketpair``, a single
-  full-duplex fd per side.
+A channel is two ``os.pipe()``s, one per direction (:func:`pipe_pair`),
+with the :class:`Transport` facade on each side.
 
 Both file descriptors run non-blocking. ``send`` therefore has to be
 **partial-write tolerant**: it loops over ``os.write`` until the whole
@@ -24,10 +19,8 @@ inbox drains, receiving raises :class:`TransportClosed`.
 
 from __future__ import annotations
 
-import errno
 import os
 import select
-import socket
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -56,7 +49,7 @@ class Transport:
 
     Args:
         read_fd: fd to read the peer's bytes from.
-        write_fd: fd to write to (may equal *read_fd* for sockets).
+        write_fd: fd to write to.
         label: debugging tag carried in error messages.
     """
 
@@ -65,8 +58,7 @@ class Transport:
         self._write_fd = write_fd
         self.label = label
         os.set_blocking(read_fd, False)
-        if write_fd != read_fd:
-            os.set_blocking(write_fd, False)
+        os.set_blocking(write_fd, False)
         self._decoder = StreamDecoder()
         self._inbox: Deque[Message] = deque()
         self._eof = False
@@ -102,11 +94,6 @@ class Transport:
                 chunk = os.read(self._read_fd, _READ_CHUNK)
             except BlockingIOError:
                 break
-            except OSError as exc:
-                if exc.errno == errno.ECONNRESET:
-                    self._eof = True
-                    break
-                raise
             if chunk == b"":
                 self._eof = True
                 break
@@ -193,7 +180,7 @@ class Transport:
                 continue
             except BlockingIOError:
                 pass
-            except (BrokenPipeError, ConnectionResetError):
+            except BrokenPipeError:
                 self._eof = True
                 raise TransportClosed(
                     f"transport {self.label!r}: peer gone mid-send "
@@ -225,19 +212,19 @@ class Transport:
         if self._closed:
             return
         self._closed = True
+        _close_fds((self._read_fd, self._write_fd))
+
+
+def _close_fds(fds: Tuple[int, int]) -> None:
+    for fd in fds:
         try:
-            os.close(self._read_fd)
+            os.close(fd)
         except OSError:
             pass
-        if self._write_fd != self._read_fd:
-            try:
-                os.close(self._write_fd)
-            except OSError:
-                pass
 
 
 class FdPair:
-    """The four (or two) raw fds behind one parent↔child channel.
+    """The four raw fds behind one parent↔child channel.
 
     Created *before* ``fork``; afterwards each process adopts its side
     (wrapping the right fds in a :class:`Transport`) and closes the
@@ -245,30 +232,16 @@ class FdPair:
     the parent itself still holds the child's write end open.
     """
 
-    def __init__(
-        self,
-        parent_fds: Tuple[int, int],
-        child_fds: Tuple[int, int],
-        kind: str,
-    ):
+    def __init__(self, parent_fds: Tuple[int, int], child_fds: Tuple[int, int]):
         self.parent_fds = parent_fds  # (read_fd, write_fd)
         self.child_fds = child_fds
-        self.kind = kind
 
     def adopt_parent(self, label: str = "") -> Transport:
-        for fd in set(self.child_fds):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
+        _close_fds(self.child_fds)
         return Transport(*self.parent_fds, label=label or "parent")
 
     def adopt_child(self, label: str = "") -> Transport:
-        for fd in set(self.parent_fds):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
+        _close_fds(self.parent_fds)
         return Transport(*self.child_fds, label=label or "child")
 
 
@@ -279,37 +252,4 @@ def pipe_pair() -> FdPair:
     return FdPair(
         parent_fds=(parent_read, parent_write),
         child_fds=(child_read, child_write),
-        kind="pipe",
-    )
-
-
-def socketpair_pair() -> FdPair:
-    """One AF_UNIX socketpair: a single full-duplex fd per side."""
-    parent_sock, child_sock = socket.socketpair()
-    parent_fd = parent_sock.detach()
-    child_fd = child_sock.detach()
-    return FdPair(
-        parent_fds=(parent_fd, parent_fd),
-        child_fds=(child_fd, child_fd),
-        kind="socketpair",
-    )
-
-
-def make_fd_pair(kind: str) -> FdPair:
-    """``"pipe"`` or ``"socketpair"`` → a fresh :class:`FdPair`."""
-    if kind == "pipe":
-        return pipe_pair()
-    if kind == "socketpair":
-        return socketpair_pair()
-    raise ValueError(f"unknown transport kind {kind!r}")
-
-
-def loopback_pair(label: str = "loop") -> Tuple[Transport, Transport]:
-    """Both ends in one process — for tests of framing over real fds."""
-    left_sock, right_sock = socket.socketpair()
-    left = left_sock.detach()
-    right = right_sock.detach()
-    return (
-        Transport(left, left, label=f"{label}-a"),
-        Transport(right, right, label=f"{label}-b"),
     )

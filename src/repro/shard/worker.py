@@ -29,11 +29,8 @@ from repro.core.worker import QueueWorker
 from repro.mq.codec import encode_latency_record
 from repro.mq.frames import Message
 from repro.shard import protocol
-from repro.shard.heartbeat import encode_heartbeat
+from repro.shard.heartbeat import HEARTBEAT_INTERVAL_NS, encode_heartbeat
 from repro.shard.transport import Transport, TransportClosed, TransportError
-
-#: Default wall-clock heartbeat cadence for shard children.
-HEARTBEAT_INTERVAL_NS = 25_000_000  # 25 ms
 
 
 class ShardBooks:
@@ -132,7 +129,6 @@ def shard_child_main(
     transport: Transport,
     shard_id: int,
     config: Optional[PipelineConfig] = None,
-    heartbeat_interval_ns: int = HEARTBEAT_INTERVAL_NS,
 ) -> int:
     """The worker shard's process body; returns an exit code.
 
@@ -144,10 +140,10 @@ def shard_child_main(
     kill_at_seq: Optional[int] = None
     hb_seq = 0
     last_hb_ns = 0
-    recv_timeout_s = heartbeat_interval_ns / 4 / 1e9
+    recv_timeout_s = HEARTBEAT_INTERVAL_NS / 4 / 1e9
     while True:
         now_ns = time.monotonic_ns()
-        if now_ns - last_hb_ns >= heartbeat_interval_ns:
+        if now_ns - last_hb_ns >= HEARTBEAT_INTERVAL_NS:
             try:
                 transport.send(encode_heartbeat(shard_id, hb_seq))
             except (TransportClosed, TransportError):

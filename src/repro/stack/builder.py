@@ -829,16 +829,16 @@ def build_sharded_runtime(
     config: Optional[PipelineConfig] = None,
     state_dir: Optional[str] = None,
     policy: str = "protect-handshakes",
-    heartbeat_deadline_ms: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
     **kwargs,
 ):
-    """``shard``: process placement derived from the stage topology.
+    """``shard``: the RX-queue workers as forked OS processes.
 
     Each RX queue's worker becomes its own OS process behind the MQ
-    frame codec over a real transport; the parent keeps the RSS router
-    and the shard control plane (heartbeats, restarts, the global
-    conservation ledger). See :mod:`repro.shard`.
+    frame codec over a pair of pipes; the parent keeps the RSS router
+    and the shard control plane (lock-step dispatch, the heartbeat
+    lease, restarts, the global conservation ledger). See
+    :mod:`repro.shard`.
     """
     # Lazy: repro.shard composes pieces from several packages; importing
     # it at module scope would cycle back through repro.stack.
@@ -849,7 +849,6 @@ def build_sharded_runtime(
         config=config,
         state_dir=state_dir,
         policy=policy,
-        heartbeat_deadline_ms=heartbeat_deadline_ms,
         registry=telemetry.registry if telemetry is not None else None,
         **kwargs,
     )

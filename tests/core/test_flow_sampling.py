@@ -78,7 +78,7 @@ class TestRetaRebalance:
         nic.rebalance([1, 1, 1, 5])  # bias toward queue 3
         for packet in packets[:2000]:
             nic.receive(packet)
-        balance = nic.stats.queue_balance()
+        balance = nic.queue_balance()
         assert balance[3] > 0.4
         assert all(share > 0.02 for share in balance[:3])
 

@@ -96,7 +96,7 @@ class TestStats:
         nic.receive_burst(packets)
         assert nic.stats.ipackets == 400
         assert nic.stats.ibytes == sum(len(p.data) for p in packets)
-        balance = nic.stats.queue_balance()
+        balance = nic.queue_balance()
         assert abs(sum(balance) - 1.0) < 1e-9
         assert all(share > 0.1 for share in balance)
 

@@ -60,12 +60,6 @@ class TestFailureDetector:
         detector.forget(0)
         assert detector.expired(now_ns=1_000) == []
 
-    def test_disabled_detector_never_expires(self):
-        detector = FailureDetector(deadline_ns=None)
-        assert not detector.enabled
-        detector.watch(0, now_ns=0)
-        assert detector.expired(now_ns=10**18) == []
-
     def test_zero_deadline_rejected(self):
         with pytest.raises(ValueError):
             FailureDetector(deadline_ns=0)

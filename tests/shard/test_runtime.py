@@ -6,6 +6,12 @@ global ledger ``ingested == processed + dropped + deadlettered + shed
 never the *sum*.
 """
 
+import os
+import random
+import signal
+import threading
+import time
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -13,9 +19,11 @@ from repro.core.pipeline import RuruPipeline
 from repro.dpdk.nic import NicPort
 from repro.mq.codec import decode_latency_record, encode_latency_record
 from repro.net.packet import build_tcp_packet
-from repro.net.tcp import TCP_FLAG_SYN
+from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_SYN
+from repro.shard import heartbeat
 from repro.shard.runtime import ShardedRuntime
 from repro.traffic.generator import GeneratorConfig, TrafficGenerator
+from tests.shard.conftest import stop_process
 
 NS_PER_S = 1_000_000_000
 
@@ -34,6 +42,21 @@ def run_sharded(packets, num_shards=2, batch_size=64, **kwargs):
         return runtime.run(packets, batch_size=batch_size)
     finally:
         runtime.close()
+
+
+def rounds_of(packets, batch_size=64):
+    return [
+        packets[start : start + batch_size]
+        for start in range(0, len(packets), batch_size)
+    ]
+
+
+@pytest.fixture
+def lease_s(monkeypatch):
+    """The shipped lease is 2 s; 0.4 s keeps tier-1 fast and is still
+    sixteen heartbeats a loaded host would have to swallow."""
+    monkeypatch.setattr(heartbeat, "LEASE_HEARTBEATS", 16)
+    return 16 * heartbeat.HEARTBEAT_INTERVAL_NS / 1e9
 
 
 class TestCleanRun:
@@ -186,40 +209,226 @@ class TestChaos:
         assert report.states["shard-1"] == "failed"
         assert report.restarts == 1
 
-    def test_wallclock_mode_declares_by_heartbeat_deadline(self, packets):
-        """Kill a shard under wall-clock supervision: only the victim
-        is declared, with the heartbeat-deadline cause."""
-        runtime = ShardedRuntime(
-            2,
-            PipelineConfig(),
-            heartbeat_deadline_ms=150.0,
-            heartbeat_interval_ms=10.0,
-        )
+    def test_a_later_death_is_not_the_scheduled_kills(self, packets):
+        """A fault fires once: the scheduled kill labels the death it
+        produced, and a SIGKILL from outside after the rejoin is an
+        ordinary EOF."""
+        runtime = ShardedRuntime(2, PipelineConfig())
+        runtime.schedule_kill(1, at_seq=3)
+        victim = runtime.supervisor.handles[1]
         killed = False
         try:
-            runtime.start()
-            batch = []
-            for packet in packets:
-                batch.append(packet)
-                if len(batch) == 64:
-                    runtime.offer(batch)
-                    batch = []
-                    if not killed and runtime._round >= 3:
-                        runtime.kill_shard(1)
-                        killed = True
-            if batch:
+            for batch in rounds_of(packets):
+                if not killed and victim.restarts == 1 and victim.live:
+                    os.kill(victim.pid, signal.SIGKILL)
+                    killed = True
                 runtime.offer(batch)
             report = runtime.drain()
         finally:
             runtime.close()
         assert report.ledger.ok, str(report.ledger)
+        assert report.shards["shard-1"]["causes"] == [
+            "scheduled-kill",
+            "transport-eof",
+        ]
+        assert report.shards["shard-1"]["restarts"] == 2
+
+
+class TestStall:
+    """A shard that is alive but stuck (SIGSTOP here; a deadlock or a
+    swap storm in production) sends no EOF. Every wait on it sits under
+    the heartbeat lease, so it costs one lease and whatever was in
+    flight — never the run."""
+
+    def _assert_survived(self, report, lost, restarts, state):
+        assert report.ok, report.failed_checks()
         victim = report.shards["shard-1"]
-        assert victim["causes"], "the kill was never declared"
-        assert all(
-            c in ("heartbeat-deadline", "transport-eof")
-            for c in victim["causes"]
+        assert victim["causes"] == ["heartbeat-deadline"]
+        assert victim["lost_at_crash"] == lost == report.ledger.lost_at_crash
+        assert (victim["restarts"], victim["state"]) == (restarts, state)
+        # The neighbour's heartbeats sat unread while the parent waited
+        # out the victim's lease; it must not be charged for that.
+        neighbour = report.shards["shard-0"]
+        assert neighbour["causes"] == [] and neighbour["restarts"] == 0
+        assert neighbour["state"] == "drained"
+
+    def test_stall_with_a_batch_in_flight(self, packets, lease_s):
+        runtime = ShardedRuntime(2, PipelineConfig())
+        victim = runtime.supervisor.handles[1]
+        try:
+            for number, batch in enumerate(rounds_of(packets)):
+                if number != 3:
+                    runtime.offer(batch)
+                    continue
+                stop_process(victim.pid)
+                before = victim.dispatched_packets
+                started = time.monotonic()
+                runtime.offer(batch)
+                elapsed = time.monotonic() - started
+                stalled_batch = victim.dispatched_packets - before
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert lease_s * 0.9 < elapsed < lease_s * 3
+        assert stalled_batch > 0
+        self._assert_survived(report, stalled_batch, 1, "drained")
+
+    def test_stall_with_a_checkpoint_reply_pending(
+        self, packets, lease_s, tmp_path
+    ):
+        runtime = ShardedRuntime(
+            2,
+            PipelineConfig(),
+            state_dir=str(tmp_path),
+            checkpoint_every_batches=None,
         )
+        try:
+            for number, batch in enumerate(rounds_of(packets)):
+                runtime.offer(batch)
+                if number == 3:
+                    stop_process(runtime.supervisor.handles[1].pid)
+                    started = time.monotonic()
+                    assert runtime.checkpoint_all() == 1  # shard 0's only
+                    elapsed = time.monotonic() - started
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert lease_s * 0.9 < elapsed < lease_s * 3
+        # Nothing was in flight: the round had settled.
+        self._assert_survived(report, 0, 1, "drained")
+
+    def test_stall_at_drain(self, packets, lease_s):
+        runtime = ShardedRuntime(2, PipelineConfig())
+        try:
+            for batch in rounds_of(packets):
+                runtime.offer(batch)
+            stop_process(runtime.supervisor.handles[1].pid)
+            started = time.monotonic()
+            report = runtime.drain()
+            elapsed = time.monotonic() - started
+        finally:
+            runtime.close()
+        assert lease_s * 0.9 < elapsed < lease_s * 3
+        # No round is left to rejoin in: the victim ends the run down,
+        # like a shard killed in the final round.
+        self._assert_survived(report, 0, 0, "down")
+        assert "shard-1" not in report.child_ledgers
+
+    def test_stall_on_a_batch_too_big_for_the_pipe(self, lease_s):
+        """A stopped shard reads nothing, so a batch larger than the
+        pipe buffer blocks in the *write* — also a wait under the
+        lease. It never reached the shard: deadlettered, not lost."""
+        rng = random.Random(5)
+        big = [
+            build_tcp_packet(
+                rng.getrandbits(32), 0xC0A80001, rng.randrange(1024, 65536),
+                443, TCP_FLAG_ACK, payload=b"x" * 1400, timestamp_ns=i * 1000,
+            )
+            for i in range(256)
+        ]
+        runtime = ShardedRuntime(2, PipelineConfig())
+        try:
+            runtime.start()
+            stop_process(runtime.supervisor.handles[1].pid)
+            started = time.monotonic()
+            runtime.offer(big)
+            elapsed = time.monotonic() - started
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert lease_s * 0.9 < elapsed < lease_s * 3
+        assert report.ledger.ok, str(report.ledger)
+        victim = report.shards["shard-1"]
+        assert victim["causes"] == ["heartbeat-deadline"]
+        assert victim["deadlettered"] > 0 and victim["lost_at_crash"] == 0
         assert report.shards["shard-0"]["causes"] == []
+
+    def test_a_pause_inside_the_lease_changes_nothing(self, packets, lease_s):
+        """Determinism, stated as a test: stop and resume shards at
+        seeded random rounds, always inside the lease — nobody is
+        declared and every count equals an undisturbed run's."""
+
+        def counts(report):
+            result = report.as_dict()
+            del result["heartbeats_seen"]  # the one wall-clock field
+            return result
+
+        undisturbed = counts(run_sharded(packets))
+        rng = random.Random(19)
+        rounds = rounds_of(packets)
+        pauses = {
+            number: rng.randrange(2)
+            for number in rng.sample(range(len(rounds)), 4)
+        }
+        runtime = ShardedRuntime(2, PipelineConfig())
+        try:
+            runtime.start()
+            for number, batch in enumerate(rounds):
+                resume = None
+                if number in pauses:
+                    pid = runtime.supervisor.handles[pauses[number]].pid
+                    stop_process(pid)
+                    resume = threading.Timer(
+                        lease_s * rng.uniform(0.1, 0.3),
+                        os.kill, (pid, signal.SIGCONT),
+                    )
+                    resume.start()
+                runtime.offer(batch)  # blocks until the shard is resumed
+                if resume is not None:
+                    resume.join(timeout=5.0)
+                    assert not resume.is_alive()
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert report.restarts == 0
+        assert counts(report) == undisturbed
+
+    def test_a_sleeping_parent_declares_nobody(self, packets, lease_s):
+        """Heartbeats that queued while the parent was away are read
+        before any lease is judged — even in a round that gives the
+        parent no other reason to read them."""
+        runtime = ShardedRuntime(2, PipelineConfig())
+        try:
+            rounds = rounds_of(packets)
+            runtime.offer(rounds[0])
+            time.sleep(lease_s * 1.5)
+            runtime.offer([])
+            for batch in rounds[1:]:
+                runtime.offer(batch)
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert report.ok, report.failed_checks()
+        assert report.restarts == 0
+        assert all(ledger["causes"] == [] for ledger in report.shards.values())
+
+    def test_stalling_after_every_rejoin_exhausts_the_budget(
+        self, packets, lease_s
+    ):
+        runtime = ShardedRuntime(
+            2,
+            PipelineConfig(),
+            max_restarts_per_shard=1,
+            policy="reroute-all",
+        )
+        victim = runtime.supervisor.handles[1]
+        stopped = set()
+        try:
+            runtime.start()
+            for batch in rounds_of(packets):
+                if victim.live and victim.pid not in stopped:
+                    stopped.add(victim.pid)
+                    stop_process(victim.pid)
+                runtime.offer(batch)
+            report = runtime.drain()
+        finally:
+            runtime.close()
+        assert report.ledger.ok, str(report.ledger)
+        assert report.states == {"shard-0": "drained", "shard-1": "failed"}
+        assert report.restarts == 1
+        assert report.shards["shard-1"]["causes"] == ["heartbeat-deadline"] * 2
+        assert report.shards["shard-0"]["causes"] == []
+        assert report.rerouted_packets > 0
 
 
 class TestRouteMap:

@@ -7,13 +7,13 @@ state machines standing in for the full worker body so each property
 
 import os
 import signal
+import time
 
 import pytest
 
 from repro.resilience import RestartBudget
 from repro.shard import protocol
 from repro.shard.heartbeat import FailureDetector, encode_heartbeat
-from repro.shard.placement import derive_placement
 from repro.shard.supervisor import (
     SHARD_DOWN,
     SHARD_DRAINED,
@@ -22,6 +22,7 @@ from repro.shard.supervisor import (
     ShardSupervisor,
 )
 from repro.shard.transport import TransportClosed
+from tests.shard.conftest import stop_process
 
 
 def _obedient_entry(shard_id, transport):
@@ -50,13 +51,17 @@ def _obedient_entry(shard_id, transport):
 
 
 def _make_supervisor(num_shards=2, **kwargs):
-    plan = derive_placement(num_shards)
-    return ShardSupervisor(plan.shards, _obedient_entry, **kwargs)
+    return ShardSupervisor(num_shards, _obedient_entry, **kwargs)
+
+
+def _kill(supervisor, shard_id):
+    """Chaos from outside: SIGKILL the shard process directly."""
+    os.kill(supervisor.handles[shard_id].pid, signal.SIGKILL)
 
 
 def _drain_all(supervisor):
     for handle in supervisor.handles.values():
-        supervisor.drain_shard(handle, timeout_s=10.0)
+        supervisor.drain_shard(handle)
 
 
 class TestSpawnAndDrain:
@@ -81,7 +86,7 @@ class TestSpawnAndDrain:
         supervisor.start()
         try:
             handle = supervisor.handles[1]
-            payload = supervisor.drain_shard(handle, timeout_s=10.0)
+            payload = supervisor.drain_shard(handle)
             assert payload is not None and payload["shard_id"] == 1
             assert handle.state == SHARD_DRAINED
             assert handle.transport is None and handle.pid is None
@@ -116,7 +121,7 @@ class TestCrashContainment:
         try:
             victim = supervisor.handles[0]
             victim.inflight = {7: 42}  # pretend a batch was in flight
-            supervisor.kill(0, signal.SIGKILL)
+            _kill(supervisor, 0)
             lost = supervisor.declare_down(0, cause="chaos")
             assert lost == 42
             assert victim.lost_at_crash == 42
@@ -140,14 +145,12 @@ class TestCrashContainment:
             handle = supervisor.handles[0]
             handle.transport.send(Message([b"hb-now"]))
             # Give the child time to reply, then kill it.
-            import time
-
             deadline = time.monotonic() + 5.0
             while not handle.transport.pump():
                 if time.monotonic() > deadline:
                     pytest.fail("child never replied")
                 time.sleep(0.01)
-            supervisor.kill(0)
+            _kill(supervisor, 0)
             supervisor.declare_down(0, cause="chaos")
             assert supervisor.heartbeats_seen == 1
         finally:
@@ -157,12 +160,54 @@ class TestCrashContainment:
         supervisor = _make_supervisor(1)
         supervisor.start()
         try:
-            supervisor.kill(0)
+            _kill(supervisor, 0)
             supervisor.declare_down(0, cause="first")
             assert supervisor.declare_down(0, cause="second") == 0
             assert supervisor.handles[0].causes == ["first"]
         finally:
             supervisor.shutdown()
+
+
+class TestStalledProcess:
+    """A stopped process never exits on its own: whoever waits for it
+    without killing it first waits forever."""
+
+    def test_declare_down_kills_before_it_reaps(self):
+        supervisor = _make_supervisor(2)
+        supervisor.start()
+        try:
+            stop_process(supervisor.handles[0].pid)
+            supervisor.handles[0].inflight = {3: 17}
+            assert supervisor.declare_down(0, cause="heartbeat-deadline") == 17
+            assert supervisor.handles[0].state == SHARD_DOWN
+            assert supervisor.handles[0].pid is None
+            assert supervisor.handles[1].state == SHARD_UP
+        finally:
+            _drain_all(supervisor)
+            supervisor.shutdown()
+
+    def test_drain_of_a_silent_shard_ends_at_its_lease(self):
+        detector = FailureDetector(deadline_ns=200_000_000)
+        supervisor = _make_supervisor(1, detector=detector)
+        supervisor.start()
+        try:
+            stop_process(supervisor.handles[0].pid)
+            started = time.monotonic()
+            assert supervisor.drain_shard(supervisor.handles[0]) is None
+            assert 0.15 < time.monotonic() - started < 2.0
+            handle = supervisor.handles[0]
+            assert handle.state == SHARD_DOWN
+            assert handle.causes == ["heartbeat-deadline"]
+            assert handle.pid is None and handle.transport is None
+        finally:
+            supervisor.shutdown()
+
+    def test_shutdown_collects_a_stopped_process(self):
+        supervisor = _make_supervisor(1)
+        supervisor.start()
+        stop_process(supervisor.handles[0].pid)
+        supervisor.shutdown()
+        assert supervisor.handles[0].pid is None
 
 
 class TestRestart:
@@ -171,7 +216,7 @@ class TestRestart:
         supervisor.start()
         try:
             old_pid = supervisor.handles[0].pid
-            supervisor.kill(0)
+            _kill(supervisor, 0)
             supervisor.declare_down(0, cause="chaos")
             assert supervisor.restart(0, {"state": {"last_seq": 9}})
             handle = supervisor.handles[0]
@@ -179,7 +224,7 @@ class TestRestart:
             assert handle.pid != old_pid
             assert handle.restarts == 1
             assert supervisor.total_restarts == 1
-            payload = supervisor.drain_shard(handle, timeout_s=10.0)
+            payload = supervisor.drain_shard(handle)
             assert payload["restored"] == {"state": {"last_seq": 9}}
         finally:
             _drain_all(supervisor)
@@ -201,10 +246,10 @@ class TestRestart:
         )
         supervisor.start()
         try:
-            supervisor.kill(0)
+            _kill(supervisor, 0)
             supervisor.declare_down(0, cause="chaos-1")
             assert supervisor.restart(0) is True
-            supervisor.kill(0)
+            _kill(supervisor, 0)
             supervisor.declare_down(0, cause="chaos-2")
             assert supervisor.restart(0) is False
             assert supervisor.handles[0].state == SHARD_FAILED
@@ -222,7 +267,7 @@ class TestObservability:
         try:
             registry = MetricsRegistry()
             supervisor.bind_registry(registry)
-            supervisor.kill(0)
+            _kill(supervisor, 0)
             supervisor.declare_down(0, cause="chaos")
             snap = registry.snapshot()
             up = {

@@ -6,15 +6,7 @@ import signal
 import pytest
 
 from repro.mq.frames import Message
-from repro.shard.transport import (
-    Transport,
-    TransportClosed,
-    TransportError,
-    loopback_pair,
-    make_fd_pair,
-    pipe_pair,
-    socketpair_pair,
-)
+from repro.shard.transport import TransportClosed, TransportError, pipe_pair
 
 
 def msg(*frames: bytes) -> Message:
@@ -22,8 +14,8 @@ def msg(*frames: bytes) -> Message:
 
 
 class TestLoopback:
-    def test_send_recv_round_trip_both_kinds(self):
-        a, b = loopback_pair()
+    def test_send_recv_round_trip_both_kinds(self, loopback_pair):
+        a, b = loopback_pair
         a.send(msg(b"topic", b"payload"))
         received = b.recv(timeout=1.0)
         assert received.frames == (b"topic", b"payload")
@@ -32,14 +24,14 @@ class TestLoopback:
         a.close()
         b.close()
 
-    def test_recv_timeout_returns_none(self):
-        a, b = loopback_pair()
+    def test_recv_timeout_returns_none(self, loopback_pair):
+        a, b = loopback_pair
         assert b.recv(timeout=0.0) is None
         a.close()
         b.close()
 
-    def test_recv_all_drains_in_order(self):
-        a, b = loopback_pair()
+    def test_recv_all_drains_in_order(self, loopback_pair):
+        a, b = loopback_pair
         for i in range(5):
             a.send(msg(b"t", bytes([i])))
         out = b.recv_all()
@@ -47,8 +39,8 @@ class TestLoopback:
         a.close()
         b.close()
 
-    def test_eof_raises_transport_closed_once_inbox_empties(self):
-        a, b = loopback_pair()
+    def test_eof_raises_transport_closed_once_inbox_empties(self, loopback_pair):
+        a, b = loopback_pair
         a.send(msg(b"last"))
         a.close()
         assert b.recv(timeout=1.0).frames == (b"last",)
@@ -56,26 +48,25 @@ class TestLoopback:
             b.recv(timeout=1.0)
         b.close()
 
-    def test_send_to_dead_peer_raises_closed(self):
-        a, b = loopback_pair()
+    def test_send_to_dead_peer_raises_closed(self, loopback_pair):
+        a, b = loopback_pair
         b.close()
         with pytest.raises(TransportClosed):
-            # A socketpair may absorb a buffer's worth first; keep
-            # writing until the kernel reports the peer is gone.
+            # Keep writing until the kernel reports the peer is gone.
             for _ in range(64):
                 a.send(msg(b"x" * 65536))
         a.close()
 
-    def test_send_stall_times_out_instead_of_hanging(self):
-        a, b = loopback_pair()
-        big = msg(b"x" * (1 << 22))  # 4 MiB >> socket buffers
+    def test_send_stall_times_out_instead_of_hanging(self, loopback_pair):
+        a, b = loopback_pair
+        big = msg(b"x" * (1 << 22))  # 4 MiB >> pipe buffer
         with pytest.raises(TransportError):
             a.send(big, timeout=0.2)
         a.close()
         b.close()
 
-    def test_pump_latches_eof_without_raising(self):
-        a, b = loopback_pair()
+    def test_pump_latches_eof_without_raising(self, loopback_pair):
+        a, b = loopback_pair
         a.close()
         b.pump()
         assert b.eof
@@ -83,16 +74,16 @@ class TestLoopback:
 
 
 class TestTornTail:
-    def test_torn_tail_from_killed_writer_stays_buffered(self):
+    def test_torn_tail_from_killed_writer_stays_buffered(self, loopback_pair):
         """A peer SIGKILLed mid-message must not poison the reader."""
-        a, b = loopback_pair()
+        a, b = loopback_pair
         blob = bytes(memoryview(bytearray(1024)))
         # Write a complete message then a torn prefix of another, raw.
         from repro.shard.wire import encode_message
 
         encoded = encode_message(msg(b"whole", blob))
         torn = encode_message(msg(b"torn", blob))[:-7]
-        os.write(a.fileno(), encoded + torn)
+        os.write(a._write_fd, encoded + torn)
         a.close()
         assert b.recv(timeout=1.0).frames[0] == b"whole"
         with pytest.raises(TransportClosed):
@@ -101,9 +92,9 @@ class TestTornTail:
 
 
 class TestFdPairs:
-    @pytest.mark.parametrize("kind", ["pipe", "socketpair"])
-    def test_cross_process_round_trip(self, kind):
-        pair = make_fd_pair(kind)
+    @pytest.mark.parametrize("make_pair", [pipe_pair], ids=["pipe"])
+    def test_cross_process_round_trip(self, make_pair):
+        pair = make_pair()
         pid = os.fork()
         if pid == 0:
             code = 1
@@ -123,9 +114,9 @@ class TestFdPairs:
         assert os.waitstatus_to_exitcode(status) == 0
         parent.close()
 
-    @pytest.mark.parametrize("kind", ["pipe", "socketpair"])
-    def test_child_sigkill_produces_eof(self, kind):
-        pair = make_fd_pair(kind)
+    @pytest.mark.parametrize("make_pair", [pipe_pair], ids=["pipe"])
+    def test_child_sigkill_produces_eof(self, make_pair):
+        pair = make_pair()
         pid = os.fork()
         if pid == 0:
             pair.adopt_child()
@@ -165,7 +156,7 @@ class TestFdPairs:
     def test_bidirectional_flood_does_not_deadlock(self):
         """Both sides writing more than the pipe holds: send's
         drain-while-blocked loop must break the write-write cycle."""
-        pair = socketpair_pair()
+        pair = pipe_pair()
         chunk = os.urandom(1 << 18)  # 256 KiB each way
         pid = os.fork()
         if pid == 0:

@@ -12,7 +12,11 @@ second worker body. A frame's headers are walked once, by the port's
 ``PacketParser.parse``: ``struct`` imported on the packet path, or a
 ``PacketParser(`` built anywhere new, is how a second header walker
 usually starts (a tripwire, not a proof: one that only indexes
-``data[offset]`` passes). This test walks the source tree with the AST
+``data[offset]`` passes). The sharded runtime has one mode — lock-step
+dispatch under the heartbeat lease — so an option that selects another
+(a deadline, a window, a transport kind), a fifth lifecycle state or a
+private ``time.monotonic()`` deadline is how the second one comes
+back. This test walks the source tree with the AST
 module so string mentions in docstrings or comments do not trip it;
 only real names, imports, call sites and class definitions count.
 """
@@ -174,6 +178,136 @@ def parser_construction_files(root=SRC):
             if isinstance(node, ast.Call) and _called_name(node) == "PacketParser"
         }
     )
+
+
+#: Options that selected the retired wall-clock mode or second transport.
+SHARD_MODE_OPTIONS = {
+    "heartbeat_deadline_ms",
+    "max_inflight",
+    "transport",
+    "transport_kind",
+}
+
+
+def _functions(path):
+    return [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _mode_options(node):
+    """*node*'s parameters that are shard mode options. A *required*
+    ``transport`` is the channel object a child is handed, not a choice
+    of one; with a default it is the choice."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    required = positional[: len(positional) - len(args.defaults)] + [
+        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if not default
+    ]
+    return [
+        arg.arg
+        for arg in (*positional, *args.kwonlyargs)
+        if arg.arg in SHARD_MODE_OPTIONS
+        and not (arg.arg == "transport" and arg in required)
+    ]
+
+
+def shard_mode_parameters(root=SRC):
+    """Mode-switch parameters in any signature under ``shard/`` or on
+    the builder's ``build_sharded_runtime``."""
+    functions = [
+        (path, node)
+        for path in sorted((root / "shard").rglob("*.py"))
+        for node in _functions(path)
+    ] + [
+        (path, node)
+        for path in [root / "stack" / "builder.py"]
+        if path.exists()
+        for node in _functions(path)
+        if node.name == "build_sharded_runtime"
+    ]
+    return [
+        (path, node.name, name)
+        for path, node in functions
+        for name in _mode_options(node)
+    ]
+
+
+def calls_named(name, root=SRC):
+    return [
+        (path, node.lineno)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _called_name(node) == name
+    ]
+
+
+def shard_lifecycle_states(root=SRC):
+    tree = ast.parse((root / "shard" / "supervisor.py").read_text())
+    return sorted(
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("SHARD_")
+    )
+
+
+class TestOneShardMode:
+    def test_no_mode_switch_in_any_shard_signature(self):
+        offenders = [
+            f"{path.relative_to(SRC)} {function}({name}=)"
+            for path, function, name in shard_mode_parameters()
+        ]
+        assert not offenders, (
+            "an option that selects a second shard mode or transport:\n  "
+            + "\n  ".join(offenders)
+        )
+
+    def test_one_transport_and_one_stall_detector(self):
+        assert calls_named("socketpair") == []
+        # The lease and the child's cadence read monotonic_ns; a
+        # time.monotonic() is a private deadline beside the lease.
+        assert calls_named("monotonic", SRC / "shard") == []
+
+    def test_four_lifecycle_states(self):
+        assert shard_lifecycle_states() == [
+            "SHARD_DOWN",
+            "SHARD_DRAINED",
+            "SHARD_FAILED",
+            "SHARD_UP",
+        ]
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "shard").mkdir()
+        (tmp_path / "shard" / "supervisor.py").write_text(
+            'SHARD_UP = "up"\n'
+            'SHARD_SUSPECT = "suspect"\n'
+            "POLL_S = 0.05\n"
+            "class Supervisor:\n"
+            "    def __init__(self, entry, transport_kind='pipe'):\n"
+            "        left, right = socket.socketpair()\n"
+            "    def wait(self, transport, *, max_inflight=4):\n"
+            "        deadline = time.monotonic() + 30.0\n"
+            "        now = time.monotonic_ns()\n"
+        )
+        (tmp_path / "stack").mkdir()
+        (tmp_path / "stack" / "builder.py").write_text(
+            "def build_sharded_runtime(shards, *, transport='pipe',\n"
+            "                          heartbeat_deadline_ms=None): pass\n"
+            "def build_live_stack(transport=None): pass\n"
+        )
+        assert [name for _, _, name in shard_mode_parameters(tmp_path)] == [
+            "transport_kind",
+            "max_inflight",
+            "transport",
+            "heartbeat_deadline_ms",
+        ]
+        assert len(calls_named("socketpair", tmp_path)) == 1
+        assert len(calls_named("monotonic", tmp_path / "shard")) == 1
+        assert shard_lifecycle_states(tmp_path) == ["SHARD_SUSPECT", "SHARD_UP"]
 
 
 class TestOneBodyPerHotFunction:
