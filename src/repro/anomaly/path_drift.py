@@ -74,10 +74,12 @@ class Reservoir:
         self.capacity = capacity
         self._rng = _SplitMix64(seed)
         self._items: List[float] = []
+        self._packed: Optional[str] = None  # of _items, until the next add
         self.seen = 0
 
     def add(self, value: float) -> None:
         self.seen += 1
+        self._packed = None
         if len(self._items) < self.capacity:
             self._items.append(value)
             return
@@ -94,10 +96,13 @@ class Reservoir:
 
     def state_dict(self) -> dict:
         """Snapshot the sample, the stream position, and the RNG."""
+        if self._packed is None:
+            # Most paths see no sample between two checkpoints.
+            self._packed = _pack_floats(self._items)
         return {
             "capacity": self.capacity,
             "seen": self.seen,
-            "items": _pack_floats(self._items),
+            "items": self._packed,
             "rng": self._rng.state,
         }
 

@@ -12,7 +12,8 @@ accounted-for loss:
   :class:`SnapshotError`; partial state is never loaded.
 * :mod:`~repro.durability.wal` — a write-ahead log in front of
   :mod:`repro.tsdb.storage` with monotonic batch ids, so restored runs
-  never double-write points.
+  never double-write points. It is the store's only durable image: the
+  store is always ``replay(log)``, and retention compacts the log.
 * :mod:`~repro.durability.checkpoint` — the periodic checkpointer (on
   the virtual clock) persisting flow tables, aggregators, anomaly
   baselines, the resilience ledger and the DLQ; atomic writes, with
@@ -22,8 +23,8 @@ accounted-for loss:
   (:meth:`repro.stack.RuruStack.drain`) and the ``ruru_checkpoint_*`` /
   ``ruru_wal_*`` / ``ruru_recovery_*`` metrics live there.
 * :mod:`~repro.durability.recovery` — hot restart: load the latest
-  valid checkpoint, replay the WAL idempotently, reconcile the ledger
-  with an explicit ``lost_at_crash`` term, resume.
+  valid checkpoint, rebuild the store from the WAL idempotently,
+  reconcile the ledger with an explicit ``lost_at_crash`` term, resume.
 * :mod:`~repro.durability.harness` — the kill-anywhere recovery
   harness: deterministic crash points at every stage boundary,
   post-recovery invariants per (profile, seed, crash point).

@@ -3,8 +3,9 @@
 A checkpoint is one :mod:`repro.durability.codec` envelope holding the
 ``state_dict`` of every stateful tier — flow tables mid-handshake,
 the open aggregation window, anomaly baselines, the resilience ledger,
-the DLQ, and a full line-protocol dump of the TSDB together with the
-WAL high-water mark it covers.
+the DLQ — and, for the TSDB, only its position in the write-ahead log
+(the batch-id high-water mark): the log is the store's durable image,
+so a checkpoint's size does not grow with the store.
 
 Write discipline: serialize to ``<name>.tmp``, fsync, then
 ``os.replace`` onto the final name — so the final path either holds a
@@ -66,8 +67,7 @@ class Checkpointer:
             :class:`~repro.faults.crashpoints.CrashSchedule` — the
             checkpoint write path is itself a crash surface and
             instruments ``checkpoint.pre`` / ``mid`` / ``post``.
-        on_written: called with each new :class:`CheckpointInfo`
-            (the runtime truncates the WAL here).
+        on_written: called with each new :class:`CheckpointInfo`.
         fsync: fsync the tmp file before the atomic rename. Same
             policy as the WAL: the recovery tests simulate crashes
             in-process, where a flush plus ``os.replace`` suffices;
@@ -166,9 +166,9 @@ class Checkpointer:
         self.last_checkpoint_ns = now_ns
         self.last_info = info
         self._prune()
-        # checkpoint.post sits between the durable checkpoint and the
-        # WAL truncation in on_written: a crash here leaves stale WAL
-        # entries whose replay the batch-id dedup must absorb.
+        # checkpoint.post: the checkpoint is durable, the process dies
+        # before doing anything else — every logged batch is at or
+        # below the mark just written, so recovery re-applies nothing.
         self._reached("checkpoint.post")
         if self.on_written is not None:
             self.on_written(info)

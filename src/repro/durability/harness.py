@@ -23,7 +23,7 @@ Invariants asserted per (profile, seed, crash_point):
 * the armed crash actually fired at its point;
 * the reconciled ledger balances with an explicit, non-negative
   ``lost_at_crash``;
-* an immediate second WAL replay applies **zero** batches — the
+* an immediate second WAL replay adds **nothing** to the store — the
   batch-id dedup makes replay idempotent, so nothing double-writes;
 * after resuming and draining, the extended equation still balances
   over the *whole* trial (observer total vs final counters);
@@ -227,10 +227,12 @@ class RecoveryHarness:
         recovery = recover_runtime(survivor, observed_ingested=observed_at_crash)
 
         # Idempotence probe: replaying the same WAL again must apply
-        # nothing — every batch is now at or below the high-water mark.
-        applied_before = survivor.tsdb.replayed_batches
-        survivor.tsdb.replay_wal(now_ns=survivor.now_ns)
-        double_replay_applied = survivor.tsdb.replayed_batches - applied_before
+        # nothing — the store already holds every batch in it. Read off
+        # the store itself (no retention pass, so any growth is a
+        # double write), not off the loss-window counters.
+        points_before = survivor.tsdb.total_points()
+        survivor.tsdb.replay_wal()
+        double_replay_applied = survivor.tsdb.total_points() - points_before
 
         for batch in batches[fed:]:
             survivor.process_batch(batch)

@@ -9,10 +9,12 @@ the dead process left behind, it
    bit-flipped files are skipped, falling back to the previous one);
 2. restores every tier's state from it — or cold-starts if nothing
    valid survives;
-3. replays the WAL idempotently: batches the checkpoint already
-   covers are skipped by batch-id dedup, aborted batches never apply,
-   a torn tail stops replay cleanly, and replayed points already past
-   retention are dropped, not resurrected;
+3. rebuilds the store by replaying the WAL — its only durable image —
+   idempotently: batches the in-memory store already holds are skipped
+   by batch-id dedup, those above the checkpoint's mark are reported
+   as the re-applied loss window, aborted batches never apply, a torn
+   tail stops replay cleanly, a damaged frame costs one batch, and
+   replayed points already past retention are dropped, not resurrected;
 4. reconciles the ledger. With the outside observer's ingest count
    (the harness's stand-in for the tap's hardware counters) the loss
    window is explicit::
@@ -49,6 +51,7 @@ class RecoveryReport:
     ledger: Ledger
     durability_ledger: Optional[Ledger]
     duration_s: float
+    damaged_frames: int = 0
 
     @property
     def ok(self) -> bool:
@@ -83,6 +86,11 @@ class RecoveryReport:
             f"{self.duplicates_skipped} duplicates skipped"
             + (", torn tail tolerated" if self.torn_tail else "")
         )
+        if self.damaged_frames:
+            lines.append(
+                f"  damaged wal frames skipped: {self.damaged_frames} "
+                f"(their batches are lost)"
+            )
         if self.expired_dropped:
             lines.append(
                 f"  retention at recovery: {self.expired_dropped} "
@@ -121,8 +129,8 @@ def recover_runtime(stack, observed_ingested: Optional[int] = None) -> RecoveryR
         stack.load_state(state)
         stack.recovered_from = info
 
-    # Replay what the checkpoint has not covered. Retention runs at
-    # the recovered clock so aged-out points stay gone.
+    # Rebuild the store from its log. Retention runs at the recovered
+    # clock so aged-out points stay gone.
     replay = stack.tsdb.replay_wal(now_ns=stack.now_ns)
 
     ledger = stack.service.conservation_ledger()
@@ -148,4 +156,5 @@ def recover_runtime(stack, observed_ingested: Optional[int] = None) -> RecoveryR
         ledger=ledger,
         durability_ledger=durability_ledger,
         duration_s=time.perf_counter() - started,
+        damaged_frames=replay.damaged_frames,
     )

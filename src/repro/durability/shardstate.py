@@ -14,10 +14,11 @@ shard's :class:`~repro.durability.wal.WriteAheadLog` (encoded as one
 line-protocol point, so the CRC framing, torn-tail tolerance and
 batch-id dedup are reused verbatim rather than reimplemented).
 
-Recovery of a crashed shard is the same two-step as the TSDB's:
-newest valid checkpoint, then replay of the WAL deltas above its
-high-water mark. The restored shard's self-reported ledger then
-matches the parent's per-shard accounting exactly.
+Recovery of a crashed shard is two steps: newest valid checkpoint,
+then replay of the WAL deltas above its high-water mark (the ack log,
+unlike the TSDB's, is truncated at each checkpoint — the worker state
+in the envelope *is* the image). The restored shard's self-reported
+ledger then matches the parent's per-shard accounting exactly.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class ShardStateStore:
 
         The checkpoint records the ack high-water mark it covers, so a
         crash between the write and the truncation replays only deltas
-        above the mark — the same stale-WAL dedup the TSDB relies on.
+        above the mark.
         """
         self._pending_state = {
             "format": SHARD_STATE_FORMAT,

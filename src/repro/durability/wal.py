@@ -1,27 +1,31 @@
-"""Write-ahead log in front of the TSDB, with idempotent replay.
+"""The TSDB's durable image: a write-ahead log with idempotent replay.
 
 The measurement store is in-memory; a kill -9 takes every point with
-it. Durability therefore comes from two artifacts on disk: the
-periodic checkpoint (a full dump plus the WAL high-water mark it
-covers) and this log, which records every write batch *before* the
-store applies it. Recovery = load checkpoint, then re-apply exactly
-the WAL batches the checkpoint has not seen.
+it. One invariant makes it durable: **the store is always
+``replay(log)``**. Every write batch is appended here *before* the
+store applies it and no checkpoint truncates the log, so a checkpoint
+carries only the store's position in it (a batch-id high-water mark)
+and any kept checkpoint pairs with the same log.
 
 Exactly-once is an accounting argument, not a hope:
 
 * every batch carries a **monotonic batch id** assigned by
   :class:`DurableTsdb`;
-* the checkpoint records ``last_applied_batch_id``;
-* replay applies only ids *above* that mark and counts the rest as
-  ``duplicates_skipped`` — a batch can never land twice;
+* replay applies only ids *above* what the in-memory store already
+  holds (0 in a fresh process) and counts the rest as
+  ``duplicates_skipped`` — a batch can never land twice; ids above the
+  checkpoint's ``last_applied_batch_id`` are the re-applied loss window;
 * a write the store *rejected* (fault-injected outage) appends an
   **abort record** for its id, so replay does not resurrect batches
   the retry machinery re-submitted under a later id.
 
-Torn tails are expected, not fatal: a crash mid-append leaves a
-partial frame at the end of the file. Replay verifies each frame's
-CRC and stops cleanly at the first damaged one — the torn frame's
-batch never reached the store either, so stopping is correct.
+What bounds the log is what bounds the store: retention **compacts**
+it (surviving frames to ``<path>.tmp``, then ``os.replace``) whenever
+it has dropped as many points as the store still holds since the last
+rewrite — amortised O(1) per point. Damage is expected, not fatal: a
+torn tail (a crash mid-append; that batch never reached the store
+either) ends replay cleanly and recovery cuts it off, and a frame whose
+CRC fails between intact ones costs that one batch, counted.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.tsdb.line_protocol import format_point, parse_line
 from repro.tsdb.point import Point
@@ -39,6 +43,13 @@ _RECORD_DATA = 0
 _RECORD_ABORT = 1
 # magic | type(1) | batch_id(8) | payload_len(4) | crc32(4)
 _FRAME = struct.Struct("!4sBQII")
+
+
+def _frame(record_type: int, batch_id: int, payload: bytes) -> bytes:
+    return (
+        _FRAME.pack(WAL_MAGIC, record_type, batch_id, len(payload), zlib.crc32(payload))
+        + payload
+    )
 
 
 class WalError(ValueError):
@@ -61,6 +72,7 @@ class WriteAheadLog:
         self._file = None
         self.appends = 0
         self.aborts = 0
+        self.compactions = 0
 
     # -- writing ------------------------------------------------------------
 
@@ -70,24 +82,15 @@ class WriteAheadLog:
         return self._file
 
     def _append_frame(self, record_type: int, batch_id: int, payload: bytes) -> None:
-        frame = _FRAME.pack(
-            WAL_MAGIC, record_type, batch_id, len(payload), zlib.crc32(payload)
-        )
         handle = self._handle()
-        handle.write(frame + payload)
+        handle.write(_frame(record_type, batch_id, payload))
         handle.flush()
         if self.fsync:
             os.fsync(handle.fileno())
 
     def append(self, batch_id: int, points: Iterable[Point]) -> int:
         """Log one batch before the store sees it; returns bytes written."""
-        return self.append_lines(batch_id, [format_point(p) for p in points])
-
-    def append_lines(self, batch_id: int, lines: List[str]) -> int:
-        """Like :meth:`append`, for points already in line protocol —
-        lets the caller format each point exactly once and reuse the
-        lines for its checkpoint cache."""
-        payload = "\n".join(lines).encode("utf-8")
+        payload = "\n".join([format_point(p) for p in points]).encode("utf-8")
         self._append_frame(_RECORD_DATA, batch_id, payload)
         self.appends += 1
         return _FRAME.size + len(payload)
@@ -110,50 +113,105 @@ class WriteAheadLog:
             self._file = None
 
     def truncate(self) -> None:
-        """Drop every frame — called once a checkpoint covers them."""
+        """Drop every frame (the shard ack log, once a checkpoint
+        covers it; the TSDB log is compacted, never truncated)."""
         self.close()
         with open(self.path, "wb"):
             pass
 
+    def compact(
+        self,
+        keep: Callable[[bytes], bool] = lambda line: True,
+        image: Tuple[int, List[str]] = (0, []),
+    ) -> None:
+        """Rewrite the log atomically, keeping what a replay would apply.
+
+        Intact data frames survive under their own batch ids with the
+        (still encoded) lines *keep* accepts; aborted batches, abort
+        records, damaged frames and a torn tail do not. *image*
+        ``(batch_id, lines)`` is written first as one frame standing in
+        for every batch up to that id, which are dropped. A failure
+        before the final ``os.replace`` leaves the old log as it was.
+        """
+        frames, _, _ = self._scan()
+        aborted = {batch_id for kind, batch_id, _ in frames if kind == _RECORD_ABORT}
+        covered, lines = image
+        kept = [(covered, "\n".join(lines).encode("utf-8"))] if lines else []
+        for kind, batch_id, payload in frames:
+            if kind == _RECORD_DATA and batch_id > covered and batch_id not in aborted:
+                payload = b"\n".join(
+                    [line for line in payload.split(b"\n") if line and keep(line)]
+                )
+                if payload:
+                    kept.append((batch_id, payload))
+        self.close()
+        tmp_path = self.path + ".tmp"
+        with open(tmp_path, "wb") as handle:
+            handle.write(
+                b"".join(_frame(_RECORD_DATA, batch_id, payload) for batch_id, payload in kept)
+            )
+            handle.flush()
+            if self.fsync:
+                os.fsync(handle.fileno())
+        os.replace(tmp_path, self.path)
+        self.compactions += 1
+
     # -- replay -------------------------------------------------------------
 
-    def replay(self) -> "WalReplay":
-        """Read the log back; tolerant of exactly one torn tail frame."""
-        batches: List[Tuple[int, List[Point]]] = []
-        aborted = set()
-        torn_tail = False
+    def _scan(self) -> Tuple[List[Tuple[int, int, bytes]], int, bool]:
+        """Every intact frame as (type, batch id, payload), the count of
+        damaged frames skipped, and whether the log ends in a torn tail."""
+        frames: List[Tuple[int, int, bytes]] = []
+        damaged = 0
         if not os.path.exists(self.path):
-            return WalReplay(batches=[], aborted_ids=set(), torn_tail=False)
+            return frames, damaged, False
         with open(self.path, "rb") as handle:
             data = handle.read()
         offset = 0
-        while offset < len(data):
-            header = data[offset : offset + _FRAME.size]
-            if len(header) < _FRAME.size:
-                torn_tail = True
-                break
-            magic, record_type, batch_id, length, crc = _FRAME.unpack(header)
+        while len(data) - offset >= _FRAME.size:
+            magic, record_type, batch_id, length, crc = _FRAME.unpack_from(data, offset)
             if magic != WAL_MAGIC:
                 raise WalError(
                     f"bad frame magic at offset {offset}: {magic!r}"
                 )
-            payload = data[offset + _FRAME.size : offset + _FRAME.size + length]
+            end = offset + _FRAME.size + length
+            payload = data[offset + _FRAME.size : end]
             if len(payload) < length or zlib.crc32(payload) != crc:
-                torn_tail = True
-                break
+                # A flipped bit costs this frame only if its length
+                # still lands on the next one; the last frame, or a
+                # length that points nowhere, is where the log ends.
+                if data[end : end + len(WAL_MAGIC)] != WAL_MAGIC:
+                    break
+                damaged += 1
+            elif record_type in (_RECORD_DATA, _RECORD_ABORT):
+                frames.append((record_type, batch_id, payload))
+            else:
+                raise WalError(f"unknown record type {record_type}")
+            offset = end
+        return frames, damaged, offset < len(data)
+
+    def replay(self) -> "WalReplay":
+        """Read the log back; tolerant of a torn tail and of damaged
+        frames between intact ones."""
+        frames, damaged, torn_tail = self._scan()
+        batches: List[Tuple[int, List[Point]]] = []
+        aborted = set()
+        for record_type, batch_id, payload in frames:
             if record_type == _RECORD_ABORT:
                 aborted.add(batch_id)
-            elif record_type == _RECORD_DATA:
+            else:
                 points = [
                     parse_line(line)
                     for line in payload.decode("utf-8").splitlines()
                     if line
                 ]
                 batches.append((batch_id, points))
-            else:
-                raise WalError(f"unknown record type {record_type}")
-            offset += _FRAME.size + length
-        return WalReplay(batches=batches, aborted_ids=aborted, torn_tail=torn_tail)
+        return WalReplay(
+            batches=batches,
+            aborted_ids=aborted,
+            torn_tail=torn_tail,
+            damaged_frames=damaged,
+        )
 
 
 class WalReplay:
@@ -164,10 +222,12 @@ class WalReplay:
         batches: List[Tuple[int, List[Point]]],
         aborted_ids: set,
         torn_tail: bool,
+        damaged_frames: int = 0,
     ):
         self.batches = batches
         self.aborted_ids = aborted_ids
         self.torn_tail = torn_tail
+        self.damaged_frames = damaged_frames
 
     @property
     def max_batch_id(self) -> int:
@@ -176,8 +236,8 @@ class WalReplay:
         return max(ids, default=0)
 
     def live_batches(self, after_batch_id: int) -> List[Tuple[int, List[Point]]]:
-        """Batches that must re-apply: above the checkpoint's high-water
-        mark and never aborted."""
+        """Batches that must apply: above the given high-water mark and
+        never aborted."""
         return [
             (batch_id, points)
             for batch_id, points in self.batches
@@ -199,17 +259,19 @@ class DurableTsdb:
         self.wal = wal
         self.crash_schedule = crash_schedule
         self.next_batch_id = 1
+        #: The mark a checkpoint records (and ``load_state`` restores).
         self.last_applied_batch_id = 0
+        #: The highest batch id the in-memory store itself holds — 0 in
+        #: a fresh process whatever checkpoint it loaded; where replay
+        #: starts.
+        self.store_watermark = 0
         self.duplicates_skipped = 0
         self.wal_bytes = 0
         self.replayed_batches = 0
         self.replayed_points = 0
         self.expired_dropped = 0
-        # Line-protocol mirror of every applied point, maintained
-        # incrementally so checkpoints serialize it without re-walking
-        # (and re-formatting) the whole store each second. Each point
-        # is formatted exactly once, shared with its WAL frame.
-        self.applied_lines: List[str] = []
+        self.damaged_frames = 0
+        self._expired_since_compaction = 0
 
     def _reached(self, point: str) -> None:
         if self.crash_schedule is not None:
@@ -223,9 +285,8 @@ class DurableTsdb:
         if not points:
             return 0
         batch_id = self.next_batch_id
-        lines = [format_point(p) for p in points]
         self._reached("tsdb.wal.pre")
-        self.wal_bytes += self.wal.append_lines(batch_id, lines)
+        self.wal_bytes += self.wal.append(batch_id, points)
         self.next_batch_id = batch_id + 1
         self._reached("tsdb.wal.post")
         try:
@@ -238,70 +299,83 @@ class DurableTsdb:
             # the disk and replay correctly applies the batch.
             self.wal.append_abort(batch_id)
             raise
-        self.last_applied_batch_id = batch_id
-        self.applied_lines.extend(lines)
+        self.last_applied_batch_id = self.store_watermark = batch_id
         self._reached("tsdb.applied")
         return count
 
     # -- recovery -----------------------------------------------------------
 
     def replay_wal(self, now_ns: Optional[int] = None) -> "WalReplay":
-        """Re-apply logged batches the checkpoint has not covered.
+        """Rebuild the store from the log.
 
-        Batches at or below ``last_applied_batch_id`` (restored from
-        the checkpoint) are counted as duplicates and skipped — the
-        no-double-write guarantee. With *now_ns* given, retention
+        Every live batch above :attr:`store_watermark` is applied —
+        straight to the store, so a recovery rolls no fault dice — and
+        those above ``last_applied_batch_id`` (restored from the
+        checkpoint) are counted as the re-applied loss window. Batches
+        the store already holds are counted as duplicates and skipped —
+        the no-double-write guarantee. With *now_ns* given, retention
         policies run afterwards so points already past retention are
         dropped instead of resurrected, and the drop is counted.
         """
         replay = self.wal.replay()
-        for batch_id, points in replay.batches:
-            if batch_id <= self.last_applied_batch_id:
-                self.duplicates_skipped += 1
-        for batch_id, points in replay.live_batches(self.last_applied_batch_id):
-            self.inner.write_batch(points)
-            self.applied_lines.extend(format_point(p) for p in points)
-            self.replayed_batches += 1
-            self.replayed_points += len(points)
-            self.last_applied_batch_id = batch_id
+        if replay.torn_tail:
+            # Later appends must start on a frame boundary.
+            self.wal.compact()
+        self.damaged_frames = replay.damaged_frames
+        held = self.store_watermark
+        self.duplicates_skipped += sum(
+            1 for batch_id, _ in replay.batches if batch_id <= held
+        )
+        write = self.inner.storage.write
+        for batch_id, points in replay.live_batches(held):
+            for point in points:
+                write(point)
+            if batch_id > self.last_applied_batch_id:
+                self.replayed_batches += 1
+                self.replayed_points += len(points)
+            self.store_watermark = batch_id
+        self.last_applied_batch_id = max(self.last_applied_batch_id, self.store_watermark)
         self.next_batch_id = max(self.next_batch_id, replay.max_batch_id + 1)
         if now_ns is not None:
             self.expired_dropped += self.enforce_retention(now_ns)
         return replay
 
-    def load_lines(self, lines) -> int:
-        """Restore the store from checkpointed line protocol, bypassing
-        the WAL (these points are already durable in the checkpoint)."""
-        lines = list(lines)
-        count = self.inner.load_lines(lines)
-        self.applied_lines = lines
-        return count
-
     def enforce_retention(self, now_ns: int) -> int:
-        """Run the inner store's retention, keeping the line cache in
-        step. When every policy is store-wide the cache is pruned by
-        each line's trailing timestamp (same ``ts >= cutoff`` rule as
-        ``Series.truncate_before``); measurement-scoped policies fall
-        back to a full re-dump."""
+        """Run the inner store's retention; once it has dropped as many
+        points as the store still holds since the log was last
+        rewritten, compact the log too — so the log stays within twice
+        the live store at amortised O(1) per point, with no setting."""
         dropped = self.inner.enforce_retention(now_ns)
-        if dropped:
-            policies = getattr(self.inner, "retention_policies", [])
-            if policies and all(p.measurement is None for p in policies):
-                cutoff = now_ns - min(p.duration_ns for p in policies)
-                self.applied_lines = [
-                    line
-                    for line in self.applied_lines
-                    if int(line.rsplit(" ", 1)[1]) >= cutoff
-                ]
-            else:
-                self.applied_lines = list(self.inner.dump_lines())
+        self._expired_since_compaction += dropped
+        if dropped and self._expired_since_compaction >= self.inner.total_points():
+            self.compact(now_ns)
         return dropped
+
+    def compact(self, now_ns: int) -> None:
+        """Rewrite the log down to the lines retention keeps at *now_ns*
+        (the same ``ts >= cutoff`` rule as ``Series.truncate_before``)."""
+        cutoffs: dict = {}
+        for policy in self.inner.retention_policies:
+            cutoff = now_ns - policy.duration_ns
+            cutoffs[policy.measurement] = max(cutoff, cutoffs.get(policy.measurement, cutoff))
+        store_wide = cutoffs.pop(None, None)
+
+        def keep(line: bytes) -> bool:
+            timestamp_ns = int(line.rsplit(b" ", 1)[1])
+            if store_wide is not None and timestamp_ns < store_wide:
+                return False
+            return not cutoffs or timestamp_ns >= cutoffs.get(
+                parse_line(line.decode("utf-8")).measurement, timestamp_ns
+            )
+
+        self.wal.compact(keep=keep)
+        self._expired_since_compaction = 0
 
     # -- durability ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The wrapper's own counters for the checkpoint (the inner
-        store's contents are dumped separately, as line protocol)."""
+        """The wrapper's own counters for the checkpoint — the store's
+        position in the log, which is the store's durable image."""
         return {
             "next_batch_id": self.next_batch_id,
             "last_applied_batch_id": self.last_applied_batch_id,

@@ -79,7 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 NS_PER_S = 1_000_000_000
 
 #: Checkpoint envelope format version (the stack's ``capture_state``).
-STATE_FORMAT = 1
+#: 2: the TSDB log is the store's durable image and the envelope no
+#: longer carries the store — a format-1 binary must refuse it rather
+#: than recover an empty store. Format 1 is still read (and adopted).
+STATE_FORMAT = 2
 
 
 def build_enrichment_dbs(plan=None, country_accuracy: float = 0.98):
@@ -293,7 +296,7 @@ class RuruStack:
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`capture_state` snapshot into this stack."""
-        if int(state.get("format", 0)) != STATE_FORMAT:
+        if not 1 <= int(state.get("format", 0)) <= STATE_FORMAT:
             raise ValueError(
                 f"unsupported state format {state.get('format')!r}"
             )
@@ -304,13 +307,6 @@ class RuruStack:
                 f"runtime has {self.queues}"
             )
         self.graph.load_state(state)
-
-    def _after_checkpoint(self, info: CheckpointInfo) -> None:
-        # The checkpoint's TSDB dump covers every applied batch, so the
-        # log restarts empty; batch ids stay monotonic across the
-        # truncation, which is what keeps replay dedup sound if we die
-        # before this line runs.
-        self.wal.truncate()
 
     # -- introspection -------------------------------------------------------
 
@@ -695,7 +691,6 @@ class StackBuilder:
                 interval_ns=durability["checkpoint_interval_ns"],
                 keep=durability["keep_checkpoints"],
                 crash_schedule=crash_schedule,
-                on_written=stack._after_checkpoint,
                 fsync=durability["fsync_wal"],
             )
             checkpoint_stage.checkpointer = stack.checkpointer

@@ -381,12 +381,16 @@ def bind_durability_metrics(stack, registry) -> None:
             lambda: stack.tsdb.replayed_points,
         ),
         "ruru_wal_duplicates_skipped_total": (
-            "Replay batches skipped by batch-id dedup (double-write guard).",
+            "Replay batches the store already held (double-write guard).",
             lambda: stack.tsdb.duplicates_skipped,
         ),
         "ruru_wal_expired_dropped_total": (
             "Replayed points dropped because retention had passed.",
             lambda: stack.tsdb.expired_dropped,
+        ),
+        "ruru_wal_damaged_frames_total": (
+            "Frames the last replay skipped for a failed CRC (one batch each).",
+            lambda: stack.tsdb.damaged_frames,
         ),
         "ruru_recovery_total": (
             "Times this state directory was recovered from.",

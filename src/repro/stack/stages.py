@@ -248,22 +248,22 @@ class TsdbStage(Stage):
         return ["sync-wal"]
 
     def state_dict(self) -> Dict:
-        return {
-            "tsdb_meta": self.tsdb.state_dict(),
-            # The wrapper's incremental line cache — re-dumping (and
-            # re-formatting) the whole store every checkpoint would make
-            # checkpoint cost grow with run length.
-            "tsdb_lines": list(self.tsdb.applied_lines),
-        }
+        # The store's position in its log, not its contents: the log is
+        # the store's durable image, so a checkpoint's cost does not
+        # grow with the store.
+        return {"tsdb_meta": self.tsdb.state_dict()}
 
     def load_state(self, state: Dict) -> None:
         if "tsdb_meta" in state:
             self.tsdb.load_state(state["tsdb_meta"])
         if "tsdb_lines" in state:
-            # The store restores bypassing both the fault wrapper's dice
-            # and the WAL — these points are already durable in the
-            # checkpoint being loaded.
-            self.tsdb.load_lines(state["tsdb_lines"])
+            # A checkpoint from before the log was the store's only image
+            # carries the store itself, and its log only the batches
+            # after: fold the image in, once, as the frame every batch up
+            # to the mark just loaded replays from.
+            self.wal.compact(
+                image=(self.tsdb.last_applied_batch_id, state["tsdb_lines"])
+            )
 
 
 class CheckpointStage(Stage):

@@ -126,7 +126,7 @@ TOPOLOGY: Tuple[StageSpec, ...] = (
         crash_points=(
             ("checkpoint.pre", "checkpoint due, nothing written yet"),
             ("checkpoint.mid", "mid-checkpoint-write: a torn file at the final path"),
-            ("checkpoint.post", "checkpoint written, before the WAL truncates"),
+            ("checkpoint.post", "checkpoint written, nothing done since"),
         ),
     ),
 )

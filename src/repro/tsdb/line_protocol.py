@@ -9,6 +9,8 @@ tag values, and field keys; integers carry an ``i`` suffix.
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Iterable, Iterator, List
 
 from repro.tsdb.point import Point
@@ -21,7 +23,10 @@ class LineProtocolError(ValueError):
 _ESCAPES = [("\\", "\\\\"), (",", "\\,"), (" ", "\\ "), ("=", "\\=")]
 
 
+@lru_cache(maxsize=4096)
 def _escape(text: str) -> str:
+    # Memoised: a point escapes a dozen strings and a run draws them
+    # from a few hundred measurement, tag and field names.
     for raw, escaped in _ESCAPES:
         text = text.replace(raw, escaped)
     return text
@@ -87,11 +92,63 @@ def format_point(point: Point) -> str:
     return f"{head} {','.join(field_parts)} {point.timestamp_ns}"
 
 
+# With no escaped backslash in a line, a backslash always escapes the
+# character after it, so "unescaped" is "not preceded by a backslash".
+_UNESCAPED = {sep: re.compile(r"(?<!\\)" + sep) for sep in " ,="}
+_ESCAPE_PAIR = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _split(text: str, separator: str) -> List[str]:
+    if "\\" not in text:
+        return text.split(separator)
+    return _UNESCAPED[separator].split(text)
+
+
+def _unescape(text: str) -> str:
+    return _ESCAPE_PAIR.sub(r"\1", text) if "\\" in text else text
+
+
+def _parse_split(line: str) -> Point:
+    """:func:`_parse_walk` for a well-formed line without ``\\\\``:
+    C-level splits where the walk takes up to three Python passes per
+    character. Raises ``ValueError``/``IndexError`` on anything else."""
+    sections = [s for s in _split(line, " ") if s]
+    if len(sections) > 3:
+        raise ValueError(line)
+    head_parts = _split(sections[0], ",")
+    tags = {}
+    for tag_text in head_parts[1:]:
+        key, value = _split(tag_text, "=")
+        tags[_unescape(key)] = _unescape(value)
+    fields = {}
+    for field_text in _split(sections[1], ","):
+        key, raw_value = _split(field_text, "=")
+        fields[_unescape(key)] = (
+            int(raw_value[:-1]) if raw_value.endswith("i") else float(raw_value)
+        )
+    return Point(
+        measurement=_unescape(head_parts[0]),
+        timestamp_ns=int(sections[2]) if len(sections) == 3 else 0,
+        tags=tags,
+        fields=fields,
+    )
+
+
 def parse_line(line: str) -> Point:
     """Parse one line back into a :class:`Point`."""
     line = line.strip()
     if not line or line.startswith("#"):
         raise LineProtocolError("empty or comment line")
+    if "\\\\" not in line:
+        try:
+            return _parse_split(line)
+        except (ValueError, IndexError):
+            pass  # malformed: the walk says how
+    return _parse_walk(line)
+
+
+def _parse_walk(line: str) -> Point:
+    """The reference parse: one character at a time, any escaping."""
     sections = _split_top(line, " ")
     sections = [s for s in sections if s]
     if len(sections) < 2:

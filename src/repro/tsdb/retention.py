@@ -39,7 +39,8 @@ class RetentionPolicy:
         )
         dropped = 0
         for name in measurements:
-            for series in storage.series_for(name):
+            # Unordered: sorting the keys was most of a retention tick.
+            for series in storage.series_for(name, ordered=False):
                 dropped += series.truncate_before(cutoff)
         storage.drop_empty()
         return dropped

@@ -45,10 +45,10 @@ class SeriesStorage:
         """All measurement names, sorted."""
         return sorted(self._by_measurement)
 
-    def series_for(self, measurement: str) -> List[Series]:
-        """Every series of a measurement."""
+    def series_for(self, measurement: str, ordered: bool = True) -> List[Series]:
+        """Every series of a measurement, by key unless order is moot."""
         keys = self._by_measurement.get(measurement, set())
-        return [self._series[key] for key in sorted(keys)]
+        return [self._series[key] for key in (sorted(keys) if ordered else keys)]
 
     def tag_values(self, measurement: str, tag_key: str) -> List[str]:
         """Distinct values of *tag_key* (``SHOW TAG VALUES``)."""

@@ -74,6 +74,15 @@ class TestEncodeValidation:
         with pytest.raises(SnapshotError):
             encode_snapshot({"bad": float("nan")})
 
+    def test_cyclic_state_fails_typed(self):
+        # The encoder no longer tracks container ids (check_circular is
+        # off: a quarter of a checkpoint's encode); a cycle still fails
+        # as SnapshotError, by way of the recursion limit.
+        state = {"format": 2}
+        state["self"] = state
+        with pytest.raises(SnapshotError, match="not snapshot-serializable"):
+            encode_snapshot(state)
+
     def test_infinity_fails_typed(self):
         # Components map ±inf to None in their state_dicts; the codec
         # enforces that nobody forgets.

@@ -8,12 +8,19 @@ applies zero batches — the no-double-write proof), and (c) a clean
 final checkpoint. Same triple → identical counts.
 """
 
+import os
+import shutil
+
 import pytest
 
+from repro.cli import main
+from repro.durability.codec import decode_snapshot, encode_snapshot
 from repro.durability.harness import RecoveryHarness, run_recovery_trial
 from repro.durability.recovery import recover_runtime
-from repro.faults.crashpoints import CRASH_POINTS
-from repro.stack import build_durable_stack
+from repro.durability.wal import _FRAME, WriteAheadLog
+from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
+from repro.stack import build_durable_stack, builder
+from repro.tsdb.line_protocol import format_point
 
 NS_PER_S = 1_000_000_000
 
@@ -61,16 +68,29 @@ def test_crash_before_any_checkpoint_cold_starts(tmp_path):
 
 
 def test_stale_wal_after_checkpoint_post_crash_dedups(tmp_path):
-    """The crash between checkpoint write and WAL truncate: every WAL
-    frame is already covered, so replay must skip them all."""
+    """The crash right after a checkpoint lands: the log is never
+    truncated, so nothing is stale and nothing needs dedup — every
+    frame is at or below the mark just written, the store is rebuilt
+    from the log, and the loss window is empty."""
+    state_dir = str(tmp_path / "state")
     trial = run_recovery_trial(
-        str(tmp_path / "state"), "checkpoint.post", profile="clean", seed=7,
-        hit=2, **RUN
+        state_dir, "checkpoint.post", profile="clean", seed=7, hit=2, **RUN
     )
     assert trial.crashed
-    assert trial.recovery.duplicates_skipped > 0
     assert trial.recovery.replayed_batches == 0
+    assert trial.recovery.duplicates_skipped == 0
+    assert trial.recovery.lost_at_crash == 0
+    assert trial.double_replay_applied == 0
     assert trial.ok, trial.render()
+    # The resumed run's store equals an uncrashed run's: nothing lost,
+    # nothing doubled.
+    recovered = build_durable_stack(state_dir, profile="clean", seed=7, **RUN)
+    recover_runtime(recovered)
+    twin = build_durable_stack(str(tmp_path / "twin"), profile="clean", seed=7, **RUN)
+    twin.run()
+    assert sorted(recovered.tsdb.inner.dump_lines()) == sorted(
+        twin.tsdb.inner.dump_lines()
+    )
 
 
 def test_torn_checkpoint_falls_back(tmp_path):
@@ -99,7 +119,7 @@ def test_clean_shutdown_then_recover_is_lossless(tmp_path):
     assert report.ok, report.render()
     assert report.clean_shutdown
     assert report.lost_at_crash == 0
-    assert report.replayed_batches == 0  # clean drain truncated the WAL
+    assert report.replayed_batches == 0  # every frame is below the clean mark
     assert restarted.service.conservation_ledger().processed == processed
     # Every sample survives, byte for byte — nothing lost, nothing
     # doubled. (Counted as line-protocol samples: the restore path
@@ -125,3 +145,220 @@ def test_unknown_crash_point_rejected(tmp_path):
     harness = RecoveryHarness(str(tmp_path / "state"))
     with pytest.raises(ValueError, match="unknown crash point"):
         harness.run_trial("no.such.point")
+
+
+# -- the log is the store's durable image ------------------------------------
+
+
+def test_recovery_replays_past_the_fault_dice(tmp_path, capsys):
+    """``ruru recover --trial tsdb.applied --profile tsdb-brownout
+    --seed 42 --hit 120``: the recovered clock lands inside the
+    brown-out, and replay used to write through the fault wrapper —
+    an uncaught TsdbWriteError. Replay restores straight to the store."""
+    code = main([
+        "recover", "--state-dir", str(tmp_path / "state"),
+        "--trial", "tsdb.applied", "--profile", "tsdb-brownout",
+        "--seed", "42", "--hit", "120",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "double-replay applied: 0" in out
+    assert out.rstrip().endswith("verdict: OK")
+
+
+@pytest.mark.parametrize("profile", ["tsdb-brownout", "monsoon"])
+def test_recovery_consumes_no_injector_decision(tmp_path, profile):
+    state_dir = str(tmp_path / "state")
+    victim = build_durable_stack(
+        state_dir, profile=profile, seed=42,
+        crash_schedule=CrashSchedule().arm("tsdb.applied", hit=120),
+    )
+    with pytest.raises(SimulatedCrash):
+        victim.run()
+    victim.wal.close()
+
+    survivor = build_durable_stack(state_dir, profile=profile, seed=42)
+    decisions = []
+    decide = survivor.injector.decide
+    survivor.injector.decide = lambda *args: decisions.append(args) or decide(*args)
+    rng_before = survivor.injector.rng("tsdb").getstate()
+    report = recover_runtime(survivor)
+    assert report.replayed_batches > 0
+    assert decisions == []
+    assert survivor.injector.rng("tsdb").getstate() == rng_before
+    assert survivor.injector.total_injected() == 0
+
+
+def _second_replay_applies_nothing(stack):
+    """Read off the store, not the loss-window counters: a batch at or
+    below the checkpoint's mark applied twice would move only the store."""
+    before = sorted(stack.tsdb.inner.dump_lines())
+    stack.tsdb.replay_wal(now_ns=stack.now_ns)
+    return sorted(stack.tsdb.inner.dump_lines()) == before
+
+
+def _run_to_kill(state_dir, point, hit, **kwargs):
+    """A durable run killed at (*point*, *hit*); returns the dead stack."""
+    victim = build_durable_stack(
+        state_dir, profile="clean", seed=7,
+        crash_schedule=CrashSchedule().arm(point, hit=hit), **RUN, **kwargs
+    )
+    with pytest.raises(SimulatedCrash):
+        victim.run()
+    victim.wal.close()
+    return victim
+
+
+def test_any_kept_checkpoint_pairs_with_the_same_log(tmp_path):
+    """The newest checkpoint and the keep=2 fallback both recover the
+    whole store: the log is never truncated, so neither needs a
+    particular slice of it. (At the parent a newest checkpoint damaged
+    *after* its truncate lost everything between the two.)"""
+    state_dir = tmp_path / "state"
+    victim = _run_to_kill(str(state_dir), "analytics.ingest", hit=5)
+    held = sorted(victim.tsdb.inner.dump_lines())
+    fallback_dir = tmp_path / "fallback"
+    shutil.copytree(state_dir, fallback_dir)
+    newest = max(
+        (name for name in os.listdir(fallback_dir) if name.endswith(".snap")),
+        key=lambda name: int(name.split("-")[1]),
+    )
+    (fallback_dir / newest).write_bytes(b"bit rot")
+
+    reports = {}
+    for label, directory in (("newest", state_dir), ("fallback", fallback_dir)):
+        stack = build_durable_stack(str(directory), profile="clean", seed=7, **RUN)
+        reports[label] = recover_runtime(stack)
+        assert reports[label].ok, reports[label].render()
+        assert sorted(stack.tsdb.inner.dump_lines()) == held
+        assert _second_replay_applies_nothing(stack)
+        stack.wal.close()
+    assert reports["fallback"].corrupt_skipped == 1
+    assert reports["fallback"].checkpoint.seq < reports["newest"].checkpoint.seq
+    # The older mark leaves a longer re-applied loss window.
+    assert reports["fallback"].replayed_batches > reports["newest"].replayed_batches
+
+
+def test_both_kept_checkpoints_recover_after_a_real_compaction(tmp_path):
+    state_dir = str(tmp_path / "state")
+    victim = _run_to_kill(
+        state_dir, "analytics.ingest", hit=6, retention_ns=1 * NS_PER_S
+    )
+    assert victim.wal.compactions >= 1
+    snaps = sorted(
+        (name for name in os.listdir(state_dir) if name.endswith(".snap")),
+        key=lambda name: int(name.split("-")[1]),
+    )
+    assert len(snaps) == 2
+    for damaged in (None, snaps[-1]):
+        if damaged is not None:
+            with open(os.path.join(state_dir, damaged), "wb") as handle:
+                handle.write(b"bit rot")
+        stack = build_durable_stack(
+            state_dir, profile="clean", seed=7, retention_ns=1 * NS_PER_S, **RUN
+        )
+        report = recover_runtime(stack)
+        assert report.ok, report.render()
+        assert report.corrupt_skipped == (0 if damaged is None else 1)
+        # Nothing past retention came back, and nothing live went missing:
+        # the recovered store is the log under the recovered clock's cutoff.
+        cutoff = stack.now_ns - 1 * NS_PER_S
+        logged = sorted(
+            ts
+            for _, points in stack.wal.replay().batches
+            for ts in [p.timestamp_ns for p in points]
+            if ts >= cutoff
+        )
+        assert logged and stack.tsdb.inner.total_points() == len(logged)
+        assert _second_replay_applies_nothing(stack)
+        stack.wal.close()
+
+
+class TestLegacyStateDirectory:
+    """A state directory written before the log became the store's only
+    image: the envelope carries ``tsdb_lines`` (format 1) and the log
+    holds only the batches above the envelope's mark."""
+
+    def _legacy_dir(self, tmp_path):
+        """Hand-build the old layout from a new-format run: fold every
+        batch up to the checkpoint's mark into ``tsdb_lines`` and keep
+        only the later frames in the log."""
+        state_dir = tmp_path / "state"
+        victim = _run_to_kill(str(state_dir), "analytics.ingest", hit=5)
+        (snap,) = [
+            path for path in sorted(state_dir.iterdir())
+            if path.name.endswith(".snap")
+        ][-1:]
+        state = decode_snapshot(snap.read_bytes())
+        mark = state["tsdb_meta"]["last_applied_batch_id"]
+        replay = WriteAheadLog(str(state_dir / "tsdb.wal")).replay()
+        state["format"] = 1
+        state["tsdb_lines"] = [
+            format_point(point)
+            for batch_id, points in replay.batches
+            if batch_id <= mark
+            for point in points
+        ]
+        snap.write_bytes(encode_snapshot(state))
+        (state_dir / "tsdb.wal").unlink()
+        tail = WriteAheadLog(str(state_dir / "tsdb.wal"))
+        for batch_id, points in replay.batches:
+            if batch_id > mark:
+                tail.append(batch_id, points)
+        tail.close()
+        assert state["tsdb_lines"] and tail.appends
+        return state_dir, victim, mark, tail.appends
+
+    def test_recovers_to_the_same_store_and_ledger(self, tmp_path):
+        state_dir, victim, mark, above = self._legacy_dir(tmp_path)
+        stack = build_durable_stack(str(state_dir), profile="clean", seed=7, **RUN)
+        report = recover_runtime(stack)
+        assert report.ok, report.render()
+        assert report.replayed_batches == above
+        assert report.duplicates_skipped == 0
+        assert sorted(stack.tsdb.inner.dump_lines()) == sorted(
+            victim.tsdb.inner.dump_lines()
+        )
+        assert stack.service.conservation_ledger().ok
+        assert _second_replay_applies_nothing(stack)
+
+        # New-format from its next checkpoint on ...
+        info = stack.checkpointer.checkpoint(stack.now_ns)
+        with open(info.path, "rb") as handle:
+            written = decode_snapshot(handle.read())
+        assert "tsdb_lines" not in written
+        assert written["format"] == 2
+        stack.wal.close()
+        # ... and that checkpoint recovers the same store from the
+        # adopted log.
+        again = build_durable_stack(str(state_dir), profile="clean", seed=7, **RUN)
+        assert recover_runtime(again).ok
+        assert sorted(again.tsdb.inner.dump_lines()) == sorted(
+            victim.tsdb.inner.dump_lines()
+        )
+
+    def test_an_old_binary_refuses_a_new_directory(self, tmp_path, monkeypatch):
+        """STATE_FORMAT moved so a binary that expects ``tsdb_lines``
+        stops at the envelope instead of recovering an empty store."""
+        state_dir = str(tmp_path / "state")
+        _run_to_kill(state_dir, "analytics.ingest", hit=5)
+        stack = build_durable_stack(state_dir, profile="clean", seed=7, **RUN)
+        monkeypatch.setattr(builder, "STATE_FORMAT", 1)
+        with pytest.raises(ValueError, match="unsupported state format 2"):
+            recover_runtime(stack)
+
+
+def test_damaged_wal_frame_is_reported_and_costs_one_batch(tmp_path):
+    state_dir = tmp_path / "state"
+    victim = _run_to_kill(str(state_dir), "analytics.ingest", hit=5)
+    log = state_dir / "tsdb.wal"
+    data = bytearray(log.read_bytes())
+    data[_FRAME.size + 2] ^= 0x10  # inside the first frame's payload
+    log.write_bytes(bytes(data))
+    stack = build_durable_stack(str(state_dir), profile="clean", seed=7, **RUN)
+    report = recover_runtime(stack)
+    assert report.damaged_frames == 1
+    assert "damaged wal frames skipped: 1" in report.render()
+    assert stack.tsdb.inner.total_points() < victim.tsdb.inner.total_points()
+    assert stack.tsdb.inner.total_points() > 0
+    assert "ruru_wal_damaged_frames_total 1" in stack.telemetry.registry.exposition()

@@ -64,7 +64,7 @@ class TestDerivedBehaviours:
         state = stack.capture_state()
         assert set(state) == {
             "format", "meta", "pipeline", "service", "anomaly", "topk",
-            "frontend", "tsdb_meta", "tsdb_lines",
+            "frontend", "tsdb_meta",
         }
 
     def test_fault_points_cover_every_stage_owned_crash_point(self, tmp_path):

@@ -16,9 +16,13 @@ usually starts (a tripwire, not a proof: one that only indexes
 dispatch under the heartbeat lease — so an option that selects another
 (a deadline, a window, a transport kind), a fifth lifecycle state or a
 private ``time.monotonic()`` deadline is how the second one comes
-back. This test walks the source tree with the AST
-module so string mentions in docstrings or comments do not trip it;
-only real names, imports, call sites and class definitions count.
+back. The TSDB's write-ahead log is the store's only durable image,
+and a second one comes back two ways: the store copied into the
+checkpoint (an ``applied_lines`` mirror, a ``"tsdb_lines"`` key
+written), or the log cut back to what a checkpoint does not cover (a
+``.truncate(`` under ``stack/``). This test walks the source tree with
+the AST module so string mentions in docstrings or comments do not trip
+it; only real names, imports, call sites and class definitions count.
 """
 
 import ast
@@ -253,6 +257,107 @@ def shard_lifecycle_states(root=SRC):
         for target in node.targets
         if isinstance(target, ast.Name) and target.id.startswith("SHARD_")
     )
+
+
+#: The one place that may still *read* a checkpoint's ``tsdb_lines``.
+LEGACY_LOADER = SRC / "stack" / "stages.py"
+
+
+def second_store_image_sites(root=SRC, legacy_loader=LEGACY_LOADER):
+    """Where a second durable image of the store could come back: any
+    ``applied_lines`` name, ``"tsdb_lines"`` written as a key anywhere
+    (or so much as read outside the legacy loader), and ``.truncate(``
+    called under ``stack/``."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "applied_lines":
+                sites.append((path, node.lineno, "applied_lines"))
+            elif isinstance(node, ast.Name) and node.id == "applied_lines":
+                sites.append((path, node.lineno, "applied_lines"))
+            elif isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "tsdb_lines"
+                for key in node.keys
+            ):
+                sites.append((path, node.lineno, '"tsdb_lines" written'))
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == "tsdb_lines"
+                and isinstance(node.ctx, ast.Store)
+            ):
+                sites.append((path, node.lineno, '"tsdb_lines" written'))
+            elif isinstance(node, ast.keyword) and node.arg == "tsdb_lines":
+                sites.append((path, node.lineno, '"tsdb_lines" written'))
+            elif (
+                isinstance(node, ast.Constant)
+                and node.value == "tsdb_lines"
+                and path != legacy_loader
+            ):
+                sites.append((path, node.lineno, '"tsdb_lines" outside the loader'))
+            elif (
+                isinstance(node, ast.Call)
+                and _called_name(node) == "truncate"
+                and root / "stack" in path.parents
+            ):
+                sites.append((path, node.lineno, ".truncate("))
+    return sites
+
+
+class TestOneStoreImage:
+    def test_the_log_is_the_only_image_of_the_store(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} {what}"
+            for path, lineno, what in second_store_image_sites()
+        ]
+        assert not offenders, (
+            "a second durable image of the TSDB (the write-ahead log is "
+            "the only one):\n  " + "\n  ".join(offenders)
+        )
+
+    def test_the_legacy_loader_still_reads_old_checkpoints(self):
+        """Keep the allowance honest: if the loader goes, so does it."""
+        assert '"tsdb_lines"' in LEGACY_LOADER.read_text()
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "stack").mkdir()
+        loader = tmp_path / "stack" / "stages.py"
+        loader.write_text(
+            '"""Mentions tsdb_lines and applied_lines in a docstring."""\n'
+            "def load_state(self, state):\n"
+            '    if "tsdb_lines" in state:\n'
+            '        self.wal.compact(image=(0, state["tsdb_lines"]))\n'
+        )
+        assert second_store_image_sites(tmp_path, loader) == []
+        (tmp_path / "stack" / "builder.py").write_text(
+            "def _after_checkpoint(self, info):\n"
+            "    self.wal.truncate()\n"
+            "def state_dict(self):\n"
+            '    return {"tsdb_lines": list(self.tsdb.applied_lines)}\n'
+        )
+        (tmp_path / "rogue.py").write_text(
+            "def capture(state, applied_lines):\n"
+            '    state["tsdb_lines"] = applied_lines\n'
+            "    extra = dict(tsdb_lines=[])\n"
+            '    peek = state.get("tsdb_lines")\n'
+            "    log.truncate()  # not under stack/: the shard ack log may\n"
+        )
+        found = [what for _, _, what in second_store_image_sites(tmp_path, loader)]
+        assert sorted(found) == sorted(
+            [
+                # rogue.py
+                "applied_lines",
+                '"tsdb_lines" written',
+                '"tsdb_lines" outside the loader',
+                '"tsdb_lines" written',
+                '"tsdb_lines" outside the loader',
+                # stack/builder.py
+                ".truncate(",
+                '"tsdb_lines" written',
+                '"tsdb_lines" outside the loader',
+                "applied_lines",
+            ]
+        )
 
 
 class TestOneShardMode:
