@@ -1,4 +1,4 @@
-"""Extension benches: the co-scheduled runtime, mixture fitting,
+"""Extension benches: the whole live deployment, mixture fitting,
 prefix-preserving pseudonymization, and the text query layer.
 
 These cover the reproduction's beyond-the-poster features; they are
@@ -13,7 +13,9 @@ import pytest
 
 from repro.analysis.mixture import fit_lognormal_mixture, select_components
 from repro.analytics.pseudonymize import PrefixPreservingAnonymizer
-from repro.runtime import RuruRuntime
+from repro.frontend.map_view import LiveMapView
+from repro.frontend.websocket import WebSocketChannel
+from repro.stack import build_live_stack
 from repro.tsdb.ql import parse_query
 
 NS_PER_S = 1_000_000_000
@@ -24,15 +26,20 @@ class TestRuntimeBench:
         generator, packets = workload_10s
 
         def run():
-            runtime = RuruRuntime.build(
-                generator.plan, with_anomaly_detection=True
+            stack = build_live_stack(
+                generator=generator, frontend_hwm=10_000, anomaly=True
             )
-            return runtime.run(packets)
+            map_view = LiveMapView(channel=WebSocketChannel(name="live-map"))
+            stack.graph.get("frontend").observers.append(map_view.observe)
+            stats = stack.run(packets).stats
+            map_view.finish()
+            stack.anomaly.finish(now_ns=stack.now_ns)
+            return stats
 
-        report = benchmark(run)
-        assert report.measurements > 400
-        rate = report.pipeline_stats.packets_offered / benchmark.stats["mean"]
-        print(f"\nExtension: co-scheduled runtime (rx + analytics + map + "
+        stats = benchmark(run)
+        assert stats.measurements > 400
+        rate = stats.packets_offered / benchmark.stats["mean"]
+        print(f"\nExtension: live deployment (rx + analytics + map + "
               f"detectors) {rate:,.0f} pkt/s")
 
 

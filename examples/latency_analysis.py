@@ -3,9 +3,9 @@
 
 The paper aggregates measurements "for further analysis" and cites
 Fontugne et al.'s lognormal mixture methodology for RTT populations.
-This example runs a day-segment of traffic through ``RuruRuntime``
-(the live stack with the map attached), then analyzes the stored
-measurements three ways:
+This example runs a day-segment of traffic through the live stack
+preset, tapping the enriched frontend stream as it passes, then
+analyzes the measurements three ways:
 
 1. per-path mixture fits — how many latency states does each path
    have, and where are the modes?
@@ -16,7 +16,7 @@ measurements three ways:
 Run:  python examples/latency_analysis.py
 """
 
-from repro import RuruRuntime
+from repro import build_live_stack
 from repro.analysis.report import analyze_paths, compare_windows
 from repro.frontend.heatmap import LatencyBuckets, render_heatmap
 from repro.traffic.scenarios import AucklandLaScenario, FirewallGlitchInjector
@@ -35,11 +35,11 @@ def main() -> None:
         seed=61, diurnal=False,
     ).build(injectors=[glitch])
 
-    runtime = RuruRuntime.build(generator.plan, with_anomaly_detection=False)
+    stack = build_live_stack(generator=generator, frontend_hwm=10_000)
     # Capture the enriched stream for offline analysis as it passes.
     measurements = []
-    runtime.stack.graph.get("frontend").observers.append(measurements.append)
-    report = runtime.run(generator.packets())
+    stack.graph.get("frontend").observers.append(measurements.append)
+    stack.run()
 
     print(f"Measurements analyzed: {len(measurements)} "
           f"(glitch affected {glitch.affected_flows} flows)\n")
@@ -66,7 +66,7 @@ def main() -> None:
     # --- 3. Heatmap --------------------------------------------------------
     print("\nEnd-to-end latency heatmap (10 s windows, log buckets):")
     heatmap = render_heatmap(
-        report.tsdb,
+        stack.tsdb,
         window_ns=10 * NS_PER_S,
         buckets=LatencyBuckets(minimum_ms=1, maximum_ms=10_000, count=12),
     )

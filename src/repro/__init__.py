@@ -31,7 +31,6 @@ from repro.tsdb import Query, TimeSeriesDatabase
 from repro.frontend import LiveMapView, build_ruru_dashboard
 from repro.anomaly import AnomalyManager
 from repro.mq import Context
-from repro.runtime import RuruRuntime, RuntimeReport
 from repro.stack import (
     PRESETS,
     RuruStack,
@@ -64,8 +63,6 @@ __all__ = [
     "AnomalyManager",
     "Context",
     "PRESETS",
-    "RuruRuntime",
-    "RuntimeReport",
     "RuruStack",
     "StackBuilder",
     "build_chaos_stack",

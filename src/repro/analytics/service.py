@@ -170,7 +170,7 @@ class AnalyticsService:
     # -- processing ------------------------------------------------------------
 
     def poll(self, max_messages: int = 256) -> int:
-        """Drain up to *max_messages* from the input; Eal-compatible."""
+        """Drain up to *max_messages* from the input; returns how many."""
         handled = 0
         for message in self.pull.recv_all(max_messages):
             handled += 1

@@ -51,6 +51,7 @@ self-monitoring export into the TSDB) for that run.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -89,9 +90,7 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 def _make_telemetry(args) -> Optional[Telemetry]:
     """A Telemetry handle when --telemetry was given, else None."""
-    if not getattr(args, "telemetry", False):
-        return None
-    return Telemetry()
+    return Telemetry() if args.telemetry else None
 
 
 def _attach_exporter(telemetry: Optional[Telemetry], args, tsdb) -> None:
@@ -114,14 +113,60 @@ def _print_telemetry_summary(telemetry: Optional[Telemetry]) -> None:
         )
 
 
+def _duration_ns(args) -> int:
+    return int(args.duration * NS_PER_S)
+
+
+def _print_slos(results) -> None:
+    print("--- slo ---")
+    for result in results:
+        print(result.render())
+
+
 def _build_generator(args, injectors=None):
     scenario = AucklandLaScenario(
-        duration_ns=int(args.duration * NS_PER_S),
+        duration_ns=_duration_ns(args),
         mean_flows_per_s=args.rate,
         seed=args.seed,
         diurnal=False,
     )
     return scenario.build(injectors=injectors)
+
+
+def _build_injectors(args, glitch_start_ns: int, glitch_window_ns: int) -> list:
+    """The anomalies ``--glitch`` / ``--flood`` ask for (``detect`` and
+    ``analyze`` place the glitch window differently)."""
+    injectors = []
+    if args.glitch:
+        injectors.append(
+            FirewallGlitchInjector(
+                window_start_offset_ns=glitch_start_ns,
+                window_ns=glitch_window_ns,
+            )
+        )
+    if getattr(args, "flood", False):
+        injectors.append(
+            SynFloodInjector(
+                flood_start_ns=_duration_ns(args) // 3,
+                flood_duration_ns=5 * NS_PER_S,
+            )
+        )
+    return injectors
+
+
+def _build_live(args, telemetry=None, injectors=None, selfmon=True, **preset):
+    """The wiring every live-preset command shares: workload generator
+    → ``build_live_stack`` → (with telemetry) self-monitoring exports
+    into the stack's own TSDB, so they ride any export of it."""
+    stack = build_live_stack(
+        generator=_build_generator(args, injectors=injectors),
+        queues=args.queues,
+        telemetry=telemetry,
+        **preset,
+    )
+    if selfmon:
+        _attach_exporter(telemetry, args, stack.tsdb)
+    return stack
 
 
 def cmd_generate(args) -> int:
@@ -162,16 +207,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    generator = _build_generator(args)
     telemetry = _make_telemetry(args)
-    stack = build_live_stack(
-        generator=generator,
-        queues=args.queues,
-        telemetry=telemetry,
-        frontend_hwm=10_000,
-    )
-    service = stack.service
-    _attach_exporter(telemetry, args, service.tsdb)
+    stack = _build_live(args, telemetry, frontend_hwm=10_000)
     channel = WebSocketChannel()
     map_view = LiveMapView(channel=channel)
     stack.graph.get("frontend").observers.append(map_view.observe)
@@ -181,14 +218,14 @@ def cmd_demo(args) -> int:
     map_view.finish()
 
     print(f"measurements: {stats.measurements}")
-    print(f"enriched:     {service.enriched_count}")
-    print(f"tsdb points:  {service.tsdb.total_points()}")
+    print(f"enriched:     {stack.service.enriched_count}")
+    print(f"tsdb points:  {stack.tsdb.total_points()}")
     print(f"map frames:   {map_view.frames_sent} "
           f"({channel.bytes_to_client} bytes over the WebSocket)")
     print(f"arc colours:  {map_view.color_histogram()}")
     print("--- dashboard (mean end-to-end latency by country pair) ---")
-    dashboard = build_ruru_dashboard(interval_ns=int(args.duration * NS_PER_S))
-    for panel in dashboard.render(service.tsdb):
+    dashboard = build_ruru_dashboard(interval_ns=_duration_ns(args))
+    for panel in dashboard.render(stack.tsdb):
         if panel.title.startswith("mean"):
             for label, value in sorted(panel.latest().items()):
                 print(f"  {label}: {value:.1f} {panel.unit}")
@@ -196,34 +233,15 @@ def cmd_demo(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    injectors = []
-    if args.glitch:
-        injectors.append(
-            FirewallGlitchInjector(
-                window_start_offset_ns=int(args.duration * NS_PER_S) // 2,
-                window_ns=min(10 * NS_PER_S, int(args.duration * NS_PER_S) // 4),
-            )
-        )
-    if args.flood:
-        injectors.append(
-            SynFloodInjector(
-                flood_start_ns=int(args.duration * NS_PER_S) // 3,
-                flood_duration_ns=5 * NS_PER_S,
-            )
-        )
-    generator = _build_generator(args, injectors=injectors)
-    telemetry = _make_telemetry(args)
-    stack = build_live_stack(
-        generator=generator,
-        queues=args.queues,
-        telemetry=telemetry,
-        anomaly=True,
+    duration_ns = _duration_ns(args)
+    injectors = _build_injectors(
+        args, duration_ns // 2, min(10 * NS_PER_S, duration_ns // 4)
     )
-    service = stack.service
-    _attach_exporter(telemetry, args, service.tsdb)
+    telemetry = _make_telemetry(args)
+    stack = _build_live(args, telemetry, injectors, anomaly=True)
     stack.run()
     _print_telemetry_summary(telemetry)
-    events = stack.anomaly.finish(now_ns=int(args.duration * NS_PER_S))
+    events = stack.anomaly.finish(now_ns=duration_ns)
     if not events:
         print("no anomalies detected")
         return 1
@@ -233,20 +251,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_export(args) -> int:
-    generator = _build_generator(args)
-    telemetry = _make_telemetry(args)
-    stack = build_live_stack(
-        generator=generator, queues=args.queues, telemetry=telemetry
-    )
-    service = stack.service
     # Self-monitoring series land in the same TSDB, so the line-protocol
     # export carries the pipeline's own health alongside the latencies.
-    _attach_exporter(telemetry, args, service.tsdb)
+    stack = _build_live(args, _make_telemetry(args))
     stack.run()
 
     count = 0
     with open(args.output, "w", encoding="utf-8") as handle:
-        for line in service.tsdb.dump_lines():
+        for line in stack.tsdb.dump_lines():
             handle.write(line + "\n")
             count += 1
     print(f"wrote {count} points to {args.output}")
@@ -255,7 +267,7 @@ def cmd_export(args) -> int:
         from repro.frontend.grafana import export_grafana_json
 
         dashboard = build_ruru_dashboard(
-            interval_ns=int(args.duration * NS_PER_S) // 10 or NS_PER_S
+            interval_ns=_duration_ns(args) // 10 or NS_PER_S
         )
         with open(args.grafana, "w", encoding="utf-8") as handle:
             handle.write(export_grafana_json(dashboard, indent=2))
@@ -278,26 +290,15 @@ def cmd_metrics(args) -> int:
     """Run the workload fully instrumented; print the exposition text."""
     from repro.obs.slo import slos_from_dict
 
-    generator = _build_generator(args)
     telemetry = Telemetry()
-    stack = build_live_stack(
-        generator=generator, queues=args.queues, telemetry=telemetry
-    )
-    service = stack.service
-    interval_ns = max(1, int(args.telemetry_interval * NS_PER_S))
-    telemetry.export_to(service.tsdb, interval_ns=interval_ns)
+    stack = _build_live(args, telemetry)
     if args.slo_config:
-        import json
-
         with open(args.slo_config, "r", encoding="utf-8") as handle:
             stack.slos = slos_from_dict(json.load(handle))
     stack.run()
     print(telemetry.registry.exposition(), end="")
-    results = stack.slo_results
-    print("--- slo ---")
-    for result in results:
-        print(result.render())
-    if args.slo_gate and any(not result.ok for result in results):
+    _print_slos(stack.slo_results)
+    if args.slo_gate and any(not result.ok for result in stack.slo_results):
         return 1
     return 0
 
@@ -309,29 +310,19 @@ def cmd_prof(args) -> int:
     exactly the stages the live preset assembles — adding a stage to
     the topology adds a row here, with no extra wiring.
     """
-    generator = _build_generator(args)
     telemetry = Telemetry()
     profiler = telemetry.enable_profiler(sample_every=args.sample)
-    stack = build_live_stack(
-        generator=generator,
-        queues=args.queues,
-        telemetry=telemetry,
-        frontend_hwm=10_000,
-    )
+    stack = _build_live(args, telemetry, selfmon=False, frontend_hwm=10_000)
     stack.run()
     print(profiler.render(top_calls=args.top))
     if stack.slo_results:
-        print("--- slo ---")
-        for result in stack.slo_results:
-            print(result.render())
+        _print_slos(stack.slo_results)
     if args.collapsed:
         with open(args.collapsed, "w", encoding="utf-8") as handle:
             handle.write(profiler.collapsed())
         print(f"wrote collapsed stacks to {args.collapsed} "
               f"(pipe into flamegraph.pl)")
     if args.json:
-        import json
-
         from repro.obs.bench import collect_meta
 
         document = {
@@ -388,8 +379,6 @@ def _print_catalog(rows) -> None:
 
 def cmd_scenario(args) -> int:
     """The scenario harness (``ruru scenario <list|show|run|batch|compare>``)."""
-    import json
-
     from repro.obs.bench import load_resultset
     from repro.scenarios import (
         GridSpec,
@@ -516,14 +505,27 @@ def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_sharded(args, kill_shard=None, kill_at_batch=None, state_dir=None) -> int:
+def _run_sharded(
+    args, kill_shard=None, kill_at_batch=None, state_dir=None, fsync=False
+) -> int:
     """Run a workload through the process-sharded runtime (``--shards``)."""
     from repro.stack import build_sharded_runtime
     from repro.traffic.endpoints import EndpointPopulation
     from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 
+    # The shard preset has no fault profile, overload ladder or TSDB:
+    # a flag that configures one is a usage error, not a no-op.
+    parser = args.shard_parser
+    for flag, given in (
+        ("--profile", args.profile != parser.get_default("profile")),
+        ("--overload", args.overload),
+        ("--retention", getattr(args, "retention", None) is not None),
+    ):
+        if given:
+            parser.error(f"--shards does not take {flag}")
+
     config = GeneratorConfig(
-        duration_ns=max(1, int(args.duration * NS_PER_S)),
+        duration_ns=max(1, _duration_ns(args)),
         mean_flows_per_s=args.rate,
         seed=args.seed,
     )
@@ -534,10 +536,11 @@ def _run_sharded(args, kill_shard=None, kill_at_batch=None, state_dir=None) -> i
         shards=args.shards,
         state_dir=state_dir,
         policy=args.shard_policy,
+        fsync=fsync,
     )
     if kill_shard is not None:
         runtime.schedule_kill(
-            kill_shard, at_seq=kill_at_batch if kill_at_batch else 6
+            kill_shard, at_seq=6 if kill_at_batch is None else kill_at_batch
         )
     try:
         report = runtime.run(packets)
@@ -563,10 +566,27 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
         choices=("protect-handshakes", "reroute-all"),
         help="down-shard traffic policy",
     )
+    # Where _run_sharded reports a misuse of --shards, and reads this
+    # command's own --profile default from.
+    parser.set_defaults(shard_parser=parser)
+
+
+def _run_chaos(args, shutdown_flag=None):
+    from repro.faults import run_chaos
+
+    return run_chaos(
+        args.profile,
+        seed=args.seed,
+        shutdown_flag=shutdown_flag,
+        duration_s=args.duration,
+        rate=args.rate,
+        queues=args.queues,
+        overload=args.overload,
+    )
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults import PROFILES, run_chaos
+    from repro.faults import PROFILES
 
     if args.list:
         _print_catalog([
@@ -590,15 +610,7 @@ def cmd_chaos(args) -> int:
     from repro.durability.signals import GracefulShutdown
 
     with GracefulShutdown() as stop:
-        report = run_chaos(
-            args.profile,
-            seed=args.seed,
-            shutdown_flag=stop.requested,
-            duration_s=args.duration,
-            rate=args.rate,
-            queues=args.queues,
-            overload=args.overload,
-        )
+        report = _run_chaos(args, shutdown_flag=stop.requested)
     if stop.requested():
         print(f"[{stop.signal_name}] interrupted — drained gracefully")
     print(report.render())
@@ -621,16 +633,7 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_dlq(args) -> int:
-    from repro.faults import run_chaos
-
-    report = run_chaos(
-        args.profile,
-        seed=args.seed,
-        duration_s=args.duration,
-        rate=args.rate,
-        queues=args.queues,
-        overload=args.overload,
-    )
+    report = _run_chaos(args)
     print(report.stack.resilience.dlq.format_table(limit=args.limit))
     return 0 if report.ok else 1
 
@@ -659,30 +662,39 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_durable_stack(args):
-    from repro.stack import build_durable_stack
-
-    return build_durable_stack(
-        args.state_dir,
+def _durable_knobs(args) -> dict:
+    """What ``live``, ``recover`` and a recovery trial all pass on."""
+    return dict(
         profile=args.profile,
         seed=args.seed,
         duration_s=args.duration,
         rate=args.rate,
         queues=args.queues,
         checkpoint_interval_ns=max(1, int(args.checkpoint_interval * NS_PER_S)),
-        keep_checkpoints=args.keep_checkpoints,
         retention_ns=(
             None if args.retention is None else max(1, int(args.retention * NS_PER_S))
         ),
+    )
+
+
+def _make_durable_stack(args):
+    from repro.stack import build_durable_stack
+
+    return build_durable_stack(
+        args.state_dir,
+        keep_checkpoints=args.keep_checkpoints,
         fsync_wal=args.fsync_wal,
         overload=args.overload,
+        **_durable_knobs(args),
     )
 
 
 def cmd_live(args) -> int:
     """Run the durable monitor; SIGINT/SIGTERM drain gracefully."""
     if args.shards:
-        return _run_sharded(args, state_dir=args.state_dir)
+        return _run_sharded(
+            args, state_dir=args.state_dir, fsync=args.fsync_wal
+        )
     from repro.durability.signals import GracefulShutdown
 
     stack = _make_durable_stack(args)
@@ -707,22 +719,7 @@ def cmd_recover(args) -> int:
         from repro.durability.harness import run_recovery_trial
 
         trial = run_recovery_trial(
-            args.state_dir,
-            args.trial,
-            profile=args.profile,
-            seed=args.seed,
-            hit=args.hit,
-            duration_s=args.duration,
-            rate=args.rate,
-            queues=args.queues,
-            checkpoint_interval_ns=max(
-                1, int(args.checkpoint_interval * NS_PER_S)
-            ),
-            retention_ns=(
-                None
-                if args.retention is None
-                else max(1, int(args.retention * NS_PER_S))
-            ),
+            args.state_dir, args.trial, hit=args.hit, **_durable_knobs(args)
         )
         print(trial.render())
         return 0 if trial.ok else 1
@@ -740,7 +737,6 @@ def cmd_recover(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from repro.tsdb.database import TimeSeriesDatabase
     from repro.tsdb.ql import execute_statement
 
     db = TimeSeriesDatabase()
@@ -779,17 +775,12 @@ def cmd_dump(args) -> int:
 def cmd_analyze(args) -> int:
     from repro.analysis.report import analyze_paths, compare_windows
     from repro.frontend.heatmap import LatencyBuckets, render_heatmap
-    
-    injectors = []
-    if args.glitch:
-        injectors.append(FirewallGlitchInjector(
-            window_start_offset_ns=int(args.duration * NS_PER_S) * 2 // 3,
-            window_ns=max(NS_PER_S, int(args.duration * NS_PER_S) // 8),
-        ))
-    generator = _build_generator(args, injectors=injectors)
-    stack = build_live_stack(
-        generator=generator, queues=args.queues, frontend_hwm=1 << 20
+
+    duration_ns = _duration_ns(args)
+    injectors = _build_injectors(
+        args, duration_ns * 2 // 3, max(NS_PER_S, duration_ns // 8)
     )
+    stack = _build_live(args, injectors=injectors, frontend_hwm=1 << 20)
     measurements = []
     stack.graph.get("frontend").observers.append(measurements.append)
     stack.run()
@@ -804,7 +795,7 @@ def cmd_analyze(args) -> int:
         print(f"  {path.pair[0]:>16} -> {path.pair[1]:<16} n={path.sample_count:<5}"
               f" median={path.median_ms:7.1f}ms [{kind}: {path.mode_summary()}]")
 
-    half_ns = int(args.duration * NS_PER_S) // 2
+    half_ns = duration_ns // 2
     before = [m for m in measurements if m.timestamp_ns < half_ns]
     after = [m for m in measurements if m.timestamp_ns >= half_ns]
     drifts = compare_windows(before, after, min_samples=15)
@@ -819,7 +810,7 @@ def cmd_analyze(args) -> int:
     print("\nlatency heatmap:")
     heatmap = render_heatmap(
         stack.tsdb,
-        window_ns=max(NS_PER_S, int(args.duration * NS_PER_S) // 12),
+        window_ns=max(NS_PER_S, duration_ns // 12),
         buckets=LatencyBuckets(minimum_ms=1, maximum_ms=10_000, count=10),
     )
     print(heatmap.ascii())

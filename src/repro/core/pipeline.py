@@ -2,12 +2,12 @@
 
 Wiring: frames → :class:`~repro.dpdk.nic.NicPort` (symmetric RSS into
 ``num_queues`` rx rings) → one :class:`~repro.core.worker.QueueWorker`
-per queue on an :class:`~repro.dpdk.eal.Eal` lcore → latency records
+per queue, its poll body on the pipeline's poll list → latency records
 out through a sink (in the full deployment, the ZeroMQ publisher that
 :mod:`repro.analytics` subscribes to).
 
 Feeding is batched: a burst of frames is offered to the NIC, then
-every worker lcore is polled until the rings drain, then the next
+every worker is polled, round-robin, until the rings drain, then the next
 burst — the software analogue of workers keeping up with line rate
 while bounded rings absorb bursts. Ring overflow and mbuf exhaustion
 surface as NIC drops in the stats, exactly as ``imissed`` would on
@@ -17,8 +17,7 @@ hardware.
 from __future__ import annotations
 
 from operator import attrgetter
-from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import MeasurementSink
@@ -26,11 +25,9 @@ from repro.core.latency import LatencyRecord
 from repro.core.stats import PipelineStats
 from repro.core.worker import QueueWorker
 from repro.dpdk.clock import VirtualClock
-from repro.dpdk.eal import Eal
 from repro.dpdk.mbuf import MbufPool
 from repro.dpdk.nic import NicPort
 from repro.net.packet import Packet
-from repro.net.pcap import PcapReader
 
 _TIMESTAMP_NS = attrgetter("timestamp_ns")
 
@@ -94,8 +91,10 @@ class RuruPipeline:
             queue_capacity=self.config.queue_capacity,
             admission=admission,
         )
-        self.eal = Eal()
         self.supervisor = supervisor
+        # One poll body per worker, wrapped as asked; a drain round
+        # calls each once, in queue order.
+        self._polls: List[Callable[[], int]] = []
         self.workers: List[QueueWorker] = []
         for queue_id in range(self.config.num_queues):
             worker = QueueWorker(
@@ -113,7 +112,7 @@ class RuruPipeline:
                 poll = poll_wrapper(poll, role)
             if supervisor is not None:
                 poll = supervisor.supervise(poll, role)
-            self.eal.launch(poll, role=role)
+            self._polls.append(poll)
         if telemetry is not None:
             self._bind_registry(telemetry.registry)
 
@@ -161,7 +160,7 @@ class RuruPipeline:
         restarts_seen = supervisor.total_restarts if supervisor else 0
         while self.nic.pending():
             self.stats.scheduling_rounds += 1
-            if self.eal.step_all() == 0:
+            if sum(poll() for poll in self._polls) == 0:
                 if supervisor is not None and (
                     supervisor.total_restarts > restarts_seen
                 ):
@@ -203,7 +202,7 @@ class RuruPipeline:
         # batch still drains (rings may hold frames from `offer`).
         if not batch or shutdown_flag is None or not shutdown_flag():
             self._feed_and_drain(batch)
-        self._merge_worker_stats()
+        self._fold_worker_counters(self.stats)
         return self.stats
 
     def _feed_and_drain(self, batch: List[Packet]) -> None:
@@ -212,11 +211,6 @@ class RuruPipeline:
         self.drain()
         if self.telemetry is not None:
             self.telemetry.tick(self.clock.now_ns)
-
-    def run_pcap(self, path: Union[str, Path]) -> PipelineStats:
-        """Replay a pcap trace through the pipeline."""
-        with PcapReader(path) as reader:
-            return self.run_packets(reader)
 
     # -- reporting -----------------------------------------------------------
 
@@ -235,20 +229,13 @@ class RuruPipeline:
         )
         stats.queue_share = self.nic.queue_balance()
 
-    def _merge_worker_stats(self) -> None:
-        self._fold_worker_counters(self.stats)
-
-    def stats_snapshot(self) -> "PipelineStats":
+    def stats_snapshot(self) -> PipelineStats:
         """Folded whole-pipeline stats without mutating :attr:`stats`.
 
         A stack driven along its stage graph never passes through
         :meth:`run_packets`'s trailing merge, so this is its read path
         for worker counters (``DrainReport.stats``).
         """
-        return self._stats_snapshot()
-
-    def _stats_snapshot(self) -> PipelineStats:
-        """Folded stats copy; the observable :attr:`stats` untouched."""
         snapshot = PipelineStats()
         snapshot.load_state(self.stats.state_dict())
         self._fold_worker_counters(snapshot)
@@ -287,7 +274,7 @@ class RuruPipeline:
         return {
             "clock_ns": self.clock.now_ns,
             "quiesced": self.quiesced,
-            "stats": self._stats_snapshot().state_dict(),
+            "stats": self.stats_snapshot().state_dict(),
             "nic_stats": {
                 "ipackets": nic.ipackets,
                 "ibytes": nic.ibytes,

@@ -62,7 +62,8 @@ class QueueWorker:
     def poll(self) -> int:
         """One poll iteration: process up to one burst; returns count.
 
-        This is the callable handed to :meth:`repro.dpdk.eal.Eal.launch`.
+        This is the body :class:`~repro.core.pipeline.RuruPipeline`
+        keeps on its poll list, one per queue.
         """
         mbufs = self.nic.rx_burst(self.queue_id, self.config.burst_size)
         if not mbufs:

@@ -3,7 +3,9 @@
 The real Ruru uses DPDK's poll-mode driver, symmetric Receive Side
 Scaling (RSS) into multiple hardware queues, and one processing thread
 per queue pinned to its own core. This package reproduces those
-semantics in-process:
+semantics in-process (the per-queue workers themselves are a list of
+poll bodies that :class:`repro.core.pipeline.RuruPipeline` calls
+round-robin — cooperative, deterministic scheduling):
 
 * :mod:`repro.dpdk.clock` — a virtual TSC-style nanosecond clock.
 * :mod:`repro.dpdk.mbuf` — a fixed-size packet-buffer pool with
@@ -16,8 +18,6 @@ semantics in-process:
   hash table).
 * :mod:`repro.dpdk.nic` — a multi-queue NIC that classifies incoming
   frames with RSS and exposes per-queue ``rx_burst``.
-* :mod:`repro.dpdk.eal` — an EAL-style lcore launcher for running one
-  worker per queue (cooperative, deterministic scheduling).
 """
 
 from repro.dpdk.clock import VirtualClock
@@ -31,7 +31,6 @@ from repro.dpdk.rss import (
     toeplitz_hash,
 )
 from repro.dpdk.nic import NicPort, RxQueue
-from repro.dpdk.eal import Eal, LCore
 from repro.dpdk.port_stats import PortStats
 
 __all__ = [
@@ -49,7 +48,5 @@ __all__ = [
     "toeplitz_hash",
     "NicPort",
     "RxQueue",
-    "Eal",
-    "LCore",
     "PortStats",
 ]

@@ -45,10 +45,7 @@ class Forwarder:
             self._bind_registry(telemetry.registry)
 
     def poll(self, max_messages: int = 100) -> int:
-        """Move up to *max_messages* downstream; returns messages handled.
-
-        Suitable as an :class:`~repro.dpdk.eal.Eal` lcore body.
-        """
+        """Move up to *max_messages* downstream; returns messages handled."""
         handled = 0
         for message in self.sub.recv_all(max_messages):
             handled += 1

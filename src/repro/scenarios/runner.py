@@ -171,11 +171,7 @@ def run_scenario(
         .queues(spec.stack.queues)
         .telemetry(telemetry)
         .analytics(num_workers=spec.stack.analytics_workers)
-        # "stream" mode: detectors observe the enriched frontend feed
-        # (the durable-runtime shape), which stays well-ordered under
-        # mq duplication/corruption profiles where inline observation
-        # would see time move backwards.
-        .anomaly("stream")
+        .anomaly()
         .frontend(hwm=spec.stack.frontend_hwm)
         .faults(fault_profile, seed=run_seed)
     )

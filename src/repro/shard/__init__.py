@@ -43,7 +43,7 @@ from repro.shard.transport import (
     TransportError,
     pipe_pair,
 )
-from repro.shard.wire import FrameDecodeError, StreamDecoder, encode_message
+from repro.shard.wire import FrameDecodeError, StreamDecoder
 from repro.shard.worker import ShardBooks
 
 __all__ = [
@@ -65,6 +65,5 @@ __all__ = [
     "Transport",
     "TransportClosed",
     "TransportError",
-    "encode_message",
     "pipe_pair",
 ]

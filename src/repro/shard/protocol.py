@@ -27,6 +27,7 @@ import struct
 from typing import Iterable, List, Tuple
 
 from repro.mq.frames import Message
+from repro.shard.wire import encode_message
 
 BATCH_TOPIC = b"batch"
 ACK_TOPIC = b"ack"
@@ -91,6 +92,22 @@ def decode_batch(message: Message) -> Tuple[int, List[Tuple[int, int, bytes]]]:
         raise ProtocolError("malformed batch message")
     seq, count = _BATCH_HDR.unpack(message.frames[1])
     return seq, unpack_packets(message.frames[2], count)
+
+
+# -- the dispatch seam: the only callers of the batch codec ------------------
+
+
+def encode_dispatch(seq: int, burst: List[Tuple[int, int, bytes]]) -> bytes:
+    """One shard's share of a round, as ``_route_round`` emits it →
+    the bytes written to that shard's pipe."""
+    return encode_message(encode_batch(seq, burst))
+
+
+def decode_dispatch(message: Message) -> Tuple[int, List[Tuple[int, int, bytes]]]:
+    """The ``batch`` message the child's transport reassembled from
+    those bytes → ``(seq, burst)``, the burst as
+    :meth:`~repro.core.worker.QueueWorker.process_burst` consumes it."""
+    return decode_batch(message)
 
 
 # -- acks --------------------------------------------------------------------

@@ -36,7 +36,7 @@ is exactly what checkpoint + WAL-delta restore buys after a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.config import PipelineConfig
 from repro.dpdk.nic import NicPort
@@ -331,7 +331,7 @@ class ShardedRuntime:
         ):
             self.checkpoint_all()
 
-    def _send(self, handle: ShardHandle, message: Message) -> bool:
+    def _send(self, handle: ShardHandle, message: Union[Message, bytes]) -> bool:
         """Write one message under the lease; False declares the shard."""
         try:
             handle.transport.send(message, timeout=self._lease_s)
@@ -348,7 +348,7 @@ class ShardedRuntime:
     ) -> None:
         seq = handle.next_seq
         handle.next_seq += 1
-        if not self._send(handle, protocol.encode_batch(seq, triples)):
+        if not self._send(handle, protocol.encode_dispatch(seq, triples)):
             # The batch never reached the shard: it is deadlettered,
             # not lost_at_crash — the distinction the ledger preserves.
             handle.deadlettered += len(triples)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import select
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple, Union
 
 from repro.mq.frames import Message
 from repro.shard.wire import FrameDecodeError, StreamDecoder, encode_message
@@ -158,9 +158,13 @@ class Transport:
 
     # -- sending -------------------------------------------------------------
 
-    def send(self, message: Message, timeout: Optional[float] = 30.0) -> None:
+    def send(
+        self, message: Union[Message, bytes], timeout: Optional[float] = 30.0
+    ) -> None:
         """Write one message, tolerating short writes.
 
+        *message* may arrive already wire-encoded (the dispatch seam,
+        :func:`repro.shard.protocol.encode_dispatch`, hands over bytes).
         Loops until the encoded blob is fully written. While the pipe
         is full it drains the read side (deadlock avoidance) and waits
         for writability up to *timeout* seconds — a peer that neither
@@ -171,7 +175,7 @@ class Transport:
         """
         if self._closed:
             raise TransportClosed(f"transport {self.label!r} is closed")
-        data = encode_message(message)
+        data = message if isinstance(message, bytes) else encode_message(message)
         view = memoryview(data)
         offset = 0
         while offset < len(data):

@@ -158,7 +158,7 @@ def shard_child_main(
             continue
         topic = message.topic
         if topic == protocol.BATCH_TOPIC:
-            seq, packets = protocol.decode_batch(message)
+            seq, packets = protocol.decode_dispatch(message)
             if kill_at_seq is not None and seq >= kill_at_seq:
                 # The scheduled fault: die *hard* while holding this
                 # batch, exactly as a segfault would — no ack, no

@@ -17,10 +17,10 @@ from it:
 * metrics-collector registration — :mod:`repro.stack.metrics`.
 
 Every assembly in the repo (the CLI commands, ``run_chaos``, the
-recovery harness, the scenario runner, :class:`repro.runtime.RuruRuntime`)
-is a preset of :class:`StackBuilder` driven by :meth:`RuruStack.run`;
-nothing outside this package wires pipeline-to-analytics plumbing or
-cuts feed batches by hand.
+recovery harness, the scenario runner) is a preset of
+:class:`StackBuilder` driven by :meth:`RuruStack.run`; nothing outside
+this package wires pipeline-to-analytics plumbing or cuts feed batches
+by hand.
 """
 
 from repro.stack.builder import (

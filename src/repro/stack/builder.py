@@ -1,8 +1,7 @@
 """The composition root: one builder, four presets, one driver.
 
 Every assembly of the Ruru dataflow — the CLI commands, ``run_chaos``,
-the recovery harness, the scenario runner and
-:class:`repro.runtime.RuruRuntime` — is a configuration of
+the recovery harness and the scenario runner — is a configuration of
 :class:`StackBuilder`, and every in-process run is
 :meth:`RuruStack.run`. The builder constructs components in one fixed,
 determinism-preserving order, wraps them in the stage wrappers of
@@ -17,8 +16,7 @@ Presets:
 measure   fast path only (``ruru measure``): NIC + workers, records
           collected in ``pipeline.measurements``.
 live      full dataflow without fault machinery (``ruru demo`` /
-          ``detect`` / ``export`` / ``metrics`` / ``analyze`` and
-          :class:`repro.runtime.RuruRuntime`).
+          ``detect`` / ``export`` / ``metrics`` / ``prof`` / ``analyze``).
 chaos     live + fault injector, resilience layer and supervisor
           (:func:`repro.faults.chaos.run_chaos`).
 durable   chaos + WAL-backed TSDB, checkpoints, anomaly/top-k riders
@@ -314,6 +312,41 @@ class RuruStack:
         """Crash points owned by the assembled stages, in graph order."""
         return self.graph.fault_points()
 
+    def status(self) -> dict:
+        """A JSON-able snapshot of where records are and where they
+        wait, one block per tier this preset assembled. (A live map is
+        the caller's own frontend observer; its figures are read off it.)
+        """
+        pipeline = self.pipeline
+        status = {
+            "pipeline": {
+                **pipeline.stats_snapshot().summary(),
+                "queue_balance": pipeline.queue_balance(),
+                "flow_table_occupancy": pipeline.flow_table_occupancy(),
+            }
+        }
+        service = self.service
+        if service is not None:
+            status["analytics"] = {
+                "records_in": service.records_in,
+                "enriched": service.enriched_count,
+                "filtered_out": service.filtered_out,
+                "input_queue_depth": len(service.pull),
+            }
+            status["tsdb"] = {
+                "points": self.tsdb.total_points(),
+                "series": dict(self.tsdb.cardinality()),
+            }
+        stage = self.graph.get("frontend")
+        if stage is not None:
+            status["frontend"] = {
+                "received": stage.received,
+                "degraded": stage.degraded,
+                "queue_depth": len(stage.sub),
+                "dropped": stage.sub.dropped,
+            }
+        return status
+
     @property
     def frontend_received(self) -> int:
         stage = self.graph.get("frontend")
@@ -345,7 +378,7 @@ class StackBuilder:
         self._analytics = False
         self._analytics_workers = 4
         self._frontend_hwm: Optional[int] = None
-        self._anomaly: Optional[str] = None  # "inline" | "stream"
+        self._anomaly = False
         self._topk_capacity: Optional[int] = None
         self._profile: Optional[FaultProfile] = None
         self._seed = 42
@@ -397,16 +430,17 @@ class StackBuilder:
         return self
 
     def anomaly(self, mode: str = "stream") -> "StackBuilder":
-        """Attach the anomaly detectors.
-
-        ``inline`` observes measurements synchronously via a service
-        filter (the ``ruru detect`` shape); ``stream`` observes the
-        enriched frontend feed (the durable-runtime shape). Both also
-        observe raw packets via a pipeline observer.
+        """Attach the anomaly detectors: raw packets via a pipeline
+        observer, measurements off the enriched frontend feed — which
+        is subscribed here if :meth:`frontend` has not been called.
+        ``stream`` is the only wiring; the argument is what remains of
+        a choice some callers still spell out.
         """
-        if mode not in ("inline", "stream"):
+        if mode != "stream":
             raise ValueError(f"unknown anomaly mode {mode!r}")
-        self._anomaly = mode
+        self._anomaly = True
+        if self._frontend_hwm is None:
+            self.frontend()
         return self
 
     def topk(self, capacity: int = 100) -> "StackBuilder":
@@ -571,14 +605,9 @@ class StackBuilder:
             if telemetry is not None and injector is not None:
                 injector.bind_registry(telemetry.registry)
 
-            if self._anomaly is not None:
+            if self._anomaly:
                 anomaly = AnomalyManager()
                 observers.append(anomaly.observe_packet)
-                if self._anomaly == "inline":
-                    manager = anomaly
-                    service.filters.append(
-                        lambda m: (manager.observe_measurement(m), True)[1]
-                    )
             if self._topk_capacity is not None:
                 topk = SpaceSaving(capacity=self._topk_capacity)
             if self._frontend_hwm is not None:
@@ -632,13 +661,13 @@ class StackBuilder:
         if service is not None:
             stages.append(MqStage(service))
             stages.append(AnalyticsStage(service))
-            if anomaly is not None and self._anomaly == "stream":
+            if anomaly is not None:
                 stages.append(AnomalyStage(anomaly))
             if topk is not None:
                 stages.append(TopkStage(topk))
             if frontend_sub is not None:
                 frontend_observers = []
-                if anomaly is not None and self._anomaly == "stream":
+                if anomaly is not None:
                     frontend_observers.append(anomaly.observe_measurement)
                 if topk is not None:
                     frontend_observers.append(
@@ -727,17 +756,12 @@ def build_live_stack(
     telemetry: Optional[Telemetry] = None,
     frontend_hwm: Optional[int] = None,
     anomaly: bool = False,
-    analytics_workers: int = 4,
     geo_asn=None,
     config: Optional[PipelineConfig] = None,
     overload: bool = False,
 ) -> RuruStack:
     """``live``: full dataflow, no fault machinery."""
-    builder = (
-        StackBuilder()
-        .telemetry(telemetry)
-        .analytics(num_workers=analytics_workers)
-    )
+    builder = StackBuilder().telemetry(telemetry).analytics()
     if overload:
         builder.overload()
     if generator is not None:
@@ -751,7 +775,7 @@ def build_live_stack(
     if frontend_hwm is not None:
         builder.frontend(hwm=frontend_hwm)
     if anomaly:
-        builder.anomaly("inline")
+        builder.anomaly()
     return builder.build()
 
 
@@ -802,7 +826,7 @@ def build_durable_stack(
         .telemetry(telemetry or Telemetry())
         .analytics()
         .faults(profile, seed=seed)
-        .anomaly("stream")
+        .anomaly()
         .topk(capacity=100)
         .frontend(hwm=1 << 20)
         .durable(
@@ -820,20 +844,16 @@ def build_durable_stack(
 
 
 def build_sharded_runtime(
-    shards: int = 2,
-    config: Optional[PipelineConfig] = None,
-    state_dir: Optional[str] = None,
-    policy: str = "protect-handshakes",
-    telemetry: Optional[Telemetry] = None,
-    **kwargs,
+    shards: int = 2, telemetry: Optional[Telemetry] = None, **kwargs
 ):
     """``shard``: the RX-queue workers as forked OS processes.
 
     Each RX queue's worker becomes its own OS process behind the MQ
     frame codec over a pair of pipes; the parent keeps the RSS router
     and the shard control plane (lock-step dispatch, the heartbeat
-    lease, restarts, the global conservation ledger). See
-    :mod:`repro.shard`.
+    lease, restarts, the global conservation ledger). *kwargs* are
+    :class:`~repro.shard.runtime.ShardedRuntime`'s (``config``,
+    ``state_dir``, ``policy``, ``record_sink``, ``fsync``, …).
     """
     # Lazy: repro.shard composes pieces from several packages; importing
     # it at module scope would cycle back through repro.stack.
@@ -841,9 +861,6 @@ def build_sharded_runtime(
 
     return ShardedRuntime(
         shards,
-        config=config,
-        state_dir=state_dir,
-        policy=policy,
         registry=telemetry.registry if telemetry is not None else None,
         **kwargs,
     )

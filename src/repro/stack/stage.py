@@ -4,7 +4,6 @@ A :class:`Stage` wraps one tier of the running stack behind a uniform
 lifecycle so the composition root can treat the whole pipeline as data:
 
 * ``process(ctx)`` — advance the stage for one feed batch;
-* ``quiesce()`` / ``flush(ctx)`` — the two halves of graceful drain;
 * ``drain(ctx)`` — run this stage's part of the drain protocol and
   return the stage labels it performed (what ``DrainReport.stages``
   is built from);
@@ -65,17 +64,8 @@ class Stage:
     def name(self) -> str:
         return self.spec.name
 
-    def start(self) -> None:
-        """Bring the stage up (stages here are live at construction)."""
-
     def process(self, ctx: StageContext) -> None:
         """Advance this stage for one feed batch."""
-
-    def quiesce(self) -> None:
-        """Stop accepting new input (step one of graceful drain)."""
-
-    def flush(self, ctx: StageContext) -> None:
-        """Push everything buffered in this stage downstream."""
 
     def drain(self, ctx: StageContext) -> List[str]:
         """Run this stage's part of the drain protocol.

@@ -57,11 +57,8 @@ class NicStage(Stage):
         ctx.reached("nic.rx")
         self.pipeline.offer_burst(ctx.batch)
 
-    def quiesce(self) -> None:
-        self.pipeline.quiesce()
-
     def drain(self, ctx: StageContext) -> List[str]:
-        self.quiesce()
+        self.pipeline.quiesce()
         return ["quiesce"]
 
 
@@ -76,11 +73,8 @@ class WorkerStage(Stage):
         ctx.reached("worker.poll")
         self.pipeline.drain()
 
-    def flush(self, ctx: StageContext) -> None:
-        self.pipeline.drain()
-
     def drain(self, ctx: StageContext) -> List[str]:
-        self.flush(ctx)
+        self.pipeline.drain()
         return ["drain-rings"]
 
     def state_dict(self) -> Dict:
@@ -101,11 +95,8 @@ class MqStage(Stage):
     def process(self, ctx: StageContext) -> None:
         ctx.reached("mq.publish")
 
-    def flush(self, ctx: StageContext) -> None:
-        self.service.poll(max_messages=1 << 30)
-
     def drain(self, ctx: StageContext) -> List[str]:
-        self.flush(ctx)
+        self.service.poll(max_messages=1 << 30)
         return ["flush-mq"]
 
 
@@ -123,12 +114,9 @@ class AnalyticsStage(Stage):
         ctx.reached("analytics.ingest")
         self.service.poll(max_messages=1 << 30)
 
-    def flush(self, ctx: StageContext) -> None:
-        self.service.finish()
-
     def drain(self, ctx: StageContext) -> List[str]:
         ctx.reached("drain.mid")
-        self.flush(ctx)
+        self.service.finish()
         return ["flush-analytics"]
 
     def state_dict(self) -> Dict:
@@ -195,9 +183,6 @@ class FrontendStage(Stage):
     def process(self, ctx: StageContext) -> None:
         self.pump()
 
-    def flush(self, ctx: StageContext) -> None:
-        self.pump()
-
     def drain(self, ctx: StageContext) -> List[str]:
         self.pump()
         return ["flush-frontend"]
@@ -224,11 +209,8 @@ class TelemetryStage(Stage):
     def process(self, ctx: StageContext) -> None:
         self.telemetry.tick(ctx.now_ns)
 
-    def flush(self, ctx: StageContext) -> None:
-        self.telemetry.flush(ctx.now_ns)
-
     def drain(self, ctx: StageContext) -> List[str]:
-        self.flush(ctx)
+        self.telemetry.flush(ctx.now_ns)
         return ["flush-telemetry"]
 
 
@@ -240,11 +222,8 @@ class TsdbStage(Stage):
         self.tsdb = tsdb
         self.wal = wal
 
-    def flush(self, ctx: StageContext) -> None:
-        self.wal.sync()
-
     def drain(self, ctx: StageContext) -> List[str]:
-        self.flush(ctx)
+        self.wal.sync()
         return ["sync-wal"]
 
     def state_dict(self) -> Dict:

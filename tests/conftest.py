@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.frontend.map_view import LiveMapView
+from repro.frontend.websocket import WebSocketChannel
 from repro.geo.builder import GeoDbBuilder, SyntheticGeoPlan
 from repro.net.addresses import ip_to_int
 from repro.net.packet import build_tcp_packet
@@ -41,6 +43,13 @@ def small_workload():
 @pytest.fixture()
 def parser():
     return PacketParser(extract_timestamps=True)
+
+
+def attach_live_map(stack, fps: int = 30) -> LiveMapView:
+    """Hang a live map on *stack*'s frontend stage, as ``ruru demo`` does."""
+    map_view = LiveMapView(channel=WebSocketChannel(name="live-map"), fps=fps)
+    stack.graph.get("frontend").observers.append(map_view.observe)
+    return map_view
 
 
 def make_handshake(

@@ -106,8 +106,7 @@ class TestRetaRebalance:
         for packet in packets[half:]:
             pipeline.offer(packet)
         pipeline.drain()
-        pipeline._merge_worker_stats()
-        stats = pipeline.stats
+        stats = pipeline.stats_snapshot()
 
         baseline = RuruPipeline(config=PipelineConfig(num_queues=4))
         baseline_stats = baseline.run_packets(packets)

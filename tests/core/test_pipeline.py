@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RuruPipeline
 from repro.net.pcap import PcapWriter
+from repro.net.pcapng import open_capture
 from tests.conftest import make_handshake
 
 MS = 1_000_000
@@ -180,8 +181,8 @@ class TestPcapReplay:
         with PcapWriter(path) as writer:
             for packet in packets:
                 writer.write(packet)
-        pipeline = RuruPipeline()
-        stats = pipeline.run_pcap(path)
+        with open_capture(path) as reader:
+            stats = RuruPipeline().run_packets(reader)
         assert stats.measurements > 0
         assert stats.packets_offered == len(packets)
 
@@ -243,6 +244,18 @@ class TestSupervisedWorkers:
             config=PipelineConfig(num_queues=2), poll_wrapper=crash_first
         )
         with pytest.raises(RuntimeError):
+            pipeline.run_packets(packets)
+
+
+    def test_idle_workers_with_frames_pending_is_a_stall(self, small_workload):
+        """Rings non-empty, a whole round of polls did nothing, nobody
+        was restarted: drain raises instead of spinning."""
+        _, packets = small_workload
+        pipeline = RuruPipeline(
+            config=PipelineConfig(num_queues=2),
+            poll_wrapper=lambda poll, role: lambda: 0,
+        )
+        with pytest.raises(RuntimeError, match="stalled"):
             pipeline.run_packets(packets)
 
 

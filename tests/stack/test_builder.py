@@ -1,5 +1,7 @@
 """The composition root: presets, derived traversals, validation."""
 
+import json
+
 import pytest
 
 from repro.faults.crashpoints import CRASH_POINTS
@@ -102,10 +104,61 @@ class TestDerivedBehaviours:
         assert stack.frontend_received == stack.service.processed
 
 
+class TestStatus:
+    """``status()`` is on the handle every preset has; a block appears
+    only for a tier the preset assembled."""
+
+    def _blocks(self, stack):
+        # A preset built with a scenario feeds itself; the others idle.
+        stack.run(None if stack.generator is not None else [])
+        status = stack.status()
+        assert json.loads(json.dumps(status)) == status
+        assert status["pipeline"]["measurements"] == (
+            stack.pipeline.stats_snapshot().tracker.measurements
+        )
+        assert len(status["pipeline"]["flow_table_occupancy"]) == stack.queues
+        return status
+
+    def test_measure_has_the_pipeline_block_only(self):
+        assert set(self._blocks(build_measure_stack(queues=2))) == {"pipeline"}
+
+    def test_live_without_a_frontend_has_no_frontend_block(self):
+        status = self._blocks(build_live_stack(queues=2))
+        assert set(status) == {"pipeline", "analytics", "tsdb"}
+
+    def test_chaos_and_durable_have_every_block(self, tmp_path):
+        for stack in (
+            build_chaos_stack("lossy-mq", seed=3, duration_s=1.0, rate=30),
+            build_durable_stack(str(tmp_path), duration_s=1.0, rate=30),
+        ):
+            status = self._blocks(stack)
+            assert set(status) == {"pipeline", "analytics", "tsdb", "frontend"}
+            assert status["analytics"]["enriched"] > 0
+            assert status["analytics"]["input_queue_depth"] == 0
+            assert status["tsdb"]["points"] == stack.tsdb.total_points() > 0
+            assert "latency" in status["tsdb"]["series"]
+            assert status["frontend"]["received"] == stack.frontend_received
+            assert status["frontend"]["queue_depth"] == 0
+
+
 class TestBuilderValidation:
     def test_unknown_anomaly_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown anomaly mode"):
             StackBuilder().anomaly("sideways")
+
+    def test_the_inline_anomaly_wiring_is_gone(self):
+        with pytest.raises(ValueError, match="unknown anomaly mode"):
+            StackBuilder().anomaly("inline")
+
+    def test_anomaly_detectors_bring_their_frontend_stream(self):
+        stack = build_live_stack(queues=2, anomaly=True)
+        assert stack.graph.names() == [
+            "nic", "workers", "mq", "analytics", "anomaly", "frontend",
+        ]
+        assert stack.anomaly.observe_measurement in (
+            stack.graph.get("frontend").observers
+        )
+        assert stack.service.filters == []
 
     def test_durable_requires_analytics(self, tmp_path):
         builder = StackBuilder().durable(str(tmp_path))

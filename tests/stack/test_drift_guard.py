@@ -16,8 +16,11 @@ usually starts (a tripwire, not a proof: one that only indexes
 dispatch under the heartbeat lease — so an option that selects another
 (a deadline, a window, a transport kind), a fifth lifecycle state or a
 private ``time.monotonic()`` deadline is how the second one comes
-back. The TSDB's write-ahead log is the store's only durable image,
-and a second one comes back two ways: the store copied into the
+back; and what crosses a shard's pipe is decided by one encode/decode
+pair (``protocol.encode_dispatch`` / ``decode_dispatch``), so the batch
+codec and the wire framer under it are named nowhere else. The TSDB's
+write-ahead log is the store's only durable image, and a second one
+comes back two ways: the store copied into the
 checkpoint (an ``applied_lines`` mirror, a ``"tsdb_lines"`` key
 written), or the log cut back to what a checkpoint does not cover (a
 ``.truncate(`` under ``stack/``). This test walks the source tree with
@@ -50,7 +53,7 @@ DRIVER_ALLOWED = (SRC / "core" / "pipeline.py", SRC / "stack")
 # A new runtime, harness or ledger is a parallel mechanism by another
 # name; these are the ones that exist.
 PARALLEL_SUFFIXES = ("Runtime", "Harness", "Ledger")
-PARALLEL_ALLOWED = {"RuruRuntime", "ShardedRuntime", "RecoveryHarness", "Ledger"}
+PARALLEL_ALLOWED = {"ShardedRuntime", "RecoveryHarness", "Ledger"}
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -259,6 +262,47 @@ def shard_lifecycle_states(root=SRC):
     )
 
 
+#: The functions under the shard dispatch seam → the only files (under
+#: ``src/repro``) that may name them. ``transport.send`` frames every
+#: control message with the wire encoder, so it keeps that one.
+SEAM_INNER = {
+    "encode_batch": {"shard/protocol.py"},
+    "decode_batch": {"shard/protocol.py"},
+    "encode_message": {"shard/protocol.py", "shard/transport.py", "shard/wire.py"},
+}
+
+
+def seam_inner_sites(root=SRC):
+    """Every name, attribute or import of a function under the seam,
+    outside the files that own it."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        owner = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in SEAM_INNER and owner not in SEAM_INNER[name]:
+                sites.append((path, node.lineno, name))
+    return sites
+
+
+def _calls_inside(path, function):
+    """Names called anywhere inside *function* of *path*."""
+    return {
+        _called_name(call)
+        for node in _functions(path)
+        if node.name == function
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
 #: The one place that may still *read* a checkpoint's ``tsdb_lines``.
 LEGACY_LOADER = SRC / "stack" / "stages.py"
 
@@ -377,6 +421,24 @@ class TestOneShardMode:
         # time.monotonic() is a private deadline beside the lease.
         assert calls_named("monotonic", SRC / "shard") == []
 
+    def test_one_dispatch_seam(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} names {name}"
+            for path, lineno, name in seam_inner_sites()
+        ]
+        assert not offenders, (
+            "the batch codec or the wire framer named outside the dispatch "
+            "seam (call protocol.encode_dispatch / decode_dispatch):\n  "
+            + "\n  ".join(offenders)
+        )
+        # Both ends of the pipe go through the pair.
+        assert "encode_dispatch" in _calls_inside(
+            SRC / "shard" / "runtime.py", "_dispatch"
+        )
+        assert "decode_dispatch" in _calls_inside(
+            SRC / "shard" / "worker.py", "shard_child_main"
+        )
+
     def test_four_lifecycle_states(self):
         assert shard_lifecycle_states() == [
             "SHARD_DOWN",
@@ -413,6 +475,23 @@ class TestOneShardMode:
         assert len(calls_named("socketpair", tmp_path)) == 1
         assert len(calls_named("monotonic", tmp_path / "shard")) == 1
         assert shard_lifecycle_states(tmp_path) == ["SHARD_SUSPECT", "SHARD_UP"]
+        (tmp_path / "shard" / "protocol.py").write_text(
+            "def encode_dispatch(seq, burst):\n"
+            "    return encode_message(encode_batch(seq, burst))\n"
+        )
+        (tmp_path / "shard" / "runtime.py").write_text(
+            '"""encode_batch in a docstring."""\n'
+            "from repro.shard.wire import encode_message\n"
+            "def _dispatch(self, handle, triples):\n"
+            "    self._send(handle, protocol.encode_batch(seq, triples))\n"
+        )
+        assert [name for _, _, name in seam_inner_sites(tmp_path)] == [
+            "encode_message",
+            "encode_batch",
+        ]
+        assert "encode_dispatch" not in _calls_inside(
+            tmp_path / "shard" / "runtime.py", "_dispatch"
+        )
 
 
 class TestOneBodyPerHotFunction:

@@ -141,6 +141,37 @@ class TestCommands:
         assert model["panels"]
 
 
+# `ruru detect --glitch --flood` stdout, captured at the commit before
+# the inline detector wiring (a service filter) was retired: the
+# frontend-stream wiring, now the only one, must reproduce it exactly.
+DETECT_GOLDEN = {
+    7: """\
+[CRITICAL] latency-spike NZ->US @7.3s (19.3s): latency 1189 ms vs baseline 188 ms (z=26.1)
+[CRITICAL] syn-flood 20.0.121.0/24 @10.0s (6.0s): 1967 SYN/s toward 20.0.121.0/24, completion 0%
+[CRITICAL] latency-spike NZ->SG @19.2s (7.1s): latency 4140 ms vs baseline 130 ms (z=260.8)
+[CRITICAL] latency-spike NZ->AU @19.3s (9.6s): latency 4033 ms vs baseline 50 ms (z=38.2)
+[CRITICAL] latency-spike US->NZ @19.7s (7.3s): latency 4215 ms vs baseline 183 ms (z=106.1)
+[CRITICAL] latency-spike NZ->GB @20.6s (5.7s): latency 4316 ms vs baseline 296 ms (z=87.1)
+""",
+    11: """\
+[CRITICAL] latency-spike NZ->US @5.7s (21.9s): latency 1187 ms vs baseline 206 ms (z=19.8)
+[CRITICAL] syn-flood 20.0.149.0/24 @10.0s (6.0s): 1897 SYN/s toward 20.0.149.0/24, completion 0%
+[CRITICAL] latency-spike US->NZ @14.4s (12.3s): latency 1253 ms vs baseline 194 ms (z=28.0)
+[CRITICAL] latency-spike NZ->GB @19.3s (7.1s): latency 4280 ms vs baseline 294 ms (z=106.4)
+[CRITICAL] latency-spike NZ->JP @19.3s (7.2s): latency 4132 ms vs baseline 153 ms (z=33.9)
+[CRITICAL] latency-spike NZ->SG @19.3s (6.6s): latency 4175 ms vs baseline 136 ms (z=174.9)
+[CRITICAL] latency-spike NZ->AU @19.5s (7.1s): latency 4044 ms vs baseline 41 ms (z=413.3)
+""",
+}
+
+
+class TestDetectGolden:
+    @pytest.mark.parametrize("seed", sorted(DETECT_GOLDEN))
+    def test_detect_stdout_is_unchanged(self, seed, capsys):
+        assert main(["detect", "--glitch", "--flood", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == DETECT_GOLDEN[seed]
+
+
 class TestTelemetry:
     def test_metrics_emits_prometheus_exposition(self, capsys):
         assert main(["metrics", "--duration", "2", "--rate", "20"]) == 0

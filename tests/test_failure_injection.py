@@ -89,7 +89,7 @@ class TestCorruptedFrames:
 class TestDeterministicSoak:
     def test_full_runtime_bitwise_deterministic(self):
         """Same seed -> byte-identical TSDB export, twice."""
-        from repro.runtime import RuruRuntime
+        from repro.stack import build_live_stack
         from repro.traffic.scenarios import AucklandLaScenario
 
         def one_run():
@@ -97,8 +97,10 @@ class TestDeterministicSoak:
                 duration_ns=4_000_000_000, mean_flows_per_s=40,
                 seed=77, diurnal=False,
             ).build()
-            runtime = RuruRuntime.build(generator.plan)
-            report = runtime.run(generator.packets())
-            return "\n".join(report.tsdb.dump_lines())
+            stack = build_live_stack(
+                generator=generator, frontend_hwm=10_000, anomaly=True
+            )
+            stack.run()
+            return "\n".join(stack.tsdb.dump_lines())
 
         assert one_run() == one_run()

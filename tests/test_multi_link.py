@@ -15,9 +15,10 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import RuruPipeline
 from repro.geo.builder import GeoDbBuilder
 from repro.mq.socket import Context
-from repro.runtime import RuruRuntime
+from repro.stack import build_live_stack
 from repro.traffic.scenarios import AucklandLaScenario
 from repro.tsdb.query import Query
+from tests.conftest import attach_live_map
 
 NS_PER_S = 1_000_000_000
 
@@ -70,18 +71,25 @@ class TestRuntimeStatus:
         generator = AucklandLaScenario(
             duration_ns=3 * NS_PER_S, mean_flows_per_s=30, seed=34, diurnal=False
         ).build()
-        runtime = RuruRuntime.build(generator.plan)
-        report = runtime.run(generator.packets())
-        status = runtime.status()
+        stack = build_live_stack(
+            generator=generator, frontend_hwm=10_000, anomaly=True
+        )
+        map_view = attach_live_map(stack)
+        measurements = stack.run().stats.measurements
+        map_view.finish()
+        status = stack.status()
 
-        assert status["pipeline"]["measurements"] == report.measurements
+        assert status["pipeline"]["measurements"] == measurements
         assert len(status["pipeline"]["queue_balance"]) == 4
-        assert status["analytics"]["enriched"] == report.measurements
+        assert status["analytics"]["enriched"] == measurements
         assert status["analytics"]["input_queue_depth"] == 0
         assert status["tsdb"]["points"] > 0
         assert "latency" in status["tsdb"]["series"]
-        assert status["frontend"]["frames_sent"] == report.map_view.frames_sent
-        assert set(status["frontend"]["colors"]) == {"green", "yellow", "red"}
+        # The map is the caller's observer: its figures are its own, and
+        # agree with what the stack's frontend stage handed it.
+        assert status["frontend"]["received"] == map_view.arcs_in
+        assert map_view.frames_sent > 0
+        assert set(map_view.color_histogram()) == {"green", "yellow", "red"}
 
     def test_status_is_json_serializable(self):
         import json
@@ -89,6 +97,8 @@ class TestRuntimeStatus:
         generator = AucklandLaScenario(
             duration_ns=2 * NS_PER_S, mean_flows_per_s=20, seed=35, diurnal=False
         ).build()
-        runtime = RuruRuntime.build(generator.plan)
-        runtime.run(generator.packets())
-        json.dumps(runtime.status())
+        stack = build_live_stack(
+            generator=generator, frontend_hwm=10_000, anomaly=True
+        )
+        stack.run()
+        json.dumps(stack.status())

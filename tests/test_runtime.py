@@ -1,13 +1,13 @@
-"""RuruRuntime tests: the live stack with the map attached."""
+"""The live preset with the map attached: every tier, one driver."""
 
 from repro.core.config import PipelineConfig
-from repro.runtime import RuruRuntime
-from repro.stack import build_live_stack
+from repro.stack import build_enrichment_dbs, build_live_stack
 from repro.traffic.scenarios import (
     AucklandLaScenario,
     FirewallGlitchInjector,
     SynFloodInjector,
 )
+from tests.conftest import attach_live_map
 
 NS_PER_S = 1_000_000_000
 
@@ -22,23 +22,28 @@ def _generator(duration_s=5, rate=30, seed=19, injectors=None):
 class TestRuntime:
     def test_all_tiers_progress_together(self):
         generator = _generator()
-        runtime = RuruRuntime.build(generator.plan, country_accuracy=1.0)
-        report = runtime.run(generator.packets())
+        stack = build_live_stack(
+            generator=generator,
+            geo_asn=build_enrichment_dbs(generator.plan, country_accuracy=1.0),
+            frontend_hwm=10_000,
+            anomaly=True,
+        )
+        map_view = attach_live_map(stack)
+        measurements = stack.run().stats.measurements
 
         completing = [
             s for s in generator.specs
             if s.completes and not s.rst_after_synack
         ]
-        assert report.measurements == len(completing)
+        assert measurements == len(completing)
         # Every measurement reached the TSDB...
         from repro.tsdb.query import Query
 
-        count = report.tsdb.query(Query("latency", "total_ms", "count")).scalar()
-        assert count == report.measurements
+        count = stack.tsdb.query(Query("latency", "total_ms", "count")).scalar()
+        assert count == measurements
         # ...and was drawn on the map.
-        total_arcs = report.map_view.arcs_in
-        assert total_arcs == report.measurements
-        assert report.frontend_dropped == 0
+        assert map_view.arcs_in == measurements
+        assert stack.frontend.dropped == 0
 
     def test_interleaving_bounds_queue_depth(self):
         """Because analytics runs while rx still has work, the PULL
@@ -58,10 +63,12 @@ class TestRuntime:
 
     def test_frames_paced(self):
         generator = _generator(duration_s=4, rate=50)
-        runtime = RuruRuntime.build(generator.plan, map_fps=30)
-        report = runtime.run(generator.packets())
+        stack = build_live_stack(generator=generator, frontend_hwm=10_000)
+        map_view = attach_live_map(stack, fps=30)
+        stack.run()
+        map_view.finish()
         # At most ~30 frames per virtual second (+ the final flush).
-        assert report.map_view.frames_sent <= 4 * 31 + 1
+        assert 0 < map_view.frames_sent <= 4 * 31 + 1
 
     def test_anomalies_detected_live(self):
         glitch = FirewallGlitchInjector(
@@ -72,25 +79,26 @@ class TestRuntime:
             rate_per_s=2000,
         )
         generator = _generator(duration_s=60, rate=30, injectors=[glitch, flood])
-        runtime = RuruRuntime.build(generator.plan)
-        report = runtime.run(generator.packets())
-        kinds = {event.kind for event in report.anomalies}
+        stack = build_live_stack(generator=generator, anomaly=True)
+        stack.run()
+        kinds = {
+            event.kind for event in stack.anomaly.finish(now_ns=stack.now_ns)
+        }
         assert "latency-spike" in kinds
         assert "syn-flood" in kinds
 
     def test_detection_disabled(self):
         generator = _generator(duration_s=2)
-        runtime = RuruRuntime.build(
-            generator.plan, with_anomaly_detection=False
-        )
-        report = runtime.run(generator.packets())
-        assert report.anomalies == []
+        stack = build_live_stack(generator=generator, frontend_hwm=10_000)
+        stack.run()
+        assert stack.anomaly is None
+        assert "anomaly" not in stack.graph.names()
 
     def test_custom_config(self):
         generator = _generator(duration_s=2)
-        runtime = RuruRuntime.build(
-            generator.plan, config=PipelineConfig(num_queues=2)
+        stack = build_live_stack(
+            generator=generator, config=PipelineConfig(num_queues=2)
         )
-        report = runtime.run(generator.packets())
-        assert len(runtime.pipeline.workers) == 2
-        assert report.measurements > 0
+        report = stack.run()
+        assert len(stack.pipeline.workers) == 2
+        assert report.stats.measurements > 0
