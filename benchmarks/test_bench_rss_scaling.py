@@ -83,16 +83,14 @@ class TestProcessShardScaling:
     def _run_once(self, packets, shards):
         import time as _time
 
+        from repro.core.feed import drive
         from repro.shard.runtime import ShardedRuntime
 
-        runtime = ShardedRuntime(
-            shards,
-            PipelineConfig(num_queues=shards),
-            batch_size=256,
-        )
+        runtime = ShardedRuntime(shards, PipelineConfig(num_queues=shards))
         started = _time.perf_counter()
         try:
-            report = runtime.run(packets)
+            drive(runtime.offer, packets, size=256)
+            report = runtime.drain()
         finally:
             runtime.close()
         elapsed = _time.perf_counter() - started

@@ -32,7 +32,6 @@ from repro.frontend import LiveMapView, build_ruru_dashboard
 from repro.anomaly import AnomalyManager
 from repro.mq import Context
 from repro.stack import (
-    PRESETS,
     RuruStack,
     StackBuilder,
     build_chaos_stack,
@@ -62,7 +61,6 @@ __all__ = [
     "build_ruru_dashboard",
     "AnomalyManager",
     "Context",
-    "PRESETS",
     "RuruStack",
     "StackBuilder",
     "build_chaos_stack",

@@ -378,7 +378,18 @@ def _print_catalog(rows) -> None:
 
 
 def cmd_scenario(args) -> int:
-    """The scenario harness (``ruru scenario <list|show|run|batch|compare>``)."""
+    """The scenario harness (``ruru scenario <list|show|run|batch|compare>``);
+    a bad spec is a usage error: one line on stderr, exit 2."""
+    from repro.scenarios.spec import SpecError
+
+    try:
+        return _scenario(args)
+    except SpecError as exc:
+        print(f"ruru scenario: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _scenario(args) -> int:
     from repro.obs.bench import load_resultset
     from repro.scenarios import (
         GridSpec,
@@ -508,10 +519,11 @@ def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
 def _run_sharded(
     args, kill_shard=None, kill_at_batch=None, state_dir=None, fsync=False
 ) -> int:
-    """Run a workload through the process-sharded runtime (``--shards``)."""
+    """Run a workload through the process-sharded runtime (``--shards``):
+    streamed from the generator, stopped gracefully by SIGINT/SIGTERM."""
+    from repro.core.feed import drive
+    from repro.durability.signals import GracefulShutdown
     from repro.stack import build_sharded_runtime
-    from repro.traffic.endpoints import EndpointPopulation
-    from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 
     # The shard preset has no fault profile, overload ladder or TSDB:
     # a flag that configures one is a usage error, not a no-op.
@@ -524,14 +536,6 @@ def _run_sharded(
         if given:
             parser.error(f"--shards does not take {flag}")
 
-    config = GeneratorConfig(
-        duration_ns=max(1, _duration_ns(args)),
-        mean_flows_per_s=args.rate,
-        seed=args.seed,
-    )
-    packets = TrafficGenerator(
-        config=config, population=EndpointPopulation()
-    ).packet_list()
     runtime = build_sharded_runtime(
         shards=args.shards,
         state_dir=state_dir,
@@ -543,12 +547,16 @@ def _run_sharded(
             kill_shard, at_seq=6 if kill_at_batch is None else kill_at_batch
         )
     try:
-        report = runtime.run(packets)
+        with GracefulShutdown() as stop:
+            drive(runtime.offer, _build_generator(args).packets(), stop=stop.requested)
+            report = runtime.drain()
     finally:
         runtime.close()
+    if stop.requested():
+        print(f"[{stop.signal_name}] interrupted — drained gracefully")
     print(
         f"sharded run: {args.shards} worker process(es), "
-        f"{len(packets)} packets"
+        f"{report.ledger.ingested} packets"
         + (f", SIGKILL shard {kill_shard}" if kill_shard is not None else "")
     )
     print(report.render())

@@ -20,6 +20,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, List, Optional
 
 from repro.core.config import PipelineConfig
+from repro.core.feed import FEED_BATCH, drive
 from repro.core.handshake import MeasurementSink
 from repro.core.latency import LatencyRecord
 from repro.core.stats import PipelineStats
@@ -63,7 +64,7 @@ class RuruPipeline:
         self,
         config: Optional[PipelineConfig] = None,
         sink: Optional[MeasurementSink] = None,
-        feed_batch: int = 256,
+        feed_batch: int = FEED_BATCH,
         observers=None,
         telemetry=None,
         supervisor=None,
@@ -189,19 +190,11 @@ class RuruPipeline:
                 abandoned and the rings drain to empty — the
                 SIGINT/SIGTERM path of the long-running CLI commands.
         """
-        batch: List[Packet] = []
-        for packet in packets:
-            batch.append(packet)
-            if len(batch) >= self.feed_batch:
-                self._feed_and_drain(batch)
-                batch.clear()
-                if shutdown_flag is not None and shutdown_flag():
-                    break
-        # The trailing partial batch honours the flag too: a shutdown
-        # raised mid-stream must not feed one more burst. An empty
-        # batch still drains (rings may hold frames from `offer`).
-        if not batch or shutdown_flag is None or not shutdown_flag():
-            self._feed_and_drain(batch)
+        drive(
+            self._feed_and_drain, packets, size=self.feed_batch, stop=shutdown_flag
+        )
+        # Rings may still hold frames from a direct `offer`.
+        self.drain()
         self._fold_worker_counters(self.stats)
         return self.stats
 

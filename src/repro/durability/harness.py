@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
+from repro.core import feed
 from repro.durability.recovery import RecoveryReport, recover_runtime
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
 from repro.faults.profiles import FaultProfile
@@ -186,12 +187,9 @@ class RecoveryHarness:
         victim.service.ingest_observer = observe
 
         # The network: materialized once, consumed exactly once.
-        packets = list(victim.packet_stream())
-        feed_batch = victim.pipeline.feed_batch
-        batches = [
-            packets[i : i + feed_batch]
-            for i in range(0, len(packets), feed_batch)
-        ]
+        batches = list(
+            feed.batches(victim.packet_stream(), victim.pipeline.feed_batch)
+        )
 
         crashed = False
         fed = 0

@@ -374,6 +374,25 @@ class ScenarioSpec:
                 set(band) <= {"min", "max"},
                 f"expect.{kind} keys must be 'min'/'max'",
             )
+        if self.shard.enabled:
+            # The shard target has no fault injector, overload ladder,
+            # [stack] tier or detector: a key that configures one is an
+            # error, not a silent no-op (the CLI's --shards rule).
+            ignored = [
+                f"{section}.{entry.name}"
+                for section, default in (("faults", FaultSpec()), ("stack", StackSpec()))
+                for entry in dataclasses.fields(default)
+                if getattr(getattr(self, section), entry.name)
+                != getattr(default, entry.name)
+            ]
+            if self.overload.enabled:
+                ignored.append("overload.enabled")
+            ignored += [f"expect.{kind}" for kind in sorted(self.expect)]
+            _require(
+                not ignored,
+                f"shard.shards > 0 does not take {', '.join(ignored)}: "
+                "the shard target has no such tier",
+            )
 
     # -- (de)serialization --------------------------------------------------
 

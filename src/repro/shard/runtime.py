@@ -159,7 +159,6 @@ class ShardedRuntime:
         checkpoint_every_batches: Optional[int] = 8,
         restart_delay_batches: int = 1,
         max_restarts_per_shard: int = 3,
-        batch_size: int = 256,
         record_sink: Optional[Callable[[bytes], None]] = None,
         registry=None,
         fsync: bool = False,
@@ -171,7 +170,6 @@ class ShardedRuntime:
         self.config = config or PipelineConfig()
         self.num_shards = num_shards
         self.policy = policy
-        self.batch_size = batch_size
         self.restart_delay_batches = max(1, restart_delay_batches)
         self.checkpoint_every_batches = checkpoint_every_batches
         self._record_sink = record_sink
@@ -510,19 +508,6 @@ class ShardedRuntime:
         return True
 
     # -- drain -----------------------------------------------------------------
-
-    def run(self, packets: Iterable, batch_size: Optional[int] = None):
-        """Feed a whole packet stream in rounds, then drain."""
-        size = batch_size or self.batch_size
-        batch: List = []
-        for packet in packets:
-            batch.append(packet)
-            if len(batch) >= size:
-                self.offer(batch)
-                batch = []
-        if batch:
-            self.offer(batch)
-        return self.drain()
 
     def drain(self) -> ShardRunReport:
         """Settle, reconcile, shut down; returns the proven report."""

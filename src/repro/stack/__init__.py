@@ -8,23 +8,25 @@ closing the graph. This package declares that shape **once**
 (:mod:`repro.stack.topology`) and derives everything cross-cutting
 from it:
 
-* the one feed loop — :meth:`RuruStack.run` — and its per-batch
-  processing order, :meth:`RuruStack.process_batch`;
+* the per-batch processing order, :meth:`RuruStack.process_batch`,
+  which :meth:`RuruStack.run` offers to the one feed loop
+  (:func:`repro.core.feed.drive`);
 * the graceful-drain protocol — :meth:`RuruStack.drain`;
 * the checkpoint payload — :meth:`RuruStack.capture_state`;
 * the registered crash-point table —
-  :func:`repro.stack.topology.crash_points`;
-* metrics-collector registration — :mod:`repro.stack.metrics`.
+  :func:`repro.stack.topology.crash_points`.
+
+The tiers' metrics binders live together in :mod:`repro.stack.metrics`
+(each component still registers its own when handed a ``Telemetry``).
 
 Every assembly in the repo (the CLI commands, ``run_chaos``, the
 recovery harness, the scenario runner) is a preset of
 :class:`StackBuilder` driven by :meth:`RuruStack.run`; nothing outside
-this package wires pipeline-to-analytics plumbing or cuts feed batches
-by hand.
+this package wires pipeline-to-analytics plumbing, and nothing outside
+:mod:`repro.core.feed` cuts feed batches.
 """
 
 from repro.stack.builder import (
-    PRESETS,
     STATE_FORMAT,
     DrainReport,
     RuruStack,
@@ -48,7 +50,6 @@ from repro.stack.topology import (
 
 __all__ = [
     "DrainReport",
-    "PRESETS",
     "PROTOCOL_POINTS",
     "STATE_FORMAT",
     "RuruStack",

@@ -3,7 +3,8 @@
 Every assembly of the Ruru dataflow — the CLI commands, ``run_chaos``,
 the recovery harness and the scenario runner — is a configuration of
 :class:`StackBuilder`, and every in-process run is
-:meth:`RuruStack.run`. The builder constructs components in one fixed,
+:meth:`RuruStack.run` (the one feed loop, :func:`repro.core.feed.drive`,
+over :meth:`RuruStack.process_batch`, then the drain). The builder constructs components in one fixed,
 determinism-preserving order, wraps them in the stage wrappers of
 :mod:`repro.stack.stages`, and returns a :class:`RuruStack` whose
 cross-cutting behaviour (batch processing, graceful-drain order,
@@ -35,6 +36,7 @@ from repro.analytics.service import AnalyticsService, make_pipeline_sink
 from repro.analytics.topk import SpaceSaving
 from repro.anomaly.manager import AnomalyManager
 from repro.core.config import PipelineConfig
+from repro.core.feed import drive
 from repro.core.pipeline import RuruPipeline
 from repro.core.stats import PipelineStats
 from repro.faults.adapters import (
@@ -218,28 +220,13 @@ class RuruStack:
                 what fills the rings — overload scenarios see genuine
                 occupancy pressure during a ramp.
         """
-        stop = shutdown_flag or (lambda: False)
-        feed_batch = self.pipeline.feed_batch
-        batch: List = []
-        window_end: Optional[int] = None
-        for packet in self.packet_stream() if packets is None else packets:
-            if window_ns is None:
-                cut = len(batch) >= feed_batch
-            else:
-                # The packet that opens the next window closes this one.
-                if window_end is None:
-                    window_end = packet.timestamp_ns + window_ns
-                cut = packet.timestamp_ns >= window_end
-                while packet.timestamp_ns >= window_end:
-                    window_end += window_ns
-            if cut:
-                self.process_batch(batch)
-                batch = []
-                if stop():
-                    break
-            batch.append(packet)
-        if batch and not stop():
-            self.process_batch(batch)
+        drive(
+            self.process_batch,
+            self.packet_stream() if packets is None else packets,
+            size=self.pipeline.feed_batch,
+            window_ns=window_ns,
+            stop=shutdown_flag,
+        )
         return self.drain()
 
     # -- graceful drain ------------------------------------------------------
@@ -865,12 +852,3 @@ def build_sharded_runtime(
         **kwargs,
     )
 
-
-#: Preset name → builder function (the CLI command table maps here).
-PRESETS = {
-    "measure": build_measure_stack,
-    "live": build_live_stack,
-    "chaos": build_chaos_stack,
-    "durable": build_durable_stack,
-    "shard": build_sharded_runtime,
-}

@@ -16,6 +16,10 @@ from repro.mq.codec import decode_enriched
 from repro.stack.stage import Stage, StageContext
 from repro.stack.topology import get_spec
 
+#: Records the analytics stage takes before its ``analytics.ingest``
+#: crash point, so the point really sits mid-queue.
+MID_BATCH_POLL = 64
+
 
 class OverloadStage(Stage):
     """The backpressure control loop; owns the overload checkpoint
@@ -103,14 +107,13 @@ class MqStage(Stage):
 class AnalyticsStage(Stage):
     """Enrichment + fan-out; owns the service's checkpoint fragment."""
 
-    def __init__(self, service, mid_batch_poll: int = 64):
+    def __init__(self, service):
         super().__init__(get_spec("analytics"))
         self.service = service
-        self.mid_batch_poll = mid_batch_poll
 
     def process(self, ctx: StageContext) -> None:
         # Partial drain first, so analytics.ingest really is mid-queue.
-        self.service.poll(max_messages=self.mid_batch_poll)
+        self.service.poll(max_messages=MID_BATCH_POLL)
         ctx.reached("analytics.ingest")
         self.service.poll(max_messages=1 << 30)
 

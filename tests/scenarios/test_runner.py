@@ -124,3 +124,50 @@ class TestShardDispatch:
         first = run_scenario(spec).resultset.metrics
         second = run_scenario(spec).resultset.metrics
         assert first == second
+
+    def test_both_targets_share_the_prologue_and_epilogue(self, small_spec):
+        """One runner: a shard episode is stamped and judged like any
+        other — same metadata keys, ``survived`` first, a wall block."""
+        from repro.scenarios import apply_overrides
+
+        in_process = run_scenario(small_spec)
+        sharded = run_scenario(
+            apply_overrides(small_spec, {"shard.shards": 2, "shard.durable": False})
+        )
+        assert sharded.ok, [c.render() for c in sharded.checks]
+        for result in (in_process, sharded):
+            assert result.checks[0].name == "survived"
+            assert {"scenario", "spec", "cell", "events", "wall"} <= set(
+                result.resultset.meta
+            )
+        # The same stream reached both targets, packet for packet.
+        for name in ("scenario.flows", "scenario.packets_offered"):
+            assert sharded.metric(name) == in_process.metric(name), name
+
+
+class TestBadSpecOnTheCli:
+    """A SpecError is a usage error: one line on stderr, exit 2 — it
+    used to escape ``ruru scenario show`` / ``run`` as a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["show", "no-such-episode"], "unknown scenario 'no-such-episode'"),
+            (["run", "no-such-episode"], "unknown scenario 'no-such-episode'"),
+            (["run", "shard-failover", "--set", "shard.shards=-1"], "shard.shards"),
+            (
+                ["run", "shard-failover", "--set", "faults.profile=monsoon"],
+                "faults.profile",
+            ),
+            (["run", "auckland-baseline", "--set", "nonsense"], "key=value"),
+        ],
+    )
+    def test_one_line_on_stderr_and_exit_2(self, argv, names, capsys):
+        from repro.cli import main
+
+        assert main(["scenario", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ruru scenario: error: ")
+        assert names in captured.err
+        assert captured.err.count("\n") == 1

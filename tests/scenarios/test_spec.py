@@ -1,6 +1,7 @@
 """Scenario spec parsing, validation, overrides, and the library."""
 
 import json
+import re
 
 import pytest
 
@@ -262,3 +263,40 @@ class TestShardSpec:
         spec = get_scenario("shard-failover")
         assert spec.shard.enabled
         assert spec.shard.kill_shard is not None
+
+    @pytest.mark.parametrize(
+        "axis, key",
+        [
+            ({"faults": {"profile": "monsoon"}}, "faults.profile"),
+            ({"faults": {"overrides": {"mq_drop_rate": 0.1}}}, "faults.overrides"),
+            ({"overload": {"enabled": True}}, "overload.enabled"),
+            ({"stack": {"topk": 10}}, "stack.topk"),
+            ({"expect": {"syn-flood": {"min": 5}}}, "expect.syn-flood"),
+        ],
+    )
+    def test_a_tier_the_shard_target_lacks_is_an_error_not_a_no_op(
+        self, axis, key
+    ):
+        """The shard target injects no faults, sheds by no ladder, has
+        no [stack] tiers and runs no detectors: configuring one used to
+        print ``faults: monsoon`` / ``verdict: OK`` having done nothing."""
+        document = {"name": "s", **axis}
+        with pytest.raises(SpecError, match=re.escape(key)):
+            ScenarioSpec.from_dict({**document, "shard": {"shards": 2}})
+        # Fine in process — and refused again when an override (the
+        # grid's config axis) is what turns the shards on.
+        in_process = ScenarioSpec.from_dict(document)
+        with pytest.raises(SpecError, match=re.escape(key)):
+            apply_overrides(in_process, {"shard.shards": 2})
+
+    def test_the_defaults_spelled_out_are_accepted(self):
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": "s",
+                "shard": {"shards": 2},
+                "faults": {"profile": "clean"},
+                "overload": {"enabled": False, "high": 0.9},
+                "stack": {"queues": 2},
+            }
+        )
+        assert spec.shard.enabled

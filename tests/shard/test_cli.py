@@ -1,11 +1,19 @@
 """``--shards`` on the CLI: what reaches the sharded runtime, and what
 is refused instead of ignored."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 import repro.stack
-from repro.cli import main
+from repro.cli import _build_generator, build_parser, main
 
+#: More virtual seconds of traffic than any test waits out.
+LONG_RUN = ["live", "--shards", "2", "--duration", "4000"]
 WORKLOAD = ["--duration", "1", "--rate", "20", "--shards", "2"]
 
 
@@ -76,3 +84,60 @@ class TestChaosShards:
             argv += ["--kill-at-batch", given]
         assert main(argv) == 0
         assert built[0][1] == [(1, at_seq)]
+
+
+@pytest.fixture(scope="module")
+def first_packet_s():
+    """What the generator itself needs before its first packet (it plans
+    every flow of the run up front) — the part of the start-up that is
+    not the feed loop's, measured here and now, on this host's load."""
+    began = time.monotonic()
+    generator = _build_generator(build_parser().parse_args(LONG_RUN))
+    next(generator.packets())
+    return time.monotonic() - began
+
+
+class TestStreamsAndStops:
+    """``--shards`` streams from the generator under ``GracefulShutdown``.
+    It used to materialise the whole trace before the first dispatch
+    (15 s for this one) and die of ``KeyboardInterrupt`` — no drain, no
+    report, exit -2."""
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_a_signal_mid_run_drains_to_a_reconciled_report(
+        self, signum, tmp_path, first_packet_s
+    ):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        began = time.monotonic()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *LONG_RUN, "--state-dir", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            # A shard's ack log grows the moment its first ack lands.
+            ack_log = tmp_path / "shards" / "shard-0" / "acks.wal"
+            while not (ack_log.exists() and ack_log.stat().st_size):
+                assert process.poll() is None, process.stderr.read()
+                assert time.monotonic() - began < 60, "nothing was dispatched"
+                time.sleep(0.005)
+            first_ack_s = time.monotonic() - began
+            process.send_signal(signum)
+            out, err = process.communicate(timeout=60)
+        finally:
+            process.kill()
+            process.wait()
+        assert process.returncode == 0, err
+        assert "Traceback" not in err
+        assert out.startswith(
+            f"[{signal.Signals(signum).name}] interrupted — drained gracefully\n"
+        )
+        assert "check global.conservation: OK" in out
+        assert "FAIL" not in out
+        # Dispatch starts with the stream, not after it: within 2 s of
+        # the generator's first packet (start-up and two forks included).
+        assert first_ack_s < first_packet_s + 2.0, (
+            f"first ack after {first_ack_s:.1f} s; the generator's first "
+            f"packet takes {first_packet_s:.1f} s"
+        )

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.config import PipelineConfig
+from repro.core.feed import drive
 from repro.core.pipeline import RuruPipeline
 from repro.dpdk.nic import NicPort
 from repro.mq.codec import decode_latency_record, encode_latency_record
@@ -36,10 +37,16 @@ def packets():
     return TrafficGenerator(config=config).packet_list()
 
 
+def run_to_drain(runtime, packets, batch_size=64):
+    """One episode the way every caller runs one: the driver, then drain."""
+    drive(runtime.offer, packets, size=batch_size)
+    return runtime.drain()
+
+
 def run_sharded(packets, num_shards=2, batch_size=64, **kwargs):
     runtime = ShardedRuntime(num_shards, PipelineConfig(), **kwargs)
     try:
-        return runtime.run(packets, batch_size=batch_size)
+        return run_to_drain(runtime, packets, batch_size)
     finally:
         runtime.close()
 
@@ -129,7 +136,7 @@ class TestChaos:
         )
         runtime.schedule_kill(1, at_seq=6)
         try:
-            report = runtime.run(packets, batch_size=64)
+            report = run_to_drain(runtime, packets)
         finally:
             runtime.close()
         assert report.ok, report.failed_checks()
@@ -148,7 +155,7 @@ class TestChaos:
         runtime = ShardedRuntime(2, PipelineConfig(), restart_delay_batches=3)
         runtime.schedule_kill(0, at_seq=3)
         try:
-            report = runtime.run(packets, batch_size=64)
+            report = run_to_drain(runtime, packets)
         finally:
             runtime.close()
         assert report.ok, report.failed_checks()
@@ -165,7 +172,7 @@ class TestChaos:
         )
         runtime.schedule_kill(0, at_seq=3)
         try:
-            report = runtime.run(packets, batch_size=64)
+            report = run_to_drain(runtime, packets)
         finally:
             runtime.close()
         assert report.ok, report.failed_checks()
@@ -495,7 +502,7 @@ class TestGuards:
     def test_double_drain_rejected(self, packets):
         runtime = ShardedRuntime(1, PipelineConfig())
         try:
-            runtime.run(packets[:64])
+            run_to_drain(runtime, packets[:64])
             with pytest.raises(RuntimeError):
                 runtime.drain()
         finally:

@@ -7,7 +7,6 @@ import pytest
 from repro.faults.crashpoints import CRASH_POINTS
 from repro.obs import Telemetry
 from repro.stack import (
-    PRESETS,
     StackBuilder,
     build_chaos_stack,
     build_durable_stack,
@@ -18,9 +17,6 @@ from tests.durability.test_drain import EXPECTED_STAGES
 
 
 class TestPresets:
-    def test_preset_table_is_complete(self):
-        assert set(PRESETS) == {"measure", "live", "chaos", "durable", "shard"}
-
     def test_measure_is_the_fast_path_only(self):
         stack = build_measure_stack(queues=2)
         assert stack.graph.names() == ["nic", "workers"]

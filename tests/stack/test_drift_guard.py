@@ -23,7 +23,13 @@ write-ahead log is the store's only durable image, and a second one
 comes back two ways: the store copied into the
 checkpoint (an ``applied_lines`` mirror, a ``"tsdb_lines"`` key
 written), or the log cut back to what a checkpoint does not cover (a
-``.truncate(`` under ``stack/``). This test walks the source tree with
+``.truncate(`` under ``stack/``). A packet stream is cut into feed
+batches by one function, ``core/feed.py``'s ``batches``: a loop that
+appends to a list and compares its ``len`` to a size, or a packet list
+sliced by a stride, is a second cutter with its own rule for the trailing
+batch and the stop flag — which is how ``ShardedRuntime.run`` and
+``scenarios/shard_runner.py`` came to exist, and why neither may come
+back. This test walks the source tree with
 the AST module so string mentions in docstrings or comments do not trip
 it; only real names, imports, call sites and class definitions count.
 """
@@ -348,6 +354,82 @@ def second_store_image_sites(root=SRC, legacy_loader=LEGACY_LOADER):
     return sites
 
 
+#: The one module that may cut a packet stream into feed batches.
+CUTTER = SRC / "core" / "feed.py"
+
+
+def _len_of(node):
+    """``x`` of ``len(x)``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+    ):
+        return node.args[0].id
+    return None
+
+
+def _stride_sliced(loop_var, body):
+    """Whether *body* holds ``x[i : i + n]`` for the loop variable ``i``."""
+    return any(
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Slice)
+        and isinstance(node.slice.lower, ast.Name)
+        and node.slice.lower.id == loop_var
+        and isinstance(node.slice.upper, ast.BinOp)
+        and isinstance(node.slice.upper.left, ast.Name)
+        and node.slice.upper.left.id == loop_var
+        for node in ast.walk(body)
+    )
+
+
+def second_cutter_sites(root=SRC, cutter=CUTTER):
+    """The two shapes a hand-rolled batch cutter takes: a ``for`` loop
+    that appends to a list and compares that list's ``len`` with
+    something, and a ``range(start, stop, step)`` loop or comprehension
+    that slices ``[i : i + n]``."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path == cutter:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.For):
+                appended = {
+                    call.func.value.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "append"
+                    and isinstance(call.func.value, ast.Name)
+                }
+                sites.extend(
+                    (path, compare.lineno, "len() of the batch it fills")
+                    for compare in ast.walk(node)
+                    if isinstance(compare, ast.Compare)
+                    and any(
+                        _len_of(side) in appended
+                        for side in (compare.left, *compare.comparators)
+                    )
+                )
+                loops = [(node.target, node.iter, node)]
+            elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+                loops = [(gen.target, gen.iter, node.elt) for gen in node.generators]
+            else:
+                continue
+            sites.extend(
+                (path, source.lineno, "a list sliced by a stride")
+                for target, source, body in loops
+                if isinstance(target, ast.Name)
+                and isinstance(source, ast.Call)
+                and _called_name(source) == "range"
+                and len(source.args) == 3
+                and _stride_sliced(target.id, body)
+            )
+    return sites
+
+
 class TestOneStoreImage:
     def test_the_log_is_the_only_image_of_the_store(self):
         offenders = [
@@ -568,6 +650,75 @@ class TestOneDriver:
             "a parallel runtime/harness/ledger (extend the allow-list only "
             "with a reason):\n  " + "\n  ".join(offenders)
         )
+
+    def test_one_function_cuts_a_packet_stream(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} {what}"
+            for path, lineno, what in second_cutter_sites()
+        ]
+        assert not offenders, (
+            "a second batch cutter (call repro.core.feed.drive / batches):\n  "
+            + "\n  ".join(offenders)
+        )
+        # The allowance is for a cutter that exists.
+        assert second_cutter_sites(cutter=None), "core/feed.py no longer cuts?"
+
+    def test_the_sharded_runtime_has_no_feed_loop_and_no_runner_of_its_own(self):
+        runtime = ast.parse((SRC / "shard" / "runtime.py").read_text())
+        methods = {
+            item.name
+            for node in ast.walk(runtime)
+            if isinstance(node, ast.ClassDef) and node.name == "ShardedRuntime"
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        assert {"offer", "drain"} <= methods
+        assert "run" not in methods
+        assert not (SRC / "scenarios" / "shard_runner.py").exists()
+
+    def test_the_cutter_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "feed.py").write_text(
+            "def batches(packets, size):\n"
+            "    batch = []\n"
+            "    for packet in packets:\n"
+            "        if len(batch) >= size:\n"
+            "            yield batch\n"
+            "            batch = []\n"
+            "        batch.append(packet)\n"
+        )
+        (tmp_path / "rogue.py").write_text(
+            '"""len(batch) >= size, packets[i : i + n] in a docstring."""\n'
+            "def run(self, packets, size):\n"
+            "    batch = []\n"
+            "    for packet in packets:\n"
+            "        batch.append(packet)\n"
+            "        if size <= len(batch):\n"
+            "            self.offer(batch)\n"
+            "            batch = []\n"
+            "def trial(packets, n):\n"
+            "    return [packets[i : i + n] for i in range(0, len(packets), n)]\n"
+            "def rounds(packets, n):\n"
+            "    for start in range(0, len(packets), n):\n"
+            "        yield packets[start : start + n]\n"
+        )
+        (tmp_path / "fine.py").write_text(
+            "def evict(items):\n"
+            "    for index in range(len(items) - 1, -1, -1):\n"
+            "        del items[index]\n"
+            "def collect(records, out):\n"
+            "    for record in records:\n"
+            "        out.append(record)\n"
+            "    return len(out) >= 1\n"
+            "def window(data, i, n):\n"
+            "    return data[i : i + n]\n"
+        )
+        found = second_cutter_sites(tmp_path, tmp_path / "core" / "feed.py")
+        assert [(path.name, what) for path, _, what in found] == [
+            ("rogue.py", "len() of the batch it fills"),
+            ("rogue.py", "a list sliced by a stride"),
+            ("rogue.py", "a list sliced by a stride"),
+        ]
 
     def test_the_guard_sees_what_it_guards(self, tmp_path):
         """Keep the guard honest: it must trip on the shapes it bans
