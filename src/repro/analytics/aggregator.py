@@ -142,12 +142,14 @@ class PairAggregator:
 
         window = self._window
         total_ms = measurement.total_ms
-        window.by_location.setdefault(
-            measurement.location_pair, self._new_stats()
-        ).add(total_ms)
-        window.by_asn.setdefault(
-            measurement.asn_pair, self._new_stats()
-        ).add(total_ms)
+        for cells, pair in (
+            (window.by_location, measurement.location_pair),
+            (window.by_asn, measurement.asn_pair),
+        ):
+            stats = cells.get(pair)
+            if stats is None:  # a cell is built only for a pair new to the window
+                stats = cells[pair] = self._new_stats()
+            stats.add(total_ms)
 
     def _new_stats(self) -> PairStats:
         return PairStats(p99=P2Quantile(0.99) if self.track_p99 else None)

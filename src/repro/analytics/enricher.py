@@ -46,6 +46,30 @@ class EnrichedMeasurement:
     # can exclude or shade these; dropping them would hide the outage.
     degraded: bool = False
 
+    def __init__(
+        self, timestamp_ns, internal_ns, external_ns, src_country, src_city,
+        src_lat, src_lon, src_asn, dst_country, dst_city, dst_lat, dst_lon,
+        dst_asn, degraded=False,
+    ):
+        # As LatencyRecord: one per enrich and one per frontend decode,
+        # so the instance dict is filled directly (still frozen;
+        # tests/analytics/test_enricher.py holds the signature).
+        own = self.__dict__
+        own["timestamp_ns"] = timestamp_ns
+        own["internal_ns"] = internal_ns
+        own["external_ns"] = external_ns
+        own["src_country"] = src_country
+        own["src_city"] = src_city
+        own["src_lat"] = src_lat
+        own["src_lon"] = src_lon
+        own["src_asn"] = src_asn
+        own["dst_country"] = dst_country
+        own["dst_city"] = dst_city
+        own["dst_lat"] = dst_lat
+        own["dst_lon"] = dst_lon
+        own["dst_asn"] = dst_asn
+        own["degraded"] = degraded
+
     @property
     def total_ns(self) -> int:
         return self.internal_ns + self.external_ns

@@ -29,6 +29,7 @@ from repro.mq.codec import (
 )
 from repro.mq.frames import Message
 from repro.mq.socket import Context, PubSocket, PushSocket
+from repro.resilience.breaker import BREAKER_HALF_OPEN
 from repro.resilience.invariants import Ledger
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.point import Point
@@ -117,9 +118,12 @@ class AnalyticsService:
             Enricher(geo, asn, geo6=geo6, asn6=asn6) for _ in range(num_workers)
         ]
         self._next_worker = 0
+        # The write request being gathered: this poll's raw points and
+        # closed windows, in arrival order. Empty between polls.
+        self._request: List[Point] = []
         self.aggregator = PairAggregator(
             window_ns=aggregation_window_ns,
-            emit=self._write_points,
+            emit=self._request.extend,
         )
         self.filters: List[MeasurementFilter] = list(filters or [])
         self.store_raw_points = store_raw_points
@@ -170,14 +174,32 @@ class AnalyticsService:
     # -- processing ------------------------------------------------------------
 
     def poll(self, max_messages: int = 256) -> int:
-        """Drain up to *max_messages* from the input; returns how many."""
-        handled = 0
-        for message in self.pull.recv_all(max_messages):
-            handled += 1
-            self._process_message(message)
-        return handled
+        """Drain up to *max_messages* from the input; returns how many.
 
-    def _process_message(self, message: Message) -> None:
+        The poll is the unit of work: records are handled one by one,
+        in arrival order, but what they produce for the store — raw
+        points and any window the aggregator closed on the way — goes
+        down as **one** guarded write request, and the enriched feed is
+        published after it. Nothing is held across calls.
+        """
+        messages = self.pull.recv_all(max_messages)
+        enriched: List[bytes] = []
+        try:
+            for message in messages:
+                payload = self._process_message(message)
+                if payload is not None:
+                    enriched.append(payload)
+        finally:
+            self._write_points()
+            send = self.pub.send
+            for payload in enriched:
+                send(Message.with_topic(ENRICHED_TOPIC, payload))
+        return len(messages)
+
+    def _process_message(self, message: Message) -> Optional[bytes]:
+        """One record, up to but not including the store and the feed:
+        its points join the poll's request; returns its enriched wire
+        form, or None when it was dead-lettered, dropped or filtered."""
         self.records_in += 1
         if self.ingest_observer is not None:
             self.ingest_observer()
@@ -196,14 +218,23 @@ class AnalyticsService:
                 self.deadlettered += 1
             else:
                 self.dropped_records += 1
-            return
+            return None
         if record.timestamp_ns > self._now_ns:
             self._now_ns = record.timestamp_ns
         measurement = self._enrich(record)
         if measurement is None:
             self.dropped_records += 1
-            return
-        self.process_measurement(measurement)
+            return None
+        for keep in self.filters:
+            if not keep(measurement):
+                self.filtered_out += 1
+                self.dropped_records += 1
+                return None
+        if self.store_raw_points:
+            self._request.append(self._raw_point(measurement, self.home_country))
+        self.aggregator.add(measurement)
+        self.processed += 1
+        return encode_enriched(measurement)
 
     def _enrich(self, record: LatencyRecord) -> Optional[EnrichedMeasurement]:
         """Enrich one record, degrading instead of failing.
@@ -235,37 +266,19 @@ class AnalyticsService:
             res.enrich_breaker.record_success(self._now_ns)
         return measurement
 
-    def process_measurement(self, measurement: EnrichedMeasurement) -> None:
-        """Post-enrichment path: filters, TSDB, aggregation, frontend."""
-        if measurement.timestamp_ns > self._now_ns:
-            self._now_ns = measurement.timestamp_ns
-        for keep in self.filters:
-            if not keep(measurement):
-                self.filtered_out += 1
-                self.dropped_records += 1
-                return
-        if self.store_raw_points:
-            self._write_points(
-                [self._raw_point(measurement, self.home_country)]
-            )
-        self.aggregator.add(measurement)
-        self.pub.send(
-            Message.with_topic(ENRICHED_TOPIC, encode_enriched(measurement))
-        )
-        self.processed += 1
-
     # -- guarded TSDB writes ------------------------------------------------
 
-    def _write_points(self, points) -> None:
-        """Write a point batch through the breaker/retry machinery.
+    def _write_points(self) -> None:
+        """Send what this poll gathered to the store as one request.
 
         Without a resilience layer this is a plain ``write_batch``.
         With one: due retries flush first, an open breaker defers the
-        batch instead of hammering a dead store, and a raising write
+        request instead of hammering a dead store, and a raising write
         defers with exponential backoff until the policy's attempt
         budget is spent — after which the points are shed *and counted*.
         """
-        points = list(points)
+        points = self._request[:]
+        self._request.clear()
         if not points:
             return
         if self.resilience is None:
@@ -281,12 +294,18 @@ class AnalyticsService:
         if not breaker.allow(now_ns):
             self._defer(points, max(attempts_made, 1))
             return False
+        probe = breaker.state == BREAKER_HALF_OPEN
         try:
             self.tsdb.write_batch(points)
         except Exception:  # noqa: BLE001 — write faults are the fault model
             res.tsdb_write_failures += 1
             breaker.record_failure(now_ns)
-            if res.retry_policy.exhausted(attempts_made + 1):
+            if probe:
+                # The request found the outage, it did not cause it: a
+                # failed probe costs no more of its attempt budget than
+                # a refusal by the open breaker would have.
+                self._defer(points, max(attempts_made, 1))
+            elif res.retry_policy.exhausted(attempts_made + 1):
                 res.points_lost += len(points)
             else:
                 self._defer(points, attempts_made + 1)
@@ -312,6 +331,7 @@ class AnalyticsService:
         """Flush aggregation windows and pending retries (end of a run)."""
         self.poll(max_messages=1 << 30)
         self.aggregator.flush()
+        self._write_points()
         if self.resilience is not None:
             self._drain_retries()
 

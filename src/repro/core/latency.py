@@ -74,6 +74,31 @@ class LatencyRecord:
     queue_id: int = 0
     rss_hash: int = 0
 
+    def __init__(
+        self, src_ip, dst_ip, src_port, dst_port, internal_ns, external_ns,
+        syn_ns, synack_ns, ack_ns, is_ipv6=False, queue_id=0, rss_hash=0,
+    ):
+        # One is built per handshake and another per decode. The
+        # generated frozen ``__init__`` pays a guarded ``__setattr__`` per
+        # field, three times what filling the instance dict costs — key
+        # by key, in field order, which keeps the dict key-sharing (one
+        # ``update`` call does not, and doubles the instance). Still
+        # frozen to everyone else; tests/core/test_latency.py holds this
+        # signature to the fields above.
+        own = self.__dict__
+        own["src_ip"] = src_ip
+        own["dst_ip"] = dst_ip
+        own["src_port"] = src_port
+        own["dst_port"] = dst_port
+        own["internal_ns"] = internal_ns
+        own["external_ns"] = external_ns
+        own["syn_ns"] = syn_ns
+        own["synack_ns"] = synack_ns
+        own["ack_ns"] = ack_ns
+        own["is_ipv6"] = is_ipv6
+        own["queue_id"] = queue_id
+        own["rss_hash"] = rss_hash
+
     @property
     def total_ns(self) -> int:
         """End-to-end source↔destination RTT: internal + external."""

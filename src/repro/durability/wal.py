@@ -2,10 +2,11 @@
 
 The measurement store is in-memory; a kill -9 takes every point with
 it. One invariant makes it durable: **the store is always
-``replay(log)``**. Every write batch is appended here *before* the
-store applies it and no checkpoint truncates the log, so a checkpoint
-carries only the store's position in it (a batch-id high-water mark)
-and any kept checkpoint pairs with the same log.
+``replay(log)``**. Every write batch — one analytics poll's points, so
+a poll is one frame, one flush, one fsync: group commit — is appended
+here *before* the store applies it and no checkpoint truncates the log,
+so a checkpoint carries only the store's position in it (a batch-id
+high-water mark) and any kept checkpoint pairs with the same log.
 
 Exactly-once is an accounting argument, not a hope:
 

@@ -104,3 +104,24 @@ class RadixTrie(Generic[V]):
                 stack.append((node.one, (prefix << 1) | 1, depth + 1))
             if node.zero is not None:
                 stack.append((node.zero, prefix << 1, depth + 1))
+
+    def ranges(self) -> Iterator[Tuple[int, int, V]]:
+        """The trie flattened: disjoint ``(first, last, value)`` rows in
+        address order, each carrying what :meth:`lookup` returns for
+        every address in it — the longest prefix wins by construction.
+        Space no prefix covers is absent."""
+        stack: List[Tuple[Optional[_Node[V]], int, int, bool, Optional[V]]] = [
+            (self._root, 0, 0, False, None)
+        ]
+        while stack:
+            node, prefix, depth, covered, best = stack.pop()
+            if node is not None and node.has_value:
+                covered, best = True, node.value
+            if node is None or (node.zero is None and node.one is None):
+                if covered:
+                    host_bits = self.width - depth
+                    first = prefix << host_bits
+                    yield (first, first | ((1 << host_bits) - 1), best)  # type: ignore[misc]
+                continue
+            stack.append((node.one, (prefix << 1) | 1, depth + 1, covered, best))
+            stack.append((node.zero, prefix << 1, depth + 1, covered, best))

@@ -34,7 +34,12 @@ _ENRICHED_FLAG_DEGRADED = 0x01
 
 # After the 2-byte preamble (version, flags) and the two addresses:
 # ports, latencies, timestamps, queue id, rss hash.
-_FIXED_TAIL = struct.Struct("!HHQQQQQHI")
+_TAIL = "HHQQQQQHI"
+_FIXED_TAIL = struct.Struct("!" + _TAIL)
+# A whole record per address family, read in one unpack: an IPv4
+# address is one word, an IPv6 address a high and a low quad.
+_LATENCY_V4 = struct.Struct("!BBII" + _TAIL)
+_LATENCY_V6 = struct.Struct("!BBQQQQ" + _TAIL)
 
 
 class CodecError(ValueError):
@@ -68,19 +73,18 @@ def decode_latency_record(data: bytes) -> LatencyRecord:
     """Parse wire bytes back into a :class:`LatencyRecord`."""
     if len(data) < 2:
         raise CodecError("latency record too short")
-    version, flags = data[0], data[1]
-    if version != LATENCY_VERSION:
-        raise CodecError(f"unknown latency record version {version}")
-    is_ipv6 = bool(flags & _FLAG_IPV6)
-    addr_len = 16 if is_ipv6 else 4
-    expected = 2 + 2 * addr_len + _FIXED_TAIL.size
-    if len(data) != expected:
-        raise CodecError(f"latency record length {len(data)} != {expected}")
-    offset = 2
-    src_ip = int.from_bytes(data[offset:offset + addr_len], "big")
-    offset += addr_len
-    dst_ip = int.from_bytes(data[offset:offset + addr_len], "big")
-    offset += addr_len
+    if data[0] != LATENCY_VERSION:
+        raise CodecError(f"unknown latency record version {data[0]}")
+    is_ipv6 = bool(data[1] & _FLAG_IPV6)
+    layout = _LATENCY_V6 if is_ipv6 else _LATENCY_V4
+    if len(data) != layout.size:
+        raise CodecError(f"latency record length {len(data)} != {layout.size}")
+    if is_ipv6:
+        _, _, src_high, src_low, dst_high, dst_low, *tail = layout.unpack(data)
+        src_ip = src_high << 64 | src_low
+        dst_ip = dst_high << 64 | dst_low
+    else:
+        _, _, src_ip, dst_ip, *tail = layout.unpack(data)
     (
         src_port,
         dst_port,
@@ -91,20 +95,20 @@ def decode_latency_record(data: bytes) -> LatencyRecord:
         ack_ns,
         queue_id,
         rss_hash,
-    ) = _FIXED_TAIL.unpack_from(data, offset)
+    ) = tail
     return LatencyRecord(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        internal_ns=internal_ns,
-        external_ns=external_ns,
-        syn_ns=syn_ns,
-        synack_ns=synack_ns,
-        ack_ns=ack_ns,
-        is_ipv6=is_ipv6,
-        queue_id=queue_id,
-        rss_hash=rss_hash,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        internal_ns,
+        external_ns,
+        syn_ns,
+        synack_ns,
+        ack_ns,
+        is_ipv6,
+        queue_id,
+        rss_hash,
     )
 
 
@@ -113,20 +117,6 @@ def _pack_str(text: str) -> bytes:
     if len(raw) > 0xFFFF:
         raise CodecError("string field too long")
     return struct.pack("!H", len(raw)) + raw
-
-
-def _unpack_str(data: bytes, offset: int):
-    if offset + 2 > len(data):
-        raise CodecError("truncated string length")
-    (length,) = struct.unpack_from("!H", data, offset)
-    offset += 2
-    if offset + length > len(data):
-        raise CodecError("truncated string body")
-    try:
-        text = data[offset:offset + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
-    return text, offset + length
 
 
 _ENRICHED_FIXED = struct.Struct("!QQQddddII")
@@ -173,7 +163,8 @@ def decode_enriched(data: bytes) -> "EnrichedMeasurement":
         offset = 1
     else:
         raise CodecError(f"unknown enriched version {version}")
-    if offset + _ENRICHED_FIXED.size > len(data):
+    size = len(data)
+    if offset + _ENRICHED_FIXED.size > size:
         raise CodecError("truncated enriched fixed fields")
     (
         timestamp_ns,
@@ -187,25 +178,36 @@ def decode_enriched(data: bytes) -> "EnrichedMeasurement":
         dst_asn,
     ) = _ENRICHED_FIXED.unpack_from(data, offset)
     offset += _ENRICHED_FIXED.size
-    src_country, offset = _unpack_str(data, offset)
-    src_city, offset = _unpack_str(data, offset)
-    dst_country, offset = _unpack_str(data, offset)
-    dst_city, offset = _unpack_str(data, offset)
-    if offset != len(data):
+    # Four length-prefixed strings, read in place (a helper call per
+    # tag cost as much as the tag).
+    tags = []
+    for _ in range(4):
+        start = offset + 2
+        if start > size:
+            raise CodecError("truncated string length")
+        offset = start + (data[offset] << 8 | data[offset + 1])
+        if offset > size:
+            raise CodecError("truncated string body")
+        try:
+            tags.append(data[start:offset].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
+    if offset != size:
         raise CodecError("trailing bytes after enriched record")
+    src_country, src_city, dst_country, dst_city = tags
     return EnrichedMeasurement(
-        timestamp_ns=timestamp_ns,
-        internal_ns=internal_ns,
-        external_ns=external_ns,
-        src_country=src_country,
-        src_city=src_city,
-        src_lat=src_lat,
-        src_lon=src_lon,
-        src_asn=src_asn,
-        dst_country=dst_country,
-        dst_city=dst_city,
-        dst_lat=dst_lat,
-        dst_lon=dst_lon,
-        dst_asn=dst_asn,
-        degraded=degraded,
+        timestamp_ns,
+        internal_ns,
+        external_ns,
+        src_country,
+        src_city,
+        src_lat,
+        src_lon,
+        src_asn,
+        dst_country,
+        dst_city,
+        dst_lat,
+        dst_lon,
+        dst_asn,
+        degraded,
     )

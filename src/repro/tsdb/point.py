@@ -34,9 +34,20 @@ class Point:
         if not self.fields:
             raise ValueError("a point needs at least one field")
         for key, value in self.fields.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            kind = type(value)  # plain floats and ints, the usual case, skip the walk
+            if kind is not float and kind is not int and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)
+            ):
                 raise TypeError(f"field {key!r} must be numeric, got {type(value).__name__}")
+        # Fixed here, once: the store's index and the line protocol both
+        # read this key, never the tags dict, so a dict mutated after
+        # construction cannot file a point under one series and log it
+        # under another.
+        object.__setattr__(
+            self, "_series_key", (self.measurement, tuple(sorted(self.tags.items())))
+        )
 
     def series_key(self) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-        """The (measurement, sorted-tagset) identity of this point's series."""
-        return (self.measurement, tuple(sorted(self.tags.items())))
+        """The (measurement, sorted-tagset) identity of this point's
+        series, as of construction."""
+        return self._series_key

@@ -86,3 +86,13 @@ class TestEnricher:
             plan.cities[0].name, plan.cities[6].name
         )
         assert measurement.asn_pair[0] > 0
+
+
+def test_hand_written_init_is_the_generated_one(geo_asn, plan):
+    from repro.analytics.enricher import EnrichedMeasurement, degraded_measurement
+    from tests.core.test_latency import assert_init_matches_fields
+
+    geo, asn = geo_asn
+    record = _record(plan.random_host(0, random.Random(1)), 1)
+    assert_init_matches_fields(EnrichedMeasurement, Enricher(geo, asn).enrich(record))
+    assert_init_matches_fields(EnrichedMeasurement, degraded_measurement(record))

@@ -6,14 +6,19 @@ its breaker and degrades instead of dropping, and failing TSDB writes
 defer/retry/shed — all while the conservation ledger stays balanced.
 """
 
+import os
+
 import pytest
 
 from repro.analytics.service import AnalyticsService, LATENCY_TOPIC
 from repro.core.latency import LatencyRecord
+from repro.durability.wal import DurableTsdb, WriteAheadLog
 from repro.mq.codec import decode_enriched, encode_latency_record
 from repro.mq.frames import Message
 from repro.mq.socket import Context
 from repro.resilience import ResilienceLayer
+from repro.resilience.breaker import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
+from repro.tsdb.database import TimeSeriesDatabase
 
 NS_PER_MS = 1_000_000
 
@@ -189,8 +194,130 @@ class TestGuardedWrites:
         service = _service(geo_asn, layer)
         flaky = _FlakyTsdb(service.tsdb, failures=1 << 30)
         service.tsdb = flaky
-        _feed(service, [_record(i) for i in range(10)])
+        # One record per poll: a poll is one write request, and it is
+        # requests the breaker counts.
+        for i in range(10):
+            _feed(service, [_record(i)])
         # Once open, the breaker stops write attempts: far fewer
-        # attempts than records.
+        # attempts than requests.
         assert flaky.attempts < 10
         assert layer.tsdb_breaker.opened_count >= 1
+
+
+def _pending_points(layer):
+    return sum(
+        len(points) for _, _, points in layer.retry_queue.state_dict()["pending"]
+    )
+
+
+class TestWriteRequests:
+    """A poll is one write request: one WAL frame, one flush (one fsync
+    under ``fsync``), one fault decision, one breaker decision."""
+
+    def test_a_poll_is_one_request_frame_and_fsync(self, geo_asn, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        layer = ResilienceLayer(seed=1)
+        service = _service(geo_asn, layer)
+        wal = WriteAheadLog(str(tmp_path / "t.wal"), fsync=True)
+        store = _FlakyTsdb(service.tsdb, failures=0)
+        service.tsdb = DurableTsdb(store, wal)
+        _feed(service, [_record(i) for i in range(10)])
+        assert (store.attempts, wal.appends, len(synced)) == (1, 1, 1)
+        for i in range(10, 13):
+            _feed(service, [_record(i)])
+        assert (store.attempts, wal.appends, len(synced)) == (4, 4, 4)
+        assert layer.points_written == 13
+        wal.close()
+
+    def test_a_rejected_request_leaves_the_store_equal_to_its_log(self, geo_asn, tmp_path):
+        layer = ResilienceLayer(seed=1)
+        service = _service(geo_asn, layer)
+        inner = service.tsdb
+        wal = WriteAheadLog(str(tmp_path / "t.wal"))
+        service.tsdb = DurableTsdb(_FlakyTsdb(inner, failures=1), wal)
+        _feed(service, [_record(i) for i in range(5)])
+        # The abort record covers the whole frame: no point of the
+        # refused poll is in the store or replays, every one is queued.
+        assert inner.total_points() == 0
+        assert wal.appends == wal.aborts == 1
+        assert wal.replay().live_batches(0) == []
+        assert layer.points_written == layer.points_lost == 0
+        assert len(layer.retry_queue) == 1
+        # A later poll flushes the deferred request ahead of its own.
+        _feed(service, [_record(5, timestamp_ns=3_000_000_000)])
+        assert layer.retries == 1 and len(layer.retry_queue) == 0
+        assert layer.points_written == inner.total_points() >= 6  # + the closed window
+        replayed = TimeSeriesDatabase()
+        for _, points in wal.replay().live_batches(0):
+            replayed.write_batch(points)
+        assert sorted(replayed.dump_lines()) == sorted(inner.dump_lines())
+        wal.close()
+
+    @pytest.mark.parametrize("failures", [1, 3, 4, 9, 1 << 30])
+    def test_every_point_is_written_lost_or_pending(self, geo_asn, failures):
+        def books_of(failures):
+            layer = ResilienceLayer(seed=1)
+            service = _service(geo_asn, layer)
+            service.tsdb = _FlakyTsdb(service.tsdb, failures=failures)
+            books = []
+            for second in range(1, 9):
+                _feed(
+                    service,
+                    [_record(i, timestamp_ns=second * 1_000_000_000 + i) for i in range(4)],
+                )
+                books.append(
+                    layer.points_written + layer.points_lost + _pending_points(layer)
+                )
+            service.finish()
+            assert not service._request and len(layer.retry_queue) == 0
+            books.append(layer.points_written + layer.points_lost)
+            assert layer.points_written == service.tsdb.inner.total_points()
+            return books, layer
+
+        produced, healthy = books_of(failures=0)
+        assert healthy.points_lost == 0 and produced[-1] > 8 * 4  # windows closed too
+        books, layer = books_of(failures)
+        assert books == produced
+        assert layer.tsdb_write_failures > 0
+
+    def test_a_probe_spends_no_attempt_budget(self, geo_asn):
+        """Half-open rule: a request that is the probe again and again
+        in one outage found the outage, it did not cause it — it is
+        still pending when a request that failed as often against a
+        *closed* breaker would have been shed."""
+        layer = ResilienceLayer(seed=1)
+        layer.tsdb_breaker = CircuitBreaker(
+            "tsdb", failure_threshold=1, recovery_timeout_ns=500_000_000
+        )
+        service = _service(geo_asn, layer)
+        flaky = _FlakyTsdb(service.tsdb, failures=1 << 30)
+        service.tsdb = flaky
+        _feed(service, [_record(0, timestamp_ns=1_000_000_000)])  # trips it
+        assert layer.tsdb_breaker.state == BREAKER_OPEN and flaky.attempts == 1
+        for outage_second in range(2, 8):
+            # Each poll lands past the recovery timeout: the deferred
+            # request is flushed first, as the half-open probe, and fails.
+            _feed(service, [_record(outage_second, timestamp_ns=outage_second * 1_000_000_000)])
+        assert flaky.attempts == 1 + 6
+        assert layer.tsdb_write_failures == 7 > layer.retry_policy.max_attempts
+        assert layer.points_lost == 0
+        assert len(layer.retry_queue) == 7
+
+    def test_failures_against_a_closed_breaker_do_spend_it(self, geo_asn):
+        layer = ResilienceLayer(seed=1)
+        layer.tsdb_breaker = CircuitBreaker(
+            "tsdb", failure_threshold=1 << 30, recovery_timeout_ns=500_000_000
+        )
+        service = _service(geo_asn, layer)
+        flaky = _FlakyTsdb(service.tsdb, failures=1 << 30)
+        service.tsdb = flaky
+        _feed(service, [_record(0, timestamp_ns=1_000_000_000)])
+        for second in range(2, 2 + layer.retry_policy.max_attempts):
+            service._now_ns = second * 1_000_000_000
+            service._flush_due_retries()
+        assert flaky.attempts == layer.retry_policy.max_attempts
+        assert layer.tsdb_breaker.state == BREAKER_CLOSED
+        assert len(layer.retry_queue) == 0
+        assert layer.points_lost == 1  # the one raw point, shed and counted

@@ -65,3 +65,42 @@ class TestLatencyRecord:
     def test_direction_enum_values(self):
         assert Direction.OUTBOUND.value == "outbound"
         assert Direction.INBOUND.value == "inbound"
+
+
+def assert_init_matches_fields(cls, sample):
+    """A record class with a hand-written ``__init__`` (it fills the
+    instance dict instead of paying a guarded ``__setattr__`` per field)
+    must take exactly what the generated one would: the fields, in
+    order, with their defaults — and build an equal, still-frozen,
+    still-introspectable instance."""
+    import dataclasses
+    import inspect
+
+    declared = dataclasses.fields(cls)
+    parameters = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in parameters] == [f.name for f in declared]
+    for parameter, field in zip(parameters, declared):
+        default = (
+            inspect.Parameter.empty if field.default is dataclasses.MISSING else field.default
+        )
+        assert parameter.default == default, field.name
+        assert field.default_factory is dataclasses.MISSING
+    values = dataclasses.asdict(sample)
+    assert list(values) == [f.name for f in declared]  # nothing extra in the dict
+    assert cls(*values.values()) == cls(**values) == sample
+    assert hash(cls(**values)) == hash(sample)
+    assert dataclasses.replace(sample, **values) == sample
+    assert dataclasses.astuple(sample) == tuple(values.values())
+    for name in values:
+        try:
+            setattr(sample, name, None)
+        except dataclasses.FrozenInstanceError:
+            continue
+        raise AssertionError(f"{cls.__name__}.{name} is assignable")
+
+
+def test_hand_written_init_is_the_generated_one():
+    assert_init_matches_fields(
+        LatencyRecord, _record(is_ipv6=True, queue_id=3, rss_hash=0xBEEF)
+    )
+    assert _record() == _record(is_ipv6=False, queue_id=0, rss_hash=0)

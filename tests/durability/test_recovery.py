@@ -9,16 +9,20 @@ final checkpoint. Same triple → identical counts.
 """
 
 import os
+import re
 import shutil
 
 import pytest
 
 from repro.cli import main
+from repro.core import feed
 from repro.durability.codec import decode_snapshot, encode_snapshot
 from repro.durability.harness import RecoveryHarness, run_recovery_trial
 from repro.durability.recovery import recover_runtime
 from repro.durability.wal import _FRAME, WriteAheadLog
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
+from repro.faults.profiles import get_profile
+from repro.resilience.invariants import Ledger
 from repro.stack import build_durable_stack, builder
 from repro.tsdb.line_protocol import format_point
 
@@ -150,18 +154,43 @@ def test_unknown_crash_point_rejected(tmp_path):
 # -- the log is the store's durable image ------------------------------------
 
 
+def _first_applied_after_brownout_begins(state_dir, profile, seed=42):
+    """Which pass over ``tsdb.applied`` is the first at or after the
+    profile's brown-out begins, read off an uncrashed run (the CLI's
+    default workload). No write is applied *during* a brown-out, so it
+    is the first one after the store comes back — and the checkpoint a
+    crash there recovers from was cut inside the outage."""
+    begins_ns = get_profile(profile).tsdb_brownout_start_ns
+    schedule = CrashSchedule()  # unarmed: it only counts passes
+    probe = build_durable_stack(
+        str(state_dir), profile=profile, seed=seed, crash_schedule=schedule
+    )
+    try:
+        for batch in feed.batches(probe.packet_stream(), probe.pipeline.feed_batch):
+            probe.process_batch(batch)
+            if probe.now_ns >= begins_ns:
+                return schedule.passes.get("tsdb.applied", 0) + 1
+    finally:
+        probe.wal.close()
+    raise AssertionError(f"{profile}: the run ends before its brown-out begins")
+
+
 def test_recovery_replays_past_the_fault_dice(tmp_path, capsys):
     """``ruru recover --trial tsdb.applied --profile tsdb-brownout
-    --seed 42 --hit 120``: the recovered clock lands inside the
-    brown-out, and replay used to write through the fault wrapper —
-    an uncaught TsdbWriteError. Replay restores straight to the store."""
+    --seed 42 --hit <first write after the outage>``: the recovered
+    clock lands inside the brown-out, and replay used to write through
+    the fault wrapper — an uncaught TsdbWriteError. Replay restores
+    straight to the store."""
+    hit = _first_applied_after_brownout_begins(tmp_path / "probe", "tsdb-brownout")
     code = main([
         "recover", "--state-dir", str(tmp_path / "state"),
         "--trial", "tsdb.applied", "--profile", "tsdb-brownout",
-        "--seed", "42", "--hit", "120",
+        "--seed", "42", "--hit", str(hit),
     ])
     out = capsys.readouterr().out
     assert code == 0, out
+    recovered_at_s = float(re.search(r"checkpoint: seq=\d+ t=([\d.]+)s", out).group(1))
+    assert 3.0 <= recovered_at_s < 5.0, out  # the profile's brown-out
     assert "double-replay applied: 0" in out
     assert out.rstrip().endswith("verdict: OK")
 
@@ -169,9 +198,10 @@ def test_recovery_replays_past_the_fault_dice(tmp_path, capsys):
 @pytest.mark.parametrize("profile", ["tsdb-brownout", "monsoon"])
 def test_recovery_consumes_no_injector_decision(tmp_path, profile):
     state_dir = str(tmp_path / "state")
+    hit = _first_applied_after_brownout_begins(tmp_path / "probe", profile)
     victim = build_durable_stack(
         state_dir, profile=profile, seed=42,
-        crash_schedule=CrashSchedule().arm("tsdb.applied", hit=120),
+        crash_schedule=CrashSchedule().arm("tsdb.applied", hit=hit),
     )
     with pytest.raises(SimulatedCrash):
         victim.run()
@@ -362,3 +392,79 @@ def test_damaged_wal_frame_is_reported_and_costs_one_batch(tmp_path):
     assert stack.tsdb.inner.total_points() < victim.tsdb.inner.total_points()
     assert stack.tsdb.inner.total_points() > 0
     assert "ruru_wal_damaged_frames_total 1" in stack.telemetry.registry.exposition()
+
+
+# -- a poll is one write request: a kill inside it ---------------------------
+
+
+@pytest.mark.parametrize("point", ["tsdb.wal.pre", "tsdb.wal.post", "tsdb.applied"])
+def test_a_kill_inside_a_polls_write_costs_that_polls_records(tmp_path, point):
+    """Checkpoint, then die inside the next poll's one write request:
+    ``lost_at_crash`` is exactly that poll's records (none was
+    published), the store holds the poll's points iff its frame reached
+    the log, and either way it equals an uncrashed twin's at the same
+    applied batch."""
+
+    def build(directory, **kwargs):
+        return build_durable_stack(
+            str(tmp_path / directory), profile="clean", seed=7, **RUN, **kwargs
+        )
+
+    # The twin: uncrashed, and the map of which feed batch writes what.
+    twin = build("twin")
+    batches = list(feed.batches(twin.packet_stream(), twin.pipeline.feed_batch))
+    stores, appends = [], []
+    for batch in batches:
+        twin.process_batch(batch)
+        stores.append(sorted(twin.tsdb.inner.dump_lines()))
+        appends.append(twin.wal.appends)
+    twin.wal.close()
+    # A mid-run batch whose records all fit its first poll: one request.
+    k = next(
+        i for i in range(len(batches) // 2, len(batches))
+        if appends[i] == appends[i - 1] + 1
+    )
+
+    observed = {"count": 0}
+
+    def observe():
+        observed["count"] += 1
+
+    schedule = CrashSchedule()
+    victim = build("state", crash_schedule=schedule)
+    victim.service.ingest_observer = observe
+    for batch in batches[:k]:
+        victim.process_batch(batch)
+    victim.checkpointer.checkpoint(victim.now_ns)
+    checkpointed = observed["count"]
+    schedule.arm(point, hit=schedule.passes.get(point, 0) + 1)
+    with pytest.raises(SimulatedCrash):
+        victim.process_batch(batches[k])
+    victim.wal.close()
+    in_the_poll = observed["count"] - checkpointed
+    assert in_the_poll > 0
+
+    survivor = build("state")
+    survivor.service.ingest_observer = observe
+    report = recover_runtime(survivor, observed_ingested=observed["count"])
+    assert report.ok, report.render()
+    assert report.lost_at_crash == in_the_poll
+    logged = point != "tsdb.wal.pre"
+    assert report.replayed_batches == (1 if logged else 0)
+    assert sorted(survivor.tsdb.inner.dump_lines()) == stores[k if logged else k - 1]
+    assert _second_replay_applies_nothing(survivor)
+
+    for batch in batches[k + 1:]:
+        survivor.process_batch(batch)
+    drain = survivor.drain()
+    survivor.wal.close()
+    assert drain.ok, drain.render()
+    whole_trial = Ledger(
+        ingested=observed["count"],
+        processed=drain.ledger.processed,
+        dropped=drain.ledger.dropped,
+        deadlettered=drain.ledger.deadlettered,
+        lost_at_crash=report.lost_at_crash,
+        scope="durability",
+    )
+    assert whole_trial.ok, str(whole_trial)

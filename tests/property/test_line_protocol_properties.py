@@ -167,3 +167,77 @@ class TestRoundTrip:
         assert format_point(point) == memoised
         for text in (point.measurement, *point.tags, *point.tags.values()):
             assert line_protocol._escape(text) == line_protocol._escape.__wrapped__(text)
+
+
+def unmemoised_head(point):
+    """The line's ``measurement,tag=…`` head, walked out afresh from the
+    point's own text with the unmemoised escape."""
+    escape = line_protocol._escape.__wrapped__
+    return escape(point.measurement) + "".join(
+        f",{escape(key)}={escape(point.tags[key])}" for key in sorted(point.tags)
+    )
+
+
+class TestMemoisedHead:
+    @given(point=POINTS)
+    @settings(max_examples=300)
+    def test_equals_the_unmemoised_walk_on_hostile_text(self, point):
+        head = unmemoised_head(point)
+        for _ in range(2):  # a miss, then a hit
+            assert format_point(point).startswith(head + " ")
+            assert line_protocol._head(point.series_key()) == head
+        line_protocol._head.cache_clear()
+        assert line_protocol._head(point.series_key()) == head
+
+    @given(points=st.lists(POINTS, min_size=2, max_size=6))
+    @settings(max_examples=100)
+    def test_series_that_differ_never_share_a_head(self, points):
+        heads = {}
+        for point in points:
+            heads.setdefault(line_protocol._head(point.series_key()), set()).add(
+                point.series_key()
+            )
+        # Escaping is injective, so one head is one series.
+        assert all(len(keys) == 1 for keys in heads.values())
+
+    def test_the_table_is_bounded(self):
+        line_protocol._head.cache_clear()
+        bound = line_protocol._head.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 50):
+            format_point(Point("m", 1, tags={"k": str(i)}, fields={"v": 1}))
+        assert line_protocol._head.cache_info().currsize == bound
+        # ... and past the bound the answer is still the walk's.
+        late = Point("m", 1, tags={"k": str(bound + 49)}, fields={"v": 1})
+        assert format_point(late) == unmemoised_head(late) + " v=1i 1"
+
+
+class TestSeriesIdentityIsFixedAtConstruction:
+    """A point's tags dict mutated after construction is *not rejected*
+    (the dict is the caller's); it is *not mis-keyed* either: the store
+    and the line protocol both read the key fixed at construction, so
+    the point is filed and logged under one and the same series."""
+
+    def test_a_mutated_tags_dict_moves_neither_the_series_nor_the_line(self):
+        from repro.tsdb.database import TimeSeriesDatabase
+
+        tags = {"city": "Auckland"}
+        point = Point("latency", 5, tags=tags, fields={"ms": 1.5})
+        key, line = point.series_key(), format_point(point)
+        tags["city"] = "Wellington"
+        tags["extra"] = "x"
+        assert point.series_key() == key
+        assert format_point(point) == line == "latency,city=Auckland ms=1.5 5"
+        store = TimeSeriesDatabase()
+        store.write_batch([point])
+        (series,) = store.storage.series_for("latency")
+        assert series.tags == {"city": "Auckland"}
+        # What the log would replay is what the store holds.
+        assert parse_line(line).series_key() == key
+        assert list(store.dump_lines()) == [line]
+
+    @given(point=POINTS)
+    @settings(max_examples=100)
+    def test_the_key_is_the_sorted_tagset(self, point):
+        assert point.series_key() == (point.measurement, tuple(sorted(point.tags.items())))
+        assert point.series_key() is point.series_key()

@@ -29,7 +29,14 @@ appends to a list and compares its ``len`` to a size, or a packet list
 sliced by a stride, is a second cutter with its own rule for the trailing
 batch and the stop flag — which is how ``ShardedRuntime.run`` and
 ``scenarios/shard_runner.py`` came to exist, and why neither may come
-back. This test walks the source tree with
+back. The analytics service has one write path and it is poll-shaped:
+what a poll gathers goes to the store as one request, from the end of
+``poll`` (and from ``finish``), and the enriched feed is published
+after it — a ``_write_points`` call inside the per-record loop, a
+``process_measurement`` method, or a ``pub.send`` ahead of the poll's
+write is the per-record path (a WAL frame, a flush and a round trip
+through the guard machinery per record) coming back. This test walks
+the source tree with
 the AST module so string mentions in docstrings or comments do not trip
 it; only real names, imports, call sites and class definitions count.
 """
@@ -428,6 +435,121 @@ def second_cutter_sites(root=SRC, cutter=CUTTER):
                 and _stride_sliced(target.id, body)
             )
     return sites
+
+
+#: The module whose ``AnalyticsService`` owns the record half's writes.
+SERVICE = SRC / "analytics" / "service.py"
+
+
+def per_record_write_sites(path=SERVICE):
+    """Where ``AnalyticsService`` in *path* leaves the poll-shaped write
+    path: a ``process_measurement`` method; ``_write_points`` called
+    from anywhere but ``poll``/``finish``, or inside a loop; and
+    ``pub.send`` reached for anywhere but in ``poll`` after its write."""
+    sites = []
+    (service,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "AnalyticsService"
+    ]
+    for method in service.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        if method.name == "process_measurement":
+            sites.append((method.lineno, "a process_measurement method"))
+        looped = {
+            id(inner)
+            for loop in ast.walk(method)
+            if isinstance(loop, (ast.For, ast.While))
+            for inner in ast.walk(loop)
+        }
+        writes = [
+            call
+            for call in ast.walk(method)
+            if isinstance(call, ast.Call) and _called_name(call) == "_write_points"
+        ]
+        for call in writes:
+            if method.name not in ("poll", "finish"):
+                sites.append((call.lineno, f"_write_points called from {method.name}"))
+            elif id(call) in looped:
+                sites.append((call.lineno, "_write_points inside a loop"))
+        for node in ast.walk(method):
+            if not (
+                isinstance(node, ast.Attribute)
+                and node.attr == "send"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "pub"
+            ):
+                continue
+            if method.name != "poll":
+                sites.append((node.lineno, f"pub.send in {method.name}"))
+            elif not writes or node.lineno < max(call.lineno for call in writes):
+                sites.append((node.lineno, "pub.send before the poll's write"))
+    return sites
+
+
+class TestOneWritePath:
+    def test_one_write_and_one_publish_per_poll(self):
+        offenders = [f"analytics/service.py:{line} {what}" for line, what in per_record_write_sites()]
+        assert not offenders, (
+            "a per-record write path beside the poll's request:\n  "
+            + "\n  ".join(offenders)
+        )
+        # The guard is about calls that exist.
+        source = SERVICE.read_text()
+        assert "self._write_points()" in source and "self.pub.send" in source
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        fine = tmp_path / "fine.py"
+        fine.write_text(
+            "class AnalyticsService:\n"
+            '    """process_measurement and pub.send in a docstring."""\n'
+            "    def poll(self, max_messages=256):\n"
+            "        messages = self.pull.recv_all(max_messages)\n"
+            "        enriched = [self._process_message(m) for m in messages]\n"
+            "        self._write_points()\n"
+            "        send = self.pub.send\n"
+            "        for payload in enriched:\n"
+            "            send(payload)\n"
+            "    def finish(self):\n"
+            "        self.poll()\n"
+            "        self.aggregator.flush()\n"
+            "        self._write_points()\n"
+        )
+        assert per_record_write_sites(fine) == []
+        rogue = tmp_path / "rogue.py"
+        rogue.write_text(
+            "class AnalyticsService:\n"
+            "    def poll(self, max_messages=256):\n"
+            "        for message in self.pull.recv_all(max_messages):\n"
+            "            self._process_message(message)\n"
+            "            self._write_points()\n"
+            "    def _process_message(self, message):\n"
+            "        self.process_measurement(self._enrich(message))\n"
+            "    def process_measurement(self, measurement):\n"
+            "        self._write_points([self._raw_point(measurement)])\n"
+            "        self.pub.send(measurement)\n"
+            "class Elsewhere:\n"
+            "    def relay(self):\n"
+            "        self.pub.send(b'not the service')\n"
+        )
+        assert [what for _, what in per_record_write_sites(rogue)] == [
+            "_write_points inside a loop",
+            "a process_measurement method",
+            "_write_points called from process_measurement",
+            "pub.send in process_measurement",
+        ]
+        early = tmp_path / "early.py"
+        early.write_text(
+            "class AnalyticsService:\n"
+            "    def poll(self, max_messages=256):\n"
+            "        for message in self.pull.recv_all(max_messages):\n"
+            "            self.pub.send(self._process_message(message))\n"
+            "        self._write_points()\n"
+        )
+        assert [what for _, what in per_record_write_sites(early)] == [
+            "pub.send before the poll's write"
+        ]
 
 
 class TestOneStoreImage:
