@@ -81,6 +81,9 @@ class HandshakeTable:
         self.max_entries = max_entries
         self.queue_id = queue_id
         self._entries: "OrderedDict[FlowKey, FlowEntry]" = OrderedDict()
+        #: Look up an in-flight handshake; None if untracked (the dict's
+        #: own method: the tracker asks once per data ACK).
+        self.get = self._entries.get
         self.inserted = 0
         self.completed = 0
         self.evicted = 0
@@ -92,10 +95,6 @@ class HandshakeTable:
 
     def __contains__(self, key: FlowKey) -> bool:
         return key in self._entries
-
-    def get(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Look up an in-flight handshake; None if untracked."""
-        return self._entries.get(key)
 
     def insert(self, key: FlowKey, entry: FlowEntry) -> Optional[FlowEntry]:
         """Track a new handshake.
@@ -192,7 +191,7 @@ class HandshakeTable:
         self.evicted = int(counters["evicted"])
         self.expired = int(counters["expired"])
         self.aborted = int(counters["aborted"])
-        self._entries = OrderedDict()
+        self._entries.clear()  # in place: ``get`` is bound to this dict
         for row in state["entries"]:
             key_parts = row["key"]
             key: FlowKey = (

@@ -25,12 +25,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.config import PipelineConfig
-from repro.core.flow_table import (
-    FlowEntry,
-    FlowState,
-    HandshakeTable,
-    canonical_flow_key,
-)
+from repro.core.flow_table import FlowEntry, FlowKey, FlowState, HandshakeTable
 from repro.core.latency import LatencyRecord
 from repro.core.stats import TrackerStats
 from repro.net.parser import ParsedPacket
@@ -72,19 +67,31 @@ class HandshakeTracker:
     def process(self, packet: ParsedPacket, rss_hash: int = 0) -> Optional[LatencyRecord]:
         """Feed one parsed TCP packet; returns a record if one completed."""
         self.stats.packets += 1
-        flags = packet.flags
+        # The canonical flow key (canonical_flow_key's, inline).
+        src_ip, dst_ip, src_port, dst_port, flags = packet[:5]
+        if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
+            key = (src_ip, src_port, dst_ip, dst_port, packet.is_ipv6)
+        else:
+            key = (dst_ip, dst_port, src_ip, src_port, packet.is_ipv6)
         if flags & 0x04:
-            self._on_rst(packet)
+            if self.table.remove(key, reason="aborted") is not None:
+                self.stats.resets += 1
             return None
-        # SYN and ACK bits; the plain ACK of an established flow is
-        # nearly every packet, so it is tested first.
+        # SYN and ACK bits; the plain ACK of an established flow is nearly
+        # every packet, so it is tested first and answered here, with one get.
         kind = flags & 0x12
         if kind == 0x10:
-            return self._on_ack(packet)
+            entry = self.table.get(key)
+            if entry is None or entry.state is not FlowState.SYNACK_SEEN:
+                # Either an established flow's data ACK (no entry) or an
+                # ACK racing ahead of the SYN-ACK the tap never saw.
+                self.stats.stray_ack += 1
+                return None
+            return self._on_ack(packet, key, entry)
         if kind == 0x02:
-            self._on_syn(packet, rss_hash)
+            self._on_syn(packet, key, rss_hash)
         elif kind == 0x12:
-            self._on_synack(packet)
+            self._on_synack(packet, key)
         return None
 
     def maybe_sweep(self, now_ns: int) -> int:
@@ -123,12 +130,8 @@ class HandshakeTracker:
 
     # -- state machine -----------------------------------------------------
 
-    def _on_syn(self, packet: ParsedPacket, rss_hash: int) -> None:
+    def _on_syn(self, packet: ParsedPacket, key: FlowKey, rss_hash: int) -> None:
         self.stats.syn += 1
-        key = canonical_flow_key(
-            packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port,
-            packet.is_ipv6,
-        )
         entry = self.table.get(key)
         if entry is not None:
             same_originator = (
@@ -157,12 +160,8 @@ class HandshakeTracker:
         )
         self.table.insert(key, new_entry)
 
-    def _on_synack(self, packet: ParsedPacket) -> None:
+    def _on_synack(self, packet: ParsedPacket, key: FlowKey) -> None:
         self.stats.synack += 1
-        key = canonical_flow_key(
-            packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port,
-            packet.is_ipv6,
-        )
         entry = self.table.get(key)
         if entry is None:
             # Flow began before the tap did, or the SYN was evicted.
@@ -188,17 +187,10 @@ class HandshakeTracker:
         entry.synack_ns = packet.timestamp_ns
         entry.synack_seq = packet.seq
 
-    def _on_ack(self, packet: ParsedPacket) -> Optional[LatencyRecord]:
-        key = canonical_flow_key(
-            packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port,
-            packet.is_ipv6,
-        )
-        entry = self.table.get(key)
-        if entry is None or entry.state is not FlowState.SYNACK_SEEN:
-            # Either an established flow's data ACK (no entry) or an
-            # ACK racing ahead of the SYN-ACK the tap never saw.
-            self.stats.stray_ack += 1
-            return None
+    def _on_ack(
+        self, packet: ParsedPacket, key: FlowKey, entry: FlowEntry
+    ) -> Optional[LatencyRecord]:
+        """A plain ACK whose flow's *entry* has seen its SYN-ACK."""
         from_originator = (
             entry.orig_ip == packet.src_ip and entry.orig_port == packet.src_port
         )
@@ -246,11 +238,3 @@ class HandshakeTracker:
         else:
             self.pending.append(record)
         return record
-
-    def _on_rst(self, packet: ParsedPacket) -> None:
-        key = canonical_flow_key(
-            packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port,
-            packet.is_ipv6,
-        )
-        if self.table.remove(key, reason="aborted") is not None:
-            self.stats.resets += 1

@@ -7,21 +7,22 @@ frame's parse to the handshake tracker and the observers, then sweep
 the flow table when due. Emitted measurements go to the worker's sink —
 in the full pipeline, a ZeroMQ-style PUSH socket.
 
-The body has two callers: :meth:`QueueWorker.poll`, fed by one of the
-NIC's rx rings, whose mbufs carry the port's header pass, and the shard
-child (:mod:`repro.shard.worker`), fed by the batches its transport
-carries as raw bytes, which are parsed here.
+The body has two callers, both handing it :class:`~repro.dpdk.mbuf.RxRow`
+rows: :meth:`QueueWorker.poll`, fed by one of the NIC's rx rings (its rows
+carry the port's header pass), and the shard child (:mod:`repro.shard.worker`),
+whose transport carries raw bytes (its rows carry no parse: parsed here).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.config import PipelineConfig
 from repro.core.handshake import HandshakeTracker, MeasurementSink
 from repro.core.stats import PipelineStats
-from repro.net.parser import PacketParser, ParsedPacket, ParseError
+from repro.dpdk.mbuf import RxRow
 from repro.dpdk.nic import NicPort
+from repro.net.parser import PacketParser, ParsedPacket
 
 
 class QueueWorker:
@@ -65,25 +66,20 @@ class QueueWorker:
         This is the body :class:`~repro.core.pipeline.RuruPipeline`
         keeps on its poll list, one per queue.
         """
-        mbufs = self.nic.rx_burst(self.queue_id, self.config.burst_size)
-        if not mbufs:
+        rows = self.nic.rx_burst(self.queue_id, self.config.burst_size)
+        if not rows:
             return 0
-        # The port's header pass rides the mbuf; one allocated without
-        # it is handed over as raw bytes.
-        self.process_burst(
-            [(m.timestamp_ns, m.rss_hash, m.parsed or m.data) for m in mbufs]
-        )
-        for mbuf in mbufs:
-            mbuf.free()
-        return len(mbufs)
+        self.process_burst(rows)
+        self.nic.pool.give_back(len(rows))
+        return len(rows)
 
-    def process_burst(self, frames: Iterable[Tuple[int, int, object]]) -> None:
-        """Sample, track and observe each ``(timestamp_ns, rss_hash,
-        frame)``, then run the sweep check.
+    def process_burst(self, rows: Iterable[RxRow]) -> None:
+        """Sample, track and observe each row's frame, then run the
+        sweep check.
 
-        *frame* is what the port's header pass made of it — a
-        ``ParsedPacket``, or the ``ParseError`` reason, counted here,
-        where the frame is processed — or the raw bytes, parsed here.
+        A row's ``parsed`` is the port's header pass — a ``ParsedPacket``,
+        or the reject reason, counted here, where the frame is
+        processed — or None, and its ``data`` is parsed here.
         """
         # Flow sampling: the symmetric RSS hash selects whole flows
         # (both directions share the hash), so a sampled-out flow
@@ -93,7 +89,7 @@ class QueueWorker:
         observers = self.observers
         latest_ns = self._latest_ns
         processed = 0
-        for timestamp_ns, rss_hash, frame in frames:
+        for timestamp_ns, rss_hash, frame, data, _, _ in rows:
             processed += 1
             if timestamp_ns > latest_ns:
                 latest_ns = timestamp_ns
@@ -101,11 +97,8 @@ class QueueWorker:
                 self.packets_sampled_out += 1
                 continue
             if frame.__class__ is not ParsedPacket:
-                if frame.__class__ is not str:
-                    try:
-                        frame = self.parser.parse(frame, timestamp_ns)
-                    except ParseError as exc:
-                        frame = exc.reason
+                if frame is None:
+                    frame = self.parser.header_pass(data, timestamp_ns)
                 if frame.__class__ is str:
                     if self.pipeline_stats is not None:
                         self.pipeline_stats.record_parse_error(frame)

@@ -8,8 +8,9 @@ poll bodies that :class:`repro.core.pipeline.RuruPipeline` calls
 round-robin — cooperative, deterministic scheduling):
 
 * :mod:`repro.dpdk.clock` — a virtual TSC-style nanosecond clock.
-* :mod:`repro.dpdk.mbuf` — a fixed-size packet-buffer pool with
-  alloc/free accounting (exhaustion == rx drops, as on real hardware).
+* :mod:`repro.dpdk.mbuf` — a fixed-size packet-buffer budget with
+  taken/given-back accounting (exhaustion == rx drops, as on real
+  hardware) and the row a received frame travels as.
 * :mod:`repro.dpdk.ring` — bounded single-producer/single-consumer
   rings used for queue↔worker handoff.
 * :mod:`repro.dpdk.rss` — the Toeplitz RSS hash, including the
@@ -21,7 +22,7 @@ round-robin — cooperative, deterministic scheduling):
 """
 
 from repro.dpdk.clock import VirtualClock
-from repro.dpdk.mbuf import Mbuf, MbufPool, MbufPoolExhausted
+from repro.dpdk.mbuf import MbufPool, RxRow
 from repro.dpdk.ring import Ring, RingEmpty, RingFull
 from repro.dpdk.rss import (
     DEFAULT_RSS_KEY,
@@ -35,9 +36,8 @@ from repro.dpdk.port_stats import PortStats
 
 __all__ = [
     "VirtualClock",
-    "Mbuf",
     "MbufPool",
-    "MbufPoolExhausted",
+    "RxRow",
     "Ring",
     "RingEmpty",
     "RingFull",

@@ -1,51 +1,48 @@
-"""Packet buffer (mbuf) pool with DPDK-style accounting.
+"""The packet-buffer budget and the row a received frame occupies.
 
 On real hardware the NIC drops frames when the mbuf pool is empty;
 reproducing that pressure matters for the SYN-flood resilience bench,
-where a flood can exhaust buffers faster than workers free them.
+where a flood can exhaust buffers faster than workers free them. That
+pressure is a count, so a count is what :class:`MbufPool` keeps; the
+frame itself travels as an immutable :class:`RxRow`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 
-class MbufPoolExhausted(RuntimeError):
-    """Raised by :meth:`MbufPool.alloc` when no buffers remain."""
+class RxRow(NamedTuple):
+    """One received frame, as it sits in an rx ring and as ``rx_burst``
+    hands it to a worker.
 
-
-@dataclass
-class Mbuf:
-    """One packet buffer: raw frame bytes plus rx metadata.
-
-    Mirrors the fields of ``rte_mbuf`` that Ruru's fast path touches:
-    the data, the RSS hash computed by the NIC, the rx timestamp, the
-    queue the frame arrived on, and — as ``packet_type`` does on
-    hardware — what the port's one header pass made of the frame: a
-    :class:`~repro.net.parser.ParsedPacket`, or the ``ParseError``
-    reason saying why there is none.
+    Mirrors the fields of ``rte_mbuf`` that Ruru's fast path touches.
+    ``parsed`` is — as ``packet_type`` is on hardware — what the port's
+    one header pass made of the frame: a
+    :class:`~repro.net.parser.ParsedPacket`, the reject reason, or None
+    for a frame no pass has seen (the shard child's, parsed by the
+    worker from ``data``); ``pool`` is whose buffer the frame holds.
     """
 
-    data: bytes = field(repr=False, default=b"")
-    rss_hash: int = 0
-    timestamp_ns: int = 0
+    timestamp_ns: int
+    rss_hash: int
+    parsed: object
+    data: bytes
     queue_id: int = 0
-    parsed: object = field(default=None, repr=False, compare=False)
-    pool: Optional["MbufPool"] = field(default=None, repr=False, compare=False)
+    pool: Optional["MbufPool"] = None
 
     def free(self) -> None:
-        """Return this buffer to its pool (no-op for pool-less mbufs)."""
+        """Give this frame's buffer back (no-op for a pool-less row)."""
         if self.pool is not None:
-            self.pool.free(self)
-
-    def __len__(self) -> int:
-        return len(self.data)
+            self.pool.give_back()
 
 
 class MbufPool:
-    """A bounded pool of :class:`Mbuf` objects, created on first use
-    (up to ``size``) and recycled after.
+    """A counted budget of ``size`` packet buffers.
+
+    The port takes one per frame it queues, a burst's worth at once
+    (:meth:`settle`); whoever consumes the rows gives them back
+    (:meth:`give_back`). ``alloc_count − free_count`` is ``in_use`` ≤ ``size``.
 
     Args:
         size: total number of buffers. DPDK pools are commonly sized
@@ -58,8 +55,6 @@ class MbufPool:
             raise ValueError("pool size must be positive")
         self.size = size
         self.name = name
-        self._free: List[Mbuf] = []
-        self._created = 0
         self.alloc_count = 0
         self.free_count = 0
         self.exhausted_count = 0
@@ -67,49 +62,29 @@ class MbufPool:
     @property
     def available(self) -> int:
         """Buffers currently free."""
-        return self.size - self.in_use
+        return self.size - self.alloc_count + self.free_count
 
     @property
     def in_use(self) -> int:
-        """Buffers currently allocated."""
-        return self._created - len(self._free)
+        """Buffers currently out."""
+        return self.alloc_count - self.free_count
 
-    def alloc(
-        self, data: bytes, timestamp_ns: int = 0, rss_hash: int = 0,
-        queue_id: int = 0, parsed: object = None,
-    ) -> Mbuf:
-        """Take a buffer from the pool and fill it.
+    def settle(self, taken: int, given_back: int = 0, refused: int = 0) -> None:
+        """Book one burst: buffers *taken* (each while one was free),
+        *given_back* within it (a frame its ring refused, a displaced
+        victim), and requests *refused* because none was free — rx
+        drops (``imissed``) to the caller, the NIC."""
+        in_use = self.in_use + taken - given_back
+        if not 0 <= in_use <= self.size:
+            raise ValueError(f"{self.name}: {in_use} of {self.size} buffers in use")
+        self.alloc_count += taken
+        self.free_count += given_back
+        self.exhausted_count += refused
 
-        Raises:
-            MbufPoolExhausted: when the pool is empty (the caller —
-                the NIC — counts this as an rx drop, ``imissed``).
-        """
-        if self._free:
-            mbuf = self._free.pop()
-        elif self._created < self.size:
-            self._created += 1
-            mbuf = Mbuf(pool=self)
-        else:
-            self.exhausted_count += 1
-            raise MbufPoolExhausted(self.name)
-        mbuf.data = data
-        mbuf.timestamp_ns = timestamp_ns
-        mbuf.rss_hash = rss_hash
-        mbuf.queue_id = queue_id
-        mbuf.parsed = parsed
-        self.alloc_count += 1
-        return mbuf
-
-    def free(self, mbuf: Mbuf) -> None:
-        """Return *mbuf* to the pool."""
-        if mbuf.pool is not self:
-            raise ValueError("mbuf does not belong to this pool")
-        if len(self._free) >= self._created:
-            raise ValueError("double free: pool already full")
-        mbuf.data = b""
-        mbuf.parsed = None
-        self._free.append(mbuf)
-        self.free_count += 1
+    def give_back(self, count: int = 1) -> None:
+        """Return *count* buffers to the budget (a double give-back,
+        one past ``in_use``, raises)."""
+        self.settle(0, given_back=count)
 
     def __repr__(self) -> str:
         return (

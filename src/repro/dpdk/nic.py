@@ -4,12 +4,13 @@ A real NIC extracts the L3/L4 tuple in hardware, Toeplitz-hashes it,
 picks an rx queue through the RETA, and DMAs the frame into an mbuf
 whose ``packet_type`` says what it found. :class:`NicPort` does that
 sequence in software, a burst at a time: one header pass per frame
-(:meth:`PacketParser.parse <repro.net.parser.PacketParser.parse>`),
-whose result is the RSS input, the admission controller's triage class
-and — riding the mbuf — the worker's input; then the
-:class:`~repro.dpdk.rss.RssHasher`, an mbuf allocation, and a bounded
-per-queue ring. Workers drain queues with :meth:`RxQueue.rx_burst`,
-DPDK-style.
+(:meth:`PacketParser.header_pass
+<repro.net.parser.PacketParser.header_pass>`), whose result is the RSS
+input, the admission controller's triage class and — riding the
+:class:`~repro.dpdk.mbuf.RxRow` — the worker's input; then the
+:class:`~repro.dpdk.rss.RssHasher`, a buffer off the pool's budget, and
+a bounded per-queue ring of rows. Workers drain queues with
+:meth:`RxQueue.rx_burst`, DPDK-style.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.dpdk.mbuf import MbufPool, MbufPoolExhausted
+from repro.dpdk.mbuf import MbufPool, RxRow
 from repro.dpdk.port_stats import PortStats
 from repro.dpdk.ring import Ring
 from repro.dpdk.rss import RssHasher, SYMMETRIC_RSS_KEY
 from repro.net.packet import Packet
-from repro.net.parser import PacketParser, ParsedPacket, ParseError
+from repro.net.parser import PacketParser, ParsedPacket
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -31,14 +32,14 @@ DEFAULT_BURST_SIZE = 32
 
 
 class RxQueue:
-    """One receive queue: a bounded ring of mbufs plus its id."""
+    """One receive queue: a bounded ring of rows plus its id."""
 
     def __init__(self, queue_id: int, capacity: int = 4096):
         self.queue_id = queue_id
         self.ring: Ring = Ring(capacity=capacity, name=f"rxq{queue_id}")
 
     def rx_burst(self, max_packets: int = DEFAULT_BURST_SIZE) -> list:
-        """Poll up to *max_packets* mbufs off this queue."""
+        """Poll up to *max_packets* rows off this queue."""
         return self.ring.dequeue_burst(max_packets)
 
     def __len__(self) -> int:
@@ -52,11 +53,11 @@ class NicPort:
         num_queues: receive queue count (one worker core each in Ruru).
         rss_key: the Toeplitz key; defaults to the symmetric key so
             both flow directions share a queue.
-        mbuf_pool: buffer pool; a default pool is created if omitted.
+        mbuf_pool: buffer budget; a default one is created if omitted.
         queue_capacity: ring slots per queue.
         admission: optional overload controller; when set, frames pass
-            its priority triage before allocation and a full ring may
-            displace its newest payload frame for a handshake frame.
+            its priority triage before a buffer is taken and a full ring
+            may displace its newest payload frame for a handshake frame.
     """
 
     def __init__(
@@ -136,30 +137,33 @@ class NicPort:
         """Classify and queue a burst of frames; returns how many were
         queued.
 
-        Each frame's headers are walked once, here: the parse (or the
-        reason there is none) picks the triage class, is the RSS input
-        — a parsed IPv4 segment hashes its own tuple, which is the tuple
-        :meth:`_extract_tuple` reads at the same offsets; IPv6, UDP and
-        rejected frames keep :meth:`_extract_tuple` — and rides the mbuf
-        to the worker.
+        Each frame's headers are walked once, here: the header pass's
+        result (a parse, or the reason there is none) picks the triage
+        class, is the RSS input (only a rejected frame is read again,
+        by :meth:`_extract_tuple`) and rides the row to the worker.
 
-        Drops happen when the mbuf pool is exhausted or the chosen rx
-        ring is full — both counted in :attr:`stats` as ``imissed``,
-        matching NIC semantics. With an admission controller attached,
-        frames the ladder sheds are rejected before allocation, and a
-        full ring first tries to displace its newest payload frame to
-        make room for an incoming handshake frame; either way the
-        controller attributes the loss per class and stage. Port
+        Drops happen when the buffer budget is spent
+        (``pool.exhausted_count``) or the chosen rx ring is full
+        (``ring.drops``) — both ``imissed`` in :attr:`stats`, matching
+        NIC semantics. With an admission controller attached, frames the
+        ladder sheds are rejected before a buffer is taken, and a full
+        ring goes through :meth:`_make_room`. Inside the loop the budget
+        and each ring's room are local integers; pool, ring and port
         counters are settled once per burst.
         """
-        parse = self._parser.parse
+        header_pass = self._parser.header_pass
         admission = self.admission
         hasher = self.hasher
-        hash_ipv4 = hasher.hash_ipv4_tuple
+        hash_tuple = hasher.hash_tuple
         reta = hasher.reta
         reta_mask = len(reta) - 1
-        alloc = self.pool.alloc
+        pool = self.pool
+        buffers_free = pool.available
+        taken = given_back = refused = 0
         queues = self.queues
+        ring_items = [queue.ring.items for queue in queues]
+        ring_room = [queue.ring.free_space for queue in queues]
+        make_row = RxRow._make
         # Per-queue counts in first-seen order, as q_ipackets keeps them.
         queued: Dict[int, int] = {}
         queued_bytes = 0
@@ -169,18 +173,16 @@ class NicPort:
             offered += 1
             data = packet.data
             timestamp_ns = packet.timestamp_ns
-            try:
-                parsed = parse(data, timestamp_ns)
-            except ParseError as exc:
-                parsed = exc.reason
+            parsed = header_pass(data, timestamp_ns)
             if admission is not None:
                 admitted, klass, data = admission.admit_frame(data, parsed)
                 if not admitted:
                     continue
 
-            if parsed.__class__ is ParsedPacket and not parsed.is_ipv6:
-                rss_hash = hash_ipv4(
-                    parsed.src_ip, parsed.dst_ip, parsed.src_port, parsed.dst_port
+            if parsed.__class__ is ParsedPacket:
+                rss_hash = hash_tuple(
+                    parsed.src_ip, parsed.dst_ip, parsed.src_port,
+                    parsed.dst_port, parsed.is_ipv6,
                 )
                 queue_id = reta[rss_hash & reta_mask]
             else:
@@ -188,39 +190,49 @@ class NicPort:
                 if extracted is None:
                     rss_hash = queue_id = 0
                 else:
-                    rss_hash = hasher.hash_tuple(*extracted)
+                    rss_hash = hash_tuple(*extracted)
                     queue_id = reta[rss_hash & reta_mask]
 
-            try:
-                mbuf = alloc(data, timestamp_ns, rss_hash, queue_id, parsed)
-            except MbufPoolExhausted:
+            if not buffers_free:
+                refused += 1
                 continue
-
-            ring = queues[queue_id].ring
-            if ring.is_full:
-                victim = None
-                if admission is not None and admission.should_displace(klass):
-                    victim = ring.displace_newest(admission.is_displaceable)
-                if victim is None:
-                    mbuf.free()
-                    if admission is not None:
-                        admission.record_ring_drop(klass)
+            taken += 1
+            if ring_room[queue_id]:
+                ring_room[queue_id] -= 1
+                buffers_free -= 1
+            else:
+                # The frame holds a buffer; it, or the victim it
+                # displaces, gives one straight back.
+                given_back += 1
+                if not self._make_room(queues[queue_id].ring, klass):
                     continue
-                victim.free()
-                admission.record_ring_displacement()
-            ring.enqueue(mbuf)
+            ring_items[queue_id].append(
+                make_row((timestamp_ns, rss_hash, parsed, data, queue_id, pool))
+            )
             queued[queue_id] = queued.get(queue_id, 0) + 1
             queued_bytes += len(data)
+        pool.settle(taken, given_back, refused)
+        for queue_id, count in queued.items():
+            queues[queue_id].ring.settle_burst(count)
         accepted = self.stats.record_rx_burst(queued, queued_bytes)
         self.stats.record_miss(offered - accepted)
         return accepted
+
+    def _make_room(self, ring: Ring, klass: Optional[str]) -> bool:
+        """A frame of class *klass* found *ring* full: True if the
+        admission policy displaced a queued row for it, else the drop is
+        counted on the ring (and attributed by the policy)."""
+        if self.admission is not None and self.admission.make_room(ring, klass):
+            return True
+        ring.drops += 1
+        return False
 
     def rx_burst(self, queue_id: int, max_packets: int = DEFAULT_BURST_SIZE) -> list:
         """Poll a queue (``rte_eth_rx_burst`` equivalent)."""
         return self.queues[queue_id].rx_burst(max_packets)
 
     def pending(self) -> int:
-        """Total mbufs sitting in rx rings."""
+        """Total rows sitting in rx rings."""
         return sum(len(queue) for queue in self.queues)
 
     def rebalance(self, weights) -> None:

@@ -23,14 +23,19 @@ class RingEmpty(RuntimeError):
 
 
 class Ring(Generic[T]):
-    """A bounded FIFO with burst operations and occupancy stats."""
+    """A bounded FIFO with burst operations and occupancy stats.
+
+    ``items`` is the queue itself: the port reads :attr:`free_space`
+    once per burst, appends that many rows at most, and books them with
+    :meth:`settle_burst`. Everyone else goes through the methods.
+    """
 
     def __init__(self, capacity: int = 1024, name: str = "ring"):
         if capacity <= 0:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
         self.name = name
-        self._items: Deque[T] = deque()
+        self.items: Deque[T] = deque()
         self.enqueued = 0
         self.dequeued = 0
         self.drops = 0
@@ -39,20 +44,20 @@ class Ring(Generic[T]):
         self._peak = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     @property
     def free_space(self) -> int:
         """Slots remaining."""
-        return self.capacity - len(self._items)
+        return self.capacity - len(self.items)
 
     @property
     def is_empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     @property
     def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self.items) >= self.capacity
 
     def enqueue(self, item: T) -> None:
         """Add one item.
@@ -60,15 +65,11 @@ class Ring(Generic[T]):
         Raises:
             RingFull: at capacity; the drop is counted.
         """
-        if len(self._items) >= self.capacity:
+        if len(self.items) >= self.capacity:
             self.drops += 1
             raise RingFull(self.name)
-        self._items.append(item)
-        self.enqueued += 1
-        if len(self._items) > self.high_watermark:
-            self.high_watermark = len(self._items)
-        if len(self._items) > self._peak:
-            self._peak = len(self._items)
+        self.items.append(item)
+        self.settle_burst(1)
 
     def enqueue_burst(self, items: Iterable[T]) -> int:
         """Add as many items as fit; returns how many were accepted.
@@ -78,17 +79,23 @@ class Ring(Generic[T]):
         """
         accepted = 0
         for item in items:
-            if len(self._items) >= self.capacity:
+            if len(self.items) >= self.capacity:
                 self.drops += 1
                 continue
-            self._items.append(item)
-            self.enqueued += 1
+            self.items.append(item)
             accepted += 1
-        if len(self._items) > self.high_watermark:
-            self.high_watermark = len(self._items)
-        if len(self._items) > self._peak:
-            self._peak = len(self._items)
+        self.settle_burst(accepted)
         return accepted
+
+    def settle_burst(self, appended: int) -> None:
+        """Book *appended* items already on ``items``. A burst only appends (a
+        displacement swaps one row for another): its peak is the depth it leaves."""
+        self.enqueued += appended
+        depth = len(self.items)
+        if depth > self.high_watermark:
+            self.high_watermark = depth
+        if depth > self._peak:
+            self._peak = depth
 
     def take_peak(self) -> int:
         """Peak occupancy since the last call; resets to current depth.
@@ -97,8 +104,8 @@ class Ring(Generic[T]):
         instantaneous read is useless as a pressure signal — overload
         sensors read the within-batch peak instead.
         """
-        peak = max(self._peak, len(self._items))
-        self._peak = len(self._items)
+        peak = max(self._peak, len(self.items))
+        self._peak = len(self.items)
         return peak
 
     def displace_newest(self, predicate: Callable[[T], bool]) -> Optional[T]:
@@ -109,7 +116,7 @@ class Ring(Generic[T]):
         (newest, because the oldest is closest to being served).
         Returns None if nothing matches; the caller owns the victim.
         """
-        items = self._items
+        items = self.items
         for index in range(len(items) - 1, -1, -1):
             if predicate(items[index]):
                 victim = items[index]
@@ -124,22 +131,22 @@ class Ring(Generic[T]):
         Raises:
             RingEmpty: nothing queued.
         """
-        if not self._items:
+        if not self.items:
             raise RingEmpty(self.name)
         self.dequeued += 1
-        return self._items.popleft()
+        return self.items.popleft()
 
-    def dequeue_burst(self, max_items: int) -> List[T]:
-        """Remove up to *max_items*; empty list when nothing is queued."""
-        if max_items < 0:
+    def dequeue_burst(self, maxitems: int) -> List[T]:
+        """Remove up to *maxitems*; empty list when nothing is queued."""
+        if maxitems < 0:
             raise ValueError("burst size cannot be negative")
-        count = min(max_items, len(self._items))
-        burst = [self._items.popleft() for _ in range(count)]
+        count = min(maxitems, len(self.items))
+        burst = [self.items.popleft() for _ in range(count)]
         self.dequeued += count
         return burst
 
     def __repr__(self) -> str:
         return (
             f"Ring(name={self.name!r}, capacity={self.capacity}, "
-            f"occupancy={len(self._items)}, drops={self.drops})"
+            f"occupancy={len(self.items)}, drops={self.drops})"
         )

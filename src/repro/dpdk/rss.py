@@ -75,7 +75,9 @@ class RssHasher:
 
     Precomputes, per (byte offset, byte value), the XOR contribution to
     the hash — the same optimization NIC datasheets describe — so
-    per-packet hashing is a handful of table lookups.
+    per-packet hashing is a handful of table lookups: one per tuple
+    byte, or two under a key of period two bytes (the symmetric key Ruru
+    configures) — :meth:`_hash_tuple_folded`, chosen by the key alone.
 
     Args:
         key: the 40-byte (or longer, for IPv6) RSS key. Defaults to
@@ -107,21 +109,29 @@ class RssHasher:
         self.reta: List[int] = [i % num_queues for i in range(reta_size)]
         self._tables: Dict[int, List[List[int]]] = {}
         self._ipv4_rows = self._table_for_length(self.IPV4_TUPLE_LEN)
+        # If the key bytes the longest tuple consumes repeat every two,
+        # every even tuple offset has row 0 and every odd offset row 1.
+        window = self._key_for_length(self.IPV6_TUPLE_LEN)
+        #: True if the key has the 2-byte repetition symmetry property.
+        self.is_symmetric = window == window[:2] * (len(window) // 2)
+        if self.is_symmetric:
+            self._even_row, self._odd_row = self._ipv4_rows[:2]
+            self.hash_tuple = self._hash_tuple_folded
 
     # -- hashing ---------------------------------------------------------
+
+    def _key_for_length(self, length: int) -> bytes:
+        """The ``length + 4`` key bytes an input of *length* bytes consumes;
+        a shorter key (IPv6 tuples need 40 bytes) is extended by cycling,
+        which preserves the 2-byte symmetry of even-length symmetric keys."""
+        return (self.key * ((length + 4) // len(self.key) + 1))[: length + 4]
 
     def _table_for_length(self, length: int) -> List[List[int]]:
         """Per-byte XOR contribution tables for inputs of *length* bytes."""
         table = self._tables.get(length)
         if table is not None:
             return table
-        if len(self.key) * 8 < length * 8 + 32:
-            # IPv6 tuples need a 68-byte key; extend by cycling, which
-            # preserves the 2-byte symmetry of symmetric keys.
-            repeats = (length + 4 + len(self.key) - 1) // len(self.key) + 1
-            key = (self.key * repeats)[: length + 4]
-        else:
-            key = self.key
+        key = self._key_for_length(length)
         key_int = int.from_bytes(key, "big")
         key_bits = len(key) * 8
         table = []
@@ -162,18 +172,6 @@ class RssHasher:
             ^ t10[dst_port >> 8] ^ t11[dst_port & 0xFF]
         )
 
-    def hash_ipv6_tuple(
-        self, src_ip: int, dst_ip: int, src_port: int, dst_port: int
-    ) -> int:
-        """Hash an IPv6 TCP/UDP 4-tuple."""
-        data = (
-            src_ip.to_bytes(16, "big")
-            + dst_ip.to_bytes(16, "big")
-            + src_port.to_bytes(2, "big")
-            + dst_port.to_bytes(2, "big")
-        )
-        return self.hash_bytes(data)
-
     def hash_tuple(
         self,
         src_ip: int,
@@ -182,10 +180,28 @@ class RssHasher:
         dst_port: int,
         is_ipv6: bool = False,
     ) -> int:
-        """Hash a 4-tuple, dispatching on address family."""
+        """Hash a TCP/UDP 4-tuple of either address family."""
+        if not is_ipv6:
+            return self.hash_ipv4_tuple(src_ip, dst_ip, src_port, dst_port)
+        return self.hash_bytes(
+            src_ip.to_bytes(16, "big") + dst_ip.to_bytes(16, "big")
+            + src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big")
+        )
+
+    def _hash_tuple_folded(
+        self, src_ip: int, dst_ip: int, src_port: int, dst_port: int, is_ipv6: bool = False
+    ) -> int:
+        """:meth:`hash_tuple` under a key of period two bytes: it has
+        two distinct rows, and a row is linear over XOR (``row[a] ^
+        row[b] == row[a ^ b]``), so XOR the tuple's 16-bit words together
+        and look up each half. XOR commutes, hence the symmetry.
+        """
+        x = src_ip ^ dst_ip
         if is_ipv6:
-            return self.hash_ipv6_tuple(src_ip, dst_ip, src_port, dst_port)
-        return self.hash_ipv4_tuple(src_ip, dst_ip, src_port, dst_port)
+            x ^= x >> 64
+            x ^= x >> 32
+        x = (x ^ x >> 16 ^ src_port ^ dst_port) & 0xFFFF
+        return self._even_row[x >> 8] ^ self._odd_row[x & 0xFF]
 
     # -- queue selection ---------------------------------------------------
 
@@ -202,10 +218,3 @@ class RssHasher:
             if not 0 <= queue < self.num_queues:
                 raise ValueError(f"RETA entry {queue} out of range")
         self.reta = list(entries)
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True if the key has the 2-byte repetition symmetry property."""
-        return all(
-            self.key[i] == self.key[i % 2] for i in range(len(self.key))
-        )

@@ -7,14 +7,16 @@ flags, seq/ack, payload length, and optionally the TCP timestamp
 option for the pping baseline), without building the full header
 dataclasses from :mod:`repro.net.ethernet` et al.
 
-Non-TCP and malformed packets raise :class:`ParseError`; the pipeline
-counts and drops them, mirroring the DPDK application's filter.
+Non-TCP and malformed packets have no parse, only a reason:
+:meth:`PacketParser.header_pass` returns it, :meth:`PacketParser.parse`
+raises it as a :class:`ParseError`; the pipeline counts and drops such
+frames, mirroring the DPDK application's filter.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.net.ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6, ETHERTYPE_VLAN
 from repro.net.ipv4 import PROTO_TCP
@@ -86,6 +88,13 @@ class ParsedPacket(NamedTuple):
         return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
 
 
+# Both decodes name every field, in order: no keyword or default handling.
+_make_parsed = ParsedPacket._make
+
+#: What the walk makes of a frame: its packet, or its ``(reason, detail)``.
+Walked = Union[ParsedPacket, Tuple[str, str]]
+
+
 class PacketParser:
     """Stateless fast parser; one instance is shared per worker.
 
@@ -108,6 +117,16 @@ class PacketParser:
                 non-TCP protocols, and IP fragments (the handshake
                 packets Ruru cares about are never fragmented).
         """
+        parsed = self.header_pass(data, timestamp_ns)
+        if parsed.__class__ is ParsedPacket:
+            return parsed
+        # Only the walk rejects; it is asked again for the detail.
+        raise ParseError(*self._walk(data, timestamp_ns))
+
+    def header_pass(self, data: bytes, timestamp_ns: int) -> Union[ParsedPacket, str]:
+        """:meth:`parse` without the raise: the :class:`ParsedPacket`,
+        or the ``ParseError.reason`` there is none. The rx path's form —
+        a reject is a counted outcome there, not an exception."""
         if len(data) >= 54:
             (
                 ethertype, version_ihl, total_length, flags_frag, protocol,
@@ -124,27 +143,29 @@ class PacketParser:
                 if 20 <= header_len <= l4_len and (
                     header_len == 20 or not self.extract_timestamps
                 ):
-                    return ParsedPacket(
+                    return _make_parsed((
                         src, dst, src_port, dst_port, flags, seq, ack,
-                        l4_len - header_len, timestamp_ns,
-                    )
+                        l4_len - header_len, timestamp_ns, False, None, None,
+                    ))
         # Any other shape, and anything malformed: the general walk,
         # which names the reason a frame is rejected.
-        return self._walk(data, timestamp_ns)
+        walked = self._walk(data, timestamp_ns)
+        return walked if walked.__class__ is ParsedPacket else walked[0]
 
-    def _walk(self, data: bytes, timestamp_ns: int) -> ParsedPacket:
-        """Header-by-header decode of any frame :meth:`parse` accepts or
-        rejects; the reference its fixed-offset decode is tested against."""
+    def _walk(self, data: bytes, timestamp_ns: int) -> Walked:
+        """Header-by-header decode of any frame: its packet, or the
+        ``(reason, detail)`` it is rejected with; the reference the
+        fixed-offset decode is tested against."""
         if len(data) < 14:
-            raise ParseError("truncated", "ethernet header")
+            return "truncated", "ethernet header"
         ethertype = _U16.unpack_from(data, 12)[0]
         offset = 14
         tags = 0
         while ethertype == ETHERTYPE_VLAN:
             if tags >= self.max_vlan_tags:
-                raise ParseError("vlan-depth", f">{self.max_vlan_tags} tags")
+                return "vlan-depth", f">{self.max_vlan_tags} tags"
             if len(data) < offset + 4:
-                raise ParseError("truncated", "vlan tag")
+                return "truncated", "vlan tag"
             ethertype = _U16.unpack_from(data, offset + 2)[0]
             offset += 4
             tags += 1
@@ -153,39 +174,39 @@ class PacketParser:
             return self._parse_ipv4(data, offset, timestamp_ns)
         if ethertype == ETHERTYPE_IPV6:
             return self._parse_ipv6(data, offset, timestamp_ns)
-        raise ParseError("not-ip", f"ethertype 0x{ethertype:04x}")
+        return "not-ip", f"ethertype 0x{ethertype:04x}"
 
     # -- L3 ------------------------------------------------------------
 
-    def _parse_ipv4(self, data: bytes, offset: int, ts: int) -> ParsedPacket:
+    def _parse_ipv4(self, data: bytes, offset: int, ts: int) -> Walked:
         if len(data) < offset + 20:
-            raise ParseError("truncated", "ipv4 header")
+            return "truncated", "ipv4 header"
         version_ihl = data[offset]
         if version_ihl >> 4 != 4:
-            raise ParseError("bad-version", "ipv4")
+            return "bad-version", "ipv4"
         ihl = (version_ihl & 0xF) * 4
         if ihl < 20 or len(data) < offset + ihl:
-            raise ParseError("truncated", "ipv4 options")
+            return "truncated", "ipv4 options"
         total_length = _U16.unpack_from(data, offset + 2)[0]
         flags_frag = _U16.unpack_from(data, offset + 6)[0]
         # A non-zero fragment offset or the more-fragments bit means this
         # is part of a fragmented datagram; handshake packets never are.
         if flags_frag & 0x1FFF or flags_frag & 0x2000:
-            raise ParseError("fragment", "ipv4")
+            return "fragment", "ipv4"
         protocol = data[offset + 9]
         if protocol != PROTO_TCP:
-            raise ParseError("not-tcp", f"ipv4 proto {protocol}")
+            return "not-tcp", f"ipv4 proto {protocol}"
         src = _U32.unpack_from(data, offset + 12)[0]
         dst = _U32.unpack_from(data, offset + 16)[0]
         l4_offset = offset + ihl
         l4_len = max(0, min(total_length - ihl, len(data) - l4_offset))
         return self._parse_tcp(data, l4_offset, l4_len, src, dst, False, ts)
 
-    def _parse_ipv6(self, data: bytes, offset: int, ts: int) -> ParsedPacket:
+    def _parse_ipv6(self, data: bytes, offset: int, ts: int) -> Walked:
         if len(data) < offset + 40:
-            raise ParseError("truncated", "ipv6 header")
+            return "truncated", "ipv6 header"
         if data[offset] >> 4 != 6:
-            raise ParseError("bad-version", "ipv6")
+            return "bad-version", "ipv6"
         payload_length = _U16.unpack_from(data, offset + 4)[0]
         next_header = data[offset + 6]
         src = int.from_bytes(data[offset + 8:offset + 24], "big")
@@ -195,15 +216,15 @@ class PacketParser:
         # Walk skippable extension headers (each: next-header, len-in-8s).
         while next_header in SKIPPABLE_EXTENSIONS:
             if end < l4_offset + 8:
-                raise ParseError("truncated", "ipv6 extension")
+                return "truncated", "ipv6 extension"
             ext_next = data[l4_offset]
             ext_len = (data[l4_offset + 1] + 1) * 8
             l4_offset += ext_len
             next_header = ext_next
         if next_header == 44:  # fragment header
-            raise ParseError("fragment", "ipv6")
+            return "fragment", "ipv6"
         if next_header != PROTO_TCP:
-            raise ParseError("not-tcp", f"ipv6 next-header {next_header}")
+            return "not-tcp", f"ipv6 next-header {next_header}"
         return self._parse_tcp(data, l4_offset, end - l4_offset, src, dst, True, ts)
 
     # -- L4 ------------------------------------------------------------
@@ -217,36 +238,26 @@ class PacketParser:
         dst: int,
         is_ipv6: bool,
         ts: int,
-    ) -> ParsedPacket:
+    ) -> Walked:
         if l4_len < 20 or len(data) < offset + 20:
-            raise ParseError("truncated", "tcp header")
+            return "truncated", "tcp header"
         src_port = _U16.unpack_from(data, offset)[0]
         dst_port = _U16.unpack_from(data, offset + 2)[0]
         seq = _U32.unpack_from(data, offset + 4)[0]
         ack = _U32.unpack_from(data, offset + 8)[0]
         header_len = (data[offset + 12] >> 4) * 4
         if header_len < 20 or l4_len < header_len:
-            raise ParseError("truncated", "tcp options")
+            return "truncated", "tcp options"
         flags = data[offset + 13]
 
         tsval = tsecr = None
         if self.extract_timestamps and header_len > 20:
             tsval, tsecr = self._find_timestamp(data, offset + 20, offset + header_len)
 
-        return ParsedPacket(
-            src_ip=src,
-            dst_ip=dst,
-            src_port=src_port,
-            dst_port=dst_port,
-            flags=flags,
-            seq=seq,
-            ack=ack,
-            payload_len=l4_len - header_len,
-            timestamp_ns=ts,
-            is_ipv6=is_ipv6,
-            tsval=tsval,
-            tsecr=tsecr,
-        )
+        return _make_parsed((
+            src, dst, src_port, dst_port, flags, seq, ack,
+            l4_len - header_len, ts, is_ipv6, tsval, tsecr,
+        ))
 
     @staticmethod
     def _find_timestamp(data: bytes, start: int, end: int):

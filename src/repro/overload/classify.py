@@ -21,7 +21,7 @@ offered counts are meaningful denominators even when nothing is shed.
 
 from __future__ import annotations
 
-from repro.net.parser import PacketParser, ParsedPacket, ParseError
+from repro.net.parser import PacketParser, ParsedPacket
 from repro.net.tcp import TCP_FLAG_SYN
 
 HANDSHAKE = "handshake"
@@ -36,7 +36,7 @@ _PARSER = PacketParser()
 
 def classify_parsed(parsed) -> str:
     """Shed class of one header pass's result: a ``ParsedPacket``, or
-    anything else (a ``ParseError`` reason) for a frame without one."""
+    anything else (a reject reason) for a frame without one."""
     if parsed.__class__ is not ParsedPacket:
         return OTHER
     if parsed.flags & TCP_FLAG_SYN or not parsed.payload_len:
@@ -46,7 +46,4 @@ def classify_parsed(parsed) -> str:
 
 def classify_frame(data: bytes) -> str:
     """Triage one wire frame, for callers that hold no parse of it."""
-    try:
-        return classify_parsed(_PARSER.parse(data, 0))
-    except ParseError:
-        return OTHER
+    return classify_parsed(_PARSER.header_pass(data, 0))

@@ -237,29 +237,25 @@ class OverloadController:
         self._nic_shed += 1
         return False, klass, data
 
-    def is_displaceable(self, mbuf) -> bool:
+    def is_displaceable(self, row) -> bool:
         """Ring-displacement victim test: newest payload frame goes first."""
-        return classify_parsed(mbuf.parsed) == PAYLOAD
+        return classify_parsed(row.parsed) == PAYLOAD
 
-    def should_displace(self, klass: Optional[str]) -> bool:
-        """Only handshake frames may evict a queued payload frame."""
-        return klass == HANDSHAKE
-
-    def record_ring_displacement(self) -> None:
-        """A queued payload frame was evicted for a handshake frame.
-
-        The victim had already been admitted (it counts as queued at
-        the pipeline level), so it is shed at the *ring* stage; the
-        separate displacement counter lets conservation checks split
-        evictions from incoming-frame ring drops.
+    def make_room(self, ring, klass: str) -> bool:
+        """An admitted frame of *klass* found *ring* full: evict for it
+        (True), or shed it (False). Only a handshake frame may evict,
+        and only a queued payload frame. The victim had already been
+        admitted (it counts as queued at the pipeline level), so it is
+        shed at the *ring* stage; the separate displacement counter lets
+        conservation checks split evictions from incoming ring drops.
         """
-        self.ring_displacements += 1
-        self.record_shed(PAYLOAD, "ring")
-
-    def record_ring_drop(self, klass: Optional[str]) -> None:
-        """An admitted frame found its ring full and nothing to evict."""
-        self.record_shed(klass if klass is not None else OTHER, "ring")
+        if klass == HANDSHAKE and ring.displace_newest(self.is_displaceable) is not None:
+            self.ring_displacements += 1
+            self.record_shed(PAYLOAD, "ring")
+            return True
+        self.record_shed(klass, "ring")
         self._nic_shed += 1
+        return False
 
     def take_nic_shed(self) -> int:
         """Consume the count of frames the port shed by policy."""

@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 from repro.core.config import PipelineConfig
 from repro.core.stats import PipelineStats
 from repro.core.worker import QueueWorker
+from repro.dpdk.mbuf import RxRow
 from repro.mq.codec import encode_latency_record
 from repro.mq.frames import Message
 from repro.shard import protocol
@@ -62,7 +63,12 @@ class ShardBooks:
     ) -> Message:
         """Process one routed batch; returns the ack message."""
         parse_errors_before = self._stats.parse_errors
-        self.worker.process_burst(packets)
+        # The ring row's shape, minus what the wire does not carry: a
+        # parse (the worker makes one from the bytes) and a pool.
+        make_row, queue_id = RxRow._make, self.worker.queue_id
+        self.worker.process_burst(
+            [make_row((ts, rss, None, data, queue_id, None)) for ts, rss, data in packets]
+        )
         records = self._records
         self._records = []
         self.records_emitted += len(records)

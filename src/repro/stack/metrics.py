@@ -68,6 +68,10 @@ def bind_pipeline_metrics(pipeline, registry) -> None:
             "Malformed frames rejected at classification (ierrors).",
             lambda: pipeline.nic.stats.ierrors,
         ),
+        "ruru_mbuf_pool_exhausted_total": (
+            "Frames refused for want of a packet buffer (imissed, pool-empty).",
+            lambda: pipeline.nic.pool.exhausted_count,
+        ),
     }
     simple_counters = {
         name: (registry.counter(name, help), read)
@@ -118,9 +122,13 @@ def bind_pipeline_metrics(pipeline, registry) -> None:
         help="Slots per rx ring (high_watermark/capacity = pressure).",
         labels=("queue",),
     )
+    pool_in_use = registry.gauge(
+        "ruru_mbuf_pool_in_use",
+        help="Packet buffers out of the pool (held by queued frames).",
+    )
     ring_drops = registry.counter(
         "ruru_rx_ring_drops_total",
-        help="Enqueues rejected by a full rx ring.",
+        help="Frames refused by a full rx ring (imissed, ring-full).",
         labels=("queue",),
     )
     ring_displaced = registry.counter(
@@ -173,6 +181,7 @@ def bind_pipeline_metrics(pipeline, registry) -> None:
             processed.value = worker.packets_processed
             sampled.value = worker.packets_sampled_out
             entries.set(len(worker.tracker.table))
+        pool_in_use.set(pipeline.nic.pool.in_use)
         q_ipackets = pipeline.nic.stats.q_ipackets
         for (
             rx_queue,

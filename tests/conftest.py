@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dpdk.rss import toeplitz_hash
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
 from repro.geo.builder import GeoDbBuilder, SyntheticGeoPlan
@@ -79,3 +80,13 @@ def make_handshake(
         timestamp_ns=syn_ns + external_ns + internal_ns,
     )
     return [syn, synack, ack]
+
+
+def toeplitz_of_tuple(key, src, dst, sport, dport, is_ipv6):
+    """The bit-serial RSS oracle over one 4-tuple."""
+    width = 16 if is_ipv6 else 4
+    return toeplitz_hash(
+        key,
+        src.to_bytes(width, "big") + dst.to_bytes(width, "big")
+        + sport.to_bytes(2, "big") + dport.to_bytes(2, "big"),
+    )

@@ -3,6 +3,7 @@
 from repro.core.config import PipelineConfig
 from repro.core.stats import PipelineStats
 from repro.core.worker import QueueWorker
+from repro.dpdk.mbuf import RxRow
 from repro.dpdk.nic import NicPort
 from repro.net.packet import Packet
 from tests.conftest import make_handshake
@@ -46,13 +47,14 @@ class TestQueueWorker:
         assert "not-ip" in stats.parse_error_reasons
 
     def test_mbuf_without_a_header_pass_is_parsed_from_its_bytes(self):
-        # pool.alloc(data) is public: an mbuf enqueued without the
-        # port's parse reaches the worker as raw bytes, not as None.
+        # RxRow is public: a row enqueued without the port's parse (as
+        # the shard child's are built) is parsed by the worker from its
+        # bytes.
         nic = NicPort(num_queues=1)
         for packet in make_handshake():
-            mbuf = nic.pool.alloc(packet.data, packet.timestamp_ns)
-            assert mbuf.parsed is None
-            nic.queues[0].ring.enqueue(mbuf)
+            nic.pool.settle(taken=1)
+            row = RxRow(packet.timestamp_ns, 0, None, packet.data, 0, nic.pool)
+            nic.queues[0].ring.enqueue(row)
         got = []
         worker = QueueWorker(nic, queue_id=0, sink=got.append)
         assert worker.poll() == 3

@@ -140,7 +140,7 @@ def _port_state(nic):
         "rings": [
             [
                 (m.data, m.timestamp_ns, m.rss_hash, m.queue_id, m.parsed)
-                for m in queue.ring._items
+                for m in queue.ring.items
             ]
             for queue in nic.queues
         ],

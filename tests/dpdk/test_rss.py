@@ -90,8 +90,8 @@ class TestRssHasher:
         for _ in range(30):
             src, dst = rng.getrandbits(128), rng.getrandbits(128)
             sport, dport = rng.getrandbits(16), rng.getrandbits(16)
-            forward = hasher.hash_ipv6_tuple(src, dst, sport, dport)
-            reverse = hasher.hash_ipv6_tuple(dst, src, dport, sport)
+            forward = hasher.hash_tuple(src, dst, sport, dport, True)
+            reverse = hasher.hash_tuple(dst, src, dport, sport, True)
             assert forward == reverse
 
     def test_default_key_is_not_symmetric(self):

@@ -14,6 +14,7 @@ from repro.anomaly.baseline import EwmaBaseline, WindowedRate
 from repro.anomaly.manager import AnomalyManager
 from repro.core.handshake import HandshakeTracker
 from repro.core.worker import QueueWorker
+from repro.dpdk.mbuf import RxRow
 from repro.durability.codec import decode_snapshot, encode_snapshot
 from repro.net.parser import ParsedPacket
 from repro.resilience.breaker import CircuitBreaker
@@ -91,7 +92,7 @@ class TestWorkerFragmentFromBeforeTheTracerWentAway:
     def test_worker_loads_a_fragment_carrying_polls(self):
         worker = QueueWorker(None, queue_id=2)
         worker.process_burst(
-            [(p.timestamp_ns, 7, p.data) for p in make_handshake()[:2]]
+            [RxRow(p.timestamp_ns, 7, None, p.data) for p in make_handshake()[:2]]
         )
         old_format = codec_round_trip(self.with_polls(worker.state_dict()))
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.net.packet import build_tcp_packet
-from repro.net.parser import PacketParser, ParseError
+from repro.dpdk.mbuf import RxRow
+from repro.dpdk.ring import Ring
+from repro.net.parser import PacketParser
 from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_RST, TCP_FLAG_SYN
 from repro.overload import (
     HANDSHAKE,
@@ -30,11 +32,7 @@ ARP = b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28
 
 def admit(controller, data):
     """``admit_frame`` as the port calls it: with its header pass."""
-    try:
-        parsed = PacketParser().parse(data, 0)
-    except ParseError as exc:
-        parsed = exc.reason
-    return controller.admit_frame(data, parsed)
+    return controller.admit_frame(data, PacketParser().header_pass(data, 0))
 
 
 def controlled(pressure, **kwargs):
@@ -225,7 +223,9 @@ class TestDurability:
         for _ in range(5):
             admit(controller, DATA)
         admit(controller, SYN)
-        controller.record_ring_displacement()
+        full = Ring(capacity=1)
+        full.enqueue(RxRow(0, 0, PacketParser().parse(DATA, 0), DATA))
+        assert controller.make_room(full, HANDSHAKE)
         controller.mq_offered = 17
         controller.record_shed(HANDSHAKE, "mq")
 

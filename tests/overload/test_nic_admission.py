@@ -51,7 +51,7 @@ class TestDisplacement:
         assert nic.stats.ipackets == 5
         # The victim was the *newest* payload frame (sport 4); the
         # incoming handshake now sits at the tail.
-        queued = list(ring._items)
+        queued = list(ring.items)
         assert queued[-1].data == incoming.data
         assert not any(m.data == data(4).data for m in queued)
         assert any(m.data == data(3).data for m in queued)
@@ -80,7 +80,7 @@ class TestDisplacement:
             frame = build_tcp_packet(0x0A000001, 0x0A000002, 7, 443, flags)
             assert nic.receive(Packet(data=frame.data + b"\x00" * 6))
         ring = nic.queues[0].ring
-        assert not any(controller.is_displaceable(m) for m in ring._items)
+        assert not any(controller.is_displaceable(m) for m in ring.items)
         assert nic.receive(syn(3)) is False
         assert controller.ring_displacements == 0
         assert controller.shed_total(klass=PAYLOAD) == 0

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.flow_table import canonical_flow_key
+from repro.core.handshake import HandshakeTracker
 from repro.core.latency import LatencyRecord
 from repro.dpdk.rss import SYMMETRIC_RSS_KEY, RssHasher, toeplitz_hash
 from repro.mq.codec import decode_latency_record, encode_latency_record
 from repro.net.addresses import int_to_ip, int_to_ipv6, ip_to_int, ipv6_to_int
 from repro.net.packet import build_tcp_packet
-from repro.net.parser import PacketParser
+from repro.net.parser import PacketParser, ParsedPacket
 from repro.net.tcp import TcpHeader
 from repro.tsdb.functions import percentile
 from repro.tsdb.line_protocol import format_point, parse_line
@@ -61,6 +62,17 @@ class TestFlowKeyProperties:
     def test_canonical_is_deterministic_orientation(self, a_ip, a_port, b_ip, b_port):
         key = canonical_flow_key(a_ip, a_port, b_ip, b_port)
         assert (key[0], key[1]) <= (key[2], key[3])
+
+    @given(ipv4_ints, ports, ipv4_ints, ports, st.booleans())
+    def test_the_tracker_keys_its_table_by_the_canonical_key(
+        self, a_ip, a_port, b_ip, b_port, is_v6
+    ):
+        # HandshakeTracker.process builds the key inline.
+        tracker = HandshakeTracker()
+        tracker.process(ParsedPacket(a_ip, b_ip, a_port, b_port, 0x02, 7, 0, 0, 5, is_v6))
+        assert list(dict(tracker.table.entries())) == [
+            canonical_flow_key(a_ip, a_port, b_ip, b_port, is_v6)
+        ]
 
 
 class TestCodecProperties:

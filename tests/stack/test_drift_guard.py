@@ -35,7 +35,14 @@ what a poll gathers goes to the store as one request, from the end of
 after it — a ``_write_points`` call inside the per-record loop, a
 ``process_measurement`` method, or a ``pub.send`` ahead of the poll's
 write is the per-record path (a WAL frame, a flush and a round trip
-through the guard machinery per record) coming back. This test walks
+through the guard machinery per record) coming back. The port's burst
+loop pays per frame only for what differs per frame: the buffer budget
+and each ring's room are local integers inside it and the pool, ring
+and port counters are settled after it, so a call on the pool or on a
+ring object inside the loop, an ``Mbuf(`` or an ``alloc(`` anywhere, a
+second reader of the rings beside ``QueueWorker.poll`` →
+``process_burst``, or ``_extract_tuple`` called for a frame the header
+pass accepted, is the per-frame bookkeeping coming back. This test walks
 the source tree with
 the AST module so string mentions in docstrings or comments do not trip
 it; only real names, imports, call sites and class definitions count.
@@ -437,6 +444,79 @@ def second_cutter_sites(root=SRC, cutter=CUTTER):
     return sites
 
 
+
+#: The module whose ``NicPort.receive_burst`` is the port's burst loop.
+NIC = SRC / "dpdk" / "nic.py"
+#: Who may call ``_extract_tuple`` beside the port's reject branch: the
+#: shard router, which holds no parse of the frames it routes.
+EXTRACT_ALLOWED = {SRC / "shard" / "runtime.py"}
+#: The calls that take rows off a ring, and who may make them: the port
+#: and its queues (delegation), and the worker's ``poll``.
+RING_READS = {"rx_burst", "dequeue_burst", "dequeue"}
+RING_READERS = {NIC, SRC / "dpdk" / "ring.py", SRC / "core" / "worker.py"}
+
+
+def _names_in(node):
+    """Every bare name and attribute name in an expression."""
+    return {
+        part.id if isinstance(part, ast.Name) else part.attr
+        for part in ast.walk(node)
+        if isinstance(part, (ast.Name, ast.Attribute))
+    }
+
+
+def rx_path_sites(root=SRC, nic=NIC):
+    """Where per-frame bookkeeping could come back on the rx path: a
+    call on the pool or a ring object inside ``receive_burst``'s frame
+    loop; ``_extract_tuple`` called outside the ``else`` of a test for
+    ``ParsedPacket`` (in the port) or outside the allow-list (anywhere
+    else); an ``Mbuf(`` or ``alloc(`` call; a ring read outside the
+    port and the worker; a second ``process_burst`` body."""
+    sites = []
+    (receive_burst,) = [f for f in _functions(nic) if f.name == "receive_burst"]
+    frames = receive_burst.args.args[1].arg  # the burst, after ``self``
+    (loop,) = [
+        node
+        for node in ast.walk(receive_burst)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Name)
+        and node.iter.id == frames
+    ]
+    sites.extend(
+        (nic, call.lineno, "a pool/ring call in the frame loop")
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and _names_in(call.func.value) & {"pool", "ring"}
+    )
+    rejected = {
+        (inner.lineno, inner.col_offset)
+        for branch in ast.walk(receive_burst)
+        if isinstance(branch, ast.If) and "ParsedPacket" in _names_in(branch.test)
+        for statement in branch.orelse
+        for inner in ast.walk(statement)
+        if isinstance(inner, ast.Call)
+    }
+    bodies = 0
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "process_burst":
+                bodies += 1
+                if bodies > 1:
+                    sites.append((path, node.lineno, "a second process_burst"))
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            if name in ("Mbuf", "alloc"):
+                sites.append((path, node.lineno, f"{name}( — a buffer object per frame"))
+            elif name in RING_READS and path not in RING_READERS:
+                sites.append((path, node.lineno, f"{name}( — a second ring reader"))
+            elif name == "_extract_tuple" and path not in EXTRACT_ALLOWED:
+                if path != nic or (node.lineno, node.col_offset) not in rejected:
+                    sites.append((path, node.lineno, "_extract_tuple for an accepted frame"))
+    return sites
+
+
 #: The module whose ``AnalyticsService`` owns the record half's writes.
 SERVICE = SRC / "analytics" / "service.py"
 
@@ -712,9 +792,76 @@ class TestOneBodyPerHotFunction:
     def test_one_worker_body_builds_the_tracker(self):
         assert tracker_construction_files() == [SRC / "core" / "worker.py"]
 
+    def test_the_burst_loop_pays_per_frame_only_for_the_frame(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} {what}"
+            for path, lineno, what in rx_path_sites()
+        ]
+        assert not offenders, (
+            "per-frame bookkeeping on the rx path (settle per burst; "
+            "rows, not buffer objects; one reader of the rings):\n  "
+            + "\n  ".join(offenders)
+        )
+        # The guard is about code that exists.
+        assert {"settle", "settle_burst", "_extract_tuple", "header_pass"} <= (
+            _calls_inside(NIC, "receive_burst")
+        )
+        assert {"rx_burst", "process_burst", "give_back"} <= _calls_inside(
+            SRC / "core" / "worker.py", "poll"
+        )
+
+    def test_the_rx_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "dpdk").mkdir()
+        nic = tmp_path / "dpdk" / "nic.py"
+        nic.write_text(
+            '"""pool.alloc( and ring.enqueue( in a docstring."""\n'
+            "def receive_burst(self, packets):\n"
+            "    room = [queue.ring.free_space for queue in self.queues]\n"
+            "    for packet in packets:\n"
+            "        parsed = header_pass(packet.data, 0)\n"
+            "        if parsed.__class__ is ParsedPacket:\n"
+            "            rss_hash = hash_tuple(*parsed[:4])\n"
+            "        else:\n"
+            "            extracted = self._extract_tuple(packet.data)\n"
+            "        rows[queue_id].append(make_row((0, rss_hash, parsed)))\n"
+            "    self.pool.settle(taken)\n"
+            "    for queue_id, count in queued.items():\n"
+            "        counted[queue_id] = count\n"
+        )
+        assert rx_path_sites(tmp_path, nic) == []
+        nic.write_text(
+            "def receive_burst(self, packets):\n"
+            "    for packet in packets:\n"
+            "        extracted = self._extract_tuple(packet.data)\n"
+            "        mbuf = self.pool.alloc(packet.data)\n"
+            "        ring = self.queues[0].ring\n"
+            "        if ring.is_full:\n"
+            "            mbuf.free()\n"
+            "        ring.enqueue(Mbuf(data=packet.data))\n"
+        )
+        (tmp_path / "tool.py").write_text(
+            "def process_burst(self, rows): pass\n"
+            "def peek(nic):\n"
+            "    key = NicPort._extract_tuple(data)\n"
+            "    return nic.rx_burst(0) + nic.queues[0].ring.dequeue_burst(4)\n"
+        )
+        (tmp_path / "worker.py").write_text("def process_burst(self, rows): pass\n")
+        found = [(path.name, what) for path, _, what in rx_path_sites(tmp_path, nic)]
+        assert sorted(found) == sorted([
+            ("nic.py", "a pool/ring call in the frame loop"),  # pool.alloc
+            ("nic.py", "a pool/ring call in the frame loop"),  # ring.enqueue
+            ("nic.py", "_extract_tuple for an accepted frame"),
+            ("nic.py", "alloc( — a buffer object per frame"),
+            ("nic.py", "Mbuf( — a buffer object per frame"),
+            ("tool.py", "_extract_tuple for an accepted frame"),
+            ("tool.py", "rx_burst( — a second ring reader"),
+            ("tool.py", "dequeue_burst( — a second ring reader"),
+            ("worker.py", "a second process_burst"),
+        ])
+
     def test_one_header_walker_on_the_packet_path(self):
         # dpdk/nic.py keeps struct for _extract_tuple, the hardware-style
-        # tuple read of frames the parse does not hash (IPv6, UDP, rejects).
+        # tuple read of frames the header pass rejected.
         assert struct_import_files() == [SRC / "dpdk" / "nic.py"]
         assert parser_construction_files() == [
             SRC / "core" / "worker.py",
