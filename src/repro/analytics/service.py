@@ -31,6 +31,7 @@ from repro.mq.frames import Message
 from repro.mq.socket import Context, PubSocket, PushSocket
 from repro.resilience.breaker import BREAKER_HALF_OPEN
 from repro.resilience.invariants import Ledger
+from repro.resilience.layer import ResilienceLayer
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.point import Point
 
@@ -75,18 +76,17 @@ class AnalyticsService:
             "multiple threads"); workers share one PULL socket and are
             polled round-robin.
         endpoint: where the PULL socket binds.
-        aggregation_window_ns: rollup window for pair statistics.
         filters: keep-predicates applied after enrichment; a
             measurement rejected by any filter is counted and dropped.
         telemetry: a :class:`repro.obs.Telemetry` handle shared with
             the pipeline; binds analytics/mq counters to its registry.
-        resilience: a :class:`repro.resilience.ResilienceLayer`. When
-            given, undecodable payloads are dead-lettered instead of
-            merely counted, enrichment and TSDB writes run behind
-            circuit breakers, and failed writes retry with backoff on
-            the virtual clock. When the enrichment breaker is open,
-            records publish *un-enriched* with the ``degraded`` flag
-            rather than being lost.
+        resilience: the :class:`repro.resilience.ResilienceLayer` the
+            service runs behind (a default one, seed 0, if omitted):
+            undecodable payloads are dead-lettered, enrichment and TSDB
+            writes run behind circuit breakers, and failed writes retry
+            with backoff on the virtual clock. When the enrichment
+            breaker is open, records publish *un-enriched* with the
+            ``degraded`` flag rather than being lost.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class AnalyticsService:
         tsdb: Optional[TimeSeriesDatabase] = None,
         num_workers: int = 4,
         endpoint: str = ANALYTICS_ENDPOINT,
-        aggregation_window_ns: int = 1_000_000_000,
         filters: Optional[List[MeasurementFilter]] = None,
         store_raw_points: bool = True,
         home_country: str = "NZ",
@@ -121,10 +120,7 @@ class AnalyticsService:
         # The write request being gathered: this poll's raw points and
         # closed windows, in arrival order. Empty between polls.
         self._request: List[Point] = []
-        self.aggregator = PairAggregator(
-            window_ns=aggregation_window_ns,
-            emit=self._request.extend,
-        )
+        self.aggregator = PairAggregator(emit=self._request.extend)
         self.filters: List[MeasurementFilter] = list(filters or [])
         self.store_raw_points = store_raw_points
         self.home_country = home_country
@@ -136,7 +132,7 @@ class AnalyticsService:
         self.processed = 0
         self.dropped_records = 0
         self.deadlettered = 0
-        self.resilience = resilience
+        self.resilience = resilience or ResilienceLayer()
         self._now_ns = 0
         # Recovery-harness hook: called once per ingested record,
         # playing the role of the tap's hardware counters — an observer
@@ -146,8 +142,7 @@ class AnalyticsService:
         self._push_sockets: List[PushSocket] = []
         if telemetry is not None:
             self._bind_registry(telemetry.registry)
-            if resilience is not None:
-                resilience.bind_registry(telemetry.registry)
+            self.resilience.bind_registry(telemetry.registry)
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -208,16 +203,13 @@ class AnalyticsService:
             record = decode_latency_record(payload)
         except (CodecError, IndexError, ValueError) as exc:
             self.decode_errors += 1
-            if self.resilience is not None:
-                self.resilience.dlq.push(
-                    stage="mq.decode",
-                    reason=_dlq_reason(exc),
-                    payload=payload,
-                    timestamp_ns=self._now_ns,
-                )
-                self.deadlettered += 1
-            else:
-                self.dropped_records += 1
+            self.resilience.dlq.push(
+                stage="mq.decode",
+                reason=_dlq_reason(exc),
+                payload=payload,
+                timestamp_ns=self._now_ns,
+            )
+            self.deadlettered += 1
             return None
         if record.timestamp_ns > self._now_ns:
             self._now_ns = record.timestamp_ns
@@ -239,16 +231,15 @@ class AnalyticsService:
     def _enrich(self, record: LatencyRecord) -> Optional[EnrichedMeasurement]:
         """Enrich one record, degrading instead of failing.
 
-        Without a resilience layer this is a plain enrich call (lookup
-        exceptions propagate — there is no machinery to absorb them).
-        With one, a raising enricher trips the breaker and an open
-        breaker short-circuits straight to an un-enriched measurement
-        carrying the ``degraded`` flag: the latency is never lost.
+        A raising enricher trips the breaker and an open breaker
+        short-circuits straight to an un-enriched measurement carrying
+        the ``degraded`` flag: the latency is never lost.
         """
         enricher = self.enrichers[self._next_worker]
         self._next_worker = (self._next_worker + 1) % len(self.enrichers)
         res = self.resilience
-        if res is not None and not res.enrich_breaker.allow(self._now_ns):
+        breaker = res.enrich_breaker
+        if not breaker.allow(self._now_ns):
             res.degraded_published += 1
             return degraded_measurement(record)
         try:
@@ -256,14 +247,11 @@ class AnalyticsService:
             # type structurally drops the addresses.
             measurement = enricher.enrich(record)
         except Exception:  # noqa: BLE001 — lookup faults are the fault model
-            if res is None:
-                raise
             res.enrich_failures += 1
-            res.enrich_breaker.record_failure(self._now_ns)
+            breaker.record_failure(self._now_ns)
             res.degraded_published += 1
             return degraded_measurement(record)
-        if res is not None:
-            res.enrich_breaker.record_success(self._now_ns)
+        breaker.record_success(self._now_ns)
         return measurement
 
     # -- guarded TSDB writes ------------------------------------------------
@@ -271,18 +259,14 @@ class AnalyticsService:
     def _write_points(self) -> None:
         """Send what this poll gathered to the store as one request.
 
-        Without a resilience layer this is a plain ``write_batch``.
-        With one: due retries flush first, an open breaker defers the
-        request instead of hammering a dead store, and a raising write
-        defers with exponential backoff until the policy's attempt
-        budget is spent — after which the points are shed *and counted*.
+        Due retries flush first, an open breaker defers the request
+        instead of hammering a dead store, and a raising write defers
+        with exponential backoff until the policy's attempt budget is
+        spent — after which the points are shed *and counted*.
         """
         points = self._request[:]
         self._request.clear()
         if not points:
-            return
-        if self.resilience is None:
-            self.tsdb.write_batch(points)
             return
         self._flush_due_retries()
         self._try_write(points, attempts_made=0)
@@ -332,8 +316,7 @@ class AnalyticsService:
         self.poll(max_messages=1 << 30)
         self.aggregator.flush()
         self._write_points()
-        if self.resilience is not None:
-            self._drain_retries()
+        self._drain_retries()
 
     def _drain_retries(self, max_rounds: int = 64) -> None:
         """Run down the retry queue by advancing virtual drain time.
@@ -417,14 +400,8 @@ class AnalyticsService:
             "now_ns": self._now_ns,
             "next_worker": self._next_worker,
             "aggregator": self.aggregator.state_dict(),
-            "resilience": (
-                self.resilience.state_dict(
-                    encode_retry_item=lambda points: [
-                        format_point(p) for p in points
-                    ]
-                )
-                if self.resilience is not None
-                else None
+            "resilience": self.resilience.state_dict(
+                encode_retry_item=lambda points: [format_point(p) for p in points]
             ),
         }
 
@@ -441,13 +418,10 @@ class AnalyticsService:
         self._now_ns = int(state["now_ns"])
         self._next_worker = int(state["next_worker"]) % len(self.enrichers)
         self.aggregator.load_state(state["aggregator"])
-        if self.resilience is not None and state["resilience"] is not None:
-            self.resilience.load_state(
-                state["resilience"],
-                decode_retry_item=lambda lines: [
-                    parse_line(line) for line in lines
-                ],
-            )
+        self.resilience.load_state(
+            state["resilience"],
+            decode_retry_item=lambda lines: [parse_line(line) for line in lines],
+        )
 
     def _bind_registry(self, registry) -> None:
         """Bridge analytics and message-bus counters into *registry*.

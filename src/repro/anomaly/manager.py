@@ -30,33 +30,21 @@ class AnomalyManager:
       it as a pipeline worker observer.
     """
 
-    def __init__(
-        self,
-        latency: Optional[LatencySpikeDetector] = None,
-        syn_flood: Optional[SynFloodDetector] = None,
-        conn_count: Optional[ConnectionCountDetector] = None,
-        path_drift: Optional[PathDriftDetector] = None,
-        with_path_drift: bool = True,
-        alert_sink: Optional[AlertSink] = None,
-    ):
-        self.latency = latency or LatencySpikeDetector()
-        self.syn_flood = syn_flood or SynFloodDetector()
-        self.conn_count = conn_count or ConnectionCountDetector()
-        self.path_drift = path_drift or (
-            PathDriftDetector() if with_path_drift else None
-        )
+    def __init__(self, alert_sink: Optional[AlertSink] = None):
+        self.latency = LatencySpikeDetector()
+        self.syn_flood = SynFloodDetector()
+        self.conn_count = ConnectionCountDetector()
+        self.path_drift = PathDriftDetector()
         self.alert_sink = alert_sink
         self.alerts_raised = 0
 
     def observe_measurement(self, measurement: EnrichedMeasurement) -> None:
         """Feed one enriched measurement to the measurement detectors."""
-        events = [
+        for event in (
             self.latency.observe(measurement),
             self.conn_count.observe(measurement),
-        ]
-        if self.path_drift is not None:
-            events.append(self.path_drift.observe(measurement))
-        for event in events:
+            self.path_drift.observe(measurement),
+        ):
             if event is not None:
                 self._alert(event)
 
@@ -78,8 +66,7 @@ class AnomalyManager:
         events.extend(self.latency.finish(now_ns))
         events.extend(self.syn_flood.finish(now_ns))
         events.extend(self.conn_count.finish(now_ns))
-        if self.path_drift is not None:
-            events.extend(self.path_drift.finish(now_ns))
+        events.extend(self.path_drift.finish(now_ns))
         events.sort(key=lambda e: (-int(e.severity), e.start_ns))
         return events
 
@@ -95,11 +82,7 @@ class AnomalyManager:
             "latency": self.latency.state_dict(),
             "syn_flood": self.syn_flood.state_dict(),
             "conn_count": self.conn_count.state_dict(),
-            "path_drift": (
-                self.path_drift.state_dict()
-                if self.path_drift is not None
-                else None
-            ),
+            "path_drift": self.path_drift.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
@@ -108,8 +91,7 @@ class AnomalyManager:
         self.latency.load_state(state["latency"])
         self.syn_flood.load_state(state["syn_flood"])
         self.conn_count.load_state(state["conn_count"])
-        if self.path_drift is not None and state["path_drift"] is not None:
-            self.path_drift.load_state(state["path_drift"])
+        self.path_drift.load_state(state["path_drift"])
 
     def events_of_kind(self, kind: str) -> List[AnomalyEvent]:
         """All events a given detector produced so far."""
@@ -117,6 +99,6 @@ class AnomalyManager:
             "latency-spike": self.latency.events,
             "syn-flood": self.syn_flood.events,
             "connection-surge": self.conn_count.events,
-            "path-drift": self.path_drift.events if self.path_drift else [],
+            "path-drift": self.path_drift.events,
         }
         return list(pools.get(kind, []))

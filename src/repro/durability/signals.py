@@ -23,8 +23,9 @@ from typing import List, Optional, Tuple
 class GracefulShutdown:
     """Flag-setting SIGINT/SIGTERM trap, scoped to a ``with`` block."""
 
-    def __init__(self, signals: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM)):
-        self.signals = signals
+    signals: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM)
+
+    def __init__(self):
         self._requested_by: Optional[int] = None
         self._previous: List[Tuple[int, object]] = []
 

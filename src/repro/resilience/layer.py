@@ -19,8 +19,6 @@ It owns:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.retry import RetryPolicy, RetryQueue
@@ -32,33 +30,20 @@ class ResilienceLayer:
     Args:
         seed: drives retry jitter; chaos runs pass their run seed so
             backoff schedules replay exactly.
-        dlq_capacity: dead-letter queue bound.
-        max_pending_writes: deferred TSDB batches held while the store
-            is down; older batches are shed (and counted) beyond this.
-        enrich_breaker / tsdb_breaker: override the default breakers.
-        retry_policy: override the default write-retry schedule.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        dlq_capacity: int = 1024,
-        max_pending_writes: int = 256,
-        enrich_breaker: Optional[CircuitBreaker] = None,
-        tsdb_breaker: Optional[CircuitBreaker] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        self.dlq = DeadLetterQueue(capacity=dlq_capacity)
-        self.enrich_breaker = enrich_breaker or CircuitBreaker(
+    def __init__(self, seed: int = 0):
+        self.dlq = DeadLetterQueue()
+        self.enrich_breaker = CircuitBreaker(
             "enrich", failure_threshold=5, recovery_timeout_ns=500_000_000
         )
-        self.tsdb_breaker = tsdb_breaker or CircuitBreaker(
+        self.tsdb_breaker = CircuitBreaker(
             "tsdb", failure_threshold=3, recovery_timeout_ns=500_000_000
         )
-        self.retry_policy = retry_policy or RetryPolicy(seed=seed)
-        self.retry_queue = RetryQueue(
-            self.retry_policy, max_pending=max_pending_writes
-        )
+        self.retry_policy = RetryPolicy(seed=seed)
+        # Deferred TSDB batches held while the store is down; older
+        # batches are shed (and counted) beyond this.
+        self.retry_queue = RetryQueue(self.retry_policy, max_pending=256)
         # -- counters (plain ints on the hot path, bridged at scrape) --
         self.retries = 0                 # TSDB write re-attempts
         self.enrich_failures = 0         # enricher raised

@@ -16,7 +16,7 @@ tests fail loudly instead of spinning.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 PollFn = Callable[[], int]
 
@@ -58,35 +58,43 @@ class RestartBudget:
 
 
 class Supervisor:
-    """Wraps poll callables; catches, counts and reports crashes."""
+    """Wraps poll callables; catches, counts and reports crashes.
+
+    Each crash spends one restart of the role's :class:`RestartBudget`
+    (the policy the shard supervisor spends per shard); a crash the
+    budget refuses re-raises.
+    """
 
     def __init__(self, max_restarts_per_role: int = 10_000):
         if max_restarts_per_role < 1:
             raise ValueError("max_restarts_per_role must be positive")
-        self.max_restarts_per_role = max_restarts_per_role
-        self.restarts_by_role: Dict[str, int] = {}
+        self.budget = RestartBudget(max_restarts=max_restarts_per_role)
         # (role, exception repr), oldest first, bounded.
         self.crash_log: List[Tuple[str, str]] = []
         self._crash_log_cap = 256
 
     @property
+    def restarts_by_role(self) -> Dict[str, int]:
+        return self.budget.spent_by_key
+
+    @property
     def total_restarts(self) -> int:
-        return sum(self.restarts_by_role.values())
+        return self.budget.total_spent
 
     def supervise(self, poll: PollFn, role: str) -> PollFn:
         """A drop-in replacement for *poll* that survives crashes."""
-        self.restarts_by_role.setdefault(role, 0)
+        # Every supervised role is exported, crashed or not.
+        self.budget.spent_by_key.setdefault(role, 0)
 
         def supervised_poll() -> int:
             try:
                 return poll()
             except Exception as exc:  # noqa: BLE001 — the whole point
-                self.restarts_by_role[role] += 1
                 if len(self.crash_log) < self._crash_log_cap:
                     self.crash_log.append((role, repr(exc)))
-                if self.restarts_by_role[role] > self.max_restarts_per_role:
+                if not self.budget.consume(role):
                     raise RuntimeError(
-                        f"lcore {role!r} exceeded {self.max_restarts_per_role} "
+                        f"lcore {role!r} exceeded {self.budget.max_restarts} "
                         f"restarts; last error: {exc!r}"
                     ) from exc
                 return 0

@@ -213,10 +213,9 @@ def _stack_episode(spec: ScenarioSpec, run_seed: int, generator, profile_stages)
             "faults.injected_total",
             sum(stack.injector.injected.values()) if stack.injector else 0,
         )
-        if stack.resilience is not None:
-            exact("resilience.degraded_published", stack.resilience.degraded_published)
-            exact("resilience.dlq_total", stack.resilience.dlq.total)
-            exact("resilience.retries", stack.resilience.retries)
+        exact("resilience.degraded_published", stack.resilience.degraded_published)
+        exact("resilience.dlq_total", stack.resilience.dlq.total)
+        exact("resilience.retries", stack.resilience.retries)
         controller = stack.overload
         oledger = None
         if controller is not None:

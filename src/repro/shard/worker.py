@@ -194,9 +194,6 @@ def shard_child_main(
             if payload.get("state") is not None:
                 books.load_state(payload["state"])
             books.apply_ack_deltas(payload.get("deltas", []))
-            fault = payload.get("fault") or {}
-            if fault.get("kill_at_seq") is not None:
-                kill_at_seq = int(fault["kill_at_seq"])
         elif topic == protocol.FAULT_TOPIC:
             payload = protocol.decode_json(message)
             if payload.get("kill_at_seq") is not None:

@@ -4,8 +4,10 @@ Every assembly of the Ruru dataflow — the CLI commands, ``run_chaos``,
 the recovery harness and the scenario runner — is a configuration of
 :class:`StackBuilder`, and every in-process run is
 :meth:`RuruStack.run` (the one feed loop, :func:`repro.core.feed.drive`,
-over :meth:`RuruStack.process_batch`, then the drain). The builder constructs components in one fixed,
-determinism-preserving order, wraps them in the stage wrappers of
+over :meth:`RuruStack.process_batch`, then the drain). Each builder
+call assembles its own tier, once, in one fixed, determinism-preserving
+order; a tier whose input is missing is refused at ``build()``. The
+builder wraps the components in the stage wrappers of
 :mod:`repro.stack.stages`, and returns a :class:`RuruStack` whose
 cross-cutting behaviour (batch processing, graceful-drain order,
 checkpoint payload, crash-point surface, durability metrics) is
@@ -16,11 +18,13 @@ Presets:
 ========  ==============================================================
 measure   fast path only (``ruru measure``): NIC + workers, records
           collected in ``pipeline.measurements``.
-live      full dataflow without fault machinery (``ruru demo`` /
+live      full dataflow; the analytics tier carries its resilience
+          layer, there is no fault machinery (``ruru demo`` /
           ``detect`` / ``export`` / ``metrics`` / ``prof`` / ``analyze``).
-chaos     live + fault injector, resilience layer and supervisor
+chaos     live + faults: injector, fault adapters and supervisor
           (:func:`repro.faults.chaos.run_chaos`).
-durable   chaos + WAL-backed TSDB, checkpoints, anomaly/top-k riders
+durable   any analytics preset + durability: the store behind a WAL,
+          checkpoints; the preset adds the anomaly/top-k riders
           (``ruru live`` / ``recover``, the recovery harness).
 ========  ==============================================================
 """
@@ -56,6 +60,7 @@ from repro.overload import ring_reader, socket_reader
 from repro.overload.controller import NS_PER_MS
 from repro.resilience import Ledger, ResilienceLayer, Supervisor
 from repro.stack.stage import StageContext, StageGraph
+from repro.stack.topology import stage_names
 from repro.stack.stages import (
     AnalyticsStage,
     AnomalyStage,
@@ -349,10 +354,11 @@ class StackBuilder:
     """Fluent configuration of one :class:`RuruStack`.
 
     Construction order inside :meth:`build` mirrors the historical
-    harness wiring exactly — injector, scenario, enrichment, TSDB
-    chain, resilience, service, riders, frontend, sink, pipeline,
-    checkpointer — and every random source is independently seeded, so
-    two builds with the same configuration replay byte-identically.
+    harness wiring exactly — injector, controller, scenario, enrichment,
+    TSDB chain, resilience, service, riders, frontend, sink, supervisor,
+    pipeline, checkpointer — and every random source is independently
+    seeded, so two builds with the same configuration replay
+    byte-identically.
     """
 
     def __init__(self):
@@ -418,27 +424,27 @@ class StackBuilder:
 
     def anomaly(self, mode: str = "stream") -> "StackBuilder":
         """Attach the anomaly detectors: raw packets via a pipeline
-        observer, measurements off the enriched frontend feed — which
-        is subscribed here if :meth:`frontend` has not been called.
+        observer, measurements off the enriched frontend feed.
         ``stream`` is the only wiring; the argument is what remains of
         a choice some callers still spell out.
         """
         if mode != "stream":
             raise ValueError(f"unknown anomaly mode {mode!r}")
         self._anomaly = True
-        if self._frontend_hwm is None:
-            self.frontend()
         return self
 
     def topk(self, capacity: int = 100) -> "StackBuilder":
+        """Count heavy-hitter location pairs off the enriched frontend
+        feed."""
         self._topk_capacity = capacity
         return self
 
     def faults(
         self, profile: Union[str, FaultProfile], seed: Optional[int] = None
     ) -> "StackBuilder":
-        """Run under a named fault profile with the resilience layer,
-        supervisor and fault adapters active."""
+        """Run under a named fault profile: the injector, the fault
+        adapters on whatever tiers are built, and the supervisor that
+        catches the worker crashes the profile arms."""
         self._profile = (
             get_profile(profile) if isinstance(profile, str) else profile
         )
@@ -455,7 +461,8 @@ class StackBuilder:
         crash_schedule=None,
         fsync_wal: bool = False,
     ) -> "StackBuilder":
-        """Add the durability tail: WAL-backed TSDB + checkpointer."""
+        """Add the durability tail: the analytics tier's store behind a
+        write-ahead log, plus the checkpointer."""
         self._durability = {
             "state_dir": str(state_dir),
             "checkpoint_interval_ns": checkpoint_interval_ns,
@@ -490,16 +497,43 @@ class StackBuilder:
     # -- assembly ------------------------------------------------------------
 
     def build(self) -> RuruStack:
+        """Assemble each configured tier once, in a fixed order.
+
+        A tier appends its stages where it is built and the graph is
+        ordered by the topology. A tier whose input is missing —
+        ``durable``, ``anomaly``, ``topk`` or ``frontend`` without
+        ``analytics`` — is refused here rather than left out.
+        """
         durability = self._durability
-        if durability is not None and not self._analytics:
-            raise ValueError("the durable preset requires analytics")
+        riders = [
+            name
+            for name, asked in (
+                ("durable", durability is not None),
+                ("anomaly", self._anomaly),
+                ("topk", self._topk_capacity is not None),
+                ("frontend", self._frontend_hwm is not None),
+            )
+            if asked
+        ]
+        if riders and not self._analytics:
+            raise ValueError(
+                "; ".join(f"{name} requires analytics" for name in riders)
+            )
+        frontend_hwm = self._frontend_hwm
+        if frontend_hwm is None and (self._anomaly or self._topk_capacity is not None):
+            # The riders ride the enriched feed: subscribe it for them.
+            frontend_hwm = 10_000
 
         profile = self._profile
+        telemetry = self._telemetry
+        stages = []
+        observers = []
+        # -- faults: the injector; its adapters wrap whatever tiers exist
         injector = (
-            FaultInjector(profile, seed=self._seed)
-            if profile is not None
-            else None
+            FaultInjector(profile, seed=self._seed) if profile is not None else None
         )
+
+        # -- overload: the controller (its sensors attach below)
         controller = None
         if self._overload is not None:
             knobs = self._overload
@@ -510,7 +544,8 @@ class StackBuilder:
                 sampled_modulus=knobs["sampled_modulus"],
                 snap_len=knobs["snap_len"],
             )
-        telemetry = self._telemetry
+            stages.append(OverloadStage(controller))
+
         generator = self._generator
         if generator is None and self._scenario is not None:
             duration_s, rate, seed = self._scenario
@@ -521,59 +556,44 @@ class StackBuilder:
                 diurnal=False,
             ).build()
 
-        service = None
-        resilience = None
-        supervisor = None
-        tsdb = None
-        wal = None
-        anomaly = None
-        topk = None
-        frontend_sub = None
-        sink = None
-        observers = []
-        crash_schedule = durability["crash_schedule"] if durability else None
-        retention_ns = durability["retention_ns"] if durability else None
-        state_dir = durability["state_dir"] if durability else None
+        crash_schedule = retention_ns = state_dir = None
+        if durability is not None:
+            crash_schedule = durability["crash_schedule"]
+            retention_ns = durability["retention_ns"]
+            state_dir = durability["state_dir"]
 
+        # -- analytics: store, resilience layer, service, riders, sink
+        service = resilience = tsdb = wal = None
+        anomaly = topk = frontend_sub = sink = None
         if self._analytics:
             if self._geo_asn is not None:
                 geo, asn = self._geo_asn
             else:
                 plan = generator.plan if generator is not None else None
                 geo, asn = GeoDbBuilder(plan=plan).build()
-            flaky_store = None
-            if profile is not None:
+            tsdb = TimeSeriesDatabase()
+            if retention_ns is not None:
+                tsdb.add_retention_policy(RetentionPolicy(duration_ns=retention_ns))
+            if injector is not None:
                 if profile.geo_failure_rate > 0:
                     geo = FlakyGeoDatabase(geo, injector)
                 if profile.asn_failure_rate > 0:
                     asn = FlakyAsnDatabase(asn, injector)
-                store = TimeSeriesDatabase()
-                if retention_ns is not None:
-                    store.add_retention_policy(
-                        RetentionPolicy(duration_ns=retention_ns)
-                    )
-                flaky_store = FlakyTimeSeriesDatabase(store, injector)
-                tsdb = flaky_store
-                if durability is not None:
-                    # Lazy: repro.durability imports this module back.
-                    from repro.durability.wal import (
-                        DurableTsdb,
-                        WriteAheadLog,
-                    )
+                tsdb = flaky_store = FlakyTimeSeriesDatabase(tsdb, injector)
+            if durability is not None:
+                # Lazy: repro.durability imports this module back.
+                from repro.durability.wal import DurableTsdb, WriteAheadLog
 
-                    os.makedirs(state_dir, exist_ok=True)
-                    wal = WriteAheadLog(
-                        os.path.join(state_dir, "tsdb.wal"),
-                        fsync=durability["fsync_wal"],
-                    )
-                    tsdb = DurableTsdb(
-                        flaky_store, wal, crash_schedule=crash_schedule
-                    )
-                resilience = ResilienceLayer(seed=self._seed)
-                supervisor = Supervisor()
-            context = Context()
+                os.makedirs(state_dir, exist_ok=True)
+                wal = WriteAheadLog(
+                    os.path.join(state_dir, "tsdb.wal"),
+                    fsync=durability["fsync_wal"],
+                )
+                tsdb = DurableTsdb(tsdb, wal, crash_schedule=crash_schedule)
+                stages += [TsdbStage(tsdb, wal), CheckpointStage(tsdb, retention_ns)]
+            resilience = ResilienceLayer(seed=self._seed)
             service = AnalyticsService(
-                context,
+                Context(),
                 geo,
                 asn,
                 tsdb=tsdb,
@@ -581,43 +601,49 @@ class StackBuilder:
                 telemetry=telemetry,
                 resilience=resilience,
             )
-            if flaky_store is not None:
+            if injector is not None:
                 # Brown-outs are keyed on write time, not data time:
                 # retried writes land once the window clears.
                 flaky_store.now_fn = lambda: service.now_ns
-            if tsdb is None:
-                tsdb = service.tsdb
-            if telemetry is not None and supervisor is not None:
-                supervisor.bind_registry(telemetry.registry)
-            if telemetry is not None and injector is not None:
-                injector.bind_registry(telemetry.registry)
+            stages += [MqStage(service), AnalyticsStage(service)]
 
+            feed_observers = []
             if self._anomaly:
                 anomaly = AnomalyManager()
                 observers.append(anomaly.observe_packet)
+                feed_observers.append(anomaly.observe_measurement)
+                stages.append(AnomalyStage(anomaly))
             if self._topk_capacity is not None:
                 topk = SpaceSaving(capacity=self._topk_capacity)
-            if self._frontend_hwm is not None:
-                frontend_sub = service.subscribe_frontend(
-                    hwm=self._frontend_hwm
-                )
+                feed_observers.append(lambda m: topk.add(m.location_pair))
+                stages.append(TopkStage(topk))
+            if frontend_hwm is not None:
+                frontend_sub = service.subscribe_frontend(hwm=frontend_hwm)
+                stages.append(FrontendStage(frontend_sub, feed_observers))
 
-            if injector is not None or controller is not None:
-                push = service.connect_pipeline()
-                socket = push
-                if controller is not None:
-                    # Gate innermost: injected drops never reach the
-                    # gate's offered count and injected duplicates are
-                    # offered twice, so the extended ledger
-                    # (gate offered == ingested + shed@mq) stays exact
-                    # under every fault profile.
-                    socket = GatedPushSocket(socket, controller)
-                if injector is not None:
-                    socket = FaultyPushSocket(socket, injector)
-                sink = make_pipeline_sink(socket)
-            else:
-                sink = service.make_sink()
+            socket = service.connect_pipeline()
+            if controller is not None:
+                # Gate innermost: injected drops never reach the gate's
+                # offered count and injected duplicates are offered
+                # twice, so the extended ledger (gate offered ==
+                # ingested + shed@mq) stays exact under every profile.
+                socket = GatedPushSocket(socket, controller)
+            if injector is not None:
+                socket = FaultyPushSocket(socket, injector)
+            sink = make_pipeline_sink(socket)
 
+        supervisor = None
+        if injector is not None:
+            # The faults tier's last piece: what catches the crashes the
+            # injector arms in the worker polls.
+            supervisor = Supervisor()
+            if telemetry is not None:
+                supervisor.bind_registry(telemetry.registry)
+                injector.bind_registry(telemetry.registry)
+        if telemetry is not None:
+            stages.append(TelemetryStage(telemetry))
+
+        # -- the fast path
         pipeline = RuruPipeline(
             config=self._config or PipelineConfig(num_queues=self._queues),
             sink=sink,
@@ -627,6 +653,7 @@ class StackBuilder:
             poll_wrapper=injector.crashy_poll if injector is not None else None,
             admission=controller,
         )
+        stages += [NicStage(pipeline), WorkerStage(pipeline)]
         if controller is not None:
             # Sensors attach once the queues exist; every watched stage
             # reports peak-within-batch occupancy to the one controller.
@@ -640,37 +667,8 @@ class StackBuilder:
                     "frontend", [socket_reader(frontend_sub)]
                 )
 
-        # -- the graph, in topology order ------------------------------------
-        stages = []
-        if controller is not None:
-            stages.append(OverloadStage(controller))
-        stages += [NicStage(pipeline), WorkerStage(pipeline)]
-        if service is not None:
-            stages.append(MqStage(service))
-            stages.append(AnalyticsStage(service))
-            if anomaly is not None:
-                stages.append(AnomalyStage(anomaly))
-            if topk is not None:
-                stages.append(TopkStage(topk))
-            if frontend_sub is not None:
-                frontend_observers = []
-                if anomaly is not None:
-                    frontend_observers.append(anomaly.observe_measurement)
-                if topk is not None:
-                    frontend_observers.append(
-                        lambda m: topk.add(m.location_pair)
-                    )
-                stages.append(
-                    FrontendStage(frontend_sub, observers=frontend_observers)
-                )
-        if telemetry is not None:
-            stages.append(TelemetryStage(telemetry))
-        checkpoint_stage = None
-        if durability is not None:
-            stages.append(TsdbStage(tsdb, wal))
-            checkpoint_stage = CheckpointStage(tsdb, retention_ns)
-            stages.append(checkpoint_stage)
-
+        order = stage_names()
+        stages.sort(key=lambda stage: order.index(stage.name))
         stack = RuruStack(
             StageGraph(stages),
             components={
@@ -709,6 +707,7 @@ class StackBuilder:
                 crash_schedule=crash_schedule,
                 fsync=durability["fsync_wal"],
             )
+            checkpoint_stage = stack.graph.get("checkpoint")
             checkpoint_stage.checkpointer = stack.checkpointer
             checkpoint_stage.stack = stack
         if telemetry is not None:
@@ -747,7 +746,7 @@ def build_live_stack(
     config: Optional[PipelineConfig] = None,
     overload: bool = False,
 ) -> RuruStack:
-    """``live``: full dataflow, no fault machinery."""
+    """``live``: full dataflow with its resilience layer, no faults."""
     builder = StackBuilder().telemetry(telemetry).analytics()
     if overload:
         builder.overload()
@@ -775,7 +774,7 @@ def build_chaos_stack(
     telemetry: Optional[Telemetry] = None,
     overload: bool = False,
 ) -> RuruStack:
-    """``chaos``: live + injector, resilience layer and supervisor."""
+    """``chaos``: live + faults (injector, adapters, supervisor)."""
     builder = (
         StackBuilder()
         .scenario(duration_s=duration_s, rate=rate, seed=seed)

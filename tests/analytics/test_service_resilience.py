@@ -107,14 +107,16 @@ class TestDecodeFailures:
         assert len(reasons) == 1
         assert not any(ch.isdigit() for reason in reasons for ch in reason)
 
-    def test_without_layer_decode_failures_still_counted(self, geo_asn):
+    def test_a_service_handed_no_layer_builds_one_and_dead_letters(self, geo_asn):
         geo, asn = geo_asn
         service = AnalyticsService(Context(), geo, asn, num_workers=1)
+        assert isinstance(service.resilience, ResilienceLayer)
         push = service.connect_pipeline()
         push.send(Message.with_topic(LATENCY_TOPIC, b"junk"))
         service.poll()
-        assert service.decode_errors == 1
-        assert service.dropped_records == 1
+        assert service.decode_errors == service.deadlettered == 1
+        assert service.dropped_records == 0
+        assert len(service.resilience.dlq) == 1
         service.conservation_ledger().check()
 
 

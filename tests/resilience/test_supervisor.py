@@ -106,7 +106,9 @@ class TestBudgetExhaustion:
         for _ in range(3):
             with pytest.raises(RuntimeError, match="exceeded 1 restarts"):
                 wrapped()
-        assert supervisor.restarts_by_role["w"] == 4
+        # A refused crash is not a restart: the role spent its one.
+        assert supervisor.restarts_by_role["w"] == 1
+        assert supervisor.budget.exhausted("w")
 
     def test_exhaustion_is_per_role(self):
         supervisor = Supervisor(max_restarts_per_role=1)
@@ -132,6 +134,21 @@ class TestBudgetExhaustion:
             wrapped()
         state["crash"] = False
         assert wrapped() == 7  # only crashes escalate, not calls
+
+    def test_the_budget_is_the_shared_restart_policy(self):
+        """One supervision policy: the lcore supervisor spends the same
+        RestartBudget the shard supervisor does, keyed by role."""
+        from repro.resilience import RestartBudget
+
+        supervisor = Supervisor(max_restarts_per_role=2)
+        assert isinstance(supervisor.budget, RestartBudget)
+        wrapped = self._always_crash(supervisor, role="rx-worker-q0")
+        wrapped()
+        assert supervisor.budget.remaining("rx-worker-q0") == 1
+        wrapped()
+        with pytest.raises(RuntimeError, match="exceeded 2 restarts"):
+            wrapped()
+        assert supervisor.total_restarts == supervisor.budget.total_spent == 2
 
     def test_crash_log_is_bounded(self):
         supervisor = Supervisor()

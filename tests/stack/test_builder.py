@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.durability.recovery import recover_runtime
 from repro.faults.crashpoints import CRASH_POINTS
 from repro.obs import Telemetry
 from repro.stack import (
@@ -26,8 +27,11 @@ class TestPresets:
     def test_live_has_the_full_dataflow_and_no_fault_machinery(self):
         stack = build_live_stack(queues=2, frontend_hwm=100)
         assert stack.graph.names() == ["nic", "workers", "mq", "analytics", "frontend"]
+        # The analytics tier carries its resilience layer in every preset;
+        # the fault machinery is the faults tier's alone.
+        assert stack.resilience is not None
+        assert stack.service.resilience is stack.resilience
         assert stack.injector is None
-        assert stack.resilience is None
         assert stack.supervisor is None
 
     def test_chaos_adds_injector_resilience_supervisor(self):
@@ -164,6 +168,70 @@ class TestBuilderValidation:
     def test_unknown_fault_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown fault profile"):
             StackBuilder().faults("does-not-exist")
+
+    @pytest.mark.parametrize("tier", ["anomaly", "topk", "frontend"])
+    def test_a_rider_without_analytics_is_refused(self, tier):
+        builder = getattr(StackBuilder(), tier)()
+        with pytest.raises(ValueError, match=f"^{tier} requires analytics$"):
+            builder.build()
+
+
+def _scenario(seed=5):
+    return StackBuilder().scenario(duration_s=3, rate=30, seed=seed).queues(2)
+
+
+class TestTiersCompose:
+    """Each builder call assembles its own tier, whatever else is asked."""
+
+    def _durable(self, state_dir, retention_ns=None):
+        return (
+            _scenario()
+            .analytics()
+            .durable(str(state_dir), retention_ns=retention_ns)
+            .build()
+        )
+
+    def test_durable_without_faults_runs_and_recovers(self, tmp_path):
+        stack = self._durable(tmp_path)
+        report = stack.run()
+        assert report.ok and report.final_checkpoint is not None
+        assert (tmp_path / "tsdb.wal").exists() and stack.wal.appends > 0
+        lines = sorted(stack.tsdb.dump_lines())
+        assert lines
+        stack.wal.close()
+        recovered = self._durable(tmp_path)
+        recovery = recover_runtime(recovered)
+        assert recovery.ok and recovery.clean_shutdown
+        assert sorted(recovered.tsdb.dump_lines()) == lines
+        recovered.wal.close()
+
+    def test_durable_without_faults_applies_retention(self, tmp_path):
+        kept = self._durable(tmp_path / "kept")
+        aged = self._durable(tmp_path / "aged", retention_ns=500_000_000)
+        for stack in (kept, aged):
+            assert stack.run().ok
+            stack.wal.close()
+        assert [p.duration_ns for p in aged.tsdb.retention_policies] == [500_000_000]
+        assert kept.tsdb.retention_policies == []
+        assert 0 < aged.tsdb.total_points() < kept.tsdb.total_points()
+
+    def test_faults_without_analytics_drains_with_restarts_counted(self):
+        stack = _scenario().faults("crashy-workers", seed=5).build()
+        report = stack.run()
+        assert report.ok and stack.service is None
+        restarts = stack.supervisor.total_restarts
+        assert restarts == stack.injector.count("worker", "crash") > 0
+        stats = report.stats
+        assert stats.packets_processed == stats.packets_queued > 0
+
+    def test_topk_alone_subscribes_the_feed_it_counts(self):
+        stack = _scenario().analytics().topk(10).build()
+        stack.run()
+        assert stack.graph.names() == [
+            "nic", "workers", "mq", "analytics", "topk", "frontend",
+        ]
+        assert stack.topk.total == stack.frontend_received == stack.service.processed
+        assert stack.topk.total > 0
 
 
 class TestObservability:

@@ -42,10 +42,16 @@ and port counters are settled after it, so a call on the pool or on a
 ring object inside the loop, an ``Mbuf(`` or an ``alloc(`` anywhere, a
 second reader of the rings beside ``QueueWorker.poll`` →
 ``process_burst``, or ``_extract_tuple`` called for a frame the header
-pass accepted, is the per-frame bookkeeping coming back. This test walks
-the source tree with
-the AST module so string mentions in docstrings or comments do not trip
-it; only real names, imports, call sites and class definitions count.
+pass accepted, is the per-frame bookkeeping coming back. Each builder
+call builds its own tier: the analytics service runs behind its
+resilience layer in every preset, so a branch on that layer's presence
+in ``analytics/service.py`` is the unguarded second path coming back,
+and a ``ResilienceLayer(``, ``WriteAheadLog(`` or ``DurableTsdb(`` under
+a test of ``profile`` or ``injector`` in ``StackBuilder.build`` ties the
+analytics or durable tier to the faults tier again. This test walks
+the source tree with the AST module so string mentions in docstrings or
+comments do not trip it; only real names, imports, call sites and class
+definitions count.
 """
 
 import ast
@@ -629,6 +635,144 @@ class TestOneWritePath:
         )
         assert [what for _, what in per_record_write_sites(early)] == [
             "pub.send before the poll's write"
+        ]
+
+
+#: The builder module; its ``StackBuilder.build`` assembles every tier.
+BUILDER = SRC / "stack" / "builder.py"
+#: What the analytics tier and the durable tier build, whatever the
+#: fault profile.
+TIER_OWNED = {"ResilienceLayer", "WriteAheadLog", "DurableTsdb"}
+
+
+def _is_layer(node):
+    """Whether *node* is ``resilience`` / ``res`` (bare or as an
+    attribute, possibly under ``not``)."""
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        node = node.operand
+    return (isinstance(node, ast.Name) and node.id in ("resilience", "res")) or (
+        isinstance(node, ast.Attribute) and node.attr in ("resilience", "res")
+    )
+
+
+def unguarded_path_sites(path=SERVICE):
+    """Where ``AnalyticsService`` in *path* keeps a second, unguarded
+    path: ``resilience`` or ``res`` compared with None, or tested as a
+    truth value by a branch."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare):
+            sides = (node.left, *node.comparators)
+            if any(map(_is_layer, sides)) and any(
+                isinstance(side, ast.Constant) and side.value is None for side in sides
+            ):
+                sites.append((node.lineno, "the layer compared with None"))
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            test = node.test
+            tested = test.values if isinstance(test, ast.BoolOp) else [test]
+            if any(map(_is_layer, tested)):
+                sites.append((node.lineno, "a branch on the layer's presence"))
+    return sorted(sites)
+
+
+def tier_under_fault_test_sites(path=BUILDER):
+    """A resilience layer, write-ahead log or durable store built under
+    a test of ``profile`` or ``injector`` in ``StackBuilder.build`` of
+    *path*: the analytics and durable tiers tied to the faults tier."""
+    (build,) = [
+        node
+        for klass in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(klass, ast.ClassDef) and klass.name == "StackBuilder"
+        for node in klass.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build"
+    ]
+    return sorted(
+        {
+            (call.lineno, _called_name(call))
+            for branch in ast.walk(build)
+            if isinstance(branch, (ast.If, ast.IfExp))
+            and _names_in(branch.test) & {"profile", "injector"}
+            for call in ast.walk(branch)
+            if isinstance(call, ast.Call) and _called_name(call) in TIER_OWNED
+        }
+    )
+
+
+class TestTiersCompose:
+    def test_the_analytics_tier_has_one_guarded_path(self):
+        offenders = [
+            f"analytics/service.py:{line} {what}"
+            for line, what in unguarded_path_sites()
+        ]
+        assert not offenders, (
+            "a second, unguarded path beside the resilience layer (a service "
+            "handed no layer builds a default one):\n  " + "\n  ".join(offenders)
+        )
+        # The guard is about a layer the service really uses.
+        assert "self.resilience" in SERVICE.read_text()
+
+    def test_no_tier_is_built_under_a_test_of_the_fault_profile(self):
+        offenders = [
+            f"stack/builder.py:{line} {name}("
+            for line, name in tier_under_fault_test_sites()
+        ]
+        assert not offenders, (
+            "a tier built only under a fault profile (each builder call "
+            "builds its own tier):\n  " + "\n  ".join(offenders)
+        )
+        assert TIER_OWNED <= _calls_inside(BUILDER, "build")
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        fine = tmp_path / "service.py"
+        fine.write_text(
+            '"""if resilience is None: in a docstring."""\n'
+            "class AnalyticsService:\n"
+            "    def __init__(self, resilience=None):\n"
+            "        self.resilience = resilience or ResilienceLayer()\n"
+            "    def _enrich(self, record):\n"
+            "        res = self.resilience\n"
+            "        if not res.enrich_breaker.allow(self._now_ns):\n"
+            "            return degraded_measurement(record)\n"
+        )
+        assert unguarded_path_sites(fine) == []
+        rogue = tmp_path / "rogue.py"
+        rogue.write_text(
+            "class AnalyticsService:\n"
+            "    def _write_points(self):\n"
+            "        if self.resilience is None:\n"
+            "            return self.tsdb.write_batch(self._request)\n"
+            "    def _enrich(self, record):\n"
+            "        res = self.resilience\n"
+            "        if res is not None and not res.enrich_breaker.allow(0):\n"
+            "            return None\n"
+            "        return record if not res else None\n"
+        )
+        assert unguarded_path_sites(rogue) == [
+            (3, "the layer compared with None"),
+            (7, "the layer compared with None"),
+            (9, "a branch on the layer's presence"),
+        ]
+        builder = tmp_path / "builder.py"
+        builder.write_text(
+            "class StackBuilder:\n"
+            "    def build(self):\n"
+            "        if profile is not None:\n"
+            "            store = FlakyTimeSeriesDatabase(store, injector)\n"
+            "            if durability is not None:\n"
+            "                tsdb = DurableTsdb(store, WriteAheadLog(path))\n"
+            "            resilience = ResilienceLayer(seed=self._seed)\n"
+            "        if durability is not None:\n"
+            "            wal = WriteAheadLog(path)\n"
+            "        layer = ResilienceLayer() if injector else None\n"
+            "def elsewhere(profile):\n"
+            "    if profile:\n"
+            "        return ResilienceLayer()\n"
+        )
+        assert tier_under_fault_test_sites(builder) == [
+            (6, "DurableTsdb"),
+            (6, "WriteAheadLog"),
+            (7, "ResilienceLayer"),
+            (10, "ResilienceLayer"),
         ]
 
 
