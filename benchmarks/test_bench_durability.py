@@ -22,29 +22,36 @@ import statistics
 import tempfile
 import time
 
+from repro.cli import command_spec
 from repro.durability.recovery import recover_runtime
 from repro.faults.crashpoints import CrashSchedule, SimulatedCrash
-from repro.stack import build_durable_stack
+from repro.scenarios.runner import Episode
 
-NS_PER_S = 1_000_000_000
 PAIRS = 10
 MAX_REGRESSION = 0.10
 # A production-shaped configuration: retention bounds the store, so
 # checkpoint size (and cost) is O(window), not O(run length).
-RUN = dict(
-    profile="clean", seed=42, duration_s=8.0, rate=40.0, queues=2,
-    retention_ns=2 * NS_PER_S,
-)
+RUN = [
+    "--profile", "clean", "--seed", "42", "--duration", "8", "--rate", "40",
+    "--queues", "2", "--retention", "2",
+]
 
 # Periodic checkpointing effectively off: only the final clean drain
 # checkpoint is written, exactly once, in both configurations' drains.
-NEVER_NS = 1 << 62
+NEVER_S = float(1 << 33)
+EVERY_S = 1.0
 
 
-def _timed_run(state_dir, checkpoint_interval_ns):
+def durable_stack(state_dir, *flags, crash_schedule=None):
+    """``ruru live``'s stack on *state_dir*, built but not yet fed."""
+    spec = command_spec(["live", "--state-dir", state_dir, *RUN, *flags])
+    return Episode(spec, crash_schedule=crash_schedule).stack
+
+
+def _timed_run(state_dir, checkpoint_interval_s):
     shutil.rmtree(state_dir, ignore_errors=True)
-    runtime = build_durable_stack(
-        state_dir, checkpoint_interval_ns=checkpoint_interval_ns, **RUN
+    runtime = durable_stack(
+        state_dir, "--checkpoint-interval", str(checkpoint_interval_s)
     )
     gc.collect()
     gc.disable()
@@ -60,16 +67,16 @@ class TestCheckpointOverhead:
         workdir = tempfile.mkdtemp(prefix="ruru-bench-")
         try:
             # Warm both paths before timing.
-            _timed_run(workdir + "/warm-on", NS_PER_S)
-            _timed_run(workdir + "/warm-off", NEVER_NS)
+            _timed_run(workdir + "/warm-on", EVERY_S)
+            _timed_run(workdir + "/warm-off", NEVER_S)
 
             base_times, durable_times = [], []
             for index in range(PAIRS):
                 base_times.append(
-                    _timed_run(f"{workdir}/off-{index}", NEVER_NS)[0]
+                    _timed_run(f"{workdir}/off-{index}", NEVER_S)[0]
                 )
                 elapsed, report, runtime = _timed_run(
-                    f"{workdir}/on-{index}", NS_PER_S
+                    f"{workdir}/on-{index}", EVERY_S
                 )
                 durable_times.append(elapsed)
 
@@ -108,10 +115,8 @@ class TestRecoveryPath:
             # tail the checkpoint does not cover. (Killing the runtime
             # directly, with no post-crash drain, keeps the WAL dirty.)
             schedule = CrashSchedule()
-            schedule.arm("tsdb.applied", hit=200)
-            victim = build_durable_stack(
-                workdir + "/state", crash_schedule=schedule, **RUN
-            )
+            schedule.arm("tsdb.applied", hit=10)
+            victim = durable_stack(workdir + "/state", crash_schedule=schedule)
             try:
                 victim.run()
             except SimulatedCrash:
@@ -120,7 +125,7 @@ class TestRecoveryPath:
             del victim
 
             def recover_once():
-                runtime = build_durable_stack(workdir + "/state", **RUN)
+                runtime = durable_stack(workdir + "/state")
                 return recover_runtime(runtime)
 
             report = benchmark(recover_once)

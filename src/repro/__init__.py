@@ -34,8 +34,6 @@ from repro.mq import Context
 from repro.stack import (
     RuruStack,
     StackBuilder,
-    build_chaos_stack,
-    build_durable_stack,
     build_live_stack,
     build_measure_stack,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "Context",
     "RuruStack",
     "StackBuilder",
-    "build_chaos_stack",
-    "build_durable_stack",
     "build_live_stack",
     "build_measure_stack",
     "__version__",

@@ -43,63 +43,276 @@ Subcommands mirror how the deployed system is operated:
   ledger. ``--trial`` instead runs a kill-anywhere recovery trial at
   a named crash point.
 
-Any workload command also accepts ``--telemetry`` to enable the
-:mod:`repro.obs` subsystem (metrics registry, per-stage timing, periodic
-self-monitoring export into the TSDB) for that run.
+A command that runs a stack is flags -> its base spec plus one dotted
+path per flag (:data:`COMMANDS`, :data:`OPTIONS`) -> the one
+:class:`~repro.scenarios.runner.Episode` (build, drive, drain; SIGINT /
+SIGTERM stop the feed) -> a renderer of the drained stack. A flag the
+run would not honour is refused by the spec or by ``build()``: one
+``ruru <command>: error: …`` line, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+from repro.analysis.report import analyze_paths, compare_windows
+from repro.durability import recover_runtime, run_recovery_trial
+from repro.durability.signals import GracefulShutdown
+from repro.faults import PROFILES, ChaosReport
 from repro.frontend.dashboard import build_ruru_dashboard
+from repro.frontend.grafana import build_selfmon_dashboard, export_grafana_json
+from repro.frontend.heatmap import LatencyBuckets, render_heatmap
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
 from repro.net.pcap import PcapWriter
-from repro.obs import Telemetry
-from repro.stack import build_live_stack, build_measure_stack
-from repro.tsdb.database import TimeSeriesDatabase
 from repro.net.pcapng import PcapngWriter, open_capture
-from repro.traffic.scenarios import (
-    AucklandLaScenario,
-    FirewallGlitchInjector,
-    SynFloodInjector,
+from repro.obs.bench import collect_meta, compare, load_resultset
+from repro.obs.slo import evaluate_slos, slos_from_dict
+from repro.scenarios import (
+    GridSpec, baseline_path, compare_scenario, get_scenario, load_library, run_grid, run_scenario,
 )
+from repro.scenarios.runner import Episode, build_scenario_generator
+from repro.scenarios.spec import ScenarioSpec, SpecError, apply_overrides, parse_override_args
+from repro.tsdb.database import TimeSeriesDatabase
+from repro.tsdb.ql import execute_statement
 
 NS_PER_S = 1_000_000_000
 
+# -- flags -> spec ---------------------------------------------------------------
 
-def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--duration", type=float, default=30.0, help="seconds of traffic")
-    parser.add_argument("--rate", type=float, default=50.0, help="mean flows per second")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument("--queues", type=int, default=4, help="RSS receive queues")
-    parser.add_argument(
-        "--telemetry", action="store_true",
-        help="enable the repro.obs telemetry subsystem for this run",
+#: Every option, declared once: the dotted spec path it sets (None for
+#: what only a renderer or a mode reads) and its argparse definition. A
+#: spec flag means the same in every command that takes it, and defaults
+#: to the command's base-spec value. Three are switches rather than
+#: values: ``--telemetry`` adds the telemetry tier to ``stack.tiers``;
+#: ``--glitch`` / ``--flood`` add a firewall-glitch / SYN-flood window to
+#: ``anomalies``, placed where their command places it. Names without
+#: dashes are positionals.
+OPTIONS = {
+    "--duration": ("traffic.duration_s", dict(type=float, help="seconds of traffic")),
+    "--rate": ("traffic.rate", dict(type=float, help="mean flows per second")),
+    "--seed": ("seed", dict(type=int, help="workload seed")),
+    "--queues": ("stack.queues", dict(type=int, help="RSS receive queues")),
+    "--telemetry": (None, dict(action="store_true", help="enable telemetry for this run")),
+    "--telemetry-interval": ("telemetry.interval_s", dict(type=float, help="export cadence, s")),
+    "--sample": ("telemetry.sample_every", dict(type=int, help="profile every Nth batch (0: off)")),
+    "--glitch": (None, dict(action="store_true", help="inject a firewall glitch")),
+    "--flood": (None, dict(action="store_true", help="inject a SYN flood")),
+    "--profile": ("faults.profile", dict(help="fault profile name (see chaos --list)")),
+    "--overload": ("overload.enabled", dict(action="store_true", help="overload control")),
+    "--shards": ("shard.shards", dict(type=int, help="worker processes (0: in-process)")),
+    "--shard-policy": ("shard.policy", dict(choices=("protect-handshakes", "reroute-all"))),
+    "--kill-shard": ("shard.kill_shard", dict(type=int, help="with --shards: SIGKILL it")),
+    "--kill-at-batch": ("shard.kill_at_batch", dict(type=int, help="when (default: batch 6)")),
+    "--state-dir": ("durable.state_dir", dict(help="checkpoints and TSDB write-ahead log")),
+    "--checkpoint-interval": ("durable.checkpoint_interval_s", dict(type=float, help="cadence, s")),
+    "--keep-checkpoints": ("durable.keep_checkpoints", dict(type=int, help="checkpoints kept")),
+    "--retention": ("durable.retention_s", dict(type=float, help="TSDB retention, s")),
+    "--fsync-wal": ("durable.fsync_wal", dict(action="store_true", help="fsync every write")),
+    "--output": (None, dict(help="file to write")),
+    "--format": (None, dict(choices=["pcap", "pcapng"], default="pcap", help="capture format")),
+    "--pcap": (None, dict(help="capture to replay (generates one if omitted)")),
+    "--show": (None, dict(type=int, default=10, help="records to print")),
+    "--count": (None, dict(type=int, default=20, help="lines to print")),
+    "--grafana": (None, dict(help="also write the Grafana dashboard JSON here")),
+    "--grafana-selfmon": (None, dict(help="also write the self-monitoring dashboard here")),
+    "--slo-gate": (None, dict(action="store_true", help="exit 1 when any SLO is violated")),
+    "--slo-config": (None, dict(help="JSON file of SLOs (replaces the default set)")),
+    "--top": (None, dict(type=int, help="rows to print per section")),
+    "--collapsed": (None, dict(help="write flamegraph-compatible collapsed stacks here")),
+    "--json": (None, dict(help="write the profile summary JSON here")),
+    "--list": (None, dict(action="store_true", help="list fault profiles and exit")),
+    "--metrics": (None, dict(action="store_true", help="also print the resilience metrics")),
+    "--limit": (None, dict(type=int, default=20, help="letters to show")),
+    "--drain": (None, dict(action="store_true", help="after recovering, drain gracefully")),
+    "--trial": (None, dict(metavar="CRASH_POINT", help="instead: a kill-anywhere trial")),
+    "--hit": (None, dict(type=int, default=3, help="which pass over the point crashes")),
+    "--file": (None, dict(required=True, help="line-protocol file")),
+    "query": (None, dict(help='e.g. "SELECT mean(total_ms) FROM latency"')),
+    "--threshold": (None, dict(type=float, default=0.15, help="tolerated fractional change")),
+    "baseline": (None, dict(help="baseline resultset JSON")),
+    "current": (None, dict(help="current resultset JSON")),
+    "file": (None, dict(help="resultset JSON")),
+    "name": (None, dict(help="library name or spec file path")),
+    "--set": (None, dict(action="append", metavar="KEY=VALUE", help="dotted-path override")),
+    "--profile-stages": (None, dict(action="store_true", help="archive per-stage timings")),
+    "--out": (None, dict(help="where to write the results")),
+    "scenarios": (None, dict(nargs="*", help="scenario names (default: the library)")),
+    "--seeds": (None, dict(default="7", help="comma-separated seed axis")),
+    "--variant": (None, dict(action="append", metavar="NAME:KEY=VALUE[,KEY=VALUE]")),
+    "--no-resume": (None, dict(action="store_true", help="re-run cells already archived")),
+    "--max-cells": (None, dict(type=int, help="stop after this many executed cells")),
+    "names": (None, dict(nargs="*", help="scenario names (default: the library)")),
+    "--baseline-dir": (None, dict(help="baseline directory (default: the committed one)")),
+    "--write": (None, dict(action="store_true", help="write fresh baselines instead")),
+}
+#: What ``--kill-shard`` alone means: the kill fires at this batch.
+KILL_AT_BATCH = 6
+
+WORKLOAD = ("--duration", "--rate", "--seed", "--queues", "--telemetry", "--telemetry-interval")
+CHAOS = ("--profile", "--seed", "--duration", "--rate", "--queues", "--overload")
+DURABLE = ("--state-dir", "--checkpoint-interval", "--keep-checkpoints", "--retention", "--fsync-wal")
+WORKLOAD_BASE = {
+    "seed": 7, "traffic.duration_s": 30.0, "traffic.rate": 50.0, "stack.queues": 4,
+    "telemetry.interval_s": 1.0, "stack.tiers": ["analytics"],
+}
+CHAOS_TRAFFIC = {"seed": 42, "traffic.duration_s": 8.0, "traffic.rate": 40.0}
+CHAOS_BASE = {
+    **CHAOS_TRAFFIC, "faults.profile": "lossy-mq",
+    "stack.tiers": ["analytics", "faults", "telemetry", "frontend"],
+}
+DURABLE_BASE = {
+    **CHAOS_BASE, "faults.profile": "clean", "stack.topk": 100, "durable.state_dir": "ruru-state",
+    "stack.tiers": ["analytics", "faults", "durable", "telemetry", "anomaly", "frontend"],
+}
+#: command -> (help, base spec as dotted paths over the ScenarioSpec
+#: defaults — what the command runs given no flag —, its options). An
+#: option written ``(flag, default)`` takes that default here.
+COMMANDS = {
+    "generate": ("write a synthetic workload pcap", WORKLOAD_BASE,
+                 (*WORKLOAD, ("--output", "ruru-trace.pcap"), "--format")),
+    "measure": ("measure latency over a trace", {**WORKLOAD_BASE, "stack.tiers": []},
+                (*WORKLOAD, "--pcap", "--show")),
+    "demo": ("full pipeline with analytics + frontends",
+             {**WORKLOAD_BASE, "stack.tiers": ["analytics", "frontend"],
+              "stack.frontend_hwm": 10_000}, WORKLOAD),
+    "detect": ("run anomaly detection scenarios",
+               {**WORKLOAD_BASE, "stack.tiers": ["analytics", "anomaly"]},
+               (*WORKLOAD, "--glitch", "--flood")),
+    "export": ("run a workload and export the TSDB as line protocol", WORKLOAD_BASE,
+               (*WORKLOAD, ("--output", "ruru-measurements.lp"), "--grafana",
+                "--grafana-selfmon")),
+    "metrics": ("run a workload with telemetry and print the Prometheus exposition",
+                {**WORKLOAD_BASE, "stack.tiers": ["analytics", "telemetry"]},
+                (*WORKLOAD, "--slo-gate", "--slo-config")),
+    "prof": ("per-stage profile of the live stack (timings, call attribution)",
+             {**WORKLOAD_BASE, "stack.tiers": ["analytics", "telemetry", "frontend"],
+              "stack.frontend_hwm": 10_000, "telemetry.interval_s": None,
+              "telemetry.sample_every": 16},
+             (*WORKLOAD, "--sample", ("--top", 10), "--collapsed", "--json")),
+    "perf": ("benchmark resultset archive: compare or show runs", None, ()),
+    "perf compare": ("diff two resultsets with noise-aware thresholds", None,
+                     ("baseline", "current", "--threshold")),
+    "perf show": ("print one resultset", None, ("file",)),
+    "scenario": ("declarative scenario harness: list/show/run/batch/compare", None, ()),
+    "scenario list": ("list the scenario library with descriptions", None, ()),
+    "scenario show": ("print one scenario spec as JSON", None, ("name",)),
+    "scenario run": ("run one scenario through the stage-graph runtime", None,
+                     ("name", ("--seed", None), "--set", "--profile-stages", "--out")),
+    "scenario batch": ("run a resumable (scenario x seed x override) grid", None,
+                       ("scenarios", "--seeds", "--variant", ("--out", "ruru-grid"),
+                        "--no-resume", "--max-cells")),
+    "scenario compare": ("run scenarios fresh and gate against the committed baselines", None,
+                         ("names", "--baseline-dir", "--threshold", "--write")),
+    "dump": ("print packets tcpdump-style", WORKLOAD_BASE, (*WORKLOAD, "--pcap", "--count")),
+    "analyze": ("mixture fits, drift and heatmap over a workload",
+                {**WORKLOAD_BASE, "stack.tiers": ["analytics", "frontend"]},
+                (*WORKLOAD, "--glitch", ("--top", 8))),
+    "chaos": ("replay a workload under a fault profile and check invariants", CHAOS_BASE,
+              (*CHAOS, "--shards", "--shard-policy", "--kill-shard", "--kill-at-batch",
+               "--list", "--metrics")),
+    "dlq": ("inspect the dead-letter queue after a chaos run", CHAOS_BASE, (*CHAOS, "--limit")),
+    "live": ("run the durable monitor with checkpoints, WAL and graceful drain", DURABLE_BASE,
+             (*CHAOS, "--shards", "--shard-policy", *DURABLE)),
+    "recover": ("hot-restart from a state directory (or run a recovery trial)", DURABLE_BASE,
+                (*CHAOS, *DURABLE, "--drain", "--trial", "--hit")),
+    "query": ("run an InfluxQL-style query against an export", None, ("--file", "query")),
+}
+#: With ``--shards N``: the command's traffic and the shard settings of
+#: a sharded CLI run, in place of its in-process base.
+SHARDED = {
+    "shard.batch_size": 256, "shard.checkpoint_every_batches": 8,
+    "shard.restart_delay_batches": 1,
+}
+SHARDED_BASES = {
+    "chaos": {**CHAOS_TRAFFIC, **SHARDED, "shard.durable": False},
+    "live": {**CHAOS_TRAFFIC, **SHARDED, "durable.state_dir": "ruru-state"},
+}
+
+
+def _lookup(document: dict, path: str):
+    for part in path.split("."):
+        document = document[part]
+    return document
+
+
+def _base_document(command: str) -> dict:
+    return apply_overrides(ScenarioSpec(name=command), COMMANDS[command][1]).to_dict()
+
+
+def _anomaly_windows(args) -> list:
+    """``--glitch`` / ``--flood`` as anomaly windows, placed where the
+    command has always placed them, to the nanosecond."""
+    d = int(args.duration * NS_PER_S)
+    glitch = (
+        (d // 2, min(10 * NS_PER_S, d // 4)) if args.command == "detect"
+        else (d * 2 // 3, max(NS_PER_S, d // 8))
     )
-    parser.add_argument(
-        "--telemetry-interval", type=float, default=1.0,
-        help="self-monitoring export interval in (virtual) seconds",
+    wanted = [("firewall-glitch", *glitch)] * args.glitch + [
+        ("syn-flood", d // 3, 5 * NS_PER_S)
+    ] * getattr(args, "flood", False)
+    return [
+        {"kind": kind, "at_s": at / NS_PER_S, "duration_s": length / NS_PER_S}
+        for kind, at, length in wanted
+    ]
+
+
+def _spec(args) -> ScenarioSpec:
+    """Flags -> spec: the command's base spec plus every flag set away
+    from its default."""
+    command = args.command
+    defaults = _base_document(command)
+    overrides = {}
+    for flag, (path, _) in OPTIONS.items():
+        dest = flag.lstrip("-").replace("-", "_")
+        if path is not None and hasattr(args, dest):
+            value = getattr(args, dest)
+            if value != _lookup(defaults, path):
+                overrides[path] = value
+    if getattr(args, "telemetry", False):
+        overrides["stack.tiers"] = [*defaults["stack"]["tiers"], "telemetry"]
+    if getattr(args, "glitch", False) or getattr(args, "flood", False):
+        overrides["anomalies"] = _anomaly_windows(args)
+    if getattr(args, "kill_shard", None) is not None and args.kill_at_batch is None:
+        overrides["shard.kill_at_batch"] = KILL_AT_BATCH
+    base = SHARDED_BASES[command] if getattr(args, "shards", 0) else COMMANDS[command][1]
+    return apply_overrides(
+        ScenarioSpec(name=command, description=f"what ruru {command} runs"),
+        {**base, **overrides},
     )
 
 
-def _make_telemetry(args) -> Optional[Telemetry]:
-    """A Telemetry handle when --telemetry was given, else None."""
-    return Telemetry() if args.telemetry else None
+def command_spec(argv: Sequence[str]) -> ScenarioSpec:
+    """The spec the command line ``ruru <argv…>`` runs."""
+    return _spec(build_parser().parse_args(list(argv)))
 
 
-def _attach_exporter(telemetry: Optional[Telemetry], args, tsdb) -> None:
-    if telemetry is not None:
-        interval_ns = max(1, int(args.telemetry_interval * NS_PER_S))
-        telemetry.export_to(tsdb, interval_ns=interval_ns)
+def _run(args, packets=None, observers=(), folds_errors=False):
+    """Flags -> spec -> the one episode, under SIGINT/SIGTERM: a signal
+    stops the feed and the episode still drains. A run that raised
+    raises here, unless the command's report folds the error in."""
+    episode = Episode(_spec(args))
+    with GracefulShutdown() as stop:
+        episode.run(packets, stop=stop.requested, observers=observers)
+    if episode.error is not None and not folds_errors:
+        raise episode.error
+    return episode, stop
 
 
-def _print_telemetry_summary(telemetry: Optional[Telemetry]) -> None:
+def _interrupted(stop, what: str = "interrupted") -> None:
+    if stop.requested():
+        print(f"[{stop.signal_name}] {what} — drained gracefully")
+
+
+# -- renderers ------------------------------------------------------------------
+
+
+def _print_telemetry_summary(telemetry) -> None:
     """What the run's telemetry holds once the drain has flushed it."""
     if telemetry is None:
         return
@@ -113,64 +326,15 @@ def _print_telemetry_summary(telemetry: Optional[Telemetry]) -> None:
         )
 
 
-def _duration_ns(args) -> int:
-    return int(args.duration * NS_PER_S)
-
-
 def _print_slos(results) -> None:
     print("--- slo ---")
     for result in results:
         print(result.render())
 
 
-def _build_generator(args, injectors=None):
-    scenario = AucklandLaScenario(
-        duration_ns=_duration_ns(args),
-        mean_flows_per_s=args.rate,
-        seed=args.seed,
-        diurnal=False,
-    )
-    return scenario.build(injectors=injectors)
-
-
-def _build_injectors(args, glitch_start_ns: int, glitch_window_ns: int) -> list:
-    """The anomalies ``--glitch`` / ``--flood`` ask for (``detect`` and
-    ``analyze`` place the glitch window differently)."""
-    injectors = []
-    if args.glitch:
-        injectors.append(
-            FirewallGlitchInjector(
-                window_start_offset_ns=glitch_start_ns,
-                window_ns=glitch_window_ns,
-            )
-        )
-    if getattr(args, "flood", False):
-        injectors.append(
-            SynFloodInjector(
-                flood_start_ns=_duration_ns(args) // 3,
-                flood_duration_ns=5 * NS_PER_S,
-            )
-        )
-    return injectors
-
-
-def _build_live(args, telemetry=None, injectors=None, selfmon=True, **preset):
-    """The wiring every live-preset command shares: workload generator
-    → ``build_live_stack`` → (with telemetry) self-monitoring exports
-    into the stack's own TSDB, so they ride any export of it."""
-    stack = build_live_stack(
-        generator=_build_generator(args, injectors=injectors),
-        queues=args.queues,
-        telemetry=telemetry,
-        **preset,
-    )
-    if selfmon:
-        _attach_exporter(telemetry, args, stack.tsdb)
-    return stack
-
-
 def cmd_generate(args) -> int:
-    generator = _build_generator(args)
+    spec = _spec(args)
+    generator = build_scenario_generator(spec, spec.seed)
     count = 0
     writer_cls = PcapngWriter if args.format == "pcapng" else PcapWriter
     with writer_cls(args.output) as writer:
@@ -182,15 +346,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    telemetry = _make_telemetry(args)
-    _attach_exporter(telemetry, args, TimeSeriesDatabase(name="ruru-selfmon"))
-    stack = build_measure_stack(queues=args.queues, telemetry=telemetry)
-    pipeline = stack.pipeline
-    if args.pcap:
-        with open_capture(args.pcap) as reader:
-            stats = stack.run(reader).stats
-    else:
-        stats = stack.run(_build_generator(args).packets()).stats
+    with open_capture(args.pcap) if args.pcap else contextlib.nullcontext() as capture:
+        episode, _ = _run(args, packets=capture)
+    stack = episode.stack
+    pipeline, stats = stack.pipeline, episode.report.stats
     for record in pipeline.measurements[: args.show]:
         print(record)
     if len(pipeline.measurements) > args.show:
@@ -200,21 +359,18 @@ def cmd_measure(args) -> int:
         print(f"{key:>20}: {value}")
     print(f"{'queue balance':>20}: "
           + ", ".join(f"{share:.2%}" for share in pipeline.queue_balance()))
-    _print_telemetry_summary(telemetry)
-    if telemetry is not None:
-        print(telemetry.registry.exposition(), end="")
+    _print_telemetry_summary(stack.telemetry)
+    if stack.telemetry is not None:
+        print(stack.telemetry.registry.exposition(), end="")
     return 0
 
 
 def cmd_demo(args) -> int:
-    telemetry = _make_telemetry(args)
-    stack = _build_live(args, telemetry, frontend_hwm=10_000)
     channel = WebSocketChannel()
     map_view = LiveMapView(channel=channel)
-    stack.graph.get("frontend").observers.append(map_view.observe)
-
-    stats = stack.run().stats
-    _print_telemetry_summary(telemetry)
+    episode, _ = _run(args, observers=[map_view.observe])
+    stack, stats = episode.stack, episode.report.stats
+    _print_telemetry_summary(stack.telemetry)
     map_view.finish()
 
     print(f"measurements: {stats.measurements}")
@@ -224,7 +380,7 @@ def cmd_demo(args) -> int:
           f"({channel.bytes_to_client} bytes over the WebSocket)")
     print(f"arc colours:  {map_view.color_histogram()}")
     print("--- dashboard (mean end-to-end latency by country pair) ---")
-    dashboard = build_ruru_dashboard(interval_ns=_duration_ns(args))
+    dashboard = build_ruru_dashboard(interval_ns=episode.spec.traffic.duration_ns)
     for panel in dashboard.render(stack.tsdb):
         if panel.title.startswith("mean"):
             for label, value in sorted(panel.latest().items()):
@@ -233,15 +389,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    duration_ns = _duration_ns(args)
-    injectors = _build_injectors(
-        args, duration_ns // 2, min(10 * NS_PER_S, duration_ns // 4)
-    )
-    telemetry = _make_telemetry(args)
-    stack = _build_live(args, telemetry, injectors, anomaly=True)
-    stack.run()
-    _print_telemetry_summary(telemetry)
-    events = stack.anomaly.finish(now_ns=duration_ns)
+    episode, _ = _run(args)
+    _print_telemetry_summary(episode.stack.telemetry)
+    events = episode.stack.anomaly.finish(now_ns=episode.spec.traffic.duration_ns)
     if not events:
         print("no anomalies detected")
         return 1
@@ -253,8 +403,8 @@ def cmd_detect(args) -> int:
 def cmd_export(args) -> int:
     # Self-monitoring series land in the same TSDB, so the line-protocol
     # export carries the pipeline's own health alongside the latencies.
-    stack = _build_live(args, _make_telemetry(args))
-    stack.run()
+    episode, _ = _run(args)
+    stack = episode.stack
 
     count = 0
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -264,17 +414,13 @@ def cmd_export(args) -> int:
     print(f"wrote {count} points to {args.output}")
 
     if args.grafana:
-        from repro.frontend.grafana import export_grafana_json
-
         dashboard = build_ruru_dashboard(
-            interval_ns=_duration_ns(args) // 10 or NS_PER_S
+            interval_ns=episode.spec.traffic.duration_ns // 10 or NS_PER_S
         )
         with open(args.grafana, "w", encoding="utf-8") as handle:
             handle.write(export_grafana_json(dashboard, indent=2))
         print(f"wrote Grafana dashboard model to {args.grafana}")
     if args.grafana_selfmon:
-        from repro.frontend.grafana import build_selfmon_dashboard, export_grafana_json
-
         dashboard = build_selfmon_dashboard(
             interval_ns=max(1, int(args.telemetry_interval * NS_PER_S))
         )
@@ -288,17 +434,16 @@ def cmd_export(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run the workload fully instrumented; print the exposition text."""
-    from repro.obs.slo import slos_from_dict
-
-    telemetry = Telemetry()
-    stack = _build_live(args, telemetry)
+    slos = None
     if args.slo_config:
         with open(args.slo_config, "r", encoding="utf-8") as handle:
-            stack.slos = slos_from_dict(json.load(handle))
-    stack.run()
-    print(telemetry.registry.exposition(), end="")
-    _print_slos(stack.slo_results)
-    if args.slo_gate and any(not result.ok for result in stack.slo_results):
+            slos = slos_from_dict(json.load(handle))
+    episode, _ = _run(args)
+    registry = episode.stack.telemetry.registry
+    print(registry.exposition(), end="")
+    results = episode.stack.slo_results if slos is None else evaluate_slos(registry, slos)
+    _print_slos(results)
+    if args.slo_gate and any(not result.ok for result in results):
         return 1
     return 0
 
@@ -307,13 +452,12 @@ def cmd_prof(args) -> int:
     """Profile every stage of the live stack over a workload.
 
     The profiler hangs off the stage graph, so the table below covers
-    exactly the stages the live preset assembles — adding a stage to
+    exactly the stages the command's tiers assemble — adding a stage to
     the topology adds a row here, with no extra wiring.
     """
-    telemetry = Telemetry()
-    profiler = telemetry.enable_profiler(sample_every=args.sample)
-    stack = _build_live(args, telemetry, selfmon=False, frontend_hwm=10_000)
-    stack.run()
+    episode, _ = _run(args)
+    stack, spec = episode.stack, episode.spec
+    profiler = stack.telemetry.profiler
     print(profiler.render(top_calls=args.top))
     if stack.slo_results:
         _print_slos(stack.slo_results)
@@ -323,13 +467,11 @@ def cmd_prof(args) -> int:
         print(f"wrote collapsed stacks to {args.collapsed} "
               f"(pipe into flamegraph.pl)")
     if args.json:
-        from repro.obs.bench import collect_meta
-
         document = {
             "meta": collect_meta(
-                seed=args.seed,
-                config={"queues": args.queues, "rate": args.rate,
-                        "duration_s": args.duration},
+                seed=spec.seed,
+                config={"queues": spec.stack.queues, "rate": spec.traffic.rate,
+                        "duration_s": spec.traffic.duration_s},
             ),
             "stage_profile": profiler.summary(),
             "batches": profiler.batches,
@@ -344,8 +486,6 @@ def cmd_prof(args) -> int:
 
 def cmd_perf(args) -> int:
     """Benchmark resultset archive tools (``ruru perf <compare|show>``)."""
-    from repro.obs.bench import compare, load_resultset
-
     if args.perf_cmd == "show":
         resultset = load_resultset(args.file)
         meta = resultset.meta
@@ -378,30 +518,7 @@ def _print_catalog(rows) -> None:
 
 
 def cmd_scenario(args) -> int:
-    """The scenario harness (``ruru scenario <list|show|run|batch|compare>``);
-    a bad spec is a usage error: one line on stderr, exit 2."""
-    from repro.scenarios.spec import SpecError
-
-    try:
-        return _scenario(args)
-    except SpecError as exc:
-        print(f"ruru scenario: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _scenario(args) -> int:
-    from repro.obs.bench import load_resultset
-    from repro.scenarios import (
-        GridSpec,
-        baseline_path,
-        compare_scenario,
-        get_scenario,
-        load_library,
-        run_grid,
-        run_scenario,
-    )
-    from repro.scenarios.spec import parse_override_args
-
+    """The scenario harness (``ruru scenario <list|show|run|batch|compare>``)."""
     if args.scenario_cmd == "list":
         specs = load_library()
         rows = []
@@ -500,60 +617,18 @@ def _scenario(args) -> int:
     return 0
 
 
-def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", default="lossy-mq",
-        help="fault profile name (see --list)",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="chaos run seed")
-    parser.add_argument("--duration", type=float, default=8.0, help="seconds of traffic")
-    parser.add_argument("--rate", type=float, default=40.0, help="mean flows per second")
-    parser.add_argument("--queues", type=int, default=2, help="RSS receive queues")
-    parser.add_argument(
-        "--overload", action="store_true",
-        help="enable closed-loop overload control (watermark sensing "
-             "plus the priority shed ladder)",
-    )
+#: The metric families ``chaos --metrics`` prints: the resilience
+#: layer's in process, the shard supervisor's with ``--shards``.
+RESILIENCE_FAMILIES = (
+    "ruru_retry_total", "ruru_breaker_state", "ruru_breaker_opened_total", "ruru_dlq_depth",
+    "ruru_dlq_total", "ruru_supervisor_restarts_total", "ruru_faults_injected_total",
+    "ruru_degraded_published_total", "ruru_shard_restarts_total",
+    "ruru_shard_lost_at_crash_total", "ruru_shard_rerouted_total", "ruru_shard_shed_total",
+)
 
 
-def _run_sharded(
-    args, kill_shard=None, kill_at_batch=None, state_dir=None, fsync=False
-) -> int:
-    """Run a workload through the process-sharded runtime (``--shards``):
-    streamed from the generator, stopped gracefully by SIGINT/SIGTERM."""
-    from repro.core.feed import drive
-    from repro.durability.signals import GracefulShutdown
-    from repro.stack import build_sharded_runtime
-
-    # The shard preset has no fault profile, overload ladder or TSDB:
-    # a flag that configures one is a usage error, not a no-op.
-    parser = args.shard_parser
-    for flag, given in (
-        ("--profile", args.profile != parser.get_default("profile")),
-        ("--overload", args.overload),
-        ("--retention", getattr(args, "retention", None) is not None),
-    ):
-        if given:
-            parser.error(f"--shards does not take {flag}")
-
-    runtime = build_sharded_runtime(
-        shards=args.shards,
-        state_dir=state_dir,
-        policy=args.shard_policy,
-        fsync=fsync,
-    )
-    if kill_shard is not None:
-        runtime.schedule_kill(
-            kill_shard, at_seq=6 if kill_at_batch is None else kill_at_batch
-        )
-    try:
-        with GracefulShutdown() as stop:
-            drive(runtime.offer, _build_generator(args).packets(), stop=stop.requested)
-            report = runtime.drain()
-    finally:
-        runtime.close()
-    if stop.requested():
-        print(f"[{stop.signal_name}] interrupted — drained gracefully")
+def _print_sharded(args, episode) -> int:
+    report, kill_shard = episode.report, episode.spec.shard.kill_shard
     print(
         f"sharded run: {args.shards} worker process(es), "
         f"{report.ledger.ingested} packets"
@@ -563,39 +638,7 @@ def _run_sharded(
     return 0 if report.ok else 1
 
 
-def _add_shard_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="run through the process-sharded runtime with this many "
-             "worker processes (0 = in-process, the default)",
-    )
-    parser.add_argument(
-        "--shard-policy", default="protect-handshakes",
-        choices=("protect-handshakes", "reroute-all"),
-        help="down-shard traffic policy",
-    )
-    # Where _run_sharded reports a misuse of --shards, and reads this
-    # command's own --profile default from.
-    parser.set_defaults(shard_parser=parser)
-
-
-def _run_chaos(args, shutdown_flag=None):
-    from repro.faults import run_chaos
-
-    return run_chaos(
-        args.profile,
-        seed=args.seed,
-        shutdown_flag=shutdown_flag,
-        duration_s=args.duration,
-        rate=args.rate,
-        queues=args.queues,
-        overload=args.overload,
-    )
-
-
 def cmd_chaos(args) -> int:
-    from repro.faults import PROFILES
-
     if args.list:
         _print_catalog([
             (
@@ -609,107 +652,37 @@ def cmd_chaos(args) -> int:
             for name, profile in PROFILES.items()
         ])
         return 0
+    episode, stop = _run(args, folds_errors=not args.shards)
+    _interrupted(stop)
     if args.shards:
-        return _run_sharded(
-            args,
-            kill_shard=args.kill_shard,
-            kill_at_batch=args.kill_at_batch,
-        )
-    from repro.durability.signals import GracefulShutdown
-
-    with GracefulShutdown() as stop:
-        report = _run_chaos(args, shutdown_flag=stop.requested)
-    if stop.requested():
-        print(f"[{stop.signal_name}] interrupted — drained gracefully")
-    print(report.render())
+        code = _print_sharded(args, episode)
+    else:
+        report = ChaosReport.of(episode)
+        print(report.render())
+        code = 0 if report.ok else 1
     if args.metrics:
         print("--- resilience metrics ---")
-        wanted = (
-            "ruru_retry_total",
-            "ruru_breaker_state",
-            "ruru_breaker_opened_total",
-            "ruru_dlq_depth",
-            "ruru_dlq_total",
-            "ruru_supervisor_restarts_total",
-            "ruru_faults_injected_total",
-            "ruru_degraded_published_total",
-        )
-        for line in report.stack.telemetry.registry.exposition().splitlines():
-            if any(line.startswith(name) or name in line for name in wanted):
+        for line in episode.telemetry.registry.exposition().splitlines():
+            if any(line.startswith(name) or name in line for name in RESILIENCE_FAMILIES):
                 print(line)
-    return 0 if report.ok else 1
+    return code
 
 
 def cmd_dlq(args) -> int:
-    report = _run_chaos(args)
-    print(report.stack.resilience.dlq.format_table(limit=args.limit))
+    episode, _ = _run(args, folds_errors=True)
+    report = ChaosReport.of(episode)
+    print(episode.stack.resilience.dlq.format_table(limit=args.limit))
     return 0 if report.ok else 1
-
-
-def _add_durability_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--state-dir", default="ruru-state",
-        help="directory for checkpoints and the TSDB write-ahead log",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=1.0,
-        help="checkpoint cadence in (virtual) seconds",
-    )
-    parser.add_argument(
-        "--keep-checkpoints", type=int, default=2,
-        help="checkpoints retained (older ones are pruned)",
-    )
-    parser.add_argument(
-        "--retention", type=float, default=None,
-        help="TSDB retention window in seconds (default: unlimited)",
-    )
-    parser.add_argument(
-        "--fsync-wal", action="store_true",
-        help="fsync WAL appends and checkpoint writes "
-             "(slower, strictest durability)",
-    )
-
-
-def _durable_knobs(args) -> dict:
-    """What ``live``, ``recover`` and a recovery trial all pass on."""
-    return dict(
-        profile=args.profile,
-        seed=args.seed,
-        duration_s=args.duration,
-        rate=args.rate,
-        queues=args.queues,
-        checkpoint_interval_ns=max(1, int(args.checkpoint_interval * NS_PER_S)),
-        retention_ns=(
-            None if args.retention is None else max(1, int(args.retention * NS_PER_S))
-        ),
-    )
-
-
-def _make_durable_stack(args):
-    from repro.stack import build_durable_stack
-
-    return build_durable_stack(
-        args.state_dir,
-        keep_checkpoints=args.keep_checkpoints,
-        fsync_wal=args.fsync_wal,
-        overload=args.overload,
-        **_durable_knobs(args),
-    )
 
 
 def cmd_live(args) -> int:
     """Run the durable monitor; SIGINT/SIGTERM drain gracefully."""
+    episode, stop = _run(args)
     if args.shards:
-        return _run_sharded(
-            args, state_dir=args.state_dir, fsync=args.fsync_wal
-        )
-    from repro.durability.signals import GracefulShutdown
-
-    stack = _make_durable_stack(args)
-    with GracefulShutdown() as stop:
-        report = stack.run(shutdown_flag=stop.requested)
-    if stop.requested():
-        print(f"[{stop.signal_name}] shutdown requested — drained gracefully")
+        _interrupted(stop)
+        return _print_sharded(args, episode)
+    _interrupted(stop, "shutdown requested")
+    stack, report = episode.stack, episode.report
     print(report.render())
     ckpt = stack.checkpointer
     print(
@@ -723,18 +696,13 @@ def cmd_live(args) -> int:
 
 def cmd_recover(args) -> int:
     """Hot restart from a state directory, or run a recovery trial."""
+    spec = _spec(args)
     if args.trial:
-        from repro.durability.harness import run_recovery_trial
-
-        trial = run_recovery_trial(
-            args.state_dir, args.trial, hit=args.hit, **_durable_knobs(args)
-        )
+        trial = run_recovery_trial(spec, args.trial, hit=args.hit)
         print(trial.render())
         return 0 if trial.ok else 1
 
-    from repro.durability.recovery import recover_runtime
-
-    stack = _make_durable_stack(args)
+    stack = Episode(spec).stack
     report = recover_runtime(stack)
     print(report.render())
     if args.drain:
@@ -745,8 +713,6 @@ def cmd_recover(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from repro.tsdb.ql import execute_statement
-
     db = TimeSeriesDatabase()
     with open(args.file, encoding="utf-8") as handle:
         loaded = db.load_lines(handle)
@@ -774,24 +740,17 @@ def cmd_dump(args) -> int:
             for line in dump(reader, limit=args.count):
                 print(line)
     else:
-        generator = _build_generator(args)
+        spec = _spec(args)
+        generator = build_scenario_generator(spec, spec.seed)
         for line in dump(generator.packets(), limit=args.count):
             print(line)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    from repro.analysis.report import analyze_paths, compare_windows
-    from repro.frontend.heatmap import LatencyBuckets, render_heatmap
-
-    duration_ns = _duration_ns(args)
-    injectors = _build_injectors(
-        args, duration_ns * 2 // 3, max(NS_PER_S, duration_ns // 8)
-    )
-    stack = _build_live(args, injectors=injectors, frontend_hwm=1 << 20)
     measurements = []
-    stack.graph.get("frontend").observers.append(measurements.append)
-    stack.run()
+    episode, _ = _run(args, observers=[measurements.append])
+    stack, duration_ns = episode.stack, episode.spec.traffic.duration_ns
     if not measurements:
         print("no measurements to analyze")
         return 1
@@ -826,270 +785,29 @@ def cmd_analyze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per :data:`COMMANDS` entry ("perf compare" under
+    "perf"), each option as :data:`OPTIONS` declares it."""
     parser = argparse.ArgumentParser(
         prog="ruru",
         description="Ruru reproduction: passive flow-level latency measurement",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p_generate = subparsers.add_parser("generate", help="write a synthetic workload pcap")
-    _add_workload_args(p_generate)
-    p_generate.add_argument("--output", default="ruru-trace.pcap")
-    p_generate.add_argument(
-        "--format", choices=["pcap", "pcapng"], default="pcap",
-        help="capture file format",
-    )
-    p_generate.set_defaults(func=cmd_generate)
-
-    p_measure = subparsers.add_parser("measure", help="measure latency over a trace")
-    _add_workload_args(p_measure)
-    p_measure.add_argument("--pcap", help="trace to replay (generates one if omitted)")
-    p_measure.add_argument("--show", type=int, default=10, help="records to print")
-    p_measure.set_defaults(func=cmd_measure)
-
-    p_demo = subparsers.add_parser("demo", help="full pipeline with analytics + frontends")
-    _add_workload_args(p_demo)
-    p_demo.set_defaults(func=cmd_demo)
-
-    p_detect = subparsers.add_parser("detect", help="run anomaly detection scenarios")
-    _add_workload_args(p_detect)
-    p_detect.add_argument("--glitch", action="store_true", help="inject a firewall glitch")
-    p_detect.add_argument("--flood", action="store_true", help="inject a SYN flood")
-    p_detect.set_defaults(func=cmd_detect)
-
-    p_export = subparsers.add_parser(
-        "export", help="run a workload and export the TSDB as line protocol"
-    )
-    _add_workload_args(p_export)
-    p_export.add_argument("--output", default="ruru-measurements.lp")
-    p_export.add_argument(
-        "--grafana", help="also write the Grafana dashboard JSON here"
-    )
-    p_export.add_argument(
-        "--grafana-selfmon",
-        help="also write the self-monitoring Grafana dashboard JSON here",
-    )
-    p_export.set_defaults(func=cmd_export)
-
-    p_metrics = subparsers.add_parser(
-        "metrics",
-        help="run a workload with telemetry and print the Prometheus exposition",
-    )
-    _add_workload_args(p_metrics)
-    p_metrics.add_argument(
-        "--slo-gate", action="store_true",
-        help="exit non-zero when any SLO is violated",
-    )
-    p_metrics.add_argument(
-        "--slo-config",
-        help="JSON file of declarative SLOs (replaces the default set)",
-    )
-    p_metrics.set_defaults(func=cmd_metrics)
-
-    p_prof = subparsers.add_parser(
-        "prof",
-        help="per-stage profile of the live stack (wall/cpu/virtual, "
-             "sampled call attribution, collapsed-stack export)",
-    )
-    _add_workload_args(p_prof)
-    p_prof.add_argument(
-        "--sample", type=int, default=16,
-        help="attribute calls on every Nth feed batch (0 disables)",
-    )
-    p_prof.add_argument("--top", type=int, default=10,
-                        help="hot call sites to print")
-    p_prof.add_argument(
-        "--collapsed",
-        help="write flamegraph-compatible collapsed stacks to this file",
-    )
-    p_prof.add_argument("--json", help="write the profile summary JSON here")
-    p_prof.set_defaults(func=cmd_prof)
-
-    p_perf = subparsers.add_parser(
-        "perf", help="benchmark resultset archive: compare or show runs"
-    )
-    perf_sub = p_perf.add_subparsers(dest="perf_cmd", required=True)
-    p_compare = perf_sub.add_parser(
-        "compare", help="diff two resultsets with noise-aware thresholds"
-    )
-    p_compare.add_argument("baseline", help="baseline resultset JSON")
-    p_compare.add_argument("current", help="current resultset JSON")
-    p_compare.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="tolerated fractional change before a delta is real",
-    )
-    p_compare.set_defaults(func=cmd_perf)
-    p_show = perf_sub.add_parser("show", help="print one resultset")
-    p_show.add_argument("file", help="resultset JSON")
-    p_show.set_defaults(func=cmd_perf)
-
-    p_scenario = subparsers.add_parser(
-        "scenario",
-        help="declarative scenario harness: list/show/run/batch/compare",
-    )
-    scenario_sub = p_scenario.add_subparsers(dest="scenario_cmd", required=True)
-
-    p_sc_list = scenario_sub.add_parser(
-        "list", help="list the scenario library with descriptions"
-    )
-    p_sc_list.set_defaults(func=cmd_scenario)
-
-    p_sc_show = scenario_sub.add_parser(
-        "show", help="print one scenario spec as JSON"
-    )
-    p_sc_show.add_argument("name", help="library name or spec file path")
-    p_sc_show.set_defaults(func=cmd_scenario)
-
-    p_sc_run = scenario_sub.add_parser(
-        "run", help="run one scenario through the stage-graph runtime"
-    )
-    p_sc_run.add_argument("name", help="library name or spec file path")
-    p_sc_run.add_argument("--seed", type=int, help="override the spec's seed")
-    p_sc_run.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="dotted-path spec override, e.g. traffic.rate=80 (repeatable)",
-    )
-    p_sc_run.add_argument(
-        "--profile-stages", action="store_true",
-        help="archive the per-stage timing summary with the resultset",
-    )
-    p_sc_run.add_argument("--out", help="write the resultset JSON here")
-    p_sc_run.set_defaults(func=cmd_scenario)
-
-    p_sc_batch = scenario_sub.add_parser(
-        "batch", help="run a resumable (scenario x seed x override) grid"
-    )
-    p_sc_batch.add_argument(
-        "scenarios", nargs="*",
-        help="scenario names (default: the whole library)",
-    )
-    p_sc_batch.add_argument(
-        "--seeds", default="7", help="comma-separated seed axis"
-    )
-    p_sc_batch.add_argument(
-        "--variant", action="append", metavar="NAME:KEY=VALUE[,KEY=VALUE]",
-        help="named override variant added to the base grid (repeatable)",
-    )
-    p_sc_batch.add_argument(
-        "--out", default="ruru-grid", help="archive root directory"
-    )
-    p_sc_batch.add_argument(
-        "--no-resume", action="store_true",
-        help="re-run every cell even when its archive exists",
-    )
-    p_sc_batch.add_argument(
-        "--max-cells", type=int,
-        help="stop after this many executed cells (interruption testing)",
-    )
-    p_sc_batch.set_defaults(func=cmd_scenario)
-
-    p_sc_compare = scenario_sub.add_parser(
-        "compare",
-        help="run scenarios fresh and gate against the committed baselines",
-    )
-    p_sc_compare.add_argument(
-        "names", nargs="*",
-        help="scenario names (default: the whole library)",
-    )
-    p_sc_compare.add_argument(
-        "--baseline-dir",
-        help="baseline directory (default: benchmarks/baselines/scenarios)",
-    )
-    p_sc_compare.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="tolerated fractional change for non-exact metrics",
-    )
-    p_sc_compare.add_argument(
-        "--write", action="store_true",
-        help="write fresh baselines instead of comparing",
-    )
-    p_sc_compare.set_defaults(func=cmd_scenario)
-
-    p_dump = subparsers.add_parser(
-        "dump", help="print packets tcpdump-style"
-    )
-    _add_workload_args(p_dump)
-    p_dump.add_argument("--pcap", help="capture to read (generates if omitted)")
-    p_dump.add_argument("--count", type=int, default=20, help="lines to print")
-    p_dump.set_defaults(func=cmd_dump)
-
-    p_analyze = subparsers.add_parser(
-        "analyze", help="mixture fits, drift and heatmap over a workload"
-    )
-    _add_workload_args(p_analyze)
-    p_analyze.add_argument("--glitch", action="store_true",
-                           help="inject a firewall glitch to analyze")
-    p_analyze.add_argument("--top", type=int, default=8,
-                           help="paths to show per section")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_chaos = subparsers.add_parser(
-        "chaos",
-        help="replay a workload under a fault profile and check invariants",
-    )
-    _add_chaos_args(p_chaos)
-    _add_shard_args(p_chaos)
-    p_chaos.add_argument(
-        "--kill-shard", type=int, default=None, metavar="S",
-        help="with --shards: SIGKILL this worker shard mid-run and "
-             "check recovery + ledger conservation",
-    )
-    p_chaos.add_argument(
-        "--kill-at-batch", type=int, default=None, metavar="N",
-        help="batch sequence number at which the kill fires (default 6)",
-    )
-    p_chaos.add_argument(
-        "--list", action="store_true", help="list fault profiles and exit"
-    )
-    p_chaos.add_argument(
-        "--metrics", action="store_true",
-        help="also print the resilience metric families",
-    )
-    p_chaos.set_defaults(func=cmd_chaos)
-
-    p_dlq = subparsers.add_parser(
-        "dlq", help="inspect the dead-letter queue after a chaos run"
-    )
-    _add_chaos_args(p_dlq)
-    p_dlq.add_argument("--limit", type=int, default=20, help="letters to show")
-    p_dlq.set_defaults(func=cmd_dlq)
-
-    p_live = subparsers.add_parser(
-        "live",
-        help="run the durable monitor with checkpoints, WAL and graceful drain",
-    )
-    _add_chaos_args(p_live)
-    _add_shard_args(p_live)
-    _add_durability_args(p_live)
-    p_live.set_defaults(func=cmd_live, profile="clean")
-
-    p_recover = subparsers.add_parser(
-        "recover",
-        help="hot-restart from a state directory (or run a recovery trial)",
-    )
-    _add_chaos_args(p_recover)
-    _add_durability_args(p_recover)
-    p_recover.add_argument(
-        "--drain", action="store_true",
-        help="after recovering, drain gracefully to a clean checkpoint",
-    )
-    p_recover.add_argument(
-        "--trial", metavar="CRASH_POINT",
-        help="instead: run a kill-anywhere trial crashing at this point",
-    )
-    p_recover.add_argument(
-        "--hit", type=int, default=3,
-        help="which pass over the crash point fires the trial's crash",
-    )
-    p_recover.set_defaults(func=cmd_recover, profile="clean")
-
-    p_query = subparsers.add_parser(
-        "query", help="run an InfluxQL-style query against an export"
-    )
-    p_query.add_argument("--file", required=True, help="line-protocol file")
-    p_query.add_argument("query", help="e.g. \"SELECT mean(total_ms) FROM latency\"")
-    p_query.set_defaults(func=cmd_query)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (help_text, base, options) in COMMANDS.items():
+        *group, leaf = name.split()
+        sub = groups[" ".join(group)].add_parser(leaf, help=help_text)
+        if not options and base is None and not group:
+            groups[name] = sub.add_subparsers(dest=f"{name}_cmd", required=True)
+            continue
+        defaults = _base_document(name) if base is not None else {}
+        for option in options:
+            flag, default = option if isinstance(option, tuple) else (option, None)
+            path, definition = OPTIONS[flag]
+            if isinstance(option, tuple):
+                definition = {**definition, "default": default}
+            elif path is not None:
+                definition = {**definition, "default": _lookup(defaults, path)}
+            sub.add_argument(flag, **definition)
+        sub.set_defaults(func=globals()[f"cmd_{(group or [leaf])[0]}"])
     return parser
 
 
@@ -1097,6 +815,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SpecError as exc:
+        # A flag, override or spec the run would not honour.
+        print(f"ruru {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; not an error. Detach
         # stdout so the interpreter's shutdown flush doesn't re-raise.

@@ -18,8 +18,9 @@ accounted-for loss:
   the virtual clock) persisting flow tables, aggregators, anomaly
   baselines, the resilience ledger and the DLQ; atomic writes, with
   fallback to the newest *valid* checkpoint on corruption.
-* the assembled stack itself is the ``durable`` preset,
-  :func:`repro.stack.build_durable_stack`: graceful drain
+* the assembled stack itself is a spec with the durable tier
+  (``ruru live``'s, built by :class:`repro.scenarios.runner.Episode`):
+  graceful drain
   (:meth:`repro.stack.RuruStack.drain`) and the ``ruru_checkpoint_*`` /
   ``ruru_wal_*`` / ``ruru_recovery_*`` metrics live there.
 * :mod:`~repro.durability.recovery` — hot restart: load the latest

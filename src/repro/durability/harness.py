@@ -32,17 +32,18 @@ Invariants asserted per (profile, seed, crash_point):
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core import feed
 from repro.durability.recovery import RecoveryReport, recover_runtime
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
-from repro.faults.profiles import FaultProfile
 from repro.resilience.invariants import Ledger
-from repro.stack.builder import DrainReport, RuruStack, build_durable_stack
-
-NS_PER_S = 1_000_000_000
+from repro.scenarios.runner import Episode
+from repro.scenarios.spec import ScenarioSpec
+from repro.stack.builder import DrainReport, RuruStack
 
 
 @dataclass
@@ -115,56 +116,23 @@ class RecoveryTrial:
 
 
 class RecoveryHarness:
-    """Runs kill-anywhere trials against one state directory.
+    """Runs kill-anywhere trials of one spec against its state directory.
 
     Args:
-        state_dir: scratch directory; each trial wipes and reuses it.
-        profile / seed: workload + fault identity (the trial triple's
-            first two coordinates).
-        duration_s / rate / queues: scenario shape — kept small enough
-            that a full sweep over every crash point stays fast.
-        checkpoint_interval_ns: periodic checkpoint cadence.
-        retention_ns: optional TSDB retention, for the
-            points-past-retention-at-recovery tests.
+        spec: the run — a spec with the durable tier (``ruru recover``'s);
+            its ``durable.state_dir`` is the scratch directory each trial
+            wipes and reuses, and its seed and fault profile are the
+            trial triple's first two coordinates.
     """
 
-    def __init__(
-        self,
-        state_dir: str,
-        profile: Union[str, FaultProfile] = "clean",
-        seed: int = 42,
-        duration_s: float = 6.0,
-        rate: float = 30.0,
-        queues: int = 2,
-        checkpoint_interval_ns: int = NS_PER_S,
-        retention_ns: Optional[int] = None,
-    ):
-        self.state_dir = str(state_dir)
-        self.profile = profile
-        self.seed = seed
-        self.duration_s = duration_s
-        self.rate = rate
-        self.queues = queues
-        self.checkpoint_interval_ns = checkpoint_interval_ns
-        self.retention_ns = retention_ns
+    def __init__(self, spec: ScenarioSpec):
+        self.spec = spec
+        self.state_dir = spec.durable.state_dir
 
     def _make_stack(self, crash_schedule=None) -> RuruStack:
-        return build_durable_stack(
-            self.state_dir,
-            profile=self.profile,
-            seed=self.seed,
-            duration_s=self.duration_s,
-            rate=self.rate,
-            queues=self.queues,
-            checkpoint_interval_ns=self.checkpoint_interval_ns,
-            retention_ns=self.retention_ns,
-            crash_schedule=crash_schedule,
-        )
+        return Episode(self.spec, crash_schedule=crash_schedule).stack
 
     def _wipe_state_dir(self) -> None:
-        import os
-        import shutil
-
         if os.path.isdir(self.state_dir):
             shutil.rmtree(self.state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
@@ -200,23 +168,21 @@ class RecoveryHarness:
             victim.drain()
         except SimulatedCrash:
             crashed = True
-        crash_passes = schedule.passes.get(crash_point, 0)
         observed_at_crash = observed["count"]
         del victim  # dead memory
-
+        trial = dict(
+            profile=self.spec.faults.resolve().name,
+            seed=self.spec.seed,
+            crash_point=crash_point,
+            hit=hit,
+            crashed=crashed,
+            crash_passes=schedule.passes.get(crash_point, 0),
+            observed_at_crash=observed_at_crash,
+        )
         if not crashed:
             return RecoveryTrial(
-                profile=str(getattr(self.profile, "name", self.profile)),
-                seed=self.seed,
-                crash_point=crash_point,
-                hit=hit,
-                crashed=False,
-                crash_passes=crash_passes,
-                observed_at_crash=observed_at_crash,
-                recovery=None,
-                double_replay_applied=0,
-                final_ledger=None,
-                final_drain=None,
+                **trial, recovery=None, double_replay_applied=0,
+                final_ledger=None, final_drain=None,
             )
 
         # The restarted process: same directory, fresh everything else.
@@ -245,36 +211,16 @@ class RecoveryHarness:
             scope="durability",
         )
         return RecoveryTrial(
-            profile=str(getattr(self.profile, "name", self.profile)),
-            seed=self.seed,
-            crash_point=crash_point,
-            hit=hit,
-            crashed=True,
-            crash_passes=crash_passes,
-            observed_at_crash=observed_at_crash,
+            **trial,
             recovery=recovery,
             double_replay_applied=double_replay_applied,
             final_ledger=final_ledger,
             final_drain=final_drain,
         )
 
-    def sweep(self, hit: int = 1) -> Dict[str, RecoveryTrial]:
-        """One trial per registered crash point."""
-        return {
-            point: self.run_trial(point, hit=hit) for point in CRASH_POINTS
-        }
-
 
 def run_recovery_trial(
-    state_dir: str,
-    crash_point: str,
-    profile: Union[str, FaultProfile] = "clean",
-    seed: int = 42,
-    hit: int = 1,
-    **kwargs,
+    spec: ScenarioSpec, crash_point: str, hit: int = 1
 ) -> RecoveryTrial:
     """One-call trial (what the CLI smoke and CI use)."""
-    harness = RecoveryHarness(
-        state_dir=state_dir, profile=profile, seed=seed, **kwargs
-    )
-    return harness.run_trial(crash_point, hit=hit)
+    return RecoveryHarness(spec).run_trial(crash_point, hit=hit)

@@ -1,8 +1,9 @@
 """Hot restart: checkpoint load, WAL replay, ledger reconciliation.
 
 ``ruru recover`` and the kill-anywhere harness both come through
-:func:`recover_runtime`. Given a freshly built ``durable`` stack
-(:func:`repro.stack.build_durable_stack`) pointed at a state directory
+:func:`recover_runtime`. Given a freshly built stack with the durable
+tier (``ruru live``'s spec, built by
+:class:`repro.scenarios.runner.Episode`) pointed at a state directory
 the dead process left behind, it
 
 1. finds the newest checkpoint that decodes cleanly (torn or

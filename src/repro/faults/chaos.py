@@ -1,11 +1,12 @@
 """Chaos runs: a full Ruru stack run under a named fault profile.
 
 ``ruru chaos --profile lossy-mq --seed 42`` and the chaos pytest suite
-both come through :func:`run_chaos`. The ``chaos`` stack preset wires
-every fault adapter into a real pipeline + analytics + resilience
-stack; the run replays its seeded traffic scenario along the stage
-graph and produces a :class:`ChaosReport` that answers the three
-questions that matter:
+both run one episode of a spec with the faults tier
+(:class:`repro.scenarios.runner.Episode`), which wires every fault
+adapter into a real pipeline + analytics + resilience stack and replays
+its seeded traffic along the stage graph; :meth:`ChaosReport.of` folds
+the drained episode into the report that answers the three questions
+that matter:
 
 1. **Did it survive?** — zero unhandled exceptions.
 2. **Is every record accounted for?** — the count-conservation
@@ -21,7 +22,7 @@ identical counts, which the determinism check in the report verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.profiles import FaultProfile
 from repro.resilience import Ledger
@@ -37,7 +38,6 @@ class ChaosReport:
     seed: int
     unhandled: List[str]
     ledger: Ledger
-    pipeline_summary: Dict[str, float]
     faults_injected: Dict[Tuple[str, str], int]
     dlq_depth: int
     dlq_total: int
@@ -144,65 +144,57 @@ class ChaosReport:
         lines.append("verdict: " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines)
 
+    @classmethod
+    def of(cls, episode) -> "ChaosReport":
+        """Fold a drained in-process episode that has the faults and
+        analytics tiers (a :class:`repro.scenarios.runner.Episode`)."""
+        stack = episode.stack
+        res = stack.resilience
+        return cls(
+            profile=stack.profile,
+            seed=episode.seed,
+            unhandled=[] if episode.error is None else [repr(episode.error)],
+            ledger=stack.service.conservation_ledger(),
+            faults_injected=dict(stack.injector.injected),
+            dlq_depth=len(res.dlq),
+            dlq_total=res.dlq.total,
+            dlq_summary=res.dlq.summary(),
+            supervisor_restarts=stack.supervisor.total_restarts,
+            retries=res.retries,
+            degraded_published=res.degraded_published,
+            points_written=res.points_written,
+            points_lost=res.points_lost,
+            breaker_opened={
+                breaker.name: breaker.opened_count for breaker in res.breakers
+            },
+            breaker_recovery_ns={
+                breaker.name: breaker.recovery_times_ns()
+                for breaker in res.breakers
+            },
+            frontend_received=stack.frontend_received,
+            frontend_degraded=stack.frontend_degraded,
+            overload_summary=(
+                stack.overload.summary() if stack.overload is not None else None
+            ),
+            stack=stack,
+        )
 
-def run_chaos(
-    profile: Union[str, FaultProfile],
-    seed: int = 42,
-    shutdown_flag=None,
-    **kwargs,
-) -> ChaosReport:
-    """Run the ``chaos`` stack preset under *profile*; never raises.
+
+def run_chaos(spec, shutdown_flag=None) -> ChaosReport:
+    """Run *spec* (a :class:`repro.scenarios.spec.ScenarioSpec` with the
+    faults and analytics tiers — ``ruru chaos``'s) as one episode and
+    fold it; an exception during the run is the report's, not raised.
 
     Args:
-        profile: a registered profile name or a :class:`FaultProfile`.
-        seed: drives the workload, every fault decision stream, and
-            retry jitter — the whole run replays from this one number.
+        spec: the episode; its seed drives the workload, every fault
+            decision stream, and retry jitter — the whole run replays
+            from this one number.
         shutdown_flag: optional zero-arg callable polled between feed
             batches; truthy → stop feeding and drain what is already
-            in flight (``ruru chaos`` wires SIGINT/SIGTERM here, so an
-            interrupted chaos run still reconciles).
-        **kwargs: the rest of :func:`repro.stack.build_chaos_stack`'s
-            arguments (``duration_s``, ``rate``, ``queues``,
-            ``telemetry``, ``overload``).
+            in flight, so an interrupted chaos run still reconciles.
     """
-    # Lazy: repro.stack.builder imports the fault adapters, which
-    # land back in this package's __init__.
-    from repro.stack.builder import build_chaos_stack
+    # Lazy: the runner builds through repro.stack.builder, which imports
+    # the fault adapters, which land back in this package's __init__.
+    from repro.scenarios.runner import Episode
 
-    stack = build_chaos_stack(profile, seed=seed, **kwargs)
-    unhandled: List[str] = []
-    try:
-        stack.run(shutdown_flag=shutdown_flag)
-    except Exception as exc:  # noqa: BLE001 — the report carries it
-        unhandled.append(repr(exc))
-
-    res = stack.resilience
-    return ChaosReport(
-        profile=stack.profile,
-        seed=seed,
-        unhandled=unhandled,
-        ledger=stack.service.conservation_ledger(),
-        pipeline_summary=stack.pipeline.stats_snapshot().summary(),
-        faults_injected=dict(stack.injector.injected),
-        dlq_depth=len(res.dlq),
-        dlq_total=res.dlq.total,
-        dlq_summary=res.dlq.summary(),
-        supervisor_restarts=stack.supervisor.total_restarts,
-        retries=res.retries,
-        degraded_published=res.degraded_published,
-        points_written=res.points_written,
-        points_lost=res.points_lost,
-        breaker_opened={
-            breaker.name: breaker.opened_count for breaker in res.breakers
-        },
-        breaker_recovery_ns={
-            breaker.name: breaker.recovery_times_ns()
-            for breaker in res.breakers
-        },
-        frontend_received=stack.frontend_received,
-        frontend_degraded=stack.frontend_degraded,
-        overload_summary=(
-            stack.overload.summary() if stack.overload is not None else None
-        ),
-        stack=stack,
-    )
+    return ChaosReport.of(Episode(spec).run(stop=shutdown_flag))

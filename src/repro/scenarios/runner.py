@@ -1,13 +1,15 @@
-"""Execute one scenario spec: the one scenario runner.
+"""Execute one scenario spec: the one episode and the one scenario runner.
 
-The runner is deliberately thin: all wiring comes from
-:mod:`repro.stack.builder` (the composition root), every episode is the
-driver of :mod:`repro.core.feed` then the target's ``drain`` — the same
-two calls every CLI command and chaos run makes — and the outcome is
-folded into one :class:`repro.obs.bench.Resultset` plus a list of
-correctness checks. The target is the in-process stack, or real worker
-processes when the spec's ``[shard]`` table asks for them; only the
-middle (build, fold metrics, target checks) differs.
+:class:`Episode` is the only place a spec becomes a running system:
+the spec's traffic axis becomes a generator, its tiers become a
+:class:`~repro.stack.builder.StackBuilder` chain (or, when the spec's
+``[shard]`` table asks for worker processes, a sharded runtime), and
+:meth:`Episode.run` is the driver of :mod:`repro.core.feed` then the
+target's ``drain``. Everything that runs a stack is an episode plus a
+fold of what it left behind: :func:`run_scenario` folds it into one
+:class:`repro.obs.bench.Resultset` plus a list of correctness checks,
+a chaos run into a :class:`~repro.faults.chaos.ChaosReport`, a ``ruru``
+command into its printout.
 
 Everything the resultset's ``metrics`` section carries is
 *deterministic*: same (spec, seed) → byte-identical metrics and
@@ -22,7 +24,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.config import PipelineConfig
 from repro.core.feed import drive
@@ -30,13 +32,18 @@ from repro.obs import Telemetry
 from repro.obs.bench import Resultset, collect_meta
 from repro.overload import CLASSES, HANDSHAKE, PAYLOAD
 from repro.resilience import Ledger
-from repro.scenarios.spec import EVENT_KINDS, ScenarioSpec, apply_overrides
+from repro.scenarios.spec import EVENT_KINDS, ScenarioSpec, SpecError, apply_overrides
 from repro.stack.builder import StackBuilder, build_sharded_runtime
 from repro.traffic.diurnal import DiurnalProfile
 from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 from repro.traffic.endpoints import EndpointPopulation
+from repro.tsdb.database import TimeSeriesDatabase
 
 NS_PER_S = 1_000_000_000
+
+
+def _ns(seconds: float) -> int:
+    return int(seconds * NS_PER_S)
 
 
 def build_scenario_generator(
@@ -65,6 +72,141 @@ def build_scenario_generator(
         population=EndpointPopulation(),
         injectors=injectors,
     )
+
+
+class Episode:
+    """One run of a spec: its traffic and its target, built once.
+
+    Construction builds the generator and the target — the in-process
+    :attr:`stack`, or the sharded :attr:`runtime` — and a spec the
+    builder refuses is a :class:`SpecError`. A ``crash_schedule`` arms
+    the durable tier's crash points (the recovery harness's victim).
+    :meth:`run` drives and drains; an exception it meets is kept on
+    :attr:`error` for the fold to judge.
+    """
+
+    def __init__(self, spec: ScenarioSpec, seed: Optional[int] = None, crash_schedule=None):
+        self.spec = spec
+        self.seed = spec.seed if seed is None else int(seed)
+        self.generator = build_scenario_generator(spec, self.seed)
+        self.stack = self.runtime = None
+        self.report = None  # the DrainReport, or the ShardRunReport
+        self.error: Optional[Exception] = None
+        self.elapsed_s = 0.0
+        if spec.shard.enabled:
+            self.telemetry = Telemetry()
+            self.runtime = self._build_runtime()
+        else:
+            self.stack = self._build_stack(crash_schedule)
+            self.telemetry = self.stack.telemetry
+
+    def _build_stack(self, crash_schedule):
+        spec, shape = self.spec, self.spec.stack
+        builder = StackBuilder().generator(self.generator).queues(shape.queues)
+        if shape.queue_capacity is not None:
+            builder.pipeline_config(
+                PipelineConfig(num_queues=shape.queues, queue_capacity=shape.queue_capacity)
+            )
+        durable = spec.durable
+        calls = {
+            "analytics": lambda: builder.analytics(num_workers=shape.analytics_workers),
+            "faults": lambda: builder.faults(spec.faults.resolve(), seed=self.seed),
+            "durable": lambda: builder.durable(
+                durable.state_dir or tempfile.mkdtemp(prefix="ruru-state-"),
+                checkpoint_interval_ns=_ns(durable.checkpoint_interval_s),
+                keep_checkpoints=durable.keep_checkpoints,
+                retention_ns=None if durable.retention_s is None else _ns(durable.retention_s),
+                crash_schedule=crash_schedule,
+                fsync_wal=durable.fsync_wal,
+            ),
+            "overload": lambda: builder.overload(**{
+                knob: getattr(spec.overload, knob)
+                for knob in ("low", "high", "up_dwell_ms", "down_dwell_ms",
+                             "sampled_modulus", "snap_len")
+            }),
+            "telemetry": lambda: builder.telemetry(Telemetry()),
+            "anomaly": builder.anomaly,
+            "topk": lambda: builder.topk(capacity=shape.topk),
+            "frontend": lambda: builder.frontend(hwm=shape.frontend_hwm),
+        }
+        for tier in spec.tiers:
+            calls[tier]()
+        try:
+            stack = builder.build()
+            telemetry, interval_s = stack.telemetry, spec.telemetry.interval_s
+            if telemetry is not None:
+                telemetry.enable_profiler(spec.telemetry.sample_every)
+            if telemetry is not None and interval_s is not None:
+                store = stack.tsdb if stack.tsdb is not None else TimeSeriesDatabase()
+                telemetry.export_to(store, interval_ns=_ns(interval_s))
+        except ValueError as exc:  # a tier without its input, a bad setting
+            raise SpecError(str(exc)) from None
+        return stack
+
+    def _build_runtime(self):
+        """One OS process per RX queue, with an optional scheduled SIGKILL.
+        Dispatch is lock-step and a dead shard rejoins by virtual round,
+        so every count the run produces is a function of (spec, seed)."""
+        shard = self.spec.shard
+        state_dir = None
+        if shard.durable:
+            state_dir = self.spec.durable.state_dir or tempfile.mkdtemp(prefix="ruru-shard-")
+        runtime = build_sharded_runtime(
+            shards=shard.shards,
+            telemetry=self.telemetry,
+            config=PipelineConfig(num_queues=shard.shards),
+            state_dir=state_dir,
+            policy=shard.policy,
+            checkpoint_every_batches=shard.checkpoint_every_batches,
+            restart_delay_batches=shard.restart_delay_batches,
+            max_restarts_per_shard=shard.max_restarts,
+            fsync=self.spec.durable.fsync_wal,
+        )
+        if shard.kill_shard is not None:
+            runtime.schedule_kill(shard.kill_shard, at_seq=shard.kill_at_batch)
+        return runtime
+
+    def run(
+        self,
+        packets: Optional[Iterable] = None,
+        stop=None,
+        observers: Iterable = (),
+    ) -> "Episode":
+        """Feed the target, then drain it.
+
+        Args:
+            packets: a capture to replay instead of the spec's traffic.
+            stop: zero-arg callable polled between batches; truthy →
+                stop feeding and drain (the SIGINT/SIGTERM path).
+            observers: callables handed every measurement the frontend
+                receives (the live map, a capture list).
+        """
+        if self.stack is not None and observers:
+            self.stack.graph.get("frontend").observers.extend(observers)
+        started = time.perf_counter()
+        try:
+            if self.runtime is not None:
+                try:
+                    drive(
+                        self.runtime.offer,
+                        self.generator.packets() if packets is None else packets,
+                        size=self.spec.shard.batch_size,
+                        stop=stop,
+                    )
+                    self.report = self.runtime.drain()
+                finally:
+                    self.runtime.close()
+            else:
+                window_ms = self.spec.stack.feed_window_ms
+                self.report = self.stack.run(
+                    packets,
+                    shutdown_flag=stop,
+                    window_ns=None if window_ms is None else int(window_ms * 1_000_000),
+                )
+        except Exception as exc:  # noqa: BLE001 — the fold judges it
+            self.error = exc
+        self.elapsed_s = time.perf_counter() - started
+        return self
 
 
 @dataclass
@@ -108,13 +250,16 @@ class ScenarioResult:
             f"  flows={self.metric('scenario.flows'):,.0f} "
             f"packets={self.metric('scenario.packets_offered'):,.0f} "
             f"measurements={self.metric('scenario.measurements'):,.0f}",
-            f"  ledger: ingested={self.metric('ledger.ingested'):,.0f} "
-            f"processed={self.metric('ledger.processed'):,.0f} "
-            f"dropped={self.metric('ledger.dropped'):,.0f} "
-            f"deadlettered={self.metric('ledger.deadlettered'):,.0f} "
-            f"(balance {self.metric('ledger.balance'):+,.0f})",
         ]
-        if self.metric("overload.level_max") is not None:
+        if self.metric("ledger.ingested") is not None:
+            lines.append(
+                f"  ledger: ingested={self.metric('ledger.ingested'):,.0f} "
+                f"processed={self.metric('ledger.processed'):,.0f} "
+                f"dropped={self.metric('ledger.dropped'):,.0f} "
+                f"deadlettered={self.metric('ledger.deadlettered'):,.0f} "
+                f"(balance {self.metric('ledger.balance'):+,.0f})"
+            )
+        if self.metric("oledger.balance") is not None:
             lines.append(
                 f"  overload: level_max={self.metric('overload.level_max'):.0f} "
                 f"transitions={self.metric('overload.transitions'):.0f} "
@@ -148,87 +293,53 @@ def _conserves(name: str, ledger: Ledger) -> Check:
     return Check(name, ledger.ok, "" if ledger.ok else str(ledger))
 
 
-def _stack_episode(spec: ScenarioSpec, run_seed: int, generator, profile_stages):
-    """The in-process target, as the pair every target hands back:
-    ``run()`` feeds and drains the episode; ``fold(exact, resultset)``
-    then records the target's metrics and returns its anomaly events and
-    its own checks."""
-    telemetry = Telemetry()
-    builder = (
-        StackBuilder()
-        .generator(generator)
-        .queues(spec.stack.queues)
-        .telemetry(telemetry)
-        .analytics(num_workers=spec.stack.analytics_workers)
-        .anomaly()
-        .frontend(hwm=spec.stack.frontend_hwm)
-        .faults(spec.faults.resolve(), seed=run_seed)
-    )
-    if spec.stack.topk is not None:
-        builder.topk(capacity=spec.stack.topk)
-    if spec.stack.queue_capacity is not None:
-        builder.pipeline_config(
-            PipelineConfig(
-                num_queues=spec.stack.queues,
-                queue_capacity=spec.stack.queue_capacity,
-            )
-        )
-    if spec.overload.enabled:
-        builder.overload(
-            low=spec.overload.low,
-            high=spec.overload.high,
-            up_dwell_ms=spec.overload.up_dwell_ms,
-            down_dwell_ms=spec.overload.down_dwell_ms,
-            sampled_modulus=spec.overload.sampled_modulus,
-            snap_len=spec.overload.snap_len,
-        )
-    stack = builder.build()
-
-    def run() -> None:
-        stack.run(
-            window_ns=(
-                int(spec.stack.feed_window_ms * 1_000_000)
-                if spec.stack.feed_window_ms is not None
-                else None
-            )
-        )
-
-    def fold(exact, resultset: Resultset) -> Tuple[list, List[Check]]:
-        stats = stack.pipeline.stats_snapshot()
-        ledger = stack.service.conservation_ledger()
+def _fold_stack(episode: Episode, exact, resultset: Resultset, profile_stages):
+    """The in-process target's metrics; returns its anomaly events and
+    its own checks. A tier the spec left out folds nothing."""
+    spec, stack = episode.spec, episode.stack
+    stats = stack.pipeline.stats_snapshot()
+    events = []
+    if stack.anomaly is not None:
         end_ns = spec.traffic.start_ns + spec.traffic.duration_ns
         events = stack.anomaly.finish(now_ns=max(end_ns, stack.now_ns))
-        event_counts = {kind: 0 for kind in EVENT_KINDS}
-        for event in events:
-            event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
+    event_counts = {kind: 0 for kind in EVENT_KINDS}
+    for event in events:
+        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
 
-        exact("scenario.packets_offered", stats.packets_offered, unit="packets")
-        exact("scenario.measurements", stats.measurements, unit="records")
-        exact("scenario.enriched", stack.service.enriched_count, unit="records")
+    exact("scenario.packets_offered", stats.packets_offered, unit="packets")
+    exact("scenario.measurements", stats.measurements, unit="records")
+    checks = []
+    ledger = oledger = None
+    service, resilience = stack.service, stack.resilience
+    if service is not None:
+        ledger = service.conservation_ledger()
+        exact("scenario.enriched", service.enriched_count, unit="records")
         exact("scenario.tsdb_points", stack.tsdb.total_points(), unit="points")
         _fold_ledger(exact, ledger)
-        exact("frontend.received", stack.frontend_received)
-        exact("frontend.degraded", stack.frontend_degraded)
-        exact(
-            "faults.injected_total",
-            sum(stack.injector.injected.values()) if stack.injector else 0,
-        )
-        exact("resilience.degraded_published", stack.resilience.degraded_published)
-        exact("resilience.dlq_total", stack.resilience.dlq.total)
-        exact("resilience.retries", stack.resilience.retries)
-        controller = stack.overload
-        oledger = None
-        if controller is not None:
-            exact("overload.level", controller.level)
-            exact("overload.level_max", controller.level_max)
-            exact("overload.transitions", len(controller.transitions))
-            for klass in sorted(CLASSES):
-                exact(f"overload.offered.{klass}", controller.offered[klass])
-                exact(f"overload.admitted.{klass}", controller.admitted[klass])
-                exact(f"overload.shed.{klass}", controller.shed_total(klass=klass))
-            exact("overload.truncated", controller.truncated)
-            exact("overload.ring_displacements", controller.ring_displacements)
-            exact("overload.mq_offered", controller.mq_offered)
+        checks.append(_conserves("ledger-conserves", ledger))
+    exact("frontend.received", stack.frontend_received)
+    exact("frontend.degraded", stack.frontend_degraded)
+    exact(
+        "faults.injected_total",
+        sum(stack.injector.injected.values()) if stack.injector else 0,
+    )
+    if resilience is not None:
+        exact("resilience.degraded_published", resilience.degraded_published)
+        exact("resilience.dlq_total", resilience.dlq.total)
+        exact("resilience.retries", resilience.retries)
+    controller = stack.overload
+    if controller is not None:
+        exact("overload.level", controller.level)
+        exact("overload.level_max", controller.level_max)
+        exact("overload.transitions", len(controller.transitions))
+        for klass in sorted(CLASSES):
+            exact(f"overload.offered.{klass}", controller.offered[klass])
+            exact(f"overload.admitted.{klass}", controller.admitted[klass])
+            exact(f"overload.shed.{klass}", controller.shed_total(klass=klass))
+        exact("overload.truncated", controller.truncated)
+        exact("overload.ring_displacements", controller.ring_displacements)
+        exact("overload.mq_offered", controller.mq_offered)
+        if ledger is not None:
             oledger = Ledger.from_parts(
                 controller.mq_offered,
                 ledger,
@@ -237,154 +348,123 @@ def _stack_episode(spec: ScenarioSpec, run_seed: int, generator, profile_stages)
             exact("oledger.ingested", oledger.ingested)
             exact("oledger.shed", oledger.shed)
             exact("oledger.balance", oledger.balance)
-            resultset.meta["overload"] = controller.summary()
-            resultset.meta["overload_transitions"] = [
-                str(transition) for transition in controller.transitions
-            ]
-        exact("events.total", len(events), unit="events")
-        for kind in sorted(event_counts):
-            exact(f"events.{kind}", event_counts[kind], unit="events")
-        if profile_stages:
-            resultset.stage_profile = dict(telemetry.profiler.summary())
-
-        checks = [_conserves("ledger-conserves", ledger)]
-        if controller is not None:
-            # Frame-level sheds split into rejected-at-offer frames
-            # (packets_shed) and queued-then-evicted victims
-            # (ring_displacements); MQ-stage sheds are records, not frames.
-            frame_shed = controller.shed_total() - controller.shed_total(stage="mq")
-            attributed = stats.packets_shed + controller.ring_displacements
-            packet_balance = stats.packets_offered - (
-                stats.packets_queued + stats.nic_drops + stats.packets_shed
-            )
-            queued_balance = stats.packets_queued - (
-                stats.packets_processed + controller.ring_displacements
-            )
-            checks.append(
-                Check(
-                    "packet-ledger-conserves",
-                    packet_balance == 0
-                    and queued_balance == 0
-                    and attributed == frame_shed,
-                    f"offer balance {packet_balance:+d}, "
-                    f"queue balance {queued_balance:+d}, "
-                    f"shed {attributed} vs attributed {frame_shed}",
-                )
-            )
-            checks.append(_conserves("overload-ledger-conserves", oledger))
-            if spec.overload.handshake_shed_max_ratio is not None:
-                ratio = controller.shed_ratio(HANDSHAKE)
-                limit = spec.overload.handshake_shed_max_ratio
-                checks.append(
-                    Check(
-                        "handshake-shed-bounded",
-                        ratio <= limit,
-                        f"shed ratio {ratio:.4f}, want <= {limit}",
-                    )
-                )
-            if spec.overload.payload_shed_min_ratio is not None:
-                ratio = controller.shed_ratio(PAYLOAD)
-                floor = spec.overload.payload_shed_min_ratio
-                checks.append(
-                    Check(
-                        "payload-shed-engaged",
-                        ratio >= floor,
-                        f"shed ratio {ratio:.4f}, want >= {floor}",
-                    )
-                )
-        return events, checks
-
-    return run, fold
-
-
-def _shard_episode(spec: ScenarioSpec, run_seed: int, generator, profile_stages):
-    """The process-topology target: one OS process per RX queue, with an
-    optional scheduled SIGKILL. Dispatch is lock-step and a dead shard
-    rejoins by virtual round, so every metric folded here gates ``exact``
-    like the in-process ledgers do. Stage profiling does not apply: the
-    stages run in the children."""
-    shard = spec.shard
-    runtime = build_sharded_runtime(
-        shards=shard.shards,
-        config=PipelineConfig(num_queues=shard.shards),
-        state_dir=(
-            tempfile.mkdtemp(prefix="ruru-shard-") if shard.durable else None
-        ),
-        policy=shard.policy,
-        checkpoint_every_batches=shard.checkpoint_every_batches,
-        restart_delay_batches=shard.restart_delay_batches,
-        max_restarts_per_shard=shard.max_restarts,
-    )
-    if shard.kill_shard is not None:
-        runtime.schedule_kill(shard.kill_shard, at_seq=shard.kill_at_batch)
-    report = None  # the ShardRunReport, once the run drained
-
-    def run() -> None:
-        nonlocal report
-        try:
-            drive(runtime.offer, generator.packets(), size=shard.batch_size)
-            report = runtime.drain()
-        finally:
-            runtime.close()
-
-    def fold(exact, resultset: Resultset) -> Tuple[list, List[Check]]:
-        exact("scenario.packets_offered", runtime.ingested, unit="packets")
-        if report is None:
-            return [], []
-        # Heartbeat counts are wall-clock coupled; everything recorded
-        # as a metric is a function of (spec, seed) alone.
-        resultset.meta["shard"] = {
-            "states": report.states,
-            "restarts": report.restarts,
-            "heartbeats_seen": report.heartbeats_seen,
-            "rounds": report.rounds,
-        }
-        ledger = report.ledger
-        # The canonical names the render/grid tooling reads, then the
-        # shard-only terms.
-        exact("scenario.measurements", report.records["emitted"], unit="records")
-        _fold_ledger(exact, ledger)
-        exact("shard.ledger.shed", ledger.shed)
-        exact("shard.ledger.lost_at_crash", ledger.lost_at_crash)
-        exact("shard.rerouted", report.rerouted_packets, unit="packets")
-        exact("shard.restarts", report.restarts, unit="restarts")
-        for klass in sorted(report.shed_by_class):
-            exact(f"shard.shed.{klass}", report.shed_by_class[klass])
-        exact("shard.records.delivered", report.records["delivered"], unit="records")
-        for name in sorted(report.shards):
-            entry = report.shards[name]
-            for term in ("dispatched", "acked", "lost_at_crash", "restarts"):
-                exact(f"shard.{name}.{term}", entry[term])
-
-        checks = [
-            _conserves("shard-ledger-conserves", ledger),
-            Check(
-                "shard-reconciliation",
-                all(ok for _, ok, _ in report.reconciliation),
-                "; ".join(report.failed_checks()),
-            ),
+        resultset.meta["overload"] = controller.summary()
+        resultset.meta["overload_transitions"] = [
+            str(transition) for transition in controller.transitions
         ]
-        if shard.kill_shard is not None:
-            victim = report.shards.get(f"shard-{shard.kill_shard}", {})
-            checks.append(
-                Check(
-                    "shard-recovered",
-                    victim.get("restarts", 0) >= 1
-                    and victim.get("state") == "drained",
-                    f"victim state={victim.get('state')!r} "
-                    f"restarts={victim.get('restarts')}",
-                )
-            )
-            checks.append(
-                Check(
-                    "crash-was-charged",
-                    ledger.lost_at_crash > 0,
-                    f"lost_at_crash={ledger.lost_at_crash}",
-                )
-            )
-        return [], checks
+    exact("events.total", len(events), unit="events")
+    for kind in sorted(event_counts):
+        exact(f"events.{kind}", event_counts[kind], unit="events")
+    if profile_stages and stack.telemetry is not None:
+        resultset.stage_profile = dict(stack.telemetry.profiler.summary())
 
-    return run, fold
+    if controller is not None:
+        # Frame-level sheds split into rejected-at-offer frames
+        # (packets_shed) and queued-then-evicted victims
+        # (ring_displacements); MQ-stage sheds are records, not frames.
+        frame_shed = controller.shed_total() - controller.shed_total(stage="mq")
+        attributed = stats.packets_shed + controller.ring_displacements
+        packet_balance = stats.packets_offered - (
+            stats.packets_queued + stats.nic_drops + stats.packets_shed
+        )
+        queued_balance = stats.packets_queued - (
+            stats.packets_processed + controller.ring_displacements
+        )
+        checks.append(
+            Check(
+                "packet-ledger-conserves",
+                packet_balance == 0
+                and queued_balance == 0
+                and attributed == frame_shed,
+                f"offer balance {packet_balance:+d}, "
+                f"queue balance {queued_balance:+d}, "
+                f"shed {attributed} vs attributed {frame_shed}",
+            )
+        )
+        if oledger is not None:
+            checks.append(_conserves("overload-ledger-conserves", oledger))
+        if spec.overload.handshake_shed_max_ratio is not None:
+            ratio = controller.shed_ratio(HANDSHAKE)
+            limit = spec.overload.handshake_shed_max_ratio
+            checks.append(
+                Check(
+                    "handshake-shed-bounded",
+                    ratio <= limit,
+                    f"shed ratio {ratio:.4f}, want <= {limit}",
+                )
+            )
+        if spec.overload.payload_shed_min_ratio is not None:
+            ratio = controller.shed_ratio(PAYLOAD)
+            floor = spec.overload.payload_shed_min_ratio
+            checks.append(
+                Check(
+                    "payload-shed-engaged",
+                    ratio >= floor,
+                    f"shed ratio {ratio:.4f}, want >= {floor}",
+                )
+            )
+    return events, checks
+
+
+def _fold_shards(episode: Episode, exact, resultset: Resultset, profile_stages):
+    """The process-topology target's metrics and checks. Stage
+    profiling does not apply: the stages run in the children."""
+    shard, runtime, report = episode.spec.shard, episode.runtime, episode.report
+    exact("scenario.packets_offered", runtime.ingested, unit="packets")
+    if report is None:
+        return [], []
+    # Heartbeat counts are wall-clock coupled; everything recorded
+    # as a metric is a function of (spec, seed) alone.
+    resultset.meta["shard"] = {
+        "states": report.states,
+        "restarts": report.restarts,
+        "heartbeats_seen": report.heartbeats_seen,
+        "rounds": report.rounds,
+    }
+    ledger = report.ledger
+    # The canonical names the render/grid tooling reads, then the
+    # shard-only terms.
+    exact("scenario.measurements", report.records["emitted"], unit="records")
+    _fold_ledger(exact, ledger)
+    exact("shard.ledger.shed", ledger.shed)
+    exact("shard.ledger.lost_at_crash", ledger.lost_at_crash)
+    exact("shard.rerouted", report.rerouted_packets, unit="packets")
+    exact("shard.restarts", report.restarts, unit="restarts")
+    for klass in sorted(report.shed_by_class):
+        exact(f"shard.shed.{klass}", report.shed_by_class[klass])
+    exact("shard.records.delivered", report.records["delivered"], unit="records")
+    for name in sorted(report.shards):
+        entry = report.shards[name]
+        for term in ("dispatched", "acked", "lost_at_crash", "restarts"):
+            exact(f"shard.{name}.{term}", entry[term])
+
+    checks = [
+        _conserves("shard-ledger-conserves", ledger),
+        Check(
+            "shard-reconciliation",
+            all(ok for _, ok, _ in report.reconciliation),
+            "; ".join(report.failed_checks()),
+        ),
+    ]
+    if shard.kill_shard is not None:
+        victim = report.shards.get(f"shard-{shard.kill_shard}", {})
+        checks.append(
+            Check(
+                "shard-recovered",
+                victim.get("restarts", 0) >= 1
+                and victim.get("state") == "drained",
+                f"victim state={victim.get('state')!r} "
+                f"restarts={victim.get('restarts')}",
+            )
+        )
+        checks.append(
+            Check(
+                "crash-was-charged",
+                ledger.lost_at_crash > 0,
+                f"lost_at_crash={ledger.lost_at_crash}",
+            )
+        )
+    return [], checks
 
 
 def run_scenario(
@@ -396,11 +476,10 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run *spec* end to end; never raises for in-band failures.
 
-    One prologue (overrides, seed, the traffic axis as a generator) and
-    one epilogue (metadata, the ``survived`` check, the spec's
-    ``expect`` bands) around a target-specific middle: the in-process
-    stack, or — when the spec's ``[shard]`` table sets ``shards > 0`` —
-    real worker processes.
+    The one episode, then one fold of it: metadata, the target's
+    metrics and checks (the in-process stack, or — when the spec's
+    ``[shard]`` table sets ``shards > 0`` — real worker processes), the
+    ``survived`` check and the spec's ``expect`` bands.
 
     Args:
         spec: the scenario document.
@@ -411,18 +490,8 @@ def run_scenario(
             timings — off for byte-stable baselines).
     """
     spec = apply_overrides(spec, overrides or {})
-    run_seed = spec.seed if seed is None else int(seed)
-    generator = build_scenario_generator(spec, run_seed)
-    episode = _shard_episode if spec.shard.enabled else _stack_episode
-    run, fold = episode(spec, run_seed, generator, profile_stages)
-
-    unhandled: List[str] = []
-    started = time.perf_counter()
-    try:
-        run()
-    except Exception as exc:  # noqa: BLE001 — the checks carry it
-        unhandled.append(repr(exc))
-    elapsed_s = time.perf_counter() - started
+    episode = Episode(spec, seed).run()
+    run_seed = episode.seed
 
     meta = collect_meta(seed=run_seed, config={"overrides": overrides or {}})
     meta["scenario"] = spec.name
@@ -430,15 +499,18 @@ def run_scenario(
     meta["cell"] = dict(cell or {"scenario": spec.name, "seed": run_seed})
     resultset = Resultset(f"scenario.{spec.name}", meta=meta)
     exact = partial(resultset.record, exact=True, portable=True)
-    exact("scenario.flows", generator.flows_generated, unit="flows")
-    events, checks = fold(exact, resultset)
+    exact("scenario.flows", episode.generator.flows_generated, unit="flows")
+    fold = _fold_shards if episode.runtime is not None else _fold_stack
+    events, checks = fold(episode, exact, resultset, profile_stages)
     offered = resultset.metrics["scenario.packets_offered"]["value"]
     meta["events"] = [str(event) for event in events]
+    elapsed_s = episode.elapsed_s
     meta["wall"] = {
         "elapsed_s": round(elapsed_s, 3),
         "packets_per_s": round(offered / elapsed_s, 1) if elapsed_s > 0 else 0.0,
     }
 
+    unhandled = [] if episode.error is None else [repr(episode.error)]
     checks.insert(0, Check("survived", not unhandled, "; ".join(unhandled)))
     for kind, band in sorted(spec.expect.items()):
         count = sum(event.kind == kind for event in events)

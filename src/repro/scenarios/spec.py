@@ -15,14 +15,19 @@ lossy message bus, with the nightly firewall anomaly"):
 * **anomalies** — a schedule of timed windows on the virtual clock,
   each building one of the paper-episode injectors (firewall glitch /
   SYN flood / connection surge).
-* **stack** — how much of the dataflow to assemble (queues, analytics
-  workers, top-k, frontend buffering).
+* **stack** — how much of the dataflow to assemble: which of the
+  builder's tiers (``stack.tiers``), queues, analytics workers, top-k,
+  frontend buffering; plus the **telemetry**, **durable**, **overload**
+  and **shard** sections that configure the tiers and the process
+  topology.
 
 Plus a default ``seed``, and ``expect``: the anomaly-event counts the
 schedule is supposed to trigger, which the runner gates on. Specs are
 plain data — loadable from TOML or JSON, round-trippable through
 :meth:`ScenarioSpec.to_dict`, and overridable with dotted paths
-(``traffic.rate=100``) for grid sweeps.
+(``traffic.rate=100``) for grid sweeps. Every ``ruru`` command that
+runs a stack builds one of these from its flags; a key the run would
+not honour is a :class:`SpecError`, never a silent no-op.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ EVENT_KINDS = (
     "path-drift",
 )
 
+#: The stack builder's tier calls. Two are switched by their own
+#: section rather than listed in ``stack.tiers``.
+TIERS = ("analytics", "faults", "durable", "overload", "telemetry", "anomaly", "topk", "frontend")
+SWITCHED_BY = {"overload": "overload.enabled", "topk": "stack.topk"}
+
 
 class SpecError(ValueError):
     """A scenario document failed validation."""
@@ -57,6 +67,18 @@ class SpecError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
+
+
+def _changed(section: str, value, skip=()) -> List[str]:
+    """The ``section.field`` paths where *value* differs from its
+    dataclass's defaults."""
+    default = type(value)()
+    return [
+        f"{section}.{entry.name}"
+        for entry in dataclasses.fields(value)
+        if entry.name not in skip
+        and getattr(value, entry.name) != getattr(default, entry.name)
+    ]
 
 
 @dataclass(frozen=True)
@@ -138,6 +160,9 @@ class AnomalyWindowSpec:
     glitch, whose window is anchored to *time of day* via
     ``window_start_hour`` — that is the episode: the update fires at
     the same wall hour every night, not N seconds into a capture.
+    Without that parameter the glitch window opens at the time of day
+    ``at_s`` into the capture. Seconds become nanoseconds by rounding,
+    so a window written from integer nanoseconds lands on them exactly.
     """
 
     kind: str
@@ -165,14 +190,13 @@ class AnomalyWindowSpec:
         )
 
         params = dict(self.params)
-        start_ns = traffic.start_ns + int(self.at_s * NS_PER_S)
-        duration_ns = int(self.duration_s * NS_PER_S)
+        start_ns = traffic.start_ns + round(self.at_s * NS_PER_S)
+        duration_ns = round(self.duration_s * NS_PER_S)
         if self.kind == "firewall-glitch":
-            window_start_hour = float(
-                params.pop("window_start_hour", traffic.start_hour + self.at_s / 3600.0)
-            )
+            if "window_start_hour" in params:
+                start_ns = int(float(params.pop("window_start_hour")) * NS_PER_HOUR)
             return FirewallGlitchInjector(
-                window_start_offset_ns=int(window_start_hour * NS_PER_HOUR),
+                window_start_offset_ns=start_ns,
                 window_ns=duration_ns,
                 extra_delay_ms=float(params.pop("extra_delay_ms", 4000.0)),
                 **params,
@@ -211,11 +235,14 @@ class AnomalyWindowSpec:
 class StackSpec:
     """How much of the dataflow the run assembles.
 
-    ``queue_capacity`` shrinks the rx rings so an overload scenario
-    can actually pressure them; ``feed_window_ms`` switches feeding
-    from fixed-size batches to virtual-time windows, so a traffic ramp
-    translates into growing per-batch burst sizes — the load signal
-    watermark sensors react to.
+    ``tiers`` names the builder tiers to assemble beside the fast path
+    (the NIC and the workers, always there); ``overload`` and ``topk``
+    are switched by ``overload.enabled`` and ``topk`` (a capacity)
+    instead. ``queue_capacity`` shrinks the rx rings so an overload
+    scenario can actually pressure them; ``feed_window_ms`` switches
+    feeding from fixed-size batches to virtual-time windows, so a
+    traffic ramp translates into growing per-batch burst sizes — the
+    load signal watermark sensors react to.
     """
 
     queues: int = 2
@@ -224,8 +251,19 @@ class StackSpec:
     topk: Optional[int] = None
     queue_capacity: Optional[int] = None
     feed_window_ms: Optional[float] = None
+    tiers: Tuple[str, ...] = (
+        "analytics", "faults", "telemetry", "anomaly", "frontend",
+    )
 
     def __post_init__(self):
+        for tier in self.tiers:
+            _require(tier in TIERS, f"stack.tiers: unknown tier {tier!r}; choose from {TIERS}")
+            _require(
+                tier not in SWITCHED_BY,
+                f"stack.tiers: {tier!r} is switched by {SWITCHED_BY.get(tier)}",
+            )
+        # One order, whatever order the document lists them in.
+        object.__setattr__(self, "tiers", tuple(t for t in TIERS if t in self.tiers))
         _require(self.queues >= 1, "stack.queues must be at least 1")
         _require(
             self.analytics_workers >= 1,
@@ -283,6 +321,30 @@ class OverloadSpec:
 
 
 @dataclass(frozen=True)
+class TelemetrySpec:
+    """The telemetry tier: ``interval_s`` exports self-monitoring
+    snapshots into the run's TSDB (a dedicated one on a stack without
+    analytics) every that many virtual seconds, None exporting nothing;
+    ``sample_every`` attributes calls on every Nth feed batch (0: off)."""
+
+    interval_s: Optional[float] = None
+    sample_every: int = 0
+
+
+@dataclass(frozen=True)
+class DurableSpec:
+    """The durable tier: the store behind a write-ahead log plus
+    periodic checkpoints in ``state_dir`` (None: a fresh temporary
+    directory per run)."""
+
+    state_dir: Optional[str] = None
+    checkpoint_interval_s: float = 1.0
+    keep_checkpoints: int = 2
+    retention_s: Optional[float] = None
+    fsync_wal: bool = False
+
+
+@dataclass(frozen=True)
 class ShardScenarioSpec:
     """The process-topology axis (``repro.shard``).
 
@@ -291,7 +353,9 @@ class ShardScenarioSpec:
     pipe transports — instead of the in-process stack, optionally
     SIGKILLing one shard mid-run to exercise the recovery path. The
     run is deterministic (lockstep dispatch, virtual-round rejoin), so
-    its ledger and reconciliation metrics gate byte-exact.
+    its ledger and reconciliation metrics gate byte-exact. A durable
+    shard target keeps its stores in ``durable.state_dir`` and honours
+    ``durable.fsync_wal``.
     """
 
     shards: int = 0
@@ -318,12 +382,12 @@ class ShardScenarioSpec:
         )
         if self.kill_shard is not None:
             _require(
-                0 <= self.kill_shard < max(self.shards, 1),
+                0 <= self.kill_shard < self.shards,
                 "shard.kill_shard must name one of the shards",
             )
             _require(
-                self.kill_at_batch >= 1,
-                "shard.kill_at_batch must be at least 1",
+                self.kill_at_batch >= 0,
+                "shard.kill_at_batch cannot be negative",
             )
         _require(
             self.restart_delay_batches >= 1,
@@ -357,6 +421,14 @@ class ScenarioSpec:
     #: {"max": n}. The runner fails the correctness gate when the
     #: detectors land outside the band.
     expect: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
+    durable: DurableSpec = field(default_factory=DurableSpec)
+
+    @property
+    def tiers(self) -> Tuple[str, ...]:
+        """Every builder tier the in-process run assembles."""
+        switched = {"overload": self.overload.enabled, "topk": self.stack.topk is not None}
+        return tuple(t for t in TIERS if t in self.stack.tiers or switched.get(t))
 
     def __post_init__(self):
         _require(bool(self.name), "scenario name cannot be empty")
@@ -374,24 +446,39 @@ class ScenarioSpec:
                 set(band) <= {"min", "max"},
                 f"expect.{kind} keys must be 'min'/'max'",
             )
+        # A key the run would not honour is an error, not a silent no-op.
         if self.shard.enabled:
             # The shard target has no fault injector, overload ladder,
-            # [stack] tier or detector: a key that configures one is an
-            # error, not a silent no-op (the CLI's --shards rule).
-            ignored = [
-                f"{section}.{entry.name}"
-                for section, default in (("faults", FaultSpec()), ("stack", StackSpec()))
-                for entry in dataclasses.fields(default)
-                if getattr(getattr(self, section), entry.name)
-                != getattr(default, entry.name)
-            ]
-            if self.overload.enabled:
-                ignored.append("overload.enabled")
-            ignored += [f"expect.{kind}" for kind in sorted(self.expect)]
+            # [stack] tier, telemetry export or detector, and its stores
+            # take only a directory and the fsync switch.
+            ignored = (
+                _changed("faults", self.faults)
+                + _changed("stack", self.stack)
+                + ["overload.enabled"] * self.overload.enabled
+                + _changed("telemetry", self.telemetry)
+                + _changed("durable", self.durable, skip=("state_dir", "fsync_wal"))
+                + [f"expect.{kind}" for kind in sorted(self.expect)]
+            )
             _require(
                 not ignored,
                 f"shard.shards > 0 does not take {', '.join(ignored)}: "
-                "the shard target has no such tier",
+                "the shard target has no such tier or setting",
+            )
+            return
+        unsharded = _changed("shard", self.shard, skip=("shards",))
+        _require(
+            not unsharded,
+            f"shard.shards = 0 does not take {', '.join(unsharded)}: "
+            "the run has no shards",
+        )
+        for tier, keys in (
+            ("faults", _changed("faults", self.faults)),
+            ("durable", _changed("durable", self.durable)),
+            ("anomaly", [f"expect.{kind}" for kind in sorted(self.expect)]),
+        ):
+            _require(
+                tier in self.stack.tiers or not keys,
+                f"{', '.join(keys)} needs the {tier} tier in stack.tiers",
             )
 
     # -- (de)serialization --------------------------------------------------
@@ -402,30 +489,22 @@ class ScenarioSpec:
             "name": self.name,
             "description": self.description,
             "seed": self.seed,
-            "traffic": dataclasses.asdict(self.traffic),
-            "faults": dataclasses.asdict(self.faults),
+            **{name: dataclasses.asdict(getattr(self, name)) for name in SECTIONS},
             "anomalies": [dataclasses.asdict(a) for a in self.anomalies],
-            "stack": dataclasses.asdict(self.stack),
-            "overload": dataclasses.asdict(self.overload),
-            "shard": dataclasses.asdict(self.shard),
             "expect": {k: dict(v) for k, v in self.expect.items()},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         _require(isinstance(data, dict), "scenario document must be a table")
-        known = {
-            "name", "description", "seed", "traffic", "faults",
-            "anomalies", "stack", "overload", "shard", "expect",
-        }
+        known = {"name", "description", "seed", "anomalies", "expect", *SECTIONS}
         unknown = set(data) - known
         _require(not unknown, f"unknown scenario keys: {sorted(unknown)}")
         try:
-            traffic = TrafficSpec(**dict(data.get("traffic", {})))
-            faults = FaultSpec(**dict(data.get("faults", {})))
-            stack = StackSpec(**dict(data.get("stack", {})))
-            overload = OverloadSpec(**dict(data.get("overload", {})))
-            shard = ShardScenarioSpec(**dict(data.get("shard", {})))
+            sections = {
+                name: section(**dict(data.get(name, {})))
+                for name, section in SECTIONS.items()
+            }
             anomalies = tuple(
                 AnomalyWindowSpec(**dict(entry))
                 for entry in data.get("anomalies", ())
@@ -436,17 +515,25 @@ class ScenarioSpec:
             name=str(data.get("name", "")),
             description=str(data.get("description", "")),
             seed=int(data.get("seed", 7)),
-            traffic=traffic,
-            faults=faults,
             anomalies=anomalies,
-            stack=stack,
-            overload=overload,
-            shard=shard,
             expect={
                 str(kind): {str(k): int(v) for k, v in dict(band).items()}
                 for kind, band in dict(data.get("expect", {})).items()
             },
+            **sections,
         )
+
+
+#: The document's tables, each one section dataclass.
+SECTIONS = {
+    "traffic": TrafficSpec,
+    "faults": FaultSpec,
+    "stack": StackSpec,
+    "overload": OverloadSpec,
+    "shard": ShardScenarioSpec,
+    "telemetry": TelemetrySpec,
+    "durable": DurableSpec,
+}
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:

@@ -85,11 +85,6 @@ class ShardHandle:
         """Dispatchable right now."""
         return self.state == SHARD_UP
 
-    @property
-    def gone(self) -> bool:
-        """Permanently out of the run."""
-        return self.state in (SHARD_FAILED, SHARD_DRAINED)
-
     def inflight_packets(self) -> int:
         return sum(self.inflight.values())
 

@@ -63,26 +63,11 @@ class Transport:
         self._inbox: Deque[Message] = deque()
         self._eof = False
         self._closed = False
-        self.sent_messages = 0
-        self.sent_bytes = 0
-        self.received_messages = 0
-
-    def fileno(self) -> int:
-        """The read fd — lets callers ``select`` across transports."""
-        return self._read_fd
 
     @property
     def eof(self) -> bool:
         """The peer's write end is closed (it exited or crashed)."""
         return self._eof
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        """Messages already decoded and waiting in the inbox."""
-        return len(self._inbox)
 
     # -- receiving -----------------------------------------------------------
 
@@ -133,7 +118,6 @@ class Transport:
             raise TransportClosed(f"transport {self.label!r} is closed")
         while True:
             if self._inbox:
-                self.received_messages += 1
                 return self._inbox.popleft()
             if self._eof:
                 raise TransportClosed(
@@ -153,7 +137,6 @@ class Transport:
         self.pump()
         drained = list(self._inbox)
         self._inbox.clear()
-        self.received_messages += len(drained)
         return drained
 
     # -- sending -------------------------------------------------------------
@@ -207,8 +190,6 @@ class Transport:
                     f"transport {self.label!r}: send stalled for "
                     f"{timeout}s at {offset}/{len(data)} bytes"
                 )
-        self.sent_messages += 1
-        self.sent_bytes += len(data)
 
     # -- lifecycle -----------------------------------------------------------
 

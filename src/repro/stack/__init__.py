@@ -20,9 +20,10 @@ The tiers' metrics binders live together in :mod:`repro.stack.metrics`
 (each component still registers its own when handed a ``Telemetry``).
 
 Every assembly in the repo (the CLI commands, ``run_chaos``, the
-recovery harness, the scenario runner) is a preset of
-:class:`StackBuilder` driven by :meth:`RuruStack.run`; nothing outside
-this package wires pipeline-to-analytics plumbing, and nothing outside
+recovery harness, the scenario runner) is one scenario spec turned into
+a :class:`StackBuilder` chain by :class:`repro.scenarios.runner.Episode`
+and driven by :meth:`RuruStack.run`; nothing outside this package wires
+pipeline-to-analytics plumbing, and nothing outside
 :mod:`repro.core.feed` cuts feed batches.
 """
 
@@ -31,8 +32,6 @@ from repro.stack.builder import (
     DrainReport,
     RuruStack,
     StackBuilder,
-    build_chaos_stack,
-    build_durable_stack,
     build_enrichment_dbs,
     build_live_stack,
     build_measure_stack,
@@ -59,8 +58,6 @@ __all__ = [
     "StageSpec",
     "StackBuilder",
     "TOPOLOGY",
-    "build_chaos_stack",
-    "build_durable_stack",
     "build_enrichment_dbs",
     "build_live_stack",
     "build_measure_stack",

@@ -1,11 +1,13 @@
-"""The composition root: one builder, four presets, one driver.
+"""The composition root: one builder, two presets, one driver.
 
-Every assembly of the Ruru dataflow — the CLI commands, ``run_chaos``,
-the recovery harness and the scenario runner — is a configuration of
+Every assembly of the Ruru dataflow is a configuration of
 :class:`StackBuilder`, and every in-process run is
 :meth:`RuruStack.run` (the one feed loop, :func:`repro.core.feed.drive`,
-over :meth:`RuruStack.process_batch`, then the drain). Each builder
-call assembles its own tier, once, in one fixed, determinism-preserving
+over :meth:`RuruStack.process_batch`, then the drain). The CLI
+commands, chaos runs, the recovery harness and the scenario runner all
+reach it through one translation of a scenario spec into a builder
+chain (:class:`repro.scenarios.runner.Episode`). Each builder call
+assembles its own tier, once, in one fixed, determinism-preserving
 order; a tier whose input is missing is refused at ``build()``. The
 builder wraps the components in the stage wrappers of
 :mod:`repro.stack.stages`, and returns a :class:`RuruStack` whose
@@ -13,19 +15,13 @@ cross-cutting behaviour (batch processing, graceful-drain order,
 checkpoint payload, crash-point surface, durability metrics) is
 derived from the :class:`~repro.stack.stage.StageGraph` traversals.
 
-Presets:
+Presets (kept for the end-to-end benchmark, which builds through them):
 
 ========  ==============================================================
-measure   fast path only (``ruru measure``): NIC + workers, records
-          collected in ``pipeline.measurements``.
+measure   fast path only: NIC + workers, records collected in
+          ``pipeline.measurements``.
 live      full dataflow; the analytics tier carries its resilience
-          layer, there is no fault machinery (``ruru demo`` /
-          ``detect`` / ``export`` / ``metrics`` / ``prof`` / ``analyze``).
-chaos     live + faults: injector, fault adapters and supervisor
-          (:func:`repro.faults.chaos.run_chaos`).
-durable   any analytics preset + durability: the store behind a WAL,
-          checkpoints; the preset adds the anomaly/top-k riders
-          (``ruru live`` / ``recover``, the recovery harness).
+          layer, there is no fault machinery.
 ========  ==============================================================
 """
 
@@ -74,7 +70,6 @@ from repro.stack.stages import (
     TsdbStage,
     WorkerStage,
 )
-from repro.traffic.scenarios import AucklandLaScenario
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.retention import RetentionPolicy
 
@@ -354,7 +349,7 @@ class StackBuilder:
     """Fluent configuration of one :class:`RuruStack`.
 
     Construction order inside :meth:`build` mirrors the historical
-    harness wiring exactly — injector, controller, scenario, enrichment,
+    harness wiring exactly — injector, controller, enrichment,
     TSDB chain, resilience, service, riders, frontend, sink, supervisor,
     pipeline, checkpointer — and every random source is independently
     seeded, so two builds with the same configuration replay
@@ -366,7 +361,6 @@ class StackBuilder:
         self._queues = 2
         self._telemetry: Optional[Telemetry] = None
         self._generator = None
-        self._scenario = None  # (duration_s, rate, seed)
         self._geo_asn = None
         self._analytics = False
         self._analytics_workers = 4
@@ -397,14 +391,6 @@ class StackBuilder:
         """Use a prebuilt traffic generator (CLI commands pass theirs,
         possibly carrying anomaly injectors)."""
         self._generator = generator
-        return self
-
-    def scenario(
-        self, duration_s: float, rate: float, seed: int
-    ) -> "StackBuilder":
-        """Build the standard Auckland→LA scenario at ``build`` time."""
-        self._scenario = (duration_s, rate, seed)
-        self._seed = seed
         return self
 
     def enrichment(self, geo, asn) -> "StackBuilder":
@@ -547,15 +533,6 @@ class StackBuilder:
             stages.append(OverloadStage(controller))
 
         generator = self._generator
-        if generator is None and self._scenario is not None:
-            duration_s, rate, seed = self._scenario
-            generator = AucklandLaScenario(
-                duration_ns=int(duration_s * NS_PER_S),
-                mean_flows_per_s=rate,
-                seed=seed,
-                diurnal=False,
-            ).build()
-
         crash_schedule = retention_ns = state_dir = None
         if durability is not None:
             crash_schedule = durability["crash_schedule"]
@@ -762,70 +739,6 @@ def build_live_stack(
         builder.frontend(hwm=frontend_hwm)
     if anomaly:
         builder.anomaly()
-    return builder.build()
-
-
-def build_chaos_stack(
-    profile: Union[str, FaultProfile],
-    seed: int = 42,
-    duration_s: float = 8.0,
-    rate: float = 40.0,
-    queues: int = 2,
-    telemetry: Optional[Telemetry] = None,
-    overload: bool = False,
-) -> RuruStack:
-    """``chaos``: live + faults (injector, adapters, supervisor)."""
-    builder = (
-        StackBuilder()
-        .scenario(duration_s=duration_s, rate=rate, seed=seed)
-        .queues(queues)
-        .telemetry(telemetry or Telemetry())
-        .analytics()
-        .faults(profile, seed=seed)
-        .frontend(hwm=1 << 20)
-    )
-    if overload:
-        builder.overload()
-    return builder.build()
-
-
-def build_durable_stack(
-    state_dir: str,
-    profile: Union[str, FaultProfile] = "clean",
-    seed: int = 42,
-    duration_s: float = 8.0,
-    rate: float = 40.0,
-    queues: int = 2,
-    checkpoint_interval_ns: int = NS_PER_S,
-    keep_checkpoints: int = 2,
-    retention_ns: Optional[int] = None,
-    telemetry: Optional[Telemetry] = None,
-    crash_schedule=None,
-    fsync_wal: bool = False,
-    overload: bool = False,
-) -> RuruStack:
-    """``durable``: chaos + WAL, checkpoints, anomaly/top-k riders."""
-    builder = (
-        StackBuilder()
-        .scenario(duration_s=duration_s, rate=rate, seed=seed)
-        .queues(queues)
-        .telemetry(telemetry or Telemetry())
-        .analytics()
-        .faults(profile, seed=seed)
-        .anomaly()
-        .topk(capacity=100)
-        .frontend(hwm=1 << 20)
-        .durable(
-            state_dir,
-            checkpoint_interval_ns=checkpoint_interval_ns,
-            keep_checkpoints=keep_checkpoints,
-            retention_ns=retention_ns,
-            crash_schedule=crash_schedule,
-            fsync_wal=fsync_wal,
-        )
-    )
-    if overload:
-        builder.overload()
     return builder.build()
 
 

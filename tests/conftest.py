@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import command_spec
 from repro.dpdk.rss import toeplitz_hash
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
@@ -12,6 +13,8 @@ from repro.net.addresses import ip_to_int
 from repro.net.packet import build_tcp_packet
 from repro.net.parser import PacketParser
 from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_SYN
+from repro.scenarios.runner import Episode
+from repro.scenarios.spec import apply_overrides
 from repro.traffic.scenarios import AucklandLaScenario
 
 NS_PER_MS = 1_000_000
@@ -90,3 +93,15 @@ def toeplitz_of_tuple(key, src, dst, sport, dport, is_ipv6):
         src.to_bytes(width, "big") + dst.to_bytes(width, "big")
         + sport.to_bytes(2, "big") + dport.to_bytes(2, "big"),
     )
+
+
+def cli_spec(*argv, overrides=None):
+    """The spec the command line ``ruru <argv…>`` runs, with dotted-path
+    *overrides* on top (for what no flag sets)."""
+    return apply_overrides(command_spec([str(arg) for arg in argv]), overrides or {})
+
+
+def cli_stack(*argv, crash_schedule=None, overrides=None):
+    """The stack ``ruru <argv…>`` runs, built but not yet fed."""
+    spec = cli_spec(*argv, overrides=overrides)
+    return Episode(spec, crash_schedule=crash_schedule).stack

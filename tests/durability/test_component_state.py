@@ -21,8 +21,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.layer import ResilienceLayer
 from repro.resilience.retry import RetryPolicy, RetryQueue
-from repro.stack import build_durable_stack
-from tests.conftest import make_handshake
+from tests.conftest import cli_stack, make_handshake
 
 MS = 1_000_000
 SYN, SYNACK, ACK = 0x02, 0x12, 0x10
@@ -102,7 +101,7 @@ class TestWorkerFragmentFromBeforeTheTracerWentAway:
         assert "polls" not in restored.state_dict()
 
     def test_durable_envelope_with_old_worker_fragments_loads(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path / "a"), duration_s=2, rate=30)
+        stack = cli_stack("live", "--state-dir", tmp_path / "a", "--duration", 2, "--rate", 30)
         stack.process_batch(list(stack.packet_stream()))
         envelope = stack.capture_state()
         assert envelope["pipeline"]["workers"]
@@ -110,7 +109,7 @@ class TestWorkerFragmentFromBeforeTheTracerWentAway:
             self.with_polls(state) for state in envelope["pipeline"]["workers"]
         ]
 
-        fresh = build_durable_stack(str(tmp_path / "b"), duration_s=2, rate=30)
+        fresh = cli_stack("live", "--state-dir", tmp_path / "b", "--duration", 2, "--rate", 30)
         fresh.load_state(codec_round_trip(envelope))
         assert fresh.capture_state() == stack.capture_state()
 

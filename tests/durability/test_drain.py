@@ -2,9 +2,9 @@
 the clean checkpoint, and early shutdown mid-workload."""
 
 from repro.durability.recovery import recover_runtime
-from repro.stack import build_durable_stack
+from tests.conftest import cli_stack
 
-RUN = dict(duration_s=4.0, rate=30.0, queues=2)
+RUN = ("--duration", 4, "--rate", 30, "--queues", 2)
 
 EXPECTED_STAGES = [
     "quiesce",
@@ -19,14 +19,14 @@ EXPECTED_STAGES = [
 
 
 def test_drain_runs_stages_in_dependency_order(tmp_path):
-    runtime = build_durable_stack(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
+    runtime = cli_stack("live", "--state-dir", tmp_path / "s", "--profile", "clean", "--seed", 7, *RUN)
     report = runtime.run()
     assert report.stages == EXPECTED_STAGES
     assert report.ok, report.render()
 
 
 def test_drain_leaves_clean_checkpoint(tmp_path):
-    runtime = build_durable_stack(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
+    runtime = cli_stack("live", "--state-dir", tmp_path / "s", "--profile", "clean", "--seed", 7, *RUN)
     report = runtime.run()
     assert report.final_checkpoint is not None
     found = runtime.checkpointer.latest_valid()
@@ -35,7 +35,7 @@ def test_drain_leaves_clean_checkpoint(tmp_path):
 
 
 def test_offers_after_quiesce_are_rejected_and_counted(tmp_path):
-    runtime = build_durable_stack(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
+    runtime = cli_stack("live", "--state-dir", tmp_path / "s", "--profile", "clean", "--seed", 7, *RUN)
     packets = list(runtime.packet_stream())
     runtime.process_batch(packets[:200])
     runtime.pipeline.quiesce()
@@ -53,22 +53,22 @@ def test_shutdown_flag_stops_feeding_and_drains(tmp_path):
         calls["n"] += 1
         return calls["n"] >= 2
 
-    runtime = build_durable_stack(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
+    runtime = cli_stack("live", "--state-dir", tmp_path / "s", "--profile", "clean", "--seed", 7, *RUN)
     report = runtime.run(shutdown_flag=stop_after_two)
     assert report.ok, report.render()
     # Interrupted early: strictly less traffic than the full scenario.
-    full = build_durable_stack(str(tmp_path / "full"), profile="clean", seed=7, **RUN)
+    full = cli_stack("live", "--state-dir", tmp_path / "full", "--profile", "clean", "--seed", 7, *RUN)
     full_report = full.run()
     assert report.ledger.ingested < full_report.ledger.ingested
 
 
 def test_interrupted_run_recovers_cleanly(tmp_path):
     state_dir = str(tmp_path / "s")
-    runtime = build_durable_stack(state_dir, profile="clean", seed=7, **RUN)
+    runtime = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
     report = runtime.run(shutdown_flag=lambda: True)
     assert report.ok
 
-    restarted = build_durable_stack(state_dir, profile="clean", seed=7, **RUN)
+    restarted = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
     recovery = recover_runtime(
         restarted, observed_ingested=report.ledger.ingested
     )

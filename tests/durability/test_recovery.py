@@ -23,14 +23,15 @@ from repro.durability.wal import _FRAME, WriteAheadLog
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
 from repro.faults.profiles import get_profile
 from repro.resilience.invariants import Ledger
-from repro.stack import build_durable_stack, builder
+from repro.stack import builder
 from repro.tsdb.line_protocol import format_point
+from tests.conftest import cli_spec, cli_stack
 
 NS_PER_S = 1_000_000_000
 
 # Small-but-busy: several checkpoints and a few hundred records per
 # run, so every crash point lands in interesting state.
-RUN = dict(duration_s=6.0, rate=30.0, queues=2)
+RUN = ("--duration", 6, "--rate", 30, "--queues", 2)
 
 PROFILES = ("clean", "lossy-mq")
 
@@ -38,7 +39,9 @@ PROFILES = ("clean", "lossy-mq")
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("point", sorted(CRASH_POINTS))
 def test_kill_anywhere(tmp_path, profile, point):
-    harness = RecoveryHarness(str(tmp_path / "state"), profile=profile, seed=7, **RUN)
+    harness = RecoveryHarness(
+        cli_spec("recover", "--state-dir", tmp_path / "state", "--profile", profile, "--seed", 7, *RUN)
+    )
     trial = harness.run_trial(point, hit=3)
     if not trial.crashed:
         # Boundaries crossed fewer than three times in this workload
@@ -54,7 +57,7 @@ def test_kill_anywhere(tmp_path, profile, point):
 
 def test_trials_are_deterministic(tmp_path):
     harness = RecoveryHarness(
-        str(tmp_path / "state"), profile="lossy-mq", seed=11, **RUN
+        cli_spec("recover", "--state-dir", tmp_path / "state", "--profile", "lossy-mq", "--seed", 11, *RUN)
     )
     first = harness.run_trial("analytics.ingest", hit=2)
     second = harness.run_trial("analytics.ingest", hit=2)
@@ -64,7 +67,9 @@ def test_trials_are_deterministic(tmp_path):
 
 def test_crash_before_any_checkpoint_cold_starts(tmp_path):
     trial = run_recovery_trial(
-        str(tmp_path / "state"), "nic.rx", profile="clean", seed=3, hit=1, **RUN
+        cli_spec("recover", "--state-dir", tmp_path / "state", "--profile", "clean", "--seed", 3, *RUN),
+        "nic.rx",
+        hit=1,
     )
     assert trial.crashed
     assert trial.recovery.cold_start
@@ -78,7 +83,9 @@ def test_stale_wal_after_checkpoint_post_crash_dedups(tmp_path):
     from the log, and the loss window is empty."""
     state_dir = str(tmp_path / "state")
     trial = run_recovery_trial(
-        state_dir, "checkpoint.post", profile="clean", seed=7, hit=2, **RUN
+        cli_spec("recover", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN),
+        "checkpoint.post",
+        hit=2,
     )
     assert trial.crashed
     assert trial.recovery.replayed_batches == 0
@@ -88,9 +95,9 @@ def test_stale_wal_after_checkpoint_post_crash_dedups(tmp_path):
     assert trial.ok, trial.render()
     # The resumed run's store equals an uncrashed run's: nothing lost,
     # nothing doubled.
-    recovered = build_durable_stack(state_dir, profile="clean", seed=7, **RUN)
+    recovered = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
     recover_runtime(recovered)
-    twin = build_durable_stack(str(tmp_path / "twin"), profile="clean", seed=7, **RUN)
+    twin = cli_stack("live", "--state-dir", tmp_path / "twin", "--profile", "clean", "--seed", 7, *RUN)
     twin.run()
     assert sorted(recovered.tsdb.inner.dump_lines()) == sorted(
         twin.tsdb.inner.dump_lines()
@@ -101,8 +108,9 @@ def test_torn_checkpoint_falls_back(tmp_path):
     """checkpoint.mid leaves a torn blob at the final path; recovery
     must skip it and use the previous checkpoint."""
     trial = run_recovery_trial(
-        str(tmp_path / "state"), "checkpoint.mid", profile="clean", seed=7,
-        hit=2, **RUN
+        cli_spec("recover", "--state-dir", tmp_path / "state", "--profile", "clean", "--seed", 7, *RUN),
+        "checkpoint.mid",
+        hit=2,
     )
     assert trial.crashed
     assert trial.recovery.corrupt_skipped >= 1
@@ -112,13 +120,13 @@ def test_torn_checkpoint_falls_back(tmp_path):
 
 def test_clean_shutdown_then_recover_is_lossless(tmp_path):
     state_dir = str(tmp_path / "state")
-    runtime = build_durable_stack(state_dir, profile="clean", seed=5, **RUN)
+    runtime = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 5, *RUN)
     drain = runtime.run()
     assert drain.ok
     processed = drain.ledger.processed
     lines = sorted(runtime.tsdb.inner.dump_lines())
 
-    restarted = build_durable_stack(state_dir, profile="clean", seed=5, **RUN)
+    restarted = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 5, *RUN)
     report = recover_runtime(restarted, observed_ingested=drain.ledger.ingested)
     assert report.ok, report.render()
     assert report.clean_shutdown
@@ -136,8 +144,10 @@ def test_recovery_with_retention_does_not_resurrect(tmp_path):
     short retention window recovers without points older than the
     window at the recovered clock."""
     harness = RecoveryHarness(
-        str(tmp_path / "state"), profile="clean", seed=9,
-        retention_ns=2 * NS_PER_S, **RUN
+        cli_spec(
+            "recover", "--state-dir", tmp_path / "state", "--profile", "clean",
+            "--seed", 9, "--retention", 2, *RUN,
+        )
     )
     trial = harness.run_trial("tsdb.applied", hit=20)
     if not trial.crashed:
@@ -146,7 +156,7 @@ def test_recovery_with_retention_does_not_resurrect(tmp_path):
 
 
 def test_unknown_crash_point_rejected(tmp_path):
-    harness = RecoveryHarness(str(tmp_path / "state"))
+    harness = RecoveryHarness(cli_spec("recover", "--state-dir", tmp_path / "state"))
     with pytest.raises(ValueError, match="unknown crash point"):
         harness.run_trial("no.such.point")
 
@@ -162,8 +172,9 @@ def _first_applied_after_brownout_begins(state_dir, profile, seed=42):
     crash there recovers from was cut inside the outage."""
     begins_ns = get_profile(profile).tsdb_brownout_start_ns
     schedule = CrashSchedule()  # unarmed: it only counts passes
-    probe = build_durable_stack(
-        str(state_dir), profile=profile, seed=seed, crash_schedule=schedule
+    probe = cli_stack(
+        "live", "--state-dir", state_dir, "--profile", profile, "--seed", seed,
+        crash_schedule=schedule,
     )
     try:
         for batch in feed.batches(probe.packet_stream(), probe.pipeline.feed_batch):
@@ -199,15 +210,15 @@ def test_recovery_replays_past_the_fault_dice(tmp_path, capsys):
 def test_recovery_consumes_no_injector_decision(tmp_path, profile):
     state_dir = str(tmp_path / "state")
     hit = _first_applied_after_brownout_begins(tmp_path / "probe", profile)
-    victim = build_durable_stack(
-        state_dir, profile=profile, seed=42,
+    victim = cli_stack(
+        "live", "--state-dir", state_dir, "--profile", profile, "--seed", 42,
         crash_schedule=CrashSchedule().arm("tsdb.applied", hit=hit),
     )
     with pytest.raises(SimulatedCrash):
         victim.run()
     victim.wal.close()
 
-    survivor = build_durable_stack(state_dir, profile=profile, seed=42)
+    survivor = cli_stack("live", "--state-dir", state_dir, "--profile", profile, "--seed", 42)
     decisions = []
     decide = survivor.injector.decide
     survivor.injector.decide = lambda *args: decisions.append(args) or decide(*args)
@@ -227,11 +238,11 @@ def _second_replay_applies_nothing(stack):
     return sorted(stack.tsdb.inner.dump_lines()) == before
 
 
-def _run_to_kill(state_dir, point, hit, **kwargs):
+def _run_to_kill(state_dir, point, hit, *flags):
     """A durable run killed at (*point*, *hit*); returns the dead stack."""
-    victim = build_durable_stack(
-        state_dir, profile="clean", seed=7,
-        crash_schedule=CrashSchedule().arm(point, hit=hit), **RUN, **kwargs
+    victim = cli_stack(
+        "live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN, *flags,
+        crash_schedule=CrashSchedule().arm(point, hit=hit),
     )
     with pytest.raises(SimulatedCrash):
         victim.run()
@@ -257,7 +268,7 @@ def test_any_kept_checkpoint_pairs_with_the_same_log(tmp_path):
 
     reports = {}
     for label, directory in (("newest", state_dir), ("fallback", fallback_dir)):
-        stack = build_durable_stack(str(directory), profile="clean", seed=7, **RUN)
+        stack = cli_stack("live", "--state-dir", directory, "--profile", "clean", "--seed", 7, *RUN)
         reports[label] = recover_runtime(stack)
         assert reports[label].ok, reports[label].render()
         assert sorted(stack.tsdb.inner.dump_lines()) == held
@@ -271,9 +282,7 @@ def test_any_kept_checkpoint_pairs_with_the_same_log(tmp_path):
 
 def test_both_kept_checkpoints_recover_after_a_real_compaction(tmp_path):
     state_dir = str(tmp_path / "state")
-    victim = _run_to_kill(
-        state_dir, "analytics.ingest", hit=6, retention_ns=1 * NS_PER_S
-    )
+    victim = _run_to_kill(state_dir, "analytics.ingest", 6, "--retention", 1)
     assert victim.wal.compactions >= 1
     snaps = sorted(
         (name for name in os.listdir(state_dir) if name.endswith(".snap")),
@@ -284,8 +293,9 @@ def test_both_kept_checkpoints_recover_after_a_real_compaction(tmp_path):
         if damaged is not None:
             with open(os.path.join(state_dir, damaged), "wb") as handle:
                 handle.write(b"bit rot")
-        stack = build_durable_stack(
-            state_dir, profile="clean", seed=7, retention_ns=1 * NS_PER_S, **RUN
+        stack = cli_stack(
+            "live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7,
+            "--retention", 1, *RUN,
         )
         report = recover_runtime(stack)
         assert report.ok, report.render()
@@ -341,7 +351,7 @@ class TestLegacyStateDirectory:
 
     def test_recovers_to_the_same_store_and_ledger(self, tmp_path):
         state_dir, victim, mark, above = self._legacy_dir(tmp_path)
-        stack = build_durable_stack(str(state_dir), profile="clean", seed=7, **RUN)
+        stack = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
         report = recover_runtime(stack)
         assert report.ok, report.render()
         assert report.replayed_batches == above
@@ -361,7 +371,7 @@ class TestLegacyStateDirectory:
         stack.wal.close()
         # ... and that checkpoint recovers the same store from the
         # adopted log.
-        again = build_durable_stack(str(state_dir), profile="clean", seed=7, **RUN)
+        again = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
         assert recover_runtime(again).ok
         assert sorted(again.tsdb.inner.dump_lines()) == sorted(
             victim.tsdb.inner.dump_lines()
@@ -372,7 +382,7 @@ class TestLegacyStateDirectory:
         stops at the envelope instead of recovering an empty store."""
         state_dir = str(tmp_path / "state")
         _run_to_kill(state_dir, "analytics.ingest", hit=5)
-        stack = build_durable_stack(state_dir, profile="clean", seed=7, **RUN)
+        stack = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
         monkeypatch.setattr(builder, "STATE_FORMAT", 1)
         with pytest.raises(ValueError, match="unsupported state format 2"):
             recover_runtime(stack)
@@ -385,7 +395,7 @@ def test_damaged_wal_frame_is_reported_and_costs_one_batch(tmp_path):
     data = bytearray(log.read_bytes())
     data[_FRAME.size + 2] ^= 0x10  # inside the first frame's payload
     log.write_bytes(bytes(data))
-    stack = build_durable_stack(str(state_dir), profile="clean", seed=7, **RUN)
+    stack = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
     report = recover_runtime(stack)
     assert report.damaged_frames == 1
     assert "damaged wal frames skipped: 1" in report.render()
@@ -406,8 +416,9 @@ def test_a_kill_inside_a_polls_write_costs_that_polls_records(tmp_path, point):
     applied batch."""
 
     def build(directory, **kwargs):
-        return build_durable_stack(
-            str(tmp_path / directory), profile="clean", seed=7, **RUN, **kwargs
+        return cli_stack(
+            "live", "--state-dir", tmp_path / directory, "--profile", "clean", "--seed", 7,
+            *RUN, **kwargs,
         )
 
     # The twin: uncrashed, and the map of which feed batch writes what.

@@ -7,9 +7,9 @@ import pytest
 
 from repro.durability.signals import GracefulShutdown
 from repro.faults import run_chaos
-from repro.stack import build_durable_stack
+from tests.conftest import cli_spec, cli_stack
 
-RUN = dict(duration_s=4.0, rate=30.0, queues=2)
+RUN = ("--duration", 4, "--rate", 30, "--queues", 2)
 
 
 class TestFlagSemantics:
@@ -52,7 +52,7 @@ class TestHandlerHygiene:
 
 class TestSignalDrivenDrain:
     def test_sigterm_mid_run_drains_gracefully(self, tmp_path):
-        runtime = build_durable_stack(str(tmp_path / "s"), profile="clean", seed=7, **RUN)
+        runtime = cli_stack("live", "--state-dir", tmp_path / "s", "--profile", "clean", "--seed", 7, *RUN)
         batches = {"n": 0}
 
         def flag_that_signals_itself():
@@ -78,7 +78,10 @@ class TestSignalDrivenDrain:
             return stop.requested()
 
         with GracefulShutdown() as stop:
-            report = run_chaos("lossy-mq", seed=42, shutdown_flag=flag, **RUN)
+            report = run_chaos(
+                cli_spec("chaos", "--profile", "lossy-mq", "--seed", 42, *RUN),
+                shutdown_flag=flag,
+            )
         assert stop.requested()
         assert report.unhandled == []
         assert report.ledger.ok

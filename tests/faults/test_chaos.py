@@ -9,10 +9,11 @@ ledger, and (c) replay to identical counts from the same seed.
 import pytest
 
 from repro.faults import run_chaos
+from tests.conftest import cli_spec
 
 # Small-but-busy runs keep the suite fast while still firing every
 # fault kind at the default profile rates.
-RUN = dict(duration_s=4.0, rate=30.0)
+RUN = ("--duration", 4, "--rate", 30)
 
 REQUIRED_METRIC_FAMILIES = (
     "ruru_retry_total",
@@ -24,7 +25,7 @@ REQUIRED_METRIC_FAMILIES = (
 
 @pytest.fixture(scope="module")
 def lossy_report():
-    report = run_chaos("lossy-mq", seed=42, **RUN)
+    report = run_chaos(cli_spec("chaos", "--profile", "lossy-mq", "--seed", 42, *RUN))
     return report.stack, report
 
 
@@ -50,12 +51,12 @@ class TestLossyMq:
 
     def test_same_seed_identical_counts(self, lossy_report):
         _, report = lossy_report
-        replay = run_chaos("lossy-mq", seed=42, **RUN)
+        replay = run_chaos(cli_spec("chaos", "--profile", "lossy-mq", "--seed", 42, *RUN))
         assert replay.counts() == report.counts()
 
     def test_different_seed_different_faults(self, lossy_report):
         _, report = lossy_report
-        other = run_chaos("lossy-mq", seed=43, **RUN)
+        other = run_chaos(cli_spec("chaos", "--profile", "lossy-mq", "--seed", 43, *RUN))
         assert other.ok
         assert other.counts() != report.counts()
 
@@ -79,7 +80,7 @@ class TestLossyMq:
 
 class TestCleanControl:
     def test_no_faults_no_losses(self):
-        report = run_chaos("clean", seed=42, **RUN)
+        report = run_chaos(cli_spec("chaos", "--profile", "clean", "--seed", 42, *RUN))
         assert report.ok
         assert report.faults_injected == {}
         assert report.dlq_total == 0
@@ -90,7 +91,7 @@ class TestCleanControl:
 
 class TestFlakyGeo:
     def test_degrades_instead_of_losing(self):
-        report = run_chaos("flaky-geo", seed=42, **RUN)
+        report = run_chaos(cli_spec("chaos", "--profile", "flaky-geo", "--seed", 42, *RUN))
         assert report.ok
         # Enrichment faults never cost records: everything publishes,
         # some un-enriched with the degraded flag.
@@ -99,14 +100,14 @@ class TestFlakyGeo:
         assert report.breaker_opened["enrich"] > 0
 
     def test_degraded_flag_visible_downstream(self):
-        report = run_chaos("flaky-geo", seed=42, **RUN)
+        report = run_chaos(cli_spec("chaos", "--profile", "flaky-geo", "--seed", 42, *RUN))
         assert report.frontend_degraded > 0
         assert report.frontend_degraded < report.frontend_received
 
 
 class TestTsdbBrownout:
     def test_writes_retry_and_recover(self):
-        report = run_chaos("tsdb-brownout", seed=42, **RUN)
+        report = run_chaos(cli_spec("chaos", "--profile", "tsdb-brownout", "--seed", 42, *RUN))
         assert report.ok
         assert report.retries > 0
         assert report.breaker_opened["tsdb"] > 0
@@ -118,18 +119,18 @@ class TestTsdbBrownout:
 
 class TestCrashyWorkers:
     def test_crashes_supervised_without_record_loss(self):
-        report = run_chaos("crashy-workers", seed=42, **RUN)
+        report = run_chaos(cli_spec("chaos", "--profile", "crashy-workers", "--seed", 42, *RUN))
         assert report.ok
         assert report.supervisor_restarts > 0
         # Crash-before-poll means accepted packets survive restarts:
         # the run measures exactly what the clean control run measures.
-        clean = run_chaos("clean", seed=42, **RUN)
+        clean = run_chaos(cli_spec("chaos", "--profile", "clean", "--seed", 42, *RUN))
         assert report.ledger.ingested == clean.ledger.ingested
 
 
 class TestMonsoon:
     def test_everything_at_once_still_conserves(self):
-        report = run_chaos("monsoon", seed=42, **RUN)
+        report = run_chaos(cli_spec("chaos", "--profile", "monsoon", "--seed", 42, *RUN))
         assert report.unhandled == []
         report.ledger.check()
         assert report.faults_injected  # plenty fired

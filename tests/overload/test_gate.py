@@ -4,6 +4,7 @@ from repro.faults import run_chaos
 from repro.mq.socket import Context
 from repro.overload import HANDSHAKE, GatedPushSocket, OverloadController
 from repro.resilience import Ledger
+from tests.conftest import cli_spec
 
 
 class _RefusingSocket:
@@ -74,7 +75,10 @@ class TestGateUnderFaults:
         # duplicates are offered twice — the four-destiny invariant
         # balances under the profile's full fault mix.
         report = run_chaos(
-            "lossy-mq", seed=11, duration_s=4.0, rate=30.0, overload=True
+            cli_spec(
+                "chaos", "--profile", "lossy-mq", "--seed", 11, "--duration", 4,
+                "--rate", 30, "--overload",
+            )
         )
         assert report.ok
         controller = report.stack.overload

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.faults import run_chaos
+from tests.conftest import cli_spec
 
 
 @pytest.fixture(scope="module")
 def snapshot():
     stack = run_chaos(
-        "clean", seed=3, duration_s=3.0, rate=20.0, overload=True
+        cli_spec(
+            "chaos", "--profile", "clean", "--seed", 3, "--duration", 3,
+            "--rate", 20, "--overload",
+        )
     ).stack
     # Wedge some shed into the ledger so labelled children exist.
     stack.overload.record_shed("payload", "nic")

@@ -11,9 +11,9 @@ from repro.durability.recovery import recover_runtime
 from repro.faults.crashpoints import CrashSchedule, SimulatedCrash
 from repro.overload.controller import LEVEL_HEADERS_ONLY
 from repro.resilience import Ledger
-from repro.stack import build_durable_stack
+from tests.conftest import cli_stack
 
-RUN = dict(profile="clean", seed=7, duration_s=6.0, rate=30.0, queues=2)
+RUN = ("--profile", "clean", "--seed", 7, "--duration", 6, "--rate", 30, "--queues", 2)
 
 
 def test_crash_during_active_overload_recovers(tmp_path):
@@ -27,8 +27,8 @@ def test_crash_during_active_overload_recovers(tmp_path):
     # wedged at the top by a synthetic always-full probe — has been
     # persisted several times.
     schedule = CrashSchedule().arm("checkpoint.post", hit=3)
-    victim = build_durable_stack(
-        state_dir, crash_schedule=schedule, overload=True, **RUN
+    victim = cli_stack(
+        "live", "--state-dir", state_dir, "--overload", *RUN, crash_schedule=schedule
     )
     victim.service.ingest_observer = observe
     victim.overload.watch_stage("synthetic", [lambda: (1, 1)])
@@ -56,7 +56,7 @@ def test_crash_during_active_overload_recovers(tmp_path):
     observed_at_crash = observed["count"]
     del victim  # dead memory
 
-    survivor = build_durable_stack(state_dir, overload=True, **RUN)
+    survivor = cli_stack("live", "--state-dir", state_dir, "--overload", *RUN)
     survivor.service.ingest_observer = observe
     recovery = recover_runtime(survivor, observed_ingested=observed_at_crash)
     assert recovery.ok, recovery.render()

@@ -9,21 +9,22 @@ nothing; and capture → ``load_state`` → capture is a fixed point, which
 matters twice over now that a checkpoint no longer carries the store.
 """
 
+import dataclasses
 import functools
 import itertools
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.durability.codec import decode_snapshot, encode_snapshot
 from repro.durability.recovery import recover_runtime
 from repro.durability.wal import _FRAME, WriteAheadLog
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
-from repro.faults.profiles import FaultProfile
+from repro.faults.profiles import FaultProfile, get_profile
 from repro.resilience.invariants import Ledger
-from repro.stack import build_durable_stack
 from repro.tsdb.point import Point
+from tests.conftest import cli_stack
 
 NS_PER_S = 1_000_000_000
 
@@ -81,7 +82,7 @@ def test_a_flipped_payload_byte_costs_exactly_that_batch(case):
 
 # -- recovered store == uncrashed twin, for any interleaving -----------------
 
-RUN = dict(seed=7, duration_s=4.0, rate=30.0, queues=2)
+RUN = ("--seed", 7, "--duration", 4, "--rate", 30, "--queues", 2)
 FEED = 48  # frames per offered batch: ~30 batches, so ops interleave finely
 
 #: Writes are rejected (abort record, retry under a later id) for half a
@@ -94,11 +95,31 @@ BROWNOUT = FaultProfile(
 )
 
 
+def build(state_dir, profile, *flags, crash_schedule=None):
+    """``ruru live``'s stack on *state_dir* under *profile* (a registered
+    name, or a FaultProfile derived from ``clean``)."""
+    if isinstance(profile, FaultProfile):
+        clean = get_profile("clean")
+        derived = {
+            key: value
+            for key, value in dataclasses.asdict(profile).items()
+            if key not in ("name", "description") and value != getattr(clean, key)
+        }
+        overrides = {"faults.overrides": derived}
+        profile = "clean"
+    else:
+        overrides = None
+    return cli_stack(
+        "live", "--state-dir", state_dir, "--profile", profile, *RUN, *flags,
+        crash_schedule=crash_schedule, overrides=overrides,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def batches_for(profile):
     """The network: the same frames for every example of a profile."""
     with tempfile.TemporaryDirectory() as scratch:
-        stack = build_durable_stack(scratch, profile=profile, **RUN)
+        stack = build(scratch, profile)
         packets = list(stack.packet_stream())
         stack.wal.close()
     return [packets[i : i + FEED] for i in range(0, len(packets), FEED)]
@@ -111,7 +132,7 @@ def crossings_for(profile):
     kill's ordinal is drawn from, whatever a write request now holds."""
     schedule = CrashSchedule()  # unarmed: it only counts passes
     with tempfile.TemporaryDirectory() as scratch:
-        stack = build_durable_stack(scratch, profile=profile, crash_schedule=schedule, **RUN)
+        stack = build(scratch, profile, crash_schedule=schedule)
         live_out(stack, [], iter(batches_for(profile)))
     return schedule.passes
 
@@ -156,8 +177,13 @@ def live_out(stack, ops, network):
 
 
 class HaltAtBatch:
-    """A crash schedule that stops the twin right after it has applied
-    batch *batch_id* — 'an uncrashed twin at the same applied batch'."""
+    """A crash schedule that stops the twin the moment it has *logged*
+    batch *batch_id*, before its store answers: 'an uncrashed twin at
+    the same logged batch'. Its store plus that one logged write is
+    what a store at that batch holds, whether the write would then land
+    or be refused — a refused write is aborted and retried under a
+    later id, but a crash before the abort reaches the log replays it,
+    as the log promises (``DurableTsdb.write_batch``)."""
 
     def __init__(self, batch_id):
         self.batch_id = batch_id
@@ -167,10 +193,7 @@ class HaltAtBatch:
         return False
 
     def reached(self, point):
-        if (
-            point == "tsdb.applied"
-            and self.tsdb.last_applied_batch_id >= self.batch_id
-        ):
+        if point == "tsdb.wal.post" and self.tsdb.next_batch_id > self.batch_id:
             raise SimulatedCrash(point, 0)
 
 
@@ -187,14 +210,20 @@ def on_disk(state):
     retention_s=st.sampled_from([None, 1]),
 )
 @settings(max_examples=40, deadline=None)
+# The kill lands on the log write of a batch the brown-out refuses: the
+# frame is logged and never aborted, so recovery applies it, while the
+# uncrashed twin's store refuses it and lands the points under a later
+# id. Recovery is right; the twin halts on the same *logged* batch.
+@example(ops=[], point="tsdb.wal.post", hit_share=0.375, profile=BROWNOUT, retention_s=None)
 def test_recovered_store_equals_an_uncrashed_twin(ops, point, hit_share, profile, retention_s):
     batches = batches_for(profile)
     # One past the last crossing is a kill that never comes: a clean shutdown.
     hit = 1 + int(hit_share * (crossings_for(profile)[point] + 1))
-    retention_ns = None if retention_s is None else retention_s * NS_PER_S
-    build = functools.partial(
-        build_durable_stack, profile=profile, retention_ns=retention_ns, **RUN
-    )
+    retention = () if retention_s is None else ("--retention", retention_s)
+
+    def run(state_dir, crash_schedule=None):
+        return build(state_dir, profile, *retention, crash_schedule=crash_schedule)
+
     with tempfile.TemporaryDirectory() as state_dir, tempfile.TemporaryDirectory() as twin_dir:
         observed = {"count": 0}
 
@@ -204,25 +233,27 @@ def test_recovered_store_equals_an_uncrashed_twin(ops, point, hit_share, profile
         # The victim dies at the armed point's hit-th pass (a schedule
         # that never fires ends in a clean shutdown instead).
         network = iter(batches)
-        victim = build(state_dir, crash_schedule=CrashSchedule().arm(point, hit=hit))
+        victim = run(state_dir, crash_schedule=CrashSchedule().arm(point, hit=hit))
         victim.service.ingest_observer = observe
         live_out(victim, ops, network)
         killed_at_ns = victim.now_ns
         observed_at_crash = observed["count"]
 
-        survivor = build(state_dir)
+        survivor = run(state_dir)
         survivor.service.ingest_observer = observe
         report = recover_runtime(survivor, observed_ingested=observed_at_crash)
         assert report.ok, report.render()
         assert report.lost_at_crash >= 0
         applied = survivor.tsdb.last_applied_batch_id
 
-        # The twin: same ops, no kill, halted at the same applied batch.
+        # The twin: same ops, no kill, halted at the same logged batch,
+        # then holding that batch's logged write.
         halt = HaltAtBatch(applied)
-        twin = build(twin_dir, crash_schedule=halt)
+        twin = run(twin_dir, crash_schedule=halt)
         halt.tsdb = twin.tsdb
         if applied:
             live_out(twin, ops, iter(batches))
+            twin.tsdb.replay_wal()
             assert twin.tsdb.last_applied_batch_id == applied
         # Retention ticks land at different clocks in the two lives (the
         # recovered one runs at the checkpoint's); one more at the
@@ -242,7 +273,7 @@ def test_recovered_store_equals_an_uncrashed_twin(ops, point, hit_share, profile
         # capture -> load_state -> capture is a fixed point.
         captured = on_disk(survivor.capture_state())
         assert "tsdb_lines" not in captured
-        reloaded = build(twin_dir)
+        reloaded = run(twin_dir)
         reloaded.load_state(captured)
         assert on_disk(reloaded.capture_state()) == captured
         reloaded.wal.close()

@@ -105,6 +105,39 @@ class TestParsing:
             TrafficSpec(start_hour=24.0)
 
 
+class TestTiers:
+    def test_defaults_are_the_runners_chain(self):
+        assert ScenarioSpec(name="x").tiers == (
+            "analytics", "faults", "telemetry", "anomaly", "frontend",
+        )
+
+    def test_switched_tiers_come_from_their_sections(self):
+        spec = ScenarioSpec.from_dict(
+            {"name": "x", "overload": {"enabled": True}, "stack": {"topk": 10, "tiers": []}}
+        )
+        assert spec.tiers == ("overload", "topk")
+        with pytest.raises(SpecError, match="switched by overload.enabled"):
+            ScenarioSpec.from_dict({"name": "x", "stack": {"tiers": ["overload"]}})
+        with pytest.raises(SpecError, match="unknown tier"):
+            ScenarioSpec.from_dict({"name": "x", "stack": {"tiers": ["cache"]}})
+
+    def test_a_section_without_its_tier_is_an_error(self):
+        for document, needs in (
+            ({"faults": {"profile": "monsoon"}, "stack": {"tiers": ["analytics"]}}, "faults"),
+            ({"durable": {"retention_s": 5}}, "durable"),
+            ({"expect": {"syn-flood": {"min": 1}}, "stack": {"tiers": ["analytics"]}}, "anomaly"),
+        ):
+            with pytest.raises(SpecError, match=f"needs the {needs} tier"):
+                ScenarioSpec.from_dict({"name": "x", **document})
+
+    def test_the_builder_refusal_is_a_spec_error(self):
+        from repro.scenarios.runner import Episode
+
+        spec = ScenarioSpec.from_dict({"name": "x", "stack": {"tiers": ["durable"]}})
+        with pytest.raises(SpecError, match="durable requires analytics"):
+            Episode(spec)
+
+
 class TestFaultResolution:
     def test_clean_profile_is_inactive(self):
         assert not FaultSpec(profile="clean").active
@@ -130,6 +163,20 @@ class TestInjectorBuilding:
         assert isinstance(surge, ConnectionSurgeInjector)
         # Relative windows are absolute on the virtual clock.
         assert flood.flood_start_ns == traffic.start_ns + 5 * 10**9
+
+    def test_windows_from_integer_nanoseconds_land_on_them(self):
+        """``ruru detect`` / ``analyze`` place their glitch in integer ns
+        (``d // 2`` for ``min(10 s, d // 4)``, ``d * 2 // 3`` for
+        ``max(1 s, d // 8)``); through the spec's seconds they must land
+        on the same nanosecond for every duration, 0.1 s to 600 s."""
+        traffic = TrafficSpec()
+        for tenths in range(1, 6001):
+            d = int(tenths / 10 * 10**9)
+            for at, length in ((d // 2, min(10**10, d // 4)), (d * 2 // 3, max(10**9, d // 8))):
+                glitch = AnomalyWindowSpec(
+                    kind="firewall-glitch", at_s=at / 10**9, duration_s=length / 10**9
+                ).build_injector(traffic)
+                assert (glitch.window_start_offset_ns, glitch.window_ns) == (at, length), d
 
     def test_firewall_glitch_anchors_to_time_of_day(self):
         traffic = TrafficSpec(start_hour=2.5)
@@ -231,6 +278,18 @@ class TestShardSpec:
             ScenarioSpec.from_dict(
                 {"name": "s", "shard": {"shards": 2, "kill_shard": 1}}
             )
+
+    def test_a_kill_needs_shards(self):
+        """``kill_shard=0`` once passed with ``shards=0`` (the bound was
+        ``max(shards, 1)``) and the kill never happened."""
+        with pytest.raises(SpecError, match="must name one of the shards"):
+            ScenarioSpec.from_dict(
+                {"name": "s", "shard": {"kill_shard": 0, "kill_at_batch": 6}}
+            )
+
+    def test_shard_settings_need_shards(self):
+        with pytest.raises(SpecError, match="shard.shards = 0 does not take shard.policy"):
+            ScenarioSpec.from_dict({"name": "s", "shard": {"policy": "reroute-all"}})
 
     def test_kill_shard_must_exist(self):
         with pytest.raises(SpecError):

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-import repro.stack
-from repro.cli import _build_generator, build_parser, main
+from repro.cli import command_spec, main
+from repro.scenarios import runner
 
 #: More virtual seconds of traffic than any test waits out.
 LONG_RUN = ["live", "--shards", "2", "--duration", "4000"]
@@ -22,7 +22,7 @@ def built(monkeypatch):
     """Every ``build_sharded_runtime`` call: its kwargs, and the kills
     scheduled on the runtime it returned."""
     calls = []
-    build = repro.stack.build_sharded_runtime
+    build = runner.build_sharded_runtime
 
     def spy(**kwargs):
         runtime = build(**kwargs)
@@ -37,7 +37,7 @@ def built(monkeypatch):
         calls.append((kwargs, kills))
         return runtime
 
-    monkeypatch.setattr(repro.stack, "build_sharded_runtime", spy)
+    monkeypatch.setattr(runner, "build_sharded_runtime", spy)
     return calls
 
 
@@ -56,10 +56,15 @@ class TestLiveShards:
     def test_flags_the_shard_preset_cannot_honour_are_usage_errors(
         self, flags, built, tmp_path, capsys
     ):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["live", *WORKLOAD, "--state-dir", str(tmp_path), *flags])
-        assert exit_info.value.code == 2
-        assert f"--shards does not take {flags[0]}" in capsys.readouterr().err
+        key = {
+            "--overload": "overload.enabled",
+            "--retention": "durable.retention_s",
+            "--profile": "faults.profile",
+        }[flags[0]]
+        assert main(["live", *WORKLOAD, "--state-dir", str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ruru live: error: shard.shards > 0 does not take {key}")
+        assert err.count("\n") == 1
         assert built == []
 
     def test_the_default_profile_spelled_out_is_accepted(
@@ -71,10 +76,10 @@ class TestLiveShards:
 
 class TestChaosShards:
     def test_overload_and_a_profile_are_usage_errors(self, built, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["chaos", *WORKLOAD, "--overload", "--profile", "monsoon"])
-        assert exit_info.value.code == 2
-        assert "--shards does not take --profile" in capsys.readouterr().err
+        assert main(["chaos", *WORKLOAD, "--overload", "--profile", "monsoon"]) == 2
+        err = capsys.readouterr().err
+        assert "does not take faults.profile, overload.enabled" in err
+        assert err.count("\n") == 1
         assert built == []
 
     @pytest.mark.parametrize("given, at_seq", [(None, 6), ("0", 0), ("2", 2)])
@@ -92,7 +97,8 @@ def first_packet_s():
     every flow of the run up front) — the part of the start-up that is
     not the feed loop's, measured here and now, on this host's load."""
     began = time.monotonic()
-    generator = _build_generator(build_parser().parse_args(LONG_RUN))
+    spec = command_spec(LONG_RUN)
+    generator = runner.build_scenario_generator(spec, spec.seed)
     next(generator.packets())
     return time.monotonic() - began
 

@@ -6,14 +6,10 @@ import pytest
 
 from repro.durability.recovery import recover_runtime
 from repro.faults.crashpoints import CRASH_POINTS
-from repro.obs import Telemetry
-from repro.stack import (
-    StackBuilder,
-    build_chaos_stack,
-    build_durable_stack,
-    build_live_stack,
-    build_measure_stack,
-)
+from repro.scenarios.runner import build_scenario_generator
+from repro.scenarios.spec import ScenarioSpec, TrafficSpec
+from repro.stack import StackBuilder, build_live_stack, build_measure_stack
+from tests.conftest import cli_stack
 from tests.durability.test_drain import EXPECTED_STAGES
 
 
@@ -35,7 +31,7 @@ class TestPresets:
         assert stack.supervisor is None
 
     def test_chaos_adds_injector_resilience_supervisor(self):
-        stack = build_chaos_stack("lossy-mq", seed=3, duration_s=0.5, rate=20)
+        stack = cli_stack("chaos", "--profile", "lossy-mq", "--seed", 3, "--duration", 0.5, "--rate", 20)
         assert stack.graph.names() == [
             "nic", "workers", "mq", "analytics", "frontend", "telemetry",
         ]
@@ -45,7 +41,7 @@ class TestPresets:
         assert stack.profile.name == "lossy-mq"
 
     def test_durable_closes_the_graph(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 0.5, "--rate", 20)
         assert stack.graph.names() == [
             "nic", "workers", "mq", "analytics", "anomaly", "topk",
             "frontend", "telemetry", "tsdb", "checkpoint",
@@ -56,13 +52,13 @@ class TestPresets:
 
 class TestDerivedBehaviours:
     def test_drain_order_is_derived_from_the_graph(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 0.5, "--rate", 20)
         report = stack.drain()
         assert report.stages == EXPECTED_STAGES
         assert report.final_checkpoint is not None
 
     def test_checkpoint_payload_enumerates_every_stateful_stage(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 0.5, "--rate", 20)
         state = stack.capture_state()
         assert set(state) == {
             "format", "meta", "pipeline", "service", "anomaly", "topk",
@@ -70,33 +66,28 @@ class TestDerivedBehaviours:
         }
 
     def test_fault_points_cover_every_stage_owned_crash_point(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 0.5, "--rate", 20)
         protocol_only = {"drain.mid"}
         assert set(stack.fault_points()) == set(CRASH_POINTS) - protocol_only
 
     def test_load_state_rejects_unknown_format(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path), duration_s=0.5, rate=20)
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 0.5, "--rate", 20)
         with pytest.raises(ValueError, match="unsupported state format"):
             stack.load_state({"format": 99, "meta": {"queues": 2}})
 
     def test_load_state_rejects_queue_mismatch(self, tmp_path):
-        stack = build_durable_stack(
-            str(tmp_path), duration_s=0.5, rate=20, queues=2
-        )
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 0.5, "--rate", 20, "--queues", 2)
         state = stack.capture_state()
         state["meta"]["queues"] = 4
         with pytest.raises(ValueError, match="built with 4 queues"):
             stack.load_state(state)
 
     def test_telemetry_stage_rides_the_graph(self):
-        telemetry = Telemetry()
-        stack = build_chaos_stack(
-            "clean", duration_s=0.5, rate=20, telemetry=telemetry
-        )
-        assert stack.graph.get("telemetry").telemetry is telemetry
+        stack = cli_stack("chaos", "--profile", "clean", "--duration", 0.5, "--rate", 20)
+        assert stack.graph.get("telemetry").telemetry is stack.telemetry is not None
 
     def test_process_batch_runs_the_whole_graph(self, tmp_path):
-        stack = build_durable_stack(str(tmp_path), duration_s=1.0, rate=30)
+        stack = cli_stack("live", "--state-dir", tmp_path, "--duration", 1, "--rate", 30)
         batch = list(stack.packet_stream())
         stack.process_batch(batch)
         assert stack.pipeline.stats.packets_offered == len(batch)
@@ -128,8 +119,8 @@ class TestStatus:
 
     def test_chaos_and_durable_have_every_block(self, tmp_path):
         for stack in (
-            build_chaos_stack("lossy-mq", seed=3, duration_s=1.0, rate=30),
-            build_durable_stack(str(tmp_path), duration_s=1.0, rate=30),
+            cli_stack("chaos", "--profile", "lossy-mq", "--seed", 3, "--duration", 1, "--rate", 30),
+            cli_stack("live", "--state-dir", tmp_path, "--duration", 1, "--rate", 30),
         ):
             status = self._blocks(stack)
             assert set(status) == {"pipeline", "analytics", "tsdb", "frontend"}
@@ -177,7 +168,8 @@ class TestBuilderValidation:
 
 
 def _scenario(seed=5):
-    return StackBuilder().scenario(duration_s=3, rate=30, seed=seed).queues(2)
+    traffic = ScenarioSpec(name="builder", traffic=TrafficSpec(duration_s=3, rate=30))
+    return StackBuilder().generator(build_scenario_generator(traffic, seed)).queues(2)
 
 
 class TestTiersCompose:
@@ -238,10 +230,8 @@ class TestObservability:
     def test_profiler_derives_from_the_graph(self):
         """A Telemetry is enough: the graph times every assembled
         stage — no per-stage wiring, nothing to enable."""
-        telemetry = Telemetry()
-        stack = build_chaos_stack(
-            "clean", duration_s=0.5, rate=20, telemetry=telemetry
-        )
+        stack = cli_stack("chaos", "--profile", "clean", "--duration", 0.5, "--rate", 20)
+        telemetry = stack.telemetry
         stack.process_batch(list(stack.packet_stream()))
         profiled = set(telemetry.profiler.stages)
         assert profiled == {stage.name for stage in stack.graph.stages}
@@ -256,10 +246,8 @@ class TestObservability:
     def test_run_times_stages_on_three_planes(self):
         """The one timing point under the one driver: wall time where
         work happens, virtual time where the clock is advanced."""
-        telemetry = Telemetry()
-        stack = build_chaos_stack(
-            "clean", duration_s=2, rate=30, telemetry=telemetry
-        )
+        stack = cli_stack("chaos", "--profile", "clean", "--duration", 2, "--rate", 30)
+        telemetry = stack.telemetry
         stack.run()
         stages = telemetry.profiler.stages
         assert stages["nic"].wall_ns > 0
@@ -276,10 +264,7 @@ class TestObservability:
         assert {row["labels"]["stage"] for row in rows} == set(stages)
 
     def test_drain_evaluates_slos(self):
-        telemetry = Telemetry()
-        stack = build_chaos_stack(
-            "clean", duration_s=0.5, rate=20, telemetry=telemetry
-        )
+        stack = cli_stack("chaos", "--profile", "clean", "--duration", 0.5, "--rate", 20)
         stack.process_batch(list(stack.packet_stream()))
         stack.drain()
         assert stack.slo_results
@@ -300,10 +285,7 @@ class TestObservability:
     def test_stack_can_override_slos(self):
         from repro.obs.slo import Slo
 
-        telemetry = Telemetry()
-        stack = build_chaos_stack(
-            "clean", duration_s=0.5, rate=20, telemetry=telemetry
-        )
+        stack = cli_stack("chaos", "--profile", "clean", "--duration", 0.5, "--rate", 20)
         stack.slos = [
             Slo("impossible", "", ("sum", "ruru_packets_offered_total"),
                 bound=10**15, kind="min")

@@ -48,13 +48,20 @@ resilience layer in every preset, so a branch on that layer's presence
 in ``analytics/service.py`` is the unguarded second path coming back,
 and a ``ResilienceLayer(``, ``WriteAheadLog(`` or ``DurableTsdb(`` under
 a test of ``profile`` or ``injector`` in ``StackBuilder.build`` ties the
-analytics or durable tier to the faults tier again. This test walks
+analytics or durable tier to the faults tier again. A spec becomes a
+stack in one place, the runner's ``Episode``: a ``StackBuilder()`` or
+``build_*_stack`` call anywhere else in ``src/`` is a second
+configuration path, and ``cli.py`` — flags in, a spec out — naming a
+stack or generator constructor, the chaos or recovery entry points, or
+calling ``parser.error`` is the CLI wiring stacks, or refusing flags,
+on its own again. This test walks
 the source tree with the AST module so string mentions in docstrings or
 comments do not trip it; only real names, imports, call sites and class
 definitions count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -1179,3 +1186,126 @@ class TestNoDirectAssemblyOutsideStack:
             if path in ALLOWED
         }
         assert builder_calls == GUARDED
+
+
+#: The module that turns flags into a spec, and what it may not name.
+CLI = SRC / "cli.py"
+CLI_BANNED = re.compile(
+    r"StackBuilder|build_\w+_stack|build_sharded_runtime|AucklandLaScenario"
+    r"|TrafficGenerator|\w*Injector|run_chaos|RecoveryHarness"
+)
+#: Where a spec becomes a stack: the builder, and the runner's episode.
+RUNNER = SRC / "scenarios" / "runner.py"
+STACK_CALLS = re.compile(r"StackBuilder|build_\w+_stack")
+
+
+def cli_wiring_sites(path=CLI):
+    """Every name, attribute or import of a banned constructor in
+    *path*, and every ``.error(`` call on something named a parser."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Call) and _called_name(node) == "error":
+            if "parser" in (_receiver_name(node) or ""):
+                sites.append((node.lineno, "parser.error("))
+            continue
+        else:
+            continue
+        if CLI_BANNED.fullmatch(name):
+            sites.append((node.lineno, name))
+    return sites
+
+
+def stack_construction_sites(root=SRC, builder=BUILDER, runner=RUNNER):
+    """``StackBuilder()`` / ``build_*_stack(`` calls outside the builder
+    and outside the runner's ``Episode`` class."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path == builder:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(call)
+            for klass in ast.walk(tree)
+            if path == runner and isinstance(klass, ast.ClassDef) and klass.name == "Episode"
+            for call in ast.walk(klass)
+        }
+        sites.extend(
+            (path, node.lineno, _called_name(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and STACK_CALLS.fullmatch(_called_name(node) or "")
+            and id(node) not in allowed
+        )
+    return sites
+
+
+class TestOneConfigurationPath:
+    def test_the_cli_builds_no_stack_and_refuses_nothing_itself(self):
+        offenders = [f"cli.py:{line} {name}" for line, name in cli_wiring_sites()]
+        assert not offenders, (
+            "the CLI wiring a stack or refusing a flag itself (flags -> "
+            "ScenarioSpec -> Episode; refusals are the spec's and build()'s):\n  "
+            + "\n  ".join(offenders)
+        )
+        # The guard is about a CLI that exists and runs episodes.
+        assert "Episode" in CLI.read_text()
+
+    def test_only_the_episode_builds_a_stack(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} calls {name}("
+            for path, lineno, name in stack_construction_sites()
+        ]
+        assert not offenders, (
+            "a stack built outside the runner's Episode (a second "
+            "configuration path):\n  " + "\n  ".join(offenders)
+        )
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        cli = tmp_path / "cli.py"
+        cli.write_text(
+            '"""StackBuilder, run_chaos and parser.error( in a docstring."""\n'
+            "from repro.stack import build_chaos_stack, StackBuilder\n"
+            "from repro.traffic.scenarios import AucklandLaScenario as A\n"
+            "def cmd(args):\n"
+            "    stack = repro.stack.build_durable_stack(args.state_dir)\n"
+            "    glitch = FirewallGlitchInjector()\n"
+            "    args.shard_parser.error('--shards does not take --profile')\n"
+            "    return run_chaos(args.profile), Episode(spec)\n"
+        )
+        assert sorted(cli_wiring_sites(cli)) == [
+            (2, "StackBuilder"), (2, "build_chaos_stack"), (3, "AucklandLaScenario"),
+            (5, "build_durable_stack"), (6, "FirewallGlitchInjector"),
+            (7, "parser.error("), (8, "run_chaos"),
+        ]
+        (tmp_path / "stack").mkdir()
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "stack" / "builder.py").write_text(
+            "def build_live_stack():\n    return StackBuilder().build()\n"
+        )
+        (tmp_path / "scenarios" / "runner.py").write_text(
+            "class Episode:\n"
+            "    def _build_stack(self):\n"
+            "        return StackBuilder().build()\n"
+            "def replay(spec):\n"
+            "    return StackBuilder().analytics().build()\n"
+        )
+        (tmp_path / "harness.py").write_text(
+            "def trial(spec):\n"
+            "    return build_durable_stack(spec.durable.state_dir), Episode(spec)\n"
+        )
+        found = stack_construction_sites(
+            tmp_path, tmp_path / "stack" / "builder.py", tmp_path / "scenarios" / "runner.py"
+        )
+        assert [(path.name, line, name) for path, line, name in found] == [
+            ("cli.py", 5, "build_durable_stack"),
+            ("harness.py", 2, "build_durable_stack"),
+            ("runner.py", 5, "StackBuilder"),
+        ]
+        # The allowance is for an episode that exists and builds.
+        assert "StackBuilder" in _calls_inside(RUNNER, "_build_stack")

@@ -4,6 +4,7 @@ from repro.faults import run_chaos
 from repro.stack import RuruStack, build_live_stack, build_measure_stack
 from repro.traffic import GeneratorConfig, TrafficGenerator
 from repro.traffic.endpoints import EndpointPopulation
+from tests.conftest import cli_spec
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -126,7 +127,9 @@ class TestChaosNeverRaises:
             raise RuntimeError("stage blew up")
 
         monkeypatch.setattr(RuruStack, "process_batch", explode)
-        report = run_chaos("clean", seed=1, duration_s=1.0, rate=20.0)
+        report = run_chaos(
+            cli_spec("chaos", "--profile", "clean", "--seed", 1, "--duration", 1, "--rate", 20)
+        )
         assert report.unhandled == ["RuntimeError('stage blew up')"]
         assert not report.ok
         assert "UNHANDLED" in report.render()

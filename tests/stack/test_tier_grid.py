@@ -16,6 +16,8 @@ import pytest
 
 from repro.obs import Telemetry
 from repro.resilience import Ledger
+from repro.scenarios.runner import build_scenario_generator
+from repro.scenarios.spec import ScenarioSpec, TrafficSpec
 from repro.stack import StackBuilder
 
 TIERS = (
@@ -35,10 +37,12 @@ STAGES = {
     "frontend": {"frontend"},
 }
 SEED = 7
+TRAFFIC = ScenarioSpec(name="tier-grid", traffic=TrafficSpec(duration_s=1, rate=30))
 
 
 def build(tiers, profile, state_dir):
-    builder = StackBuilder().scenario(duration_s=1, rate=30, seed=SEED).queues(2)
+    generator = build_scenario_generator(TRAFFIC, SEED)
+    builder = StackBuilder().generator(generator).queues(2)
     calls = {
         "analytics": builder.analytics,
         "faults": lambda: builder.faults(profile, seed=SEED),

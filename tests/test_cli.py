@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -493,3 +495,68 @@ class TestScenarioCommand:
         assert main(["scenario", "compare", "cli-tiny",
                      "--baseline-dir", baselines]) == 0
         assert "cli-tiny: ok" in capsys.readouterr().out
+
+
+REFUSED = [
+    (["live", "--shards", "2", "--checkpoint-interval", "2"],
+     "does not take durable.checkpoint_interval_s"),
+    (["live", "--shards", "2", "--keep-checkpoints", "3"], "does not take durable.keep_checkpoints"),
+    (["live", "--shards", "2", "--queues", "4"], "does not take stack.queues"),
+    (["chaos", "--shards", "2", "--queues", "4"], "does not take stack.queues"),
+    (["chaos", "--shards", "2", "--kill-at-batch", "3"],
+     "shard.kill_shard and shard.kill_at_batch come together"),
+    (["chaos", "--kill-shard", "1"], "shard.kill_shard must name one of the shards"),
+    (["chaos", "--kill-at-batch", "3"], "shard.kill_shard and shard.kill_at_batch come together"),
+    (["chaos", "--shard-policy", "reroute-all"], "shard.shards = 0 does not take shard.policy"),
+    (["live", "--shard-policy", "reroute-all"], "shard.shards = 0 does not take shard.policy"),
+]
+
+
+class TestNoFlagIsDropped:
+    """Each (command, flag) pair that used to be accepted and then
+    ignored either changes the run or is refused in one stderr line."""
+
+    SMALL = ["--duration", "1", "--rate", "20"]
+
+    @pytest.mark.parametrize("argv, says", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+    def test_refused(self, argv, says, tmp_path, capsys):
+        if argv[0] == "live":
+            argv = [*argv, "--state-dir", str(tmp_path)]
+        assert main([*argv, *self.SMALL]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"ruru {argv[0]}: error: ") and says in err
+        assert not any(tmp_path.iterdir())
+
+    def test_chaos_shards_metrics_prints_the_shard_families(self, capsys):
+        assert main(["chaos", "--shards", "2", "--metrics", *self.SMALL]) == 0
+        out = capsys.readouterr().out
+        assert "--- resilience metrics ---" in out
+        assert 'ruru_shard_restarts_total{shard="shard-1"} 0' in out
+
+    TRIAL = ["recover", "--trial", "checkpoint.post", "--hit", "1",
+             "--duration", "3", "--rate", "20"]
+
+    def _trial(self, tmp_path, *flags):
+        state = tmp_path / "state"
+        assert main([*self.TRIAL, "--state-dir", str(state), *flags]) == 0
+        return sorted(state.glob("*.snap"))
+
+    def test_recover_trial_honours_overload(self, tmp_path, capsys):
+        from repro.durability.codec import decode_snapshot
+
+        newest = self._trial(tmp_path, "--overload")[-1]
+        assert "overload" in decode_snapshot(newest.read_bytes())
+
+    def test_recover_trial_honours_keep_checkpoints(self, tmp_path, capsys):
+        assert len(self._trial(tmp_path)) == 2
+        assert len(self._trial(tmp_path, "--keep-checkpoints", "1")) == 1
+
+    def test_recover_trial_honours_fsync_wal(self, tmp_path, capsys, monkeypatch):
+        synced = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+        self._trial(tmp_path)
+        drain_only = len(synced)  # the drain's sync fsyncs regardless
+        self._trial(tmp_path, "--fsync-wal")
+        assert len(synced) - drain_only > drain_only
