@@ -54,7 +54,7 @@ def attack_run():
     pipeline = RuruPipeline(
         config=PipelineConfig(num_queues=4),
         sink=service.make_sink(),
-        observers=[flood_detector.on_packet],
+        observers=[flood_detector.on_burst],
     )
     stats = pipeline.run_packets(generator.packets())
     service.finish()
@@ -99,7 +99,7 @@ class TestFloodDetection:
         service.filters.append(lambda m: (surge_detector.observe(m), True)[1])
         pipeline = RuruPipeline(
             config=PipelineConfig(num_queues=4), sink=service.make_sink(),
-            observers=[flood_detector.on_packet],
+            observers=[flood_detector.on_burst],
         )
         pipeline.run_packets(generator.packets())
         service.finish()
@@ -110,8 +110,7 @@ class TestFloodDetection:
     def test_bench_flood_detector_cost(self, benchmark, parsed_10s):
         def run():
             detector = SynFloodDetector()
-            for packet in parsed_10s:
-                detector.on_packet(packet)
+            detector.on_burst(parsed_10s)
             return detector
 
         detector = benchmark(run)

@@ -11,13 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analytics.enricher import EnrichedMeasurement
 from repro.analytics.quantile import P2Quantile
-from repro.tsdb.point import Point
+from repro.tsdb.point import Point, SeriesKey, series_key
 
 PairKey = Tuple[str, str]
+
+
+# A pair's rollup series key, built once and kept across windows: every
+# window writes the same few hundred pairs again.
+@lru_cache(maxsize=8192)
+def _location_key(src_city: str, dst_city: str) -> SeriesKey:
+    return series_key("latency_by_location", {"src_city": src_city, "dst_city": dst_city})
+
+
+@lru_cache(maxsize=8192)
+def _asn_key(src_asn: int, dst_asn: int) -> SeriesKey:
+    return series_key("latency_by_asn", {"src_asn": str(src_asn), "dst_asn": str(dst_asn)})
 
 
 @dataclass
@@ -167,26 +180,16 @@ class PairAggregator:
         return points
 
     def _points_for(self, window: _Window) -> List[Point]:
-        points: List[Point] = []
-        for (src_city, dst_city), stats in sorted(window.by_location.items()):
-            points.append(
-                Point(
-                    measurement="latency_by_location",
-                    timestamp_ns=window.start_ns,
-                    tags={"src_city": src_city, "dst_city": dst_city},
-                    fields=self._fields(stats),
-                )
+        start_ns = window.start_ns
+        fields = self._fields
+        return [
+            Point.in_series(key_of(*pair), start_ns, fields(stats))
+            for cells, key_of in (
+                (window.by_location, _location_key),
+                (window.by_asn, _asn_key),
             )
-        for (src_asn, dst_asn), stats in sorted(window.by_asn.items()):
-            points.append(
-                Point(
-                    measurement="latency_by_asn",
-                    timestamp_ns=window.start_ns,
-                    tags={"src_asn": str(src_asn), "dst_asn": str(dst_asn)},
-                    fields=self._fields(stats),
-                )
-            )
-        return points
+            for pair, stats in sorted(cells.items())
+        ]
 
     # -- durability --------------------------------------------------------
 

@@ -14,6 +14,7 @@ over enriched measurements inserted before the fan-out.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, List, Optional
 
 from repro.analytics.aggregator import PairAggregator
@@ -33,7 +34,7 @@ from repro.resilience.breaker import BREAKER_HALF_OPEN
 from repro.resilience.invariants import Ledger
 from repro.resilience.layer import ResilienceLayer
 from repro.tsdb.database import TimeSeriesDatabase
-from repro.tsdb.point import Point
+from repro.tsdb.point import Point, series_key
 
 LATENCY_TOPIC = b"latency"
 ENRICHED_TOPIC = b"enriched"
@@ -52,6 +53,18 @@ def _dlq_reason(exc: Exception) -> str:
     text = re.sub(r"\d+", "N", str(exc))
     name = type(exc).__name__
     return f"{name}: {text}" if text else name
+
+
+@lru_cache(maxsize=8192)
+def _raw_key(src_country, dst_country, src_city, dst_city, src_asn, dst_asn, home_country):
+    """The raw point's series key, built once per endpoint identity."""
+    direction = Direction.classify(src_country, dst_country, home_country)
+    return series_key("latency", {
+        "src_country": src_country, "dst_country": dst_country,
+        "src_city": src_city, "dst_city": dst_city,
+        "src_asn": str(src_asn), "dst_asn": str(dst_asn),
+        "direction": direction.value,
+    })
 
 
 def make_pipeline_sink(push: PushSocket) -> Callable[[LatencyRecord], None]:
@@ -336,28 +349,17 @@ class AnalyticsService:
             res.points_lost += len(points)
 
     @staticmethod
-    def _raw_point(measurement: EnrichedMeasurement, home_country: str) -> Point:
-        direction = Direction.classify(
-            measurement.src_country, measurement.dst_country, home_country
+    def _raw_point(m: EnrichedMeasurement, home_country: str) -> Point:
+        key = _raw_key(
+            m.src_country, m.dst_country, m.src_city, m.dst_city, m.src_asn, m.dst_asn,
+            home_country,
         )
-        return Point(
-            measurement="latency",
-            timestamp_ns=measurement.timestamp_ns,
-            tags={
-                "src_country": measurement.src_country,
-                "dst_country": measurement.dst_country,
-                "src_city": measurement.src_city,
-                "dst_city": measurement.dst_city,
-                "src_asn": str(measurement.src_asn),
-                "dst_asn": str(measurement.dst_asn),
-                "direction": direction.value,
-            },
-            fields={
-                "internal_ms": measurement.internal_ms,
-                "external_ms": measurement.external_ms,
-                "total_ms": measurement.total_ms,
-            },
-        )
+        internal_ns, external_ns = m.internal_ns, m.external_ns  # the *_ms properties, inline
+        return Point.in_series(key, m.timestamp_ns, {
+            "internal_ms": internal_ns / 1e6,
+            "external_ms": external_ns / 1e6,
+            "total_ms": (internal_ns + external_ns) / 1e6,
+        })
 
     # -- reporting --------------------------------------------------------------
 

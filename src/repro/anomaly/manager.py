@@ -8,7 +8,7 @@ alert channel).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.analytics.enricher import EnrichedMeasurement
 from repro.anomaly.conn_count import ConnectionCountDetector
@@ -26,8 +26,8 @@ class AnomalyManager:
 
     * :meth:`observe_measurement` — enriched measurements (latency
       spikes, connection surges); subscribe it to the analytics PUB.
-    * :meth:`observe_packet` — parsed packets (SYN floods); register
-      it as a pipeline worker observer.
+    * :meth:`observe_burst` — a burst's parsed packets (SYN floods);
+      register it as a pipeline worker observer.
     """
 
     def __init__(self, alert_sink: Optional[AlertSink] = None):
@@ -48,10 +48,10 @@ class AnomalyManager:
             if event is not None:
                 self._alert(event)
 
-    def observe_packet(self, packet: ParsedPacket) -> None:
-        """Feed one parsed packet to the packet detectors."""
+    def observe_burst(self, packets: Sequence[ParsedPacket]) -> None:
+        """Feed one burst of parsed packets to the packet detectors."""
         before = len(self.syn_flood.events)
-        self.syn_flood.on_packet(packet)
+        self.syn_flood.on_burst(packets)
         for event in self.syn_flood.events[before:]:
             self._alert(event)
 

@@ -15,7 +15,7 @@ addresses — the detector's own output respects the privacy rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.anomaly.baseline import WindowedRate
 from repro.anomaly.events import AnomalyEvent, Severity
@@ -49,51 +49,42 @@ class SynFloodDetector:
         self.prefix_bits = prefix_bits
         self._syns: WindowedRate[TargetKey] = WindowedRate(window_ns)
         self._acks: WindowedRate[TargetKey] = WindowedRate(window_ns)
-        # The most recently closed ACK window, kept until the matching
-        # SYN window closes (the two counters can close at different
-        # packets).
-        self._closed_ack_window: Optional[Tuple[int, Dict[TargetKey, int]]] = None
         self._open: Dict[TargetKey, AnomalyEvent] = {}
         self.events: List[AnomalyEvent] = []
         self.packets_seen = 0
 
-    def _target_of(self, packet: ParsedPacket) -> TargetKey:
-        if packet.is_ipv6:
-            truncated = packet.dst_ip >> 80 << 80  # keep /48
-            return (truncated, True)
-        shift = 32 - self.prefix_bits
-        return ((packet.dst_ip >> shift) << shift, False)
-
     def on_packet(self, packet: ParsedPacket) -> None:
-        """Observer entry point: feed every parsed TCP packet."""
-        self.packets_seen += 1
-        target = self._target_of(packet)
-        if packet.is_syn:
-            closed_acks = self._acks.add(target, packet.timestamp_ns, count=0)
-            if closed_acks is not None:
-                self._closed_ack_window = closed_acks
-            closed_syns = self._syns.add(target, packet.timestamp_ns)
-            if closed_syns is not None:
-                self._evaluate(closed_syns)
-        elif packet.is_ack:
-            # ACKs toward the flooded target approximate handshakes the
-            # target's clients actually completed; a flood of spoofed
-            # SYNs produces none.
-            closed_acks = self._acks.add(target, packet.timestamp_ns, count=1)
-            if closed_acks is not None:
-                self._closed_ack_window = closed_acks
-            closed_syns = self._syns.add(target, packet.timestamp_ns, count=0)
-            if closed_syns is not None:
-                self._evaluate(closed_syns)
+        """Feed one parsed TCP packet."""
+        self.on_burst((packet,))
 
-    def _evaluate(self, closed_syns) -> None:
+    def on_burst(self, packets: Sequence[ParsedPacket]) -> None:
+        """Observer entry point: feed a burst of parsed TCP packets, in
+        order.
+
+        Both counters see every SYN and every ACK at the same timestamp,
+        so they close their windows on the same packet.
+        """
+        self.packets_seen += len(packets)
+        syns, acks, shift = self._syns, self._acks, 32 - self.prefix_bits
+        for packet in packets:
+            # A pure SYN, or an ACK: ACKs toward the flooded target
+            # approximate handshakes the target's clients actually
+            # completed; a flood of spoofed SYNs produces none.
+            handshake = packet.flags & 0x12
+            if handshake != 0x02 and handshake != 0x10:
+                continue
+            syn = handshake == 0x02
+            dst = packet.dst_ip
+            # The target network: the destination's /prefix_bits, or /48.
+            target = (dst >> 80 << 80, True) if packet.is_ipv6 else (dst >> shift << shift, False)
+            closed_acks = acks.add(target, packet.timestamp_ns, count=0 if syn else 1)
+            closed_syns = syns.add(target, packet.timestamp_ns, count=1 if syn else 0)
+            if closed_syns is not None:
+                self._evaluate(closed_syns, closed_acks)
+
+    def _evaluate(self, closed_syns, closed_acks) -> None:
         window_start, syn_counts = closed_syns
-        ack_counts: Dict[TargetKey, int] = {}
-        if (
-            self._closed_ack_window is not None
-            and self._closed_ack_window[0] == window_start
-        ):
-            ack_counts = self._closed_ack_window[1]
+        ack_counts: Dict[TargetKey, int] = closed_acks[1] if closed_acks else {}
         window_s = self.window_ns / NS_PER_S
         for target, syn_count in syn_counts.items():
             rate = syn_count / window_s
@@ -131,11 +122,9 @@ class SynFloodDetector:
     def finish(self, now_ns: Optional[int] = None) -> List[AnomalyEvent]:
         """End of stream: evaluate the last window, close open events."""
         closed_acks = self._acks.flush()
-        if closed_acks is not None:
-            self._closed_ack_window = closed_acks
         closed_syns = self._syns.flush()
         if closed_syns is not None:
-            self._evaluate(closed_syns)
+            self._evaluate(closed_syns, closed_acks)
         for target, event in list(self._open.items()):
             if event.is_open and now_ns is not None:
                 event.close(now_ns)
@@ -161,5 +150,4 @@ class SynFloodDetector:
         self._syns.load_state(state["syns"])
         self._acks.load_state(state["acks"])
         self.packets_seen = int(state["packets_seen"])
-        self._closed_ack_window = None
         self._open.clear()

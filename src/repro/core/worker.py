@@ -2,10 +2,11 @@
 
 Ruru allocates "different DPDK processing threads … on separate CPU
 cores", one per receive queue. A :class:`QueueWorker` is that thread's
-body: for each frame of a burst, flow-sample on the RSS hash, feed the
-frame's parse to the handshake tracker and the observers, then sweep
-the flow table when due. Emitted measurements go to the worker's sink —
-in the full pipeline, a ZeroMQ-style PUSH socket.
+body: for each frame of a burst, flow-sample on the RSS hash and feed
+the frame's parse to the handshake tracker; then hand the observers the
+burst's parses and sweep the flow table when due. Emitted measurements
+go to the worker's sink — in the full pipeline, a ZeroMQ-style PUSH
+socket.
 
 The body has two callers, both handing it :class:`~repro.dpdk.mbuf.RxRow`
 rows: :meth:`QueueWorker.poll`, fed by one of the NIC's rx rings (its rows
@@ -53,8 +54,8 @@ class QueueWorker:
             config=self.config, queue_id=queue_id, sink=sink
         )
         self.pipeline_stats = pipeline_stats
-        # In-pipeline taps (e.g. the SYN-flood detector) see every
-        # successfully parsed packet, after the tracker.
+        # In-pipeline taps (e.g. the SYN-flood detector), each handed a
+        # burst's successfully parsed packets once, after the tracker.
         self.observers: List[Callable] = list(observers or [])
         self.packets_processed = 0
         self.packets_sampled_out = 0
@@ -74,8 +75,8 @@ class QueueWorker:
         return len(rows)
 
     def process_burst(self, rows: Iterable[RxRow]) -> None:
-        """Sample, track and observe each row's frame, then run the
-        sweep check.
+        """Sample and track each row's frame, hand the observers the
+        burst's parses, then run the sweep check.
 
         A row's ``parsed`` is the port's header pass — a ``ParsedPacket``,
         or the reject reason, counted here, where the frame is
@@ -87,6 +88,7 @@ class QueueWorker:
         modulus = self.config.flow_sample_modulus
         process = self.tracker.process
         observers = self.observers
+        accepted = [] if observers else None  # gathered only for observers
         latest_ns = self._latest_ns
         processed = 0
         for timestamp_ns, rss_hash, frame, data, _, _ in rows:
@@ -104,10 +106,13 @@ class QueueWorker:
                         self.pipeline_stats.record_parse_error(frame)
                     continue
             process(frame, rss_hash)
-            for observer in observers:
-                observer(frame)
+            if accepted is not None:
+                accepted.append(frame)
         self.packets_processed += processed
         self._latest_ns = latest_ns
+        if accepted:
+            for observer in observers:
+                observer(accepted)
         self.tracker.maybe_sweep(latest_ns)
 
     @property

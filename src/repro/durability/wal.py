@@ -327,10 +327,9 @@ class DurableTsdb:
         self.duplicates_skipped += sum(
             1 for batch_id, _ in replay.batches if batch_id <= held
         )
-        write = self.inner.storage.write
+        write = self.inner.storage.write_batch
         for batch_id, points in replay.live_batches(held):
-            for point in points:
-                write(point)
+            write(points)
             if batch_id > self.last_applied_batch_id:
                 self.replayed_batches += 1
                 self.replayed_points += len(points)

@@ -587,7 +587,7 @@ class StackBuilder:
             feed_observers = []
             if self._anomaly:
                 anomaly = AnomalyManager()
-                observers.append(anomaly.observe_packet)
+                observers.append(anomaly.observe_burst)
                 feed_observers.append(anomaly.observe_measurement)
                 stages.append(AnomalyStage(anomaly))
             if self._topk_capacity is not None:

@@ -30,11 +30,7 @@ class TimeSeriesDatabase:
 
     def write_batch(self, points: Iterable[Point]) -> int:
         """Ingest many points; returns the count."""
-        count = 0
-        for point in points:
-            self.storage.write(point)
-            count += 1
-        return count
+        return self.storage.write_batch(points)
 
     # -- queries ---------------------------------------------------------------
 
@@ -87,12 +83,7 @@ class TimeSeriesDatabase:
                 for field_name in series.fields:
                     for timestamp, value in series.values(field_name):
                         yield format_point(
-                            Point(
-                                measurement=name,
-                                timestamp_ns=timestamp,
-                                tags=dict(series.tags),
-                                fields={field_name: value},
-                            )
+                            Point.in_series(series.key, timestamp, {field_name: value})
                         )
 
     def load_lines(self, lines: Iterable[str]) -> int:

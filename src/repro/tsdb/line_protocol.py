@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.tsdb.point import Point
 
@@ -87,17 +87,23 @@ def _head(series_key) -> str:
     )
 
 
+@lru_cache(maxsize=8192)
+def _field_prefixes(names: Tuple[str, ...]) -> Tuple[Tuple[str, str], ...]:
+    # Likewise per field-name tuple: (name, escaped "name=") in line order.
+    return tuple((name, f"{_escape(name)}=") for name in sorted(names))
+
+
 def format_point(point: Point) -> str:
     """Serialize one point to a line."""
-    head = _head(point.series_key())
+    fields = point.fields
     field_parts = []
-    for key in sorted(point.fields):
-        value = point.fields[key]
+    for key, prefix in _field_prefixes(tuple(fields)):
+        value = fields[key]
         if isinstance(value, int):
-            field_parts.append(f"{_escape(key)}={value}i")
+            field_parts.append(f"{prefix}{value}i")
         else:
-            field_parts.append(f"{_escape(key)}={value!r}")
-    return f"{head} {','.join(field_parts)} {point.timestamp_ns}"
+            field_parts.append(f"{prefix}{value!r}")
+    return f"{_head(point.series_key())} {','.join(field_parts)} {point.timestamp_ns}"
 
 
 # With no escaped backslash in a line, a backslash always escapes the

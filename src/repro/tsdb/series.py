@@ -17,8 +17,11 @@ from repro.tsdb.point import FieldValue, Point
 class Series:
     """Time-ordered samples of one tagset."""
 
+    __slots__ = ("measurement", "key", "tags", "_timestamps", "_columns")
+
     def __init__(self, measurement: str, tags: Tuple[Tuple[str, str], ...]):
         self.measurement = measurement
+        self.key = (measurement, tags)
         self.tags = dict(tags)
         self._timestamps: List[int] = []
         self._columns: Dict[str, List[Optional[FieldValue]]] = {}
@@ -37,13 +40,32 @@ class Series:
         Fields absent from a given point are padded with None so all
         columns stay aligned with the timestamp column.
         """
+        fields = point.fields
+        columns = self._columns
+        timestamps = self._timestamps
+        # The usual row: this series' fields, in time order — one append
+        # per column, no walk for new fields.
+        if fields.keys() == columns.keys() and (
+            not timestamps or point.timestamp_ns >= timestamps[-1]
+        ):
+            timestamps.append(point.timestamp_ns)
+            for key, column in columns.items():
+                column.append(fields[key])
+            return
+        if not columns:  # a new series: its columns are this row's fields
+            timestamps.append(point.timestamp_ns)
+            self._columns = {key: [value] for key, value in fields.items()}
+            return
+        self._insert(point)
+
+    def _insert(self, point: Point) -> None:
+        """:meth:`append` for any point: new or missing fields, any time."""
         for key in point.fields:
             if key not in self._columns:
                 # Backfill a new field for all existing rows.
                 self._columns[key] = [None] * len(self._timestamps)
 
         if not self._timestamps or point.timestamp_ns >= self._timestamps[-1]:
-            index = len(self._timestamps)
             self._timestamps.append(point.timestamp_ns)
             for key, column in self._columns.items():
                 column.append(point.fields.get(key))

@@ -8,12 +8,14 @@ filter like ``src_country = 'NZ'`` touches only matching series.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import defaultdict
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.tsdb.point import Point
+from repro.tsdb.point import Point, SeriesKey
 from repro.tsdb.series import Series
 
-SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+_by_key = attrgetter("key")
 
 
 class SeriesStorage:
@@ -21,24 +23,36 @@ class SeriesStorage:
 
     def __init__(self):
         self._series: Dict[SeriesKey, Series] = {}
-        # measurement -> tag key -> tag value -> series keys
-        self._tag_index: Dict[str, Dict[str, Dict[str, Set[SeriesKey]]]] = {}
-        self._by_measurement: Dict[str, Set[SeriesKey]] = {}
-        self.points_written = 0
+        # measurement -> tag key -> tag value -> series (hashed by identity,
+        # so indexing a series hashes its key once, not once per tag)
+        self._tag_index: Dict[str, Dict[str, Dict[str, Set[Series]]]] = defaultdict(
+            lambda: defaultdict(lambda: defaultdict(set)))
+        self._by_measurement: Dict[str, Set[Series]] = defaultdict(set)
 
-    def write(self, point: Point) -> Series:
+    def write(self, point: Point) -> None:
         """Route a point to its series, creating and indexing it if new."""
-        key = point.series_key()
-        series = self._series.get(key)
-        if series is None:
-            series = Series(point.measurement, key[1])
-            self._series[key] = series
-            self._by_measurement.setdefault(point.measurement, set()).add(key)
-            index = self._tag_index.setdefault(point.measurement, {})
-            for tag_key, tag_value in key[1]:
-                index.setdefault(tag_key, {}).setdefault(tag_value, set()).add(key)
-        series.append(point)
-        self.points_written += 1
+        self.write_batch((point,))
+
+    def write_batch(self, points: Iterable[Point]) -> int:
+        """:meth:`write` for each point, in order; returns the count."""
+        lookup = self._series.get
+        count = 0
+        for point in points:
+            key = point.series_key()
+            series = lookup(key)
+            if series is None:
+                series = self._add_series(key)
+            series.append(point)
+            count += 1
+        return count
+
+    def _add_series(self, key: SeriesKey) -> Series:
+        measurement, tags = key
+        series = self._series[key] = Series(measurement, tags)
+        self._by_measurement[measurement].add(series)
+        index = self._tag_index[measurement]
+        for tag_key, tag_value in tags:
+            index[tag_key][tag_value].add(series)
         return series
 
     def measurements(self) -> List[str]:
@@ -47,8 +61,8 @@ class SeriesStorage:
 
     def series_for(self, measurement: str, ordered: bool = True) -> List[Series]:
         """Every series of a measurement, by key unless order is moot."""
-        keys = self._by_measurement.get(measurement, set())
-        return [self._series[key] for key in (sorted(keys) if ordered else keys)]
+        found = self._by_measurement.get(measurement, ())
+        return sorted(found, key=_by_key) if ordered else list(found)
 
     def tag_values(self, measurement: str, tag_key: str) -> List[str]:
         """Distinct values of *tag_key* (``SHOW TAG VALUES``)."""
@@ -63,24 +77,19 @@ class SeriesStorage:
         Uses the inverted index: intersect the per-(key, value) series
         sets rather than scanning all series.
         """
-        all_keys = self._by_measurement.get(measurement)
-        if not all_keys:
+        candidate = self._by_measurement.get(measurement)
+        if not candidate:
             return []
-        if not tag_filters:
-            return [self._series[key] for key in sorted(all_keys)]
-
-        index = self._tag_index.get(measurement, {})
-        candidate: Optional[Set[SeriesKey]] = None
-        for tag_key, wanted_values in tag_filters.items():
+        index = self._tag_index[measurement]
+        for tag_key, wanted_values in (tag_filters or {}).items():
             by_value = index.get(tag_key, {})
-            matching: Set[SeriesKey] = set()
+            matching: Set[Series] = set()
             for value in wanted_values:
                 matching |= by_value.get(value, set())
-            candidate = matching if candidate is None else candidate & matching
+            candidate = candidate & matching
             if not candidate:
                 return []
-        assert candidate is not None
-        return [self._series[key] for key in sorted(candidate)]
+        return sorted(candidate, key=_by_key)
 
     def total_points(self) -> int:
         """Points across all series currently retained."""
@@ -90,13 +99,23 @@ class SeriesStorage:
         return len(self._series)
 
     def drop_empty(self) -> int:
-        """Remove series emptied by retention; returns how many."""
+        """Remove series emptied by retention, and every index entry
+        (tag value, tag key, measurement) left with no series; returns
+        how many series."""
         empty = [key for key, series in self._series.items() if not len(series)]
         for key in empty:
-            measurement = key[0]
-            del self._series[key]
-            self._by_measurement[measurement].discard(key)
-            index = self._tag_index.get(measurement, {})
-            for tag_key, tag_value in key[1]:
-                index.get(tag_key, {}).get(tag_value, set()).discard(key)
+            measurement, tags = key
+            series = self._series.pop(key)
+            index = self._tag_index[measurement]
+            for tag_key, tag_value in tags:
+                by_value = index[tag_key]
+                by_value[tag_value].discard(series)
+                if not by_value[tag_value]:
+                    del by_value[tag_value]
+                if not by_value:
+                    del index[tag_key]
+            found = self._by_measurement[measurement]
+            found.discard(series)
+            if not found:
+                del self._by_measurement[measurement], self._tag_index[measurement]
         return len(empty)

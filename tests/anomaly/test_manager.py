@@ -30,7 +30,7 @@ class TestAnomalyManager:
         for second in range(3):
             for i in range(1200):
                 t = second * S + i * (S // 1200)
-                manager.observe_packet(_packet(SYN, t, rng=rng))
+                manager.observe_burst([_packet(SYN, t, rng=rng)])
         events = manager.finish(now_ns=5 * S)
         assert any(e.kind == "syn-flood" for e in events)
 
@@ -54,8 +54,8 @@ class TestAnomalyManager:
         # needs at least one event.
         for second in range(3):
             for i in range(1200):
-                manager.observe_packet(
-                    _packet(SYN, second * S + i * (S // 1200), rng=rng)
+                manager.observe_burst(
+                    [_packet(SYN, second * S + i * (S // 1200), rng=rng)]
                 )
         events = manager.finish(now_ns=5 * S)
         severities = [int(e.severity) for e in events]

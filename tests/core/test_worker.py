@@ -64,7 +64,7 @@ class TestQueueWorker:
     def test_observer_sees_parsed_packets(self):
         nic = _nic_with_handshake()
         seen = []
-        worker = QueueWorker(nic, queue_id=0, observers=[seen.append])
+        worker = QueueWorker(nic, queue_id=0, observers=[seen.extend])
         worker.poll()
         assert len(seen) == 3
         assert seen[0].is_syn

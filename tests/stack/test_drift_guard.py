@@ -35,7 +35,10 @@ what a poll gathers goes to the store as one request, from the end of
 after it — a ``_write_points`` call inside the per-record loop, a
 ``process_measurement`` method, or a ``pub.send`` ahead of the poll's
 write is the per-record path (a WAL frame, a flush and a round trip
-through the guard machinery per record) coming back. The port's burst
+through the guard machinery per record) coming back. Its points are
+rows of series it keys once: a ``Point(`` built from a tags dict in
+``analytics/service.py`` or ``analytics/aggregator.py`` is the key
+worked out afresh (a dict, a sort, a tuple) per record. The port's burst
 loop pays per frame only for what differs per frame: the buffer budget
 and each ring's room are local integers inside it and the pool, ring
 and port counters are settled after it, so a call on the pool or on a
@@ -643,6 +646,59 @@ class TestOneWritePath:
         assert [what for _, what in per_record_write_sites(early)] == [
             "pub.send before the poll's write"
         ]
+
+
+#: The record half's point producers: the raw point and the rollups.
+PRODUCERS = (SERVICE, SRC / "analytics" / "aggregator.py")
+
+
+def point_from_tags_sites(paths=PRODUCERS):
+    """``Point(`` called with a tags dict — a ``tags=`` keyword or a third
+    positional argument — in *paths*: a point identified afresh from its
+    tags (a dict, a sort, a tuple) for every record."""
+    return [
+        (path, node.lineno)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "Point"
+        and (len(node.args) > 2 or any(kw.arg == "tags" for kw in node.keywords))
+    ]
+
+
+class TestPointsAreRows:
+    def test_producers_key_each_series_once(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} Point( with tags"
+            for path, lineno in point_from_tags_sites()
+        ]
+        assert not offenders, (
+            "a point built from a tags dict per record (build the series key "
+            "once, then Point.in_series):\n  " + "\n  ".join(offenders)
+        )
+        # The guard is about producers that exist and build rows.
+        assert all("Point.in_series(" in path.read_text() for path in PRODUCERS)
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        fine = tmp_path / "fine.py"
+        fine.write_text(
+            '"""Point("m", 1, tags={"a": "b"}) in a docstring."""\n'
+            "KEY = series_key('latency', {'src_city': 'Auckland'})\n"
+            "def row(m):\n"
+            "    return Point.in_series(KEY, m.timestamp_ns, {'total_ms': 1.0})\n"
+            "def parsed(line):\n"
+            "    return Point('m', 1, fields={'v': 1})\n"
+        )
+        assert point_from_tags_sites([fine]) == []
+        rogue = tmp_path / "rogue.py"
+        rogue.write_text(
+            "def raw(m):\n"
+            "    return Point(measurement='latency', timestamp_ns=m.timestamp_ns,\n"
+            "                 tags={'src_city': m.src_city}, fields={'v': 1.0})\n"
+            "def rollup(pair, stats):\n"
+            "    return tsdb.Point('latency_by_asn', 0, {'src_asn': pair[0]}, stats)\n"
+        )
+        assert point_from_tags_sites([rogue]) == [(rogue, 2), (rogue, 5)]
 
 
 #: The builder module; its ``StackBuilder.build`` assembles every tier.

@@ -145,7 +145,7 @@ class TestSynFloodEndToEnd:
         ).build(injectors=[flood])
         manager = AnomalyManager()
         pipeline, service, _ = _full_stack(
-            generator, observers=[manager.observe_packet]
+            generator, observers=[manager.observe_burst]
         )
         pipeline.run_packets(generator.packets())
         service.finish()

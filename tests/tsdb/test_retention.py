@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.point import Point
+from repro.tsdb.ql import execute_statement
 from repro.tsdb.retention import Downsampler, RetentionPolicy
 from repro.tsdb.storage import SeriesStorage
 
@@ -41,6 +43,27 @@ class TestRetentionPolicy:
         storage = _filled_storage()
         RetentionPolicy(duration_ns=S).enforce(storage, 100 * S)
         assert storage.series_count() == 0
+
+    def test_emptied_store_leaves_no_index_entries(self):
+        """Neither the measurement, its tag key nor its tag value
+        outlives the last series that carried it."""
+        db = TimeSeriesDatabase()
+        db.storage = _filled_storage()
+        db.write(Point("latency", 50 * S, tags={"c": "AU"}, fields={"total_ms": 1.0}))
+        db.add_retention_policy(RetentionPolicy(duration_ns=S))
+        db.enforce_retention(20 * S)
+        assert db.measurements() == ["latency"]
+        assert db.tag_values("latency", "c") == ["AU"]
+        db.enforce_retention(100 * S)
+        assert db.total_points() == 0
+        assert db.measurements() == execute_statement(db, "SHOW MEASUREMENTS") == []
+        assert db.tag_values("latency", "c") == []
+        assert execute_statement(db, "SHOW TAG VALUES FROM latency WITH KEY = c") == []
+        assert db.cardinality() == {}
+        # ... and a series written afterwards is indexed from scratch.
+        db.write(Point("latency", 200 * S, tags={"c": "NZ"}, fields={"total_ms": 2.0}))
+        assert db.tag_values("latency", "c") == ["NZ"]
+        assert db.cardinality() == {"latency": 1}
 
     def test_validation(self):
         with pytest.raises(ValueError):
