@@ -63,7 +63,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.report import analyze_paths, compare_windows
 from repro.durability import recover_runtime, run_recovery_trial
 from repro.durability.signals import GracefulShutdown
-from repro.faults import PROFILES, ChaosReport
+from repro.faults import PROFILES, chaos_ok, render_chaos
 from repro.frontend.dashboard import build_ruru_dashboard
 from repro.frontend.grafana import build_selfmon_dashboard, export_grafana_json
 from repro.frontend.heatmap import LatencyBuckets, render_heatmap
@@ -657,9 +657,8 @@ def cmd_chaos(args) -> int:
     if args.shards:
         code = _print_sharded(args, episode)
     else:
-        report = ChaosReport.of(episode)
-        print(report.render())
-        code = 0 if report.ok else 1
+        print(render_chaos(episode))
+        code = 0 if chaos_ok(episode) else 1
     if args.metrics:
         print("--- resilience metrics ---")
         for line in episode.telemetry.registry.exposition().splitlines():
@@ -670,9 +669,8 @@ def cmd_chaos(args) -> int:
 
 def cmd_dlq(args) -> int:
     episode, _ = _run(args, folds_errors=True)
-    report = ChaosReport.of(episode)
     print(episode.stack.resilience.dlq.format_table(limit=args.limit))
-    return 0 if report.ok else 1
+    return 0 if chaos_ok(episode) else 1
 
 
 def cmd_live(args) -> int:

@@ -23,7 +23,7 @@ from repro.core.config import PipelineConfig
 from repro.core.feed import FEED_BATCH, drive
 from repro.core.handshake import MeasurementSink
 from repro.core.latency import LatencyRecord
-from repro.core.stats import PipelineStats
+from repro.core.stats import PipelineStats, TrackerStats
 from repro.core.worker import QueueWorker
 from repro.dpdk.clock import VirtualClock
 from repro.dpdk.mbuf import MbufPool
@@ -79,7 +79,9 @@ class RuruPipeline:
         self.clock = VirtualClock()
         self.measurements: List[LatencyRecord] = []
         self._sink: MeasurementSink = sink or self.measurements.append
-        self.stats = PipelineStats()
+        #: The pipeline's own counters, plain ints the hot path writes;
+        #: the workers keep theirs, and :attr:`stats` folds them in.
+        self.counters = PipelineStats()
         self.quiesced = False
         self.telemetry = telemetry
 
@@ -103,7 +105,7 @@ class RuruPipeline:
                 queue_id=queue_id,
                 config=self.config,
                 sink=self._sink,
-                pipeline_stats=self.stats,
+                pipeline_stats=self.counters,
                 observers=list(observers or []),
             )
             self.workers.append(worker)
@@ -127,7 +129,7 @@ class RuruPipeline:
         """Offer a burst of frames to the NIC; returns how many it
         queued. The books — offered, queued, shed, dropped, the virtual
         clock — are settled once for the burst."""
-        stats = self.stats
+        stats = self.counters
         if not isinstance(packets, (list, tuple)):
             packets = list(packets)  # sized, and walked twice, below
         offered = len(packets)
@@ -160,7 +162,7 @@ class RuruPipeline:
         supervisor = self.supervisor
         restarts_seen = supervisor.total_restarts if supervisor else 0
         while self.nic.pending():
-            self.stats.scheduling_rounds += 1
+            self.counters.scheduling_rounds += 1
             if sum(poll() for poll in self._polls) == 0:
                 if supervisor is not None and (
                     supervisor.total_restarts > restarts_seen
@@ -195,7 +197,6 @@ class RuruPipeline:
         )
         # Rings may still hold frames from a direct `offer`.
         self.drain()
-        self._fold_worker_counters(self.stats)
         return self.stats
 
     def _feed_and_drain(self, batch: List[Packet]) -> None:
@@ -207,32 +208,27 @@ class RuruPipeline:
 
     # -- reporting -----------------------------------------------------------
 
-    def _fold_worker_counters(self, stats: PipelineStats) -> None:
-        merged = type(stats.tracker)()
+    @property
+    def stats(self) -> PipelineStats:
+        """Whole-pipeline totals: :attr:`counters` with the workers'
+        counters folded in, as a fresh copy — the same under
+        :meth:`run_packets`, a stack's graph walk, or bare
+        :meth:`offer` / :meth:`drain` calls."""
+        stats = PipelineStats()
+        stats.load_state(self.counters.state_dict())
+        # The worker terms are recomputed, never accumulated: a restored
+        # checkpoint leaves its own folded copies in `counters`.
+        stats.tracker = TrackerStats()
         for worker in self.workers:
-            merged.merge(worker.stats)
-        stats.tracker = merged
-        # Worker-local counters are recomputed (not accumulated) so
-        # repeated run_packets calls on one pipeline never double-count.
-        stats.packets_processed = sum(
-            worker.packets_processed for worker in self.workers
-        )
-        stats.packets_sampled_out = sum(
-            worker.packets_sampled_out for worker in self.workers
-        )
+            stats.tracker.merge(worker.stats)
+        stats.packets_processed = sum(w.packets_processed for w in self.workers)
+        stats.packets_sampled_out = sum(w.packets_sampled_out for w in self.workers)
         stats.queue_share = self.nic.queue_balance()
+        return stats
 
     def stats_snapshot(self) -> PipelineStats:
-        """Folded whole-pipeline stats without mutating :attr:`stats`.
-
-        A stack driven along its stage graph never passes through
-        :meth:`run_packets`'s trailing merge, so this is its read path
-        for worker counters (``DrainReport.stats``).
-        """
-        snapshot = PipelineStats()
-        snapshot.load_state(self.stats.state_dict())
-        self._fold_worker_counters(snapshot)
-        return snapshot
+        """:attr:`stats` (the name the end-to-end benchmark reads)."""
+        return self.stats
 
     def _bind_registry(self, registry) -> None:
         """Publish every pipeline/NIC/worker counter through *registry*.
@@ -260,14 +256,13 @@ class RuruPipeline:
         ``kill -9`` are the bounded loss recovery reports explicitly.
 
         Snapshotting is side-effect free: worker counters are folded
-        into a stats *copy*, so taking a checkpoint never mutates the
-        observable :attr:`stats`.
+        into a stats *copy* (:attr:`stats`), never into :attr:`counters`.
         """
         nic = self.nic.stats
         return {
             "clock_ns": self.clock.now_ns,
             "quiesced": self.quiesced,
-            "stats": self.stats_snapshot().state_dict(),
+            "stats": self.stats.state_dict(),
             "nic_stats": {
                 "ipackets": nic.ipackets,
                 "ibytes": nic.ibytes,
@@ -294,7 +289,7 @@ class RuruPipeline:
             )
         self.clock.advance_to(int(state["clock_ns"]))
         self.quiesced = bool(state["quiesced"])
-        self.stats.load_state(state["stats"])
+        self.counters.load_state(state["stats"])
         nic_state = state["nic_stats"]
         nic = self.nic.stats
         nic.ipackets = int(nic_state["ipackets"])

@@ -364,7 +364,9 @@ def compare(
     advisories instead (share metrics, marked ``portable``, still
     gate). Metrics marked ``exact`` are deterministic invariants: any
     change at all, in either direction, is a regression ("improved"
-    does not exist for an anomaly-event count).
+    does not exist for an anomaly-event count), and so is one the
+    current run no longer records (a non-exact ``removed`` metric is
+    informational).
     """
     report = CompareReport(baseline, current, threshold)
     names = list(baseline.metrics)
@@ -378,6 +380,10 @@ def compare(
             )
             continue
         if cur_entry is None:
+            # A deterministic invariant the run no longer records is a
+            # term gone from the books, not a metric retired.
+            if base_entry.get("exact"):
+                report.regressions.append(name)
             report.rows.append(
                 (name, base_entry.get("value"), None, None, "removed")
             )

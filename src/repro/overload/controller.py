@@ -346,21 +346,6 @@ class OverloadController:
         ]
         self._nic_shed = 0
 
-    def summary(self) -> Dict[str, object]:
-        """Flat snapshot for reports and scenario metrics."""
-        return {
-            "level": self.level,
-            "level_name": LEVEL_NAMES[self.level],
-            "level_max": self.level_max,
-            "transitions": len(self.transitions),
-            "offered": dict(self.offered),
-            "admitted": dict(self.admitted),
-            "truncated": self.truncated,
-            "ring_displacements": self.ring_displacements,
-            "shed": {f"{k}/{s}": count for (k, s), count in sorted(self._shed.items())},
-            "mq_offered": self.mq_offered,
-        }
-
 
 __all__ = [
     "LEVEL_FULL",

@@ -71,6 +71,13 @@ class Ledger:
         )
 
     @classmethod
+    def from_books(cls, counts: dict) -> "Ledger":
+        """The analytics ledger a drained run's books (``ledger.*``)
+        record."""
+        terms = ("ingested", "processed", "dropped", "deadlettered")
+        return cls(*(counts[f"ledger.{term}"] for term in terms))
+
+    @classmethod
     def from_parts(cls, gate_offered: int, ledger: "Ledger", shed_mq: int) -> "Ledger":
         """Combine the MQ gate's offered count, the analytics ledger and
         the controller's mq-stage shed counter."""

@@ -6,10 +6,12 @@ the spec's traffic axis becomes a generator, its tiers become a
 ``[shard]`` table asks for worker processes, a sharded runtime), and
 :meth:`Episode.run` is the driver of :mod:`repro.core.feed` then the
 target's ``drain``. Everything that runs a stack is an episode plus a
-fold of what it left behind: :func:`run_scenario` folds it into one
-:class:`repro.obs.bench.Resultset` plus a list of correctness checks,
-a chaos run into a :class:`~repro.faults.chaos.ChaosReport`, a ``ruru``
-command into its printout.
+reading of what it left behind: an in-process run's books are
+:attr:`Episode.counts` (the drain report's
+:attr:`~repro.stack.builder.DrainReport.counts`), which
+:func:`run_scenario` records into one
+:class:`repro.obs.bench.Resultset` beside its checks, and which a
+``ruru`` command renders.
 
 Everything the resultset's ``metrics`` section carries is
 *deterministic*: same (spec, seed) → byte-identical metrics and
@@ -33,7 +35,7 @@ from repro.obs.bench import Resultset, collect_meta
 from repro.overload import CLASSES, HANDSHAKE, PAYLOAD
 from repro.resilience import Ledger
 from repro.scenarios.spec import EVENT_KINDS, ScenarioSpec, SpecError, apply_overrides
-from repro.stack.builder import StackBuilder, build_sharded_runtime
+from repro.stack.builder import StackBuilder, build_sharded_runtime, count_books
 from repro.traffic.diurnal import DiurnalProfile
 from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 from repro.traffic.endpoints import EndpointPopulation
@@ -109,7 +111,7 @@ class Episode:
             )
         durable = spec.durable
         calls = {
-            "analytics": lambda: builder.analytics(num_workers=shape.analytics_workers),
+            "analytics": builder.analytics,
             "faults": lambda: builder.faults(spec.faults.resolve(), seed=self.seed),
             "durable": lambda: builder.durable(
                 durable.state_dir or tempfile.mkdtemp(prefix="ruru-state-"),
@@ -208,6 +210,14 @@ class Episode:
         self.elapsed_s = time.perf_counter() - started
         return self
 
+    @property
+    def counts(self) -> Dict[str, int]:
+        """The in-process run's books: its drain report's, or — when the
+        run raised before its drain — the stack's as the error left it."""
+        if self.report is not None:
+            return self.report.counts
+        return count_books(self.stack)
+
 
 @dataclass
 class Check:
@@ -293,11 +303,26 @@ def _conserves(name: str, ledger: Ledger) -> Check:
     return Check(name, ledger.ok, "" if ledger.ok else str(ledger))
 
 
+#: The units the books' first terms have always been archived with.
+UNITS = {
+    "scenario.packets_offered": "packets",
+    "scenario.measurements": "records",
+    "scenario.enriched": "records",
+    "scenario.tsdb_points": "points",
+}
+
+
+def _frame_shed(counts: Dict[str, int], klass: str) -> int:
+    """Frames of *klass* shed anywhere (MQ-stage sheds are records)."""
+    return counts[f"overload.shed.{klass}"] - counts.get(f"overload.shed.{klass}.mq", 0)
+
+
 def _fold_stack(episode: Episode, exact, resultset: Resultset, profile_stages):
-    """The in-process target's metrics; returns its anomaly events and
-    its own checks. A tier the spec left out folds nothing."""
-    spec, stack = episode.spec, episode.stack
-    stats = stack.pipeline.stats_snapshot()
+    """The in-process target's metrics — its books, every term as an
+    exact metric — plus its anomaly events and its checks."""
+    spec, stack, counts = episode.spec, episode.stack, episode.counts
+    for name, value in counts.items():
+        exact(name, value, unit=UNITS.get(name, ""))
     events = []
     if stack.anomaly is not None:
         end_ns = spec.traffic.start_ns + spec.traffic.duration_ns
@@ -305,105 +330,63 @@ def _fold_stack(episode: Episode, exact, resultset: Resultset, profile_stages):
     event_counts = {kind: 0 for kind in EVENT_KINDS}
     for event in events:
         event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-
-    exact("scenario.packets_offered", stats.packets_offered, unit="packets")
-    exact("scenario.measurements", stats.measurements, unit="records")
-    checks = []
-    ledger = oledger = None
-    service, resilience = stack.service, stack.resilience
-    if service is not None:
-        ledger = service.conservation_ledger()
-        exact("scenario.enriched", service.enriched_count, unit="records")
-        exact("scenario.tsdb_points", stack.tsdb.total_points(), unit="points")
-        _fold_ledger(exact, ledger)
-        checks.append(_conserves("ledger-conserves", ledger))
-    exact("frontend.received", stack.frontend_received)
-    exact("frontend.degraded", stack.frontend_degraded)
-    exact(
-        "faults.injected_total",
-        sum(stack.injector.injected.values()) if stack.injector else 0,
-    )
-    if resilience is not None:
-        exact("resilience.degraded_published", resilience.degraded_published)
-        exact("resilience.dlq_total", resilience.dlq.total)
-        exact("resilience.retries", resilience.retries)
-    controller = stack.overload
-    if controller is not None:
-        exact("overload.level", controller.level)
-        exact("overload.level_max", controller.level_max)
-        exact("overload.transitions", len(controller.transitions))
-        for klass in sorted(CLASSES):
-            exact(f"overload.offered.{klass}", controller.offered[klass])
-            exact(f"overload.admitted.{klass}", controller.admitted[klass])
-            exact(f"overload.shed.{klass}", controller.shed_total(klass=klass))
-        exact("overload.truncated", controller.truncated)
-        exact("overload.ring_displacements", controller.ring_displacements)
-        exact("overload.mq_offered", controller.mq_offered)
-        if ledger is not None:
-            oledger = Ledger.from_parts(
-                controller.mq_offered,
-                ledger,
-                controller.shed_total(stage="mq"),
-            )
-            exact("oledger.ingested", oledger.ingested)
-            exact("oledger.shed", oledger.shed)
-            exact("oledger.balance", oledger.balance)
-        resultset.meta["overload"] = controller.summary()
-        resultset.meta["overload_transitions"] = [
-            str(transition) for transition in controller.transitions
-        ]
     exact("events.total", len(events), unit="events")
     for kind in sorted(event_counts):
         exact(f"events.{kind}", event_counts[kind], unit="events")
     if profile_stages and stack.telemetry is not None:
         resultset.stage_profile = dict(stack.telemetry.profiler.summary())
+    if stack.overload is not None:
+        resultset.meta["overload_transitions"] = [
+            str(transition) for transition in stack.overload.transitions
+        ]
+    return events, _stack_checks(spec, counts)
 
-    if controller is not None:
-        # Frame-level sheds split into rejected-at-offer frames
-        # (packets_shed) and queued-then-evicted victims
-        # (ring_displacements); MQ-stage sheds are records, not frames.
-        frame_shed = controller.shed_total() - controller.shed_total(stage="mq")
-        attributed = stats.packets_shed + controller.ring_displacements
-        packet_balance = stats.packets_offered - (
-            stats.packets_queued + stats.nic_drops + stats.packets_shed
+
+def _stack_checks(spec: ScenarioSpec, counts: Dict[str, int]) -> List[Check]:
+    """The in-process run's conservation and shed gates, off its books."""
+    checks = []
+    ledger = Ledger.from_books(counts) if "ledger.ingested" in counts else None
+    if ledger is not None:
+        checks.append(_conserves("ledger-conserves", ledger))
+    if "overload.level" not in counts:
+        return checks
+    # Frame-level sheds split into rejected-at-offer frames
+    # (packets_shed) and queued-then-evicted victims
+    # (ring_displacements); MQ-stage sheds are records, not frames.
+    frame_shed = sum(_frame_shed(counts, klass) for klass in CLASSES)
+    queued, shed = counts["pipeline.packets_queued"], counts["pipeline.packets_shed"]
+    displaced = counts["overload.ring_displacements"]
+    attributed = shed + displaced
+    packet_balance = counts["scenario.packets_offered"] - (
+        queued + counts["pipeline.nic_drops"] + shed
+    )
+    queued_balance = queued - (counts["pipeline.packets_processed"] + displaced)
+    checks.append(
+        Check(
+            "packet-ledger-conserves",
+            packet_balance == 0
+            and queued_balance == 0
+            and attributed == frame_shed,
+            f"offer balance {packet_balance:+d}, "
+            f"queue balance {queued_balance:+d}, "
+            f"shed {attributed} vs attributed {frame_shed}",
         )
-        queued_balance = stats.packets_queued - (
-            stats.packets_processed + controller.ring_displacements
-        )
-        checks.append(
-            Check(
-                "packet-ledger-conserves",
-                packet_balance == 0
-                and queued_balance == 0
-                and attributed == frame_shed,
-                f"offer balance {packet_balance:+d}, "
-                f"queue balance {queued_balance:+d}, "
-                f"shed {attributed} vs attributed {frame_shed}",
-            )
-        )
-        if oledger is not None:
-            checks.append(_conserves("overload-ledger-conserves", oledger))
-        if spec.overload.handshake_shed_max_ratio is not None:
-            ratio = controller.shed_ratio(HANDSHAKE)
-            limit = spec.overload.handshake_shed_max_ratio
-            checks.append(
-                Check(
-                    "handshake-shed-bounded",
-                    ratio <= limit,
-                    f"shed ratio {ratio:.4f}, want <= {limit}",
-                )
-            )
-        if spec.overload.payload_shed_min_ratio is not None:
-            ratio = controller.shed_ratio(PAYLOAD)
-            floor = spec.overload.payload_shed_min_ratio
-            checks.append(
-                Check(
-                    "payload-shed-engaged",
-                    ratio >= floor,
-                    f"shed ratio {ratio:.4f}, want >= {floor}",
-                )
-            )
-    return events, checks
+    )
+    if ledger is not None:
+        oledger = Ledger.from_parts(counts["overload.mq_offered"], ledger, counts["oledger.shed"])
+        checks.append(_conserves("overload-ledger-conserves", oledger))
+    gates = (
+        ("handshake-shed-bounded", HANDSHAKE, spec.overload.handshake_shed_max_ratio, "<="),
+        ("payload-shed-engaged", PAYLOAD, spec.overload.payload_shed_min_ratio, ">="),
+    )
+    for name, klass, bound, sense in gates:
+        if bound is None:
+            continue
+        offered = counts[f"overload.offered.{klass}"]
+        ratio = _frame_shed(counts, klass) / offered if offered else 0.0
+        held = ratio <= bound if sense == "<=" else ratio >= bound
+        checks.append(Check(name, held, f"shed ratio {ratio:.4f}, want {sense} {bound}"))
+    return checks
 
 
 def _fold_shards(episode: Episode, exact, resultset: Resultset, profile_stages):

@@ -246,7 +246,6 @@ class StackSpec:
     """
 
     queues: int = 2
-    analytics_workers: int = 4
     frontend_hwm: int = 1 << 20
     topk: Optional[int] = None
     queue_capacity: Optional[int] = None
@@ -265,10 +264,6 @@ class StackSpec:
         # One order, whatever order the document lists them in.
         object.__setattr__(self, "tiers", tuple(t for t in TIERS if t in self.tiers))
         _require(self.queues >= 1, "stack.queues must be at least 1")
-        _require(
-            self.analytics_workers >= 1,
-            "stack.analytics_workers must be at least 1",
-        )
         if self.queue_capacity is not None:
             _require(
                 self.queue_capacity >= 8,

@@ -19,7 +19,7 @@ from it:
 The tiers' metrics binders live together in :mod:`repro.stack.metrics`
 (each component still registers its own when handed a ``Telemetry``).
 
-Every assembly in the repo (the CLI commands, ``run_chaos``, the
+Every assembly in the repo (the CLI commands, the
 recovery harness, the scenario runner) is one scenario spec turned into
 a :class:`StackBuilder` chain by :class:`repro.scenarios.runner.Episode`
 and driven by :meth:`RuruStack.run`; nothing outside this package wires

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.analytics.service import AnalyticsService, make_pipeline_sink
 from repro.analytics.topk import SpaceSaving
@@ -51,7 +52,7 @@ from repro.geo.builder import GeoDbBuilder
 from repro.mq.socket import Context
 from repro.obs import Telemetry
 from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
-from repro.overload import GatedPushSocket, OverloadController, WatermarkBand
+from repro.overload import CLASSES, GatedPushSocket, OverloadController, WatermarkBand
 from repro.overload import ring_reader, socket_reader
 from repro.overload.controller import NS_PER_MS
 from repro.resilience import Ledger, ResilienceLayer, Supervisor
@@ -91,6 +92,74 @@ def build_enrichment_dbs(plan=None, country_accuracy: float = 0.98):
     return GeoDbBuilder(plan=plan, country_accuracy=country_accuracy).build()
 
 
+def count_books(stack: "RuruStack") -> Dict[str, int]:
+    """The stack's books: one flat ``{name: int}``, sorted by name.
+
+    The one place an in-process run's counters are read. The fast path,
+    the frontend and the fault totals are always there; every other
+    tier adds its terms only when it was built. Deterministic: the same
+    (spec, seed) gives the same dict.
+    """
+    stats = stack.pipeline.stats
+    injected = stack.injector.injected if stack.injector is not None else {}
+    counts = {
+        "scenario.packets_offered": stats.packets_offered,
+        "scenario.measurements": stats.measurements,
+        "pipeline.packets_queued": stats.packets_queued,
+        "pipeline.packets_processed": stats.packets_processed,
+        "pipeline.packets_shed": stats.packets_shed,
+        "pipeline.nic_drops": stats.nic_drops,
+        "frontend.received": stack.frontend_received,
+        "frontend.degraded": stack.frontend_degraded,
+        "faults.injected_total": sum(injected.values()),
+    }
+    for (stage, kind), count in injected.items():
+        counts[f"fault.{stage}.{kind}"] = count
+    if stack.supervisor is not None:
+        counts["supervisor.restarts"] = stack.supervisor.total_restarts
+    service, resilience = stack.service, stack.resilience
+    if service is not None:
+        ledger = service.conservation_ledger()
+        for term in ("ingested", "processed", "dropped", "deadlettered", "balance"):
+            counts[f"ledger.{term}"] = getattr(ledger, term)
+        counts.update({
+            "scenario.enriched": service.enriched_count,
+            "scenario.tsdb_points": stack.tsdb.total_points(),
+            "resilience.degraded_published": resilience.degraded_published,
+            "resilience.dlq_depth": len(resilience.dlq),
+            "resilience.dlq_total": resilience.dlq.total,
+            "resilience.retries": resilience.retries,
+            "resilience.points_written": resilience.points_written,
+            "resilience.points_lost": resilience.points_lost,
+        })
+        for breaker in resilience.breakers:
+            counts[f"breaker.{breaker.name}.opened"] = breaker.opened_count
+    controller = stack.overload
+    if controller is not None:
+        counts.update({
+            "overload.level": controller.level,
+            "overload.level_max": controller.level_max,
+            "overload.transitions": len(controller.transitions),
+            "overload.truncated": controller.truncated,
+            "overload.ring_displacements": controller.ring_displacements,
+            "overload.mq_offered": controller.mq_offered,
+        })
+        for klass in CLASSES:
+            counts[f"overload.offered.{klass}"] = controller.offered[klass]
+            counts[f"overload.admitted.{klass}"] = controller.admitted[klass]
+            counts[f"overload.shed.{klass}"] = controller.shed_total(klass=klass)
+        for (klass, stage), count in controller.shed_counts().items():
+            counts[f"overload.shed.{klass}.{stage}"] = count
+        if service is not None:
+            oledger = Ledger.from_parts(
+                controller.mq_offered, ledger, controller.shed_total(stage="mq")
+            )
+            counts["oledger.ingested"] = oledger.ingested
+            counts["oledger.shed"] = oledger.shed
+            counts["oledger.balance"] = oledger.balance
+    return dict(sorted(counts.items()))
+
+
 @dataclass
 class DrainReport:
     """What one run's graceful drain flushed, stage by stage."""
@@ -103,6 +172,13 @@ class DrainReport:
     points_written: int
     wal_appends: Optional[int]
     duration_s: float
+    stack: Optional["RuruStack"] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def counts(self) -> Dict[str, int]:
+        """The drained stack's books (:func:`count_books`), counted on
+        first read — a drain nobody reads the books of counts nothing."""
+        return count_books(self.stack)
 
     @property
     def rejected_while_quiesced(self) -> int:
@@ -249,7 +325,7 @@ class RuruStack:
             self.slo_results = evaluate_slos(self.telemetry.registry, self.slos)
         return DrainReport(
             stages=stages,
-            stats=self.pipeline.stats_snapshot(),
+            stats=self.pipeline.stats,
             ledger=(
                 self.service.conservation_ledger() if self.service else None
             ),
@@ -262,6 +338,7 @@ class RuruStack:
             points_written=resilience.points_written if resilience else 0,
             wal_appends=self.wal.appends if self.wal is not None else None,
             duration_s=time.perf_counter() - started,
+            stack=self,
         )
 
     # -- checkpoint capture/restore -----------------------------------------
@@ -307,7 +384,7 @@ class RuruStack:
         pipeline = self.pipeline
         status = {
             "pipeline": {
-                **pipeline.stats_snapshot().summary(),
+                **pipeline.stats.summary(),
                 "queue_balance": pipeline.queue_balance(),
                 "flow_table_occupancy": pipeline.flow_table_occupancy(),
             }
@@ -363,7 +440,6 @@ class StackBuilder:
         self._generator = None
         self._geo_asn = None
         self._analytics = False
-        self._analytics_workers = 4
         self._frontend_hwm: Optional[int] = None
         self._anomaly = False
         self._topk_capacity: Optional[int] = None
@@ -399,9 +475,8 @@ class StackBuilder:
         self._geo_asn = (geo, asn)
         return self
 
-    def analytics(self, num_workers: int = 4) -> "StackBuilder":
+    def analytics(self) -> "StackBuilder":
         self._analytics = True
-        self._analytics_workers = num_workers
         return self
 
     def frontend(self, hwm: int = 10_000) -> "StackBuilder":
@@ -574,7 +649,6 @@ class StackBuilder:
                 geo,
                 asn,
                 tsdb=tsdb,
-                num_workers=self._analytics_workers,
                 telemetry=telemetry,
                 resilience=resilience,
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 def bind_pipeline_metrics(pipeline, registry) -> None:
     """Publish every pipeline/NIC/worker counter through *registry*."""
-    stats = pipeline.stats
+    stats = pipeline.counters
     simple = {
         "ruru_packets_offered_total": (
             "Frames offered to the NIC.",
@@ -175,7 +175,7 @@ def bind_pipeline_metrics(pipeline, registry) -> None:
             for worker in workers:
                 total += getattr(worker.stats, field_name)
             child.value = total
-        for reason, count in pipeline.stats.parse_error_reasons.items():
+        for reason, count in stats.parse_error_reasons.items():
             parse_reasons.labels(reason).value = count
         for worker, processed, sampled, entries in per_worker:
             processed.value = worker.packets_processed

@@ -265,7 +265,7 @@ class TestSnapshotSideEffects:
     def test_state_dict_does_not_mutate_observable_stats(self, small_workload):
         _, packets = small_workload
         pipeline = RuruPipeline(config=PipelineConfig(num_queues=4))
-        # Feed without run_packets so worker counters are not yet folded.
+        # Feed without run_packets: bare offers and drains.
         for packet in packets:
             pipeline.offer(packet)
         pipeline.drain()
@@ -299,6 +299,56 @@ class TestSnapshotSideEffects:
         snapshotted.run_packets(packets)
         assert snapshotted.stats.summary() == plain.stats.summary()
         assert snapshotted.state_dict()["stats"] == plain.state_dict()["stats"]
+
+
+class TestStatsUnderEitherDriver:
+    """``pipeline.stats`` carries the workers' totals however the
+    pipeline was driven: a stack's graph walk never passes through
+    ``run_packets``, and its stats used to read 0 for them."""
+
+    DERIVED = ("measurements", "packets_processed", "packets_sampled_out", "queue_share")
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.traffic import GeneratorConfig, TrafficGenerator
+
+        return TrafficGenerator(
+            config=GeneratorConfig(duration_ns=2_000_000_000, mean_flows_per_s=50, seed=3)
+        ).packet_list()
+
+    def _matches_snapshot(self, pipeline):
+        stats, snapshot = pipeline.stats, pipeline.stats_snapshot()
+        for name in self.DERIVED:
+            assert getattr(stats, name) == getattr(snapshot, name), name
+        assert stats.tracker == snapshot.tracker
+        return stats
+
+    def test_under_the_stack(self, trace):
+        from repro.stack import build_measure_stack
+
+        stack = build_measure_stack(queues=2)
+        report = stack.run(trace)
+        stats = self._matches_snapshot(stack.pipeline)
+        assert stats.measurements == report.stats.measurements == len(
+            stack.pipeline.measurements
+        ) > 0
+        assert stats.packets_processed == stats.packets_queued > 0
+
+    def test_under_run_packets(self, trace):
+        pipeline = RuruPipeline(config=PipelineConfig(num_queues=2))
+        returned = pipeline.run_packets(trace)
+        stats = self._matches_snapshot(pipeline)
+        assert stats == returned
+        assert stats.measurements == len(pipeline.measurements) > 0
+
+    def test_both_drivers_agree(self, trace):
+        from repro.stack import build_measure_stack
+
+        stack = build_measure_stack(queues=2)
+        stack.run(trace)
+        bare = RuruPipeline(config=PipelineConfig(num_queues=2))
+        bare.run_packets(trace)
+        assert stack.pipeline.stats.summary() == bare.stats.summary()
 
 
 class TestShutdownFlagTrailingBatch:

@@ -6,7 +6,8 @@ import signal
 import pytest
 
 from repro.durability.signals import GracefulShutdown
-from repro.faults import run_chaos
+from repro.resilience import Ledger
+from repro.scenarios.runner import Episode
 from tests.conftest import cli_spec, cli_stack
 
 RUN = ("--duration", 4, "--rate", 30, "--queues", 2)
@@ -78,10 +79,9 @@ class TestSignalDrivenDrain:
             return stop.requested()
 
         with GracefulShutdown() as stop:
-            report = run_chaos(
-                cli_spec("chaos", "--profile", "lossy-mq", "--seed", 42, *RUN),
-                shutdown_flag=flag,
-            )
+            episode = Episode(
+                cli_spec("chaos", "--profile", "lossy-mq", "--seed", 42, *RUN)
+            ).run(stop=flag)
         assert stop.requested()
-        assert report.unhandled == []
-        assert report.ledger.ok
+        assert episode.error is None
+        assert Ledger.from_books(episode.counts).ok

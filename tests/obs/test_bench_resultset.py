@@ -142,6 +142,17 @@ class TestCompare:
         assert statuses["new.metric"] == "added"
         assert report.ok
 
+    def test_a_vanished_exact_metric_is_a_regression(self):
+        # A fold that stops recording a ledger term must not pass.
+        base, current = make_resultset(), make_resultset()
+        base.record("ledger.processed", 281, exact=True, portable=True)
+        report = compare(base, current)
+        statuses = {row[0]: row[4] for row in report.rows}
+        assert statuses["ledger.processed"] == "removed"
+        assert report.regressions == ["ledger.processed"]
+        assert not report.ok
+        assert "REGRESSED: 1 regression(s)" in report.render()
+
     def test_cross_platform_absolute_metric_is_advisory(self):
         base = make_resultset(100, platform_name="linux-a")
         current = make_resultset(50, platform_name="linux-b")

@@ -1,9 +1,9 @@
 """The MQ admission gate and the extended conservation ledger."""
 
-from repro.faults import run_chaos
 from repro.mq.socket import Context
 from repro.overload import HANDSHAKE, GatedPushSocket, OverloadController
 from repro.resilience import Ledger
+from repro.scenarios.runner import Episode
 from tests.conftest import cli_spec
 
 
@@ -74,20 +74,23 @@ class TestGateUnderFaults:
         # the gate, so injected drops never reach `offered` and injected
         # duplicates are offered twice — the four-destiny invariant
         # balances under the profile's full fault mix.
-        report = run_chaos(
+        episode = Episode(
             cli_spec(
                 "chaos", "--profile", "lossy-mq", "--seed", 11, "--duration", 4,
                 "--rate", 30, "--overload",
             )
-        )
-        assert report.ok
-        controller = report.stack.overload
+        ).run()
+        assert episode.error is None
+        ledger = Ledger.from_books(episode.counts)
+        assert ledger.ok
+        controller = episode.stack.overload
         assert controller is not None
         combined = Ledger.from_parts(
             controller.mq_offered,
-            report.ledger,
+            ledger,
             controller.shed_total(stage="mq"),
         )
         assert combined.ok, str(combined)
+        assert episode.counts["oledger.balance"] == combined.balance == 0
         # Faults really fired; the ledger still reconciled exactly.
-        assert sum(report.faults_injected.values()) > 0
+        assert episode.counts["faults.injected_total"] > 0

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.faults import run_chaos
+from repro.scenarios.runner import Episode
 from tests.conftest import cli_spec
 
 
 @pytest.fixture(scope="module")
 def snapshot():
-    stack = run_chaos(
+    stack = Episode(
         cli_spec(
             "chaos", "--profile", "clean", "--seed", 3, "--duration", 3,
             "--rate", 20, "--overload",
         )
-    ).stack
+    ).run().stack
     # Wedge some shed into the ledger so labelled children exist.
     stack.overload.record_shed("payload", "nic")
     return stack.telemetry.registry.snapshot()

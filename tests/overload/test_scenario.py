@@ -47,7 +47,7 @@ class TestDdosRampScenario:
         transitions = ramp_result.resultset.meta["overload_transitions"]
         assert transitions
         assert any("step-up" in text for text in transitions)
-        assert ramp_result.resultset.meta["overload"]["level_max"] >= 2
+        assert ramp_result.metric("overload.level_max") >= 2
 
     def test_render_mentions_overload(self, ramp_result):
         assert "overload" in ramp_result.render()

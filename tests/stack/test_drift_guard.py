@@ -57,7 +57,13 @@ stack in one place, the runner's ``Episode``: a ``StackBuilder()`` or
 configuration path, and ``cli.py`` — flags in, a spec out — naming a
 stack or generator constructor, the chaos or recovery entry points, or
 calling ``parser.error`` is the CLI wiring stacks, or refusing flags,
-on its own again. This test walks
+on its own again. A drained in-process run's books are counted once,
+by ``stack/builder.py``'s ``count_books`` (``DrainReport.counts``): a
+tier counter (``injector.injected``, ``resilience.retries``,
+``supervisor.total_restarts``, ``controller.offered``, …) read in
+``faults/`` or ``scenarios/runner.py`` is a second fold coming back —
+which is how ``ChaosReport`` and the runner's own fold came to count
+the same run twice. This test walks
 the source tree with the AST module so string mentions in docstrings or
 comments do not trip it; only real names, imports, call sites and class
 definitions count.
@@ -1365,3 +1371,83 @@ class TestOneConfigurationPath:
         ]
         # The allowance is for an episode that exists and builds.
         assert "StackBuilder" in _calls_inside(RUNNER, "_build_stack")
+
+
+#: Where a drained run's books are read, never counted: the chaos
+#: report's package and the scenario runner.
+BOOK_READERS = (SRC / "faults", SRC / "scenarios" / "runner.py")
+#: The tier counters ``count_books`` reads, by attribute name.
+TIER_COUNTERS = {
+    "injected", "total_restarts", "retries", "degraded_published", "points_written",
+    "points_lost", "opened_count", "enriched_count", "conservation_ledger",
+    "total_points", "offered", "admitted", "mq_offered", "truncated",
+    "ring_displacements", "level_max", "shed_total", "shed_counts", "shed_ratio",
+    "stats", "stats_snapshot", "frontend_received", "frontend_degraded",
+}
+
+
+def tier_counter_reads(paths=BOOK_READERS):
+    """Every ``<x>.<counter>`` in *paths* (files, or directories walked)
+    whose ``<x>`` is not ``self``: a tier's counter read beside the
+    books instead of off them."""
+    files = [
+        found
+        for path in paths
+        for found in (sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    ]
+    return [
+        (path, node.lineno, node.attr)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in TIER_COUNTERS
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+class TestOneFoldPerRun:
+    def test_the_books_are_counted_once(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} reads .{name}"
+            for path, lineno, name in tier_counter_reads()
+        ]
+        assert not offenders, (
+            "a tier counter read outside count_books (read the drained "
+            "run's books, Episode.counts / DrainReport.counts):\n  "
+            + "\n  ".join(offenders)
+        )
+        # The guard is about books that exist and are read.
+        assert "def count_books(" in BUILDER.read_text()
+        assert "episode.counts" in (SRC / "faults" / "chaos.py").read_text()
+        assert "episode.counts" in RUNNER.read_text()
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        fine = tmp_path / "fine.py"
+        fine.write_text(
+            '"""stack.injector.injected and resilience.retries in a docstring."""\n'
+            "class FaultInjector:\n"
+            "    def decide(self, key):\n"
+            "        self.injected[key] = self.injected.get(key, 0) + 1\n"
+            "def render(episode):\n"
+            "    counts = episode.counts\n"
+            "    return counts['resilience.retries'], episode.stack.resilience.breakers\n"
+        )
+        assert tier_counter_reads([fine]) == []
+        (tmp_path / "faults").mkdir()
+        rogue = tmp_path / "faults" / "chaos.py"
+        rogue.write_text(
+            "def of(episode):\n"
+            "    stack = episode.stack\n"
+            "    faults = dict(stack.injector.injected)\n"
+            "    retries, restarts = stack.resilience.retries, stack.supervisor.total_restarts\n"
+            "    offered = [stack.overload.offered[k] for k in CLASSES]\n"
+            "    return stack.pipeline.stats_snapshot().measurements, faults, offered\n"
+        )
+        found = tier_counter_reads([tmp_path / "faults", fine])
+        assert sorted((path.name, line, name) for path, line, name in found) == [
+            ("chaos.py", 3, "injected"),
+            ("chaos.py", 4, "retries"),
+            ("chaos.py", 4, "total_restarts"),
+            ("chaos.py", 5, "offered"),
+            ("chaos.py", 6, "stats_snapshot"),
+        ]

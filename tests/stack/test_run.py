@@ -1,6 +1,7 @@
 """RuruStack.run(): the one feed loop and the report it drains to."""
 
-from repro.faults import run_chaos
+from repro.faults import chaos_ok, render_chaos
+from repro.scenarios.runner import Episode
 from repro.stack import RuruStack, build_live_stack, build_measure_stack
 from repro.traffic import GeneratorConfig, TrafficGenerator
 from repro.traffic.endpoints import EndpointPopulation
@@ -127,9 +128,12 @@ class TestChaosNeverRaises:
             raise RuntimeError("stage blew up")
 
         monkeypatch.setattr(RuruStack, "process_batch", explode)
-        report = run_chaos(
+        episode = Episode(
             cli_spec("chaos", "--profile", "clean", "--seed", 1, "--duration", 1, "--rate", 20)
-        )
-        assert report.unhandled == ["RuntimeError('stage blew up')"]
-        assert not report.ok
-        assert "UNHANDLED" in report.render()
+        ).run()
+        assert repr(episode.error) == "RuntimeError('stage blew up')"
+        assert episode.report is None
+        assert not chaos_ok(episode)
+        # The books are the stack's as the error left it.
+        assert episode.counts["scenario.packets_offered"] == 0
+        assert "UNHANDLED EXCEPTIONS:\n  RuntimeError('stage blew up')" in render_chaos(episode)
