@@ -224,14 +224,12 @@ COMMANDS = {
     "query": ("run an InfluxQL-style query against an export", None, ("--file", "query")),
 }
 #: With ``--shards N``: the command's traffic and the shard settings of
-#: a sharded CLI run, in place of its in-process base.
-SHARDED = {
-    "shard.batch_size": 256, "shard.checkpoint_every_batches": 8,
-    "shard.restart_delay_batches": 1,
-}
+#: a sharded CLI run, in place of its in-process base. ``live`` asks its
+#: shards for a checkpoint every 8 rounds; ``chaos`` never does.
+SHARDED = {**CHAOS_TRAFFIC, "shard.batch_size": 256, "shard.restart_delay_batches": 1}
 SHARDED_BASES = {
-    "chaos": {**CHAOS_TRAFFIC, **SHARDED, "shard.durable": False},
-    "live": {**CHAOS_TRAFFIC, **SHARDED, "durable.state_dir": "ruru-state"},
+    "chaos": SHARDED,
+    "live": {**SHARDED, "shard.checkpoint_every_batches": 8},
 }
 
 

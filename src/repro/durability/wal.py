@@ -113,13 +113,6 @@ class WriteAheadLog:
             self._file.close()
             self._file = None
 
-    def truncate(self) -> None:
-        """Drop every frame (the shard ack log, once a checkpoint
-        covers it; the TSDB log is compacted, never truncated)."""
-        self.close()
-        with open(self.path, "wb"):
-            pass
-
     def compact(
         self,
         keep: Callable[[bytes], bool] = lambda line: True,

@@ -22,6 +22,8 @@ revision and platform, so two runs of the same cell diff clean.
 
 from __future__ import annotations
 
+import os
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -83,6 +85,8 @@ class Episode:
     :attr:`stack`, or the sharded :attr:`runtime` — and a spec the
     builder refuses is a :class:`SpecError`. A ``crash_schedule`` arms
     the durable tier's crash points (the recovery harness's victim).
+    A durable tier with no ``state_dir`` runs in a fresh temporary
+    directory, :attr:`temp_dir`, which its creator removes.
     :meth:`run` drives and drains; an exception it meets is kept on
     :attr:`error` for the fold to judge.
     """
@@ -95,6 +99,7 @@ class Episode:
         self.report = None  # the DrainReport, or the ShardRunReport
         self.error: Optional[Exception] = None
         self.elapsed_s = 0.0
+        self.temp_dir: Optional[str] = None
         if spec.shard.enabled:
             self.telemetry = Telemetry()
             self.runtime = self._build_runtime()
@@ -110,11 +115,14 @@ class Episode:
                 PipelineConfig(num_queues=shape.queues, queue_capacity=shape.queue_capacity)
             )
         durable = spec.durable
+        state_dir = durable.state_dir
+        if state_dir is None and "durable" in spec.tiers:
+            state_dir = self.temp_dir = tempfile.mkdtemp(prefix="ruru-state-")
         calls = {
             "analytics": builder.analytics,
             "faults": lambda: builder.faults(spec.faults.resolve(), seed=self.seed),
             "durable": lambda: builder.durable(
-                durable.state_dir or tempfile.mkdtemp(prefix="ruru-state-"),
+                state_dir,
                 checkpoint_interval_ns=_ns(durable.checkpoint_interval_s),
                 keep_checkpoints=durable.keep_checkpoints,
                 retention_ns=None if durable.retention_s is None else _ns(durable.retention_s),
@@ -142,6 +150,8 @@ class Episode:
                 store = stack.tsdb if stack.tsdb is not None else TimeSeriesDatabase()
                 telemetry.export_to(store, interval_ns=_ns(interval_s))
         except ValueError as exc:  # a tier without its input, a bad setting
+            if self.temp_dir is not None:  # no episode is left to remove it
+                shutil.rmtree(self.temp_dir)
             raise SpecError(str(exc)) from None
         return stack
 
@@ -150,19 +160,14 @@ class Episode:
         Dispatch is lock-step and a dead shard rejoins by virtual round,
         so every count the run produces is a function of (spec, seed)."""
         shard = self.spec.shard
-        state_dir = None
-        if shard.durable:
-            state_dir = self.spec.durable.state_dir or tempfile.mkdtemp(prefix="ruru-shard-")
         runtime = build_sharded_runtime(
             shards=shard.shards,
             telemetry=self.telemetry,
             config=PipelineConfig(num_queues=shard.shards),
-            state_dir=state_dir,
             policy=shard.policy,
             checkpoint_every_batches=shard.checkpoint_every_batches,
             restart_delay_batches=shard.restart_delay_batches,
             max_restarts_per_shard=shard.max_restarts,
-            fsync=self.spec.durable.fsync_wal,
         )
         if shard.kill_shard is not None:
             runtime.schedule_kill(shard.kill_shard, at_seq=shard.kill_at_batch)
@@ -183,6 +188,8 @@ class Episode:
             observers: callables handed every measurement the frontend
                 receives (the live map, a capture list).
         """
+        if self.stack is not None and self.stack.checkpointer is not None:
+            _refuse_a_used_state_dir(self.stack)
         if self.stack is not None and observers:
             self.stack.graph.get("frontend").observers.extend(observers)
         started = time.perf_counter()
@@ -217,6 +224,22 @@ class Episode:
         if self.report is not None:
             return self.report.counts
         return count_books(self.stack)
+
+
+def _refuse_a_used_state_dir(stack) -> None:
+    """A fresh run starts on an empty state dir. One that holds a
+    checkpoint or WAL frames is a run to resume: feeding on top of it
+    would leave two runs' checkpoints and frames side by side, and a
+    recovery would resume whichever checkpoint numbers higher."""
+    wal = stack.wal.path
+    if stack.checkpointer.list_checkpoints() or (
+        os.path.exists(wal) and os.path.getsize(wal) > 0
+    ):
+        raise SpecError(
+            f"durable.state_dir {stack.state_dir!r} already holds a run; "
+            f"resume it with `ruru recover --state-dir {stack.state_dir}` "
+            "or name an empty directory"
+        )
 
 
 @dataclass
@@ -485,6 +508,8 @@ def run_scenario(
     exact("scenario.flows", episode.generator.flows_generated, unit="flows")
     fold = _fold_shards if episode.runtime is not None else _fold_stack
     events, checks = fold(episode, exact, resultset, profile_stages)
+    if episode.temp_dir is not None:
+        shutil.rmtree(episode.temp_dir, ignore_errors=True)
     offered = resultset.metrics["scenario.packets_offered"]["value"]
     meta["events"] = [str(event) for event in events]
     elapsed_s = episode.elapsed_s

@@ -348,9 +348,11 @@ class ShardScenarioSpec:
     pipe transports — instead of the in-process stack, optionally
     SIGKILLing one shard mid-run to exercise the recovery path. The
     run is deterministic (lockstep dispatch, virtual-round rejoin), so
-    its ledger and reconciliation metrics gate byte-exact. A durable
-    shard target keeps its stores in ``durable.state_dir`` and honours
-    ``durable.fsync_wal``.
+    its ledger and reconciliation metrics gate byte-exact. A restarted
+    shard loads the state of its last checkpoint, asked for every
+    ``checkpoint_every_batches`` rounds (None: never), plus the acked
+    counts since; all of it is held by the parent, and the shard target
+    writes no state dir.
     """
 
     shards: int = 0
@@ -359,9 +361,8 @@ class ShardScenarioSpec:
     kill_shard: Optional[int] = None
     kill_at_batch: Optional[int] = None
     restart_delay_batches: int = 2
-    checkpoint_every_batches: int = 4
+    checkpoint_every_batches: Optional[int] = None
     max_restarts: int = 3
-    durable: bool = True
 
     def __post_init__(self):
         _require(self.shards >= 0, "shard.shards cannot be negative")
@@ -389,7 +390,7 @@ class ShardScenarioSpec:
             "shard.restart_delay_batches must be at least 1",
         )
         _require(
-            self.checkpoint_every_batches >= 1,
+            self.checkpoint_every_batches is None or self.checkpoint_every_batches >= 1,
             "shard.checkpoint_every_batches must be at least 1",
         )
         _require(self.max_restarts >= 0, "shard.max_restarts cannot be negative")
@@ -444,14 +445,13 @@ class ScenarioSpec:
         # A key the run would not honour is an error, not a silent no-op.
         if self.shard.enabled:
             # The shard target has no fault injector, overload ladder,
-            # [stack] tier, telemetry export or detector, and its stores
-            # take only a directory and the fsync switch.
+            # [stack] tier, telemetry export, durable tier or detector.
             ignored = (
                 _changed("faults", self.faults)
                 + _changed("stack", self.stack)
                 + ["overload.enabled"] * self.overload.enabled
                 + _changed("telemetry", self.telemetry)
-                + _changed("durable", self.durable, skip=("state_dir", "fsync_wal"))
+                + _changed("durable", self.durable)
                 + [f"expect.{kind}" for kind in sorted(self.expect)]
             )
             _require(

@@ -14,10 +14,11 @@ There is one mode. Dispatch is lock-step, so every count follows the
 round counter and replays exactly; liveness follows the heartbeat lease
 (:mod:`~repro.shard.heartbeat`), which every blocking wait on a shard
 sits under. Around that: kill-then-reap supervision with restart
-budgets (:mod:`~repro.shard.supervisor`), checkpoint + WAL restore per
-shard (:mod:`repro.durability.shardstate`), reroute/shed policies
-during down windows, and a global conservation ledger the drain proves
-exactly (:mod:`~repro.shard.runtime`).
+budgets (:mod:`~repro.shard.supervisor`), a restart from what the
+parent already holds — the shard's last checkpoint reply plus one delta
+of its acked counts, nothing on disk — reroute/shed policies during
+down windows, and a global conservation ledger the drain proves exactly
+(:mod:`~repro.shard.runtime`).
 """
 
 from __future__ import annotations

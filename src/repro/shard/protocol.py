@@ -15,8 +15,8 @@ Dataplane:
   batch is charged to ``lost_at_crash``.
 
 Control plane: ``hb`` heartbeats (:mod:`repro.shard.heartbeat`),
-``ckpt_req``/``ckpt`` checkpoint capture, ``restore`` state + WAL
-deltas into a restarted shard, ``fault`` scheduled-fault arming,
+``ckpt_req``/``ckpt`` checkpoint capture, ``restore`` the last
+checkpoint's state + one delta of acked counts into a restarted shard, ``fault`` scheduled-fault arming,
 ``drain``/``drained`` the graceful shutdown handshake.
 """
 

@@ -29,8 +29,13 @@ fates, and :meth:`ShardedRuntime.drain` proves it::
     ingested == processed + dropped + deadlettered + shed + lost_at_crash
 
 with per-shard reconciliation on top: each drained child's
-self-reported ledger must equal the parent's accounting for it — which
-is exactly what checkpoint + WAL-delta restore buys after a crash.
+self-reported ledger must equal the parent's accounting for it.
+
+A restart needs nothing the parent does not already hold: the last
+checkpoint reply the shard sent (or none) and its acked counts. The
+restarted child loads that state and adds one delta — the parent's
+books for it minus the counts in the state — so its books balance to
+the packet after any number of deaths, and nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.core.config import PipelineConfig
 from repro.dpdk.nic import NicPort
 from repro.dpdk.rss import RssHasher
-from repro.durability.shardstate import ShardStateStore
 from repro.mq.frames import Message
 from repro.overload.classify import CLASSES, HANDSHAKE, classify_frame
 from repro.resilience.invariants import Ledger
@@ -135,13 +139,14 @@ class ShardedRuntime:
         config: pipeline config shared with the shard workers (the
             RSS key and tracker knobs must match a single-process run
             for the equivalence property to hold).
-        state_dir: enables per-shard durability (checkpoint + ack WAL)
-            and therefore *exact* post-crash ledger reconciliation.
         restart_delay_batches: rounds a dead shard stays down before
             its restart (models detection + respawn latency as virtual
             rounds).
-        checkpoint_every_batches: checkpoint cadence in rounds; None
-            checkpoints only at drain.
+        checkpoint_every_batches: every this many rounds each live shard
+            is asked for its state, which a restart of it loads (so the
+            flow table survives up to the cut); None asks never, and a
+            restarted shard starts from an empty table with its books
+            intact.
         policy: down-shard traffic policy (``protect-handshakes``
             reroutes handshakes and sheds the rest by class;
             ``reroute-all`` reroutes everything).
@@ -154,14 +159,12 @@ class ShardedRuntime:
         num_shards: int,
         config: Optional[PipelineConfig] = None,
         *,
-        state_dir: Optional[str] = None,
         policy: str = "protect-handshakes",
-        checkpoint_every_batches: Optional[int] = 8,
+        checkpoint_every_batches: Optional[int] = None,
         restart_delay_batches: int = 1,
         max_restarts_per_shard: int = 3,
         record_sink: Optional[Callable[[bytes], None]] = None,
         registry=None,
-        fsync: bool = False,
     ):
         if policy not in SHED_POLICIES:
             raise ValueError(
@@ -184,12 +187,6 @@ class ShardedRuntime:
         )
         # A write the shard does not read within a lease is a stall too.
         self._lease_s = self.supervisor.detector.deadline_ns / 1e9
-        self.stores: Dict[int, ShardStateStore] = {}
-        if state_dir is not None:
-            for handle in self.supervisor.handles.values():
-                self.stores[handle.shard_id] = ShardStateStore(
-                    state_dir, handle.name, fsync=fsync
-                )
 
         # Rerouted flows only: (4-tuple, family) -> fallback shard_id. A
         # flow's home shard is recomputed from its hash per packet — a
@@ -386,10 +383,6 @@ class ShardedRuntime:
             handle.acked_packets += processed
             handle.acked_parse_errors += parse_errors
             handle.records_received += len(records)
-            handle.last_acked_seq = max(handle.last_acked_seq, seq)
-            store = self.stores.get(handle.shard_id)
-            if store is not None:
-                store.append_ack(seq, processed, parse_errors, len(records))
             self._deliver_records(records)
         else:
             self.supervisor.handle_control_message(handle, message)
@@ -445,30 +438,18 @@ class ShardedRuntime:
                 self._restart_shard(handle)
 
     def _restart_shard(self, handle: ShardHandle) -> None:
-        """Respawn from the last checkpoint + WAL deltas (or, without a
-        state dir, from parent-synthesized counter deltas so the books
-        still reconcile; only the durable path restores the flow table)."""
-        store = self.stores.get(handle.shard_id)
-        if store is not None:
-            recovery = store.load()
-            restore = {"state": recovery.state, "deltas": recovery.deltas}
-        else:
-            restore = {
-                "state": None,
-                "deltas": (
-                    [
-                        {
-                            "seq": handle.last_acked_seq,
-                            "processed": handle.acked_packets,
-                            "parse_errors": handle.acked_parse_errors,
-                            "records": handle.records_received,
-                        }
-                    ]
-                    if handle.acked_packets
-                    else []
-                ),
-            }
-        self.supervisor.restart(handle.shard_id, restore_payload=restore)
+        """Respawn from the last checkpoint reply plus one delta: the
+        parent's books for the shard minus the counts in that state."""
+        state = handle.checkpoint
+        base = state or {}
+        delta = {
+            "processed": handle.acked_packets - int(base.get("packets_processed", 0)),
+            "parse_errors": handle.acked_parse_errors - int(base.get("parse_errors", 0)),
+            "records": handle.records_received - int(base.get("records_emitted", 0)),
+        }
+        self.supervisor.restart(
+            handle.shard_id, restore_payload={"state": state, "delta": delta}
+        )
 
     # -- records ---------------------------------------------------------------
 
@@ -489,23 +470,15 @@ class ShardedRuntime:
         return written
 
     def _checkpoint_shard(self, handle: ShardHandle) -> bool:
-        store = self.stores.get(handle.shard_id)
-        if store is None:
-            return False
-        handle.pending_ckpt = None
+        """Ask for the shard's state; a shard that dies or stalls before
+        replying keeps the checkpoint it had."""
+        held = handle.checkpoint
         request = protocol.encode_json(
             protocol.CKPT_REQ_TOPIC, {"seq": self._round}
         )
-        if not self._send(handle, request) or not self._await(
-            handle, lambda: handle.pending_ckpt is not None
-        ):
-            return False
-        state = handle.pending_ckpt["state"]
-        # The child's own ack high-water is the WAL dedup mark: FIFO
-        # ordering guarantees every ack it covers was applied above.
-        high_water = int(state.get("last_seq", handle.last_acked_seq))
-        store.checkpoint(state, now_ns=self._round, last_acked_seq=high_water)
-        return True
+        return self._send(handle, request) and self._await(
+            handle, lambda: handle.checkpoint is not held
+        )
 
     # -- drain -----------------------------------------------------------------
 
@@ -518,9 +491,6 @@ class ShardedRuntime:
         child_ledgers: Dict[str, dict] = {}
 
         # Every round settled before it ended: nothing is in flight.
-        if self.stores:
-            self.checkpoint_all()
-
         for handle in self.supervisor.handles.values():
             payload = self.supervisor.drain_shard(handle)
             if payload is None:
@@ -542,8 +512,6 @@ class ShardedRuntime:
                 )
 
         self.supervisor.shutdown()
-        for store in self.stores.values():
-            store.close()
 
         ledger = self.global_ledger()
         reconciliation.append(
@@ -583,8 +551,6 @@ class ShardedRuntime:
     def close(self) -> None:
         """Abortive cleanup for error paths (drain is the normal exit)."""
         self.supervisor.shutdown()
-        for store in self.stores.values():
-            store.close()
 
     # -- observability ---------------------------------------------------------
 

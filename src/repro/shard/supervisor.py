@@ -22,10 +22,10 @@ the hang the process boundary exists to prevent. The shard's in-flight
 batch is charged to ``lost_at_crash`` and its transport closed; a
 restart is then attempted against the per-shard
 :class:`~repro.resilience.RestartBudget`. Within budget the shard is
-respawned and sent a ``restore`` message built from its
-:class:`~repro.durability.shardstate.ShardStateStore` (newest
-checkpoint + WAL'd ack deltas); an exhausted budget marks the shard
-``failed`` permanently — traffic routes around it forever.
+respawned and sent a ``restore`` message the runtime builds from what
+the parent holds (the shard's last checkpoint reply and one delta of
+acked counts); an exhausted budget marks the shard ``failed``
+permanently — traffic routes around it forever.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class ShardHandle:
         # seq -> packet count for every dispatched-but-unacked batch.
         self.inflight: Dict[int, int] = {}
         self.next_seq = 1
-        self.last_acked_seq = 0
         # Cumulative parent-side accounting (survives restarts).
         self.dispatched_packets = 0
         self.acked_packets = 0
@@ -78,7 +77,9 @@ class ShardHandle:
         self.deadlettered = 0
         self.rejoin_at_round: Optional[int] = None
         self.drained_payload: Optional[dict] = None
-        self.pending_ckpt: Optional[dict] = None
+        # The state in the shard's last checkpoint reply (None before
+        # the first): what a restart of it loads.
+        self.checkpoint: Optional[dict] = None
 
     @property
     def live(self) -> bool:
@@ -231,13 +232,13 @@ class ShardSupervisor:
     def handle_control_message(self, handle: ShardHandle, message) -> bool:
         """Absorb non-ack control traffic; True if the message was taken.
 
-        Acks are left to the runtime (they carry records and feed the
-        durability WAL); heartbeats, checkpoint replies and drain
+        Acks are left to the runtime (they carry records and the
+        counts its books keep); heartbeats, checkpoint replies and drain
         replies are pure control and land here.
         """
         topic = message.topic
         if topic == protocol.CKPT_TOPIC:
-            handle.pending_ckpt = protocol.decode_json(message)
+            handle.checkpoint = protocol.decode_json(message)["state"]
             return True
         if topic == protocol.DRAINED_TOPIC:
             handle.drained_payload = protocol.decode_json(message)

@@ -7,7 +7,9 @@ traffic (the parent's RSS router guarantees flow affinity, so both
 directions of a flow land here). There is no NIC or ring inside the
 shard — the wire transport *is* the queue, and each batch it carries is
 one burst. What is the child's own is the bookkeeping around that body
-(:class:`ShardBooks`): what it has acked, and how to restore it.
+(:class:`ShardBooks`): what it has acked, and how to restore it from
+what the parent sends a restarted shard — its last checkpoint reply and
+one delta of acked counts.
 
 The main loop never returns into the caller's stack: children are
 forked, and a forked Python process that falls back into pytest or the
@@ -55,8 +57,6 @@ class ShardBooks:
             pipeline_stats=self._stats,
         )
         self.records_emitted = 0
-        self.batches_acked = 0
-        self.last_seq = 0
 
     def process_batch(
         self, seq: int, packets: List[Tuple[int, int, bytes]]
@@ -72,8 +72,6 @@ class ShardBooks:
         records = self._records
         self._records = []
         self.records_emitted += len(records)
-        self.batches_acked += 1
-        self.last_seq = seq
         return protocol.encode_ack(
             seq,
             processed=len(packets),
@@ -81,7 +79,7 @@ class ShardBooks:
             records=records,
         )
 
-    # -- durability ----------------------------------------------------------
+    # -- restore -------------------------------------------------------------
 
     def state_dict(self) -> dict:
         """The worker's fragment plus the ack counters."""
@@ -89,8 +87,6 @@ class ShardBooks:
         state.update(
             parse_errors=self._stats.parse_errors,
             records_emitted=self.records_emitted,
-            batches_acked=self.batches_acked,
-            last_seq=self.last_seq,
         )
         return state
 
@@ -98,27 +94,21 @@ class ShardBooks:
         self.worker.load_state(state)
         self._stats.parse_errors = int(state["parse_errors"])
         self.records_emitted = int(state["records_emitted"])
-        self.batches_acked = int(state["batches_acked"])
-        self.last_seq = int(state["last_seq"])
 
-    def apply_ack_deltas(self, deltas: List[dict]) -> int:
-        """Replay WAL'd ack deltas on top of a checkpoint.
+    def apply_ack_delta(self, delta: dict) -> None:
+        """Add what the parent acked since the state was cut.
 
-        The checkpoint restores the tracker and counters as of its
-        cut; the parent's per-shard WAL holds the *acked* batches
-        since. Replaying their counter deltas makes this shard's final
-        self-reported ledger agree exactly with what the parent
-        accounted — the flow-table contents of those batches are the
-        bounded measurement loss a crash costs (you cannot replay live
-        wire traffic), but the *books* balance to the packet.
+        The state restores the tracker and counters as of its cut (or
+        nothing, before the first checkpoint); the parent's books hold
+        every *acked* batch since. Adding the difference makes this
+        shard's final self-reported ledger agree exactly with what the
+        parent accounted — the flow-table contents of those batches are
+        the bounded measurement loss a crash costs (you cannot replay
+        live wire traffic), but the *books* balance to the packet.
         """
-        for delta in deltas:
-            self.worker.packets_processed += int(delta["processed"])
-            self._stats.parse_errors += int(delta["parse_errors"])
-            self.records_emitted += int(delta["records"])
-            self.batches_acked += 1
-            self.last_seq = max(self.last_seq, int(delta["seq"]))
-        return len(deltas)
+        self.worker.packets_processed += int(delta["processed"])
+        self._stats.parse_errors += int(delta["parse_errors"])
+        self.records_emitted += int(delta["records"])
 
     def ledger(self) -> dict:
         return {
@@ -126,8 +116,6 @@ class ShardBooks:
             "packets_sampled_out": self.worker.packets_sampled_out,
             "parse_errors": self._stats.parse_errors,
             "records_emitted": self.records_emitted,
-            "batches_acked": self.batches_acked,
-            "last_seq": self.last_seq,
         }
 
 
@@ -169,7 +157,7 @@ def shard_child_main(
                 # The scheduled fault: die *hard* while holding this
                 # batch, exactly as a segfault would — no ack, no
                 # flush, no goodbye. The parent must account the batch
-                # as lost_at_crash and recover us from the checkpoint.
+                # as lost_at_crash and restart us from what it holds.
                 os.kill(os.getpid(), signal.SIGKILL)
             ack = books.process_batch(seq, packets)
             try:
@@ -191,9 +179,9 @@ def shard_child_main(
                 return 1
         elif topic == protocol.RESTORE_TOPIC:
             payload = protocol.decode_json(message)
-            if payload.get("state") is not None:
+            if payload["state"] is not None:
                 books.load_state(payload["state"])
-            books.apply_ack_deltas(payload.get("deltas", []))
+            books.apply_ack_delta(payload["delta"])
         elif topic == protocol.FAULT_TOPIC:
             payload = protocol.decode_json(message)
             if payload.get("kill_at_seq") is not None:

@@ -826,7 +826,7 @@ def build_sharded_runtime(
     and the shard control plane (lock-step dispatch, the heartbeat
     lease, restarts, the global conservation ledger). *kwargs* are
     :class:`~repro.shard.runtime.ShardedRuntime`'s (``config``,
-    ``state_dir``, ``policy``, ``record_sink``, ``fsync``, …).
+    ``policy``, ``checkpoint_every_batches``, ``record_sink``, …).
     """
     # Lazy: repro.shard composes pieces from several packages; importing
     # it at module scope would cycle back through repro.stack.

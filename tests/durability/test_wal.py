@@ -60,12 +60,6 @@ class TestFraming:
         with pytest.raises(WalError):
             WriteAheadLog(str(path)).replay()
 
-    def test_truncate_drops_everything(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "t.wal"))
-        wal.append(1, [pt(10)])
-        wal.truncate()
-        assert wal.replay().batches == []
-
 
 class TestAbortRecords:
     def test_aborted_batch_never_replays(self, tmp_path):

@@ -1,11 +1,13 @@
 """The scenario runner: determinism, checks, metric stamping."""
 
 import json
+import tempfile
 
 import pytest
 
-from repro.scenarios import run_scenario
-from repro.scenarios.spec import AnomalyWindowSpec, ScenarioSpec, TrafficSpec
+from repro.scenarios import apply_overrides, run_scenario
+from repro.scenarios.runner import Episode
+from repro.scenarios.spec import AnomalyWindowSpec, ScenarioSpec, SpecError, TrafficSpec
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,42 @@ class TestChecks:
         assert profiled.resultset.stage_profile
 
 
+class TestTemporaryStateDirs:
+    """An episode that makes its own state dir is the one that removes
+    it; a named one belongs to whoever named it."""
+
+    @pytest.fixture
+    def tmpdir_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def test_a_durable_run_removes_the_dir_it_made(self, small_spec, tmpdir_root):
+        spec = apply_overrides(small_spec, {"stack.tiers": ["analytics", "durable"]})
+        assert run_scenario(spec).ok
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_a_named_state_dir_is_kept(self, small_spec, tmp_path, tmpdir_root):
+        state = tmp_path / "state"
+        spec = apply_overrides(small_spec, {
+            "stack.tiers": ["analytics", "durable"], "durable.state_dir": str(state),
+        })
+        assert run_scenario(spec).ok
+        assert (state / "tsdb.wal").stat().st_size > 0
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_a_refused_spec_leaves_no_dir(self, small_spec, tmpdir_root):
+        spec = apply_overrides(small_spec, {"stack.tiers": ["durable"]})
+        with pytest.raises(SpecError, match="durable requires analytics"):
+            Episode(spec)
+        assert list(tmpdir_root.iterdir()) == []
+
+    def test_a_sharded_run_makes_no_dir(self, small_spec, tmpdir_root):
+        assert run_scenario(apply_overrides(small_spec, {"shard.shards": 2})).ok
+        assert list(tmpdir_root.iterdir()) == []
+
+
 class TestShardDispatch:
     """Specs with shard.shards > 0 run through ShardedRuntime."""
 
@@ -128,11 +166,9 @@ class TestShardDispatch:
     def test_both_targets_share_the_prologue_and_epilogue(self, small_spec):
         """One runner: a shard episode is stamped and judged like any
         other — same metadata keys, ``survived`` first, a wall block."""
-        from repro.scenarios import apply_overrides
-
         in_process = run_scenario(small_spec)
         sharded = run_scenario(
-            apply_overrides(small_spec, {"shard.shards": 2, "shard.durable": False})
+            apply_overrides(small_spec, {"shard.shards": 2})
         )
         assert sharded.ok, [c.render() for c in sharded.checks]
         for result in (in_process, sharded):

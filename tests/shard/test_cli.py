@@ -2,10 +2,13 @@
 is refused instead of ignored."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -41,37 +44,58 @@ def built(monkeypatch):
     return calls
 
 
+def assert_refused(flags, key, built, capsys):
+    """``live --shards`` with *flags* exits 2 on one line naming *key*,
+    before any runtime is built."""
+    assert main(["live", *WORKLOAD, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ruru live: error: shard.shards > 0 does not take {key}")
+    assert err.count("\n") == 1
+    assert built == []
+
+
 class TestLiveShards:
-    def test_fsync_wal_reaches_the_shard_stores(self, built, tmp_path, capsys):
-        argv = ["live", *WORKLOAD, "--state-dir", str(tmp_path)]
-        assert main([*argv, "--fsync-wal"]) == 0
-        assert main(argv) == 0
-        assert [kwargs["fsync"] for kwargs, _ in built] == [True, False]
+    def test_a_sharded_run_writes_no_state_dir(
+        self, built, tmp_path, monkeypatch, capsys
+    ):
+        """A restart reads the parent's books, so there is nothing to
+        write: not the ``ruru-state`` default, not a temporary dir."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["live", *WORKLOAD]) == 0
         assert "[OK]" in capsys.readouterr().out
+        assert [kwargs["checkpoint_every_batches"] for kwargs, _ in built] == [8]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags",
         [["--overload"], ["--retention", "5"], ["--profile", "lossy-mq"]],
     )
     def test_flags_the_shard_preset_cannot_honour_are_usage_errors(
-        self, flags, built, tmp_path, capsys
+        self, flags, built, capsys
     ):
         key = {
             "--overload": "overload.enabled",
             "--retention": "durable.retention_s",
             "--profile": "faults.profile",
         }[flags[0]]
-        assert main(["live", *WORKLOAD, "--state-dir", str(tmp_path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"ruru live: error: shard.shards > 0 does not take {key}")
-        assert err.count("\n") == 1
-        assert built == []
+        assert_refused(flags, key, built, capsys)
 
-    def test_the_default_profile_spelled_out_is_accepted(
-        self, built, tmp_path, capsys
-    ):
-        argv = ["live", *WORKLOAD, "--state-dir", str(tmp_path)]
-        assert main([*argv, "--profile", "clean"]) == 0
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--state-dir", "st"], "durable.state_dir"),
+            (["--fsync-wal"], "durable.fsync_wal"),
+        ],
+        ids=["--state-dir", "--fsync-wal"],
+    )
+    def test_a_state_flag_is_a_usage_error(self, flags, key, built, capsys):
+        """A shard restarts from its parent's books: there is no shard
+        store for a state dir or an fsync to reach."""
+        assert_refused(flags, key, built, capsys)
+
+    def test_the_default_profile_spelled_out_is_accepted(self, built, capsys):
+        assert main(["live", *WORKLOAD, "--profile", "clean"]) == 0
 
 
 class TestChaosShards:
@@ -113,22 +137,26 @@ class TestStreamsAndStops:
         "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
     )
     def test_a_signal_mid_run_drains_to_a_reconciled_report(
-        self, signum, tmp_path, first_packet_s
+        self, signum, first_packet_s
     ):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         began = time.monotonic()
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", *LONG_RUN, "--state-dir", str(tmp_path)],
+            [sys.executable, "-m", "repro.cli", *LONG_RUN],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         )
+        children = Path(f"/proc/{process.pid}/task/{process.pid}/children")
         try:
-            # A shard's ack log grows the moment its first ack lands.
-            ack_log = tmp_path / "shards" / "shard-0" / "acks.wal"
-            while not (ack_log.exists() and ack_log.stat().st_size):
+            # The shards fork on the first round's dispatch, so two
+            # children mean the stream has started to go out.
+            while len(children.read_text().split()) < 2:
                 assert process.poll() is None, process.stderr.read()
                 assert time.monotonic() - began < 60, "nothing was dispatched"
                 time.sleep(0.005)
-            first_ack_s = time.monotonic() - began
+            first_round_s = time.monotonic() - began
+            # More rounds follow the first; the report must count them.
+            time.sleep(1.0)
+            assert process.poll() is None, process.stderr.read()
             process.send_signal(signum)
             out, err = process.communicate(timeout=60)
         finally:
@@ -141,9 +169,11 @@ class TestStreamsAndStops:
         )
         assert "check global.conservation: OK" in out
         assert "FAIL" not in out
+        packets = int(re.search(r"worker process\(es\), (\d+) packets", out).group(1))
+        assert packets > command_spec(LONG_RUN).shard.batch_size, packets
         # Dispatch starts with the stream, not after it: within 2 s of
         # the generator's first packet (start-up and two forks included).
-        assert first_ack_s < first_packet_s + 2.0, (
-            f"first ack after {first_ack_s:.1f} s; the generator's first "
+        assert first_round_s < first_packet_s + 2.0, (
+            f"first round after {first_round_s:.1f} s; the generator's first "
             f"packet takes {first_packet_s:.1f} s"
         )

@@ -121,33 +121,80 @@ class TestCleanRun:
         assert queues == {0, 1}
 
 
+def killed_run(packets, at_seq):
+    """Shard 1 SIGKILLed on its batch *at_seq*, with a checkpoint every
+    4 rounds; returns the report and every restore payload sent."""
+    runtime = ShardedRuntime(2, PipelineConfig(), checkpoint_every_batches=4)
+    runtime.schedule_kill(1, at_seq=at_seq)
+    restores = []
+    restart = runtime.supervisor.restart
+
+    def record(shard_id, restore_payload=None):
+        restores.append(restore_payload)
+        return restart(shard_id, restore_payload=restore_payload)
+
+    runtime.supervisor.restart = record
+    try:
+        return run_to_drain(runtime, packets), restores
+    finally:
+        runtime.close()
+
+
+def without_wall_clock(report):
+    counts = report.as_dict()
+    del counts["heartbeats_seen"]  # the one wall-clock field
+    return counts
+
+
 class TestChaos:
-    def test_scheduled_kill_recovers_with_exact_books(
-        self, packets, tmp_path
-    ):
-        """SIGKILL one shard mid-run with durability on: the shard
-        restarts from checkpoint + WAL, rejoins, and every ledger —
-        global, parent per-shard, and the child's own — balances."""
-        runtime = ShardedRuntime(
-            2,
-            PipelineConfig(),
-            state_dir=str(tmp_path),
-            checkpoint_every_batches=4,
-        )
-        runtime.schedule_kill(1, at_seq=6)
-        try:
-            report = run_to_drain(runtime, packets)
-        finally:
-            runtime.close()
+    def test_scheduled_kill_recovers_with_exact_books(self, packets):
+        """SIGKILL one shard mid-run: the shard restarts from its last
+        checkpoint plus the acked counts since, rejoins, and every
+        ledger — global, parent per-shard, and the child's own —
+        balances."""
+        report, _ = killed_run(packets, at_seq=6)
         assert report.ok, report.failed_checks()
         victim = report.shards["shard-1"]
         assert victim["restarts"] == 1
         assert victim["lost_at_crash"] > 0
         assert "scheduled-kill" in victim["causes"]
         assert report.ledger.lost_at_crash == victim["lost_at_crash"]
-        # Durability made reconciliation exact despite the crash.
+        # The restore made reconciliation exact despite the crash: the
+        # restarted child's drained ledger is the parent's books.
         child = report.child_ledgers["shard-1"]
-        assert child["packets_processed"] == victim["acked"]
+        assert (
+            child["packets_processed"],
+            child["parse_errors"],
+            child["records_emitted"],
+        ) == (victim["acked"], victim["parse_errors"], victim["records"])
+
+    @pytest.mark.parametrize(
+        "at_seq, checkpointed",
+        [(3, False), (6, True)],
+        ids=["before-the-first-checkpoint", "after-a-checkpoint"],
+    )
+    def test_a_kill_either_side_of_a_checkpoint_reconciles(
+        self, packets, at_seq, checkpointed
+    ):
+        """Rounds 1-3 precede the first checkpoint (round 4): a death
+        there restarts from no state and one delta of every acked
+        count; a death after it loads the state and adds the rest."""
+        report, restores = killed_run(packets, at_seq=at_seq)
+        assert report.ok, report.failed_checks()
+        (restore,) = restores
+        assert (restore["state"] is not None) == checkpointed
+        delta = restore["delta"]
+        assert delta["processed"] > 0
+        if checkpointed:
+            # The delta is only what was acked after the cut.
+            assert delta["processed"] < report.shards["shard-1"]["acked"]
+
+    def test_the_same_kill_twice_gives_the_same_books(self, packets):
+        """Nothing outlives a run: a second identical run in the same
+        process ends with the first one's counts."""
+        first = without_wall_clock(killed_run(packets, at_seq=6)[0])
+        second = without_wall_clock(killed_run(packets, at_seq=6)[0])
+        assert first == second
 
     def test_protect_handshakes_sheds_payload_with_attribution(
         self, packets
@@ -280,15 +327,8 @@ class TestStall:
         assert stalled_batch > 0
         self._assert_survived(report, stalled_batch, 1, "drained")
 
-    def test_stall_with_a_checkpoint_reply_pending(
-        self, packets, lease_s, tmp_path
-    ):
-        runtime = ShardedRuntime(
-            2,
-            PipelineConfig(),
-            state_dir=str(tmp_path),
-            checkpoint_every_batches=None,
-        )
+    def test_stall_with_a_checkpoint_reply_pending(self, packets, lease_s):
+        runtime = ShardedRuntime(2, PipelineConfig())
         try:
             for number, batch in enumerate(rounds_of(packets)):
                 runtime.offer(batch)
@@ -355,12 +395,7 @@ class TestStall:
         seeded random rounds, always inside the lease — nobody is
         declared and every count equals an undisturbed run's."""
 
-        def counts(report):
-            result = report.as_dict()
-            del result["heartbeats_seen"]  # the one wall-clock field
-            return result
-
-        undisturbed = counts(run_sharded(packets))
+        undisturbed = without_wall_clock(run_sharded(packets))
         rng = random.Random(19)
         rounds = rounds_of(packets)
         pauses = {
@@ -388,7 +423,7 @@ class TestStall:
         finally:
             runtime.close()
         assert report.restarts == 0
-        assert counts(report) == undisturbed
+        assert without_wall_clock(report) == undisturbed
 
     def test_a_sleeping_parent_declares_nobody(self, packets, lease_s):
         """Heartbeats that queued while the parent was away are read

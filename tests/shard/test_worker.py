@@ -75,20 +75,19 @@ class TestShardWorker:
             ShardBooks(shard_id=2).load_state(worker.state_dict())
 
     def test_apply_ack_deltas_restores_the_books_exactly(self):
-        """Checkpoint + WAL replay: the restored ledger must equal the
-        pre-crash one even though the flow table rows are history."""
+        """A checkpoint plus the acked counts since: the restored ledger
+        must equal the pre-crash one even though the flow table rows
+        are history."""
         original = ShardBooks(shard_id=0)
         original.process_batch(1, handshake_triples())
         checkpointed = original.state_dict()
         original.process_batch(
             2, handshake_triples(rss_hash=9, client_port=40002)
-        )  # post-checkpoint, WAL'd as a delta
+        )  # post-checkpoint: in the parent's books, not in the state
 
         restored = ShardBooks(shard_id=0)
         restored.load_state(checkpointed)
-        restored.apply_ack_deltas(
-            [{"seq": 2, "processed": 3, "parse_errors": 0, "records": 1}]
-        )
+        restored.apply_ack_delta({"processed": 3, "parse_errors": 0, "records": 1})
         assert restored.ledger() == original.ledger()
 
 

@@ -63,7 +63,11 @@ tier counter (``injector.injected``, ``resilience.retries``,
 ``supervisor.total_restarts``, ``controller.offered``, …) read in
 ``faults/`` or ``scenarios/runner.py`` is a second fold coming back —
 which is how ``ChaosReport`` and the runner's own fold came to count
-the same run twice. This test walks
+the same run twice. A shard's recovery state lives in its parent — the
+last checkpoint reply and the acked counts — so ``repro.durability``
+imported under ``shard/``, or an ``open(``, ``os.replace``,
+``Checkpointer(`` or ``WriteAheadLog(`` call there, is the per-shard
+disk copy (and its second restart path) coming back. This test walks
 the source tree with the AST module so string mentions in docstrings or
 comments do not trip it; only real names, imports, call sites and class
 definitions count.
@@ -881,7 +885,7 @@ class TestOneStoreImage:
             '    state["tsdb_lines"] = applied_lines\n'
             "    extra = dict(tsdb_lines=[])\n"
             '    peek = state.get("tsdb_lines")\n'
-            "    log.truncate()  # not under stack/: the shard ack log may\n"
+            "    log.truncate()  # not under stack/: not this guard's\n"
         )
         found = [what for _, _, what in second_store_image_sites(tmp_path, loader)]
         assert sorted(found) == sorted(
@@ -1450,4 +1454,89 @@ class TestOneFoldPerRun:
             ("chaos.py", 4, "total_restarts"),
             ("chaos.py", 5, "offered"),
             ("chaos.py", 6, "stats_snapshot"),
+        ]
+
+
+#: What a shard's state on disk is made of: a file, an atomic rename,
+#: the checkpointer and the log.
+SHARD_DISK_CALLS = {"open", "Checkpointer", "WriteAheadLog"}
+
+
+def shard_disk_sites(root=SRC):
+    """Under ``shard/``: an import of ``repro.durability`` and a call to
+    ``open(`` (``os.open`` too), ``os.replace``, ``Checkpointer(`` or
+    ``WriteAheadLog(``."""
+    sites = []
+    for path in sorted((root / "shard").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Call):
+                name = _called_name(node)
+                if name in SHARD_DISK_CALLS or (
+                    name == "replace" and _receiver_name(node) == "os"
+                ):
+                    sites.append((path, node.lineno, f"{name}("))
+                continue
+            else:
+                continue
+            if any(
+                module == "repro.durability" or module.startswith("repro.durability.")
+                for module in modules
+            ):
+                sites.append((path, node.lineno, "imports repro.durability"))
+    return sites
+
+
+class TestShardStateLivesInTheParent:
+    def test_no_shard_module_keeps_state_on_disk(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} {what}"
+            for path, lineno, what in shard_disk_sites()
+        ]
+        assert not offenders, (
+            "a shard's recovery state on disk (a restart loads the parent's "
+            "last checkpoint reply plus its acked counts):\n  "
+            + "\n  ".join(offenders)
+        )
+        # The guard is about a restart that exists and reads the parent.
+        assert "handle.checkpoint" in (SRC / "shard" / "runtime.py").read_text()
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "shard").mkdir()
+        (tmp_path / "shard" / "fine.py").write_text(
+            '"""Once: open( a ShardStateStore, os.replace, a WriteAheadLog(."""\n'
+            "import os\n"
+            "from repro.shard import protocol\n"
+            "def restart(handle, name):\n"
+            "    label = name.replace('-', '_')\n"
+            "    return protocol.encode_json(b'restore', {'state': handle.checkpoint})\n"
+        )
+        assert shard_disk_sites(tmp_path) == []
+        (tmp_path / "shard" / "rogue.py").write_text(
+            "import repro.durability.wal\n"
+            "from repro.durability.shardstate import ShardStateStore\n"
+            "from repro import durability\n"
+            "def checkpoint(self, state, path):\n"
+            "    with open(path + '.tmp', 'wb') as handle:\n"
+            "        handle.write(state)\n"
+            "    os.replace(path + '.tmp', path)\n"
+            "    fd = os.open(path, os.O_RDONLY)\n"
+            "    self.log = repro.durability.wal.WriteAheadLog(path)\n"
+            "    return Checkpointer(state_dir=path, capture=dict)\n"
+        )
+        found = [(line, what) for _, line, what in shard_disk_sites(tmp_path)]
+        assert sorted(found) == [
+            (1, "imports repro.durability"),
+            (2, "imports repro.durability"),
+            (3, "imports repro.durability"),
+            (5, "open("),
+            (7, "replace("),
+            (8, "open("),
+            (9, "WriteAheadLog("),
+            (10, "Checkpointer("),
         ]

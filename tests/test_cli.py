@@ -282,6 +282,28 @@ class TestDurabilityCommands:
         assert "clean shutdown" in output
         assert "verdict: OK" in output
 
+    def test_a_second_live_refuses_a_used_state_dir(self, tmp_path, capsys):
+        """A fresh run on a dir that holds a run would leave the two
+        side by side (numbering restarts at 1, so recovery resumed the
+        *first* run's higher-numbered checkpoint). It is refused before
+        anything is written; ``ruru recover`` still resumes the dir."""
+        state = tmp_path / "state"
+        assert main(["live", "--state-dir", str(state), *self.ARGS]) == 0
+        capsys.readouterr()
+        before = {path.name: path.read_bytes() for path in state.iterdir()}
+        assert main(
+            ["live", "--state-dir", str(state), *self.ARGS, "--seed", "5"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ruru live: error: durable.state_dir ")
+        assert "ruru recover" in captured.err
+        assert captured.err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in state.iterdir()} == before
+        assert main(
+            ["recover", "--state-dir", str(state), "--drain", *self.ARGS]
+        ) == 0
+
     def test_recover_empty_dir_cold_starts(self, tmp_path, capsys):
         assert main(
             ["recover", "--state-dir", str(tmp_path / "none"), *self.ARGS]
@@ -519,9 +541,8 @@ class TestNoFlagIsDropped:
     SMALL = ["--duration", "1", "--rate", "20"]
 
     @pytest.mark.parametrize("argv, says", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
-    def test_refused(self, argv, says, tmp_path, capsys):
-        if argv[0] == "live":
-            argv = [*argv, "--state-dir", str(tmp_path)]
+    def test_refused(self, argv, says, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where live's default state dir goes
         assert main([*argv, *self.SMALL]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1

@@ -43,7 +43,7 @@ GRID = {
 
 def argv_for(command, flags, tmp_path):
     argv = [command, *WORKLOAD, *flags]
-    if command in ("live", "recover"):
+    if command == "recover" or (command == "live" and "--shards" not in flags):
         argv += ["--state-dir", str(tmp_path / "state")]
     if command == "export":
         argv += ["--output", str(tmp_path / "m.lp")]
@@ -73,14 +73,21 @@ def test_every_flag_combination_runs_or_is_refused(tmp_path, capsys):
         outcomes[name] = code
     assert len(outcomes) == sum(2 ** len(switches) for switches in GRID.values())
     refused = {name for name, code in outcomes.items() if code == 2}
-    # Only what the shard target cannot honour is refused: --overload or
-    # --retention with --shards, and a kill with no shards to kill.
+    # Only what the shard target cannot honour is refused: --overload,
+    # --retention or --fsync-wal with --shards, and a kill with no shards
+    # to kill. (The shard target writes no state dir, so a sharded live
+    # cell is run without --state-dir; with one it is refused too.)
     assert refused == {
         " ".join([command, *flags])
         for command, flags in cells()
-        if ("--shards" in flags and {"--overload", "--retention"} & set(flags))
+        if ("--shards" in flags and {"--overload", "--retention", "--fsync-wal"} & set(flags))
         or ("--kill-shard" in flags and "--shards" not in flags)
     }
+    sharded = ["live", *WORKLOAD, "--shards", "2", "--state-dir", str(tmp_path / "state")]
+    assert main(sharded) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ruru live: error: shard.shards > 0 does not take durable.state_dir")
+    assert err.count("\n") == 1
 
 
 class Captured:
