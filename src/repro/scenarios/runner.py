@@ -6,10 +6,9 @@ the spec's traffic axis becomes a generator, its tiers become a
 ``[shard]`` table asks for worker processes, a sharded runtime), and
 :meth:`Episode.run` is the driver of :mod:`repro.core.feed` then the
 target's ``drain``. Everything that runs a stack is an episode plus a
-reading of what it left behind: an in-process run's books are
-:attr:`Episode.counts` (the drain report's
-:attr:`~repro.stack.builder.DrainReport.counts`), which
-:func:`run_scenario` records into one
+reading of what it left behind: a run's books — in process or sharded
+— are :attr:`Episode.counts` (the drain report's ``counts``), which
+:func:`run_scenario` records in one loop into one
 :class:`repro.obs.bench.Resultset` beside its checks, and which a
 ``ruru`` command renders.
 
@@ -219,10 +218,13 @@ class Episode:
 
     @property
     def counts(self) -> Dict[str, int]:
-        """The in-process run's books: its drain report's, or — when the
-        run raised before its drain — the stack's as the error left it."""
+        """The run's books: its drain report's, or — when the run raised
+        before its drain — what the target holds as the error left it
+        (the stack's books; the packets a sharded parent took in)."""
         if self.report is not None:
             return self.report.counts
+        if self.runtime is not None:
+            return {"scenario.packets_offered": self.runtime.ingested}
         return count_books(self.stack)
 
 
@@ -317,21 +319,19 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-def _fold_ledger(exact, ledger: Ledger) -> None:
-    for term in ("ingested", "processed", "dropped", "deadlettered", "balance"):
-        exact(f"ledger.{term}", getattr(ledger, term))
-
-
 def _conserves(name: str, ledger: Ledger) -> Check:
     return Check(name, ledger.ok, "" if ledger.ok else str(ledger))
 
 
-#: The units the books' first terms have always been archived with.
+#: The units the books' terms have always been archived with.
 UNITS = {
     "scenario.packets_offered": "packets",
     "scenario.measurements": "records",
     "scenario.enriched": "records",
     "scenario.tsdb_points": "points",
+    "shard.records.delivered": "records",
+    "shard.rerouted": "packets",
+    "shard.restarts": "restarts",
 }
 
 
@@ -341,11 +341,9 @@ def _frame_shed(counts: Dict[str, int], klass: str) -> int:
 
 
 def _fold_stack(episode: Episode, exact, resultset: Resultset, profile_stages):
-    """The in-process target's metrics — its books, every term as an
-    exact metric — plus its anomaly events and its checks."""
+    """The in-process target's anomaly events (as exact metrics too)
+    and its checks."""
     spec, stack, counts = episode.spec, episode.stack, episode.counts
-    for name, value in counts.items():
-        exact(name, value, unit=UNITS.get(name, ""))
     events = []
     if stack.anomaly is not None:
         end_ns = spec.traffic.start_ns + spec.traffic.duration_ns
@@ -412,38 +410,23 @@ def _stack_checks(spec: ScenarioSpec, counts: Dict[str, int]) -> List[Check]:
     return checks
 
 
-def _fold_shards(episode: Episode, exact, resultset: Resultset, profile_stages):
-    """The process-topology target's metrics and checks. Stage
-    profiling does not apply: the stages run in the children."""
-    shard, runtime, report = episode.spec.shard, episode.runtime, episode.report
-    exact("scenario.packets_offered", runtime.ingested, unit="packets")
+def _shard_checks(episode: Episode, resultset: Resultset) -> List[Check]:
+    """The sharded run's four checks: conservation, reconciliation, and
+    — with a scheduled kill — the victim's recovery and the crash's
+    charge. Stage profiling does not apply: the stages run in the
+    children."""
+    report, kill_shard = episode.report, episode.spec.shard.kill_shard
     if report is None:
-        return [], []
+        return []
     # Heartbeat counts are wall-clock coupled; everything recorded
     # as a metric is a function of (spec, seed) alone.
     resultset.meta["shard"] = {
         "states": report.states,
-        "restarts": report.restarts,
+        "restarts": report.counts["shard.restarts"],
         "heartbeats_seen": report.heartbeats_seen,
         "rounds": report.rounds,
     }
     ledger = report.ledger
-    # The canonical names the render/grid tooling reads, then the
-    # shard-only terms.
-    exact("scenario.measurements", report.records["emitted"], unit="records")
-    _fold_ledger(exact, ledger)
-    exact("shard.ledger.shed", ledger.shed)
-    exact("shard.ledger.lost_at_crash", ledger.lost_at_crash)
-    exact("shard.rerouted", report.rerouted_packets, unit="packets")
-    exact("shard.restarts", report.restarts, unit="restarts")
-    for klass in sorted(report.shed_by_class):
-        exact(f"shard.shed.{klass}", report.shed_by_class[klass])
-    exact("shard.records.delivered", report.records["delivered"], unit="records")
-    for name in sorted(report.shards):
-        entry = report.shards[name]
-        for term in ("dispatched", "acked", "lost_at_crash", "restarts"):
-            exact(f"shard.{name}.{term}", entry[term])
-
     checks = [
         _conserves("shard-ledger-conserves", ledger),
         Check(
@@ -452,8 +435,8 @@ def _fold_shards(episode: Episode, exact, resultset: Resultset, profile_stages):
             "; ".join(report.failed_checks()),
         ),
     ]
-    if shard.kill_shard is not None:
-        victim = report.shards.get(f"shard-{shard.kill_shard}", {})
+    if kill_shard is not None:
+        victim = report.shards.get(f"shard-{kill_shard}", {})
         checks.append(
             Check(
                 "shard-recovered",
@@ -470,7 +453,7 @@ def _fold_shards(episode: Episode, exact, resultset: Resultset, profile_stages):
                 f"lost_at_crash={ledger.lost_at_crash}",
             )
         )
-    return [], checks
+    return checks
 
 
 def run_scenario(
@@ -506,8 +489,12 @@ def run_scenario(
     resultset = Resultset(f"scenario.{spec.name}", meta=meta)
     exact = partial(resultset.record, exact=True, portable=True)
     exact("scenario.flows", episode.generator.flows_generated, unit="flows")
-    fold = _fold_shards if episode.runtime is not None else _fold_stack
-    events, checks = fold(episode, exact, resultset, profile_stages)
+    for name, value in episode.counts.items():
+        exact(name, value, unit=UNITS.get(name, ""))
+    if episode.runtime is not None:
+        events, checks = [], _shard_checks(episode, resultset)
+    else:
+        events, checks = _fold_stack(episode, exact, resultset, profile_stages)
     if episode.temp_dir is not None:
         shutil.rmtree(episode.temp_dir, ignore_errors=True)
     offered = resultset.metrics["scenario.packets_offered"]["value"]

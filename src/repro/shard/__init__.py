@@ -10,32 +10,30 @@ router and the books, RX queue *i*'s worker is forked child
 (:mod:`~repro.shard.wire`); latency records come back to the parent
 with each batch's ack and go to the caller's record sink.
 
-There is one mode. Dispatch is lock-step, so every count follows the
-round counter and replays exactly; liveness follows the heartbeat lease
-(:mod:`~repro.shard.heartbeat`), which every blocking wait on a shard
-sits under. Around that: kill-then-reap supervision with restart
-budgets (:mod:`~repro.shard.supervisor`), a restart from what the
-parent already holds — the shard's last checkpoint reply plus one delta
-of its acked counts, nothing on disk — reroute/shed policies during
-down windows, and a global conservation ledger the drain proves exactly
-(:mod:`~repro.shard.runtime`).
+There is one mode and one parent. Dispatch is lock-step, so every count
+follows the round counter and replays exactly; liveness follows the
+heartbeat lease (:mod:`~repro.shard.heartbeat`), which every blocking
+wait on a shard sits under. :class:`~repro.shard.runtime.ShardedRuntime`
+is the whole parent: it routes, keeps the books, forks, kills then
+reaps, restarts within a budget from what it already holds — the
+shard's last checkpoint reply plus one delta of its acked counts,
+nothing on disk — reroutes or sheds during down windows, and proves a
+global conservation ledger at the drain. Every read of a shard's pipe
+goes through its one pump.
 """
 
 from __future__ import annotations
 
 from repro.shard.heartbeat import FailureDetector, HeartbeatError
 from repro.shard.runtime import (
-    SHED_POLICIES,
-    ShardRunReport,
-    ShardedRuntime,
-)
-from repro.shard.supervisor import (
     SHARD_DOWN,
     SHARD_DRAINED,
     SHARD_FAILED,
     SHARD_UP,
+    SHED_POLICIES,
     ShardHandle,
-    ShardSupervisor,
+    ShardRunReport,
+    ShardedRuntime,
 )
 from repro.shard.transport import (
     FdPair,
@@ -60,7 +58,6 @@ __all__ = [
     "ShardBooks",
     "ShardHandle",
     "ShardRunReport",
-    "ShardSupervisor",
     "ShardedRuntime",
     "StreamDecoder",
     "Transport",

@@ -11,17 +11,29 @@ table during failures: a decision made while a shard was down sticks
 for the life of the flow, so a rerouted handshake's payload follows
 it instead of bouncing back mid-measurement.
 
+There is one shard parent, :class:`ShardedRuntime`: router, books and
+every shard's process lifecycle. Each shard is a ``fork``\\ ed child
+running :meth:`ShardedRuntime._shard_entry`; children always leave via
+``os._exit``, so a forked interpreter never falls back into pytest or
+the CLI's stack.
+
 One rule for time: **counts follow the round counter, liveness follows
 the lease.** Dispatch is lock-step — one batch per live shard per
 round, settled before the round ends, a dead shard rejoining a fixed
 number of rounds later — so every count is a pure function of (traffic,
-kill schedule) and nothing depends on how fast the host runs. A death
-is declared the moment EOF/EPIPE proves it. A shard that is alive but
-*stuck* proves nothing, so every blocking wait on a shard (its ack, its
-checkpoint reply, its drain reply) is a wait under its heartbeat lease:
-silent for a lease, it is SIGKILLed, declared ``heartbeat-deadline``,
-charged its in-flight batch and restarted like any other death. A stall
-costs one lease and one batch; it never costs the run.
+kill schedule) and nothing depends on how fast the host runs.
+
+One pump. In the parent every read of a shard's pipe is ``_absorb``
+(take what is already there) or ``_await`` (block, under the lease),
+every message read goes to one dispatcher for every topic, and every
+write is ``_send``, also under the lease. A shard stops being live when
+an EOF or EPIPE proves it dead, or when it is *stuck* — alive, pipes
+open, silent — for one heartbeat lease
+(:class:`~repro.shard.heartbeat.FailureDetector`) while the parent
+waits on it: for its ack, its checkpoint reply, its drain reply or room
+in its pipe. Either way ``_declare`` SIGKILLs it *before* reaping it
+and charges its in-flight batch to ``lost_at_crash``: a stall costs one
+lease and one batch, never the run.
 
 The books must balance. Every offered packet meets exactly one of five
 fates, and :meth:`ShardedRuntime.drain` proves it::
@@ -36,10 +48,15 @@ checkpoint reply the shard sent (or none) and its acked counts. The
 restarted child loads that state and adds one delta — the parent's
 books for it minus the counts in the state — so its books balance to
 the packet after any number of deaths, and nothing is written to disk.
+A shard spends its :class:`~repro.resilience.RestartBudget` on the way;
+an exhausted budget marks it ``failed``, and traffic routes around it
+for the rest of the run.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -50,35 +67,94 @@ from repro.mq.frames import Message
 from repro.overload.classify import CLASSES, HANDSHAKE, classify_frame
 from repro.resilience.invariants import Ledger
 from repro.resilience.supervisor import RestartBudget
-from repro.shard import protocol
-from repro.shard.supervisor import (
-    POLL_S,
-    SHARD_DOWN,
-    ShardHandle,
-    ShardSupervisor,
-)
-from repro.shard.transport import Transport, TransportClosed, TransportError
+from repro.shard import heartbeat, protocol
+from repro.shard.heartbeat import FailureDetector
+from repro.shard.transport import Transport, TransportClosed, TransportError, pipe_pair
 from repro.shard.worker import shard_child_main
 
 #: What to do with a down shard's traffic.
 SHED_POLICIES = ("protect-handshakes", "reroute-all")
 
+#: Shard lifecycle states.
+SHARD_UP = "up"
+SHARD_DOWN = "down"
+SHARD_FAILED = "failed"
+SHARD_DRAINED = "drained"
+
+#: How long one blocking read waits before the leases are judged again.
+POLL_S = 0.05
+
+#: The books' per-class shed terms.
+SHED_PREFIX = "shard.shed."
+
+
+class ShardHandle:
+    """Parent-side bookkeeping for one shard process."""
+
+    def __init__(self, shard_id: int):
+        # The shard owns RX queue *shard_id*: the RSS indirection's
+        # queue ids are the process ids.
+        self.shard_id = shard_id
+        self.name = f"shard-{shard_id}"
+        self.pid: Optional[int] = None
+        self.transport: Optional[Transport] = None
+        self.state = SHARD_DOWN  # until first spawn
+        self.restarts = 0
+        self.causes: List[str] = []
+        # seq -> packet count for every dispatched-but-unacked batch.
+        self.inflight: Dict[int, int] = {}
+        self.next_seq = 1
+        # Cumulative parent-side accounting (survives restarts).
+        self.dispatched_packets = 0
+        self.acked_packets = 0
+        self.acked_parse_errors = 0
+        self.records_received = 0
+        self.lost_at_crash = 0
+        self.deadlettered = 0
+        self.rejoin_at_round: Optional[int] = None
+        self.drained_payload: Optional[dict] = None
+        # The state in the shard's last checkpoint reply (None before
+        # the first): what a restart of it loads.
+        self.checkpoint: Optional[dict] = None
+
+    @property
+    def live(self) -> bool:
+        """Dispatchable right now."""
+        return self.state == SHARD_UP
+
+    def ledger(self) -> dict:
+        return {
+            "dispatched": self.dispatched_packets,
+            "acked": self.acked_packets,
+            "parse_errors": self.acked_parse_errors,
+            "records": self.records_received,
+            "lost_at_crash": self.lost_at_crash,
+            "deadlettered": self.deadlettered,
+            "restarts": self.restarts,
+            "state": self.state,
+            "causes": list(self.causes),
+        }
+
 
 @dataclass
 class ShardRunReport:
-    """Everything a drained sharded run proved (or failed to)."""
+    """Everything a drained sharded run proved (or failed to).
+
+    :attr:`counts` is the run's books — one flat ``{name: int}``,
+    sorted by name, as an in-process run's
+    :attr:`~repro.stack.builder.DrainReport.counts` is. ``states``,
+    ``heartbeats_seen`` and ``rounds`` depend on the wall clock, so they
+    stay out of the books.
+    """
 
     ledger: Ledger
     shards: Dict[str, dict]
-    child_ledgers: Dict[str, dict]
     reconciliation: List[Tuple[str, bool, str]]
-    shed_by_class: Dict[str, int]
-    rerouted_packets: int
-    restarts: int
+    records: Dict[str, int]
+    counts: Dict[str, int]
     states: Dict[str, str]
     heartbeats_seen: int
-    records: Dict[str, int]
-    rounds: int = 0
+    rounds: int
 
     @property
     def ok(self) -> bool:
@@ -91,25 +167,6 @@ class ShardRunReport:
             if not ok
         ]
 
-    def as_dict(self) -> dict:
-        return {
-            "ledger": self.ledger.as_dict(),
-            "shards": self.shards,
-            "child_ledgers": self.child_ledgers,
-            "reconciliation": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in self.reconciliation
-            ],
-            "shed_by_class": self.shed_by_class,
-            "rerouted_packets": self.rerouted_packets,
-            "restarts": self.restarts,
-            "states": self.states,
-            "heartbeats_seen": self.heartbeats_seen,
-            "records": self.records,
-            "rounds": self.rounds,
-            "ok": self.ok,
-        }
-
     def render(self) -> str:
         lines = [str(self.ledger)]
         for name in sorted(self.shards):
@@ -121,10 +178,12 @@ class ShardRunReport:
                 f"restarts={ledger['restarts']}"
             )
         shed = ", ".join(
-            f"{klass}={count}" for klass, count in sorted(self.shed_by_class.items())
+            f"{name[len(SHED_PREFIX):]}={count}"
+            for name, count in self.counts.items()
+            if name.startswith(SHED_PREFIX)
         )
         lines.append(
-            f"  policy: rerouted={self.rerouted_packets} shed=[{shed}]"
+            f"  policy: rerouted={self.counts['shard.rerouted']} shed=[{shed}]"
         )
         for name, ok, detail in self.reconciliation:
             lines.append(f"  check {name}: {'OK' if ok else 'FAIL'} ({detail})")
@@ -132,7 +191,8 @@ class ShardRunReport:
 
 
 class ShardedRuntime:
-    """The parent process of a sharded run: router, supervisor, books.
+    """The parent process of a sharded run: router, books and every
+    shard's process lifecycle.
 
     Args:
         num_shards: worker shard processes (one RX queue each).
@@ -150,6 +210,8 @@ class ShardedRuntime:
         policy: down-shard traffic policy (``protect-handshakes``
             reroutes handshakes and sheds the rest by class;
             ``reroute-all`` reroutes everything).
+        max_restarts_per_shard: each shard's restart budget; a shard
+            that would exceed it is ``failed`` for the rest of the run.
         record_sink: optional callable fed every encoded latency
             record.
     """
@@ -166,6 +228,8 @@ class ShardedRuntime:
         record_sink: Optional[Callable[[bytes], None]] = None,
         registry=None,
     ):
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
         if policy not in SHED_POLICIES:
             raise ValueError(
                 f"unknown policy {policy!r}; choose from {SHED_POLICIES}"
@@ -177,16 +241,18 @@ class ShardedRuntime:
         self.checkpoint_every_batches = checkpoint_every_batches
         self._record_sink = record_sink
 
-        self.supervisor = ShardSupervisor(
-            num_shards,
-            entry=self._shard_entry,
-            restart_budget=RestartBudget(max_restarts=max_restarts_per_shard),
+        self.handles: Dict[int, ShardHandle] = {
+            shard_id: ShardHandle(shard_id) for shard_id in range(num_shards)
+        }
+        self.detector = FailureDetector(
+            heartbeat.LEASE_HEARTBEATS * heartbeat.HEARTBEAT_INTERVAL_NS
         )
+        self.budget = RestartBudget(max_restarts=max_restarts_per_shard)
         self.hasher = RssHasher(
             key=self.config.rss_key, num_queues=num_shards
         )
         # A write the shard does not read within a lease is a stall too.
-        self._lease_s = self.supervisor.detector.deadline_ns / 1e9
+        self._lease_s = self.detector.deadline_ns / 1e9
 
         # Rerouted flows only: (4-tuple, family) -> fallback shard_id. A
         # flow's home shard is recomputed from its hash per packet — a
@@ -198,10 +264,8 @@ class ShardedRuntime:
 
         # Global books.
         self.ingested = 0
-        self.dropped = 0
         self.shed_by_class: Dict[str, int] = {klass: 0 for klass in CLASSES}
         self.rerouted_packets = 0
-        self.records_out = 0
         self._round = 0
         self._started = False
         self._drained = False
@@ -209,7 +273,7 @@ class ShardedRuntime:
         if registry is not None:
             self.bind_registry(registry)
 
-    # -- composition ---------------------------------------------------------
+    # -- processes ------------------------------------------------------------
 
     def _shard_entry(self, shard_id: int, transport: Transport) -> int:
         """Post-fork child body."""
@@ -219,9 +283,56 @@ class ShardedRuntime:
         if self._started:
             return
         self._started = True
-        self.supervisor.start()
+        for handle in self.handles.values():
+            self._spawn(handle)
         for shard_id in list(self._faults):
             self._arm_fault(shard_id)
+
+    def _spawn(self, handle: ShardHandle) -> None:
+        """Fork one shard child; the parent adopts its transport side."""
+        pair = pipe_pair()
+        pid = os.fork()
+        if pid == 0:
+            # -- child: exits 1 unless the entry returns, whatever it raises.
+            code = 1
+            try:
+                # Drop inherited copies of every *other* shard's parent-side
+                # fds: a sibling holding them would mask that sibling's EOF
+                # and leak fds across restarts.
+                for other in self.handles.values():
+                    if other.transport is not None:
+                        other.transport.close()
+                # The parent owns orderly shutdown; a terminal ^C must not
+                # kill shards before the parent drains them.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                transport = pair.adopt_child(label=f"{handle.name}-child")
+                code = self._shard_entry(handle.shard_id, transport)
+            finally:
+                os._exit(code)
+        # -- parent ---------------------------------------------------------
+        handle.pid = pid
+        handle.transport = pair.adopt_parent(label=handle.name)
+        handle.state = SHARD_UP
+        handle.rejoin_at_round = None
+        self.detector.watch(handle.shard_id)
+
+    def _release(self, handle: ShardHandle) -> None:
+        """Let go of the process: stop watching, close the transport,
+        SIGKILL, reap. The kill comes first so that a stopped (or
+        wedged, or already dead) process is collected all the same and
+        the blocking ``waitpid`` cannot wedge the parent."""
+        self.detector.forget(handle.shard_id)
+        if handle.transport is not None:
+            handle.transport.close()
+            handle.transport = None
+        if handle.pid is not None:
+            try:
+                os.kill(handle.pid, signal.SIGKILL)
+                os.waitpid(handle.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            handle.pid = None
 
     # -- fault injection ------------------------------------------------------
 
@@ -233,7 +344,7 @@ class ShardedRuntime:
             self._arm_fault(shard_id)
 
     def _arm_fault(self, shard_id: int) -> None:
-        handle = self.supervisor.handles[shard_id]
+        handle = self.handles[shard_id]
         if handle.live:
             self._send(
                 handle,
@@ -248,7 +359,7 @@ class ShardedRuntime:
         """The next live worker shard after *home*, ring order."""
         for step in range(1, self.num_shards):
             candidate = (home + step) % self.num_shards
-            if self.supervisor.handles[candidate].live:
+            if self.handles[candidate].live:
                 return candidate
         return None
 
@@ -268,7 +379,7 @@ class ShardedRuntime:
                 target = self._flow_route.get(key)
                 if target is None:
                     target = self.hasher.queue_for_hash(rss_hash)
-            if not self.supervisor.handles[target].live:
+            if not self.handles[target].live:
                 target = self._place_down_packet(key, rss_hash, target, data)
                 if target is None:
                     continue  # shed; already attributed
@@ -285,15 +396,11 @@ class ShardedRuntime:
         A reroute is recorded in the route map so the whole flow
         sticks to its fallback — measurement continuity beats locality.
         """
-        if self.policy == "protect-handshakes":
-            klass = classify_frame(data)
-            if klass != HANDSHAKE:
-                self.shed_by_class[klass] += 1
-                return None
-        fallback = self._live_fallback(home)
+        fallback = None
+        if self.policy == "reroute-all" or classify_frame(data) == HANDSHAKE:
+            fallback = self._live_fallback(home)
         if fallback is None:
-            klass = classify_frame(data)
-            self.shed_by_class[klass] += 1
+            self.shed_by_class[classify_frame(data)] += 1
             return None
         if key is not None:
             self._flow_route[key] = fallback
@@ -304,20 +411,21 @@ class ShardedRuntime:
 
     def offer(self, packets: Iterable) -> None:
         """Dispatch one round of packets across the live shards."""
-        if not self._started:
-            self.start()
         if self._drained:
             raise RuntimeError("runtime already drained")
+        self.start()
         self._round += 1
-        self._restart_due_shards()
+        for handle in self.handles.values():
+            if handle.state == SHARD_DOWN and self._round >= handle.rejoin_at_round:
+                self._restart(handle)
         per_shard = self._route_round(packets)
 
         # Lock-step: routing sent nothing to a shard that was not live,
         # and a dispatch can only take down the shard it writes to — so
         # every target is live when its turn comes.
         for shard_id in sorted(per_shard):
-            self._dispatch(self.supervisor.handles[shard_id], per_shard[shard_id])
-        for handle in self.supervisor.handles.values():
+            self._dispatch(self.handles[shard_id], per_shard[shard_id])
+        for handle in self.handles.values():
             self._await(handle, lambda: not handle.inflight)
         self._check_deadlines()
         if (
@@ -327,7 +435,8 @@ class ShardedRuntime:
             self.checkpoint_all()
 
     def _send(self, handle: ShardHandle, message: Union[Message, bytes]) -> bool:
-        """Write one message under the lease; False declares the shard."""
+        """Every write to a shard: one message under the lease; False
+        declares the shard."""
         try:
             handle.transport.send(message, timeout=self._lease_s)
         except TransportClosed:
@@ -351,6 +460,8 @@ class ShardedRuntime:
         handle.inflight[seq] = len(triples)
         handle.dispatched_packets += len(triples)
 
+    # -- the pump ---------------------------------------------------------------
+
     def _await(self, handle: ShardHandle, done: Callable[[], bool]) -> bool:
         """Pump *handle* until *done()*; False if it was declared first.
 
@@ -372,7 +483,13 @@ class ShardedRuntime:
                 self._handle_message(handle, message)
         return True
 
+    def _absorb(self, handle: ShardHandle) -> None:
+        """Non-blocking: take everything *handle* has already sent."""
+        for message in handle.transport.recv_all():
+            self._handle_message(handle, message)
+
     def _handle_message(self, handle: ShardHandle, message: Message) -> None:
+        """The one dispatcher: every message a shard sends, by topic."""
         topic = message.topic
         if topic == protocol.ACK_TOPIC:
             seq, processed, parse_errors, records = protocol.decode_ack(message)
@@ -383,9 +500,16 @@ class ShardedRuntime:
             handle.acked_packets += processed
             handle.acked_parse_errors += parse_errors
             handle.records_received += len(records)
-            self._deliver_records(records)
-        else:
-            self.supervisor.handle_control_message(handle, message)
+            if self._record_sink is not None:
+                for record in records:
+                    self._record_sink(record)
+        elif topic == heartbeat.HEARTBEAT_TOPIC:
+            shard_id, _seq, sent_ns = heartbeat.decode_heartbeat(message)
+            self.detector.observe(shard_id, sent_ns)
+        elif topic == protocol.CKPT_TOPIC:
+            handle.checkpoint = protocol.decode_json(message)["state"]
+        elif topic == protocol.DRAINED_TOPIC:
+            handle.drained_payload = protocol.decode_json(message)
 
     # -- failure handling ------------------------------------------------------
 
@@ -407,39 +531,46 @@ class ShardedRuntime:
         already said, so that time the parent spent elsewhere (waiting
         out one shard's lease, or asleep between rounds) is never
         charged to a healthy shard whose heartbeats sat unread."""
-        for handle in self.supervisor.handles.values():
+        for handle in self.handles.values():
             if handle.live:
                 try:
                     self._absorb(handle)
                 except TransportError:
                     self._on_transport_death(handle)
-        for shard_id in self.supervisor.detector.expired():
-            self._declare(self.supervisor.handles[shard_id], "heartbeat-deadline")
+        for shard_id in self.detector.expired():
+            self._declare(self.handles[shard_id], "heartbeat-deadline")
 
-    def _absorb(self, handle: ShardHandle) -> None:
-        """Non-blocking: take everything *handle* has already sent."""
-        for message in handle.transport.recv_all():
-            self._handle_message(handle, message)
-
-    def _declare(self, handle: ShardHandle, cause: str) -> None:
+    def _declare(self, handle: ShardHandle, cause: str) -> int:
+        """Declare *handle* down: kill, reap, and charge its in-flight
+        packets to the crash (returned). A shard already down is left
+        as it is."""
+        if not handle.live:
+            return 0
         # Acks that escaped before the death are real work, not losses:
         # consume everything already decoded before charging the rest.
         self._absorb(handle)
-        self.supervisor.declare_down(handle.shard_id, cause)
+        lost = sum(handle.inflight.values())
+        handle.lost_at_crash += lost
+        handle.inflight.clear()
+        handle.causes.append(cause)
+        handle.state = SHARD_DOWN
         handle.rejoin_at_round = self._round + self.restart_delay_batches
+        self._release(handle)
+        return lost
 
-    def _restart_due_shards(self) -> None:
-        for handle in self.supervisor.handles.values():
-            if (
-                handle.state == SHARD_DOWN
-                and handle.rejoin_at_round is not None
-                and self._round >= handle.rejoin_at_round
-            ):
-                self._restart_shard(handle)
-
-    def _restart_shard(self, handle: ShardHandle) -> None:
-        """Respawn from the last checkpoint reply plus one delta: the
-        parent's books for the shard minus the counts in that state."""
+    def _restart(self, handle: ShardHandle) -> bool:
+        """Respawn within budget from the last checkpoint reply plus one
+        delta: the parent's books for the shard minus the counts in that
+        state. False if the budget is spent — the shard is failed for
+        good — or the new process is declared before its restore is
+        written."""
+        if handle.state != SHARD_DOWN:
+            raise RuntimeError(
+                f"cannot restart {handle.name} in state {handle.state!r}"
+            )
+        if not self.budget.consume(handle.name):
+            handle.state = SHARD_FAILED
+            return False
         state = handle.checkpoint
         base = state or {}
         delta = {
@@ -447,38 +578,30 @@ class ShardedRuntime:
             "parse_errors": handle.acked_parse_errors - int(base.get("parse_errors", 0)),
             "records": handle.records_received - int(base.get("records_emitted", 0)),
         }
-        self.supervisor.restart(
-            handle.shard_id, restore_payload={"state": state, "delta": delta}
+        self._spawn(handle)
+        handle.restarts += 1
+        return self._send(
+            handle,
+            protocol.encode_json(protocol.RESTORE_TOPIC, {"state": state, "delta": delta}),
         )
-
-    # -- records ---------------------------------------------------------------
-
-    def _deliver_records(self, records: List[bytes]) -> None:
-        self.records_out += len(records)
-        if self._record_sink is not None:
-            for record in records:
-                self._record_sink(record)
 
     # -- checkpointing ---------------------------------------------------------
 
     def checkpoint_all(self) -> int:
-        """Synchronous checkpoint of every live shard; returns how many."""
+        """Ask every live shard for its state; returns how many replied.
+        A shard that dies or stalls before replying keeps the checkpoint
+        it had."""
+        request = protocol.encode_json(protocol.CKPT_REQ_TOPIC, {"seq": self._round})
         written = 0
-        for handle in self.supervisor.handles.values():
-            if handle.live and self._checkpoint_shard(handle):
+        for handle in self.handles.values():
+            held = handle.checkpoint
+            if (
+                handle.live
+                and self._send(handle, request)
+                and self._await(handle, lambda: handle.checkpoint is not held)
+            ):
                 written += 1
         return written
-
-    def _checkpoint_shard(self, handle: ShardHandle) -> bool:
-        """Ask for the shard's state; a shard that dies or stalls before
-        replying keeps the checkpoint it had."""
-        held = handle.checkpoint
-        request = protocol.encode_json(
-            protocol.CKPT_REQ_TOPIC, {"seq": self._round}
-        )
-        return self._send(handle, request) and self._await(
-            handle, lambda: handle.checkpoint is not held
-        )
 
     # -- drain -----------------------------------------------------------------
 
@@ -488,74 +611,123 @@ class ShardedRuntime:
             raise RuntimeError("runtime already drained")
         self._drained = True
         reconciliation: List[Tuple[str, bool, str]] = []
-        child_ledgers: Dict[str, dict] = {}
 
         # Every round settled before it ended: nothing is in flight.
-        for handle in self.supervisor.handles.values():
-            payload = self.supervisor.drain_shard(handle)
+        for handle in self.handles.values():
+            payload = self._drain_shard(handle)
             if payload is None:
                 continue
-            ledger = payload["ledger"]
-            child_ledgers[handle.name] = ledger
             for child_key, parent_value in (
                 ("packets_processed", handle.acked_packets),
                 ("parse_errors", handle.acked_parse_errors),
                 ("records_emitted", handle.records_received),
             ):
-                child_value = int(ledger[child_key])
-                reconciliation.append(
-                    (
-                        f"{handle.name}.{child_key}",
-                        child_value == parent_value,
-                        f"child={child_value} parent={parent_value}",
-                    )
-                )
+                child_value = int(payload["ledger"][child_key])
+                reconciliation.append((
+                    f"{handle.name}.{child_key}",
+                    child_value == parent_value,
+                    f"child={child_value} parent={parent_value}",
+                ))
+        self.close()
 
-        self.supervisor.shutdown()
-
-        ledger = self.global_ledger()
-        reconciliation.append(
-            ("global.conservation", ledger.ok, str(ledger))
-        )
-        report = ShardRunReport(
-            ledger=ledger,
-            shards={
-                h.name: h.ledger() for h in self.supervisor.handles.values()
-            },
-            child_ledgers=child_ledgers,
-            reconciliation=reconciliation,
-            shed_by_class=dict(self.shed_by_class),
-            rerouted_packets=self.rerouted_packets,
-            restarts=self.supervisor.total_restarts,
-            states=self.supervisor.states(),
-            heartbeats_seen=self.supervisor.heartbeats_seen,
-            # Every record a shard acked is handed to the sink in the
-            # same step, so the two counts cannot diverge.
-            records={"emitted": self.records_out, "delivered": self.records_out},
-            rounds=self._round,
-        )
-        return report
-
-    def global_ledger(self) -> Ledger:
-        workers = self.supervisor.handles.values()
-        return Ledger(
+        workers = self.handles.values()
+        ledger = Ledger(
             ingested=self.ingested,
             processed=sum(h.acked_packets for h in workers),
-            dropped=self.dropped,
+            dropped=0,  # a batch the parent cannot write is deadlettered
             deadlettered=sum(h.deadlettered for h in workers),
             shed=sum(self.shed_by_class.values()),
             lost_at_crash=sum(h.lost_at_crash for h in workers),
             scope="shard",
         )
+        reconciliation.append(("global.conservation", ledger.ok, str(ledger)))
+        shards = {h.name: h.ledger() for h in workers}
+        counts = self._books(ledger, shards)
+        # Every record a shard acked is handed to the sink in the same
+        # step, so the two counts cannot diverge.
+        records = counts["shard.records.delivered"]
+        return ShardRunReport(
+            ledger=ledger,
+            shards=shards,
+            reconciliation=reconciliation,
+            records={"emitted": records, "delivered": records},
+            counts=counts,
+            states={name: entry["state"] for name, entry in shards.items()},
+            heartbeats_seen=self.detector.heartbeats_observed,
+            rounds=self._round,
+        )
+
+    def _drain_shard(self, handle: ShardHandle) -> Optional[dict]:
+        """The graceful-shutdown handshake with one shard: ``drain`` out,
+        then pump until the ``drained`` reply (the dataplane settled
+        first, and FIFO order keeps any ack ahead of the reply). Returns
+        the child's payload, or None if the shard was not live or was
+        declared — it died, or sat silent for a lease — instead."""
+        request = protocol.encode_json(
+            protocol.DRAIN_TOPIC, {"shard_id": handle.shard_id}
+        )
+        if not (
+            handle.live
+            and self._send(handle, request)
+            and self._await(handle, lambda: handle.drained_payload is not None)
+        ):
+            return None
+        handle.state = SHARD_DRAINED
+        self._release(handle)
+        return handle.drained_payload
+
+    def _books(self, ledger: Ledger, shards: Dict[str, dict]) -> Dict[str, int]:
+        """The run's books: one flat ``{name: int}``, sorted by name."""
+        records = sum(entry["records"] for entry in shards.values())
+        counts = {
+            "scenario.packets_offered": self.ingested,
+            "scenario.measurements": records,
+            "shard.ledger.shed": ledger.shed,
+            "shard.ledger.lost_at_crash": ledger.lost_at_crash,
+            "shard.records.delivered": records,
+            "shard.rerouted": self.rerouted_packets,
+            "shard.restarts": sum(entry["restarts"] for entry in shards.values()),
+        }
+        for term in ("ingested", "processed", "dropped", "deadlettered", "balance"):
+            counts[f"ledger.{term}"] = getattr(ledger, term)
+        for klass, count in self.shed_by_class.items():
+            counts[SHED_PREFIX + klass] = count
+        for name, entry in shards.items():
+            for term in ("dispatched", "acked", "lost_at_crash", "restarts"):
+                counts[f"shard.{name}.{term}"] = entry[term]
+        return dict(sorted(counts.items()))
 
     def close(self) -> None:
-        """Abortive cleanup for error paths (drain is the normal exit)."""
-        self.supervisor.shutdown()
+        """Kill and reap anything still running: the abortive cleanup
+        for error paths, and the last step of a drain."""
+        for handle in self.handles.values():
+            self._release(handle)
 
     # -- observability ---------------------------------------------------------
 
     def bind_registry(self, registry) -> None:
-        self.supervisor.bind_registry(registry)
+        """Expose shard liveness, crash accounting and the down-shard
+        policy's work as metrics."""
+        up = registry.gauge(
+            "ruru_shard_up",
+            help="1 while the shard process is dispatchable, else 0.",
+            labels=("shard",),
+        )
+        restarts = registry.counter(
+            "ruru_shard_restarts_total",
+            help="Times each shard was respawned after a declared death.",
+            labels=("shard",),
+        )
+        lost = registry.counter(
+            "ruru_shard_lost_at_crash_total",
+            help="Packets in flight to a shard when it was declared down.",
+            labels=("shard",),
+        )
+        latency = registry.gauge(
+            "ruru_shard_heartbeat_latency_ns",
+            help="Latest heartbeat one-way latency per shard.",
+            labels=("shard",),
+        )
         rerouted = registry.counter(
             "ruru_shard_rerouted_total",
             help="Packets rerouted away from a down shard.",
@@ -567,6 +739,13 @@ class ShardedRuntime:
         )
 
         def collect() -> None:
+            for handle in self.handles.values():
+                up.labels(handle.name).set(1 if handle.live else 0)
+                restarts.labels(handle.name).value = handle.restarts
+                lost.labels(handle.name).value = handle.lost_at_crash
+                seen = self.detector.last_latency_ns(handle.shard_id)
+                if seen is not None:
+                    latency.labels(handle.name).set(seen)
             rerouted.value = self.rerouted_packets
             for klass, count in self.shed_by_class.items():
                 shed.labels(klass).value = count

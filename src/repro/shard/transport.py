@@ -37,12 +37,6 @@ class TransportError(RuntimeError):
 class TransportClosed(TransportError):
     """The peer's end is gone (EOF on read or EPIPE on write)."""
 
-    def __init__(self, message: str, partial_write: bool = False):
-        super().__init__(message)
-        #: True when a send died with some bytes already written — the
-        #: peer (if it still lives) will see a torn tail.
-        self.partial_write = partial_write
-
 
 class Transport:
     """One side of a framed, full-duplex, cross-process channel.
@@ -153,8 +147,7 @@ class Transport:
         for writability up to *timeout* seconds — a peer that neither
         reads nor dies within that window is an error.
 
-        Raises :class:`TransportClosed` on a dead peer; the exception's
-        ``partial_write`` flag says whether any bytes escaped first.
+        Raises :class:`TransportClosed` on a dead peer.
         """
         if self._closed:
             raise TransportClosed(f"transport {self.label!r} is closed")
@@ -171,8 +164,7 @@ class Transport:
                 self._eof = True
                 raise TransportClosed(
                     f"transport {self.label!r}: peer gone mid-send "
-                    f"({offset}/{len(data)} bytes written)",
-                    partial_write=offset > 0,
+                    f"({offset}/{len(data)} bytes written)"
                 ) from None
             # Pipe full: drain incoming traffic so the peer (possibly
             # itself blocked writing to us) can make progress, then

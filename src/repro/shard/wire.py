@@ -94,14 +94,6 @@ class StreamDecoder:
         self.messages_decoded = 0
         self.bytes_consumed = 0
 
-    def __len__(self) -> int:
-        """Bytes currently buffered (a partially received message)."""
-        return len(self._buffer)
-
-    @property
-    def poisoned(self) -> bool:
-        return self._poisoned is not None
-
     def _fail(self, reason: str) -> "FrameDecodeError":
         error = FrameDecodeError(reason)
         self._poisoned = error

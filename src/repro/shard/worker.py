@@ -14,7 +14,7 @@ one delta of acked counts.
 The main loop never returns into the caller's stack: children are
 forked, and a forked Python process that falls back into pytest or the
 CLI would re-run atexit handlers and flush duplicated stdio. The
-supervisor wraps the loop and ``os._exit``\\ s with its return
+parent's fork wraps the loop and ``os._exit``\\ s with its return
 code.
 """
 
@@ -33,7 +33,7 @@ from repro.mq.codec import encode_latency_record
 from repro.mq.frames import Message
 from repro.shard import protocol
 from repro.shard.heartbeat import HEARTBEAT_INTERVAL_NS, encode_heartbeat
-from repro.shard.transport import Transport, TransportClosed, TransportError
+from repro.shard.transport import Transport, TransportError
 
 
 class ShardBooks:
@@ -135,69 +135,48 @@ def shard_child_main(
     hb_seq = 0
     last_hb_ns = 0
     recv_timeout_s = HEARTBEAT_INTERVAL_NS / 4 / 1e9
-    while True:
-        now_ns = time.monotonic_ns()
-        if now_ns - last_hb_ns >= HEARTBEAT_INTERVAL_NS:
-            try:
+    try:
+        while True:
+            now_ns = time.monotonic_ns()
+            if now_ns - last_hb_ns >= HEARTBEAT_INTERVAL_NS:
                 transport.send(encode_heartbeat(shard_id, hb_seq))
-            except (TransportClosed, TransportError):
-                return 1  # parent is gone; nothing to serve
-            hb_seq += 1
-            last_hb_ns = now_ns
-        try:
+                hb_seq += 1
+                last_hb_ns = now_ns
             message = transport.recv(timeout=recv_timeout_s)
-        except (TransportClosed, TransportError):
-            return 1
-        if message is None:
-            continue
-        topic = message.topic
-        if topic == protocol.BATCH_TOPIC:
-            seq, packets = protocol.decode_dispatch(message)
-            if kill_at_seq is not None and seq >= kill_at_seq:
-                # The scheduled fault: die *hard* while holding this
-                # batch, exactly as a segfault would — no ack, no
-                # flush, no goodbye. The parent must account the batch
-                # as lost_at_crash and restart us from what it holds.
-                os.kill(os.getpid(), signal.SIGKILL)
-            ack = books.process_batch(seq, packets)
-            try:
-                transport.send(ack)
-            except (TransportClosed, TransportError):
-                return 1
-        elif topic == protocol.CKPT_REQ_TOPIC:
-            request = protocol.decode_json(message)
-            reply = protocol.encode_json(
-                protocol.CKPT_TOPIC,
-                {
-                    "seq": int(request.get("seq", 0)),
-                    "state": books.state_dict(),
-                },
-            )
-            try:
-                transport.send(reply)
-            except (TransportClosed, TransportError):
-                return 1
-        elif topic == protocol.RESTORE_TOPIC:
-            payload = protocol.decode_json(message)
-            if payload["state"] is not None:
-                books.load_state(payload["state"])
-            books.apply_ack_delta(payload["delta"])
-        elif topic == protocol.FAULT_TOPIC:
-            payload = protocol.decode_json(message)
-            if payload.get("kill_at_seq") is not None:
-                kill_at_seq = int(payload["kill_at_seq"])
-            else:
-                kill_at_seq = None
-        elif topic == protocol.DRAIN_TOPIC:
-            reply = protocol.encode_json(
-                protocol.DRAINED_TOPIC,
-                {"shard_id": shard_id, "ledger": books.ledger()},
-            )
-            try:
-                transport.send(reply)
-            except (TransportClosed, TransportError):
-                return 1
-            return 0
-        # Unknown topics are ignored: a newer parent may speak newer
-        # control verbs; the dataplane topics above are versioned by
-        # the wire layer.
+            if message is None:
+                continue
+            topic = message.topic
+            if topic == protocol.BATCH_TOPIC:
+                seq, packets = protocol.decode_dispatch(message)
+                if kill_at_seq is not None and seq >= kill_at_seq:
+                    # The scheduled fault: die *hard* while holding this
+                    # batch, exactly as a segfault would — no ack, no
+                    # flush, no goodbye. The parent must account the
+                    # batch as lost_at_crash and restart us from what it
+                    # holds.
+                    os.kill(os.getpid(), signal.SIGKILL)
+                transport.send(books.process_batch(seq, packets))
+            elif topic == protocol.CKPT_REQ_TOPIC:
+                request = protocol.decode_json(message)
+                transport.send(protocol.encode_json(
+                    protocol.CKPT_TOPIC,
+                    {"seq": int(request.get("seq", 0)), "state": books.state_dict()},
+                ))
+            elif topic == protocol.RESTORE_TOPIC:
+                payload = protocol.decode_json(message)
+                if payload["state"] is not None:
+                    books.load_state(payload["state"])
+                books.apply_ack_delta(payload["delta"])
+            elif topic == protocol.FAULT_TOPIC:
+                kill_at_seq = protocol.decode_json(message).get("kill_at_seq")
+            elif topic == protocol.DRAIN_TOPIC:
+                transport.send(protocol.encode_json(
+                    protocol.DRAINED_TOPIC,
+                    {"shard_id": shard_id, "ledger": books.ledger()},
+                ))
+                return 0
+            # Unknown topics are ignored: a newer parent may speak newer
+            # control verbs; the dataplane topics above are versioned by
+            # the wire layer.
+    except TransportError:
+        return 1  # the parent is gone (or desynced): nothing to serve

@@ -180,6 +180,37 @@ class TestShardDispatch:
         for name in ("scenario.flows", "scenario.packets_offered"):
             assert sharded.metric(name) == in_process.metric(name), name
 
+    def test_a_sharded_episode_has_books(self, small_spec):
+        """``Episode.counts`` of a sharded run is its drain report's
+        books — flat, sorted, every one a scenario metric."""
+        spec = apply_overrides(
+            small_spec,
+            {"shard.shards": 2, "shard.kill_shard": 1, "shard.kill_at_batch": 2},
+        )
+        episode = Episode(spec).run()
+        assert episode.error is None
+        counts = episode.counts
+        assert counts is episode.report.counts and list(counts) == sorted(counts)
+        assert counts["ledger.ingested"] == counts["scenario.packets_offered"] > 0
+        assert counts["shard.restarts"] == counts["shard.shard-1.restarts"] == 1
+        result = run_scenario(spec)
+        assert {name: result.metric(name) for name in counts} == counts
+
+    def test_a_sharded_episode_that_raised_still_has_its_offer(self, small_spec):
+        episode = Episode(apply_overrides(small_spec, {"shard.shards": 2}))
+        offer, fed = episode.runtime.offer, []
+
+        def offer_then_fail(batch):
+            if len(fed) == 2:
+                raise RuntimeError("boom")
+            fed.append(len(batch))
+            offer(batch)
+
+        episode.runtime.offer = offer_then_fail
+        episode.run()
+        assert isinstance(episode.error, RuntimeError) and episode.report is None
+        assert episode.counts == {"scenario.packets_offered": sum(fed)}
+
 
 class TestBadSpecOnTheCli:
     """A SpecError is a usage error: one line on stderr, exit 2 — it

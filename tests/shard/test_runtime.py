@@ -21,7 +21,8 @@ from repro.dpdk.nic import NicPort
 from repro.mq.codec import decode_latency_record, encode_latency_record
 from repro.net.packet import build_tcp_packet
 from repro.net.tcp import TCP_FLAG_ACK, TCP_FLAG_SYN
-from repro.shard import heartbeat
+from repro.mq.frames import Message
+from repro.shard import heartbeat, protocol
 from repro.shard.runtime import ShardedRuntime
 from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 from tests.shard.conftest import stop_process
@@ -81,7 +82,7 @@ class TestCleanRun:
             == ledger.lost_at_crash
             == 0
         )
-        assert report.restarts == 0
+        assert report.counts["shard.restarts"] == 0
         assert set(report.states.values()) == {"drained"}
         assert report.records["emitted"] == len(records) > 0
         assert report.records["delivered"] == report.records["emitted"]
@@ -121,19 +122,21 @@ class TestCleanRun:
         assert queues == {0, 1}
 
 
-def killed_run(packets, at_seq):
+def killed_run(packets, at_seq, runtime_class=ShardedRuntime):
     """Shard 1 SIGKILLed on its batch *at_seq*, with a checkpoint every
     4 rounds; returns the report and every restore payload sent."""
-    runtime = ShardedRuntime(2, PipelineConfig(), checkpoint_every_batches=4)
+    runtime = runtime_class(2, PipelineConfig(), checkpoint_every_batches=4)
     runtime.schedule_kill(1, at_seq=at_seq)
     restores = []
-    restart = runtime.supervisor.restart
+    send = runtime._send
 
-    def record(shard_id, restore_payload=None):
-        restores.append(restore_payload)
-        return restart(shard_id, restore_payload=restore_payload)
+    def record(handle, message):
+        sent = send(handle, message)
+        if sent and isinstance(message, Message) and message.topic == protocol.RESTORE_TOPIC:
+            restores.append(protocol.decode_json(message))
+        return sent
 
-    runtime.supervisor.restart = record
+    runtime._send = record
     try:
         return run_to_drain(runtime, packets), restores
     finally:
@@ -141,9 +144,11 @@ def killed_run(packets, at_seq):
 
 
 def without_wall_clock(report):
-    counts = report.as_dict()
-    del counts["heartbeats_seen"]  # the one wall-clock field
-    return counts
+    """Everything a report holds but its wall-clock heartbeat count."""
+    return (
+        report.counts, report.shards, report.reconciliation,
+        report.records, report.states, report.rounds,
+    )
 
 
 class TestChaos:
@@ -161,12 +166,14 @@ class TestChaos:
         assert report.ledger.lost_at_crash == victim["lost_at_crash"]
         # The restore made reconciliation exact despite the crash: the
         # restarted child's drained ledger is the parent's books.
-        child = report.child_ledgers["shard-1"]
-        assert (
-            child["packets_processed"],
-            child["parse_errors"],
-            child["records_emitted"],
-        ) == (victim["acked"], victim["parse_errors"], victim["records"])
+        assert [
+            detail for name, ok, detail in report.reconciliation
+            if name.startswith("shard-1.")
+        ] == [
+            f"child={victim['acked']} parent={victim['acked']}",
+            f"child={victim['parse_errors']} parent={victim['parse_errors']}",
+            f"child={victim['records']} parent={victim['records']}",
+        ]
 
     @pytest.mark.parametrize(
         "at_seq, checkpointed",
@@ -206,9 +213,13 @@ class TestChaos:
         finally:
             runtime.close()
         assert report.ok, report.failed_checks()
-        assert report.rerouted_packets > 0  # handshakes kept alive
-        assert sum(report.shed_by_class.values()) == report.ledger.shed
-        assert report.shed_by_class.get("handshake", 0) == 0
+        assert report.counts["shard.rerouted"] > 0  # handshakes kept alive
+        shed = {
+            name: count for name, count in report.counts.items()
+            if name.startswith("shard.shed.")
+        }
+        assert sum(shed.values()) == report.ledger.shed
+        assert shed["shard.shed.handshake"] == 0
 
     def test_reroute_all_never_sheds_while_a_shard_lives(self, packets):
         runtime = ShardedRuntime(
@@ -224,7 +235,7 @@ class TestChaos:
             runtime.close()
         assert report.ok, report.failed_checks()
         assert report.ledger.shed == 0
-        assert report.rerouted_packets > 0
+        assert report.counts["shard.rerouted"] > 0
 
     def test_budget_exhaustion_degrades_but_still_balances(self, packets):
         """Two kills against a budget of one: the shard is failed
@@ -246,9 +257,9 @@ class TestChaos:
                 if len(batch) == 64:
                     runtime.offer(batch)
                     batch, fed = [], fed + 64
-                    if runtime.supervisor.handles[1].restarts == 1:
+                    if runtime.handles[1].restarts == 1:
                         break
-            runtime.schedule_kill(1, at_seq=runtime.supervisor.handles[1].next_seq + 1)
+            runtime.schedule_kill(1, at_seq=runtime.handles[1].next_seq + 1)
             for packet in iterator:
                 batch.append(packet)
                 if len(batch) == 64:
@@ -261,7 +272,35 @@ class TestChaos:
             runtime.close()
         assert report.ledger.ok, str(report.ledger)
         assert report.states["shard-1"] == "failed"
-        assert report.restarts == 1
+        assert report.counts["shard.restarts"] == 1
+
+    def test_a_restart_that_dies_before_its_restore_is_one_more_death(
+        self, packets
+    ):
+        """Every respawn of shard 1 exits before it reads its restore,
+        so writing the restore meets EPIPE. That is a declared death —
+        charged, restarted within budget, then failed — not the run's
+        end."""
+
+        class DiesOnRespawn(ShardedRuntime):
+            def _shard_entry(self, shard_id, transport):
+                if self.handles[shard_id].causes:
+                    return 0
+                return super()._shard_entry(shard_id, transport)
+
+            def _spawn(self, handle):
+                super()._spawn(handle)
+                if handle.causes:  # gone, not yet reaped, before the write
+                    os.waitid(os.P_PID, handle.pid, os.WEXITED | os.WNOWAIT)
+
+        report, restores = killed_run(packets, at_seq=4, runtime_class=DiesOnRespawn)
+        assert report.ledger.ok, str(report.ledger)
+        assert report.ok, report.failed_checks()
+        victim = report.shards["shard-1"]
+        assert victim["restarts"] >= 2 or victim["state"] == "failed"
+        assert victim["causes"][0] == "scheduled-kill"
+        assert set(victim["causes"][1:]) == {"transport-eof"}
+        assert restores == []  # no restore was ever written whole
 
     def test_a_later_death_is_not_the_scheduled_kills(self, packets):
         """A fault fires once: the scheduled kill labels the death it
@@ -269,7 +308,7 @@ class TestChaos:
         ordinary EOF."""
         runtime = ShardedRuntime(2, PipelineConfig())
         runtime.schedule_kill(1, at_seq=3)
-        victim = runtime.supervisor.handles[1]
+        victim = runtime.handles[1]
         killed = False
         try:
             for batch in rounds_of(packets):
@@ -308,7 +347,7 @@ class TestStall:
 
     def test_stall_with_a_batch_in_flight(self, packets, lease_s):
         runtime = ShardedRuntime(2, PipelineConfig())
-        victim = runtime.supervisor.handles[1]
+        victim = runtime.handles[1]
         try:
             for number, batch in enumerate(rounds_of(packets)):
                 if number != 3:
@@ -333,7 +372,7 @@ class TestStall:
             for number, batch in enumerate(rounds_of(packets)):
                 runtime.offer(batch)
                 if number == 3:
-                    stop_process(runtime.supervisor.handles[1].pid)
+                    stop_process(runtime.handles[1].pid)
                     started = time.monotonic()
                     assert runtime.checkpoint_all() == 1  # shard 0's only
                     elapsed = time.monotonic() - started
@@ -349,7 +388,7 @@ class TestStall:
         try:
             for batch in rounds_of(packets):
                 runtime.offer(batch)
-            stop_process(runtime.supervisor.handles[1].pid)
+            stop_process(runtime.handles[1].pid)
             started = time.monotonic()
             report = runtime.drain()
             elapsed = time.monotonic() - started
@@ -359,7 +398,9 @@ class TestStall:
         # No round is left to rejoin in: the victim ends the run down,
         # like a shard killed in the final round.
         self._assert_survived(report, 0, 0, "down")
-        assert "shard-1" not in report.child_ledgers
+        assert not [
+            name for name, _, _ in report.reconciliation if name.startswith("shard-1.")
+        ]
 
     def test_stall_on_a_batch_too_big_for_the_pipe(self, lease_s):
         """A stopped shard reads nothing, so a batch larger than the
@@ -376,7 +417,7 @@ class TestStall:
         runtime = ShardedRuntime(2, PipelineConfig())
         try:
             runtime.start()
-            stop_process(runtime.supervisor.handles[1].pid)
+            stop_process(runtime.handles[1].pid)
             started = time.monotonic()
             runtime.offer(big)
             elapsed = time.monotonic() - started
@@ -408,7 +449,7 @@ class TestStall:
             for number, batch in enumerate(rounds):
                 resume = None
                 if number in pauses:
-                    pid = runtime.supervisor.handles[pauses[number]].pid
+                    pid = runtime.handles[pauses[number]].pid
                     stop_process(pid)
                     resume = threading.Timer(
                         lease_s * rng.uniform(0.1, 0.3),
@@ -422,7 +463,7 @@ class TestStall:
             report = runtime.drain()
         finally:
             runtime.close()
-        assert report.restarts == 0
+        assert report.counts["shard.restarts"] == 0
         assert without_wall_clock(report) == undisturbed
 
     def test_a_sleeping_parent_declares_nobody(self, packets, lease_s):
@@ -441,7 +482,7 @@ class TestStall:
         finally:
             runtime.close()
         assert report.ok, report.failed_checks()
-        assert report.restarts == 0
+        assert report.counts["shard.restarts"] == 0
         assert all(ledger["causes"] == [] for ledger in report.shards.values())
 
     def test_stalling_after_every_rejoin_exhausts_the_budget(
@@ -453,7 +494,7 @@ class TestStall:
             max_restarts_per_shard=1,
             policy="reroute-all",
         )
-        victim = runtime.supervisor.handles[1]
+        victim = runtime.handles[1]
         stopped = set()
         try:
             runtime.start()
@@ -467,10 +508,10 @@ class TestStall:
             runtime.close()
         assert report.ledger.ok, str(report.ledger)
         assert report.states == {"shard-0": "drained", "shard-1": "failed"}
-        assert report.restarts == 1
+        assert report.counts["shard.restarts"] == 1
         assert report.shards["shard-1"]["causes"] == ["heartbeat-deadline"] * 2
         assert report.shards["shard-0"]["causes"] == []
-        assert report.rerouted_packets > 0
+        assert report.counts["shard.rerouted"] > 0
 
 
 class TestRouteMap:
@@ -501,7 +542,7 @@ class TestRouteMap:
             2, PipelineConfig(), policy="reroute-all", restart_delay_batches=3
         )
         runtime.schedule_kill(0, at_seq=3)
-        handles = runtime.supervisor.handles
+        handles = runtime.handles
         try:
             for start in range(0, len(packets), 64):
                 runtime.offer(packets[start : start + 64])

@@ -1,8 +1,9 @@
 """Shard supervision: spawn, crash containment, restart, drain.
 
-These tests fork real processes; the entry functions below are tiny
-state machines standing in for the full worker body so each property
-(heartbeats, restore delivery, crashes) can be exercised in isolation.
+These tests fork real processes through :class:`ShardedRuntime`, the one
+shard parent, with its child body swapped for a tiny state machine
+(``_shard_entry``) so each property — heartbeats, restore delivery,
+crashes — can be exercised in isolation.
 """
 
 import os
@@ -11,15 +12,15 @@ import time
 
 import pytest
 
-from repro.resilience import RestartBudget
-from repro.shard import protocol
-from repro.shard.heartbeat import FailureDetector, encode_heartbeat
-from repro.shard.supervisor import (
+from repro.mq.frames import Message
+from repro.shard import heartbeat, protocol
+from repro.shard.heartbeat import encode_heartbeat
+from repro.shard.runtime import (
     SHARD_DOWN,
     SHARD_DRAINED,
     SHARD_FAILED,
     SHARD_UP,
-    ShardSupervisor,
+    ShardedRuntime,
 )
 from repro.shard.transport import TransportClosed
 from tests.shard.conftest import stop_process
@@ -50,8 +51,17 @@ def _obedient_entry(shard_id, transport):
             return 0
 
 
+class ObedientRuntime(ShardedRuntime):
+    def _shard_entry(self, shard_id, transport):
+        return _obedient_entry(shard_id, transport)
+
+
 def _make_supervisor(num_shards=2, **kwargs):
-    return ShardSupervisor(num_shards, _obedient_entry, **kwargs)
+    return ObedientRuntime(num_shards, **kwargs)
+
+
+def _states(supervisor):
+    return {h.name: h.state for h in supervisor.handles.values()}
 
 
 def _kill(supervisor, shard_id):
@@ -59,9 +69,13 @@ def _kill(supervisor, shard_id):
     os.kill(supervisor.handles[shard_id].pid, signal.SIGKILL)
 
 
+def _declare(supervisor, shard_id, cause):
+    return supervisor._declare(supervisor.handles[shard_id], cause)
+
+
 def _drain_all(supervisor):
     for handle in supervisor.handles.values():
-        supervisor.drain_shard(handle)
+        supervisor._drain_shard(handle)
 
 
 class TestSpawnAndDrain:
@@ -69,7 +83,7 @@ class TestSpawnAndDrain:
         supervisor = _make_supervisor(3)
         try:
             supervisor.start()
-            assert supervisor.states() == {
+            assert _states(supervisor) == {
                 "shard-0": SHARD_UP,
                 "shard-1": SHARD_UP,
                 "shard-2": SHARD_UP,
@@ -79,37 +93,34 @@ class TestSpawnAndDrain:
             assert os.getpid() not in pids
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_drain_handshake_returns_the_child_payload(self):
         supervisor = _make_supervisor(2)
         supervisor.start()
         try:
             handle = supervisor.handles[1]
-            payload = supervisor.drain_shard(handle)
+            payload = supervisor._drain_shard(handle)
             assert payload is not None and payload["shard_id"] == 1
             assert handle.state == SHARD_DRAINED
             assert handle.transport is None and handle.pid is None
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_heartbeats_feed_the_detector(self):
-        detector = FailureDetector(deadline_ns=60_000_000_000)
-        supervisor = _make_supervisor(1, detector=detector)
+        supervisor = _make_supervisor(1)
         supervisor.start()
         try:
-            from repro.mq.frames import Message
-
             handle = supervisor.handles[0]
             handle.transport.send(Message([b"hb-now"]))
             message = handle.transport.recv(timeout=10.0)
-            assert supervisor.handle_control_message(handle, message)
-            assert supervisor.heartbeats_seen == 1
-            assert detector.last_latency_ns(0) is not None
+            supervisor._handle_message(handle, message)
+            assert supervisor.detector.heartbeats_observed == 1
+            assert supervisor.detector.last_latency_ns(0) is not None
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
 
 class TestCrashContainment:
@@ -122,7 +133,7 @@ class TestCrashContainment:
             victim = supervisor.handles[0]
             victim.inflight = {7: 42}  # pretend a batch was in flight
             _kill(supervisor, 0)
-            lost = supervisor.declare_down(0, cause="chaos")
+            lost = _declare(supervisor, 0, cause="chaos")
             assert lost == 42
             assert victim.lost_at_crash == 42
             assert victim.inflight == {}
@@ -132,7 +143,7 @@ class TestCrashContainment:
             assert supervisor.handles[1].state == SHARD_UP
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_declare_down_drains_predeath_control_messages(self):
         """A heartbeat already in the pipe when the shard dies still
@@ -140,8 +151,6 @@ class TestCrashContainment:
         supervisor = _make_supervisor(1)
         supervisor.start()
         try:
-            from repro.mq.frames import Message
-
             handle = supervisor.handles[0]
             handle.transport.send(Message([b"hb-now"]))
             # Give the child time to reply, then kill it.
@@ -151,21 +160,21 @@ class TestCrashContainment:
                     pytest.fail("child never replied")
                 time.sleep(0.01)
             _kill(supervisor, 0)
-            supervisor.declare_down(0, cause="chaos")
-            assert supervisor.heartbeats_seen == 1
+            _declare(supervisor, 0, cause="chaos")
+            assert supervisor.detector.heartbeats_observed == 1
         finally:
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_declare_down_is_idempotent(self):
         supervisor = _make_supervisor(1)
         supervisor.start()
         try:
             _kill(supervisor, 0)
-            supervisor.declare_down(0, cause="first")
-            assert supervisor.declare_down(0, cause="second") == 0
+            _declare(supervisor, 0, cause="first")
+            assert _declare(supervisor, 0, cause="second") == 0
             assert supervisor.handles[0].causes == ["first"]
         finally:
-            supervisor.shutdown()
+            supervisor.close()
 
 
 class TestStalledProcess:
@@ -178,35 +187,35 @@ class TestStalledProcess:
         try:
             stop_process(supervisor.handles[0].pid)
             supervisor.handles[0].inflight = {3: 17}
-            assert supervisor.declare_down(0, cause="heartbeat-deadline") == 17
+            assert _declare(supervisor, 0, cause="heartbeat-deadline") == 17
             assert supervisor.handles[0].state == SHARD_DOWN
             assert supervisor.handles[0].pid is None
             assert supervisor.handles[1].state == SHARD_UP
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
-    def test_drain_of_a_silent_shard_ends_at_its_lease(self):
-        detector = FailureDetector(deadline_ns=200_000_000)
-        supervisor = _make_supervisor(1, detector=detector)
+    def test_drain_of_a_silent_shard_ends_at_its_lease(self, monkeypatch):
+        monkeypatch.setattr(heartbeat, "LEASE_HEARTBEATS", 8)  # 0.2 s
+        supervisor = _make_supervisor(1)
         supervisor.start()
         try:
             stop_process(supervisor.handles[0].pid)
             started = time.monotonic()
-            assert supervisor.drain_shard(supervisor.handles[0]) is None
+            assert supervisor._drain_shard(supervisor.handles[0]) is None
             assert 0.15 < time.monotonic() - started < 2.0
             handle = supervisor.handles[0]
             assert handle.state == SHARD_DOWN
             assert handle.causes == ["heartbeat-deadline"]
             assert handle.pid is None and handle.transport is None
         finally:
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_shutdown_collects_a_stopped_process(self):
         supervisor = _make_supervisor(1)
         supervisor.start()
         stop_process(supervisor.handles[0].pid)
-        supervisor.shutdown()
+        supervisor.close()
         assert supervisor.handles[0].pid is None
 
 
@@ -217,45 +226,48 @@ class TestRestart:
         try:
             old_pid = supervisor.handles[0].pid
             _kill(supervisor, 0)
-            supervisor.declare_down(0, cause="chaos")
-            assert supervisor.restart(0, {"state": {"last_seq": 9}})
+            _declare(supervisor, 0, cause="chaos")
             handle = supervisor.handles[0]
+            handle.checkpoint = {"last_seq": 9}
+            assert supervisor._restart(handle)
             assert handle.state == SHARD_UP
             assert handle.pid != old_pid
             assert handle.restarts == 1
-            assert supervisor.total_restarts == 1
-            payload = supervisor.drain_shard(handle)
-            assert payload["restored"] == {"state": {"last_seq": 9}}
+            assert sum(h.restarts for h in supervisor.handles.values()) == 1
+            payload = supervisor._drain_shard(handle)
+            assert payload["restored"] == {
+                "state": {"last_seq": 9},
+                "delta": {"processed": 0, "parse_errors": 0, "records": 0},
+            }
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_restart_in_wrong_state_raises(self):
         supervisor = _make_supervisor(1)
         supervisor.start()
         try:
             with pytest.raises(RuntimeError):
-                supervisor.restart(0)
+                supervisor._restart(supervisor.handles[0])
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()
 
     def test_budget_exhaustion_marks_the_shard_failed_forever(self):
-        supervisor = _make_supervisor(
-            1, restart_budget=RestartBudget(max_restarts=1)
-        )
+        supervisor = _make_supervisor(1, max_restarts_per_shard=1)
         supervisor.start()
+        handle = supervisor.handles[0]
         try:
             _kill(supervisor, 0)
-            supervisor.declare_down(0, cause="chaos-1")
-            assert supervisor.restart(0) is True
+            _declare(supervisor, 0, cause="chaos-1")
+            assert supervisor._restart(handle) is True
             _kill(supervisor, 0)
-            supervisor.declare_down(0, cause="chaos-2")
-            assert supervisor.restart(0) is False
-            assert supervisor.handles[0].state == SHARD_FAILED
+            _declare(supervisor, 0, cause="chaos-2")
+            assert supervisor._restart(handle) is False
+            assert handle.state == SHARD_FAILED
             assert supervisor.budget.exhausted("shard-0")
         finally:
-            supervisor.shutdown()
+            supervisor.close()
 
 
 class TestObservability:
@@ -268,7 +280,7 @@ class TestObservability:
             registry = MetricsRegistry()
             supervisor.bind_registry(registry)
             _kill(supervisor, 0)
-            supervisor.declare_down(0, cause="chaos")
+            _declare(supervisor, 0, cause="chaos")
             snap = registry.snapshot()
             up = {
                 s["labels"]["shard"]: s["value"]
@@ -282,4 +294,4 @@ class TestObservability:
             assert lost["shard-0"] == 0  # nothing was in flight
         finally:
             _drain_all(supervisor)
-            supervisor.shutdown()
+            supervisor.close()

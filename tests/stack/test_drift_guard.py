@@ -67,7 +67,13 @@ the same run twice. A shard's recovery state lives in its parent — the
 last checkpoint reply and the acked counts — so ``repro.durability``
 imported under ``shard/``, or an ``open(``, ``os.replace``,
 ``Checkpointer(`` or ``WriteAheadLog(`` call there, is the per-shard
-disk copy (and its second restart path) coming back. This test walks
+disk copy (and its second restart path) coming back. And there is one
+shard parent, ``ShardedRuntime``: a ``ShardSupervisor`` anywhere, an
+``os.fork`` outside ``shard/runtime.py``, or a shard pipe read (a
+``.recv(`` or ``.recv_all(`` under ``shard/``) anywhere but the
+parent's pump — ``_await`` and ``_absorb`` — and the child's
+``shard_child_main`` is the second parent, with its own reads and its
+own rule for what a message it did not expect means, coming back. This test walks
 the source tree with the AST module so string mentions in docstrings or
 comments do not trip it; only real names, imports, call sites and class
 definitions count.
@@ -298,7 +304,7 @@ def calls_named(name, root=SRC):
 
 
 def shard_lifecycle_states(root=SRC):
-    tree = ast.parse((root / "shard" / "supervisor.py").read_text())
+    tree = ast.parse((root / "shard" / "runtime.py").read_text())
     return sorted(
         target.id
         for node in tree.body
@@ -950,7 +956,7 @@ class TestOneShardMode:
 
     def test_the_guard_sees_what_it_guards(self, tmp_path):
         (tmp_path / "shard").mkdir()
-        (tmp_path / "shard" / "supervisor.py").write_text(
+        (tmp_path / "shard" / "runtime.py").write_text(
             'SHARD_UP = "up"\n'
             'SHARD_SUSPECT = "suspect"\n'
             "POLL_S = 0.05\n"
@@ -1380,13 +1386,15 @@ class TestOneConfigurationPath:
 #: Where a drained run's books are read, never counted: the chaos
 #: report's package and the scenario runner.
 BOOK_READERS = (SRC / "faults", SRC / "scenarios" / "runner.py")
-#: The tier counters ``count_books`` reads, by attribute name.
+#: The counters ``count_books`` and the sharded parent's books read, by
+#: attribute name.
 TIER_COUNTERS = {
     "injected", "total_restarts", "retries", "degraded_published", "points_written",
     "points_lost", "opened_count", "enriched_count", "conservation_ledger",
     "total_points", "offered", "admitted", "mq_offered", "truncated",
     "ring_displacements", "level_max", "shed_total", "shed_counts", "shed_ratio",
     "stats", "stats_snapshot", "frontend_received", "frontend_degraded",
+    "rerouted_packets", "shed_by_class",
 }
 
 
@@ -1539,4 +1547,139 @@ class TestShardStateLivesInTheParent:
             (8, "open("),
             (9, "WriteAheadLog("),
             (10, "Checkpointer("),
+        ]
+
+
+#: Under ``shard/``, the only functions that read a shard pipe: the
+#: parent's pump and the child's loop.
+PIPE_READERS = {
+    "runtime.py": {"ShardedRuntime._await", "ShardedRuntime._absorb"},
+    "worker.py": {"shard_child_main"},
+}
+
+
+def _call_owners(tree):
+    """Each call in *tree* → the qualified name of the innermost
+    function (``Class.method``) around it; None at module level."""
+    owners = {}
+
+    def visit(node, scope, function):
+        for child in ast.iter_child_nodes(node):
+            inner_scope, inner_function = scope, function
+            if isinstance(child, ast.ClassDef):
+                inner_scope = f"{scope}{child.name}."
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner_function = f"{scope}{child.name}"
+                inner_scope = f"{inner_function}."
+            elif isinstance(child, ast.Call):
+                owners[child] = function
+            visit(child, inner_scope, inner_function)
+
+    visit(tree, "", None)
+    return owners
+
+
+def second_parent_sites(root=SRC):
+    """A ``ShardSupervisor`` named, imported or defined anywhere; a
+    ``fork`` called outside ``shard/runtime.py``; a ``.recv(`` or
+    ``.recv_all(`` called under ``shard/`` outside :data:`PIPE_READERS`."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        owner = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, (ast.Attribute, ast.ClassDef, ast.alias)):
+                name = getattr(node, "attr", None) or node.name
+            else:
+                continue
+            if name == "ShardSupervisor":
+                sites.append((path, node.lineno, "ShardSupervisor"))
+        for call, function in _call_owners(tree).items():
+            name = _called_name(call)
+            if name == "fork" and owner != "shard/runtime.py":
+                sites.append((path, call.lineno, "fork("))
+            if (
+                name in ("recv", "recv_all")
+                and isinstance(call.func, ast.Attribute)
+                and owner.startswith("shard/")
+                and function not in PIPE_READERS.get(path.name, ())
+            ):
+                sites.append((path, call.lineno, f".{name}( in {function}"))
+    return sorted(sites, key=lambda site: (str(site[0]), site[1], site[2]))
+
+
+class TestOneShardParent:
+    def test_one_parent_reads_every_pipe_through_one_pump(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno} {what}"
+            for path, lineno, what in second_parent_sites()
+        ]
+        assert not offenders, (
+            "a second shard parent: read a shard pipe only in "
+            "ShardedRuntime._await / _absorb, fork only in shard/runtime.py:\n  "
+            + "\n  ".join(offenders)
+        )
+        # The guard is about a pump and a fork that exist.
+        runtime = SRC / "shard" / "runtime.py"
+        assert "recv" in _calls_inside(runtime, "_await")
+        assert "recv_all" in _calls_inside(runtime, "_absorb")
+        assert "fork" in _calls_inside(runtime, "_spawn")
+        assert not (SRC / "shard" / "supervisor.py").exists()
+
+    def test_the_guard_sees_what_it_guards(self, tmp_path):
+        (tmp_path / "shard").mkdir()
+        (tmp_path / "shard" / "runtime.py").write_text(
+            '"""Once ShardSupervisor, .recv( and os.fork() in a docstring."""\n'
+            "import os\n"
+            "class ShardedRuntime:\n"
+            "    def _await(self, handle, done):\n"
+            "        return handle.transport.recv(timeout=0.05)\n"
+            "    def _absorb(self, handle):\n"
+            "        return [m for m in handle.transport.recv_all()]\n"
+            "    def _spawn(self, handle):\n"
+            "        return os.fork()\n"
+            "    def drain_shard(self, handle):\n"
+            "        return handle.transport.recv(timeout=0.05)\n"
+        )
+        (tmp_path / "shard" / "worker.py").write_text(
+            "def shard_child_main(transport, shard_id):\n"
+            "    return transport.recv(timeout=0.01)\n"
+        )
+        (tmp_path / "mq").mkdir()
+        (tmp_path / "mq" / "socket.py").write_text(
+            "def poll(sock):\n"
+            "    return sock.recv(0), sock.recv_all()\n"
+        )
+        assert [
+            (path.name, line, what) for path, line, what in second_parent_sites(tmp_path)
+        ] == [("runtime.py", 11, ".recv( in ShardedRuntime.drain_shard")]
+        (tmp_path / "shard" / "supervisor.py").write_text(
+            "import os\n"
+            "from repro.shard.heartbeat import FailureDetector\n"
+            "class ShardSupervisor:\n"
+            "    def _spawn(self, handle):\n"
+            "        return os.fork()\n"
+            "    def declare_down(self, handle):\n"
+            "        for message in handle.transport.recv_all():\n"
+            "            def late(transport=handle.transport):\n"
+            "                return transport.recv()\n"
+        )
+        (tmp_path / "stack").mkdir()
+        (tmp_path / "stack" / "builder.py").write_text(
+            "from repro.shard.supervisor import ShardSupervisor\n"
+            "def build(shards):\n"
+            "    return shard.ShardSupervisor(shards)\n"
+        )
+        assert [
+            (path.name, line, what) for path, line, what in second_parent_sites(tmp_path)
+        ] == [
+            ("runtime.py", 11, ".recv( in ShardedRuntime.drain_shard"),
+            ("supervisor.py", 3, "ShardSupervisor"),
+            ("supervisor.py", 5, "fork("),
+            ("supervisor.py", 7, ".recv_all( in ShardSupervisor.declare_down"),
+            ("supervisor.py", 9, ".recv( in ShardSupervisor.declare_down.late"),
+            ("builder.py", 1, "ShardSupervisor"),
+            ("builder.py", 3, "ShardSupervisor"),
         ]
