@@ -1,9 +1,16 @@
 """RFC 1071 Internet checksum and TCP pseudo-header checksums.
 
-Ruru's DPDK stage does not verify checksums (the NIC does), but the
-traffic generator must emit frames that a strict parser — or a real
-tool reading our pcap output — would accept, so we compute them
-properly here.
+Ruru's DPDK stage does not verify checksums (the NIC does). What must
+carry a valid checksum is computed here: every IPv4 header and ICMP
+message the generator writes, and the TCP segments that tests and
+fixtures build with :func:`repro.net.packet.build_tcp_packet`'s
+default ``compute_checksum=True``. The synthesized flows of
+:mod:`repro.traffic` leave the TCP checksum zero, as a capture taken
+behind checksum offload does.
+
+The sum is taken in integer arithmetic: since 2**16 ≡ 1 (mod 0xFFFF),
+the one's-complement sum of a run of 16-bit words is the run read as
+one big-endian integer, modulo 0xFFFF (RFC 1071 §2).
 """
 
 from __future__ import annotations
@@ -11,17 +18,28 @@ from __future__ import annotations
 import struct
 
 
+def word_sum(data: bytes) -> int:
+    """An integer congruent to the sum of *data*'s 16-bit words (mod 0xFFFF).
+
+    Odd-length data is zero-padded. The result is zero only when every
+    word is, so a sum of such terms still tells :func:`ones_complement`
+    which of one's complement's two zeros it stands for.
+    """
+    total = int.from_bytes(data, "big")
+    return total << 8 if len(data) % 2 else total
+
+
+def ones_complement(total: int) -> int:
+    """The checksum field for a word *total* (any integer ≡ the sum mod 0xFFFF)."""
+    if not total:
+        return 0xFFFF
+    # A non-zero sum folds to 0xFFFF, not 0, when it is a multiple of 0xFFFF.
+    return 0xFFFF - (total % 0xFFFF or 0xFFFF)
+
+
 def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement checksum of *data* (RFC 1071)."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-    # Fold carries back into the low 16 bits.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    return ones_complement(word_sum(data))
 
 
 def _pseudo_header_v4(src: int, dst: int, proto: int, length: int) -> bytes:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 TCP_FLAG_FIN = 0x01
 TCP_FLAG_SYN = 0x02
@@ -65,6 +65,16 @@ class TcpOption:
             return None
         tsval, tsecr = struct.unpack("!II", self.data)
         return tsval, tsecr
+
+
+def pack_options(options: Iterable[TcpOption]) -> bytes:
+    """The option list's wire bytes, zero-padded to a 4-byte boundary."""
+    raw = b"".join(option.pack() for option in options)
+    if len(raw) % 4:
+        raw += b"\x00" * (4 - len(raw) % 4)
+    if len(raw) > 40:
+        raise ValueError("TCP options exceed 40 bytes")
+    return raw
 
 
 @dataclass
@@ -139,12 +149,7 @@ class TcpHeader:
     # -- wire format -------------------------------------------------------
 
     def _packed_options(self) -> bytes:
-        raw = b"".join(option.pack() for option in self.options)
-        if len(raw) % 4:
-            raw += b"\x00" * (4 - len(raw) % 4)
-        if len(raw) > 40:
-            raise ValueError("TCP options exceed 40 bytes")
-        return raw
+        return pack_options(self.options)
 
     @property
     def header_len(self) -> int:

@@ -22,26 +22,41 @@ exposed as :meth:`FlowSpec.expected_external_ns` and
 
 Data segments carry RFC 7323 timestamp options with per-host 1 kHz
 TSval clocks, which is what the pping baseline consumes.
+
+Every segment leaves its TCP checksum zero, as a capture taken behind
+checksum offload does (the NIC fills it in after the tap's copy); the
+IPv4 header checksums are valid. So every ``ruru generate`` pcap
+carries zero TCP checksums.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.net.packet import Packet, build_tcp_packet
+from repro.net.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, Packet, pack_tcp_frame
 from repro.net.tcp import (
+    OPT_NOP,
+    OPT_TIMESTAMP,
     TCP_FLAG_ACK,
     TCP_FLAG_FIN,
     TCP_FLAG_PSH,
     TCP_FLAG_RST,
     TCP_FLAG_SYN,
-    TcpOption,
 )
 
 NS_PER_MS = 1_000_000
 DEFAULT_RTO_MS = 1000.0
+
+_TIMESTAMP_NOP_NOP = struct.Struct("!BBIIBB")
+
+
+def timestamp_options(tsval: int, tsecr: int) -> bytes:
+    """The 12 option bytes of every synthesized segment: an RFC 7323
+    timestamp, then two NOPs of padding, as real stacks emit."""
+    return _TIMESTAMP_NOP_NOP.pack(OPT_TIMESTAMP, 10, tsval, tsecr, OPT_NOP, OPT_NOP)
 
 
 @dataclass
@@ -91,7 +106,11 @@ class FlowSpec:
 
 
 class FlowSynthesizer:
-    """Expands flow specs into tap-timestamped wire frames."""
+    """Expands flow specs into tap-timestamped wire frames.
+
+    Each frame is one :func:`~repro.net.packet.pack_tcp_frame` call with
+    the 12 timestamp+NOP+NOP option bytes and a zero TCP checksum.
+    """
 
     def __init__(self, rng: Optional[random.Random] = None):
         self.rng = rng or random.Random(0)
@@ -99,8 +118,9 @@ class FlowSynthesizer:
     def synthesize(self, spec: FlowSpec) -> List[Packet]:
         """All frames of one flow, in tap-timestamp order."""
         rng = self.rng
-        client_isn = spec.client_isn or rng.getrandbits(32)
-        server_isn = spec.server_isn or rng.getrandbits(32)
+        # Every seq/ack below is masked to 32 bits: the packer writes them as given.
+        client_isn = (spec.client_isn or rng.getrandbits(32)) & 0xFFFFFFFF
+        server_isn = (spec.server_isn or rng.getrandbits(32)) & 0xFFFFFFFF
         # Per-host TSval clocks: 1 kHz with random epoch offsets.
         client_ts_offset = rng.getrandbits(30)
         server_ts_offset = rng.getrandbits(30)
@@ -140,25 +160,15 @@ class FlowSynthesizer:
                 last_server_tsval = tsval
                 src_ip, dst_ip = spec.server_ip, spec.client_ip
                 src_port, dst_port = spec.server_port, spec.client_port
-            options = [
-                TcpOption.timestamp(tsval, tsecr),
-                TcpOption(1),  # NOP padding, as real stacks emit
-                TcpOption(1),
-            ]
             packets.append(
-                build_tcp_packet(
-                    src_ip,
-                    dst_ip,
-                    src_port,
-                    dst_port,
-                    flags,
-                    seq=seq,
-                    ack=ack,
-                    payload=payload,
-                    options=options,
-                    timestamp_ns=at_ns,
-                    ipv6=spec.is_ipv6,
-                    compute_checksum=False,
+                Packet(
+                    pack_tcp_frame(
+                        src_ip, dst_ip, src_port, dst_port, flags, seq, ack,
+                        timestamp_options(tsval, tsecr), payload, spec.is_ipv6,
+                        64, 65535, None,  # TTL, window, untagged
+                        DEFAULT_SRC_MAC, DEFAULT_DST_MAC,
+                    ),
+                    at_ns,
                 )
             )
 

@@ -22,35 +22,26 @@ from dataclasses import dataclass, field
 from typing import Iterator, List
 
 from repro.geo.builder import SyntheticGeoPlan
-from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.net.icmp import IcmpMessage
-from repro.net.ipv4 import IPv4Header, PROTO_UDP
-from repro.net.packet import Packet
-from repro.net.udp import UdpHeader
+from repro.net.icmp import TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST, TYPE_TIME_EXCEEDED
+from repro.net.packet import Packet, pack_arp_request, pack_icmp_frame, pack_udp_frame
 
 NS_PER_S = 1_000_000_000
 
-PROTO_ICMP = 1
-
 
 def _udp_packet(src, dst, sport, dport, payload, t_ns):
-    segment = UdpHeader(src_port=sport, dst_port=dport, payload=payload).pack()
-    ip = IPv4Header(src=src, dst=dst, protocol=PROTO_UDP, payload=segment).pack()
-    return Packet(data=EthernetFrame(payload=ip).pack(), timestamp_ns=t_ns)
+    return Packet(data=pack_udp_frame(src, dst, sport, dport, payload), timestamp_ns=t_ns)
 
 
-def _icmp_packet(src, dst, message, t_ns):
-    ip = IPv4Header(src=src, dst=dst, protocol=PROTO_ICMP, payload=message.pack()).pack()
-    return Packet(data=EthernetFrame(payload=ip).pack(), timestamp_ns=t_ns)
+def _icmp_packet(src, dst, icmp_type, rest, payload, t_ns):
+    return Packet(data=pack_icmp_frame(src, dst, icmp_type, 0, rest, payload), timestamp_ns=t_ns)
 
 
 def _arp_packet(t_ns, rng):
-    # A who-has broadcast: htype/ptype/hlen/plen/oper + addresses.
-    body = struct.pack("!HHBBH", 1, ETHERTYPE_IPV4, 6, 4, 1)
-    body += rng.getrandbits(48).to_bytes(6, "big") + rng.getrandbits(32).to_bytes(4, "big")
-    body += b"\x00" * 6 + rng.getrandbits(32).to_bytes(4, "big")
-    frame = EthernetFrame(ethertype=0x0806, payload=body)
-    return Packet(data=frame.pack(), timestamp_ns=t_ns)
+    # A who-has broadcast from a random sender for a random target.
+    data = pack_arp_request(
+        rng.getrandbits(48).to_bytes(6, "big"), rng.getrandbits(32), rng.getrandbits(32)
+    )
+    return Packet(data=data, timestamp_ns=t_ns)
 
 
 @dataclass
@@ -105,17 +96,16 @@ class NoiseGenerator:
         for i in range(count):
             t = rng.randint(self.start_ns, end_ns - 1)
             a, b = rand_host(), rand_host()
-            request = IcmpMessage.echo(identifier=i & 0xFFFF, sequence=1,
-                                       payload=b"ping" * 8)
-            reply = IcmpMessage.echo(identifier=i & 0xFFFF, sequence=1,
-                                     payload=b"ping" * 8, reply=True)
-            events.append(_icmp_packet(a, b, request, t))
+            echo = struct.pack("!HH", i & 0xFFFF, 1)  # identifier, sequence
+            events.append(_icmp_packet(a, b, TYPE_ECHO_REQUEST, echo, b"ping" * 8, t))
             events.append(_icmp_packet(
-                b, a, reply, t + rng.randint(1_000_000, 300_000_000)
+                b, a, TYPE_ECHO_REPLY, echo, b"ping" * 8,
+                t + rng.randint(1_000_000, 300_000_000),
             ))
             if rng.random() < 0.1:
-                exceeded = IcmpMessage(icmp_type=11, code=0, payload=b"\x00" * 28)
-                events.append(_icmp_packet(rand_host(), a, exceeded, t + 1))
+                events.append(_icmp_packet(
+                    rand_host(), a, TYPE_TIME_EXCEEDED, b"\x00" * 4, b"\x00" * 28, t + 1
+                ))
 
         # ARP chatter.
         count = int(self.arp_rate_per_s * self.duration_ns / NS_PER_S)

@@ -2,8 +2,23 @@
 
 import struct
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.net.addresses import ip_to_int
 from repro.net.checksum import internet_checksum, tcp_checksum_ipv4, tcp_checksum_ipv6
+
+
+def reference_checksum(data: bytes) -> int:
+    """RFC 1071 word by word: sum the 16-bit words, fold the carries."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
 
 
 class TestInternetChecksum:
@@ -29,6 +44,33 @@ class TestInternetChecksum:
     def test_carry_folding(self):
         # Many 0xffff words force repeated carry folds.
         assert internet_checksum(b"\xff\xff" * 1000) == 0
+
+
+    def test_both_zeros_of_ones_complement(self):
+        # A non-zero sum that is a multiple of 0xFFFF folds to 0xFFFF
+        # ("negative zero"), so its checksum is 0; an all-zero sum is 0xFFFF.
+        assert internet_checksum(b"\xff\xff") == 0
+        assert internet_checksum(b"\x80\x00\x7f\xff") == 0
+        assert internet_checksum(b"\x00" * 7) == 0xFFFF
+
+
+class TestChecksumAgainstReference:
+    @settings(max_examples=200)
+    @given(st.binary(max_size=1600))
+    def test_any_bytes(self, data):
+        assert internet_checksum(data) == reference_checksum(data)
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 799).map(lambda n: 2 * n + 1), st.binary(min_size=1600, max_size=1600))
+    def test_odd_lengths(self, length, pool):
+        data = pool[:length]
+        assert internet_checksum(data) == reference_checksum(data)
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 1600), st.sampled_from([0x00, 0xFF]))
+    def test_uniform_bytes(self, length, byte):
+        data = bytes([byte]) * length
+        assert internet_checksum(data) == reference_checksum(data)
 
 
 class TestTcpChecksum:
