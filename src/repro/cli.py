@@ -48,7 +48,8 @@ path per flag (:data:`COMMANDS`, :data:`OPTIONS`) -> the one
 :class:`~repro.scenarios.runner.Episode` (build, drive, drain; SIGINT /
 SIGTERM stop the feed) -> a renderer of the drained stack. A flag the
 run would not honour is refused by the spec or by ``build()``: one
-``ruru <command>: error: …`` line, exit 2.
+``ruru <command>: error: …`` line, exit 2. So is a capture, line-protocol
+file or query text the command cannot read.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from repro.frontend.grafana import build_selfmon_dashboard, export_grafana_json
 from repro.frontend.heatmap import LatencyBuckets, render_heatmap
 from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
-from repro.net.pcap import PcapWriter
+from repro.net.pcap import PcapError, PcapWriter
 from repro.net.pcapng import PcapngWriter, open_capture
 from repro.obs.bench import collect_meta, compare, load_resultset
 from repro.obs.slo import evaluate_slos, slos_from_dict
@@ -79,7 +80,9 @@ from repro.scenarios import (
 from repro.scenarios.runner import Episode, build_scenario_generator
 from repro.scenarios.spec import ScenarioSpec, SpecError, apply_overrides, parse_override_args
 from repro.tsdb.database import TimeSeriesDatabase
+from repro.tsdb.line_protocol import LineProtocolError
 from repro.tsdb.ql import execute_statement
+from repro.tsdb.query import QueryError
 
 NS_PER_S = 1_000_000_000
 
@@ -811,8 +814,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        # A flag, override or spec the run would not honour.
+    except (SpecError, PcapError, LineProtocolError, QueryError) as exc:
+        # A flag, override or spec the run would not honour, or an input
+        # file or query text it cannot read.
         print(f"ruru {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -241,6 +241,8 @@ def open_capture(path: Union[str, Path]):
 
     with open(path, "rb") as probe:
         magic = probe.read(4)
+    if len(magic) < 4:
+        raise PcapError(f"not a capture: {len(magic)} bytes, too short for a magic number")
     if struct.unpack("<I", magic)[0] == SHB_TYPE:
         return PcapngReader(path)
     return PcapReader(path)

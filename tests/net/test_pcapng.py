@@ -93,6 +93,13 @@ class TestRoundtrip:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_capture_too_short_for_a_magic_number(self, tmp_path, size):
+        path = tmp_path / "short.pcap"
+        path.write_bytes(b"\x0a\x0d\x0d"[:size])
+        with pytest.raises(PcapError, match="too short"):
+            open_capture(path)
+
     def test_not_pcapng(self):
         with pytest.raises(PcapError):
             PcapngReader(io.BytesIO(b"\xd4\xc3\xb2\xa1" + b"\x00" * 30))

@@ -1,491 +1,202 @@
-"""Drift guard: all stack assembly and all driving go through repro.stack.
+"""Drift guard: each job has one home, and this table says where.
 
-Any new code that constructs the core components directly — instead of
-going through the builder — silently forks the wiring and escapes the
-derived drain/checkpoint/fault orders; any new code that feeds an
-assembled stack through the bare pipeline, or flushes the analytics
-service by hand, forks the *driver* and leaves records waiting at the
-PULL socket. Timing has one home too — ``StageGraph.process`` —
-so a tracer handle or a ``.span(`` call anywhere is a second timing
-mechanism, and a second ``HandshakeTracker(`` construction site is a
-second worker body. A frame's headers are walked once, by the port's
-``PacketParser.parse``: ``struct`` imported on the packet path, or a
-``PacketParser(`` built anywhere new, is how a second header walker
-usually starts (a tripwire, not a proof: one that only indexes
-``data[offset]`` passes). The sharded runtime has one mode — lock-step
-dispatch under the heartbeat lease — so an option that selects another
-(a deadline, a window, a transport kind), a fifth lifecycle state or a
-private ``time.monotonic()`` deadline is how the second one comes
-back; and what crosses a shard's pipe is decided by one encode/decode
-pair (``protocol.encode_dispatch`` / ``decode_dispatch``), so the batch
-codec and the wire framer under it are named nowhere else. The TSDB's
-write-ahead log is the store's only durable image, and a second one
-comes back two ways: the store copied into the
-checkpoint (an ``applied_lines`` mirror, a ``"tsdb_lines"`` key
-written), or the log cut back to what a checkpoint does not cover (a
-``.truncate(`` under ``stack/``). A packet stream is cut into feed
-batches by one function, ``core/feed.py``'s ``batches``: a loop that
-appends to a list and compares its ``len`` to a size, or a packet list
-sliced by a stride, is a second cutter with its own rule for the trailing
-batch and the stop flag — which is how ``ShardedRuntime.run`` and
-``scenarios/shard_runner.py`` came to exist, and why neither may come
-back. The analytics service has one write path and it is poll-shaped:
-what a poll gathers goes to the store as one request, from the end of
-``poll`` (and from ``finish``), and the enriched feed is published
-after it — a ``_write_points`` call inside the per-record loop, a
-``process_measurement`` method, or a ``pub.send`` ahead of the poll's
-write is the per-record path (a WAL frame, a flush and a round trip
-through the guard machinery per record) coming back. Its points are
-rows of series it keys once: a ``Point(`` built from a tags dict in
-``analytics/service.py`` or ``analytics/aggregator.py`` is the key
-worked out afresh (a dict, a sort, a tuple) per record. The port's burst
-loop pays per frame only for what differs per frame: the buffer budget
-and each ring's room are local integers inside it and the pool, ring
-and port counters are settled after it, so a call on the pool or on a
-ring object inside the loop, an ``Mbuf(`` or an ``alloc(`` anywhere, a
-second reader of the rings beside ``QueueWorker.poll`` →
-``process_burst``, or ``_extract_tuple`` called for a frame the header
-pass accepted, is the per-frame bookkeeping coming back. Each builder
-call builds its own tier: the analytics service runs behind its
-resilience layer in every preset, so a branch on that layer's presence
-in ``analytics/service.py`` is the unguarded second path coming back,
-and a ``ResilienceLayer(``, ``WriteAheadLog(`` or ``DurableTsdb(`` under
-a test of ``profile`` or ``injector`` in ``StackBuilder.build`` ties the
-analytics or durable tier to the faults tier again. A spec becomes a
-stack in one place, the runner's ``Episode``: a ``StackBuilder()`` or
-``build_*_stack`` call anywhere else in ``src/`` is a second
-configuration path, and ``cli.py`` — flags in, a spec out — naming a
-stack or generator constructor, the chaos or recovery entry points, or
-calling ``parser.error`` is the CLI wiring stacks, or refusing flags,
-on its own again. A drained in-process run's books are counted once,
-by ``stack/builder.py``'s ``count_books`` (``DrainReport.counts``): a
-tier counter (``injector.injected``, ``resilience.retries``,
-``supervisor.total_restarts``, ``controller.offered``, …) read in
-``faults/`` or ``scenarios/runner.py`` is a second fold coming back —
-which is how ``ChaosReport`` and the runner's own fold came to count
-the same run twice. A shard's recovery state lives in its parent — the
-last checkpoint reply and the acked counts — so ``repro.durability``
-imported under ``shard/``, or an ``open(``, ``os.replace``,
-``Checkpointer(`` or ``WriteAheadLog(`` call there, is the per-shard
-disk copy (and its second restart path) coming back. And there is one
-shard parent, ``ShardedRuntime``: a ``ShardSupervisor`` anywhere, an
-``os.fork`` outside ``shard/runtime.py``, or a shard pipe read (a
-``.recv(`` or ``.recv_all(`` under ``shard/``) anywhere but the
-parent's pump — ``_await`` and ``_absorb`` — and the child's
-``shard_child_main`` is the second parent, with its own reads and its
-own rule for what a message it did not expect means, coming back. This test walks
-the source tree with the AST module so string mentions in docstrings or
-comments do not trip it; only real names, imports, call sites and class
-definitions count.
+Each row of :data:`ROWS` is one contract: a pattern, where it is banned,
+who may still hold it there, what must still hold it, why, and the PR that
+set it. :func:`check` reports every row's offending sites from one walk of
+a source tree parsed once; a rule that is a shape, not "only in Y", is a
+named finder beside the table that reads the same walk. The walk reads the
+AST, so docstrings and comments never count. :data:`CASES` are snippets,
+each placed at a path and checked against every row, whose ``# found:``
+comments list all that the rows must report there.
 """
 
 import ast
 import re
+from dataclasses import dataclass
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-# Components whose construction implies stack assembly.
-GUARDED = {
-    "AnalyticsService",
-    "RuruPipeline",
-    "GeoDbBuilder",
-    "FaultyPushSocket",
-    "OverloadController",
-    "GatedPushSocket",
-}
 
-# The composition root is the one place allowed to build them.
-ALLOWED = {SRC / "stack" / "builder.py"}
-
-# The second-driver calls: only the bare pipeline's own entry point and
-# the stage wrappers may make them.
-DRIVER_ALLOWED = (SRC / "core" / "pipeline.py", SRC / "stack")
-
-# A new runtime, harness or ledger is a parallel mechanism by another
-# name; these are the ones that exist.
-PARALLEL_SUFFIXES = ("Runtime", "Harness", "Ledger")
-PARALLEL_ALLOWED = {"ShardedRuntime", "RecoveryHarness", "Ledger"}
-
-
-def _called_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def guarded_call_sites():
-    sites = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = _called_name(node)
-                if name in GUARDED:
-                    sites.append((path, node.lineno, name))
-    return sites
-
-
-def _receiver_name(call: ast.Call) -> str | None:
-    """``x`` of ``x.method()`` / ``a.x.method()``."""
-    if not isinstance(call.func, ast.Attribute):
-        return None
-    value = call.func.value
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    return None
-
-
-def second_driver_call_sites(root=SRC):
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        if any(path == ok or ok in path.parents for ok in DRIVER_ALLOWED):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _called_name(node)
-            if name == "run_packets" or (
-                name == "finish"
-                and (_receiver_name(node) or "").endswith("service")
-            ):
-                sites.append((path, node.lineno, name))
-    return sites
-
-
-def parallel_mechanism_classes(root=SRC):
-    return [
-        (path, node.lineno, node.name)
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ClassDef)
-        and node.name.endswith(PARALLEL_SUFFIXES)
-        and node.name not in PARALLEL_ALLOWED
-    ]
-
-
-def second_timing_sites(root=SRC):
-    """Every ``tracer`` name (variable, argument, attribute, keyword)
-    and every ``.span(`` call."""
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Attribute) and node.func.attr == "span":
-                    sites.append((path, node.lineno, ".span("))
-                continue
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, (ast.arg, ast.keyword)):
-                name = node.arg
-            else:
-                continue
-            if name and name.lstrip("_") == "tracer":
-                sites.append((path, node.lineno, name))
-    return sites
-
-
-def tracker_construction_files(root=SRC):
-    return sorted(
-        {
-            path
-            for path in root.rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Call)
-            and _called_name(node) == "HandshakeTracker"
-        }
-    )
-
-
-#: The packages a frame crosses between the port and the sink.
-PACKET_PATH = ("dpdk", "core", "overload", "stack")
-
-
-def struct_import_files(root=SRC, packages=PACKET_PATH):
-    """Packet-path files that import ``struct`` (the tool a header
-    walker is made of)."""
-    found = set()
-    for package in packages:
-        for path in (root / package).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    modules = [node.module]
-                else:
-                    continue
-                if "struct" in modules:
-                    found.add(path)
-    return sorted(found)
-
-
-def parser_construction_files(root=SRC):
-    return sorted(
-        {
-            path
-            for path in root.rglob("*.py")
-            if root / "net" not in path.parents
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Call) and _called_name(node) == "PacketParser"
-        }
-    )
-
-
-#: Options that selected the retired wall-clock mode or second transport.
-SHARD_MODE_OPTIONS = {
-    "heartbeat_deadline_ms",
-    "max_inflight",
-    "transport",
-    "transport_kind",
-}
-
-
-def _functions(path):
-    return [
-        node
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def _mode_options(node):
-    """*node*'s parameters that are shard mode options. A *required*
-    ``transport`` is the channel object a child is handed, not a choice
-    of one; with a default it is the choice."""
-    args = node.args
-    positional = [*args.posonlyargs, *args.args]
-    required = positional[: len(positional) - len(args.defaults)] + [
-        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if not default
-    ]
-    return [
-        arg.arg
-        for arg in (*positional, *args.kwonlyargs)
-        if arg.arg in SHARD_MODE_OPTIONS
-        and not (arg.arg == "transport" and arg in required)
-    ]
-
-
-def shard_mode_parameters(root=SRC):
-    """Mode-switch parameters in any signature under ``shard/`` or on
-    the builder's ``build_sharded_runtime``."""
-    functions = [
-        (path, node)
-        for path in sorted((root / "shard").rglob("*.py"))
-        for node in _functions(path)
-    ] + [
-        (path, node)
-        for path in [root / "stack" / "builder.py"]
-        if path.exists()
-        for node in _functions(path)
-        if node.name == "build_sharded_runtime"
-    ]
-    return [
-        (path, node.name, name)
-        for path, node in functions
-        for name in _mode_options(node)
-    ]
-
-
-def calls_named(name, root=SRC):
-    return [
-        (path, node.lineno)
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call) and _called_name(node) == name
-    ]
-
-
-def shard_lifecycle_states(root=SRC):
-    tree = ast.parse((root / "shard" / "runtime.py").read_text())
-    return sorted(
-        target.id
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        for target in node.targets
-        if isinstance(target, ast.Name) and target.id.startswith("SHARD_")
-    )
-
-
-#: The functions under the shard dispatch seam → the only files (under
-#: ``src/repro``) that may name them. ``transport.send`` frames every
-#: control message with the wire encoder, so it keeps that one.
-SEAM_INNER = {
-    "encode_batch": {"shard/protocol.py"},
-    "decode_batch": {"shard/protocol.py"},
-    "encode_message": {"shard/protocol.py", "shard/transport.py", "shard/wire.py"},
-}
-
-
-def seam_inner_sites(root=SRC):
-    """Every name, attribute or import of a function under the seam,
-    outside the files that own it."""
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        owner = path.relative_to(root).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name in SEAM_INNER and owner not in SEAM_INNER[name]:
-                sites.append((path, node.lineno, name))
-    return sites
-
-
-def _calls_inside(path, function):
-    """Names called anywhere inside *function* of *path*."""
+def parse_tree(root=SRC):
+    """``{path relative to root: module}`` for every source file under *root*."""
     return {
-        _called_name(call)
-        for node in _functions(path)
-        if node.name == function
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call)
+        path.relative_to(root).as_posix(): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(root.rglob("*.py"))
     }
 
 
-#: The one place that may still *read* a checkpoint's ``tsdb_lines``.
-LEGACY_LOADER = SRC / "stack" / "stages.py"
+@dataclass(frozen=True)
+class Row:
+    """One contract. *kind* is a finder (``{path: [node, …]} -> [(path,
+    line, what)]``) for a shape, or a pattern kind: ``call`` (the dotted
+    callee), ``name`` (a name, attribute, import alias, argument, keyword or
+    definition), ``def`` (a class or function definition), ``import``
+    (``from a import b`` imports ``a`` and ``a.b``), ``attr`` (the dotted
+    path of an attribute read on anything but bare ``self``), ``const`` (a
+    string constant), ``key`` (a string written as a key: dict literal,
+    subscript store, keyword) or ``module`` (the module's own path). A
+    dotted pattern matches with or without its receivers. *match* is a
+    regex, or a set of names each of which every *must_hold* place must
+    hold. A place is a path prefix (``""`` is the tree, ``shard/`` a
+    package) or ``path::Qualified.name``. *scope* is where the pattern is
+    banned (``()``: nowhere, a row that only must hold), and *allow* who may
+    still hold it there."""
+
+    id: str
+    kind: object
+    match: object = ""
+    scope: tuple = ("",)
+    allow: tuple = ()
+    must_hold: tuple = ()
+    why: str = ""
+    pr: object = ""
 
 
-def second_store_image_sites(root=SRC, legacy_loader=LEGACY_LOADER):
-    """Where a second durable image of the store could come back: any
-    ``applied_lines`` name, ``"tsdb_lines"`` written as a key anywhere
-    (or so much as read outside the legacy loader), and ``.truncate(``
-    called under ``stack/``."""
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "applied_lines":
-                sites.append((path, node.lineno, "applied_lines"))
-            elif isinstance(node, ast.Name) and node.id == "applied_lines":
-                sites.append((path, node.lineno, "applied_lines"))
-            elif isinstance(node, ast.Dict) and any(
-                isinstance(key, ast.Constant) and key.value == "tsdb_lines"
-                for key in node.keys
-            ):
-                sites.append((path, node.lineno, '"tsdb_lines" written'))
-            elif (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.slice, ast.Constant)
-                and node.slice.value == "tsdb_lines"
-                and isinstance(node.ctx, ast.Store)
-            ):
-                sites.append((path, node.lineno, '"tsdb_lines" written'))
-            elif isinstance(node, ast.keyword) and node.arg == "tsdb_lines":
-                sites.append((path, node.lineno, '"tsdb_lines" written'))
-            elif (
-                isinstance(node, ast.Constant)
-                and node.value == "tsdb_lines"
-                and path != legacy_loader
-            ):
-                sites.append((path, node.lineno, '"tsdb_lines" outside the loader'))
-            elif (
-                isinstance(node, ast.Call)
-                and _called_name(node) == "truncate"
-                and root / "stack" in path.parents
-            ):
-                sites.append((path, node.lineno, ".truncate("))
-    return sites
+# -- the walker ---------------------------------------------------------
+
+_DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+#: Nodes that hold nothing a row looks for, and nodes with nothing below them.
+_LEAVES = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop)
+_BARE = {ast.Name, ast.Constant}
+#: Nodes that are a name, by the field that holds it.
+_NAMED = {ast.Name: "id", ast.alias: "name", ast.arg: "arg"}
 
 
-#: The one module that may cut a packet stream into feed batches.
-CUTTER = SRC / "core" / "feed.py"
+def _dotted(node):
+    """``a.b.c`` of an attribute chain; ``.c`` when it starts at a call or
+    a subscript."""
+    parts = []
+    while type(node) is ast.Attribute:
+        parts.append(node.attr)
+        node = node.value
+    parts.append(node.id if type(node) is ast.Name else "")
+    return ".".join(reversed(parts))
 
 
-def _len_of(node):
-    """``x`` of ``len(x)``."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "len"
-        and len(node.args) == 1
-        and isinstance(node.args[0], ast.Name)
-    ):
-        return node.args[0].id
-    return None
+def _callee(call):
+    """The name a call calls: ``c`` of ``a.b.c()``."""
+    return _dotted(call.func).rpartition(".")[2]
 
 
-def _stride_sliced(loop_var, body):
-    """Whether *body* holds ``x[i : i + n]`` for the loop variable ``i``."""
-    return any(
-        isinstance(node, ast.Subscript)
-        and isinstance(node.slice, ast.Slice)
-        and isinstance(node.slice.lower, ast.Name)
-        and node.slice.lower.id == loop_var
-        and isinstance(node.slice.upper, ast.BinOp)
-        and isinstance(node.slice.upper.left, ast.Name)
-        and node.slice.upper.left.id == loop_var
-        for node in ast.walk(body)
-    )
+def _texts(node):
+    """``(kind, text)`` for every pattern *node* presents."""
+    kind = type(node)
+    if kind is ast.Call:
+        return [("call", _dotted(node.func))]
+    if kind in _NAMED:
+        return [("name", getattr(node, _NAMED[kind]))]
+    if kind is ast.Attribute:
+        if type(node.value) is ast.Name and node.value.id == "self":
+            return [("name", node.attr)]
+        return [("name", node.attr), ("attr", _dotted(node))]
+    if kind in _DEFS:
+        return [("name", node.name), ("def", node.name)]
+    if kind is ast.keyword:
+        return [("name", node.arg), ("key", node.arg)] if node.arg else []
+    if kind is ast.Import:
+        return [("import", alias.name) for alias in node.names]
+    if kind is ast.ImportFrom:
+        module = node.module or ""
+        return [("import", module)] + [("import", f"{module}.{a.name}") for a in node.names]
+    if kind is ast.Constant:
+        return [("const", node.value)] if type(node.value) is str else []
+    if kind is ast.Dict:
+        keys = node.keys
+    elif kind is ast.Subscript and type(node.ctx) is ast.Store:
+        keys = [node.slice]
+    else:
+        return []
+    return [("key", k.value) for k in keys if type(k) is ast.Constant and type(k.value) is str]
 
 
-def second_cutter_sites(root=SRC, cutter=CUTTER):
-    """The two shapes a hand-rolled batch cutter takes: a ``for`` loop
-    that appends to a list and compares that list's ``len`` with
-    something, and a ``range(start, stop, step)`` loop or comprehension
-    that slices ``[i : i + n]``."""
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        if path == cutter:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.For):
-                appended = {
-                    call.func.value.id
-                    for call in ast.walk(node)
-                    if isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "append"
-                    and isinstance(call.func.value, ast.Name)
-                }
-                sites.extend(
-                    (path, compare.lineno, "len() of the batch it fills")
-                    for compare in ast.walk(node)
-                    if isinstance(compare, ast.Compare)
-                    and any(
-                        _len_of(side) in appended
-                        for side in (compare.left, *compare.comparators)
-                    )
-                )
-                loops = [(node.target, node.iter, node)]
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-                loops = [(gen.target, gen.iter, node.elt) for gen in node.generators]
-            else:
+def _at(path, qual, places):
+    """Whether *qual* in module *path* lies in one of *places*."""
+    for place in places:
+        file, _, owner = place.partition("::")
+        if path == file and owner:
+            if qual == owner or qual.startswith(owner + "."):
+                return True
+        elif not owner and path.startswith(file):
+            return True
+    return False
+
+
+def _regex(row):
+    match = row.match
+    if isinstance(match, frozenset):
+        match = "|".join(map(re.escape, sorted(match)))
+    receivers = r"(?:.*\.)?" if row.kind in ("call", "attr") else ""
+    return re.compile(f"{receivers}(?:{match})")
+
+
+def check(modules, rows):
+    """One walk of *modules* for *rows*: ``{row id: (sites, unheld)}``, the
+    banned ``(path, line, what)`` sites and the *must_hold* places that no
+    longer hold the pattern."""
+    found = {row.id: [] for row in rows}
+    held = {row.id: set() for row in rows}
+
+    def note(row, path, qual, line, text):
+        for place in row.must_hold:
+            if _at(path, qual, (place,)):
+                held[row.id].add((place, text.rpartition(".")[2]))
+        if _at(path, qual, row.scope) and not _at(path, qual, row.allow):
+            found[row.id].append((path, line, text))
+
+    patterns = {}
+    for row in rows:
+        if isinstance(row.kind, str):
+            patterns.setdefault(row.kind, []).append((row, _regex(row)))
+    screen = {
+        kind: re.compile("|".join(f"(?:{rx.pattern})" for _, rx in pairs)).fullmatch
+        for kind, pairs in patterns.items()
+    }
+    walked = {}
+    for path, tree in modules.items():
+        for row, rx in patterns.get("module", ()):
+            if rx.fullmatch(path):
+                note(row, path, "", 1, path)
+        nodes = walked[path] = []
+        stack = [(tree, "")]
+        while stack:
+            node, qual = stack.pop()
+            nodes.append(node)
+            if type(node) in _DEFS:
+                qual = f"{qual}.{node.name}" if qual else node.name
+            for kind, text in _texts(node):
+                if kind in screen and screen[kind](text):
+                    for row, rx in patterns[kind]:
+                        if rx.fullmatch(text):
+                            note(row, path, qual, node.lineno, text)
+            if type(node) in _BARE:
                 continue
-            sites.extend(
-                (path, source.lineno, "a list sliced by a stride")
-                for target, source, body in loops
-                if isinstance(target, ast.Name)
-                and isinstance(source, ast.Call)
-                and _called_name(source) == "range"
-                and len(source.args) == 3
-                and _stride_sliced(target.id, body)
-            )
-    return sites
+            for field in node._fields:
+                value = getattr(node, field, None)
+                for child in value if type(value) is list else (value,):
+                    if isinstance(child, ast.AST) and not isinstance(child, _LEAVES):
+                        stack.append((child, qual))
+    for row in rows:
+        if not isinstance(row.kind, str):
+            files = [place.partition("::")[0] for place in (*row.scope, *row.must_hold)]
+            for path, line, what in row.kind(
+                {path: nodes for path, nodes in walked.items() if _at(path, "", files)}
+            ):
+                note(row, path, "", line, what)
+
+    def unheld(row, place):
+        texts = {text for held_at, text in held[row.id] if held_at == place}
+        return not (row.match <= texts if isinstance(row.match, frozenset) else texts)
+
+    return {
+        row.id: (sorted(found[row.id]), [p for p in row.must_hold if unheld(row, p)])
+        for row in rows
+    }
 
 
-
-#: The module whose ``NicPort.receive_burst`` is the port's burst loop.
-NIC = SRC / "dpdk" / "nic.py"
-#: Who may call ``_extract_tuple`` beside the port's reject branch: the
-#: shard router, which holds no parse of the frames it routes.
-EXTRACT_ALLOWED = {SRC / "shard" / "runtime.py"}
-#: The calls that take rows off a ring, and who may make them: the port
-#: and its queues (delegation), and the worker's ``poll``.
-RING_READS = {"rx_burst", "dequeue_burst", "dequeue"}
-RING_READERS = {NIC, SRC / "dpdk" / "ring.py", SRC / "core" / "worker.py"}
+# -- the shapes ---------------------------------------------------------
 
 
 def _names_in(node):
@@ -497,1189 +208,787 @@ def _names_in(node):
     }
 
 
-def rx_path_sites(root=SRC, nic=NIC):
-    """Where per-frame bookkeeping could come back on the rx path: a
-    call on the pool or a ring object inside ``receive_burst``'s frame
-    loop; ``_extract_tuple`` called outside the ``else`` of a test for
-    ``ParsedPacket`` (in the port) or outside the allow-list (anywhere
-    else); an ``Mbuf(`` or ``alloc(`` call; a ring read outside the
-    port and the worker; a second ``process_burst`` body."""
-    sites = []
-    (receive_burst,) = [f for f in _functions(nic) if f.name == "receive_burst"]
-    frames = receive_burst.args.args[1].arg  # the burst, after ``self``
-    (loop,) = [
-        node
-        for node in ast.walk(receive_burst)
-        if isinstance(node, ast.For)
-        and isinstance(node.iter, ast.Name)
-        and node.iter.id == frames
-    ]
-    sites.extend(
-        (nic, call.lineno, "a pool/ring call in the frame loop")
-        for call in ast.walk(loop)
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and _names_in(call.func.value) & {"pool", "ring"}
+def _len_of(node):
+    """``x`` of ``len(x)``, for a bare name ``x``."""
+    if isinstance(node, ast.Call) and _dotted(node.func) == "len" and len(node.args) == 1:
+        return node.args[0].id if isinstance(node.args[0], ast.Name) else None
+
+
+def _stride_sliced(loop_var, body):
+    """Whether *body* holds ``x[i : i + n]`` for the loop variable ``i``."""
+    return any(
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Slice)
+        and _dotted(node.slice.lower) == loop_var
+        and isinstance(node.slice.upper, ast.BinOp)
+        and _dotted(node.slice.upper.left) == loop_var
+        for node in ast.walk(body)
     )
-    rejected = {
-        (inner.lineno, inner.col_offset)
-        for branch in ast.walk(receive_burst)
-        if isinstance(branch, ast.If) and "ParsedPacket" in _names_in(branch.test)
-        for statement in branch.orelse
-        for inner in ast.walk(statement)
-        if isinstance(inner, ast.Call)
-    }
-    bodies = 0
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef) and node.name == "process_burst":
-                bodies += 1
-                if bodies > 1:
-                    sites.append((path, node.lineno, "a second process_burst"))
-            if not isinstance(node, ast.Call):
+
+
+def cutter_shapes(modules):
+    """A ``for`` loop that appends to a list and compares that list's
+    ``len`` with something, and a ``range(start, stop, step)`` loop or
+    comprehension that slices ``[i : i + n]``."""
+    for path, nodes in modules.items():
+        for node in nodes:
+            if isinstance(node, ast.For):
+                inside = list(ast.walk(node))
+                appended = {
+                    call.func.value.id
+                    for call in inside
+                    if isinstance(call, ast.Call) and _dotted(call.func).endswith(".append")
+                    and isinstance(call.func.value, ast.Name)
+                }
+                for compare in inside:
+                    if isinstance(compare, ast.Compare) and any(
+                        _len_of(side) in appended for side in (compare.left, *compare.comparators)
+                    ):
+                        yield path, compare.lineno, "len() of the batch it fills"
+                loops = [(node.target, node.iter, node)]
+            elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+                loops = [(gen.target, gen.iter, node.elt) for gen in node.generators]
+            else:
                 continue
-            name = _called_name(node)
-            if name in ("Mbuf", "alloc"):
-                sites.append((path, node.lineno, f"{name}( — a buffer object per frame"))
-            elif name in RING_READS and path not in RING_READERS:
-                sites.append((path, node.lineno, f"{name}( — a second ring reader"))
-            elif name == "_extract_tuple" and path not in EXTRACT_ALLOWED:
-                if path != nic or (node.lineno, node.col_offset) not in rejected:
-                    sites.append((path, node.lineno, "_extract_tuple for an accepted frame"))
-    return sites
+            for target, source, body in loops:
+                if (
+                    isinstance(target, ast.Name)
+                    and isinstance(source, ast.Call)
+                    and _dotted(source.func) == "range"
+                    and len(source.args) == 3
+                    and _stride_sliced(target.id, body)
+                ):
+                    yield path, source.lineno, "a list sliced by a stride"
 
 
-#: The module whose ``AnalyticsService`` owns the record half's writes.
-SERVICE = SRC / "analytics" / "service.py"
+def frame_loop_shapes(modules):
+    """A call on the pool or a ring object inside ``receive_burst``'s frame
+    loop, and ``_extract_tuple`` called outside the ``else`` of a test for
+    ``ParsedPacket`` (so for a frame the header pass accepted)."""
+    for path, nodes in modules.items():
+        rejected = set()
+        for burst in nodes:
+            if not (isinstance(burst, ast.FunctionDef) and burst.name == "receive_burst"):
+                continue
+            frames = burst.args.args[1].arg  # the burst, after ``self``
+            for loop in ast.walk(burst):
+                if isinstance(loop, ast.For) and _dotted(loop.iter) == frames:
+                    for call in ast.walk(loop):
+                        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and (
+                            _names_in(call.func.value) & {"pool", "ring"}
+                        ):
+                            yield path, call.lineno, "a pool/ring call in the frame loop"
+            rejected |= {
+                id(inner)
+                for branch in ast.walk(burst)
+                if isinstance(branch, ast.If) and "ParsedPacket" in _names_in(branch.test)
+                for statement in branch.orelse
+                for inner in ast.walk(statement)
+            }
+        for call in nodes:
+            if isinstance(call, ast.Call) and _callee(call) == "_extract_tuple" and id(call) not in rejected:
+                yield path, call.lineno, "_extract_tuple for an accepted frame"
 
 
-def per_record_write_sites(path=SERVICE):
-    """Where ``AnalyticsService`` in *path* leaves the poll-shaped write
-    path: a ``process_measurement`` method; ``_write_points`` called
-    from anywhere but ``poll``/``finish``, or inside a loop; and
-    ``pub.send`` reached for anywhere but in ``poll`` after its write."""
-    sites = []
-    (service,) = [
-        node
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ClassDef) and node.name == "AnalyticsService"
-    ]
-    for method in service.body:
-        if not isinstance(method, ast.FunctionDef):
-            continue
-        if method.name == "process_measurement":
-            sites.append((method.lineno, "a process_measurement method"))
-        looped = {
-            id(inner)
-            for loop in ast.walk(method)
-            if isinstance(loop, (ast.For, ast.While))
-            for inner in ast.walk(loop)
-        }
-        writes = [
-            call
-            for call in ast.walk(method)
-            if isinstance(call, ast.Call) and _called_name(call) == "_write_points"
-        ]
-        for call in writes:
-            if method.name not in ("poll", "finish"):
-                sites.append((call.lineno, f"_write_points called from {method.name}"))
-            elif id(call) in looped:
-                sites.append((call.lineno, "_write_points inside a loop"))
-        for node in ast.walk(method):
-            if not (
-                isinstance(node, ast.Attribute)
-                and node.attr == "send"
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "pub"
+def poll_write_shapes(modules):
+    """In ``AnalyticsService``: ``_write_points`` called inside a loop, and
+    ``pub.send`` in ``poll`` ahead of the poll's write."""
+    for path, nodes in modules.items():
+        for service in nodes:
+            if not (isinstance(service, ast.ClassDef) and service.name == "AnalyticsService"):
+                continue
+            for method in service.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                looped = {
+                    id(inner)
+                    for loop in ast.walk(method)
+                    if isinstance(loop, (ast.For, ast.While))
+                    for inner in ast.walk(loop)
+                }
+                writes = []
+                for call in ast.walk(method):
+                    if isinstance(call, ast.Call) and _callee(call) == "_write_points":
+                        writes.append(call.lineno)
+                        if id(call) in looped:
+                            yield path, call.lineno, "_write_points inside a loop"
+                for node in ast.walk(method) if method.name == "poll" else ():
+                    if isinstance(node, ast.Attribute) and _dotted(node).endswith("pub.send") and (
+                        not writes or node.lineno < max(writes)
+                    ):
+                        yield path, node.lineno, "pub.send before the poll's write"
+
+
+def point_from_tags_shapes(modules):
+    """``Point(`` called with a ``tags=`` keyword or a third positional
+    argument."""
+    for path, nodes in modules.items():
+        for node in nodes:
+            if isinstance(node, ast.Call) and _callee(node) == "Point" and (
+                len(node.args) > 2 or any(kw.arg == "tags" for kw in node.keywords)
             ):
-                continue
-            if method.name != "poll":
-                sites.append((node.lineno, f"pub.send in {method.name}"))
-            elif not writes or node.lineno < max(call.lineno for call in writes):
-                sites.append((node.lineno, "pub.send before the poll's write"))
-    return sites
-
-
-class TestOneWritePath:
-    def test_one_write_and_one_publish_per_poll(self):
-        offenders = [f"analytics/service.py:{line} {what}" for line, what in per_record_write_sites()]
-        assert not offenders, (
-            "a per-record write path beside the poll's request:\n  "
-            + "\n  ".join(offenders)
-        )
-        # The guard is about calls that exist.
-        source = SERVICE.read_text()
-        assert "self._write_points()" in source and "self.pub.send" in source
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        fine = tmp_path / "fine.py"
-        fine.write_text(
-            "class AnalyticsService:\n"
-            '    """process_measurement and pub.send in a docstring."""\n'
-            "    def poll(self, max_messages=256):\n"
-            "        messages = self.pull.recv_all(max_messages)\n"
-            "        enriched = [self._process_message(m) for m in messages]\n"
-            "        self._write_points()\n"
-            "        send = self.pub.send\n"
-            "        for payload in enriched:\n"
-            "            send(payload)\n"
-            "    def finish(self):\n"
-            "        self.poll()\n"
-            "        self.aggregator.flush()\n"
-            "        self._write_points()\n"
-        )
-        assert per_record_write_sites(fine) == []
-        rogue = tmp_path / "rogue.py"
-        rogue.write_text(
-            "class AnalyticsService:\n"
-            "    def poll(self, max_messages=256):\n"
-            "        for message in self.pull.recv_all(max_messages):\n"
-            "            self._process_message(message)\n"
-            "            self._write_points()\n"
-            "    def _process_message(self, message):\n"
-            "        self.process_measurement(self._enrich(message))\n"
-            "    def process_measurement(self, measurement):\n"
-            "        self._write_points([self._raw_point(measurement)])\n"
-            "        self.pub.send(measurement)\n"
-            "class Elsewhere:\n"
-            "    def relay(self):\n"
-            "        self.pub.send(b'not the service')\n"
-        )
-        assert [what for _, what in per_record_write_sites(rogue)] == [
-            "_write_points inside a loop",
-            "a process_measurement method",
-            "_write_points called from process_measurement",
-            "pub.send in process_measurement",
-        ]
-        early = tmp_path / "early.py"
-        early.write_text(
-            "class AnalyticsService:\n"
-            "    def poll(self, max_messages=256):\n"
-            "        for message in self.pull.recv_all(max_messages):\n"
-            "            self.pub.send(self._process_message(message))\n"
-            "        self._write_points()\n"
-        )
-        assert [what for _, what in per_record_write_sites(early)] == [
-            "pub.send before the poll's write"
-        ]
-
-
-#: The record half's point producers: the raw point and the rollups.
-PRODUCERS = (SERVICE, SRC / "analytics" / "aggregator.py")
-
-
-def point_from_tags_sites(paths=PRODUCERS):
-    """``Point(`` called with a tags dict — a ``tags=`` keyword or a third
-    positional argument — in *paths*: a point identified afresh from its
-    tags (a dict, a sort, a tuple) for every record."""
-    return [
-        (path, node.lineno)
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and _called_name(node) == "Point"
-        and (len(node.args) > 2 or any(kw.arg == "tags" for kw in node.keywords))
-    ]
-
-
-class TestPointsAreRows:
-    def test_producers_key_each_series_once(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} Point( with tags"
-            for path, lineno in point_from_tags_sites()
-        ]
-        assert not offenders, (
-            "a point built from a tags dict per record (build the series key "
-            "once, then Point.in_series):\n  " + "\n  ".join(offenders)
-        )
-        # The guard is about producers that exist and build rows.
-        assert all("Point.in_series(" in path.read_text() for path in PRODUCERS)
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        fine = tmp_path / "fine.py"
-        fine.write_text(
-            '"""Point("m", 1, tags={"a": "b"}) in a docstring."""\n'
-            "KEY = series_key('latency', {'src_city': 'Auckland'})\n"
-            "def row(m):\n"
-            "    return Point.in_series(KEY, m.timestamp_ns, {'total_ms': 1.0})\n"
-            "def parsed(line):\n"
-            "    return Point('m', 1, fields={'v': 1})\n"
-        )
-        assert point_from_tags_sites([fine]) == []
-        rogue = tmp_path / "rogue.py"
-        rogue.write_text(
-            "def raw(m):\n"
-            "    return Point(measurement='latency', timestamp_ns=m.timestamp_ns,\n"
-            "                 tags={'src_city': m.src_city}, fields={'v': 1.0})\n"
-            "def rollup(pair, stats):\n"
-            "    return tsdb.Point('latency_by_asn', 0, {'src_asn': pair[0]}, stats)\n"
-        )
-        assert point_from_tags_sites([rogue]) == [(rogue, 2), (rogue, 5)]
-
-
-#: The builder module; its ``StackBuilder.build`` assembles every tier.
-BUILDER = SRC / "stack" / "builder.py"
-#: What the analytics tier and the durable tier build, whatever the
-#: fault profile.
-TIER_OWNED = {"ResilienceLayer", "WriteAheadLog", "DurableTsdb"}
+                yield path, node.lineno, "Point( with tags"
 
 
 def _is_layer(node):
-    """Whether *node* is ``resilience`` / ``res`` (bare or as an
-    attribute, possibly under ``not``)."""
+    """Whether *node* is ``resilience`` / ``res`` (bare or as an attribute,
+    possibly under ``not``)."""
     while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         node = node.operand
-    return (isinstance(node, ast.Name) and node.id in ("resilience", "res")) or (
-        isinstance(node, ast.Attribute) and node.attr in ("resilience", "res")
-    )
+    return _dotted(node).rpartition(".")[2] in ("resilience", "res")
 
 
-def unguarded_path_sites(path=SERVICE):
-    """Where ``AnalyticsService`` in *path* keeps a second, unguarded
-    path: ``resilience`` or ``res`` compared with None, or tested as a
-    truth value by a branch."""
-    sites = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Compare):
-            sides = (node.left, *node.comparators)
-            if any(map(_is_layer, sides)) and any(
-                isinstance(side, ast.Constant) and side.value is None for side in sides
-            ):
-                sites.append((node.lineno, "the layer compared with None"))
-        elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
-            test = node.test
-            tested = test.values if isinstance(test, ast.BoolOp) else [test]
-            if any(map(_is_layer, tested)):
-                sites.append((node.lineno, "a branch on the layer's presence"))
-    return sorted(sites)
-
-
-def tier_under_fault_test_sites(path=BUILDER):
-    """A resilience layer, write-ahead log or durable store built under
-    a test of ``profile`` or ``injector`` in ``StackBuilder.build`` of
-    *path*: the analytics and durable tiers tied to the faults tier."""
-    (build,) = [
-        node
-        for klass in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(klass, ast.ClassDef) and klass.name == "StackBuilder"
-        for node in klass.body
-        if isinstance(node, ast.FunctionDef) and node.name == "build"
-    ]
-    return sorted(
-        {
-            (call.lineno, _called_name(call))
-            for branch in ast.walk(build)
-            if isinstance(branch, (ast.If, ast.IfExp))
-            and _names_in(branch.test) & {"profile", "injector"}
-            for call in ast.walk(branch)
-            if isinstance(call, ast.Call) and _called_name(call) in TIER_OWNED
-        }
-    )
-
-
-class TestTiersCompose:
-    def test_the_analytics_tier_has_one_guarded_path(self):
-        offenders = [
-            f"analytics/service.py:{line} {what}"
-            for line, what in unguarded_path_sites()
-        ]
-        assert not offenders, (
-            "a second, unguarded path beside the resilience layer (a service "
-            "handed no layer builds a default one):\n  " + "\n  ".join(offenders)
-        )
-        # The guard is about a layer the service really uses.
-        assert "self.resilience" in SERVICE.read_text()
-
-    def test_no_tier_is_built_under_a_test_of_the_fault_profile(self):
-        offenders = [
-            f"stack/builder.py:{line} {name}("
-            for line, name in tier_under_fault_test_sites()
-        ]
-        assert not offenders, (
-            "a tier built only under a fault profile (each builder call "
-            "builds its own tier):\n  " + "\n  ".join(offenders)
-        )
-        assert TIER_OWNED <= _calls_inside(BUILDER, "build")
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        fine = tmp_path / "service.py"
-        fine.write_text(
-            '"""if resilience is None: in a docstring."""\n'
-            "class AnalyticsService:\n"
-            "    def __init__(self, resilience=None):\n"
-            "        self.resilience = resilience or ResilienceLayer()\n"
-            "    def _enrich(self, record):\n"
-            "        res = self.resilience\n"
-            "        if not res.enrich_breaker.allow(self._now_ns):\n"
-            "            return degraded_measurement(record)\n"
-        )
-        assert unguarded_path_sites(fine) == []
-        rogue = tmp_path / "rogue.py"
-        rogue.write_text(
-            "class AnalyticsService:\n"
-            "    def _write_points(self):\n"
-            "        if self.resilience is None:\n"
-            "            return self.tsdb.write_batch(self._request)\n"
-            "    def _enrich(self, record):\n"
-            "        res = self.resilience\n"
-            "        if res is not None and not res.enrich_breaker.allow(0):\n"
-            "            return None\n"
-            "        return record if not res else None\n"
-        )
-        assert unguarded_path_sites(rogue) == [
-            (3, "the layer compared with None"),
-            (7, "the layer compared with None"),
-            (9, "a branch on the layer's presence"),
-        ]
-        builder = tmp_path / "builder.py"
-        builder.write_text(
-            "class StackBuilder:\n"
-            "    def build(self):\n"
-            "        if profile is not None:\n"
-            "            store = FlakyTimeSeriesDatabase(store, injector)\n"
-            "            if durability is not None:\n"
-            "                tsdb = DurableTsdb(store, WriteAheadLog(path))\n"
-            "            resilience = ResilienceLayer(seed=self._seed)\n"
-            "        if durability is not None:\n"
-            "            wal = WriteAheadLog(path)\n"
-            "        layer = ResilienceLayer() if injector else None\n"
-            "def elsewhere(profile):\n"
-            "    if profile:\n"
-            "        return ResilienceLayer()\n"
-        )
-        assert tier_under_fault_test_sites(builder) == [
-            (6, "DurableTsdb"),
-            (6, "WriteAheadLog"),
-            (7, "ResilienceLayer"),
-            (10, "ResilienceLayer"),
-        ]
-
-
-class TestOneStoreImage:
-    def test_the_log_is_the_only_image_of_the_store(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} {what}"
-            for path, lineno, what in second_store_image_sites()
-        ]
-        assert not offenders, (
-            "a second durable image of the TSDB (the write-ahead log is "
-            "the only one):\n  " + "\n  ".join(offenders)
-        )
-
-    def test_the_legacy_loader_still_reads_old_checkpoints(self):
-        """Keep the allowance honest: if the loader goes, so does it."""
-        assert '"tsdb_lines"' in LEGACY_LOADER.read_text()
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "stack").mkdir()
-        loader = tmp_path / "stack" / "stages.py"
-        loader.write_text(
-            '"""Mentions tsdb_lines and applied_lines in a docstring."""\n'
-            "def load_state(self, state):\n"
-            '    if "tsdb_lines" in state:\n'
-            '        self.wal.compact(image=(0, state["tsdb_lines"]))\n'
-        )
-        assert second_store_image_sites(tmp_path, loader) == []
-        (tmp_path / "stack" / "builder.py").write_text(
-            "def _after_checkpoint(self, info):\n"
-            "    self.wal.truncate()\n"
-            "def state_dict(self):\n"
-            '    return {"tsdb_lines": list(self.tsdb.applied_lines)}\n'
-        )
-        (tmp_path / "rogue.py").write_text(
-            "def capture(state, applied_lines):\n"
-            '    state["tsdb_lines"] = applied_lines\n'
-            "    extra = dict(tsdb_lines=[])\n"
-            '    peek = state.get("tsdb_lines")\n'
-            "    log.truncate()  # not under stack/: not this guard's\n"
-        )
-        found = [what for _, _, what in second_store_image_sites(tmp_path, loader)]
-        assert sorted(found) == sorted(
-            [
-                # rogue.py
-                "applied_lines",
-                '"tsdb_lines" written',
-                '"tsdb_lines" outside the loader',
-                '"tsdb_lines" written',
-                '"tsdb_lines" outside the loader',
-                # stack/builder.py
-                ".truncate(",
-                '"tsdb_lines" written',
-                '"tsdb_lines" outside the loader',
-                "applied_lines",
-            ]
-        )
-
-
-class TestOneShardMode:
-    def test_no_mode_switch_in_any_shard_signature(self):
-        offenders = [
-            f"{path.relative_to(SRC)} {function}({name}=)"
-            for path, function, name in shard_mode_parameters()
-        ]
-        assert not offenders, (
-            "an option that selects a second shard mode or transport:\n  "
-            + "\n  ".join(offenders)
-        )
-
-    def test_one_transport_and_one_stall_detector(self):
-        assert calls_named("socketpair") == []
-        # The lease and the child's cadence read monotonic_ns; a
-        # time.monotonic() is a private deadline beside the lease.
-        assert calls_named("monotonic", SRC / "shard") == []
-
-    def test_one_dispatch_seam(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} names {name}"
-            for path, lineno, name in seam_inner_sites()
-        ]
-        assert not offenders, (
-            "the batch codec or the wire framer named outside the dispatch "
-            "seam (call protocol.encode_dispatch / decode_dispatch):\n  "
-            + "\n  ".join(offenders)
-        )
-        # Both ends of the pipe go through the pair.
-        assert "encode_dispatch" in _calls_inside(
-            SRC / "shard" / "runtime.py", "_dispatch"
-        )
-        assert "decode_dispatch" in _calls_inside(
-            SRC / "shard" / "worker.py", "shard_child_main"
-        )
-
-    def test_four_lifecycle_states(self):
-        assert shard_lifecycle_states() == [
-            "SHARD_DOWN",
-            "SHARD_DRAINED",
-            "SHARD_FAILED",
-            "SHARD_UP",
-        ]
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "shard").mkdir()
-        (tmp_path / "shard" / "runtime.py").write_text(
-            'SHARD_UP = "up"\n'
-            'SHARD_SUSPECT = "suspect"\n'
-            "POLL_S = 0.05\n"
-            "class Supervisor:\n"
-            "    def __init__(self, entry, transport_kind='pipe'):\n"
-            "        left, right = socket.socketpair()\n"
-            "    def wait(self, transport, *, max_inflight=4):\n"
-            "        deadline = time.monotonic() + 30.0\n"
-            "        now = time.monotonic_ns()\n"
-        )
-        (tmp_path / "stack").mkdir()
-        (tmp_path / "stack" / "builder.py").write_text(
-            "def build_sharded_runtime(shards, *, transport='pipe',\n"
-            "                          heartbeat_deadline_ms=None): pass\n"
-            "def build_live_stack(transport=None): pass\n"
-        )
-        assert [name for _, _, name in shard_mode_parameters(tmp_path)] == [
-            "transport_kind",
-            "max_inflight",
-            "transport",
-            "heartbeat_deadline_ms",
-        ]
-        assert len(calls_named("socketpair", tmp_path)) == 1
-        assert len(calls_named("monotonic", tmp_path / "shard")) == 1
-        assert shard_lifecycle_states(tmp_path) == ["SHARD_SUSPECT", "SHARD_UP"]
-        (tmp_path / "shard" / "protocol.py").write_text(
-            "def encode_dispatch(seq, burst):\n"
-            "    return encode_message(encode_batch(seq, burst))\n"
-        )
-        (tmp_path / "shard" / "runtime.py").write_text(
-            '"""encode_batch in a docstring."""\n'
-            "from repro.shard.wire import encode_message\n"
-            "def _dispatch(self, handle, triples):\n"
-            "    self._send(handle, protocol.encode_batch(seq, triples))\n"
-        )
-        assert [name for _, _, name in seam_inner_sites(tmp_path)] == [
-            "encode_message",
-            "encode_batch",
-        ]
-        assert "encode_dispatch" not in _calls_inside(
-            tmp_path / "shard" / "runtime.py", "_dispatch"
-        )
-
-
-class TestOneBodyPerHotFunction:
-    def test_no_tracer_and_no_span_call(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} {name}"
-            for path, lineno, name in second_timing_sites()
-        ]
-        assert not offenders, (
-            "a second timing mechanism (StageGraph.process is the one "
-            "timing point):\n  " + "\n  ".join(offenders)
-        )
-
-    def test_one_worker_body_builds_the_tracker(self):
-        assert tracker_construction_files() == [SRC / "core" / "worker.py"]
-
-    def test_the_burst_loop_pays_per_frame_only_for_the_frame(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} {what}"
-            for path, lineno, what in rx_path_sites()
-        ]
-        assert not offenders, (
-            "per-frame bookkeeping on the rx path (settle per burst; "
-            "rows, not buffer objects; one reader of the rings):\n  "
-            + "\n  ".join(offenders)
-        )
-        # The guard is about code that exists.
-        assert {"settle", "settle_burst", "_extract_tuple", "header_pass"} <= (
-            _calls_inside(NIC, "receive_burst")
-        )
-        assert {"rx_burst", "process_burst", "give_back"} <= _calls_inside(
-            SRC / "core" / "worker.py", "poll"
-        )
-
-    def test_the_rx_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "dpdk").mkdir()
-        nic = tmp_path / "dpdk" / "nic.py"
-        nic.write_text(
-            '"""pool.alloc( and ring.enqueue( in a docstring."""\n'
-            "def receive_burst(self, packets):\n"
-            "    room = [queue.ring.free_space for queue in self.queues]\n"
-            "    for packet in packets:\n"
-            "        parsed = header_pass(packet.data, 0)\n"
-            "        if parsed.__class__ is ParsedPacket:\n"
-            "            rss_hash = hash_tuple(*parsed[:4])\n"
-            "        else:\n"
-            "            extracted = self._extract_tuple(packet.data)\n"
-            "        rows[queue_id].append(make_row((0, rss_hash, parsed)))\n"
-            "    self.pool.settle(taken)\n"
-            "    for queue_id, count in queued.items():\n"
-            "        counted[queue_id] = count\n"
-        )
-        assert rx_path_sites(tmp_path, nic) == []
-        nic.write_text(
-            "def receive_burst(self, packets):\n"
-            "    for packet in packets:\n"
-            "        extracted = self._extract_tuple(packet.data)\n"
-            "        mbuf = self.pool.alloc(packet.data)\n"
-            "        ring = self.queues[0].ring\n"
-            "        if ring.is_full:\n"
-            "            mbuf.free()\n"
-            "        ring.enqueue(Mbuf(data=packet.data))\n"
-        )
-        (tmp_path / "tool.py").write_text(
-            "def process_burst(self, rows): pass\n"
-            "def peek(nic):\n"
-            "    key = NicPort._extract_tuple(data)\n"
-            "    return nic.rx_burst(0) + nic.queues[0].ring.dequeue_burst(4)\n"
-        )
-        (tmp_path / "worker.py").write_text("def process_burst(self, rows): pass\n")
-        found = [(path.name, what) for path, _, what in rx_path_sites(tmp_path, nic)]
-        assert sorted(found) == sorted([
-            ("nic.py", "a pool/ring call in the frame loop"),  # pool.alloc
-            ("nic.py", "a pool/ring call in the frame loop"),  # ring.enqueue
-            ("nic.py", "_extract_tuple for an accepted frame"),
-            ("nic.py", "alloc( — a buffer object per frame"),
-            ("nic.py", "Mbuf( — a buffer object per frame"),
-            ("tool.py", "_extract_tuple for an accepted frame"),
-            ("tool.py", "rx_burst( — a second ring reader"),
-            ("tool.py", "dequeue_burst( — a second ring reader"),
-            ("worker.py", "a second process_burst"),
-        ])
-
-    def test_one_header_walker_on_the_packet_path(self):
-        # dpdk/nic.py keeps struct for _extract_tuple, the hardware-style
-        # tuple read of frames the header pass rejected.
-        assert struct_import_files() == [SRC / "dpdk" / "nic.py"]
-        assert parser_construction_files() == [
-            SRC / "core" / "worker.py",
-            SRC / "dpdk" / "nic.py",
-            SRC / "overload" / "classify.py",
-        ]
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "rogue.py").write_text(
-            "def poll(self, tracer=None):\n"
-            "    with self._tracer.span('worker.poll'):\n"
-            "        make(tracer=tracer)\n"
-            "    return HandshakeTracker(config=None)\n"
-        )
-        (tmp_path / "core").mkdir()
-        (tmp_path / "core" / "peek.py").write_text(
-            "from struct import Struct\n"
-            "import os, struct as st\n"
-            "walker = PacketParser(max_vlan_tags=0)\n"
-        )
-        (tmp_path / "net").mkdir()
-        (tmp_path / "net" / "tool.py").write_text(
-            "import struct\nparser = PacketParser()\n"
-        )
-        assert struct_import_files(tmp_path, packages=("core",)) == [
-            tmp_path / "core" / "peek.py"
-        ]
-        assert parser_construction_files(tmp_path) == [tmp_path / "core" / "peek.py"]
-        (tmp_path / "fine.py").write_text(
-            '"""A tracer in a docstring; HandshakeTracker( in one too."""\n'
-            "width = table.span  # an attribute read, not a call\n"
-        )
-        names = [name for _, _, name in second_timing_sites(tmp_path)]
-        assert sorted(names) == [".span(", "_tracer", "tracer", "tracer", "tracer"]
-        assert tracker_construction_files(tmp_path) == [tmp_path / "rogue.py"]
-
-
-class TestOneDriver:
-    def test_no_run_packets_or_service_finish_outside_the_stack(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} calls {name}("
-            for path, lineno, name in second_driver_call_sites()
-        ]
-        assert not offenders, (
-            "a second driver for an assembled stack (use RuruStack.run):\n  "
-            + "\n  ".join(offenders)
-        )
-
-    def test_no_new_runtime_harness_or_ledger_class(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} defines class {name}"
-            for path, lineno, name in parallel_mechanism_classes()
-        ]
-        assert not offenders, (
-            "a parallel runtime/harness/ledger (extend the allow-list only "
-            "with a reason):\n  " + "\n  ".join(offenders)
-        )
-
-    def test_one_function_cuts_a_packet_stream(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} {what}"
-            for path, lineno, what in second_cutter_sites()
-        ]
-        assert not offenders, (
-            "a second batch cutter (call repro.core.feed.drive / batches):\n  "
-            + "\n  ".join(offenders)
-        )
-        # The allowance is for a cutter that exists.
-        assert second_cutter_sites(cutter=None), "core/feed.py no longer cuts?"
-
-    def test_the_sharded_runtime_has_no_feed_loop_and_no_runner_of_its_own(self):
-        runtime = ast.parse((SRC / "shard" / "runtime.py").read_text())
-        methods = {
-            item.name
-            for node in ast.walk(runtime)
-            if isinstance(node, ast.ClassDef) and node.name == "ShardedRuntime"
-            for item in node.body
-            if isinstance(item, ast.FunctionDef)
-        }
-        assert {"offer", "drain"} <= methods
-        assert "run" not in methods
-        assert not (SRC / "scenarios" / "shard_runner.py").exists()
-
-    def test_the_cutter_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "core").mkdir()
-        (tmp_path / "core" / "feed.py").write_text(
-            "def batches(packets, size):\n"
-            "    batch = []\n"
-            "    for packet in packets:\n"
-            "        if len(batch) >= size:\n"
-            "            yield batch\n"
-            "            batch = []\n"
-            "        batch.append(packet)\n"
-        )
-        (tmp_path / "rogue.py").write_text(
-            '"""len(batch) >= size, packets[i : i + n] in a docstring."""\n'
-            "def run(self, packets, size):\n"
-            "    batch = []\n"
-            "    for packet in packets:\n"
-            "        batch.append(packet)\n"
-            "        if size <= len(batch):\n"
-            "            self.offer(batch)\n"
-            "            batch = []\n"
-            "def trial(packets, n):\n"
-            "    return [packets[i : i + n] for i in range(0, len(packets), n)]\n"
-            "def rounds(packets, n):\n"
-            "    for start in range(0, len(packets), n):\n"
-            "        yield packets[start : start + n]\n"
-        )
-        (tmp_path / "fine.py").write_text(
-            "def evict(items):\n"
-            "    for index in range(len(items) - 1, -1, -1):\n"
-            "        del items[index]\n"
-            "def collect(records, out):\n"
-            "    for record in records:\n"
-            "        out.append(record)\n"
-            "    return len(out) >= 1\n"
-            "def window(data, i, n):\n"
-            "    return data[i : i + n]\n"
-        )
-        found = second_cutter_sites(tmp_path, tmp_path / "core" / "feed.py")
-        assert [(path.name, what) for path, _, what in found] == [
-            ("rogue.py", "len() of the batch it fills"),
-            ("rogue.py", "a list sliced by a stride"),
-            ("rogue.py", "a list sliced by a stride"),
-        ]
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        """Keep the guard honest: it must trip on the shapes it bans
-        and the allow-listed classes must still exist."""
-        (tmp_path / "rogue.py").write_text(
-            "class SideRuntime: pass\n"
-            "class BatchLedger: pass\n"
-            "def go(stack, service):\n"
-            "    stack.pipeline.run_packets([])\n"
-            "    stack.service.finish()\n"
-            "    service.finish()\n"
-            "    map_view.finish()\n"
-        )
-        calls = [name for _, _, name in second_driver_call_sites(tmp_path)]
-        assert calls == ["run_packets", "finish", "finish"]
-        classes = [name for _, _, name in parallel_mechanism_classes(tmp_path)]
-        assert classes == ["SideRuntime", "BatchLedger"]
-        defined = {
-            node.name
-            for path in SRC.rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ClassDef)
-        }
-        assert PARALLEL_ALLOWED <= defined
-
-
-class TestNoDirectAssemblyOutsideStack:
-    def test_guarded_constructors_only_called_from_the_builder(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} calls {name}("
-            for path, lineno, name in guarded_call_sites()
-            if path not in ALLOWED
-        ]
-        assert not offenders, (
-            "direct stack assembly outside repro.stack.builder:\n  "
-            + "\n  ".join(offenders)
-        )
-
-    def test_the_builder_itself_still_assembles_the_stack(self):
-        """Keep the guard honest: if the components get renamed, the
-        allow-list and GUARDED set must be updated, not left stale."""
-        builder_calls = {
-            name
-            for path, _, name in guarded_call_sites()
-            if path in ALLOWED
-        }
-        assert builder_calls == GUARDED
-
-
-#: The module that turns flags into a spec, and what it may not name.
-CLI = SRC / "cli.py"
-CLI_BANNED = re.compile(
-    r"StackBuilder|build_\w+_stack|build_sharded_runtime|AucklandLaScenario"
-    r"|TrafficGenerator|\w*Injector|run_chaos|RecoveryHarness"
-)
-#: Where a spec becomes a stack: the builder, and the runner's episode.
-RUNNER = SRC / "scenarios" / "runner.py"
-STACK_CALLS = re.compile(r"StackBuilder|build_\w+_stack")
-
-
-def cli_wiring_sites(path=CLI):
-    """Every name, attribute or import of a banned constructor in
-    *path*, and every ``.error(`` call on something named a parser."""
-    sites = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name
-        elif isinstance(node, ast.Call) and _called_name(node) == "error":
-            if "parser" in (_receiver_name(node) or ""):
-                sites.append((node.lineno, "parser.error("))
-            continue
-        else:
-            continue
-        if CLI_BANNED.fullmatch(name):
-            sites.append((node.lineno, name))
-    return sites
-
-
-def stack_construction_sites(root=SRC, builder=BUILDER, runner=RUNNER):
-    """``StackBuilder()`` / ``build_*_stack(`` calls outside the builder
-    and outside the runner's ``Episode`` class."""
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        if path == builder:
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = {
-            id(call)
-            for klass in ast.walk(tree)
-            if path == runner and isinstance(klass, ast.ClassDef) and klass.name == "Episode"
-            for call in ast.walk(klass)
-        }
-        sites.extend(
-            (path, node.lineno, _called_name(node))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and STACK_CALLS.fullmatch(_called_name(node) or "")
-            and id(node) not in allowed
-        )
-    return sites
-
-
-class TestOneConfigurationPath:
-    def test_the_cli_builds_no_stack_and_refuses_nothing_itself(self):
-        offenders = [f"cli.py:{line} {name}" for line, name in cli_wiring_sites()]
-        assert not offenders, (
-            "the CLI wiring a stack or refusing a flag itself (flags -> "
-            "ScenarioSpec -> Episode; refusals are the spec's and build()'s):\n  "
-            + "\n  ".join(offenders)
-        )
-        # The guard is about a CLI that exists and runs episodes.
-        assert "Episode" in CLI.read_text()
-
-    def test_only_the_episode_builds_a_stack(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} calls {name}("
-            for path, lineno, name in stack_construction_sites()
-        ]
-        assert not offenders, (
-            "a stack built outside the runner's Episode (a second "
-            "configuration path):\n  " + "\n  ".join(offenders)
-        )
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        cli = tmp_path / "cli.py"
-        cli.write_text(
-            '"""StackBuilder, run_chaos and parser.error( in a docstring."""\n'
-            "from repro.stack import build_chaos_stack, StackBuilder\n"
-            "from repro.traffic.scenarios import AucklandLaScenario as A\n"
-            "def cmd(args):\n"
-            "    stack = repro.stack.build_durable_stack(args.state_dir)\n"
-            "    glitch = FirewallGlitchInjector()\n"
-            "    args.shard_parser.error('--shards does not take --profile')\n"
-            "    return run_chaos(args.profile), Episode(spec)\n"
-        )
-        assert sorted(cli_wiring_sites(cli)) == [
-            (2, "StackBuilder"), (2, "build_chaos_stack"), (3, "AucklandLaScenario"),
-            (5, "build_durable_stack"), (6, "FirewallGlitchInjector"),
-            (7, "parser.error("), (8, "run_chaos"),
-        ]
-        (tmp_path / "stack").mkdir()
-        (tmp_path / "scenarios").mkdir()
-        (tmp_path / "stack" / "builder.py").write_text(
-            "def build_live_stack():\n    return StackBuilder().build()\n"
-        )
-        (tmp_path / "scenarios" / "runner.py").write_text(
-            "class Episode:\n"
-            "    def _build_stack(self):\n"
-            "        return StackBuilder().build()\n"
-            "def replay(spec):\n"
-            "    return StackBuilder().analytics().build()\n"
-        )
-        (tmp_path / "harness.py").write_text(
-            "def trial(spec):\n"
-            "    return build_durable_stack(spec.durable.state_dir), Episode(spec)\n"
-        )
-        found = stack_construction_sites(
-            tmp_path, tmp_path / "stack" / "builder.py", tmp_path / "scenarios" / "runner.py"
-        )
-        assert [(path.name, line, name) for path, line, name in found] == [
-            ("cli.py", 5, "build_durable_stack"),
-            ("harness.py", 2, "build_durable_stack"),
-            ("runner.py", 5, "StackBuilder"),
-        ]
-        # The allowance is for an episode that exists and builds.
-        assert "StackBuilder" in _calls_inside(RUNNER, "_build_stack")
-
-
-#: Where a drained run's books are read, never counted: the chaos
-#: report's package and the scenario runner.
-BOOK_READERS = (SRC / "faults", SRC / "scenarios" / "runner.py")
-#: The counters ``count_books`` and the sharded parent's books read, by
-#: attribute name.
-TIER_COUNTERS = {
-    "injected", "total_restarts", "retries", "degraded_published", "points_written",
-    "points_lost", "opened_count", "enriched_count", "conservation_ledger",
-    "total_points", "offered", "admitted", "mq_offered", "truncated",
-    "ring_displacements", "level_max", "shed_total", "shed_counts", "shed_ratio",
-    "stats", "stats_snapshot", "frontend_received", "frontend_degraded",
-    "rerouted_packets", "shed_by_class",
-}
-
-
-def tier_counter_reads(paths=BOOK_READERS):
-    """Every ``<x>.<counter>`` in *paths* (files, or directories walked)
-    whose ``<x>`` is not ``self``: a tier's counter read beside the
-    books instead of off them."""
-    files = [
-        found
-        for path in paths
-        for found in (sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    ]
-    return [
-        (path, node.lineno, node.attr)
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute)
-        and node.attr in TIER_COUNTERS
-        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
-    ]
-
-
-class TestOneFoldPerRun:
-    def test_the_books_are_counted_once(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} reads .{name}"
-            for path, lineno, name in tier_counter_reads()
-        ]
-        assert not offenders, (
-            "a tier counter read outside count_books (read the drained "
-            "run's books, Episode.counts / DrainReport.counts):\n  "
-            + "\n  ".join(offenders)
-        )
-        # The guard is about books that exist and are read.
-        assert "def count_books(" in BUILDER.read_text()
-        assert "episode.counts" in (SRC / "faults" / "chaos.py").read_text()
-        assert "episode.counts" in RUNNER.read_text()
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        fine = tmp_path / "fine.py"
-        fine.write_text(
-            '"""stack.injector.injected and resilience.retries in a docstring."""\n'
-            "class FaultInjector:\n"
-            "    def decide(self, key):\n"
-            "        self.injected[key] = self.injected.get(key, 0) + 1\n"
-            "def render(episode):\n"
-            "    counts = episode.counts\n"
-            "    return counts['resilience.retries'], episode.stack.resilience.breakers\n"
-        )
-        assert tier_counter_reads([fine]) == []
-        (tmp_path / "faults").mkdir()
-        rogue = tmp_path / "faults" / "chaos.py"
-        rogue.write_text(
-            "def of(episode):\n"
-            "    stack = episode.stack\n"
-            "    faults = dict(stack.injector.injected)\n"
-            "    retries, restarts = stack.resilience.retries, stack.supervisor.total_restarts\n"
-            "    offered = [stack.overload.offered[k] for k in CLASSES]\n"
-            "    return stack.pipeline.stats_snapshot().measurements, faults, offered\n"
-        )
-        found = tier_counter_reads([tmp_path / "faults", fine])
-        assert sorted((path.name, line, name) for path, line, name in found) == [
-            ("chaos.py", 3, "injected"),
-            ("chaos.py", 4, "retries"),
-            ("chaos.py", 4, "total_restarts"),
-            ("chaos.py", 5, "offered"),
-            ("chaos.py", 6, "stats_snapshot"),
-        ]
-
-
-#: What a shard's state on disk is made of: a file, an atomic rename,
-#: the checkpointer and the log.
-SHARD_DISK_CALLS = {"open", "Checkpointer", "WriteAheadLog"}
-
-
-def shard_disk_sites(root=SRC):
-    """Under ``shard/``: an import of ``repro.durability`` and a call to
-    ``open(`` (``os.open`` too), ``os.replace``, ``Checkpointer(`` or
-    ``WriteAheadLog(``."""
-    sites = []
-    for path in sorted((root / "shard").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] + [
-                    f"{node.module}.{alias.name}" for alias in node.names
-                ]
-            elif isinstance(node, ast.Call):
-                name = _called_name(node)
-                if name in SHARD_DISK_CALLS or (
-                    name == "replace" and _receiver_name(node) == "os"
+def unguarded_path_shapes(modules):
+    """``resilience`` or ``res`` compared with None, or tested as a truth
+    value by a branch."""
+    for path, nodes in modules.items():
+        for node in nodes:
+            if isinstance(node, ast.Compare):
+                sides = (node.left, *node.comparators)
+                if any(map(_is_layer, sides)) and any(
+                    isinstance(side, ast.Constant) and side.value is None for side in sides
                 ):
-                    sites.append((path, node.lineno, f"{name}("))
-                continue
-            else:
-                continue
-            if any(
-                module == "repro.durability" or module.startswith("repro.durability.")
-                for module in modules
+                    yield path, node.lineno, "the layer compared with None"
+            elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                test = node.test
+                if any(map(_is_layer, test.values if isinstance(test, ast.BoolOp) else [test])):
+                    yield path, node.lineno, "a branch on the layer's presence"
+
+
+#: What the analytics and durable tiers build, whatever the fault profile.
+TIER_OWNED = frozenset({"ResilienceLayer", "WriteAheadLog", "DurableTsdb"})
+
+
+def tier_under_fault_shapes(modules):
+    """A tier's component built under a test of ``profile`` or
+    ``injector`` in ``StackBuilder.build``."""
+    found = {
+        (path, call.lineno, f"{_callee(call)}(")
+        for path, nodes in modules.items()
+        for klass in nodes
+        if isinstance(klass, ast.ClassDef) and klass.name == "StackBuilder"
+        for build in klass.body
+        if isinstance(build, ast.FunctionDef) and build.name == "build"
+        for branch in ast.walk(build)
+        if isinstance(branch, (ast.If, ast.IfExp)) and _names_in(branch.test) & {"profile", "injector"}
+        for call in ast.walk(branch)
+        if isinstance(call, ast.Call) and _callee(call) in TIER_OWNED
+    }
+    return sorted(found)
+
+
+#: Options that selected the retired wall-clock mode or second transport.
+SHARD_MODE_OPTIONS = {"heartbeat_deadline_ms", "max_inflight", "transport", "transport_kind"}
+
+
+def shard_mode_shapes(modules):
+    """Mode-switch parameters in any signature under ``shard/`` or on the
+    builder's ``build_sharded_runtime``. A *required* ``transport`` is the
+    channel object a child is handed, not a choice of one."""
+    for path, nodes in modules.items():
+        for node in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                path == "stack/builder.py" and node.name != "build_sharded_runtime"
             ):
-                sites.append((path, node.lineno, "imports repro.durability"))
-    return sites
-
-
-class TestShardStateLivesInTheParent:
-    def test_no_shard_module_keeps_state_on_disk(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} {what}"
-            for path, lineno, what in shard_disk_sites()
-        ]
-        assert not offenders, (
-            "a shard's recovery state on disk (a restart loads the parent's "
-            "last checkpoint reply plus its acked counts):\n  "
-            + "\n  ".join(offenders)
-        )
-        # The guard is about a restart that exists and reads the parent.
-        assert "handle.checkpoint" in (SRC / "shard" / "runtime.py").read_text()
-
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "shard").mkdir()
-        (tmp_path / "shard" / "fine.py").write_text(
-            '"""Once: open( a ShardStateStore, os.replace, a WriteAheadLog(."""\n'
-            "import os\n"
-            "from repro.shard import protocol\n"
-            "def restart(handle, name):\n"
-            "    label = name.replace('-', '_')\n"
-            "    return protocol.encode_json(b'restore', {'state': handle.checkpoint})\n"
-        )
-        assert shard_disk_sites(tmp_path) == []
-        (tmp_path / "shard" / "rogue.py").write_text(
-            "import repro.durability.wal\n"
-            "from repro.durability.shardstate import ShardStateStore\n"
-            "from repro import durability\n"
-            "def checkpoint(self, state, path):\n"
-            "    with open(path + '.tmp', 'wb') as handle:\n"
-            "        handle.write(state)\n"
-            "    os.replace(path + '.tmp', path)\n"
-            "    fd = os.open(path, os.O_RDONLY)\n"
-            "    self.log = repro.durability.wal.WriteAheadLog(path)\n"
-            "    return Checkpointer(state_dir=path, capture=dict)\n"
-        )
-        found = [(line, what) for _, line, what in shard_disk_sites(tmp_path)]
-        assert sorted(found) == [
-            (1, "imports repro.durability"),
-            (2, "imports repro.durability"),
-            (3, "imports repro.durability"),
-            (5, "open("),
-            (7, "replace("),
-            (8, "open("),
-            (9, "WriteAheadLog("),
-            (10, "Checkpointer("),
-        ]
-
-
-#: Under ``shard/``, the only functions that read a shard pipe: the
-#: parent's pump and the child's loop.
-PIPE_READERS = {
-    "runtime.py": {"ShardedRuntime._await", "ShardedRuntime._absorb"},
-    "worker.py": {"shard_child_main"},
-}
-
-
-def _call_owners(tree):
-    """Each call in *tree* → the qualified name of the innermost
-    function (``Class.method``) around it; None at module level."""
-    owners = {}
-
-    def visit(node, scope, function):
-        for child in ast.iter_child_nodes(node):
-            inner_scope, inner_function = scope, function
-            if isinstance(child, ast.ClassDef):
-                inner_scope = f"{scope}{child.name}."
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner_function = f"{scope}{child.name}"
-                inner_scope = f"{inner_function}."
-            elif isinstance(child, ast.Call):
-                owners[child] = function
-            visit(child, inner_scope, inner_function)
-
-    visit(tree, "", None)
-    return owners
-
-
-def second_parent_sites(root=SRC):
-    """A ``ShardSupervisor`` named, imported or defined anywhere; a
-    ``fork`` called outside ``shard/runtime.py``; a ``.recv(`` or
-    ``.recv_all(`` called under ``shard/`` outside :data:`PIPE_READERS`."""
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        owner = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, (ast.Attribute, ast.ClassDef, ast.alias)):
-                name = getattr(node, "attr", None) or node.name
-            else:
                 continue
-            if name == "ShardSupervisor":
-                sites.append((path, node.lineno, "ShardSupervisor"))
-        for call, function in _call_owners(tree).items():
-            name = _called_name(call)
-            if name == "fork" and owner != "shard/runtime.py":
-                sites.append((path, call.lineno, "fork("))
-            if (
-                name in ("recv", "recv_all")
-                and isinstance(call.func, ast.Attribute)
-                and owner.startswith("shard/")
-                and function not in PIPE_READERS.get(path.name, ())
-            ):
-                sites.append((path, call.lineno, f".{name}( in {function}"))
-    return sorted(sites, key=lambda site: (str(site[0]), site[1], site[2]))
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            required = positional[: len(positional) - len(args.defaults)] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if not default
+            ]
+            for arg in (*positional, *args.kwonlyargs):
+                if arg.arg in SHARD_MODE_OPTIONS and not (arg.arg == "transport" and arg in required):
+                    yield path, node.lineno, f"{node.name}({arg.arg}=)"
 
 
-class TestOneShardParent:
-    def test_one_parent_reads_every_pipe_through_one_pump(self):
-        offenders = [
-            f"{path.relative_to(SRC)}:{lineno} {what}"
-            for path, lineno, what in second_parent_sites()
-        ]
-        assert not offenders, (
-            "a second shard parent: read a shard pipe only in "
-            "ShardedRuntime._await / _absorb, fork only in shard/runtime.py:\n  "
-            + "\n  ".join(offenders)
-        )
-        # The guard is about a pump and a fork that exist.
-        runtime = SRC / "shard" / "runtime.py"
-        assert "recv" in _calls_inside(runtime, "_await")
-        assert "recv_all" in _calls_inside(runtime, "_absorb")
-        assert "fork" in _calls_inside(runtime, "_spawn")
-        assert not (SRC / "shard" / "supervisor.py").exists()
+# -- the table ----------------------------------------------------------
 
-    def test_the_guard_sees_what_it_guards(self, tmp_path):
-        (tmp_path / "shard").mkdir()
-        (tmp_path / "shard" / "runtime.py").write_text(
-            '"""Once ShardSupervisor, .recv( and os.fork() in a docstring."""\n'
-            "import os\n"
-            "class ShardedRuntime:\n"
-            "    def _await(self, handle, done):\n"
-            "        return handle.transport.recv(timeout=0.05)\n"
-            "    def _absorb(self, handle):\n"
-            "        return [m for m in handle.transport.recv_all()]\n"
-            "    def _spawn(self, handle):\n"
-            "        return os.fork()\n"
-            "    def drain_shard(self, handle):\n"
-            "        return handle.transport.recv(timeout=0.05)\n"
-        )
-        (tmp_path / "shard" / "worker.py").write_text(
-            "def shard_child_main(transport, shard_id):\n"
-            "    return transport.recv(timeout=0.01)\n"
-        )
-        (tmp_path / "mq").mkdir()
-        (tmp_path / "mq" / "socket.py").write_text(
-            "def poll(sock):\n"
-            "    return sock.recv(0), sock.recv_all()\n"
-        )
-        assert [
-            (path.name, line, what) for path, line, what in second_parent_sites(tmp_path)
-        ] == [("runtime.py", 11, ".recv( in ShardedRuntime.drain_shard")]
-        (tmp_path / "shard" / "supervisor.py").write_text(
-            "import os\n"
-            "from repro.shard.heartbeat import FailureDetector\n"
-            "class ShardSupervisor:\n"
-            "    def _spawn(self, handle):\n"
-            "        return os.fork()\n"
-            "    def declare_down(self, handle):\n"
-            "        for message in handle.transport.recv_all():\n"
-            "            def late(transport=handle.transport):\n"
-            "                return transport.recv()\n"
-        )
-        (tmp_path / "stack").mkdir()
-        (tmp_path / "stack" / "builder.py").write_text(
-            "from repro.shard.supervisor import ShardSupervisor\n"
-            "def build(shards):\n"
-            "    return shard.ShardSupervisor(shards)\n"
-        )
-        assert [
-            (path.name, line, what) for path, line, what in second_parent_sites(tmp_path)
-        ] == [
-            ("runtime.py", 11, ".recv( in ShardedRuntime.drain_shard"),
-            ("supervisor.py", 3, "ShardSupervisor"),
-            ("supervisor.py", 5, "fork("),
-            ("supervisor.py", 7, ".recv_all( in ShardSupervisor.declare_down"),
-            ("supervisor.py", 9, ".recv( in ShardSupervisor.declare_down.late"),
-            ("builder.py", 1, "ShardSupervisor"),
-            ("builder.py", 3, "ShardSupervisor"),
-        ]
+#: The counters ``count_books`` and the sharded parent's books read.
+TIER_COUNTERS = frozenset({
+    "injected", "total_restarts", "retries", "degraded_published", "points_written", "points_lost",
+    "opened_count", "enriched_count", "conservation_ledger", "total_points", "offered", "admitted",
+    "mq_offered", "truncated", "ring_displacements", "level_max", "shed_total", "shed_counts",
+    "shed_ratio", "stats", "stats_snapshot", "frontend_received", "frontend_degraded",
+    "rerouted_packets", "shed_by_class",
+})
+RUNTIME = "shard/runtime.py::ShardedRuntime"
+SERVICE = "analytics/service.py::AnalyticsService"
+PARALLEL = (RUNTIME, "durability/harness.py::RecoveryHarness", "resilience/invariants.py::Ledger")
+
+ROWS = (
+    Row("guarded-constructors", "call", frozenset({
+        "AnalyticsService", "RuruPipeline", "GeoDbBuilder", "FaultyPushSocket", "OverloadController",
+        "GatedPushSocket"}), allow=("stack/builder.py",), must_hold=("stack/builder.py",), pr="4, 8",
+        why="A component built outside the builder silently forks the wiring and escapes the derived "
+        "drain/checkpoint/fault orders; the builder still builds each one, so a rename updates this row."),
+    Row("one-driver", "call", r"run_packets|\w*service\.finish", allow=("core/pipeline.py", "stack/"), pr=16,
+        why="Feeding an assembled stack through the bare pipeline, or flushing the analytics service by "
+        "hand, forks the driver and leaves records waiting at the PULL socket (use RuruStack.run)."),
+    Row("no-parallel-mechanism", "def", r"\w*(?:Runtime|Harness|Ledger)", allow=PARALLEL,
+        must_hold=PARALLEL, pr="16, 21", why="A new runtime, harness or ledger is a parallel mechanism "
+        "by another name; these are the ones that exist (extend the allow-list only with a reason)."),
+    Row("no-tracer", "name", r"_*tracer", pr=17,
+        why="Timing has one home, StageGraph.process; a tracer handle is a second timing mechanism."),
+    Row("no-span-call", "call", r".*\.span", pr=17,
+        why="A .span( call is a second timing mechanism beside StageGraph.process."),
+    Row("one-tracker-body", "call", "HandshakeTracker", allow=("core/worker.py",),
+        must_hold=("core/worker.py",), pr=17,
+        why="A second HandshakeTracker( construction site is a second worker body."),
+    Row("one-header-walker-struct", "import", "struct", scope=("dpdk/", "core/", "overload/", "stack/"),
+        allow=("dpdk/nic.py",), must_hold=("dpdk/nic.py",), pr=18,
+        why="A frame's headers are walked once, by the port's PacketParser.parse; struct on the packet "
+        "path is how a second header walker usually starts (a tripwire, not a proof: one that only "
+        "indexes data[offset] passes). dpdk/nic.py keeps it for _extract_tuple, the hardware-style "
+        "tuple read of frames the header pass rejected."),
+    Row("one-header-walker-parser", "call", "PacketParser",
+        allow=("net/", "core/worker.py", "dpdk/nic.py", "overload/classify.py"),
+        must_hold=("core/worker.py", "dpdk/nic.py", "overload/classify.py"), pr=18,
+        why="A PacketParser( built anywhere new is how a second header walker usually starts."),
+    Row("one-shard-mode", shard_mode_shapes, scope=("shard/", "stack/builder.py"), pr=19,
+        why="The sharded runtime has one mode, lock-step dispatch under the heartbeat lease; an option "
+        "that selects another (a deadline, a window, a transport kind) brings the second one back."),
+    Row("one-transport", "call", "socketpair", pr=19, why="One transport: the pipe pair the lease watches."),
+    Row("one-stall-detector", "call", "monotonic", scope=("shard/",), pr=19,
+        why="The lease and the child's cadence read monotonic_ns; a time.monotonic() is a private "
+        "deadline beside the lease."),
+    Row("four-lifecycle-states", "name", r"SHARD_(?!(?:UP|DOWN|DRAINED|FAILED)$)\w+", scope=("shard/",),
+        pr=19, why="A fifth shard lifecycle state is a second mode coming back."),
+    Row("lifecycle-states-held", "name", frozenset({"SHARD_UP", "SHARD_DOWN", "SHARD_DRAINED", "SHARD_FAILED"}),
+        scope=(), must_hold=("shard/runtime.py",), pr=19, why="The four states live in the runtime."),
+    Row("store-image-mirror", "name", "applied_lines", pr=20,
+        why="The TSDB's write-ahead log is the store's only durable image; an applied_lines mirror is "
+        "the store copied into the checkpoint."),
+    Row("store-image-written", "key", "tsdb_lines", pr=20, why='A "tsdb_lines" key written anywhere, '
+        "the loader included, is the store copied into the checkpoint."),
+    Row("store-image-loader", "const", "tsdb_lines", allow=("stack/stages.py",),
+        must_hold=("stack/stages.py",), pr=20,
+        why="stack/stages.py is the one place that may still read an old checkpoint's tsdb_lines; if "
+        "the loader goes, so does its allowance."),
+    Row("store-image-truncate", "call", "truncate", scope=("stack/",), pr=20,
+        why="A .truncate( under stack/ cuts the log back to what a checkpoint does not cover."),
+    Row("dispatch-seam-batch", "name", "encode_batch|decode_batch", allow=("shard/protocol.py",), pr=21,
+        why="What crosses a shard's pipe is decided by one encode/decode pair, so the batch codec is "
+        "named nowhere else (call protocol.encode_dispatch / decode_dispatch)."),
+    Row("dispatch-seam-wire", "name", "encode_message",
+        allow=("shard/protocol.py", "shard/transport.py", "shard/wire.py"), pr=21,
+        why="The wire framer under the seam is named only by it and by transport.send, which frames "
+        "every control message with it."),
+    Row("dispatch-seam-held", "call", "encode_dispatch|decode_dispatch", scope=(),
+        must_hold=(f"{RUNTIME}._dispatch", "shard/worker.py::shard_child_main"), pr=21,
+        why="Both ends of the pipe go through the pair."),
+    Row("one-cutter", cutter_shapes, allow=("core/feed.py",), must_hold=("core/feed.py",), pr=22,
+        why="A packet stream is cut into feed batches by core/feed.py's batches; a second cutter has its "
+        "own rule for the trailing batch and the stop flag, which is how ShardedRuntime.run and "
+        "scenarios/shard_runner.py came to exist (call repro.core.feed.drive / batches)."),
+    Row("no-shard-run", "def", "run", scope=(RUNTIME,), pr=22,
+        why="ShardedRuntime is offered batches like a stage; a run method is a feed loop of its own."),
+    Row("sharded-runtime-is-offered", "def", frozenset({"offer", "drain"}), scope=(),
+        must_hold=(RUNTIME,), pr=22, why="ShardedRuntime is offered batches and drained."),
+    Row("no-shard-runner", "module", r"scenarios/shard_runner\.py", pr=22,
+        why="The scenarios' second runner for sharded runs stays gone."),
+    Row("one-write-call", "call", "_write_points", scope=(SERVICE,),
+        allow=(f"{SERVICE}.poll", f"{SERVICE}.finish"), must_hold=(f"{SERVICE}.poll",), pr=23,
+        why="What a poll gathers goes to the store as one request, from the end of poll (and from "
+        "finish); a write from elsewhere is the per-record path (a WAL frame, a flush and a round trip "
+        "through the guard machinery per record) coming back."),
+    Row("no-per-record-method", "def", "process_measurement", scope=(SERVICE,), pr=23,
+        why="A process_measurement method is the per-record write path coming back."),
+    Row("one-publish", "attr", r"pub\.send", scope=(SERVICE,), allow=(f"{SERVICE}.poll",),
+        must_hold=(f"{SERVICE}.poll",), pr=23, why="The enriched feed is published by poll, after its write."),
+    Row("poll-shaped-write", poll_write_shapes, scope=("analytics/service.py",), pr=23,
+        why="A _write_points call inside the per-record loop, or a pub.send ahead of the poll's write, "
+        "is the per-record path coming back."),
+    Row("rx-frame-loop", frame_loop_shapes, scope=("dpdk/nic.py",), pr=24,
+        why="The port's burst loop pays per frame only for what differs per frame: the buffer budget and "
+        "each ring's room are local integers and the pool, ring and port counters are settled after "
+        "it; a pool or ring call in the loop, or _extract_tuple for a frame the header pass accepted, "
+        "is per-frame bookkeeping coming back."),
+    Row("no-buffer-object", "call", "Mbuf|alloc", pr=24,
+        why="Rows, not buffer objects: an Mbuf( or alloc( is a buffer object per frame."),
+    Row("one-ring-reader", "call", "rx_burst|dequeue_burst|dequeue",
+        allow=("dpdk/nic.py", "dpdk/ring.py", "core/worker.py"), pr=24,
+        why="The rings have one reader, QueueWorker.poll -> process_burst (the port and its queues delegate)."),
+    Row("one-burst-body", "def", "process_burst", allow=("core/worker.py",), must_hold=("core/worker.py",),
+        pr=24, why="One process_burst body: the worker's."),
+    Row("extract-tuple", "call", "_extract_tuple", allow=("dpdk/nic.py", "shard/runtime.py"), pr=24,
+        why="Beside the port's reject branch only the shard router, which holds no parse of the frames "
+        "it routes, reads a frame's tuple again."),
+    Row("rx-path-held", "call", frozenset({"settle", "settle_burst", "_extract_tuple", "header_pass"}),
+        scope=(), must_hold=("dpdk/nic.py::NicPort.receive_burst",), pr=24,
+        why="The burst loop settles per burst and reads rejected frames only."),
+    Row("worker-poll-held", "call", frozenset({"rx_burst", "process_burst", "give_back"}), scope=(),
+        must_hold=("core/worker.py::QueueWorker.poll",), pr=24,
+        why="The worker's poll reads its ring, processes the burst and gives the buffers back."),
+    Row("one-guarded-path", unguarded_path_shapes, scope=("analytics/service.py",), pr=25,
+        why="The analytics service runs behind its resilience layer in every preset; a branch on the "
+        "layer's presence is the unguarded second path coming back (a service handed no layer builds "
+        "a default one)."),
+    Row("layer-held", "attr", r"self\.resilience\.\w+", scope=(), must_hold=("analytics/service.py",),
+        pr=25, why="The service uses its layer."),
+    Row("tiers-compose", tier_under_fault_shapes, scope=("stack/builder.py",), pr=25,
+        why="Each builder call builds its own tier; a ResilienceLayer(, WriteAheadLog( or DurableTsdb( "
+        "under a test of profile or injector in StackBuilder.build ties the analytics or durable tier "
+        "to the faults tier again."),
+    Row("tiers-held", "call", TIER_OWNED, scope=(), must_hold=("stack/builder.py::StackBuilder.build",),
+        pr=25, why="StackBuilder.build builds every tier it is asked for."),
+    Row("cli-is-a-spec", "name", r"StackBuilder|build_\w+_stack|build_sharded_runtime|AucklandLaScenario"
+        r"|TrafficGenerator|\w*Injector|run_chaos|RecoveryHarness", scope=("cli.py",), pr=26,
+        why="cli.py turns flags into a spec (flags -> ScenarioSpec -> Episode); naming a stack or "
+        "generator constructor, or the chaos or recovery entry points, is the CLI wiring stacks again."),
+    Row("cli-refuses-nothing", "call", r"\w*parser\w*\.error", scope=("cli.py",), pr=26,
+        why="Refusals are the spec's and build()'s; a parser.error( is the CLI refusing flags itself."),
+    Row("cli-runs-episodes", "name", "Episode", scope=(), must_hold=("cli.py",), pr=26,
+        why="The CLI runs episodes."),
+    Row("one-configuration-path", "call", r"StackBuilder|build_\w+_stack",
+        allow=("stack/builder.py", "scenarios/runner.py::Episode"),
+        must_hold=("scenarios/runner.py::Episode._build_stack",), pr=26,
+        why="A spec becomes a stack in one place, the runner's Episode; a StackBuilder() or build_*_stack "
+        "call anywhere else is a second configuration path."),
+    Row("points-are-rows", point_from_tags_shapes, scope=("analytics/service.py", "analytics/aggregator.py"),
+        pr=27, why="The record half's points are rows of series it keys once; a Point( built from a tags "
+        "dict is the key worked out afresh per record (build the series key once, then Point.in_series)."),
+    Row("rows-held", "call", r"Point\.in_series", scope=(),
+        must_hold=("analytics/service.py", "analytics/aggregator.py"), pr=27, why="Both producers build rows."),
+    Row("one-fold-per-run", "attr", TIER_COUNTERS, scope=("faults/", "scenarios/runner.py"), pr=28,
+        why="A drained run's books are counted once, by count_books; a tier counter read beside them is "
+        "how ChaosReport and the runner's own fold came to count the same run twice (read "
+        "Episode.counts / DrainReport.counts)."),
+    Row("count-books-held", "def", "count_books", scope=(), must_hold=("stack/builder.py",), pr=28,
+        why="The books are counted in one place."),
+    Row("episode-counts-held", "attr", r"episode\.counts", scope=(),
+        must_hold=("faults/chaos.py", "scenarios/runner.py"), pr=28,
+        why="The chaos verdict and the scenario runner read the books."),
+    Row("shard-state-import", "import", r"repro\.durability(?:\..+)?", scope=("shard/",), pr=29,
+        why="A shard's recovery state lives in its parent (the last checkpoint reply and the acked "
+        "counts); repro.durability under shard/ is the per-shard disk copy, and its second restart "
+        "path, coming back."),
+    Row("shard-disk-calls", "call", r"open|os\.replace|Checkpointer|WriteAheadLog", scope=("shard/",), pr=29,
+        why="An open(, os.replace, Checkpointer( or WriteAheadLog( under shard/ is a shard's state on disk "
+        "(a restart loads the parent's last checkpoint reply plus its acked counts)."),
+    Row("restart-from-parent-held", "attr", r"handle\.checkpoint", scope=(), must_hold=("shard/runtime.py",),
+        pr=29, why="A restart reads the parent's copy of the shard's last checkpoint."),
+    Row("no-shard-supervisor", "name", "ShardSupervisor", pr=30,
+        why="There is one shard parent, ShardedRuntime; a ShardSupervisor anywhere is the second one."),
+    Row("no-supervisor-module", "module", r"shard/supervisor\.py", pr=30,
+        why="The second shard parent's module stays gone."),
+    Row("one-fork", "call", "fork", allow=("shard/runtime.py",), must_hold=(f"{RUNTIME}._spawn",), pr=30,
+        why="Only the shard parent forks, in ShardedRuntime._spawn."),
+    Row("one-pump", "call", r".*\.(?:recv|recv_all)", scope=("shard/",),
+        allow=(f"{RUNTIME}._await", f"{RUNTIME}._absorb", "shard/worker.py::shard_child_main"),
+        must_hold=(f"{RUNTIME}._await", f"{RUNTIME}._absorb"), pr=30,
+        why="A shard pipe is read only by the parent's lease-bounded pump (_await and _absorb) and the "
+        "child's loop; any other reader has its own rule for what a message it did not expect means."),
+)
+ROW = {row.id: row for row in ROWS}
+
+#: Modules, each placed at the path on its ``===`` line and checked against
+#: every row: ``# found: row=what, …`` lists all the rows report on a line.
+CASES = [
+    (path, source)
+    for path, _, source in (
+        case.partition("\n") for case in '''
+=== core/pipeline.py
+"""RuruPipeline( in a docstring."""
+pipeline = RuruPipeline(config)  # found: guarded-constructors=RuruPipeline
+service = analytics.AnalyticsService(tsdb)  # found: guarded-constructors=analytics.AnalyticsService
+stack = builder.analytics().build()
+=== tools/go.py
+class SideRuntime: pass  # found: no-parallel-mechanism=SideRuntime
+class BatchLedger: pass  # found: no-parallel-mechanism=BatchLedger
+def go(stack, service):
+    stack.pipeline.run_packets([])  # found: one-driver=stack.pipeline.run_packets
+    stack.service.finish()  # found: one-driver=stack.service.finish
+    service.finish()  # found: one-driver=service.finish
+    map_view.finish()
+=== core/rogue.py
+"""A tracer in a docstring; HandshakeTracker( in one too."""
+from struct import Struct  # found: one-header-walker-struct=struct
+import os, struct as st  # found: one-header-walker-struct=struct
+walker = PacketParser(max_vlan_tags=0)  # found: one-header-walker-parser=PacketParser
+def poll(self, tracer=None):  # found: no-tracer=tracer
+    with self._tracer.span('worker.poll'):  # found: no-tracer=_tracer, no-span-call=self._tracer.span
+        make(tracer=tracer)  # found: no-tracer=tracer, no-tracer=tracer
+    width = table.span  # an attribute read, not a call
+    return HandshakeTracker(config=None)  # found: one-tracker-body=HandshakeTracker
+=== net/tool.py
+import struct
+parser = PacketParser()
+=== dpdk/nic.py
+"""pool.alloc( and ring.enqueue( in a docstring."""
+def receive_burst(self, packets):
+    room = [queue.ring.free_space for queue in self.queues]
+    for packet in packets:
+        parsed = header_pass(packet.data, 0)
+        if parsed.__class__ is ParsedPacket:
+            rss_hash = hash_tuple(*parsed[:4])
+        else:
+            extracted = self._extract_tuple(packet.data)
+        rows[queue_id].append(make_row((0, rss_hash, parsed)))
+    self.pool.settle(taken)
+=== dpdk/nic.py
+def receive_burst(self, packets):
+    for packet in packets:
+        extracted = self._extract_tuple(packet.data)  # found: rx-frame-loop=_extract_tuple for an accepted frame
+        mbuf = self.pool.alloc(packet.data)  # found: rx-frame-loop=a pool/ring call in the frame loop, no-buffer-object=self.pool.alloc
+        ring = self.queues[0].ring
+        if ring.is_full:
+            mbuf.free()
+        ring.enqueue(Mbuf(data=packet.data))  # found: rx-frame-loop=a pool/ring call in the frame loop, no-buffer-object=Mbuf
+=== tools/peek.py
+def process_burst(self, rows): pass  # found: one-burst-body=process_burst
+def peek(nic):
+    key = NicPort._extract_tuple(data)  # found: extract-tuple=NicPort._extract_tuple
+    return nic.rx_burst(0) + nic.queues[0].ring.dequeue_burst(4)  # found: one-ring-reader=nic.rx_burst, one-ring-reader=.ring.dequeue_burst
+=== core/worker.py
+def process_burst(self, rows): pass
+=== shard/runtime.py
+"""encode_batch in a docstring."""
+from repro.shard.wire import encode_message  # found: dispatch-seam-wire=encode_message
+SHARD_UP = "up"
+SHARD_SUSPECT = "suspect"  # found: four-lifecycle-states=SHARD_SUSPECT
+class Supervisor:
+    def __init__(self, entry, transport_kind='pipe'):  # found: one-shard-mode=__init__(transport_kind=)
+        left, right = socket.socketpair()  # found: one-transport=socket.socketpair
+    def wait(self, transport, *, max_inflight=4):  # found: one-shard-mode=wait(max_inflight=)
+        deadline = time.monotonic() + 30.0  # found: one-stall-detector=time.monotonic
+        now = time.monotonic_ns()
+    def _dispatch(self, handle, triples):
+        self._send(handle, protocol.encode_batch(seq, triples))  # found: dispatch-seam-batch=encode_batch
+=== shard/protocol.py
+def encode_dispatch(seq, burst):
+    return encode_message(encode_batch(seq, burst))
+=== stack/builder.py
+from repro.shard.supervisor import ShardSupervisor  # found: no-shard-supervisor=ShardSupervisor
+def build(shards):
+    return shard.ShardSupervisor(shards)  # found: no-shard-supervisor=ShardSupervisor
+def build_sharded_runtime(shards, *, transport='pipe',  # found: one-shard-mode=build_sharded_runtime(transport=), one-shard-mode=build_sharded_runtime(heartbeat_deadline_ms=)
+                          heartbeat_deadline_ms=None): pass
+def build_live_stack(transport=None):
+    return StackBuilder().build()
+def _after_checkpoint(self, info):
+    self.wal.truncate()  # found: store-image-truncate=self.wal.truncate
+def state_dict(self):
+    return {"tsdb_lines": list(self.tsdb.applied_lines)}  # found: store-image-written=tsdb_lines, store-image-loader=tsdb_lines, store-image-mirror=applied_lines
+class StackBuilder:
+    def build(self):
+        if profile is not None:
+            store = FlakyTimeSeriesDatabase(store, injector)
+            if durability is not None:
+                tsdb = DurableTsdb(store, WriteAheadLog(path))  # found: tiers-compose=DurableTsdb(, tiers-compose=WriteAheadLog(
+            resilience = ResilienceLayer(seed=self._seed)  # found: tiers-compose=ResilienceLayer(
+        if durability is not None:
+            wal = WriteAheadLog(path)
+        layer = ResilienceLayer() if injector else None  # found: tiers-compose=ResilienceLayer(
+def elsewhere(profile):
+    if profile:
+        return ResilienceLayer()
+=== stack/stages.py
+"""Mentions tsdb_lines and applied_lines in a docstring."""
+def load_state(self, state):
+    if "tsdb_lines" in state:
+        self.wal.compact(image=(0, state["tsdb_lines"]))
+=== core/feed.py
+def batches(packets, size):
+    batch = []
+    for packet in packets:
+        if len(batch) >= size:
+            yield batch
+            batch = []
+        batch.append(packet)
+=== rogue.py
+"""len(batch) >= size, packets[i : i + n] in a docstring."""
+def run(self, packets, size):
+    batch = []
+    for packet in packets:
+        batch.append(packet)
+        if size <= len(batch):  # found: one-cutter=len() of the batch it fills
+            self.offer(batch)
+def trial(packets, n):
+    return [packets[i : i + n] for i in range(0, len(packets), n)]  # found: one-cutter=a list sliced by a stride
+def rounds(packets, n):
+    for start in range(0, len(packets), n):  # found: one-cutter=a list sliced by a stride
+        yield packets[start : start + n]
+def capture(state, applied_lines):  # found: store-image-mirror=applied_lines
+    state["tsdb_lines"] = applied_lines  # found: store-image-written=tsdb_lines, store-image-loader=tsdb_lines, store-image-mirror=applied_lines
+    extra = dict(tsdb_lines=[])  # found: store-image-written=tsdb_lines
+    peek = state.get("tsdb_lines")  # found: store-image-loader=tsdb_lines
+    log.truncate()  # not under stack/
+=== fine.py
+def evict(items):
+    for index in range(len(items) - 1, -1, -1):
+        del items[index]
+def collect(records, out):
+    for record in records:
+        out.append(record)
+    return len(out) >= 1
+def window(data, i, n):
+    return data[i : i + n]
+=== scenarios/shard_runner.py
+RUNNER = None  # found: no-shard-runner=scenarios/shard_runner.py
+=== analytics/service.py
+"""process_measurement, pub.send and if resilience is None: in a docstring."""
+KEY = series_key('latency', {'src_city': 'Auckland'})
+class AnalyticsService:
+    def __init__(self, resilience=None):
+        self.resilience = resilience or ResilienceLayer()
+    def poll(self, max_messages=256):
+        enriched = [self._process_message(m) for m in self.pull.recv_all(max_messages)]
+        self._write_points()
+        send = self.pub.send
+        for payload in enriched:
+            send(payload)
+    def finish(self):
+        self.poll()
+        self._write_points()
+    def _enrich(self, record):
+        res = self.resilience
+        if not res.enrich_breaker.allow(self._now_ns):
+            return degraded_measurement(record)
+    def _raw_point(self, m):
+        return Point.in_series(KEY, m.timestamp_ns, {'total_ms': 1.0}), Point('m', 1, fields={})
+=== analytics/service.py
+class AnalyticsService:
+    def poll(self, max_messages=256):
+        for message in self.pull.recv_all(max_messages):
+            self._process_message(message)
+            self._write_points()  # found: poll-shaped-write=_write_points inside a loop
+    def _process_message(self, message):
+        self.process_measurement(self._enrich(message))
+    def process_measurement(self, measurement):  # found: no-per-record-method=process_measurement
+        self._write_points([self._raw_point(measurement)])  # found: one-write-call=self._write_points
+        self.pub.send(measurement)  # found: one-publish=self.pub.send
+class Elsewhere:
+    def relay(self):
+        self.pub.send(b'not the service')
+=== analytics/service.py
+class AnalyticsService:
+    def poll(self, max_messages=256):
+        for message in self.pull.recv_all(max_messages):
+            self.pub.send(self._process_message(message))  # found: poll-shaped-write=pub.send before the poll's write
+        self._write_points()
+    def _write_points(self):
+        if self.resilience is None:  # found: one-guarded-path=the layer compared with None
+            return self.tsdb.write_batch(self._request)
+    def _enrich(self, record):
+        res = self.resilience
+        if res is not None and not res.enrich_breaker.allow(0):  # found: one-guarded-path=the layer compared with None
+            return None
+        return record if not res else None  # found: one-guarded-path=a branch on the layer's presence
+=== analytics/aggregator.py
+"""Point("m", 1, tags={"a": "b"}) in a docstring."""
+raw = Point(measurement='latency', timestamp_ns=m.timestamp_ns,  # found: points-are-rows=Point( with tags
+            tags={'src_city': m.src_city}, fields={'v': 1.0})
+rollup = tsdb.Point('latency_by_asn', 0, {'src_asn': pair[0]}, stats)  # found: points-are-rows=Point( with tags
+=== cli.py
+"""StackBuilder, run_chaos and parser.error( in a docstring."""
+from repro.stack import build_chaos_stack, StackBuilder  # found: cli-is-a-spec=build_chaos_stack, cli-is-a-spec=StackBuilder
+from repro.traffic.scenarios import AucklandLaScenario as A  # found: cli-is-a-spec=AucklandLaScenario
+def cmd(args):
+    stack = repro.stack.build_durable_stack(args.state_dir)  # found: cli-is-a-spec=build_durable_stack, one-configuration-path=repro.stack.build_durable_stack
+    glitch = FirewallGlitchInjector()  # found: cli-is-a-spec=FirewallGlitchInjector
+    args.shard_parser.error('--shards does not take --profile')  # found: cli-refuses-nothing=args.shard_parser.error
+    log.error('not a parser')
+    return run_chaos(args.profile), Episode(spec)  # found: cli-is-a-spec=run_chaos
+=== scenarios/runner.py
+class Episode:
+    def _build_stack(self):
+        return StackBuilder().build()
+def replay(spec):
+    return StackBuilder().analytics().build()  # found: one-configuration-path=StackBuilder
+=== harness.py
+stack = build_durable_stack(path), Episode(spec)  # found: one-configuration-path=build_durable_stack
+=== faults/injector.py
+"""stack.injector.injected and resilience.retries in a docstring."""
+class FaultInjector:
+    def decide(self, key):
+        self.injected[key] = self.injected.get(key, 0) + 1
+def render(episode):
+    return episode.counts['resilience.retries'], episode.stack.resilience.breakers
+=== faults/chaos.py
+def of(episode):
+    stack = episode.stack
+    faults = dict(stack.injector.injected)  # found: one-fold-per-run=stack.injector.injected
+    retries, restarts = stack.resilience.retries, stack.supervisor.total_restarts  # found: one-fold-per-run=stack.resilience.retries, one-fold-per-run=stack.supervisor.total_restarts
+    offered = [stack.overload.offered[k] for k in CLASSES]  # found: one-fold-per-run=stack.overload.offered
+    return stack.pipeline.stats_snapshot().measurements  # found: one-fold-per-run=stack.pipeline.stats_snapshot
+=== shard/fine.py
+"""Once: open( a ShardStateStore, os.replace, a WriteAheadLog(."""
+import os
+from repro.shard import protocol
+def restart(handle, name):
+    label = name.replace('-', '_')
+    return protocol.encode_json(b'restore', {'state': handle.checkpoint})
+=== shard/rogue.py
+import repro.durability.wal  # found: shard-state-import=repro.durability.wal
+from repro.durability.shardstate import Store  # found: shard-state-import=repro.durability.shardstate, shard-state-import=repro.durability.shardstate.Store
+from repro import durability  # found: shard-state-import=repro.durability
+def checkpoint(self, state, path):
+    with open(path + '.tmp', 'wb') as handle:  # found: shard-disk-calls=open
+        handle.write(state)
+    os.replace(path + '.tmp', path)  # found: shard-disk-calls=os.replace
+    fd = os.open(path, os.O_RDONLY)  # found: shard-disk-calls=os.open
+    self.log = repro.durability.wal.WriteAheadLog(path)  # found: shard-disk-calls=repro.durability.wal.WriteAheadLog
+    return Checkpointer(state_dir=path, capture=dict)  # found: shard-disk-calls=Checkpointer
+=== shard/runtime.py
+"""Once ShardSupervisor, .recv( and os.fork() in a docstring."""
+import os
+class ShardedRuntime:
+    def offer(self, packets): pass
+    def run(self, packets): pass  # found: no-shard-run=run
+    def _await(self, handle, done):
+        return handle.transport.recv(timeout=0.05)
+    def _absorb(self, handle):
+        return [m for m in handle.transport.recv_all()]
+    def _spawn(self, handle):
+        return os.fork()
+    def drain_shard(self, handle):
+        return handle.transport.recv(timeout=0.05)  # found: one-pump=handle.transport.recv
+class Elsewhere:
+    def run(self): pass
+=== shard/worker.py
+def shard_child_main(transport, shard_id):
+    return transport.recv(timeout=0.01)
+=== mq/socket.py
+def poll(sock):
+    return sock.recv(0), sock.recv_all()
+=== shard/supervisor.py
+import os  # found: no-supervisor-module=shard/supervisor.py
+from repro.shard.heartbeat import FailureDetector
+class ShardSupervisor:  # found: no-shard-supervisor=ShardSupervisor
+    def _spawn(self, handle):
+        return os.fork()  # found: one-fork=os.fork
+    def declare_down(self, handle):
+        for message in handle.transport.recv_all():  # found: one-pump=handle.transport.recv_all
+            def late(transport=handle.transport):  # found: one-shard-mode=late(transport=)
+                return transport.recv()  # found: one-pump=transport.recv
+'''.split("\n=== ")[1:]
+    )
+]
+
+
+def _marked(source):
+    """The ``(row id, line, what)`` a case's ``# found:`` comments list."""
+    return sorted(
+        (row_id, number, what)
+        for number, line in enumerate(source.splitlines(), 1)
+        if "# found:" in line
+        for item in line.split("# found:")[1].split(", ")
+        for row_id, _, what in [item.strip().partition("=")]
+    )
+
+
+# -- the tests ----------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def report():
+    return check(parse_tree(), ROWS)
+
+
+def _holds(row, report):
+    sites, unheld = report[row.id]
+    lines = [f"{path}:{line} {what}" for path, line, what in sites]
+    lines += [f"{place} no longer holds {row.kind} {row.match}" for place in unheld]
+    assert not lines, f"[{row.id}] {row.why} (PR {row.pr})\n  " + "\n  ".join(lines)
+
+
+def _reported_as_marked(path, source):
+    found = check({path: ast.parse(source)}, ROWS)
+    assert sorted(
+        (row_id, line, what) for row_id, (sites, _) in found.items() for _, line, what in sites
+    ) == _marked(source)
+
+
+def _emptied_holders_fail(row):
+    emptied = {place.partition("::")[0]: ast.Module([], []) for place in row.must_hold}
+    assert check(emptied, [row])[row.id][1] == list(row.must_hold)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=ROW)
+def test_contract_holds(row, report):
+    _holds(row, report)
+
+
+@pytest.mark.parametrize("path, source", CASES, ids=[path for path, _ in CASES])
+def test_case_is_reported_as_marked(path, source):
+    _reported_as_marked(path, source)
+
+
+@pytest.mark.parametrize("row", [row for row in ROWS if row.must_hold], ids=lambda row: row.id)
+def test_must_hold_fails_when_its_holder_is_emptied(row):
+    _emptied_holders_fail(row)
+
+
+def test_every_row_bites():
+    """Each row has its own id, and either bans something a case shows it
+    reporting or, banning nothing, must hold something."""
+    marked = {row_id for _, source in CASES for row_id, _, _ in _marked(source)}
+    assert len(ROW) == len(ROWS)
+    assert [row.id for row in ROWS if not (row.id in marked if row.scope else row.must_hold)] == []
+
+
+#: The tests the table replaced, under their former names. Each checks the
+#: rows that now hold its rule; a twin (``*_sees_*``) runs the cases that
+#: mark them and empties their holders.
+FORMER = """
+TestNoDirectAssemblyOutsideStack::test_guarded_constructors_only_called_from_the_builder guarded-constructors
+TestNoDirectAssemblyOutsideStack::test_the_builder_itself_still_assembles_the_stack guarded-constructors
+TestOneDriver::test_no_run_packets_or_service_finish_outside_the_stack one-driver
+TestOneDriver::test_no_new_runtime_harness_or_ledger_class no-parallel-mechanism
+TestOneDriver::test_the_guard_sees_what_it_guards one-driver no-parallel-mechanism
+TestOneDriver::test_one_function_cuts_a_packet_stream one-cutter
+TestOneDriver::test_the_cutter_guard_sees_what_it_guards one-cutter
+TestOneDriver::test_the_sharded_runtime_has_no_feed_loop_and_no_runner_of_its_own no-shard-run sharded-runtime-is-offered no-shard-runner
+TestOneBodyPerHotFunction::test_no_tracer_and_no_span_call no-tracer no-span-call
+TestOneBodyPerHotFunction::test_one_worker_body_builds_the_tracker one-tracker-body
+TestOneBodyPerHotFunction::test_one_header_walker_on_the_packet_path one-header-walker-struct one-header-walker-parser
+TestOneBodyPerHotFunction::test_the_guard_sees_what_it_guards no-tracer no-span-call one-tracker-body one-header-walker-struct one-header-walker-parser
+TestOneBodyPerHotFunction::test_the_burst_loop_pays_per_frame_only_for_the_frame rx-frame-loop no-buffer-object one-ring-reader one-burst-body extract-tuple rx-path-held worker-poll-held
+TestOneBodyPerHotFunction::test_the_rx_guard_sees_what_it_guards rx-frame-loop no-buffer-object one-ring-reader one-burst-body extract-tuple rx-path-held worker-poll-held
+TestOneShardMode::test_no_mode_switch_in_any_shard_signature one-shard-mode
+TestOneShardMode::test_one_transport_and_one_stall_detector one-transport one-stall-detector
+TestOneShardMode::test_one_dispatch_seam dispatch-seam-batch dispatch-seam-wire dispatch-seam-held
+TestOneShardMode::test_four_lifecycle_states four-lifecycle-states lifecycle-states-held
+TestOneShardMode::test_the_guard_sees_what_it_guards one-shard-mode one-transport one-stall-detector four-lifecycle-states lifecycle-states-held dispatch-seam-batch dispatch-seam-wire dispatch-seam-held
+TestOneStoreImage::test_the_log_is_the_only_image_of_the_store store-image-mirror store-image-written store-image-loader store-image-truncate
+TestOneStoreImage::test_the_legacy_loader_still_reads_old_checkpoints store-image-loader
+TestOneStoreImage::test_the_guard_sees_what_it_guards store-image-mirror store-image-written store-image-loader store-image-truncate
+TestOneWritePath::test_one_write_and_one_publish_per_poll one-write-call no-per-record-method one-publish poll-shaped-write
+TestOneWritePath::test_the_guard_sees_what_it_guards one-write-call no-per-record-method one-publish poll-shaped-write
+TestPointsAreRows::test_producers_key_each_series_once points-are-rows rows-held
+TestPointsAreRows::test_the_guard_sees_what_it_guards points-are-rows rows-held
+TestTiersCompose::test_the_analytics_tier_has_one_guarded_path one-guarded-path layer-held
+TestTiersCompose::test_no_tier_is_built_under_a_test_of_the_fault_profile tiers-compose tiers-held
+TestTiersCompose::test_the_guard_sees_what_it_guards one-guarded-path layer-held tiers-compose tiers-held
+TestOneConfigurationPath::test_the_cli_builds_no_stack_and_refuses_nothing_itself cli-is-a-spec cli-refuses-nothing cli-runs-episodes
+TestOneConfigurationPath::test_only_the_episode_builds_a_stack one-configuration-path
+TestOneConfigurationPath::test_the_guard_sees_what_it_guards cli-is-a-spec cli-refuses-nothing cli-runs-episodes one-configuration-path
+TestOneFoldPerRun::test_the_books_are_counted_once one-fold-per-run count-books-held episode-counts-held
+TestOneFoldPerRun::test_the_guard_sees_what_it_guards one-fold-per-run count-books-held episode-counts-held
+TestShardStateLivesInTheParent::test_no_shard_module_keeps_state_on_disk shard-state-import shard-disk-calls restart-from-parent-held
+TestShardStateLivesInTheParent::test_the_guard_sees_what_it_guards shard-state-import shard-disk-calls restart-from-parent-held
+TestOneShardParent::test_one_parent_reads_every_pipe_through_one_pump no-shard-supervisor no-supervisor-module one-fork one-pump
+TestOneShardParent::test_the_guard_sees_what_it_guards no-shard-supervisor no-supervisor-module one-fork one-pump
+"""
+
+
+def _former(row_ids, twin):
+    rows = [ROW[row_id] for row_id in row_ids]
+
+    def holds(self, report):
+        for row in rows:
+            _holds(row, report)
+
+    def sees(self):
+        for path, source in CASES:
+            if set(row_ids) & {row_id for row_id, _, _ in _marked(source)}:
+                _reported_as_marked(path, source)
+        for row in (row for row in rows if row.must_hold):
+            _emptied_holders_fail(row)
+
+    return sees if twin else holds
+
+
+for _test, *_row_ids in map(str.split, FORMER.strip().splitlines()):
+    _class, _name = _test.split("::")
+    setattr(globals().setdefault(_class, type(_class, (), {})), _name, _former(_row_ids, "_sees_" in _name))

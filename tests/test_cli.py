@@ -534,6 +534,35 @@ REFUSED = [
 ]
 
 
+#: Inputs a command cannot read: (argv, what the one error line says).
+UNREADABLE = [
+    (["measure", "--pcap", "empty.pcap"], "too short for a magic number"),
+    (["measure", "--pcap", "text.pcap"], "bad pcap magic"),
+    (["dump", "--pcap", "empty.pcap"], "too short for a magic number"),
+    (["dump", "--pcap", "text.pcap"], "bad pcap magic"),
+    (["query", "--file", "good.lp", "SELECT mean(total_ms) FROM"], "unexpected end of query"),
+    (["query", "--file", "bad.lp", "SELECT mean(total_ms) FROM latency"], "too many sections"),
+]
+
+
+class TestUnreadableInput:
+    """A capture, line-protocol file or query text the command cannot
+    read is one stderr line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv, says", UNREADABLE, ids=[" ".join(a) for a, _ in UNREADABLE])
+    def test_one_error_line(self, argv, says, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.pcap").write_bytes(b"")
+        (tmp_path / "text.pcap").write_bytes(b"a text file, not a packet capture\n")
+        point = "latency,dst_country=NZ total_ms=1.5 1000\n"
+        (tmp_path / "good.lp").write_text(point)
+        (tmp_path / "bad.lp").write_text(point + "a line that is not a point\n")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"ruru {argv[0]}: error: ") and says in err
+
+
 class TestNoFlagIsDropped:
     """Each (command, flag) pair that used to be accepted and then
     ignored either changes the run or is refused in one stderr line."""
