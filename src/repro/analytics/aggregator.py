@@ -69,37 +69,36 @@ class PairStats:
             return 0.0
         return math.sqrt(self._m2 / self.count)
 
-    def state_dict(self) -> dict:
-        """Snapshot the running moments (and the P² sketch if present).
+    def state_row(self) -> tuple:
+        """Snapshot the running moments (and the P² sketch if present)
+        as one ``(count, mean, m2, min, max, p99)`` row.
 
-        Infinities (the empty-cell min/max sentinels) are not JSON, so
-        they serialize as None and restore to the same sentinels.
+        Infinities (the empty-cell min/max sentinels) are refused by the
+        snapshot codec, so they travel as None and restore to the same
+        sentinels.
         """
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "m2": self._m2,
-            "min": None if math.isinf(self.min_value) else self.min_value,
-            "max": None if math.isinf(self.max_value) else self.max_value,
-            "p99": self.p99.state_dict() if self.p99 is not None else None,
-        }
+        return (
+            self.count,
+            self.mean,
+            self._m2,
+            None if math.isinf(self.min_value) else self.min_value,
+            None if math.isinf(self.max_value) else self.max_value,
+            self.p99.state_dict() if self.p99 is not None else None,
+        )
 
     @classmethod
-    def from_state(cls, state: dict) -> "PairStats":
-        """Rebuild a cell from a :meth:`state_dict` snapshot."""
+    def from_state(cls, state: tuple) -> "PairStats":
+        """Rebuild a cell from a :meth:`state_row`."""
         from repro.analytics.quantile import P2Quantile
 
+        count, mean, m2, low, high, p99 = state
         return cls(
-            count=int(state["count"]),
-            mean=float(state["mean"]),
-            _m2=float(state["m2"]),
-            min_value=math.inf if state["min"] is None else float(state["min"]),
-            max_value=-math.inf if state["max"] is None else float(state["max"]),
-            p99=(
-                P2Quantile.from_state(state["p99"])
-                if state["p99"] is not None
-                else None
-            ),
+            count=count,
+            mean=mean,
+            _m2=m2,
+            min_value=math.inf if low is None else low,
+            max_value=-math.inf if high is None else high,
+            p99=None if p99 is None else P2Quantile.from_state(p99),
         )
 
 
@@ -207,11 +206,11 @@ class PairAggregator:
             else {
                 "start_ns": window.start_ns,
                 "by_location": [
-                    [list(pair), stats.state_dict()]
+                    (pair, stats.state_row())
                     for pair, stats in window.by_location.items()
                 ],
                 "by_asn": [
-                    [list(pair), stats.state_dict()]
+                    (pair, stats.state_row())
                     for pair, stats in window.by_asn.items()
                 ],
             },
@@ -226,16 +225,17 @@ class PairAggregator:
         if window_state is None:
             self._window = None
             return
-        window = _Window(start_ns=int(window_state["start_ns"]))
-        for pair, cell in window_state["by_location"]:
-            window.by_location[(str(pair[0]), str(pair[1]))] = (
-                PairStats.from_state(cell)
-            )
-        for pair, cell in window_state["by_asn"]:
-            window.by_asn[(int(pair[0]), int(pair[1]))] = (
-                PairStats.from_state(cell)
-            )
-        self._window = window
+        self._window = _Window(
+            start_ns=int(window_state["start_ns"]),
+            by_location={
+                pair: PairStats.from_state(cell)
+                for pair, cell in window_state["by_location"]
+            },
+            by_asn={
+                pair: PairStats.from_state(cell)
+                for pair, cell in window_state["by_asn"]
+            },
+        )
 
     @staticmethod
     def _fields(stats: PairStats) -> Dict[str, float]:

@@ -94,17 +94,14 @@ class SpaceSaving(Generic[K]):
     # -- durability --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot every counter and its error bound.
-
-        Keys may be tuples (pair keys); tuples are not JSON so they
-        are tagged and round-tripped back to tuples on load.
-        """
+        """Snapshot every counter and its error bound as a ``(key,
+        count, error)`` row; pair keys stay tuples."""
+        errors = self._errors
         return {
             "capacity": self.capacity,
             "total": self.total,
             "entries": [
-                [_pack_key(key), count, self._errors[key]]
-                for key, count in self._counts.items()
+                (key, count, errors[key]) for key, count in self._counts.items()
             ],
         }
 
@@ -114,21 +111,6 @@ class SpaceSaving(Generic[K]):
         self.total = int(state["total"])
         self._counts = {}
         self._errors = {}
-        for packed, count, error in state["entries"]:
-            key = _unpack_key(packed)
-            self._counts[key] = int(count)
-            self._errors[key] = int(error)
-
-
-def _pack_key(key):
-    """JSON-safe form of a counter key (tuples become tagged lists)."""
-    if isinstance(key, tuple):
-        return {"tuple": list(key)}
-    return key
-
-
-def _unpack_key(packed):
-    """Inverse of :func:`_pack_key`."""
-    if isinstance(packed, dict):
-        return tuple(packed["tuple"])
-    return packed
+        for key, count, error in state["entries"]:
+            self._counts[key] = count
+            self._errors[key] = error

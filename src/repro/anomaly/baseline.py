@@ -79,12 +79,13 @@ class EwmaBaseline(Generic[K]):
     # -- durability --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot every per-key cell (keys tagged if tuples)."""
+        """Snapshot every per-key cell as a ``(key, mean, variance,
+        samples)`` row."""
         return {
             "alpha": self.alpha,
             "warmup": self.warmup,
             "cells": [
-                [_pack_key(key), cell.mean, cell.variance, cell.samples]
+                (key, cell.mean, cell.variance, cell.samples)
                 for key, cell in self._cells.items()
             ],
         }
@@ -93,11 +94,10 @@ class EwmaBaseline(Generic[K]):
         """Restore a :meth:`state_dict` snapshot."""
         self.alpha = float(state["alpha"])
         self.warmup = int(state["warmup"])
-        self._cells = {}
-        for packed, mean, variance, samples in state["cells"]:
-            self._cells[_unpack_key(packed)] = _EwmaCell(
-                mean=float(mean), variance=float(variance), samples=int(samples)
-            )
+        self._cells = {
+            key: _EwmaCell(mean, variance, samples)
+            for key, mean, variance, samples in state["cells"]
+        }
 
 
 class WindowedRate(Generic[K]):
@@ -140,13 +140,11 @@ class WindowedRate(Generic[K]):
     # -- durability --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot the open window's counters (keys tagged if tuples)."""
+        """Snapshot the open window's ``(key, count)`` rows."""
         return {
             "window_ns": self.window_ns,
             "current_start": self._current_start,
-            "counts": [
-                [_pack_key(key), count] for key, count in self._counts.items()
-            ],
+            "counts": list(self._counts.items()),
         }
 
     def load_state(self, state: dict) -> None:
@@ -154,20 +152,4 @@ class WindowedRate(Generic[K]):
         self.window_ns = int(state["window_ns"])
         start = state["current_start"]
         self._current_start = None if start is None else int(start)
-        self._counts = {
-            _unpack_key(packed): int(count) for packed, count in state["counts"]
-        }
-
-
-def _pack_key(key):
-    """JSON-safe form of a baseline key (tuples become tagged lists)."""
-    if isinstance(key, tuple):
-        return {"tuple": list(key)}
-    return key
-
-
-def _unpack_key(packed):
-    """Inverse of :func:`_pack_key`."""
-    if isinstance(packed, dict):
-        return tuple(packed["tuple"])
-    return packed
+        self._counts = dict(state["counts"])

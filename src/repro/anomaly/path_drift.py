@@ -11,7 +11,6 @@ KS-compares each completed window against the previous one.
 
 from __future__ import annotations
 
-import base64
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -26,20 +25,6 @@ PairKey = Tuple[str, str]
 
 
 _U64 = (1 << 64) - 1
-
-
-def _pack_floats(values: List[float]) -> str:
-    """Latency samples as base64 little-endian float64 — bit-exact,
-    and far cheaper to JSON-encode than hundreds of float reprs (the
-    reservoirs dominate the anomaly tier's checkpoint cost)."""
-    return base64.b64encode(
-        struct.pack(f"<{len(values)}d", *values)
-    ).decode("ascii")
-
-
-def _unpack_floats(packed: str) -> List[float]:
-    raw = base64.b64decode(packed.encode("ascii"))
-    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
 
 
 class _SplitMix64:
@@ -74,12 +59,12 @@ class Reservoir:
         self.capacity = capacity
         self._rng = _SplitMix64(seed)
         self._items: List[float] = []
-        self._packed: Optional[str] = None  # of _items, until the next add
+        self._row: Optional[tuple] = None  # the state row, until the next add
         self.seen = 0
 
     def add(self, value: float) -> None:
         self.seen += 1
-        self._packed = None
+        self._row = None
         if len(self._items) < self.capacity:
             self._items.append(value)
             return
@@ -94,25 +79,30 @@ class Reservoir:
     def __len__(self) -> int:
         return len(self._items)
 
-    def state_dict(self) -> dict:
-        """Snapshot the sample, the stream position, and the RNG."""
-        if self._packed is None:
-            # Most paths see no sample between two checkpoints.
-            self._packed = _pack_floats(self._items)
-        return {
-            "capacity": self.capacity,
-            "seen": self.seen,
-            "items": self._packed,
-            "rng": self._rng.state,
-        }
+    def state_row(self) -> tuple:
+        """Snapshot ``(capacity, seen, items, rng)``: the sample as
+        little-endian float64 bytes (bit-exact, one object for the codec
+        instead of hundreds of floats), the stream position and the RNG.
+
+        The row is kept until the next :meth:`add`: most paths see no
+        sample between two checkpoints, and the reservoirs dominate the
+        anomaly tier's checkpoint cost.
+        """
+        if self._row is None:
+            items = self._items
+            self._row = (
+                self.capacity, self.seen, struct.pack(f"<{len(items)}d", *items), self._rng.state
+            )
+        return self._row
 
     @classmethod
-    def from_state(cls, state: dict) -> "Reservoir":
+    def from_state(cls, row: tuple) -> "Reservoir":
         """Rebuild a reservoir that continues its pre-crash sequence."""
-        reservoir = cls(capacity=int(state["capacity"]))
-        reservoir.seen = int(state["seen"])
-        reservoir._items = _unpack_floats(state["items"])
-        reservoir._rng.state = int(state["rng"]) & _U64
+        capacity, seen, raw, rng = row
+        reservoir = cls(capacity=capacity)
+        reservoir.seen = seen
+        reservoir._items = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+        reservoir._rng.state = rng
         return reservoir
 
 
@@ -221,20 +211,17 @@ class PathDriftDetector:
     # -- durability --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot every pair's reservoir windows and the counter."""
+        """Snapshot every pair's ``(key, window_start, current,
+        previous)`` row and the counter."""
         return {
             "windows_compared": self.windows_compared,
             "states": [
-                [
-                    list(key),
-                    {
-                        "window_start": state.window_start,
-                        "current": state.current.state_dict(),
-                        "previous": None
-                        if state.previous is None
-                        else _pack_floats(state.previous),
-                    },
-                ]
+                (
+                    key,
+                    state.window_start,
+                    state.current.state_row(),
+                    None if state.previous is None else tuple(state.previous),
+                )
                 for key, state in self._states.items()
             ],
         }
@@ -242,16 +229,14 @@ class PathDriftDetector:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot."""
         self.windows_compared = int(state["windows_compared"])
-        self._states = {}
-        for key, cell in state["states"]:
-            previous = cell["previous"]
-            self._states[(str(key[0]), str(key[1]))] = _PairState(
-                window_start=int(cell["window_start"]),
-                current=Reservoir.from_state(cell["current"]),
-                previous=None
-                if previous is None
-                else _unpack_floats(previous),
+        self._states = {
+            key: _PairState(
+                window_start=window_start,
+                current=Reservoir.from_state(current),
+                previous=None if previous is None else list(previous),
             )
+            for key, window_start, current, previous in state["states"]
+        }
 
     def finish(self, now_ns: Optional[int] = None) -> List[AnomalyEvent]:
         """End of stream: compare every pair's final window."""

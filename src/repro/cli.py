@@ -49,7 +49,8 @@ path per flag (:data:`COMMANDS`, :data:`OPTIONS`) -> the one
 SIGTERM stop the feed) -> a renderer of the drained stack. A flag the
 run would not honour is refused by the spec or by ``build()``: one
 ``ruru <command>: error: …`` line, exit 2. So is a capture, line-protocol
-file or query text the command cannot read.
+file or query text the command cannot read, and a state directory whose
+checkpoints another envelope version wrote.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.report import analyze_paths, compare_windows
-from repro.durability import recover_runtime, run_recovery_trial
+from repro.durability import SnapshotError, recover_runtime, run_recovery_trial
 from repro.durability.signals import GracefulShutdown
 from repro.faults import PROFILES, chaos_ok, render_chaos
 from repro.frontend.dashboard import build_ruru_dashboard
@@ -814,9 +815,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, PcapError, LineProtocolError, QueryError) as exc:
+    except (SpecError, PcapError, LineProtocolError, QueryError, SnapshotError) as exc:
         # A flag, override or spec the run would not honour, or an input
-        # file or query text it cannot read.
+        # file, query text or state directory it cannot read.
         print(f"ruru {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

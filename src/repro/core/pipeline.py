@@ -268,7 +268,7 @@ class RuruPipeline:
                 "ibytes": nic.ibytes,
                 "imissed": nic.imissed,
                 "ierrors": nic.ierrors,
-                "q_ipackets": {str(q): n for q, n in nic.q_ipackets.items()},
+                "q_ipackets": dict(nic.q_ipackets),
             },
             "workers": [worker.state_dict() for worker in self.workers],
         }
@@ -296,9 +296,7 @@ class RuruPipeline:
         nic.ibytes = int(nic_state["ibytes"])
         nic.imissed = int(nic_state["imissed"])
         nic.ierrors = int(nic_state["ierrors"])
-        nic.q_ipackets = {
-            int(q): int(n) for q, n in nic_state["q_ipackets"].items()
-        }
+        nic.q_ipackets = dict(nic_state["q_ipackets"])
         for worker, worker_state in zip(self.workers, workers_state):
             worker.load_state(worker_state)
 

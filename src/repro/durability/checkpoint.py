@@ -13,7 +13,14 @@ complete envelope or the previous one, never a half-written file, even
 under kill -9. The last *keep* checkpoints are retained and
 :meth:`Checkpointer.latest_valid` walks them newest-first, skipping
 anything the codec rejects: a torn or bit-flipped newest checkpoint
-degrades recovery to the previous one instead of failing it.
+degrades recovery to the previous one instead of failing it. An intact
+envelope of another version is not damage: it stops the walk, so a
+state directory this build cannot read is never resumed without its
+checkpoints.
+
+The directory is made and listed once per checkpointer, by its first
+write and prune (which deletes any ``.tmp`` a kill orphaned); later
+prunes drop from the files it wrote.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.durability.codec import SnapshotError, decode_snapshot, encode_snapshot
+from repro.durability.codec import ForeignSnapshotError, SnapshotError
+from repro.durability.codec import decode_snapshot, encode_snapshot
 
 CHECKPOINT_PREFIX = "ckpt-"
 CHECKPOINT_SUFFIX = ".snap"
+TMP_SUFFIX = ".tmp"
 
 
 @dataclass(frozen=True)
@@ -58,8 +67,8 @@ class Checkpointer:
     Args:
         state_dir: directory for ``ckpt-<seq>-<now>.snap`` files
             (created on first write).
-        capture: zero-arg callable returning the full JSON-safe state
-            of the running stack (the runtime's ``capture_state``).
+        capture: zero-arg callable returning the full state of the
+            running stack as plain data (the runtime's ``capture_state``).
         interval_ns: virtual-time cadence for :meth:`maybe_checkpoint`.
         keep: checkpoints retained; older ones are pruned after each
             successful write.
@@ -101,6 +110,8 @@ class Checkpointer:
         self.last_checkpoint_ns: Optional[int] = None
         self.last_info: Optional[CheckpointInfo] = None
         self.corrupt_skipped = 0
+        #: Checkpoint files, newest first; None until the first prune.
+        self._files: Optional[List[CheckpointInfo]] = None
 
     def _reached(self, point: str) -> None:
         if self.crash_schedule is not None:
@@ -135,11 +146,12 @@ class Checkpointer:
         state["checkpoint"] = {"now_ns": now_ns, "clean": clean, "seq": self.seq + 1}
         blob = encode_snapshot(state)
 
-        os.makedirs(self.state_dir, exist_ok=True)
+        if self._files is None:
+            os.makedirs(self.state_dir, exist_ok=True)
         self.seq += 1
         name = f"{CHECKPOINT_PREFIX}{self.seq}-{now_ns}{CHECKPOINT_SUFFIX}"
         final_path = os.path.join(self.state_dir, name)
-        tmp_path = final_path + ".tmp"
+        tmp_path = final_path + TMP_SUFFIX
 
         schedule = self.crash_schedule
         if schedule is not None and schedule.will_fire("checkpoint.mid"):
@@ -165,7 +177,7 @@ class Checkpointer:
         self.bytes_written += len(blob)
         self.last_checkpoint_ns = now_ns
         self.last_info = info
-        self._prune()
+        self._prune(info)
         # checkpoint.post: the checkpoint is durable, the process dies
         # before doing anything else — every logged batch is at or
         # below the mark just written, so recovery re-applies nothing.
@@ -174,23 +186,37 @@ class Checkpointer:
             self.on_written(info)
         return info
 
-    def _prune(self) -> None:
-        for info in self.list_checkpoints()[self.keep :]:
+    def _prune(self, written: CheckpointInfo) -> None:
+        files = self._files
+        if files is None:
+            # The one listing: it already holds *written*.
+            files = self._files = self.list_checkpoints(remove_tmp=True)
+        else:
+            files.insert(0, written)
+        for info in files[self.keep :]:
             try:
                 os.remove(info.path)
             except OSError:
                 pass
+        del files[self.keep :]
 
     # -- reading ------------------------------------------------------------
 
-    def list_checkpoints(self) -> List[CheckpointInfo]:
-        """Every checkpoint file present, newest first."""
+    def list_checkpoints(self, remove_tmp: bool = False) -> List[CheckpointInfo]:
+        """Every checkpoint file present, newest first. With
+        *remove_tmp*, also delete every ``ckpt-*.snap.tmp``: a write a
+        kill cut off before its rename (the current one has renamed)."""
         if not os.path.isdir(self.state_dir):
             return []
         infos: List[CheckpointInfo] = []
         for name in os.listdir(self.state_dir):
             parsed = _parse_name(name)
             if parsed is None:
+                if remove_tmp and name.endswith(TMP_SUFFIX) and _parse_name(name[: -len(TMP_SUFFIX)]):
+                    try:
+                        os.remove(os.path.join(self.state_dir, name))
+                    except OSError:
+                        pass
                 continue
             path = os.path.join(self.state_dir, name)
             try:
@@ -208,6 +234,10 @@ class Checkpointer:
 
         Also resynchronizes :attr:`seq` so post-recovery checkpoints
         never collide with surviving files.
+
+        Raises:
+            ForeignSnapshotError: a checkpoint of another envelope
+                version, naming its file.
         """
         skipped = 0
         for info in self.list_checkpoints():
@@ -215,6 +245,8 @@ class Checkpointer:
             try:
                 with open(info.path, "rb") as handle:
                     state = decode_snapshot(handle.read())
+            except ForeignSnapshotError as exc:
+                raise ForeignSnapshotError(f"{info.path}: {exc}") from None
             except (SnapshotError, OSError):
                 skipped += 1
                 continue

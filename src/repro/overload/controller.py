@@ -61,14 +61,6 @@ class OverloadTransition:
     def direction(self) -> str:
         return "step-up" if self.to_level > self.from_level else "step-down"
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "at_ns": self.at_ns,
-            "from_level": self.from_level,
-            "to_level": self.to_level,
-            "pressure": self.pressure,
-        }
-
     def __str__(self) -> str:
         return (
             f"[{self.at_ns / 1e9:9.3f}s] overload {self.direction}: "
@@ -310,7 +302,9 @@ class OverloadController:
             "mq_offered": self.mq_offered,
             "payload_seq": self._payload_seq,
             "other_seq": self._other_seq,
-            "transitions": [t.as_dict() for t in self.transitions],
+            "transitions": [
+                (t.at_ns, t.from_level, t.to_level, t.pressure) for t in self.transitions
+            ],
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -336,13 +330,7 @@ class OverloadController:
         self._payload_seq = state["payload_seq"]
         self._other_seq = state["other_seq"]
         self.transitions = [
-            OverloadTransition(
-                at_ns=t["at_ns"],
-                from_level=t["from_level"],
-                to_level=t["to_level"],
-                pressure=t["pressure"],
-            )
-            for t in state["transitions"]
+            OverloadTransition(*row) for row in state["transitions"]
         ]
         self._nic_shed = 0
 

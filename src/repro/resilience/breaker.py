@@ -125,7 +125,7 @@ class CircuitBreaker:
             "probe_successes": self._probe_successes,
             "opened_at_ns": self._opened_at_ns,
             "opened_count": self.opened_count,
-            "transitions": [list(t) for t in self.transitions],
+            "transitions": list(self.transitions),
         }
 
     def load_state(self, state: dict) -> None:
@@ -135,9 +135,7 @@ class CircuitBreaker:
         self._probe_successes = int(state["probe_successes"])
         self._opened_at_ns = int(state["opened_at_ns"])
         self.opened_count = int(state["opened_count"])
-        self.transitions = [
-            (int(t[0]), int(t[1]), int(t[2])) for t in state["transitions"]
-        ]
+        self.transitions = list(state["transitions"])
 
     # -- reporting ----------------------------------------------------------
 

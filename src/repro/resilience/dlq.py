@@ -11,9 +11,9 @@ storm costs memory proportional to the cap, never the outage length.
 
 from __future__ import annotations
 
-import base64
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 
@@ -32,6 +32,9 @@ class DeadLetter:
         head = self.payload[:width]
         suffix = ".." if len(self.payload) > width else ""
         return head.hex() + suffix
+
+
+_letter_row = attrgetter(*DeadLetter.__dataclass_fields__)
 
 
 class DeadLetterQueue:
@@ -88,26 +91,15 @@ class DeadLetterQueue:
     # -- durability --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot every parked letter (payload bytes as base64) so the
+        """Snapshot every parked letter as a ``(seq, stage, reason,
+        payload, timestamp_ns)`` row, payload bytes as they are, so the
         evidence survives a crash along with the counters."""
         return {
             "capacity": self.capacity,
             "total": self.total,
             "overflowed": self.overflowed,
-            "counts": [
-                [stage, reason, count]
-                for (stage, reason), count in self._counts.items()
-            ],
-            "entries": [
-                {
-                    "seq": letter.seq,
-                    "stage": letter.stage,
-                    "reason": letter.reason,
-                    "payload": base64.b64encode(letter.payload).decode("ascii"),
-                    "timestamp_ns": letter.timestamp_ns,
-                }
-                for letter in self._entries
-            ],
+            "counts": list(self._counts.items()),
+            "entries": list(map(_letter_row, self._entries)),
         }
 
     def load_state(self, state: dict) -> None:
@@ -115,20 +107,8 @@ class DeadLetterQueue:
         self.capacity = int(state["capacity"])
         self.total = int(state["total"])
         self.overflowed = int(state["overflowed"])
-        self._counts = {
-            (str(stage), str(reason)): int(count)
-            for stage, reason, count in state["counts"]
-        }
-        self._entries = deque(
-            DeadLetter(
-                seq=int(row["seq"]),
-                stage=str(row["stage"]),
-                reason=str(row["reason"]),
-                payload=base64.b64decode(row["payload"]),
-                timestamp_ns=int(row["timestamp_ns"]),
-            )
-            for row in state["entries"]
-        )
+        self._counts = dict(state["counts"])
+        self._entries = deque(DeadLetter(*row) for row in state["entries"])
 
     def format_table(self, limit: int = 20) -> str:
         """Render the queue for ``ruru dlq``."""

@@ -63,7 +63,7 @@ class ResilienceLayer:
         retry queue (pending write batches included), and counters.
 
         Args:
-            encode_retry_item: JSON-safe encoder for retry-queue items
+            encode_retry_item: plain-data encoder for retry-queue items
                 (the analytics service passes a line-protocol encoder
                 for its point batches).
         """

@@ -75,13 +75,11 @@ class RetryPolicy:
     def state_dict(self) -> dict:
         """Snapshot the jitter RNG so a restored run continues the
         exact backoff schedule the seed promised."""
-        rng_state = self._rng.getstate()
-        return {"rng": [rng_state[0], list(rng_state[1]), rng_state[2]]}
+        return {"rng": self._rng.getstate()}
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot."""
-        rng = state["rng"]
-        self._rng.setstate((rng[0], tuple(rng[1]), rng[2]))
+        self._rng.setstate(state["rng"])
 
 
 class RetryQueue:
@@ -145,8 +143,8 @@ class RetryQueue:
         """Snapshot the pending entries and counters.
 
         Args:
-            encode_item: maps each opaque item to a JSON-safe value
-                (identity when None — items must already be JSON-safe).
+            encode_item: maps each opaque item to plain snapshot data
+                (identity when None — items must already be plain).
         """
         encode = encode_item or (lambda item: item)
         return {

@@ -17,7 +17,9 @@ Dataplane:
 Control plane: ``hb`` heartbeats (:mod:`repro.shard.heartbeat`),
 ``ckpt_req``/``ckpt`` checkpoint capture, ``restore`` the last
 checkpoint's state + one delta of acked counts into a restarted shard, ``fault`` scheduled-fault arming,
-``drain``/``drained`` the graceful shutdown handshake.
+``drain``/``drained`` the graceful shutdown handshake. The ``ckpt`` reply
+and the ``restore`` carry a ``state_dict`` in a snapshot envelope
+(:func:`encode_state`); the rest are small JSON tables.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import struct
 from typing import Iterable, List, Tuple
 
+from repro.durability.codec import SnapshotError, decode_snapshot, encode_snapshot
 from repro.mq.frames import Message
 from repro.shard.wire import encode_message
 
@@ -159,7 +162,28 @@ def decode_ack(message: Message) -> Tuple[int, int, int, List[bytes]]:
     return seq, processed, parse_errors, unpack_record_blob(message.frames[2], count)
 
 
-# -- JSON control messages ---------------------------------------------------
+# -- control messages --------------------------------------------------------
+
+
+def _payload(message: Message) -> bytes:
+    if len(message.frames) != 2:
+        raise ProtocolError(
+            f"malformed {message.topic!r} message: {len(message.frames)} frames"
+        )
+    return message.frames[1]
+
+
+def encode_state(topic: bytes, payload: dict) -> Message:
+    """A message carrying a ``state_dict``: one snapshot envelope."""
+    return Message.with_topic(topic, encode_snapshot(payload))
+
+
+def decode_state(message: Message) -> dict:
+    """Inverse of :func:`encode_state`; damage is a :class:`ProtocolError`."""
+    try:
+        return decode_snapshot(_payload(message))
+    except SnapshotError as exc:
+        raise ProtocolError(f"bad {message.topic!r} payload: {exc}") from None
 
 
 def encode_json(topic: bytes, payload: dict) -> Message:
@@ -169,12 +193,8 @@ def encode_json(topic: bytes, payload: dict) -> Message:
 
 
 def decode_json(message: Message) -> dict:
-    if len(message.frames) != 2:
-        raise ProtocolError(
-            f"malformed {message.topic!r} message: {len(message.frames)} frames"
-        )
     try:
-        payload = json.loads(message.frames[1].decode("utf-8"))
+        payload = json.loads(_payload(message).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"bad {message.topic!r} payload: {exc}") from None
     if not isinstance(payload, dict):

@@ -507,7 +507,7 @@ class ShardedRuntime:
             shard_id, _seq, sent_ns = heartbeat.decode_heartbeat(message)
             self.detector.observe(shard_id, sent_ns)
         elif topic == protocol.CKPT_TOPIC:
-            handle.checkpoint = protocol.decode_json(message)["state"]
+            handle.checkpoint = protocol.decode_state(message)["state"]
         elif topic == protocol.DRAINED_TOPIC:
             handle.drained_payload = protocol.decode_json(message)
 
@@ -582,7 +582,7 @@ class ShardedRuntime:
         handle.restarts += 1
         return self._send(
             handle,
-            protocol.encode_json(protocol.RESTORE_TOPIC, {"state": state, "delta": delta}),
+            protocol.encode_state(protocol.RESTORE_TOPIC, {"state": state, "delta": delta}),
         )
 
     # -- checkpointing ---------------------------------------------------------

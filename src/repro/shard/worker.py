@@ -158,12 +158,12 @@ def shard_child_main(
                 transport.send(books.process_batch(seq, packets))
             elif topic == protocol.CKPT_REQ_TOPIC:
                 request = protocol.decode_json(message)
-                transport.send(protocol.encode_json(
+                transport.send(protocol.encode_state(
                     protocol.CKPT_TOPIC,
                     {"seq": int(request.get("seq", 0)), "state": books.state_dict()},
                 ))
             elif topic == protocol.RESTORE_TOPIC:
-                payload = protocol.decode_json(message)
+                payload = protocol.decode_state(message)
                 if payload["state"] is not None:
                     books.load_state(payload["state"])
                 books.apply_ack_delta(payload["delta"])

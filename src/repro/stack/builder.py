@@ -79,11 +79,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 NS_PER_S = 1_000_000_000
 
-#: Checkpoint envelope format version (the stack's ``capture_state``).
+#: Checkpoint state layout version (the stack's ``capture_state``).
 #: 2: the TSDB log is the store's durable image and the envelope no
-#: longer carries the store — a format-1 binary must refuse it rather
-#: than recover an empty store. Format 1 is still read (and adopted).
-STATE_FORMAT = 2
+#: longer carries the store. 3: fragments are plain rows (tuple keys,
+#: one tuple per flow entry, bytes as bytes). Only this layout is read.
+STATE_FORMAT = 3
 
 
 def build_enrichment_dbs(plan=None, country_accuracy: float = 0.98):
@@ -344,7 +344,7 @@ class RuruStack:
     # -- checkpoint capture/restore -----------------------------------------
 
     def capture_state(self) -> dict:
-        """One JSON-safe snapshot: stack meta plus every stage fragment."""
+        """One plain-data snapshot: stack meta plus every stage fragment."""
         state = {
             "format": STATE_FORMAT,
             "meta": {
@@ -358,7 +358,7 @@ class RuruStack:
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`capture_state` snapshot into this stack."""
-        if not 1 <= int(state.get("format", 0)) <= STATE_FORMAT:
+        if state.get("format") != STATE_FORMAT:
             raise ValueError(
                 f"unsupported state format {state.get('format')!r}"
             )

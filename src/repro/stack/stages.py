@@ -238,14 +238,6 @@ class TsdbStage(Stage):
     def load_state(self, state: Dict) -> None:
         if "tsdb_meta" in state:
             self.tsdb.load_state(state["tsdb_meta"])
-        if "tsdb_lines" in state:
-            # A checkpoint from before the log was the store's only image
-            # carries the store itself, and its log only the batches
-            # after: fold the image in, once, as the frame every batch up
-            # to the mark just loaded replays from.
-            self.wal.compact(
-                image=(self.tsdb.last_applied_batch_id, state["tsdb_lines"])
-            )
 
 
 class CheckpointStage(Stage):

@@ -110,27 +110,25 @@ class TestReservoirCheckpointCache:
     paths see no sample between two checkpoints, and re-packing them
     was half of what a checkpoint still cost."""
 
-    def test_unchanged_reservoir_is_not_repacked(self, monkeypatch):
+    def test_unchanged_reservoir_is_not_repacked(self):
         from repro.anomaly import path_drift
 
         reservoir = path_drift.Reservoir(capacity=4, seed=1)
         for value in (1.0, 2.0, 3.0):
             reservoir.add(value)
-        first = reservoir.state_dict()
-        calls = []
-        real = path_drift._pack_floats
-        monkeypatch.setattr(
-            path_drift, "_pack_floats", lambda v: calls.append(1) or real(v)
-        )
-        assert reservoir.state_dict() == first
-        assert calls == []
+        first = reservoir.state_row()
+        # The very row of the last pack, not an equal new one.
+        assert reservoir.state_row() is first
 
     def test_every_add_invalidates_the_cache(self):
-        from repro.anomaly.path_drift import Reservoir, _pack_floats
+        import struct
+
+        from repro.anomaly.path_drift import Reservoir
 
         reservoir = Reservoir(capacity=3, seed=7)
         for value in range(50):  # appends, replacements and misses
             reservoir.add(float(value))
-            state = reservoir.state_dict()
-            assert state["items"] == _pack_floats(reservoir.items)
-            assert Reservoir.from_state(state).state_dict() == state
+            state = reservoir.state_row()
+            items = reservoir.items
+            assert state[2] == struct.pack(f"<{len(items)}d", *items)
+            assert Reservoir.from_state(state).state_row() == state

@@ -1,11 +1,12 @@
 """Checkpointer tests: cadence, atomicity, pruning, corruption fallback."""
 
 import os
+import re
 
 import pytest
 
 from repro.durability.checkpoint import Checkpointer
-from repro.durability.codec import decode_snapshot
+from repro.durability.codec import ForeignSnapshotError, decode_snapshot
 from repro.faults.crashpoints import CrashSchedule, SimulatedCrash
 
 NS_PER_S = 1_000_000_000
@@ -73,6 +74,24 @@ class TestPruning:
         infos = ckpt.list_checkpoints()
         assert [info.seq for info in infos] == [5, 4]
 
+    def test_a_tmp_a_kill_orphaned_is_removed(self, tmp_path):
+        """A kill between the tmp write and its rename leaves a
+        uniquely named ``.tmp`` no later checkpoint would overwrite."""
+        ckpt = make(tmp_path, keep=2)
+        ckpt.checkpoint(1 * NS_PER_S)
+        orphan = os.path.join(ckpt.state_dir, "ckpt-2-2.snap.tmp")
+        with open(orphan, "wb") as handle:
+            handle.write(b"half a checkpoint")
+        bystander = os.path.join(ckpt.state_dir, "tsdb.wal.tmp")
+        open(bystander, "wb").close()
+        resumed = make(tmp_path, keep=2)
+        resumed.latest_valid()
+        for step in range(2, 7):
+            resumed.checkpoint(step * NS_PER_S)
+        assert sorted(os.listdir(ckpt.state_dir)) == [
+            "ckpt-5-5000000000.snap", "ckpt-6-6000000000.snap", "tsdb.wal.tmp",
+        ]
+
     def test_latest_valid_returns_newest(self, tmp_path):
         ckpt = make(tmp_path, keep=3)
         for step in range(3):
@@ -111,6 +130,29 @@ class TestCorruptionFallback:
 
     def test_empty_dir_means_cold_start(self, tmp_path):
         assert make(tmp_path).latest_valid() is None
+
+    def test_a_foreign_version_stops_the_walk(self, tmp_path):
+        """An intact envelope of another version is a state this build
+        cannot read, not damage: skipping it would cold-start a run that
+        has checkpoints."""
+        ckpt = make(tmp_path, keep=3)
+        ckpt.checkpoint(1 * NS_PER_S)
+        newest = ckpt.checkpoint(2 * NS_PER_S)
+        blob = bytearray(open(newest.path, "rb").read())
+        blob[8] = 1  # the JSON era's envelope version
+        with open(newest.path, "wb") as handle:
+            handle.write(bytes(blob))
+        with pytest.raises(ForeignSnapshotError, match=re.escape(newest.path)):
+            make(tmp_path, keep=3).latest_valid()
+
+    def test_a_foreign_file_behind_a_valid_one_is_not_read(self, tmp_path):
+        ckpt = make(tmp_path, keep=3)
+        older = ckpt.checkpoint(1 * NS_PER_S)
+        ckpt.checkpoint(2 * NS_PER_S)
+        with open(older.path, "wb") as handle:
+            handle.write(b"RURUSNAP\x01" + bytes(16))
+        found = make(tmp_path, keep=3).latest_valid()
+        assert found is not None and found[0].seq == 2
 
     def test_seq_resyncs_past_survivors(self, tmp_path):
         ckpt = make(tmp_path, keep=3)

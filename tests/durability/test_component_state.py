@@ -1,7 +1,7 @@
 """Per-component snapshot round trips.
 
-Every ``state_dict`` must (a) survive the snapshot codec — pure JSON,
-no tuples, no infinities — and (b) rebuild a component that behaves
+Every ``state_dict`` must (a) survive the snapshot codec — plain rows,
+no infinities — and (b) rebuild a component that behaves
 identically, not just one that compares equal. The flow-table test is
 the sharpest: a handshake snapshotted between SYN-ACK and ACK must
 complete into a correct measurement after restore.

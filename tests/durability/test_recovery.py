@@ -16,15 +16,13 @@ import pytest
 
 from repro.cli import main
 from repro.core import feed
-from repro.durability.codec import decode_snapshot, encode_snapshot
 from repro.durability.harness import RecoveryHarness, run_recovery_trial
 from repro.durability.recovery import recover_runtime
-from repro.durability.wal import _FRAME, WriteAheadLog
+from repro.durability.wal import _FRAME
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
 from repro.faults.profiles import get_profile
 from repro.resilience.invariants import Ledger
 from repro.stack import builder
-from repro.tsdb.line_protocol import format_point
 from tests.conftest import cli_spec, cli_stack
 
 NS_PER_S = 1_000_000_000
@@ -315,67 +313,51 @@ def test_both_kept_checkpoints_recover_after_a_real_compaction(tmp_path):
 
 
 class TestLegacyStateDirectory:
-    """A state directory written before the log became the store's only
-    image: the envelope carries ``tsdb_lines`` (format 1) and the log
-    holds only the batches above the envelope's mark."""
+    """A state directory another build wrote: its checkpoints are not
+    damage to skip past, so recovery stops on them."""
 
-    def _legacy_dir(self, tmp_path):
-        """Hand-build the old layout from a new-format run: fold every
-        batch up to the checkpoint's mark into ``tsdb_lines`` and keep
-        only the later frames in the log."""
+    @staticmethod
+    def _as_version_1(path):
+        """Re-stamp a checkpoint with the JSON era's envelope version,
+        its frame otherwise intact."""
+        blob = bytearray(path.read_bytes())
+        blob[8] = 1
+        path.write_bytes(bytes(blob))
+
+    @staticmethod
+    def _snapshots(state_dir):
+        return sorted(
+            (path for path in state_dir.iterdir() if path.name.endswith(".snap")),
+            key=lambda path: int(path.name.split("-")[1]),
+        )
+
+    def test_a_foreign_checkpoint_stops_recovery_with_one_line(self, tmp_path, capsys):
+        """Skipping it as damage would resume the run from nothing."""
         state_dir = tmp_path / "state"
-        victim = _run_to_kill(str(state_dir), "analytics.ingest", hit=5)
-        (snap,) = [
-            path for path in sorted(state_dir.iterdir())
-            if path.name.endswith(".snap")
-        ][-1:]
-        state = decode_snapshot(snap.read_bytes())
-        mark = state["tsdb_meta"]["last_applied_batch_id"]
-        replay = WriteAheadLog(str(state_dir / "tsdb.wal")).replay()
-        state["format"] = 1
-        state["tsdb_lines"] = [
-            format_point(point)
-            for batch_id, points in replay.batches
-            if batch_id <= mark
-            for point in points
-        ]
-        snap.write_bytes(encode_snapshot(state))
-        (state_dir / "tsdb.wal").unlink()
-        tail = WriteAheadLog(str(state_dir / "tsdb.wal"))
-        for batch_id, points in replay.batches:
-            if batch_id > mark:
-                tail.append(batch_id, points)
-        tail.close()
-        assert state["tsdb_lines"] and tail.appends
-        return state_dir, victim, mark, tail.appends
+        _run_to_kill(str(state_dir), "analytics.ingest", hit=5)
+        *_, newest = self._snapshots(state_dir)
+        self._as_version_1(newest)
+        code = main([
+            "recover", "--state-dir", str(state_dir), "--profile", "clean", "--seed", "7",
+            *map(str, RUN),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"ruru recover: error: {newest}: snapshot version 1;")
 
-    def test_recovers_to_the_same_store_and_ledger(self, tmp_path):
-        state_dir, victim, mark, above = self._legacy_dir(tmp_path)
+    def test_a_torn_newest_still_falls_back(self, tmp_path):
+        """Damage is still skipped: a torn newest file of this version
+        recovers from the previous checkpoint."""
+        state_dir = tmp_path / "state"
+        _run_to_kill(str(state_dir), "analytics.ingest", hit=5)
+        older, newest = self._snapshots(state_dir)
+        newest.write_bytes(newest.read_bytes()[:100])
         stack = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
         report = recover_runtime(stack)
-        assert report.ok, report.render()
-        assert report.replayed_batches == above
-        assert report.duplicates_skipped == 0
-        assert sorted(stack.tsdb.inner.dump_lines()) == sorted(
-            victim.tsdb.inner.dump_lines()
-        )
-        assert stack.service.conservation_ledger().ok
-        assert _second_replay_applies_nothing(stack)
-
-        # New-format from its next checkpoint on ...
-        info = stack.checkpointer.checkpoint(stack.now_ns)
-        with open(info.path, "rb") as handle:
-            written = decode_snapshot(handle.read())
-        assert "tsdb_lines" not in written
-        assert written["format"] == 2
+        assert report.ok and report.corrupt_skipped == 1
+        assert report.checkpoint.path == str(older)
         stack.wal.close()
-        # ... and that checkpoint recovers the same store from the
-        # adopted log.
-        again = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
-        assert recover_runtime(again).ok
-        assert sorted(again.tsdb.inner.dump_lines()) == sorted(
-            victim.tsdb.inner.dump_lines()
-        )
 
     def test_an_old_binary_refuses_a_new_directory(self, tmp_path, monkeypatch):
         """STATE_FORMAT moved so a binary that expects ``tsdb_lines``
@@ -384,7 +366,7 @@ class TestLegacyStateDirectory:
         _run_to_kill(state_dir, "analytics.ingest", hit=5)
         stack = cli_stack("live", "--state-dir", state_dir, "--profile", "clean", "--seed", 7, *RUN)
         monkeypatch.setattr(builder, "STATE_FORMAT", 1)
-        with pytest.raises(ValueError, match="unsupported state format 2"):
+        with pytest.raises(ValueError, match="unsupported state format 3"):
             recover_runtime(stack)
 
 

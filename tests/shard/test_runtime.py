@@ -133,7 +133,7 @@ def killed_run(packets, at_seq, runtime_class=ShardedRuntime):
     def record(handle, message):
         sent = send(handle, message)
         if sent and isinstance(message, Message) and message.topic == protocol.RESTORE_TOPIC:
-            restores.append(protocol.decode_json(message))
+            restores.append(protocol.decode_state(message))
         return sent
 
     runtime._send = record

@@ -38,7 +38,7 @@ def _obedient_entry(shard_id, transport):
             return 1  # silence from the parent is a test bug
         topic = message.topic
         if topic == protocol.RESTORE_TOPIC:
-            restored = protocol.decode_json(message)
+            restored = protocol.decode_state(message)
         elif topic == b"hb-now":
             transport.send(encode_heartbeat(shard_id, 1))
         elif topic == protocol.DRAIN_TOPIC:

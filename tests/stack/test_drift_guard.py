@@ -401,6 +401,24 @@ def shard_mode_shapes(modules):
                     yield path, node.lineno, f"{node.name}({arg.arg}=)"
 
 
+def json_state_shapes(modules):
+    """A JSON encode (``encode_json(`` or ``json.dumps(``) of a payload that
+    carries state: a ``"state"`` key, a ``state_dict()`` call or a held
+    ``.checkpoint``."""
+    for path, nodes in modules.items():
+        for node in nodes:
+            if isinstance(node, ast.Call) and _callee(node) in ("encode_json", "dumps") and any(
+                (isinstance(part, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value == "state" for key in part.keys
+                ))
+                or (isinstance(part, ast.Call) and _callee(part) == "state_dict")
+                or (isinstance(part, ast.Attribute) and part.attr == "checkpoint")
+                for arg in (*node.args, *(kw.value for kw in node.keywords))
+                for part in ast.walk(arg)
+            ):
+                yield path, node.lineno, f"{_callee(node)}( of a state"
+
+
 # -- the table ----------------------------------------------------------
 
 #: The counters ``count_books`` and the sharded parent's books read.
@@ -458,12 +476,11 @@ ROWS = (
     Row("store-image-mirror", "name", "applied_lines", pr=20,
         why="The TSDB's write-ahead log is the store's only durable image; an applied_lines mirror is "
         "the store copied into the checkpoint."),
-    Row("store-image-written", "key", "tsdb_lines", pr=20, why='A "tsdb_lines" key written anywhere, '
-        "the loader included, is the store copied into the checkpoint."),
-    Row("store-image-loader", "const", "tsdb_lines", allow=("stack/stages.py",),
-        must_hold=("stack/stages.py",), pr=20,
-        why="stack/stages.py is the one place that may still read an old checkpoint's tsdb_lines; if "
-        "the loader goes, so does its allowance."),
+    Row("store-image-written", "key", "tsdb_lines", pr=20, why='A "tsdb_lines" key written anywhere '
+        "is the store copied into the checkpoint."),
+    Row("store-image-loader", "const", "tsdb_lines", pr="20, 34",
+        why="A tsdb_lines read anywhere is the store copied into the checkpoint coming back; the one "
+        "loader of old checkpoints went with the JSON envelopes they were written in."),
     Row("store-image-truncate", "call", "truncate", scope=("stack/",), pr=20,
         why="A .truncate( under stack/ cuts the log back to what a checkpoint does not cover."),
     Row("dispatch-seam-batch", "name", "encode_batch|decode_batch", allow=("shard/protocol.py",), pr=21,
@@ -558,10 +575,10 @@ ROWS = (
     Row("episode-counts-held", "attr", r"episode\.counts", scope=(),
         must_hold=("faults/chaos.py", "scenarios/runner.py"), pr=28,
         why="The chaos verdict and the scenario runner read the books."),
-    Row("shard-state-import", "import", r"repro\.durability(?:\..+)?", scope=("shard/",), pr=29,
-        why="A shard's recovery state lives in its parent (the last checkpoint reply and the acked "
-        "counts); repro.durability under shard/ is the per-shard disk copy, and its second restart "
-        "path, coming back."),
+    Row("shard-state-import", "import", r"repro\.durability(?!\.codec\b)(?:\..+)?", scope=("shard/",),
+        pr="29, 34", why="A shard's recovery state lives in its parent (the last checkpoint reply and the "
+        "acked counts); repro.durability under shard/ is the per-shard disk copy, and its second restart "
+        "path, coming back. Its codec module, the envelope state travels in, touches no disk."),
     Row("shard-disk-calls", "call", r"open|os\.replace|Checkpointer|WriteAheadLog", scope=("shard/",), pr=29,
         why="An open(, os.replace, Checkpointer( or WriteAheadLog( under shard/ is a shard's state on disk "
         "(a restart loads the parent's last checkpoint reply plus its acked counts)."),
@@ -573,6 +590,20 @@ ROWS = (
         why="The second shard parent's module stays gone."),
     Row("one-fork", "call", "fork", allow=("shard/runtime.py",), must_hold=(f"{RUNTIME}._spawn",), pr=30,
         why="Only the shard parent forks, in ShardedRuntime._spawn."),
+    Row("one-state-codec", "import", r"_?pickle(?:\..+)?", allow=("durability/codec.py",),
+        must_hold=("durability/codec.py",), pr=34,
+        why="Every state_dict crosses a process or disk boundary as one restricted pickle of plain rows, "
+        "written and read in durability/codec.py; a pickle anywhere else has no such restriction."),
+    Row("no-json-durability", "import", r"json(?:\..+)?", scope=("durability/",), pr=34,
+        why="Checkpoints are the restricted pickle, and no JSON reader is kept beside it."),
+    Row("no-json-state", json_state_shapes, scope=("shard/",), pr=34,
+        why="A shard's state_dict rides the snapshot codec (protocol.encode_state); JSON turns its tuple "
+        "rows into lists."),
+    Row("state-codec-held", "call", frozenset({"encode_snapshot", "decode_snapshot"}), scope=(),
+        must_hold=("shard/protocol.py",), pr=34, why="The ckpt reply and the restore ride the codec."),
+    Row("no-json-shaping", "def", "_pack_key|_unpack_key|_pack_floats", pr=34,
+        why="Tuple keys and bytes survive the codec as they are; a helper that tags or encodes them is "
+        "the JSON shaping coming back."),
     Row("one-pump", "call", r".*\.(?:recv|recv_all)", scope=("shard/",),
         allow=(f"{RUNTIME}._await", f"{RUNTIME}._absorb", "shard/worker.py::shard_child_main"),
         must_hold=(f"{RUNTIME}._await", f"{RUNTIME}._absorb"), pr=30,
@@ -685,8 +716,8 @@ def elsewhere(profile):
 === stack/stages.py
 """Mentions tsdb_lines and applied_lines in a docstring."""
 def load_state(self, state):
-    if "tsdb_lines" in state:
-        self.wal.compact(image=(0, state["tsdb_lines"]))
+    if "tsdb_lines" in state:  # found: store-image-loader=tsdb_lines
+        self.wal.compact(image=(0, state["tsdb_lines"]))  # found: store-image-loader=tsdb_lines
 === core/feed.py
 def batches(packets, size):
     batch = []
@@ -812,14 +843,22 @@ def of(episode):
     offered = [stack.overload.offered[k] for k in CLASSES]  # found: one-fold-per-run=stack.overload.offered
     return stack.pipeline.stats_snapshot().measurements  # found: one-fold-per-run=stack.pipeline.stats_snapshot
 === shard/fine.py
-"""Once: open( a ShardStateStore, os.replace, a WriteAheadLog(."""
+"""Once: open( a ShardStateStore, os.replace, a WriteAheadLog(, json.dumps(state)."""
 import os
 from repro.shard import protocol
+from repro.durability.codec import encode_snapshot
 def restart(handle, name):
     label = name.replace('-', '_')
-    return protocol.encode_json(b'restore', {'state': handle.checkpoint})
+    protocol.encode_json(b'fault', {'kill_at_seq': 3}), json.dumps({'states': 1})
+    return protocol.encode_state(b'restore', {'state': handle.checkpoint})
 === shard/rogue.py
 import repro.durability.wal  # found: shard-state-import=repro.durability.wal
+import repro.durability.codecs  # found: shard-state-import=repro.durability.codecs
+import pickle  # found: one-state-codec=pickle
+def reply(books, handle, seq):
+    send(protocol.encode_json(b'ckpt', {'seq': seq, 'state': books.state_dict()}))  # found: no-json-state=encode_json( of a state
+    send(protocol.encode_json(b'restore', dict(state=handle.checkpoint)))  # found: no-json-state=encode_json( of a state
+    return json.dumps(books.state_dict(), sort_keys=True)  # found: no-json-state=dumps( of a state
 from repro.durability.shardstate import Store  # found: shard-state-import=repro.durability.shardstate, shard-state-import=repro.durability.shardstate.Store
 from repro import durability  # found: shard-state-import=repro.durability
 def checkpoint(self, state, path):
@@ -848,6 +887,20 @@ class Elsewhere:
 === shard/worker.py
 def shard_child_main(transport, shard_id):
     return transport.recv(timeout=0.01)
+=== durability/codec.py
+import pickle
+import io, struct
+=== durability/checkpoint.py
+import json  # found: no-json-durability=json
+from pickle import loads  # found: one-state-codec=pickle, one-state-codec=pickle.loads
+from json.decoder import JSONDecodeError  # found: no-json-durability=json.decoder, no-json-durability=json.decoder.JSONDecodeError
+def _pack_floats(values):  # found: no-json-shaping=_pack_floats
+    return values
+class TopK:
+    def _pack_key(self, key):  # found: no-json-shaping=_pack_key
+        return key
+    def load(self, rows):
+        return [_unpack_key(row) for row in rows]
 === mq/socket.py
 def poll(sock):
     return sock.recv(0), sock.recv_all()
