@@ -25,9 +25,9 @@ from repro.scenarios.library import get_scenario
 PAIRS = 6
 MAX_REGRESSION = 0.10
 
+#: The baseline's tiers plus the overload tier, at the controller's defaults.
 OVERLOAD_ON = {
-    "overload.enabled": True,
-    # Library defaults for the knobs; only `enabled` changes behaviour.
+    "stack.tiers": [*get_scenario("auckland-baseline").stack.tiers, "overload"],
 }
 
 

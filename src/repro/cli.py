@@ -92,11 +92,11 @@ NS_PER_S = 1_000_000_000
 #: Every option, declared once: the dotted spec path it sets (None for
 #: what only a renderer or a mode reads) and its argparse definition. A
 #: spec flag means the same in every command that takes it, and defaults
-#: to the command's base-spec value. Three are switches rather than
-#: values: ``--telemetry`` adds the telemetry tier to ``stack.tiers``;
-#: ``--glitch`` / ``--flood`` add a firewall-glitch / SYN-flood window to
-#: ``anomalies``, placed where their command places it. Names without
-#: dashes are positionals.
+#: to the command's base-spec value. Four are switches rather than
+#: values: ``--telemetry`` / ``--overload`` add their tier to
+#: ``stack.tiers`` (:data:`TIER_FLAGS`); ``--glitch`` / ``--flood`` add a
+#: firewall-glitch / SYN-flood window to ``anomalies``, placed where
+#: their command places it. Names without dashes are positionals.
 OPTIONS = {
     "--duration": ("traffic.duration_s", dict(type=float, help="seconds of traffic")),
     "--rate": ("traffic.rate", dict(type=float, help="mean flows per second")),
@@ -108,7 +108,7 @@ OPTIONS = {
     "--glitch": (None, dict(action="store_true", help="inject a firewall glitch")),
     "--flood": (None, dict(action="store_true", help="inject a SYN flood")),
     "--profile": ("faults.profile", dict(help="fault profile name (see chaos --list)")),
-    "--overload": ("overload.enabled", dict(action="store_true", help="overload control")),
+    "--overload": (None, dict(action="store_true", help="overload control")),
     "--shards": ("shard.shards", dict(type=int, help="worker processes (0: in-process)")),
     "--shard-policy": ("shard.policy", dict(choices=("protect-handshakes", "reroute-all"))),
     "--kill-shard": ("shard.kill_shard", dict(type=int, help="with --shards: SIGKILL it")),
@@ -155,6 +155,8 @@ OPTIONS = {
     "--baseline-dir": (None, dict(help="baseline directory (default: the committed one)")),
     "--write": (None, dict(action="store_true", help="write fresh baselines instead")),
 }
+#: The switches that each add one tier to the command's ``stack.tiers``.
+TIER_FLAGS = {"--telemetry": "telemetry", "--overload": "overload"}
 #: What ``--kill-shard`` alone means: the kill fires at this batch.
 KILL_AT_BATCH = 6
 
@@ -171,8 +173,8 @@ CHAOS_BASE = {
     "stack.tiers": ["analytics", "faults", "telemetry", "frontend"],
 }
 DURABLE_BASE = {
-    **CHAOS_BASE, "faults.profile": "clean", "stack.topk": 100, "durable.state_dir": "ruru-state",
-    "stack.tiers": ["analytics", "faults", "durable", "telemetry", "anomaly", "frontend"],
+    **CHAOS_BASE, "faults.profile": "clean", "durable.state_dir": "ruru-state",
+    "stack.tiers": ["analytics", "faults", "durable", "telemetry", "anomaly", "topk", "frontend"],
 }
 #: command -> (help, base spec as dotted paths over the ScenarioSpec
 #: defaults — what the command runs given no flag —, its options). An
@@ -276,8 +278,9 @@ def _spec(args) -> ScenarioSpec:
             value = getattr(args, dest)
             if value != _lookup(defaults, path):
                 overrides[path] = value
-    if getattr(args, "telemetry", False):
-        overrides["stack.tiers"] = [*defaults["stack"]["tiers"], "telemetry"]
+    switched = [tier for flag, tier in TIER_FLAGS.items() if getattr(args, flag[2:], False)]
+    if switched:
+        overrides["stack.tiers"] = [*defaults["stack"]["tiers"], *switched]
     if getattr(args, "glitch", False) or getattr(args, "flood", False):
         overrides["anomalies"] = _anomaly_windows(args)
     if getattr(args, "kill_shard", None) is not None and args.kill_at_batch is None:

@@ -150,8 +150,7 @@ class PipelineStats:
         self.packets_processed = int(state["packets_processed"])
         self.packets_sampled_out = int(state["packets_sampled_out"])
         self.packets_rejected_quiesced = int(state["packets_rejected_quiesced"])
-        # .get: checkpoints from before overload control lack the key.
-        self.packets_shed = int(state.get("packets_shed", 0))
+        self.packets_shed = int(state["packets_shed"])
         self.nic_drops = int(state["nic_drops"])
         self.parse_errors = int(state["parse_errors"])
         self.parse_error_reasons = dict(state["parse_error_reasons"])

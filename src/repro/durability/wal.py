@@ -113,26 +113,19 @@ class WriteAheadLog:
             self._file.close()
             self._file = None
 
-    def compact(
-        self,
-        keep: Callable[[bytes], bool] = lambda line: True,
-        image: Tuple[int, List[str]] = (0, []),
-    ) -> None:
+    def compact(self, keep: Callable[[bytes], bool] = lambda line: True) -> None:
         """Rewrite the log atomically, keeping what a replay would apply.
 
         Intact data frames survive under their own batch ids with the
         (still encoded) lines *keep* accepts; aborted batches, abort
-        records, damaged frames and a torn tail do not. *image*
-        ``(batch_id, lines)`` is written first as one frame standing in
-        for every batch up to that id, which are dropped. A failure
+        records, damaged frames and a torn tail do not. A failure
         before the final ``os.replace`` leaves the old log as it was.
         """
         frames, _, _ = self._scan()
         aborted = {batch_id for kind, batch_id, _ in frames if kind == _RECORD_ABORT}
-        covered, lines = image
-        kept = [(covered, "\n".join(lines).encode("utf-8"))] if lines else []
+        kept = []
         for kind, batch_id, payload in frames:
-            if kind == _RECORD_DATA and batch_id > covered and batch_id not in aborted:
+            if kind == _RECORD_DATA and batch_id not in aborted:
                 payload = b"\n".join(
                     [line for line in payload.split(b"\n") if line and keep(line)]
                 )

@@ -72,13 +72,6 @@ class CrashSchedule:
         self._armed_hit = hit
         return self
 
-    def disarm(self) -> None:
-        self._armed_point = None
-
-    @property
-    def armed_point(self) -> Optional[str]:
-        return self._armed_point
-
     def will_fire(self, point: str) -> bool:
         """Would the next :meth:`reached` call for *point* crash?
 

@@ -197,7 +197,3 @@ class WebSocketChannel:
             if obj is None:
                 return out
             out.append(obj)
-
-    def pending_frames(self) -> int:
-        """Frames queued toward the client."""
-        return len(self._to_client)

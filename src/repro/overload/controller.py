@@ -324,7 +324,7 @@ class OverloadController:
         self.admitted = {klass: 0 for klass in CLASSES}
         self.admitted.update(state["admitted"])
         self.truncated = state["truncated"]
-        self.ring_displacements = state.get("ring_displacements", 0)
+        self.ring_displacements = state["ring_displacements"]
         self._shed = {(k, s): count for k, s, count in state["shed"]}
         self.mq_offered = state["mq_offered"]
         self._payload_seq = state["payload_seq"]

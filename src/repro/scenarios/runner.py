@@ -60,11 +60,8 @@ def build_scenario_generator(
         start_ns=traffic.start_ns,
         mean_flows_per_s=traffic.rate,
         seed=seed,
-        tap_city=traffic.tap_city,
         profile=profile,
         handshake_only_fraction=traffic.handshake_only_fraction,
-        rst_fraction=traffic.rst_fraction,
-        ipv6_fraction=traffic.ipv6_fraction,
         max_data_exchanges=traffic.max_data_exchanges,
     )
     injectors = [
@@ -115,7 +112,7 @@ class Episode:
             )
         durable = spec.durable
         state_dir = durable.state_dir
-        if state_dir is None and "durable" in spec.tiers:
+        if state_dir is None and "durable" in shape.tiers:
             state_dir = self.temp_dir = tempfile.mkdtemp(prefix="ruru-state-")
         calls = {
             "analytics": builder.analytics,
@@ -128,17 +125,13 @@ class Episode:
                 crash_schedule=crash_schedule,
                 fsync_wal=durable.fsync_wal,
             ),
-            "overload": lambda: builder.overload(**{
-                knob: getattr(spec.overload, knob)
-                for knob in ("low", "high", "up_dwell_ms", "down_dwell_ms",
-                             "sampled_modulus", "snap_len")
-            }),
+            "overload": builder.overload,
             "telemetry": lambda: builder.telemetry(Telemetry()),
             "anomaly": builder.anomaly,
-            "topk": lambda: builder.topk(capacity=shape.topk),
+            "topk": builder.topk,
             "frontend": lambda: builder.frontend(hwm=shape.frontend_hwm),
         }
-        for tier in spec.tiers:
+        for tier in shape.tiers:
             calls[tier]()
         try:
             stack = builder.build()
@@ -166,7 +159,6 @@ class Episode:
             policy=shard.policy,
             checkpoint_every_batches=shard.checkpoint_every_batches,
             restart_delay_batches=shard.restart_delay_batches,
-            max_restarts_per_shard=shard.max_restarts,
         )
         if shard.kill_shard is not None:
             runtime.schedule_kill(shard.kill_shard, at_seq=shard.kill_at_batch)

@@ -7,7 +7,8 @@ lossy message bus, with the nightly firewall anomaly"):
 * **traffic** — the background workload shape fed to
   :class:`repro.traffic.generator.TrafficGenerator`: duration, rate,
   diurnal or flat load, the virtual time of day the tap starts
-  watching, behavioural fractions (scans, RSTs, IPv6, exchange depth).
+  watching, the handshake-only fraction and the exchange depth (the
+  generator's other behaviour fractions run at their defaults).
 * **faults** — adverse conditions: a registered
   :data:`repro.faults.profiles.PROFILES` name plus optional inline
   rate overrides (``mq_drop_rate = 0.1``) that derive an anonymous
@@ -16,10 +17,10 @@ lossy message bus, with the nightly firewall anomaly"):
   each building one of the paper-episode injectors (firewall glitch /
   SYN flood / connection surge).
 * **stack** — how much of the dataflow to assemble: which of the
-  builder's tiers (``stack.tiers``), queues, analytics workers, top-k,
-  frontend buffering; plus the **telemetry**, **durable**, **overload**
-  and **shard** sections that configure the tiers and the process
-  topology.
+  builder's tiers (``stack.tiers``, every tier one entry), queues, ring
+  size, frontend buffering; plus the **telemetry**, **durable**,
+  **overload** and **shard** sections that configure the tiers and the
+  process topology.
 
 Plus a default ``seed``, and ``expect``: the anomaly-event counts the
 schedule is supposed to trigger, which the runner gates on. Specs are
@@ -54,10 +55,9 @@ EVENT_KINDS = (
     "path-drift",
 )
 
-#: The stack builder's tier calls. Two are switched by their own
-#: section rather than listed in ``stack.tiers``.
+#: The stack builder's tier calls, each switched on by its entry in
+#: ``stack.tiers``.
 TIERS = ("analytics", "faults", "durable", "overload", "telemetry", "anomaly", "topk", "frontend")
-SWITCHED_BY = {"overload": "overload.enabled", "topk": "stack.topk"}
 
 
 class SpecError(ValueError):
@@ -87,14 +87,11 @@ class TrafficSpec:
 
     duration_s: float = 30.0
     rate: float = 40.0
-    tap_city: str = "Auckland"
     diurnal: bool = False
     #: Virtual time of day the capture starts (hours since midnight) —
     #: what anchors "nightly" windows without simulating a whole day.
     start_hour: float = 0.0
     handshake_only_fraction: float = 0.02
-    rst_fraction: float = 0.01
-    ipv6_fraction: float = 0.0
     max_data_exchanges: int = 3
 
     def __post_init__(self):
@@ -236,9 +233,9 @@ class StackSpec:
     """How much of the dataflow the run assembles.
 
     ``tiers`` names the builder tiers to assemble beside the fast path
-    (the NIC and the workers, always there); ``overload`` and ``topk``
-    are switched by ``overload.enabled`` and ``topk`` (a capacity)
-    instead. ``queue_capacity`` shrinks the rx rings so an overload
+    (the NIC and the workers, always there), each at its one setting:
+    ``overload`` at the controller's defaults, ``topk`` at the builder's
+    capacity. ``queue_capacity`` shrinks the rx rings so an overload
     scenario can actually pressure them; ``feed_window_ms`` switches
     feeding from fixed-size batches to virtual-time windows, so a
     traffic ramp translates into growing per-batch burst sizes — the
@@ -247,7 +244,6 @@ class StackSpec:
 
     queues: int = 2
     frontend_hwm: int = 1 << 20
-    topk: Optional[int] = None
     queue_capacity: Optional[int] = None
     feed_window_ms: Optional[float] = None
     tiers: Tuple[str, ...] = (
@@ -257,10 +253,6 @@ class StackSpec:
     def __post_init__(self):
         for tier in self.tiers:
             _require(tier in TIERS, f"stack.tiers: unknown tier {tier!r}; choose from {TIERS}")
-            _require(
-                tier not in SWITCHED_BY,
-                f"stack.tiers: {tier!r} is switched by {SWITCHED_BY.get(tier)}",
-            )
         # One order, whatever order the document lists them in.
         object.__setattr__(self, "tiers", tuple(t for t in TIERS if t in self.tiers))
         _require(self.queues >= 1, "stack.queues must be at least 1")
@@ -278,16 +270,10 @@ class StackSpec:
 
 @dataclass(frozen=True)
 class OverloadSpec:
-    """The backpressure axis: the overload controller's knobs plus the
-    scenario's shed-ratio gates (checked by the runner when set)."""
+    """The overload tier's shed-ratio gates, checked by the runner when
+    set; a gate needs ``"overload"`` in ``stack.tiers``. The controller
+    itself runs at its own defaults (:mod:`repro.overload`)."""
 
-    enabled: bool = False
-    low: float = 0.5
-    high: float = 0.85
-    up_dwell_ms: float = 50.0
-    down_dwell_ms: float = 250.0
-    sampled_modulus: int = 8
-    snap_len: int = 256
     #: Gate: handshake-class frames shed anywhere must stay under this
     #: fraction of handshake frames offered (None = no gate).
     handshake_shed_max_ratio: Optional[float] = None
@@ -296,17 +282,6 @@ class OverloadSpec:
     payload_shed_min_ratio: Optional[float] = None
 
     def __post_init__(self):
-        _require(
-            0.0 <= self.low < self.high <= 1.0,
-            "overload watermarks need 0 <= low < high <= 1",
-        )
-        _require(self.up_dwell_ms >= 0, "overload.up_dwell_ms cannot be negative")
-        _require(
-            self.down_dwell_ms >= 0, "overload.down_dwell_ms cannot be negative"
-        )
-        _require(
-            self.sampled_modulus >= 1, "overload.sampled_modulus must be >= 1"
-        )
         for name in ("handshake_shed_max_ratio", "payload_shed_min_ratio"):
             value = getattr(self, name)
             if value is not None:
@@ -362,7 +337,6 @@ class ShardScenarioSpec:
     kill_at_batch: Optional[int] = None
     restart_delay_batches: int = 2
     checkpoint_every_batches: Optional[int] = None
-    max_restarts: int = 3
 
     def __post_init__(self):
         _require(self.shards >= 0, "shard.shards cannot be negative")
@@ -393,7 +367,6 @@ class ShardScenarioSpec:
             self.checkpoint_every_batches is None or self.checkpoint_every_batches >= 1,
             "shard.checkpoint_every_batches must be at least 1",
         )
-        _require(self.max_restarts >= 0, "shard.max_restarts cannot be negative")
 
     @property
     def enabled(self) -> bool:
@@ -420,12 +393,6 @@ class ScenarioSpec:
     telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
     durable: DurableSpec = field(default_factory=DurableSpec)
 
-    @property
-    def tiers(self) -> Tuple[str, ...]:
-        """Every builder tier the in-process run assembles."""
-        switched = {"overload": self.overload.enabled, "topk": self.stack.topk is not None}
-        return tuple(t for t in TIERS if t in self.stack.tiers or switched.get(t))
-
     def __post_init__(self):
         _require(bool(self.name), "scenario name cannot be empty")
         _require(
@@ -449,7 +416,7 @@ class ScenarioSpec:
             ignored = (
                 _changed("faults", self.faults)
                 + _changed("stack", self.stack)
-                + ["overload.enabled"] * self.overload.enabled
+                + _changed("overload", self.overload)
                 + _changed("telemetry", self.telemetry)
                 + _changed("durable", self.durable)
                 + [f"expect.{kind}" for kind in sorted(self.expect)]
@@ -469,6 +436,7 @@ class ScenarioSpec:
         for tier, keys in (
             ("faults", _changed("faults", self.faults)),
             ("durable", _changed("durable", self.durable)),
+            ("overload", _changed("overload", self.overload)),
             ("anomaly", [f"expect.{kind}" for kind in sorted(self.expect)]),
         ):
             _require(

@@ -52,9 +52,8 @@ from repro.geo.builder import GeoDbBuilder
 from repro.mq.socket import Context
 from repro.obs import Telemetry
 from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
-from repro.overload import CLASSES, GatedPushSocket, OverloadController, WatermarkBand
+from repro.overload import CLASSES, GatedPushSocket, OverloadController
 from repro.overload import ring_reader, socket_reader
-from repro.overload.controller import NS_PER_MS
 from repro.resilience import Ledger, ResilienceLayer, Supervisor
 from repro.stack.stage import StageContext, StageGraph
 from repro.stack.topology import stage_names
@@ -446,7 +445,7 @@ class StackBuilder:
         self._profile: Optional[FaultProfile] = None
         self._seed = 42
         self._durability: Optional[dict] = None
-        self._overload: Optional[dict] = None
+        self._overload = False
 
     # -- configuration -------------------------------------------------------
 
@@ -534,25 +533,11 @@ class StackBuilder:
         }
         return self
 
-    def overload(
-        self,
-        low: float = 0.5,
-        high: float = 0.85,
-        up_dwell_ms: float = 50.0,
-        down_dwell_ms: float = 250.0,
-        sampled_modulus: int = 8,
-        snap_len: int = 256,
-    ) -> "StackBuilder":
+    def overload(self) -> "StackBuilder":
         """Enable closed-loop overload control (backpressure sensing +
-        the priority shed ladder) across the whole stack."""
-        self._overload = {
-            "low": low,
-            "high": high,
-            "up_dwell_ms": up_dwell_ms,
-            "down_dwell_ms": down_dwell_ms,
-            "sampled_modulus": sampled_modulus,
-            "snap_len": snap_len,
-        }
+        the priority shed ladder) across the whole stack, at the
+        controller's defaults."""
+        self._overload = True
         return self
 
     # -- assembly ------------------------------------------------------------
@@ -596,15 +581,8 @@ class StackBuilder:
 
         # -- overload: the controller (its sensors attach below)
         controller = None
-        if self._overload is not None:
-            knobs = self._overload
-            controller = OverloadController(
-                band=WatermarkBand(low=knobs["low"], high=knobs["high"]),
-                up_dwell_ns=int(knobs["up_dwell_ms"] * NS_PER_MS),
-                down_dwell_ns=int(knobs["down_dwell_ms"] * NS_PER_MS),
-                sampled_modulus=knobs["sampled_modulus"],
-                snap_len=knobs["snap_len"],
-            )
+        if self._overload:
+            controller = OverloadController()
             stages.append(OverloadStage(controller))
 
         generator = self._generator
@@ -795,12 +773,9 @@ def build_live_stack(
     anomaly: bool = False,
     geo_asn=None,
     config: Optional[PipelineConfig] = None,
-    overload: bool = False,
 ) -> RuruStack:
     """``live``: full dataflow with its resilience layer, no faults."""
     builder = StackBuilder().telemetry(telemetry).analytics()
-    if overload:
-        builder.overload()
     if generator is not None:
         builder.generator(generator)
     if geo_asn is not None:

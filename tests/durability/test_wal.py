@@ -7,7 +7,6 @@ import pytest
 
 from repro.durability.wal import _FRAME, DurableTsdb, WalError, WriteAheadLog
 from repro.tsdb.database import TimeSeriesDatabase
-from repro.tsdb.line_protocol import format_point
 from repro.tsdb.point import Point
 from repro.tsdb.retention import RetentionPolicy
 
@@ -319,19 +318,6 @@ class TestCompaction:
         wal.close()
         assert [bid for bid, _ in wal.replay().batches] == [1, 2, 3]
 
-    def test_an_image_stands_in_for_the_batches_it_covers(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "t.wal"))
-        wal.append(2, [pt(20)])  # stale: the image covers it
-        wal.append(3, [pt(30)])
-        wal.append(4, [pt(40)])
-        wal.append_abort(4)
-        wal.compact(image=(2, [format_point(pt(10)), format_point(pt(20))]))
-        replay = wal.replay()
-        assert [
-            (bid, [p.timestamp_ns for p in points])
-            for bid, points in replay.batches
-        ] == [(2, [10, 20]), (3, [30])]
-
     def test_a_torn_tail_is_cut_so_later_appends_replay(self, tmp_path):
         """Recovery appends after whatever the dead process left; a
         partial frame left in place would swallow every later one."""
@@ -405,30 +391,3 @@ class TestStoreIsReplayOfLog:
         db.compact(now_ns=10 * NS_PER_S)
         (_, points), = db.wal.replay().batches
         assert points == [other, pt(9 * NS_PER_S)]
-
-    def test_a_legacy_checkpoint_image_folds_into_the_log(self, tmp_path):
-        """Old layout: the checkpoint held the store up to its mark as
-        lines, the log only what came after (or, after a crash before
-        the truncate, stale frames below the mark). TsdbStage.load_state
-        folds the two with this call."""
-        path = tmp_path / "t.wal"
-        old = self._durable(path)
-        old.next_batch_id = 2  # batch 1 went with the truncated log
-        old.write_batch([pt(20)])  # id 2: stale, the image covers it
-        old.write_batch([pt(30)])  # id 3: after the checkpoint
-        old.wal.close()
-
-        new = self._durable(path)
-        new.load_state(
-            {"next_batch_id": 3, "last_applied_batch_id": 2,
-             "duplicates_skipped": 0, "wal_bytes": 0}
-        )
-        new.wal.compact(
-            image=(new.last_applied_batch_id, [format_point(pt(10)), format_point(pt(20))])
-        )
-        new.replay_wal()
-        assert new.replayed_batches == 1 and new.replayed_points == 1
-        assert new.inner.total_points() == 3
-        before = new.inner.total_points()
-        new.replay_wal()
-        assert new.inner.total_points() == before

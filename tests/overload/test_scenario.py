@@ -56,7 +56,7 @@ class TestDdosRampScenario:
 class TestSpecRoundTrip:
     def test_overload_section_round_trips(self):
         spec = get_scenario("ddos-ramp")
-        assert spec.overload.enabled
+        assert "overload" in spec.stack.tiers
         clone = ScenarioSpec.from_dict(spec.to_dict())
         assert clone.overload == spec.overload
         assert clone.stack.queue_capacity == spec.stack.queue_capacity
@@ -65,7 +65,7 @@ class TestSpecRoundTrip:
 
     def test_disabled_overload_adds_no_checks(self):
         spec = get_scenario("auckland-baseline")
-        assert not spec.overload.enabled
+        assert "overload" not in spec.stack.tiers
         result = run_scenario(spec)
         names = {check.name for check in result.checks}
         assert "overload-ledger-conserves" not in names

@@ -107,17 +107,18 @@ class TestParsing:
 
 class TestTiers:
     def test_defaults_are_the_runners_chain(self):
-        assert ScenarioSpec(name="x").tiers == (
+        assert ScenarioSpec(name="x").stack.tiers == (
             "analytics", "faults", "telemetry", "anomaly", "frontend",
         )
 
-    def test_switched_tiers_come_from_their_sections(self):
+    def test_every_tier_is_an_entry_of_stack_tiers(self):
         spec = ScenarioSpec.from_dict(
-            {"name": "x", "overload": {"enabled": True}, "stack": {"topk": 10, "tiers": []}}
+            {"name": "x", "stack": {"tiers": ["topk", "overload", "analytics"]}}
         )
-        assert spec.tiers == ("overload", "topk")
-        with pytest.raises(SpecError, match="switched by overload.enabled"):
-            ScenarioSpec.from_dict({"name": "x", "stack": {"tiers": ["overload"]}})
+        assert spec.stack.tiers == ("analytics", "overload", "topk")
+        for retired in ({"overload": {"enabled": True}}, {"stack": {"topk": 10}}):
+            with pytest.raises(SpecError, match="bad scenario field"):
+                ScenarioSpec.from_dict({"name": "x", **retired})
         with pytest.raises(SpecError, match="unknown tier"):
             ScenarioSpec.from_dict({"name": "x", "stack": {"tiers": ["cache"]}})
 
@@ -125,6 +126,9 @@ class TestTiers:
         for document, needs in (
             ({"faults": {"profile": "monsoon"}, "stack": {"tiers": ["analytics"]}}, "faults"),
             ({"durable": {"retention_s": 5}}, "durable"),
+            # A shed gate without the controller used to be skipped, and
+            # the run's verdict was OK.
+            ({"overload": {"payload_shed_min_ratio": 0.99}}, "overload"),
             ({"expect": {"syn-flood": {"min": 1}}, "stack": {"tiers": ["analytics"]}}, "anomaly"),
         ):
             with pytest.raises(SpecError, match=f"needs the {needs} tier"):
@@ -328,8 +332,7 @@ class TestShardSpec:
         [
             ({"faults": {"profile": "monsoon"}}, "faults.profile"),
             ({"faults": {"overrides": {"mq_drop_rate": 0.1}}}, "faults.overrides"),
-            ({"overload": {"enabled": True}}, "overload.enabled"),
-            ({"stack": {"topk": 10}}, "stack.topk"),
+            ({"stack": {"tiers": ["analytics", "overload"]}}, "stack.tiers"),
             ({"expect": {"syn-flood": {"min": 5}}}, "expect.syn-flood"),
         ],
     )
@@ -348,13 +351,24 @@ class TestShardSpec:
         with pytest.raises(SpecError, match=re.escape(key)):
             apply_overrides(in_process, {"shard.shards": 2})
 
+    def test_an_overload_gate_is_refused_on_a_shard_run(self):
+        """The shard target has no controller: a gate there was accepted
+        and then never checked."""
+        with pytest.raises(
+            SpecError, match="does not take overload.handshake_shed_max_ratio"
+        ):
+            ScenarioSpec.from_dict(
+                {"name": "s", "shard": {"shards": 2},
+                 "overload": {"handshake_shed_max_ratio": 0.01}}
+            )
+
     def test_the_defaults_spelled_out_are_accepted(self):
         spec = ScenarioSpec.from_dict(
             {
                 "name": "s",
                 "shard": {"shards": 2},
                 "faults": {"profile": "clean"},
-                "overload": {"enabled": False, "high": 0.9},
+                "overload": {"handshake_shed_max_ratio": None},
                 "stack": {"queues": 2},
             }
         )

@@ -75,7 +75,7 @@ class TestLiveShards:
         self, flags, built, capsys
     ):
         key = {
-            "--overload": "overload.enabled",
+            "--overload": "stack.tiers",
             "--retention": "durable.retention_s",
             "--profile": "faults.profile",
         }[flags[0]]
@@ -102,7 +102,7 @@ class TestChaosShards:
     def test_overload_and_a_profile_are_usage_errors(self, built, capsys):
         assert main(["chaos", *WORKLOAD, "--overload", "--profile", "monsoon"]) == 2
         err = capsys.readouterr().err
-        assert "does not take faults.profile, overload.enabled" in err
+        assert "does not take faults.profile, stack.tiers" in err
         assert err.count("\n") == 1
         assert built == []
 

@@ -609,6 +609,13 @@ ROWS = (
         must_hold=(f"{RUNTIME}._await", f"{RUNTIME}._absorb"), pr=30,
         why="A shard pipe is read only by the parent's lease-bounded pump (_await and _absorb) and the "
         "child's loop; any other reader has its own rule for what a message it did not expect means."),
+    Row("no-switched-by", "name", "SWITCHED_BY", pr=35,
+        why="Every tier is one entry of stack.tiers; a tier switched on from another section is a "
+        "second switch, and its settings went unchecked on runs without it."),
+    Row("overload-knobs-stay-home", "name", r"sampled_modulus|snap_len|up_dwell_\w+|down_dwell_\w+"
+        r"|WatermarkBand", allow=("overload/",), pr=35,
+        why="The overload tier runs at the controller's defaults; a spec key, builder parameter or "
+        "preset that sets one of them is a knob no caller turns."),
 )
 ROW = {row.id: row for row in ROWS}
 
@@ -914,6 +921,17 @@ class ShardSupervisor:  # found: no-shard-supervisor=ShardSupervisor
         for message in handle.transport.recv_all():  # found: one-pump=handle.transport.recv_all
             def late(transport=handle.transport):  # found: one-shard-mode=late(transport=)
                 return transport.recv()  # found: one-pump=transport.recv
+=== scenarios/spec.py
+"""SWITCHED_BY and snap_len in a docstring."""
+from repro.overload import WatermarkBand  # found: overload-knobs-stay-home=WatermarkBand
+SWITCHED_BY = {"topk": "stack.topk"}  # found: no-switched-by=SWITCHED_BY
+def overload(builder, snap_len=256):  # found: overload-knobs-stay-home=snap_len
+    return builder.overload(up_dwell_ms=50.0)  # found: overload-knobs-stay-home=up_dwell_ms
+knob = spec.overload.sampled_modulus  # found: overload-knobs-stay-home=sampled_modulus
+help = "frames cut to snap_len"
+=== overload/controller.py
+def controller(band=WatermarkBand(), down_dwell_ns=0, sampled_modulus=8, snap_len=256):
+    return band
 '''.split("\n=== ")[1:]
     )
 ]
