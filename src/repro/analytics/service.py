@@ -91,8 +91,6 @@ class AnalyticsService:
         endpoint: where the PULL socket binds.
         filters: keep-predicates applied after enrichment; a
             measurement rejected by any filter is counted and dropped.
-        telemetry: a :class:`repro.obs.Telemetry` handle shared with
-            the pipeline; binds analytics/mq counters to its registry.
         resilience: the :class:`repro.resilience.ResilienceLayer` the
             service runs behind (a default one, seed 0, if omitted):
             undecodable payloads are dead-lettered, enrichment and TSDB
@@ -115,7 +113,6 @@ class AnalyticsService:
         filters: Optional[List[MeasurementFilter]] = None,
         store_raw_points: bool = True,
         home_country: str = "NZ",
-        telemetry=None,
         resilience=None,
     ):
         if num_workers <= 0:
@@ -151,11 +148,7 @@ class AnalyticsService:
         # playing the role of the tap's hardware counters — an observer
         # that survives the process (see repro.durability.harness).
         self.ingest_observer: Optional[Callable[[], None]] = None
-        self.telemetry = telemetry
-        self._push_sockets: List[PushSocket] = []
-        if telemetry is not None:
-            self._bind_registry(telemetry.registry)
-            self.resilience.bind_registry(telemetry.registry)
+        self.push_sockets: List[PushSocket] = []
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -163,7 +156,7 @@ class AnalyticsService:
         """Create a PUSH socket connected to this service's input."""
         push = self.context.push()
         push.connect(self.endpoint)
-        self._push_sockets.append(push)
+        self.push_sockets.append(push)
         return push
 
     def make_sink(self) -> Callable[[LatencyRecord], None]:
@@ -424,14 +417,3 @@ class AnalyticsService:
             state["resilience"],
             decode_retry_item=lambda lines: [parse_line(line) for line in lines],
         )
-
-    def _bind_registry(self, registry) -> None:
-        """Bridge analytics and message-bus counters into *registry*.
-
-        The binder body lives in :mod:`repro.stack.metrics` with the
-        other tiers' binders; imported lazily because the stack package
-        imports this module.
-        """
-        from repro.stack.metrics import bind_analytics_metrics
-
-        bind_analytics_metrics(self, registry)

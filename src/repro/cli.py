@@ -73,7 +73,7 @@ from repro.frontend.map_view import LiveMapView
 from repro.frontend.websocket import WebSocketChannel
 from repro.net.pcap import PcapError, PcapWriter
 from repro.net.pcapng import PcapngWriter, open_capture
-from repro.obs.bench import collect_meta, compare, load_resultset
+from repro.obs.bench import Resultset, collect_meta, compare, load_resultset
 from repro.obs.slo import evaluate_slos, slos_from_dict
 from repro.scenarios import (
     GridSpec, baseline_path, compare_scenario, get_scenario, load_library, run_grid, run_scenario,
@@ -439,10 +439,7 @@ def cmd_export(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run the workload fully instrumented; print the exposition text."""
-    slos = None
-    if args.slo_config:
-        with open(args.slo_config, "r", encoding="utf-8") as handle:
-            slos = slos_from_dict(json.load(handle))
+    slos = _read_json(args.slo_config, slos_from_dict) if args.slo_config else None
     episode, _ = _run(args)
     registry = episode.stack.telemetry.registry
     print(registry.exposition(), end="")
@@ -492,7 +489,7 @@ def cmd_prof(args) -> int:
 def cmd_perf(args) -> int:
     """Benchmark resultset archive tools (``ruru perf <compare|show>``)."""
     if args.perf_cmd == "show":
-        resultset = load_resultset(args.file)
+        resultset = _read_json(args.file, Resultset.from_dict)
         meta = resultset.meta
         print(f"{resultset.name} @ {str(meta.get('git_rev', '?'))[:12]}")
         print(f"platform: {meta.get('platform', '?')}  "
@@ -502,11 +499,24 @@ def cmd_perf(args) -> int:
             unit = f" {entry['unit']}" if entry.get("unit") else ""
             print(f"  {name:<42} {entry['value']:,.3f}{unit}")
         return 0
-    baseline = load_resultset(args.baseline)
-    current = load_resultset(args.current)
+    baseline = _read_json(args.baseline, Resultset.from_dict)
+    current = _read_json(args.current, Resultset.from_dict)
     report = compare(baseline, current, threshold=args.threshold)
     print(report.render())
     return 0 if report.ok else 1
+
+
+def _read_json(path: str, parse):
+    """*parse* of the JSON document at *path*: a file that is missing,
+    unreadable or not JSON, or a document *parse* refuses, is a
+    SpecError (one error line)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(json.load(handle))
+    except OSError as exc:
+        raise SpecError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError included
+        raise SpecError(f"{path}: {exc}") from None
 
 
 def _print_catalog(rows) -> None:

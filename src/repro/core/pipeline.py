@@ -41,10 +41,6 @@ class RuruPipeline:
         sink: receives every :class:`LatencyRecord`. When None,
             records are collected in :attr:`measurements`.
         feed_batch: frames offered to the NIC between worker polls.
-        telemetry: a :class:`repro.obs.Telemetry` handle. When given,
-            the pipeline registers every counter with the metrics
-            registry, and :meth:`run_packets` drives the
-            self-monitoring exporter after each feed batch.
         supervisor: a :class:`repro.resilience.Supervisor`. When given,
             every worker poll body is wrapped so a crash is caught,
             counted as a restart and retried next round — with the
@@ -66,7 +62,6 @@ class RuruPipeline:
         sink: Optional[MeasurementSink] = None,
         feed_batch: int = FEED_BATCH,
         observers=None,
-        telemetry=None,
         supervisor=None,
         poll_wrapper=None,
         admission=None,
@@ -83,7 +78,6 @@ class RuruPipeline:
         #: the workers keep theirs, and :attr:`stats` folds them in.
         self.counters = PipelineStats()
         self.quiesced = False
-        self.telemetry = telemetry
 
         self.admission = admission
         pool = MbufPool(size=self.config.mbuf_pool_size, name="rx_pool")
@@ -116,8 +110,6 @@ class RuruPipeline:
             if supervisor is not None:
                 poll = supervisor.supervise(poll, role)
             self._polls.append(poll)
-        if telemetry is not None:
-            self._bind_registry(telemetry.registry)
 
     # -- feeding -----------------------------------------------------------
 
@@ -200,11 +192,9 @@ class RuruPipeline:
         return self.stats
 
     def _feed_and_drain(self, batch: List[Packet]) -> None:
-        """Offer one feed batch, drain the rings, drive the exporter."""
+        """Offer one feed batch and drain the rings."""
         self.offer_burst(batch)
         self.drain()
-        if self.telemetry is not None:
-            self.telemetry.tick(self.clock.now_ns)
 
     # -- reporting -----------------------------------------------------------
 
@@ -229,17 +219,6 @@ class RuruPipeline:
     def stats_snapshot(self) -> PipelineStats:
         """:attr:`stats` (the name the end-to-end benchmark reads)."""
         return self.stats
-
-    def _bind_registry(self, registry) -> None:
-        """Publish every pipeline/NIC/worker counter through *registry*.
-
-        The binder body lives in :mod:`repro.stack.metrics` with the
-        other tiers' binders; imported lazily because the stack package
-        imports this module.
-        """
-        from repro.stack.metrics import bind_pipeline_metrics
-
-        bind_pipeline_metrics(self, registry)
 
     def flow_table_occupancy(self) -> List[int]:
         """In-flight handshake count per queue (flood diagnostics)."""

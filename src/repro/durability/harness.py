@@ -42,7 +42,7 @@ from repro.durability.recovery import RecoveryReport, recover_runtime
 from repro.faults.crashpoints import CRASH_POINTS, CrashSchedule, SimulatedCrash
 from repro.resilience.invariants import Ledger
 from repro.scenarios.runner import Episode
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, SpecError
 from repro.stack.builder import DrainReport, RuruStack
 
 
@@ -140,7 +140,9 @@ class RecoveryHarness:
     def run_trial(self, crash_point: str, hit: int = 1) -> RecoveryTrial:
         """One full crash/recover/resume/drain cycle at *crash_point*."""
         if crash_point not in CRASH_POINTS:
-            raise ValueError(f"unknown crash point {crash_point!r}")
+            raise SpecError(
+                f"unknown crash point {crash_point!r}; choose from {sorted(CRASH_POINTS)}"
+            )
         self._wipe_state_dir()
 
         # The observer outlives the process — the software analogue of

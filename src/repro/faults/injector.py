@@ -145,22 +145,6 @@ class FaultInjector:
 
         return unstable_poll
 
-    # -- reporting ----------------------------------------------------------
-
-    def bind_registry(self, registry) -> None:
-        """Expose fired faults as ``ruru_faults_injected_total``."""
-        injected = registry.counter(
-            "ruru_faults_injected_total",
-            help="Faults fired by the chaos injector, by stage and kind.",
-            labels=("stage", "kind"),
-        )
-
-        def collect() -> None:
-            for (stage, kind), count in self.injected.items():
-                injected.labels(stage, kind).value = count
-
-        registry.register_collector(collect)
-
 
 class WorkerCrash(RuntimeError):
     """The injected failure mode for queue-worker poll bodies."""

@@ -32,7 +32,6 @@ class Forwarder:
         sub: SubSocket,
         pub: PubSocket,
         message_filter: Optional[MessageFilter] = None,
-        telemetry=None,
         name: str = "forwarder",
     ):
         self.sub = sub
@@ -41,8 +40,6 @@ class Forwarder:
         self.name = name
         self.forwarded = 0
         self.filtered = 0
-        if telemetry is not None:
-            self._bind_registry(telemetry.registry)
 
     def poll(self, max_messages: int = 100) -> int:
         """Move up to *max_messages* downstream; returns messages handled."""
@@ -55,21 +52,3 @@ class Forwarder:
             self.pub.send(message)
             self.forwarded += 1
         return handled
-
-    def _bind_registry(self, registry) -> None:
-        forwarded = registry.counter(
-            "ruru_mq_forwarded_total",
-            help="Messages re-published by forwarder devices.",
-            labels=("forwarder",),
-        )
-        filtered = registry.counter(
-            "ruru_mq_forward_filtered_total",
-            help="Messages dropped by forwarder filter predicates.",
-            labels=("forwarder",),
-        )
-
-        def collect() -> None:
-            forwarded.labels(self.name).value = self.forwarded
-            filtered.labels(self.name).value = self.filtered
-
-        registry.register_collector(collect)

@@ -4,9 +4,10 @@ Three pieces, one handle:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges and
   fixed-bucket histograms with labels; Prometheus text exposition and
-  a JSON snapshot view. Existing hot-path counters stay plain ints and
-  are bridged in by scrape-time collectors, so instrumentation cost on
-  the packet path is effectively zero.
+  a JSON snapshot view. Hot-path counters stay plain ints: a run's
+  books read them, and one scrape-time collector renders the books
+  into the registry (:mod:`repro.stack.metrics`), so instrumentation
+  cost on the packet path is effectively zero.
 * :class:`~repro.obs.prof.StageProfiler` — the one timing point: the
   stage graph times every assembled stage's slice of each feed batch
   on the wall, cpu and virtual planes (the virtual plane is
@@ -14,10 +15,10 @@ Three pieces, one handle:
 * :class:`~repro.obs.exporter.TelemetryExporter` — periodic registry
   snapshots written into the in-repo TSDB as self-monitoring series.
 
-:class:`Telemetry` bundles the three and is what the stack builder,
-the pipeline, the analytics service and the CLI pass around: construct
-one, hand it to :class:`~repro.stack.StackBuilder`, and every stage's
-counters and timings flow through it.
+:class:`Telemetry` bundles the three and is what the stack builder and
+the CLI pass around: construct one, hand it to
+:class:`~repro.stack.StackBuilder`, and the run's books and every
+stage's timings flow through it.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The deployment story of the paper (Sec. 3) rests on the operators
 being able to see the measurement pipeline's own health — ``imissed``
 on the NIC, per-stage throughput, parse-drop reasons. This module is
-the one place those numbers live: hot-path code increments cheap
-primitives (or keeps its existing plain-int counters and bridges them
-in through a *collector* run at scrape time), and everything is read
-back out through two views:
+the one place those numbers are read out: a run's books are rendered
+into it by one *collector* run at scrape time (:mod:`repro.stack.metrics`),
+the stage profiler publishes its timings the same way, and everything
+is read back out through two views:
 
 * :meth:`MetricsRegistry.exposition` — Prometheus text format, what
   ``ruru metrics`` prints and what a real scrape endpoint would serve;
@@ -254,11 +254,10 @@ class MetricsRegistry:
     def register_collector(self, collector: Callable[[], None]) -> None:
         """Register a zero-arg callable run before every read-out.
 
-        Collectors bridge live objects that keep plain-int counters on
-        their hot path (``TrackerStats``, ``PortStats``, socket drop
-        counts) into registry metrics: they *assign* authoritative
-        totals so the registry is the single source of truth at scrape
-        time with zero added cost per packet.
+        A collector *assigns* authoritative totals read off live
+        objects (a run's books, the stage profiler's timings), so the
+        registry holds the current values at scrape time with zero
+        added cost per packet.
         """
         self._collectors.append(collector)
 

@@ -21,9 +21,10 @@ clock so chaos runs replay bit-identically:
   count-conservation invariant ``ingested == processed + dropped +
   deadlettered [+ shed] [+ lost_at_crash]`` asserted after every run.
 * :class:`~repro.resilience.layer.ResilienceLayer` — the bundle the
-  analytics service takes; binds every knob into the PR 1 telemetry
-  registry (``ruru_retry_total``, ``ruru_breaker_state``,
-  ``ruru_dlq_depth``, …) so degradation is observable, never silent.
+  analytics service takes; the stack's books read every counter of it,
+  and the metrics registry renders them (``ruru_retry_total``,
+  ``ruru_breaker_state``, ``ruru_dlq_depth``, …) so degradation is
+  observable, never silent.
 """
 
 from __future__ import annotations

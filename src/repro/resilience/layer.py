@@ -12,9 +12,9 @@ It owns:
 * the retry policy/queue for deferred TSDB writes;
 * the running counters that make all of it observable.
 
-``bind_registry`` wires everything into the PR 1 telemetry registry:
-``ruru_retry_total``, ``ruru_breaker_state``, ``ruru_dlq_depth``,
-``ruru_dlq_total``, ``ruru_degraded_published_total``, and friends.
+The stack's books read every counter and state here, and the metrics
+registry renders them (``ruru_retry_total``, ``ruru_breaker_state``,
+``ruru_dlq_depth``, ``ruru_dlq_total``, and friends).
 """
 
 from __future__ import annotations
@@ -97,70 +97,3 @@ class ResilienceLayer:
         self.tsdb_write_failures = int(counters["tsdb_write_failures"])
         self.points_written = int(counters["points_written"])
         self.points_lost = int(counters["points_lost"])
-
-    def bind_registry(self, registry) -> None:
-        """Bridge every resilience counter/state into *registry*."""
-        retry_total = registry.counter(
-            "ruru_retry_total",
-            help="Retry attempts made against a failed dependency.",
-            labels=("stage",),
-        )
-        breaker_state = registry.gauge(
-            "ruru_breaker_state",
-            help="Circuit breaker state (0=closed, 1=open, 2=half-open).",
-            labels=("breaker",),
-        )
-        breaker_opened = registry.counter(
-            "ruru_breaker_opened_total",
-            help="Times each circuit breaker tripped open.",
-            labels=("breaker",),
-        )
-        dlq_depth = registry.gauge(
-            "ruru_dlq_depth",
-            help="Payloads currently parked in the dead-letter queue.",
-        )
-        dlq_total = registry.counter(
-            "ruru_dlq_total",
-            help="Payloads ever dead-lettered, by stage and reason.",
-            labels=("stage", "reason"),
-        )
-        degraded = registry.counter(
-            "ruru_degraded_published_total",
-            help="Measurements published un-enriched with the degraded flag.",
-        )
-        enrich_failures = registry.counter(
-            "ruru_enrich_failures_total",
-            help="Enrichment attempts that raised (geo/ASN lookup faults).",
-        )
-        write_failures = registry.counter(
-            "ruru_tsdb_write_failures_total",
-            help="TSDB write attempts that raised.",
-        )
-        points_lost = registry.counter(
-            "ruru_tsdb_points_lost_total",
-            help="Points shed after the retry budget or pending bound.",
-        )
-        retry_pending = registry.gauge(
-            "ruru_retry_pending",
-            help="Write batches waiting out their backoff.",
-        )
-        retry_children = [
-            (stage, retry_total.labels(stage)) for stage in ("tsdb",)
-        ]
-
-        def collect() -> None:
-            for stage, child in retry_children:
-                child.value = self.retries
-            for breaker in self.breakers:
-                breaker_state.labels(breaker.name).set(breaker.state)
-                breaker_opened.labels(breaker.name).value = breaker.opened_count
-            dlq_depth.set(len(self.dlq))
-            for (stage, reason), count in self.dlq.summary().items():
-                dlq_total.labels(stage, reason).value = count
-            degraded.value = self.degraded_published
-            enrich_failures.value = self.enrich_failures
-            write_failures.value = self.tsdb_write_failures
-            points_lost.value = self.points_lost
-            retry_pending.set(len(self.retry_queue))
-
-        registry.register_collector(collect)

@@ -100,17 +100,3 @@ class Supervisor:
                 return 0
 
         return supervised_poll
-
-    def bind_registry(self, registry) -> None:
-        """Expose restart counts as ``ruru_supervisor_restarts_total``."""
-        restarts = registry.counter(
-            "ruru_supervisor_restarts_total",
-            help="Crashed lcore poll bodies restarted by the supervisor.",
-            labels=("role",),
-        )
-
-        def collect() -> None:
-            for role, count in self.restarts_by_role.items():
-                restarts.labels(role).value = count
-
-        registry.register_collector(collect)

@@ -119,7 +119,10 @@ class FaultSpec:
     overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        base = get_profile(self.profile)  # validates the name
+        try:
+            base = get_profile(self.profile)
+        except ValueError as exc:  # an unknown name
+            raise SpecError(str(exc)) from None
         valid = {spec.name for spec in dataclasses.fields(base)}
         for key in self.overrides:
             _require(

@@ -226,7 +226,6 @@ class ShardedRuntime:
         restart_delay_batches: int = 1,
         max_restarts_per_shard: int = 3,
         record_sink: Optional[Callable[[bytes], None]] = None,
-        registry=None,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
@@ -269,9 +268,6 @@ class ShardedRuntime:
         self._round = 0
         self._started = False
         self._drained = False
-
-        if registry is not None:
-            self.bind_registry(registry)
 
     # -- processes ------------------------------------------------------------
 
@@ -630,19 +626,10 @@ class ShardedRuntime:
                 ))
         self.close()
 
-        workers = self.handles.values()
-        ledger = Ledger(
-            ingested=self.ingested,
-            processed=sum(h.acked_packets for h in workers),
-            dropped=0,  # a batch the parent cannot write is deadlettered
-            deadlettered=sum(h.deadlettered for h in workers),
-            shed=sum(self.shed_by_class.values()),
-            lost_at_crash=sum(h.lost_at_crash for h in workers),
-            scope="shard",
-        )
+        ledger = self._ledger()
         reconciliation.append(("global.conservation", ledger.ok, str(ledger)))
-        shards = {h.name: h.ledger() for h in workers}
-        counts = self._books(ledger, shards)
+        shards = {h.name: h.ledger() for h in self.handles.values()}
+        counts = self.books()
         # Every record a shard acked is handed to the sink in the same
         # step, so the two counts cannot diverge.
         records = counts["shard.records.delivered"]
@@ -676,9 +663,26 @@ class ShardedRuntime:
         self._release(handle)
         return handle.drained_payload
 
-    def _books(self, ledger: Ledger, shards: Dict[str, dict]) -> Dict[str, int]:
-        """The run's books: one flat ``{name: int}``, sorted by name."""
-        records = sum(entry["records"] for entry in shards.values())
+    def _ledger(self) -> Ledger:
+        """The five-term global ledger, as the parent's books stand."""
+        workers = self.handles.values()
+        return Ledger(
+            ingested=self.ingested,
+            processed=sum(h.acked_packets for h in workers),
+            dropped=0,  # a batch the parent cannot write is deadlettered
+            deadlettered=sum(h.deadlettered for h in workers),
+            shed=sum(self.shed_by_class.values()),
+            lost_at_crash=sum(h.lost_at_crash for h in workers),
+            scope="shard",
+        )
+
+    def books(self) -> Dict[str, int]:
+        """The run's books: one flat ``{name: int}``, sorted by name —
+        live while the run goes (what a scrape renders), final once it
+        has drained (:attr:`ShardRunReport.counts`, where every shard's
+        ``up`` is 0)."""
+        ledger, workers = self._ledger(), self.handles.values()
+        records = sum(h.records_received for h in workers)
         counts = {
             "scenario.packets_offered": self.ingested,
             "scenario.measurements": records,
@@ -686,15 +690,20 @@ class ShardedRuntime:
             "shard.ledger.lost_at_crash": ledger.lost_at_crash,
             "shard.records.delivered": records,
             "shard.rerouted": self.rerouted_packets,
-            "shard.restarts": sum(entry["restarts"] for entry in shards.values()),
+            "shard.restarts": sum(h.restarts for h in workers),
         }
         for term in ("ingested", "processed", "dropped", "deadlettered", "balance"):
             counts[f"ledger.{term}"] = getattr(ledger, term)
         for klass, count in self.shed_by_class.items():
             counts[SHED_PREFIX + klass] = count
-        for name, entry in shards.items():
-            for term in ("dispatched", "acked", "lost_at_crash", "restarts"):
-                counts[f"shard.{name}.{term}"] = entry[term]
+        for h in workers:
+            counts.update({
+                f"shard.{h.name}.dispatched": h.dispatched_packets,
+                f"shard.{h.name}.acked": h.acked_packets,
+                f"shard.{h.name}.lost_at_crash": h.lost_at_crash,
+                f"shard.{h.name}.restarts": h.restarts,
+                f"shard.{h.name}.up": int(h.live),
+            })
         return dict(sorted(counts.items()))
 
     def close(self) -> None:
@@ -702,52 +711,3 @@ class ShardedRuntime:
         for error paths, and the last step of a drain."""
         for handle in self.handles.values():
             self._release(handle)
-
-    # -- observability ---------------------------------------------------------
-
-    def bind_registry(self, registry) -> None:
-        """Expose shard liveness, crash accounting and the down-shard
-        policy's work as metrics."""
-        up = registry.gauge(
-            "ruru_shard_up",
-            help="1 while the shard process is dispatchable, else 0.",
-            labels=("shard",),
-        )
-        restarts = registry.counter(
-            "ruru_shard_restarts_total",
-            help="Times each shard was respawned after a declared death.",
-            labels=("shard",),
-        )
-        lost = registry.counter(
-            "ruru_shard_lost_at_crash_total",
-            help="Packets in flight to a shard when it was declared down.",
-            labels=("shard",),
-        )
-        latency = registry.gauge(
-            "ruru_shard_heartbeat_latency_ns",
-            help="Latest heartbeat one-way latency per shard.",
-            labels=("shard",),
-        )
-        rerouted = registry.counter(
-            "ruru_shard_rerouted_total",
-            help="Packets rerouted away from a down shard.",
-        )
-        shed = registry.counter(
-            "ruru_shard_shed_total",
-            help="Packets shed because their shard was down.",
-            labels=("klass",),
-        )
-
-        def collect() -> None:
-            for handle in self.handles.values():
-                up.labels(handle.name).set(1 if handle.live else 0)
-                restarts.labels(handle.name).value = handle.restarts
-                lost.labels(handle.name).value = handle.lost_at_crash
-                seen = self.detector.last_latency_ns(handle.shard_id)
-                if seen is not None:
-                    latency.labels(handle.name).set(seen)
-            rerouted.value = self.rerouted_packets
-            for klass, count in self.shed_by_class.items():
-                shed.labels(klass).value = count
-
-        registry.register_collector(collect)

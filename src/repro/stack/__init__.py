@@ -16,8 +16,8 @@ from it:
 * the registered crash-point table —
   :func:`repro.stack.topology.crash_points`.
 
-The tiers' metrics binders live together in :mod:`repro.stack.metrics`
-(each component still registers its own when handed a ``Telemetry``).
+A run's counters are read once, into its books (``count_books``); the
+metrics registry renders the books through :mod:`repro.stack.metrics`.
 
 Every assembly in the repo (the CLI commands, the
 recovery harness, the scenario runner) is one scenario spec turned into

@@ -12,7 +12,7 @@ order; a tier whose input is missing is refused at ``build()``. The
 builder wraps the components in the stage wrappers of
 :mod:`repro.stack.stages`, and returns a :class:`RuruStack` whose
 cross-cutting behaviour (batch processing, graceful-drain order,
-checkpoint payload, crash-point surface, durability metrics) is
+checkpoint payload, crash-point surface) is
 derived from the :class:`~repro.stack.stage.StageGraph` traversals.
 
 Presets (kept for the end-to-end benchmark, which builds through them):
@@ -55,6 +55,7 @@ from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
 from repro.overload import CLASSES, GatedPushSocket, OverloadController
 from repro.overload import ring_reader, socket_reader
 from repro.resilience import Ledger, ResilienceLayer, Supervisor
+from repro.stack.metrics import bind_books, bind_sharded
 from repro.stack.stage import StageContext, StageGraph
 from repro.stack.topology import stage_names
 from repro.stack.stages import (
@@ -91,15 +92,18 @@ def build_enrichment_dbs(plan=None, country_accuracy: float = 0.98):
     return GeoDbBuilder(plan=plan, country_accuracy=country_accuracy).build()
 
 
-def count_books(stack: "RuruStack") -> Dict[str, int]:
-    """The stack's books: one flat ``{name: int}``, sorted by name.
+def count_books(stack: "RuruStack") -> Dict[str, float]:
+    """The stack's books: one flat ``{name: number}``, sorted by name.
 
-    The one place an in-process run's counters are read. The fast path,
+    The one place an in-process run's counters are read: the drain's
+    report, the scenario runner and chaos read them, and the metrics
+    registry renders them (:mod:`repro.stack.metrics`). The fast path,
     the frontend and the fault totals are always there; every other
     tier adds its terms only when it was built. Deterministic: the same
     (spec, seed) gives the same dict.
     """
-    stats = stack.pipeline.stats
+    pipeline = stack.pipeline
+    stats, nic = pipeline.stats, pipeline.nic
     injected = stack.injector.injected if stack.injector is not None else {}
     counts = {
         "scenario.packets_offered": stats.packets_offered,
@@ -108,31 +112,81 @@ def count_books(stack: "RuruStack") -> Dict[str, int]:
         "pipeline.packets_processed": stats.packets_processed,
         "pipeline.packets_shed": stats.packets_shed,
         "pipeline.nic_drops": stats.nic_drops,
+        "pipeline.parse_errors": stats.parse_errors,
+        "pipeline.scheduling_rounds": stats.scheduling_rounds,
+        "nic.rx_packets": nic.stats.ipackets,
+        "nic.rx_bytes": nic.stats.ibytes,
+        "nic.imissed": nic.stats.imissed,
+        "nic.ierrors": nic.stats.ierrors,
+        "nic.pool.exhausted": nic.pool.exhausted_count,
+        "nic.pool.in_use": nic.pool.in_use,
         "frontend.received": stack.frontend_received,
         "frontend.degraded": stack.frontend_degraded,
         "faults.injected_total": sum(injected.values()),
     }
+    for reason, count in stats.parse_error_reasons.items():
+        counts[f"pipeline.parse_errors.{reason}"] = count
+    for event, count in stats.tracker.state_dict().items():
+        counts[f"tracker.{event}"] = count
+    for queue in nic.queues:
+        ring, term = queue.ring, f"nic.queue.{queue.queue_id}."
+        counts.update({
+            term + "rx_packets": nic.stats.q_ipackets.get(queue.queue_id, 0),
+            term + "pending": len(queue),
+            term + "high_watermark": ring.high_watermark,
+            term + "capacity": ring.capacity,
+            term + "drops": ring.drops,
+            term + "displaced": ring.displaced,
+        })
+    for worker in pipeline.workers:
+        term = f"worker.{worker.queue_id}."
+        counts[term + "processed"] = worker.packets_processed
+        counts[term + "sampled_out"] = worker.packets_sampled_out
+        counts[term + "flow_entries"] = len(worker.tracker.table)
     for (stage, kind), count in injected.items():
         counts[f"fault.{stage}.{kind}"] = count
     if stack.supervisor is not None:
         counts["supervisor.restarts"] = stack.supervisor.total_restarts
+        for role, count in stack.supervisor.restarts_by_role.items():
+            counts[f"supervisor.restarts.{role}"] = count
     service, resilience = stack.service, stack.resilience
     if service is not None:
         ledger = service.conservation_ledger()
         for term in ("ingested", "processed", "dropped", "deadlettered", "balance"):
             counts[f"ledger.{term}"] = getattr(ledger, term)
+        pushes = service.push_sockets
         counts.update({
             "scenario.enriched": service.enriched_count,
             "scenario.tsdb_points": stack.tsdb.total_points(),
+            "analytics.records_in": service.records_in,
+            "analytics.decode_errors": service.decode_errors,
+            "analytics.filtered_out": service.filtered_out,
+            "analytics.processed": service.processed,
+            "analytics.dropped": service.dropped_records,
+            "analytics.deadlettered": service.deadlettered,
+            "mq.push.sent": sum(push.sent for push in pushes),
+            "mq.push.dropped": sum(push.dropped for push in pushes),
+            "mq.push.peerless_buffered": sum(push.buffered_no_peer for push in pushes),
+            "mq.push.peerless_dropped": sum(push.dropped_no_peer for push in pushes),
+            "mq.pull.received": service.pull.received,
+            "mq.pull.dropped": service.pull.dropped,
+            "mq.pull.depth": len(service.pull),
+            "mq.pub.sent": service.pub.sent,
             "resilience.degraded_published": resilience.degraded_published,
             "resilience.dlq_depth": len(resilience.dlq),
             "resilience.dlq_total": resilience.dlq.total,
             "resilience.retries": resilience.retries,
+            "resilience.retry_pending": len(resilience.retry_queue),
+            "resilience.enrich_failures": resilience.enrich_failures,
+            "resilience.tsdb_write_failures": resilience.tsdb_write_failures,
             "resilience.points_written": resilience.points_written,
             "resilience.points_lost": resilience.points_lost,
         })
+        for (stage, reason), count in resilience.dlq.summary().items():
+            counts[f"resilience.dlq.{stage}.{reason}"] = count
         for breaker in resilience.breakers:
             counts[f"breaker.{breaker.name}.opened"] = breaker.opened_count
+            counts[f"breaker.{breaker.name}.state"] = breaker.state
     controller = stack.overload
     if controller is not None:
         counts.update({
@@ -143,6 +197,8 @@ def count_books(stack: "RuruStack") -> Dict[str, int]:
             "overload.ring_displacements": controller.ring_displacements,
             "overload.mq_offered": controller.mq_offered,
         })
+        for stage, fraction in controller.pressure_by_stage().items():
+            counts[f"overload.pressure.{stage}"] = fraction
         for klass in CLASSES:
             counts[f"overload.offered.{klass}"] = controller.offered[klass]
             counts[f"overload.admitted.{klass}"] = controller.admitted[klass]
@@ -156,6 +212,26 @@ def count_books(stack: "RuruStack") -> Dict[str, int]:
             counts["oledger.ingested"] = oledger.ingested
             counts["oledger.shed"] = oledger.shed
             counts["oledger.balance"] = oledger.balance
+    checkpointer = stack.checkpointer
+    if checkpointer is not None:
+        store, last = stack.tsdb, checkpointer.last_info
+        counts.update({
+            "checkpoint.written": checkpointer.checkpoints_written,
+            "checkpoint.bytes": checkpointer.bytes_written,
+            "checkpoint.corrupt_skipped": checkpointer.corrupt_skipped,
+            "checkpoint.last_size_bytes": last.size_bytes if last is not None else 0,
+            "checkpoint.last_ns": last.now_ns if last is not None else 0,
+            "wal.appends": stack.wal.appends,
+            "wal.aborts": stack.wal.aborts,
+            "wal.bytes": store.wal_bytes,
+            "wal.replayed_batches": store.replayed_batches,
+            "wal.replayed_points": store.replayed_points,
+            "wal.duplicates_skipped": store.duplicates_skipped,
+            "wal.expired_dropped": store.expired_dropped,
+            "wal.damaged_frames": store.damaged_frames,
+            "recovery.count": stack.recovery_count,
+            "recovery.lost_at_crash": stack.last_lost_at_crash,
+        })
     return dict(sorted(counts.items()))
 
 
@@ -627,7 +703,6 @@ class StackBuilder:
                 geo,
                 asn,
                 tsdb=tsdb,
-                telemetry=telemetry,
                 resilience=resilience,
             )
             if injector is not None:
@@ -666,9 +741,6 @@ class StackBuilder:
             # The faults tier's last piece: what catches the crashes the
             # injector arms in the worker polls.
             supervisor = Supervisor()
-            if telemetry is not None:
-                supervisor.bind_registry(telemetry.registry)
-                injector.bind_registry(telemetry.registry)
         if telemetry is not None:
             stages.append(TelemetryStage(telemetry))
 
@@ -677,7 +749,6 @@ class StackBuilder:
             config=self._config or PipelineConfig(num_queues=self._queues),
             sink=sink,
             observers=observers,
-            telemetry=telemetry,
             supervisor=supervisor,
             poll_wrapper=injector.crashy_poll if injector is not None else None,
             admission=controller,
@@ -738,9 +809,8 @@ class StackBuilder:
             )
             checkpoint_stage = stack.graph.get("checkpoint")
             checkpoint_stage.checkpointer = stack.checkpointer
-            checkpoint_stage.stack = stack
         if telemetry is not None:
-            stack.graph.bind_telemetry(telemetry.registry)
+            bind_books(telemetry.registry, lambda: count_books(stack))
             # Timing is a graph concern: the graph times every
             # assembled stage itself, so the profile surface stays
             # derived from the topology.
@@ -807,9 +877,8 @@ def build_sharded_runtime(
     # it at module scope would cycle back through repro.stack.
     from repro.shard.runtime import ShardedRuntime
 
-    return ShardedRuntime(
-        shards,
-        registry=telemetry.registry if telemetry is not None else None,
-        **kwargs,
-    )
+    runtime = ShardedRuntime(shards, **kwargs)
+    if telemetry is not None:
+        bind_sharded(runtime, telemetry.registry)
+    return runtime
 

@@ -10,7 +10,6 @@ lifecycle so the composition root can treat the whole pipeline as data:
 * ``state_dict()`` / ``load_state(state)`` — the stage's checkpoint
   fragment (a dict merged into the envelope, keyed so fragments never
   collide);
-* ``bind_telemetry(registry)`` — scrape-time collectors;
 * ``fault_points()`` — the crash points this stage owns.
 
 :class:`StageGraph` holds stages in topology order and derives every
@@ -83,9 +82,6 @@ class Stage:
     def load_state(self, state: Dict) -> None:
         """Restore from a full checkpoint envelope; each stage picks
         out only the keys it contributed."""
-
-    def bind_telemetry(self, registry) -> None:
-        """Register scrape-time collectors for this stage."""
 
     def fault_points(self) -> Dict[str, str]:
         """Crash points this stage owns, from its topology spec."""
@@ -185,10 +181,6 @@ class StageGraph:
     def load_state(self, state: Dict) -> None:
         for stage in self.stages:
             stage.load_state(state)
-
-    def bind_telemetry(self, registry) -> None:
-        for stage in self.stages:
-            stage.bind_telemetry(registry)
 
     def fault_points(self) -> Dict[str, str]:
         """The crash points of every assembled stage, in order."""

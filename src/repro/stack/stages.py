@@ -44,11 +44,6 @@ class OverloadStage(Stage):
         if "overload" in state:
             self.controller.load_state(state["overload"])
 
-    def bind_telemetry(self, registry) -> None:
-        from repro.stack.metrics import bind_overload_metrics
-
-        bind_overload_metrics(self.controller, registry)
-
 
 class NicStage(Stage):
     """Frame admission: offer the batch to the NIC as one burst."""
@@ -252,7 +247,6 @@ class CheckpointStage(Stage):
         self.tsdb = tsdb
         self.retention_ns = retention_ns
         self.checkpointer = None
-        self.stack = None
         self.last_clean = None
 
     def process(self, ctx: StageContext) -> None:
@@ -266,8 +260,3 @@ class CheckpointStage(Stage):
     def drain(self, ctx: StageContext) -> List[str]:
         self.last_clean = self.checkpointer.checkpoint(ctx.now_ns, clean=True)
         return ["clean-checkpoint"]
-
-    def bind_telemetry(self, registry) -> None:
-        from repro.stack.metrics import bind_durability_metrics
-
-        bind_durability_metrics(self.stack, registry)

@@ -27,8 +27,8 @@ LEDGER = {
     "lost_at_crash": "shard.ledger.lost_at_crash",
 }
 
-#: Metrics the report does not print: the flow count, and the balance
-#: (printed as ``[OK]``).
+#: Metrics the report does not print: the flow count, the balance
+#: (printed as ``[OK]``) and each shard's ``up`` (0 once drained).
 UNPRINTED = {"scenario.flows", "ledger.balance"}
 
 
@@ -109,4 +109,6 @@ def test_every_printed_number_is_a_scenario_metric(argv, capsys):
     for name, value in printed.items():
         assert result.metric(name) == value, name
     # And the books hold no count the report left out.
-    assert set(result.resultset.metrics) - set(printed) == UNPRINTED
+    up = {f"shard.shard-{shard}.up" for shard in range(spec.shard.shards)}
+    assert set(result.resultset.metrics) - set(printed) == UNPRINTED | up
+    assert [result.metric(name) for name in up] == [0] * len(up)

@@ -1,11 +1,8 @@
-"""End-to-end telemetry: the wired pipeline reports through one registry."""
+"""End-to-end telemetry: the built stack reports through one registry,
+which renders the run's books."""
 
-from repro.analytics.service import AnalyticsService
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import RuruPipeline
-from repro.geo.builder import GeoDbBuilder
-from repro.mq.socket import Context
 from repro.obs import Telemetry
+from repro.stack import StackBuilder
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.query import Query
 
@@ -16,12 +13,9 @@ def run_instrumented(packets, export_interval_ns=NS_PER_S):
     telemetry = Telemetry()
     tsdb = TimeSeriesDatabase()
     telemetry.export_to(tsdb, interval_ns=export_interval_ns)
-    pipeline = RuruPipeline(
-        config=PipelineConfig(num_queues=4), telemetry=telemetry
-    )
-    stats = pipeline.run_packets(packets)
-    telemetry.flush(pipeline.clock.now_ns)
-    return telemetry, pipeline, stats, tsdb
+    stack = StackBuilder().queues(4).telemetry(telemetry).build()
+    stats = stack.run(packets).stats
+    return telemetry, stack.pipeline, stats, tsdb
 
 
 class TestRegistryIsSourceOfTruth:
@@ -91,21 +85,15 @@ class TestSelfMonitoringExport:
 class TestAnalyticsTelemetry:
     def test_full_deployment_shares_one_registry(self, small_workload):
         generator, packets = small_workload
-        context = Context()
-        geo, asn = GeoDbBuilder(plan=generator.plan).build()
         telemetry = Telemetry()
-        service = AnalyticsService(context, geo, asn, telemetry=telemetry)
-        telemetry.export_to(service.tsdb)
-        pipeline = RuruPipeline(
-            config=PipelineConfig(num_queues=4),
-            sink=service.make_sink(),
-            telemetry=telemetry,
+        stack = (
+            StackBuilder().generator(generator).queues(4).telemetry(telemetry)
+            .analytics().build()
         )
+        telemetry.export_to(stack.tsdb)
         # Use the fixture's materialized list: calling packets() again
         # would grow the session-scoped generator's spec history.
-        stats = pipeline.run_packets(packets)
-        service.finish()
-        telemetry.flush(pipeline.clock.now_ns)
+        stats = stack.run(packets).stats
 
         snapshot = telemetry.registry.snapshot()
 
@@ -114,5 +102,5 @@ class TestAnalyticsTelemetry:
 
         assert value("ruru_mq_push_sent_total") == stats.measurements
         assert value("ruru_analytics_records_in_total") == stats.measurements
-        assert value("ruru_analytics_enriched_total") == service.enriched_count
-        assert value("ruru_tsdb_points") == service.tsdb.total_points()
+        assert value("ruru_analytics_enriched_total") == stack.service.enriched_count
+        assert value("ruru_tsdb_points") == stack.tsdb.total_points()

@@ -2,6 +2,7 @@
 
 from repro.obs import Telemetry
 from repro.resilience import ResilienceLayer
+from repro.stack import StackBuilder
 
 
 class TestResilienceLayer:
@@ -15,8 +16,8 @@ class TestResilienceLayer:
 
     def test_registry_exposes_required_families(self):
         telemetry = Telemetry()
-        layer = ResilienceLayer(seed=7)
-        layer.bind_registry(telemetry.registry)
+        stack = StackBuilder().telemetry(telemetry).analytics().build()
+        layer = stack.resilience
         layer.retries = 3
         layer.degraded_published = 2
         layer.dlq.push("mq.decode", "CodecError: x", b"\x00", 0)

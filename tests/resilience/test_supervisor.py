@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs import Telemetry
 from repro.resilience import Supervisor
+from tests.conftest import cli_stack
 
 
 class TestSupervisor:
@@ -66,16 +66,15 @@ class TestSupervisor:
             Supervisor(max_restarts_per_role=0)
 
     def test_registry_exposes_restarts_by_role(self):
-        telemetry = Telemetry()
-        supervisor = Supervisor()
-        supervisor.bind_registry(telemetry.registry)
+        stack = cli_stack("chaos", "--profile", "clean", "--queues", 1)
+        supervisor = stack.supervisor
 
         def crash():
             raise RuntimeError("x")
 
         wrapped = supervisor.supervise(crash, role="rx-worker-q0")
         wrapped()
-        text = telemetry.registry.exposition()
+        text = stack.telemetry.registry.exposition()
         assert 'ruru_supervisor_restarts_total{role="rx-worker-q0"} 1' in text
 
 

@@ -273,12 +273,13 @@ class TestRestart:
 class TestObservability:
     def test_bind_registry_exports_liveness_and_crash_counters(self):
         from repro.obs.registry import MetricsRegistry
+        from repro.stack.metrics import bind_sharded
 
         supervisor = _make_supervisor(2)
         supervisor.start()
         try:
             registry = MetricsRegistry()
-            supervisor.bind_registry(registry)
+            bind_sharded(supervisor, registry)
             _kill(supervisor, 0)
             _declare(supervisor, 0, cause="chaos")
             snap = registry.snapshot()

@@ -37,8 +37,7 @@ class Row:
     (``from a import b`` imports ``a`` and ``a.b``), ``attr`` (the dotted
     path of an attribute read on anything but bare ``self``), ``const`` (a
     string constant), ``key`` (a string written as a key: dict literal,
-    subscript store, keyword) or ``module`` (the module's own path). A
-    dotted pattern matches with or without its receivers. *match* is a
+    subscript store, keyword). A dotted pattern matches with or without its receivers. *match* is a
     regex, or a set of names each of which every *must_hold* place must
     hold. A place is a path prefix (``""`` is the tree, ``shard/`` a
     package) or ``path::Qualified.name``. *scope* is where the pattern is
@@ -156,9 +155,6 @@ def check(modules, rows):
     }
     walked = {}
     for path, tree in modules.items():
-        for row, rx in patterns.get("module", ()):
-            if rx.fullmatch(path):
-                note(row, path, "", 1, path)
         nodes = walked[path] = []
         stack = [(tree, "")]
         while stack:
@@ -419,6 +415,36 @@ def json_state_shapes(modules):
                 yield path, node.lineno, f"{_callee(node)}( of a state"
 
 
+#: What is gone: a former row's id (or the group's) -> (names, what does their
+#: job now). ``name`` is any name, ``name(`` a call of it, ``path.py`` a module.
+DELETED = {
+    "no-tracer": ("tracer _tracer", "Timing has one home, StageGraph.process."),
+    "no-span-call": ("span(", "Timing has one home, StageGraph.process."),
+    "one-transport": ("socketpair(", "One transport: the pipe pair the heartbeat lease watches."),
+    "store-image-mirror": ("applied_lines", "The TSDB's write-ahead log is its only durable image."),
+    "no-shard-runner": ("scenarios/shard_runner.py", "Sharded runs go through the one runner, Episode."),
+    "no-per-record-method": ("process_measurement", "The service writes each poll as one request."),
+    "no-buffer-object": ("Mbuf( alloc(", "An rx ring holds rows, not a buffer object per frame."),
+    "no-shard-supervisor": ("ShardSupervisor", "There is one shard parent, ShardedRuntime."),
+    "no-supervisor-module": ("shard/supervisor.py", "There is one shard parent, ShardedRuntime."),
+    "no-json-shaping": ("_pack_key _unpack_key _pack_floats", "The codec keeps tuple keys and bytes."),
+    "no-switched-by": ("SWITCHED_BY", "Every tier is one entry of stack.tiers."),
+    "metric-binders": ("bind_pipeline_metrics bind_analytics_metrics bind_overload_metrics bind_durability_metrics"
+                       " bind_telemetry _bind_registry", "The registry renders the run's books (stack/metrics.py)."),
+}
+GONE = {name: why for names, why in DELETED.values() for name in names.split()}
+
+
+def deleted_shapes(modules):
+    """A name, call or module of :data:`DELETED`."""
+    for path, nodes in modules.items():
+        yield from [(path, 1, path)] if path in GONE else ()
+        for node in nodes:
+            for kind, text in _texts(node):
+                if text in GONE if kind == "name" else kind == "call" and _callee(node) + "(" in GONE:
+                    yield path, node.lineno, text
+
+
 # -- the table ----------------------------------------------------------
 
 #: The counters ``count_books`` and the sharded parent's books read.
@@ -445,10 +471,6 @@ ROWS = (
     Row("no-parallel-mechanism", "def", r"\w*(?:Runtime|Harness|Ledger)", allow=PARALLEL,
         must_hold=PARALLEL, pr="16, 21", why="A new runtime, harness or ledger is a parallel mechanism "
         "by another name; these are the ones that exist (extend the allow-list only with a reason)."),
-    Row("no-tracer", "name", r"_*tracer", pr=17,
-        why="Timing has one home, StageGraph.process; a tracer handle is a second timing mechanism."),
-    Row("no-span-call", "call", r".*\.span", pr=17,
-        why="A .span( call is a second timing mechanism beside StageGraph.process."),
     Row("one-tracker-body", "call", "HandshakeTracker", allow=("core/worker.py",),
         must_hold=("core/worker.py",), pr=17,
         why="A second HandshakeTracker( construction site is a second worker body."),
@@ -465,7 +487,6 @@ ROWS = (
     Row("one-shard-mode", shard_mode_shapes, scope=("shard/", "stack/builder.py"), pr=19,
         why="The sharded runtime has one mode, lock-step dispatch under the heartbeat lease; an option "
         "that selects another (a deadline, a window, a transport kind) brings the second one back."),
-    Row("one-transport", "call", "socketpair", pr=19, why="One transport: the pipe pair the lease watches."),
     Row("one-stall-detector", "call", "monotonic", scope=("shard/",), pr=19,
         why="The lease and the child's cadence read monotonic_ns; a time.monotonic() is a private "
         "deadline beside the lease."),
@@ -473,9 +494,6 @@ ROWS = (
         pr=19, why="A fifth shard lifecycle state is a second mode coming back."),
     Row("lifecycle-states-held", "name", frozenset({"SHARD_UP", "SHARD_DOWN", "SHARD_DRAINED", "SHARD_FAILED"}),
         scope=(), must_hold=("shard/runtime.py",), pr=19, why="The four states live in the runtime."),
-    Row("store-image-mirror", "name", "applied_lines", pr=20,
-        why="The TSDB's write-ahead log is the store's only durable image; an applied_lines mirror is "
-        "the store copied into the checkpoint."),
     Row("store-image-written", "key", "tsdb_lines", pr=20, why='A "tsdb_lines" key written anywhere '
         "is the store copied into the checkpoint."),
     Row("store-image-loader", "const", "tsdb_lines", pr="20, 34",
@@ -501,15 +519,11 @@ ROWS = (
         why="ShardedRuntime is offered batches like a stage; a run method is a feed loop of its own."),
     Row("sharded-runtime-is-offered", "def", frozenset({"offer", "drain"}), scope=(),
         must_hold=(RUNTIME,), pr=22, why="ShardedRuntime is offered batches and drained."),
-    Row("no-shard-runner", "module", r"scenarios/shard_runner\.py", pr=22,
-        why="The scenarios' second runner for sharded runs stays gone."),
     Row("one-write-call", "call", "_write_points", scope=(SERVICE,),
         allow=(f"{SERVICE}.poll", f"{SERVICE}.finish"), must_hold=(f"{SERVICE}.poll",), pr=23,
         why="What a poll gathers goes to the store as one request, from the end of poll (and from "
         "finish); a write from elsewhere is the per-record path (a WAL frame, a flush and a round trip "
         "through the guard machinery per record) coming back."),
-    Row("no-per-record-method", "def", "process_measurement", scope=(SERVICE,), pr=23,
-        why="A process_measurement method is the per-record write path coming back."),
     Row("one-publish", "attr", r"pub\.send", scope=(SERVICE,), allow=(f"{SERVICE}.poll",),
         must_hold=(f"{SERVICE}.poll",), pr=23, why="The enriched feed is published by poll, after its write."),
     Row("poll-shaped-write", poll_write_shapes, scope=("analytics/service.py",), pr=23,
@@ -520,8 +534,6 @@ ROWS = (
         "each ring's room are local integers and the pool, ring and port counters are settled after "
         "it; a pool or ring call in the loop, or _extract_tuple for a frame the header pass accepted, "
         "is per-frame bookkeeping coming back."),
-    Row("no-buffer-object", "call", "Mbuf|alloc", pr=24,
-        why="Rows, not buffer objects: an Mbuf( or alloc( is a buffer object per frame."),
     Row("one-ring-reader", "call", "rx_burst|dequeue_burst|dequeue",
         allow=("dpdk/nic.py", "dpdk/ring.py", "core/worker.py"), pr=24,
         why="The rings have one reader, QueueWorker.poll -> process_burst (the port and its queues delegate)."),
@@ -584,10 +596,6 @@ ROWS = (
         "(a restart loads the parent's last checkpoint reply plus its acked counts)."),
     Row("restart-from-parent-held", "attr", r"handle\.checkpoint", scope=(), must_hold=("shard/runtime.py",),
         pr=29, why="A restart reads the parent's copy of the shard's last checkpoint."),
-    Row("no-shard-supervisor", "name", "ShardSupervisor", pr=30,
-        why="There is one shard parent, ShardedRuntime; a ShardSupervisor anywhere is the second one."),
-    Row("no-supervisor-module", "module", r"shard/supervisor\.py", pr=30,
-        why="The second shard parent's module stays gone."),
     Row("one-fork", "call", "fork", allow=("shard/runtime.py",), must_hold=(f"{RUNTIME}._spawn",), pr=30,
         why="Only the shard parent forks, in ShardedRuntime._spawn."),
     Row("one-state-codec", "import", r"_?pickle(?:\..+)?", allow=("durability/codec.py",),
@@ -601,23 +609,22 @@ ROWS = (
         "rows into lists."),
     Row("state-codec-held", "call", frozenset({"encode_snapshot", "decode_snapshot"}), scope=(),
         must_hold=("shard/protocol.py",), pr=34, why="The ckpt reply and the restore ride the codec."),
-    Row("no-json-shaping", "def", "_pack_key|_unpack_key|_pack_floats", pr=34,
-        why="Tuple keys and bytes survive the codec as they are; a helper that tags or encodes them is "
-        "the JSON shaping coming back."),
     Row("one-pump", "call", r".*\.(?:recv|recv_all)", scope=("shard/",),
         allow=(f"{RUNTIME}._await", f"{RUNTIME}._absorb", "shard/worker.py::shard_child_main"),
         must_hold=(f"{RUNTIME}._await", f"{RUNTIME}._absorb"), pr=30,
         why="A shard pipe is read only by the parent's lease-bounded pump (_await and _absorb) and the "
         "child's loop; any other reader has its own rule for what a message it did not expect means."),
-    Row("no-switched-by", "name", "SWITCHED_BY", pr=35,
-        why="Every tier is one entry of stack.tiers; a tier switched on from another section is a "
-        "second switch, and its settings went unchecked on runs without it."),
     Row("overload-knobs-stay-home", "name", r"sampled_modulus|snap_len|up_dwell_\w+|down_dwell_\w+"
         r"|WatermarkBand", allow=("overload/",), pr=35,
         why="The overload tier runs at the controller's defaults; a spec key, builder parameter or "
         "preset that sets one of them is a knob no caller turns."),
+    Row("deleted", deleted_shapes, why="A name of DELETED coming back is its mechanism coming back."),
+    Row("one-read-out", "call", r"register_collector|registry\.counter|registry\.gauge", allow=("obs/",
+        "stack/metrics.py"), must_hold=("stack/metrics.py",), why="The registry renders the run's books; a family or "
+        "collector registered elsewhere is a second read-out (only wall-clock readings keep a collector)."),
 )
 ROW = {row.id: row for row in ROWS}
+ROW.update(dict.fromkeys(DELETED, ROW["deleted"]))  # each former row's id checks the one row
 
 #: Modules, each placed at the path on its ``===`` line and checked against
 #: every row: ``# found: row=what, …`` lists all the rows report on a line.
@@ -643,10 +650,7 @@ def go(stack, service):
 from struct import Struct  # found: one-header-walker-struct=struct
 import os, struct as st  # found: one-header-walker-struct=struct
 walker = PacketParser(max_vlan_tags=0)  # found: one-header-walker-parser=PacketParser
-def poll(self, tracer=None):  # found: no-tracer=tracer
-    with self._tracer.span('worker.poll'):  # found: no-tracer=_tracer, no-span-call=self._tracer.span
-        make(tracer=tracer)  # found: no-tracer=tracer, no-tracer=tracer
-    width = table.span  # an attribute read, not a call
+def poll(self):
     return HandshakeTracker(config=None)  # found: one-tracker-body=HandshakeTracker
 === net/tool.py
 import struct
@@ -667,11 +671,11 @@ def receive_burst(self, packets):
 def receive_burst(self, packets):
     for packet in packets:
         extracted = self._extract_tuple(packet.data)  # found: rx-frame-loop=_extract_tuple for an accepted frame
-        mbuf = self.pool.alloc(packet.data)  # found: rx-frame-loop=a pool/ring call in the frame loop, no-buffer-object=self.pool.alloc
+        mbuf = self.pool.alloc(packet.data)  # found: rx-frame-loop=a pool/ring call in the frame loop, deleted=self.pool.alloc
         ring = self.queues[0].ring
         if ring.is_full:
             mbuf.free()
-        ring.enqueue(Mbuf(data=packet.data))  # found: rx-frame-loop=a pool/ring call in the frame loop, no-buffer-object=Mbuf
+        ring.enqueue(Mbuf(data=packet.data))  # found: rx-frame-loop=a pool/ring call in the frame loop, deleted=Mbuf
 === tools/peek.py
 def process_burst(self, rows): pass  # found: one-burst-body=process_burst
 def peek(nic):
@@ -686,7 +690,7 @@ SHARD_UP = "up"
 SHARD_SUSPECT = "suspect"  # found: four-lifecycle-states=SHARD_SUSPECT
 class Supervisor:
     def __init__(self, entry, transport_kind='pipe'):  # found: one-shard-mode=__init__(transport_kind=)
-        left, right = socket.socketpair()  # found: one-transport=socket.socketpair
+        left, right = socket.socketpair()  # found: deleted=socket.socketpair
     def wait(self, transport, *, max_inflight=4):  # found: one-shard-mode=wait(max_inflight=)
         deadline = time.monotonic() + 30.0  # found: one-stall-detector=time.monotonic
         now = time.monotonic_ns()
@@ -696,9 +700,6 @@ class Supervisor:
 def encode_dispatch(seq, burst):
     return encode_message(encode_batch(seq, burst))
 === stack/builder.py
-from repro.shard.supervisor import ShardSupervisor  # found: no-shard-supervisor=ShardSupervisor
-def build(shards):
-    return shard.ShardSupervisor(shards)  # found: no-shard-supervisor=ShardSupervisor
 def build_sharded_runtime(shards, *, transport='pipe',  # found: one-shard-mode=build_sharded_runtime(transport=), one-shard-mode=build_sharded_runtime(heartbeat_deadline_ms=)
                           heartbeat_deadline_ms=None): pass
 def build_live_stack(transport=None):
@@ -706,7 +707,7 @@ def build_live_stack(transport=None):
 def _after_checkpoint(self, info):
     self.wal.truncate()  # found: store-image-truncate=self.wal.truncate
 def state_dict(self):
-    return {"tsdb_lines": list(self.tsdb.applied_lines)}  # found: store-image-written=tsdb_lines, store-image-loader=tsdb_lines, store-image-mirror=applied_lines
+    return {"tsdb_lines": list(self.tsdb.applied_lines)}  # found: store-image-written=tsdb_lines, store-image-loader=tsdb_lines, deleted=applied_lines
 class StackBuilder:
     def build(self):
         if profile is not None:
@@ -746,8 +747,8 @@ def trial(packets, n):
 def rounds(packets, n):
     for start in range(0, len(packets), n):  # found: one-cutter=a list sliced by a stride
         yield packets[start : start + n]
-def capture(state, applied_lines):  # found: store-image-mirror=applied_lines
-    state["tsdb_lines"] = applied_lines  # found: store-image-written=tsdb_lines, store-image-loader=tsdb_lines, store-image-mirror=applied_lines
+def capture(state, applied_lines):  # found: deleted=applied_lines
+    state["tsdb_lines"] = applied_lines  # found: store-image-written=tsdb_lines, store-image-loader=tsdb_lines, deleted=applied_lines
     extra = dict(tsdb_lines=[])  # found: store-image-written=tsdb_lines
     peek = state.get("tsdb_lines")  # found: store-image-loader=tsdb_lines
     log.truncate()  # not under stack/
@@ -762,7 +763,7 @@ def collect(records, out):
 def window(data, i, n):
     return data[i : i + n]
 === scenarios/shard_runner.py
-RUNNER = None  # found: no-shard-runner=scenarios/shard_runner.py
+RUNNER = None  # found: deleted=scenarios/shard_runner.py
 === analytics/service.py
 """process_measurement, pub.send and if resilience is None: in a docstring."""
 KEY = series_key('latency', {'src_city': 'Auckland'})
@@ -791,8 +792,8 @@ class AnalyticsService:
             self._process_message(message)
             self._write_points()  # found: poll-shaped-write=_write_points inside a loop
     def _process_message(self, message):
-        self.process_measurement(self._enrich(message))
-    def process_measurement(self, measurement):  # found: no-per-record-method=process_measurement
+        self.process_measurement(self._enrich(message))  # found: deleted=process_measurement
+    def process_measurement(self, measurement):  # found: deleted=process_measurement
         self._write_points([self._raw_point(measurement)])  # found: one-write-call=self._write_points
         self.pub.send(measurement)  # found: one-publish=self.pub.send
 class Elsewhere:
@@ -901,20 +902,13 @@ import io, struct
 import json  # found: no-json-durability=json
 from pickle import loads  # found: one-state-codec=pickle, one-state-codec=pickle.loads
 from json.decoder import JSONDecodeError  # found: no-json-durability=json.decoder, no-json-durability=json.decoder.JSONDecodeError
-def _pack_floats(values):  # found: no-json-shaping=_pack_floats
-    return values
-class TopK:
-    def _pack_key(self, key):  # found: no-json-shaping=_pack_key
-        return key
-    def load(self, rows):
-        return [_unpack_key(row) for row in rows]
 === mq/socket.py
 def poll(sock):
     return sock.recv(0), sock.recv_all()
 === shard/supervisor.py
-import os  # found: no-supervisor-module=shard/supervisor.py
+import os  # found: deleted=shard/supervisor.py
 from repro.shard.heartbeat import FailureDetector
-class ShardSupervisor:  # found: no-shard-supervisor=ShardSupervisor
+class ShardSupervisor:  # found: deleted=ShardSupervisor
     def _spawn(self, handle):
         return os.fork()  # found: one-fork=os.fork
     def declare_down(self, handle):
@@ -924,7 +918,6 @@ class ShardSupervisor:  # found: no-shard-supervisor=ShardSupervisor
 === scenarios/spec.py
 """SWITCHED_BY and snap_len in a docstring."""
 from repro.overload import WatermarkBand  # found: overload-knobs-stay-home=WatermarkBand
-SWITCHED_BY = {"topk": "stack.topk"}  # found: no-switched-by=SWITCHED_BY
 def overload(builder, snap_len=256):  # found: overload-knobs-stay-home=snap_len
     return builder.overload(up_dwell_ms=50.0)  # found: overload-knobs-stay-home=up_dwell_ms
 knob = spec.overload.sampled_modulus  # found: overload-knobs-stay-home=sampled_modulus
@@ -932,6 +925,13 @@ help = "frames cut to snap_len"
 === overload/controller.py
 def controller(band=WatermarkBand(), down_dwell_ns=0, sampled_modulus=8, snap_len=256):
     return band
+=== resilience/layer.py
+"""A tracer, registry.counter( and bind_telemetry in a docstring."""
+from repro.stack.metrics import bind_overload_metrics  # found: deleted=bind_overload_metrics
+def bind_telemetry(self, telemetry, tracer=None):  # found: deleted=bind_telemetry, deleted=tracer
+    gauge = telemetry.registry.gauge('x'), self._pack_key  # found: one-read-out=telemetry.registry.gauge, deleted=_pack_key
+    registry.register_collector(self.span, SWITCHED_BY)  # found: one-read-out=registry.register_collector, deleted=SWITCHED_BY
+    return registry.counter('x'), stage.span(), self.registry_counter()  # found: one-read-out=registry.counter, deleted=stage.span
 '''.split("\n=== ")[1:]
     )
 ]
@@ -975,7 +975,7 @@ def _emptied_holders_fail(row):
     assert check(emptied, [row])[row.id][1] == list(row.must_hold)
 
 
-@pytest.mark.parametrize("row", ROWS, ids=ROW)
+@pytest.mark.parametrize("row", ROW.values(), ids=ROW)
 def test_contract_holds(row, report):
     _holds(row, report)
 
@@ -994,7 +994,7 @@ def test_every_row_bites():
     """Each row has its own id, and either bans something a case shows it
     reporting or, banning nothing, must hold something."""
     marked = {row_id for _, source in CASES for row_id, _, _ in _marked(source)}
-    assert len(ROW) == len(ROWS)
+    assert len({row.id for row in ROWS}) == len(ROWS)
     assert [row.id for row in ROWS if not (row.id in marked if row.scope else row.must_hold)] == []
 
 
@@ -1052,7 +1052,7 @@ def _former(row_ids, twin):
 
     def sees(self):
         for path, source in CASES:
-            if set(row_ids) & {row_id for row_id, _, _ in _marked(source)}:
+            if {row.id for row in rows} & {row_id for row_id, _, _ in _marked(source)}:
                 _reported_as_marked(path, source)
         for row in (row for row in rows if row.must_hold):
             _emptied_holders_fail(row)

@@ -254,9 +254,9 @@ class TestChaosCommands:
         line = next(l for l in output.splitlines() if l.startswith("clean"))
         assert line.index(PROFILES["clean"].description) == width
 
-    def test_chaos_unknown_profile_errors(self):
-        with pytest.raises(ValueError, match="unknown fault profile"):
-            main(["chaos", "--profile", "nope", *self.CHAOS])
+    def test_chaos_unknown_profile_errors(self, capsys):
+        assert main(["chaos", "--profile", "nope", *self.CHAOS]) == 2
+        assert "unknown fault profile 'nope'" in capsys.readouterr().err
 
     def test_dlq_inspection(self, capsys):
         assert main(["dlq", "--profile", "lossy-mq", *self.CHAOS]) == 0
@@ -544,6 +544,20 @@ UNREADABLE = [
     (["query", "--file", "bad.lp", "SELECT mean(total_ms) FROM latency"], "too many sections"),
 ]
 
+#: Names a command cannot resolve and files it cannot read or parse.
+BAD_NAMES = [
+    (["chaos", "--profile", "nope"], "unknown fault profile 'nope'"),
+    (["dlq", "--profile", "nope"], "unknown fault profile 'nope'"),
+    (["scenario", "run", "auckland-baseline", "--set", "faults.profile=nope"],
+     "unknown fault profile 'nope'"),
+    (["recover", "--state-dir", "state", "--trial", "nope"], "unknown crash point 'nope'"),
+    (["metrics", "--slo-config", "missing.json"], "missing.json: No such file"),
+    (["metrics", "--slo-config", "text.pcap"], "text.pcap: Expecting value"),
+    (["perf", "show", "missing.json"], "missing.json: No such file"),
+    (["perf", "show", "text.pcap"], "text.pcap: Expecting value"),
+    (["perf", "compare", "text.pcap", "missing.json"], "text.pcap: Expecting value"),
+]
+
 
 class TestUnreadableInput:
     """A capture, line-protocol file or query text the command cannot
@@ -561,6 +575,16 @@ class TestUnreadableInput:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"ruru {argv[0]}: error: ") and says in err
+
+    @pytest.mark.parametrize("argv, says", BAD_NAMES, ids=[" ".join(a) for a, _ in BAD_NAMES])
+    def test_bad_name_or_file_is_one_error_line(self, argv, says, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "text.pcap").write_text("not JSON\n")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"ruru {argv[0]}: error: ") and says in err
+        assert [path.name for path in tmp_path.iterdir()] == ["text.pcap"]
 
 
 class TestNoFlagIsDropped:
